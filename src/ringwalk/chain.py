@@ -20,8 +20,10 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
+    InvariantViolation,
     NegativeWeight,
     NotNormalized,
+    RingMismatch,
     UnknownClass,
 )
 from .exact import ScaledMatrix
@@ -36,6 +38,13 @@ def check_alpha(alpha, allow_boundary=False) -> Fraction:
         raise AlphaOutOfRange(
             f"alpha = {alpha} outside {'[0,1]' if allow_boundary else '(0,1)'}")
     return alpha
+
+
+def check_same_ring(ring: FiniteRing, Q: ClassDistribution) -> None:
+    """Q's class weights index `ring`'s classes only if Q was built on it."""
+    if Q.ring is not ring:
+        raise RingMismatch(f"Q was built on another ring object "
+                           f"({Q.ring.label}), not on {ring.label}")
 
 
 class ClassDistribution:
@@ -128,8 +137,8 @@ class TransitionMatrix:
         return self.matrix.to_float()
 
     def check_stochastic(self):
-        assert all(s == 1 for s in self.matrix.row_sums()), \
-            f"{self.kind} rows must sum to exactly 1"
+        if any(s != 1 for s in self.matrix.row_sums()):
+            raise InvariantViolation(f"{self.kind} rows must sum to exactly 1")
 
 
 def build_B(ring: FiniteRing, Q: ClassDistribution, side: str = "left") -> TransitionMatrix:
@@ -139,7 +148,7 @@ def build_B(ring: FiniteRing, Q: ClassDistribution, side: str = "left") -> Trans
     (transition a -> x*a); side="right" (a -> a*z) exists for the simulator
     comparison and is not the default anywhere.
     """
-    assert Q.ring is ring
+    check_same_ring(ring, Q)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     w_int, den = Q.scaled_weights()
@@ -176,6 +185,7 @@ def build_M(ring: FiniteRing, Q: ClassDistribution, alpha,
     num = [[add_part + mul_scale * v for v in row] for row in B.matrix.num]
     tm = TransitionMatrix(ScaledMatrix(num, s * common), "M", ring, alpha=alpha)
     tm.check_stochastic()
-    if not allow_boundary:
-        assert tm.matrix.min_entry() >= Fraction(alpha, n)
+    if not allow_boundary and tm.matrix.min_entry() < Fraction(alpha, n):
+        raise InvariantViolation(f"M has an entry below alpha/n = "
+                                 f"{Fraction(alpha, n)}")
     return tm

@@ -214,14 +214,11 @@ def cmd_mix(cfg) -> dict:
     rep = reports.new_report("mix")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha), "T": str(T)})
     curve = d_of_t(ring, Q, alpha, T)
-    exact = curve.exact_values or [None] * len(curve.ts)
-    rows = [(t, f"{d:.12g}",
-             "-" if e is None else f"{e.numerator}/{e.denominator}",
-             f"{b:.12g}")
-            for t, d, e, b in zip(curve.ts, curve.values, exact, curve.bounds)]
+    rows = [(t, f"{d:.12g}", f"{e.numerator}/{e.denominator}", f"{b:.12g}")
+            for t, d, e, b in zip(curve.ts, curve.values, curve.exact_values,
+                                  curve.bounds)]
     reports.add_table(rep, "distance", ("t", "d", "d_exact", "bound"), rows)
-    reports.add_check(rep, "geometric-bound", curve.bound_holds(),
-                      "exact" if curve.exact_values is not None else "float")
+    reports.add_check(rep, "geometric-bound", curve.bound_holds(), "exact")
     for eps in eps_list:
         bound = mixing_bound(alpha, eps)
         tm = curve.t_mix(eps)

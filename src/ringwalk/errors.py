@@ -87,5 +87,15 @@ class ParamOutOfRange(RingwalkError):
     pass
 
 
+class RingMismatch(RingwalkError):
+    """A distribution built on one ring object was used with another."""
+
+
+class InvariantViolation(RingwalkError):
+    """An identity the theory guarantees (stochastic rows, pi M = pi, a mass
+    identity, a class-constant count) failed: the inputs or the ring
+    construction are broken.  Raised, not asserted, so it survives -O."""
+
+
 class ConfigError(RingwalkError):
     """Bad CLI/config input; message carries the offending field."""

@@ -2,7 +2,7 @@
 
 Probabilities are rationals throughout, so matrices are stored as integer
 numerators over a single common denominator.  That keeps golden-value tests
-as equality tests and makes matrix powers exact.  Elimination uses the
+as equality tests and makes products exact.  Elimination uses the
 fraction-free (Bareiss) scheme, which bounds coefficient growth without
 leaving the integers.
 """
@@ -102,14 +102,6 @@ class ScaledMatrix:
         cols = list(zip(*self.num))
         return [sum(v * x for v, x in zip(vec, col)) / self.den
                 for col in cols]
-
-    def powers(self, tmax: int):
-        """Yield (t, self**t) for t = 0..tmax."""
-        acc = ScaledMatrix.identity(self.n)
-        yield 0, acc
-        for t in range(1, tmax + 1):
-            acc = acc @ self
-            yield t, acc
 
 
 def bareiss_echelon(rows):

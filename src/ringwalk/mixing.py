@@ -1,12 +1,24 @@
 """Total-variation decay curves, the coupling bound, and trajectory simulation.
 
-The worst-start distance d(t) = max_x TV(M^t(x, .), pi) is computed from
-exact rational matrix powers for rings of up to 256 elements (so the
-geometric bound d(t) <= (1-alpha)^t is checked without rounding) and in
-double precision beyond.  The simulator draws from a counter-based Philox
-stream keyed by (seed, block); coin flips and Q-samples are integer draws
-compared against exact rational thresholds, so every move has its exact
-probability and runs reproduce bit-for-bit across platforms and backends.
+The worst-start distance d(t) = max_x TV(M^t(x, .), pi) comes from one exact
+route for every ring the package builds.  Because X U = U for any
+row-stochastic X (U the uniform-rows matrix),
+
+    M^t = (1-alpha)^t B^t + sum_{m<t} alpha (1-alpha)^m U B^m,
+
+so row x of M^t is (1-alpha)^t B^t(x, .) plus a vector V_t shared by every
+row.  Row x of B^t is the law mu_t = Q^{*t} of a product of t Q-samples,
+pushed forward by y -> y*x.  mu_t is constant on similarity classes, so the
+convolution mu_{t+1} = Q * mu_t runs on class weights with integer structure
+constants counted once from the multiplication table.  One start per
+generator set S_a suffices: left multiplication by a unit preserves B, pi
+and V_t, and the units act transitively on each S_a.  The geometric bound
+d(t) <= (1-alpha)^t is therefore checked without rounding at every size.
+
+The simulator draws from a counter-based Philox stream keyed by (seed,
+block); coin flips and Q-samples are integer draws compared against exact
+rational thresholds, so every move has its exact probability and runs
+reproduce bit-for-bit across platforms and backends.
 """
 
 from __future__ import annotations
@@ -18,10 +30,10 @@ from math import lcm, log
 import numpy as np
 
 from . import _kernels
-from .chain import ClassDistribution, build_M, check_alpha
-from .errors import LengthMismatch, ParamOutOfRange
+from .chain import ClassDistribution, check_alpha, check_same_ring
+from .errors import InvariantViolation, LengthMismatch, ParamOutOfRange
 from .rings import FiniteRing
-from .stationary import SOLVE_CAP, stationary_recursive, stationary_solve
+from .stationary import stationary_recursive
 
 T_CAP = 64
 STEP_CHUNK_ENTRIES = 20_000_000
@@ -44,66 +56,117 @@ class MixingCurve:
     bounds: list          # (1 - alpha)^t as floats
     alpha: Fraction
     ring_label: str
-    exact_values: list | None = None    # Fractions when computed exactly
-    exact_bounds: list | None = None
+    exact_values: list    # d(t) as Fractions
+    exact_bounds: list    # (1 - alpha)^t as Fractions
 
     def t_mix(self, eps):
-        """First t with d(t) <= eps, using exact values when available."""
+        """First t with d(t) <= eps; None if no computed t reaches eps."""
         eps = Fraction(eps)
-        series = self.exact_values if self.exact_values is not None \
-            else [Fraction(v).limit_denominator(10 ** 12) for v in self.values]
-        for t, d in zip(self.ts, series):
+        for t, d in zip(self.ts, self.exact_values):
             if d <= eps:
                 return t
         return None
 
     def bound_holds(self) -> bool:
-        if self.exact_values is not None:
-            return all(d <= b for d, b in
-                       zip(self.exact_values, self.exact_bounds))
-        return all(d <= b + 1e-12 for d, b in zip(self.values, self.bounds))
+        return all(d <= b for d, b in zip(self.exact_values, self.exact_bounds))
 
 
-def _exact_curve(matrix, pi, T):
-    """Exact d(t) for t = 0..T from integer matrix powers."""
-    pden = 1
-    for p in pi:
-        pden = lcm(pden, p.denominator)
-    pnum = [int(p * pden) for p in pi]
-    out = []
-    for _, power in matrix.powers(T):
-        den = power.den * pden
-        worst = max(
-            sum(abs(v * pden - pn * power.den) for v, pn in zip(row, pnum))
-            for row in power.num)
-        out.append(Fraction(worst, 2 * den))
-    return out
+def class_products(ring: FiniteRing):
+    """Nonzero structure constants of class-constant convolution.
+
+    Returns arrays (i, j, c, count): for any one z in C_c there are `count`
+    pairs (x, y) in C_i x C_j with x*y = z.  Conjugation by a unit permutes
+    those pairs, so the count is the same for every z in C_c, and the pair
+    total over C_c must divide by |C_c|.  Sparse, so memory stays O(n^2)
+    (that of the table) even when every class is a singleton.
+    """
+    part = ring.similarity
+    k = len(part)
+    cls = part.class_of.astype(np.int64)
+    keys = (cls[:, None] * k + cls[None, :]) * k + cls[ring.mul]
+    keys, totals = np.unique(keys, return_counts=True)
+    ij, c = np.divmod(keys, k)
+    i, j = np.divmod(ij, k)
+    sizes = np.array([len(cl) for cl in part.classes], dtype=np.int64)[c]
+    if np.any(totals % sizes):
+        raise InvariantViolation(f"{ring.label}: product counts are not "
+                                 f"constant on similarity classes")
+    return i, j, c, totals // sizes
 
 
 def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve:
-    """Worst-start TV distance to stationarity for t = 0..T (T <= 64)."""
+    """Exact worst-start TV distance to stationarity for t = 0..T.
+
+    Domain: any ring the package builds, Q class-constant on that ring,
+    0 < alpha < 1 and 0 <= T <= T_CAP.  Every value is a Fraction, built
+    from the identity
+
+        M^t = (1-alpha)^t B^t + sum_{m<t} alpha (1-alpha)^m U B^m
+
+    with mu_t = Q^{*t} convolved on class weights (B^t(a, .) is mu_t pushed
+    forward by y -> y*a, and u B^m is class-constant), pi from
+    stationary_recursive, and one start per generator in ring.phi.  Cost,
+    for k similarity classes and n elements: one O(n^2 log n) count of
+    class products from the table, then O(T * (k^2 + |phi| * n))
+    exact-integer operations.
+    """
     if not (0 <= T <= T_CAP):
         raise ParamOutOfRange(f"T must lie in [0, {T_CAP}]")
     alpha = check_alpha(alpha)
-    M = build_M(ring, Q, alpha)
-    if ring.n <= SOLVE_CAP:
-        pi = stationary_solve(M)
-        exact = _exact_curve(M.matrix, pi, T)
-        values = [float(v) for v in exact]
-        exact_bounds = [(1 - alpha) ** t for t in range(T + 1)]
-        return MixingCurve(list(range(T + 1)), values,
-                           [float(b) for b in exact_bounds], alpha,
-                           ring.label, exact, exact_bounds)
-    pi = np.array([float(v) for v in stationary_recursive(ring, Q, alpha)])
-    arr = M.to_float()
-    power = np.eye(ring.n)
-    values = []
+    check_same_ring(ring, Q)
+    n = ring.n
+    class_of = ring.similarity.class_of
+    p, s = alpha.numerator, alpha.denominator
+
+    # Q per element is q_int[class] / D; mu_t per element is mu[class] / D^t
+    D = lcm(*(w.denominator for w in Q.weights))
+    q_int = np.array([int(w * D) for w in Q.weights], dtype=object)
+    k = len(q_int)
+    i, j, c, count = class_products(ring)
+    count = count.astype(object)
+    conv = np.zeros((k, k), dtype=object)       # mu_{t+1} = mu_t @ conv
+    np.add.at(conv, (j, c), q_int[i] * count)
+    spread = np.zeros((k, k), dtype=object)     # n u B^m = mu_m @ spread
+    np.add.at(spread, (i, c), count)
+    mu = np.zeros(k, dtype=object)
+    mu[class_of[ring.one]] = 1
+
+    pi = stationary_recursive(ring, Q, alpha)
+    pi_den = lcm(*(x.denominator for x in pi))
+    pi_num = np.array([x.numerator * (pi_den // x.denominator) for x in pi],
+                      dtype=object)
+
+    # pushforward by y -> y*a: sorted fibers of column a of the table
+    fibers = []
+    for a in ring.phi:
+        targets = ring.mul[:, int(a)]
+        order = np.argsort(targets, kind="stable")
+        image = targets[order]
+        first = np.flatnonzero(np.diff(image, prepend=-1))
+        fibers.append((order, first, image[first]))
+
+    # V_t per class is v[class] / (n s^t D^t)
+    v = np.zeros(k, dtype=object)
+    exact = []
     for t in range(T + 1):
-        values.append(float(0.5 * np.max(np.abs(power - pi[None, :]).sum(axis=1))))
-        if t < T:
-            power = power @ arr
-    bounds = [float((1 - alpha) ** t) for t in range(T + 1)]
-    return MixingCurve(list(range(T + 1)), values, bounds, alpha, ring.label)
+        scale = n * s ** t * D ** t
+        den = lcm(scale, pi_den)
+        shared = (v * (den // scale))[class_of] - pi_num * (den // pi_den)
+        coef = n * (s - p) ** t * (den // scale)
+        mu_elem = mu[class_of]
+        worst = 0
+        for order, first, image in fibers:
+            row = shared.copy()
+            row[image] += coef * np.add.reduceat(mu_elem[order], first)
+            worst = max(worst, np.abs(row).sum())
+        exact.append(Fraction(worst, 2 * den))
+        v = s * D * v + p * (s - p) ** t * D * mu.dot(spread)
+        mu = mu.dot(conv)
+
+    exact_bounds = [(1 - alpha) ** t for t in range(T + 1)]
+    return MixingCurve(list(range(T + 1)), [float(x) for x in exact],
+                       [float(b) for b in exact_bounds], alpha, ring.label,
+                       exact, exact_bounds)
 
 
 def mixing_bound(alpha, eps) -> float:
@@ -150,6 +213,15 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     deterministically, so any execution order gives identical results.
     """
     alpha = check_alpha(alpha, allow_boundary)
+    if not 0 <= x0 < ring.n:
+        raise ParamOutOfRange(f"field 'start' (x0): {x0} is not an element "
+                              f"index of {ring.label} (0..{ring.n - 1})")
+    if t < 0:
+        raise ParamOutOfRange(f"field 'steps' (t): {t} is negative")
+    if samples < 1:
+        raise ParamOutOfRange(f"field 'samples': {samples} is below 1")
+    if blocks < 1:
+        raise ParamOutOfRange(f"field 'blocks': {blocks} is below 1")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if seed is None:

@@ -19,7 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chain import ClassDistribution, TransitionMatrix, check_alpha
-from .errors import DenominatorZero, SingularSystem, TooLarge
+from .errors import (
+    DenominatorZero,
+    InvariantViolation,
+    SingularSystem,
+    TooLarge,
+)
 from .exact import stationary_nullspace
 from .gl2 import require_m2_ring
 from .rings import FiniteRing
@@ -35,7 +40,8 @@ def stationary_solve(M: TransitionMatrix):
     if any(p <= 0 for p in pi):
         raise SingularSystem("stationary vector of a positive chain must be "
                              "strictly positive")
-    assert M.matrix.vec_mul(pi) == list(pi)
+    if M.matrix.vec_mul(pi) != list(pi):
+        raise InvariantViolation("solved pi fails the exact pi M = pi check")
     return pi
 
 
@@ -121,7 +127,8 @@ def gl2_stationary_values(q: int, alpha):
     pi_unit = alpha / d1
     pi_nonunit = q * q * alpha / (e * d1)
     pi_zero = Fraction(q ** 3 + q ** 2 - q - q * (q * q - 1) * alpha) / (e * d1)
-    assert (units * pi_unit + (q ** 4 - units - 1) * pi_nonunit + pi_zero) == 1
+    if units * pi_unit + (q ** 4 - units - 1) * pi_nonunit + pi_zero != 1:
+        raise InvariantViolation(f"GL2 closed forms for q={q} do not sum to 1")
     return pi_unit, pi_nonunit, pi_zero
 
 

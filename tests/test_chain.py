@@ -1,10 +1,14 @@
 """Distribution validation and exact transition-matrix construction."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+import ringwalk
 from ringwalk.chain import ClassDistribution, build_B, build_M, check_alpha
 from ringwalk.errors import (
     AlphaOutOfRange,
@@ -229,3 +233,34 @@ def test_rows_sum_to_one_exactly():
         assert all(s == 1 for s in build_B(r, q).matrix.row_sums())
         assert all(s == 1 for s in
                    build_M(r, q, Fr(2, 7)).matrix.row_sums())
+
+
+OPTIMIZED_SCRIPT = """
+from ringwalk.chain import ClassDistribution, TransitionMatrix, build_B
+from ringwalk.errors import InvariantViolation, RingMismatch
+from ringwalk.exact import ScaledMatrix
+from ringwalk.rings import matrix_ring, zn_ring
+assert False, "this script must run under python -O"
+"""
+
+
+@pytest.mark.parametrize("call, error", [
+    # both rings have 16 elements: only the ring check can catch the mix-up
+    ("build_B(zn_ring(16), ClassDistribution.uniform(matrix_ring(2)))",
+     "RingMismatch"),
+    ("TransitionMatrix(ScaledMatrix([[1, 0], [1, 1]], 1), 'B',"
+     " zn_ring(2)).check_stochastic()", "InvariantViolation"),
+])
+def test_invariants_survive_python_O(call, error):
+    script = OPTIMIZED_SCRIPT + f"""
+try:
+    {call}
+except {error}:
+    print("raised")
+"""
+    src = os.path.dirname(os.path.dirname(ringwalk.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

@@ -149,6 +149,22 @@ def test_bad_alpha_is_config_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--blocks", "0"),
+    ("--start", "99"),
+    ("--start", "-1"),
+    ("--steps", "-3"),
+    ("--samples", "0"),
+])
+def test_simulate_out_of_range_field_is_config_error(flag, value):
+    code, out, err = run_cli(["simulate", "--ring", "matrix", "--q", "2",
+                              "--alpha", "1/2", "--seed", "1", flag, value])
+    assert code == 2
+    assert f"'{flag[2:]}'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_bad_q_weights_rejected():
     qspec = json.dumps({"0": "1/2"})
     code, _, err = run_cli(["spectrum", "--ring", "zn", "--n", "6",

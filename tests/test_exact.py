@@ -39,14 +39,6 @@ def test_matmul_matches_float():
     assert np.allclose(prod.to_float(), (a / 3) @ (b / 7))
 
 
-def test_powers_iterator():
-    m = ScaledMatrix([[1, 1], [0, 1]], 2)
-    got = dict(m.powers(3))
-    assert got[0] == ScaledMatrix.identity(2)
-    assert got[2] == m @ m
-    assert got[3] == m @ m @ m
-
-
 def test_vec_mul():
     m = ScaledMatrix([[1, 1], [3, 1]], 2)
     assert m.vec_mul([Fr(1), Fr(2)]) == [Fr(7, 2), Fr(3, 2)]

@@ -6,17 +6,26 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from ringwalk import _kernels
 from ringwalk.chain import ClassDistribution, build_B, build_M
-from ringwalk.errors import LengthMismatch, ParamOutOfRange
+from ringwalk.errors import InvariantViolation, LengthMismatch, ParamOutOfRange
+from ringwalk.exact import ScaledMatrix
 from ringwalk.mixing import (
+    class_products,
     d_of_t,
     mixing_bound,
     one_step_rows,
     simulate,
     tv_distance,
 )
-from ringwalk.rings import matrix_ring, upper_triangular_ring, zn_ring
-from ringwalk.stationary import stationary_solve
+from ringwalk.rings import (
+    SimilarityPartition,
+    matrix_ring,
+    product_ring,
+    upper_triangular_ring,
+    zn_ring,
+)
+from ringwalk.stationary import stationary_recursive, stationary_solve
 
 
 def uniform(ring):
@@ -85,14 +94,77 @@ def test_t_cap():
         d_of_t(ring, uniform(ring), Fr(1, 2), 65)
 
 
-def test_float_path_above_exact_cap():
-    # 625 states: double-precision powers, exact stationary via recursion
+def seeded_q(ring, seed):
+    """Class-constant Q from fixed-seed integer class weights 0..9."""
+    part = ring.similarity
+    w = np.random.default_rng(seed).integers(0, 10, size=len(part))
+    w[part.class_of[ring.one]] += 1          # never all zero
+    total = sum(int(x) * len(c) for x, c in zip(w, part.classes))
+    return ClassDistribution(ring, [Fr(int(x), total) for x in w])
+
+
+def matrix_power_curve(ring, q, alpha, T):
+    """Oracle: exact powers of M and the max over all n starts."""
+    m = build_M(ring, q, alpha).matrix
+    pi = stationary_solve(build_M(ring, q, alpha))
+    power = ScaledMatrix.identity(ring.n)
+    out = []
+    for t in range(T + 1):
+        out.append(max(tv_distance(power.row(x), pi) for x in range(ring.n)))
+        if t < T:
+            power = power @ m
+    return out
+
+
+CROSS_RINGS = {
+    "M2(F2)": lambda: matrix_ring(2),
+    "B2(F3)": lambda: upper_triangular_ring(3),
+    "Z_12": lambda: zn_ring(12),
+    "Z_2xM2(F2)": lambda: product_ring(zn_ring(2), matrix_ring(2)),
+    "M2(F3)": lambda: matrix_ring(3),
+}
+
+
+@pytest.mark.parametrize("alpha", [Fr(1, 2), Fr(1, 3)])
+@pytest.mark.parametrize("q_seed", [None, 1, 2])
+@pytest.mark.parametrize("ring_name", sorted(CROSS_RINGS))
+def test_curve_equals_matrix_power_oracle(ring_name, q_seed, alpha):
+    ring = CROSS_RINGS[ring_name]()
+    q = uniform(ring) if q_seed is None else seeded_q(ring, q_seed)
+    T = 8 if ring.n > 32 else 12
+    curve = d_of_t(ring, q, alpha, T)
+    assert curve.exact_values == matrix_power_curve(ring, q, alpha, T)
+    assert curve.values == [float(v) for v in curve.exact_values]
+
+
+def test_exact_curve_above_former_cap():
+    # 625 states: exact for every n, checked against float matrix powers
     ring = matrix_ring(5)
-    curve = d_of_t(ring, uniform(ring), Fr(1, 2), 6)
-    assert curve.exact_values is None
+    q = uniform(ring)
+    alpha = Fr(1, 2)
+    T = 6
+    curve = d_of_t(ring, q, alpha, T)
+    assert len(curve.exact_values) == T + 1
+    assert all(isinstance(v, Fr) for v in curve.exact_values)
     assert curve.bound_holds()
-    assert all(curve.values[t + 1] <= curve.values[t] + 1e-12
-               for t in range(6))
+    pi = np.array([float(v) for v in stationary_recursive(ring, q, alpha)])
+    m = build_M(ring, q, alpha).to_float()
+    power = np.eye(ring.n)
+    for t in range(T + 1):
+        d = 0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
+        assert abs(curve.values[t] - d) <= 1e-12
+        power = power @ m
+
+
+def test_class_products_reject_a_partition_that_is_not_conjugation_closed():
+    ring = zn_ring(6)
+    classes = [np.array([0]), np.array([1, 5]), np.array([2, 3, 4])]
+    class_of = np.array([0, 1, 2, 2, 2, 1])
+    ring.__dict__["similarity"] = SimilarityPartition(
+        classes, np.array([0, 1, 2]), class_of,
+        np.array([False, True, False]))
+    with pytest.raises(InvariantViolation):
+        class_products(ring)
 
 
 # ---------------------------------------------------------------------
@@ -139,6 +211,7 @@ def test_simulation_deterministic_per_seed():
     assert a.counts.sum() == 5000
 
 
+@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba is not installed")
 def test_simulation_backends_identical():
     ring = upper_triangular_ring(3)
     q = uniform(ring)
