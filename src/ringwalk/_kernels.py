@@ -1,73 +1,29 @@
-"""Hot integer kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection is controlled by the RINGWALK_BACKEND environment variable:
-"numba" (require numba), "numpy" (force the fallback), or "auto" (default:
-numba when importable).  The two paths consume identical integer inputs and
-produce bit-identical outputs; the flag only affects speed, never semantics.
-benchmarks/bench_backends.py compares the two.
-"""
+"""Hot integer kernels: the matrix-ring multiplication table and the
+trajectory stepping of the simulator, in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def active_backend() -> str:
-    """Resolve the backend once per call so tests can flip the env var."""
-    choice = os.environ.get("RINGWALK_BACKEND", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"RINGWALK_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("RINGWALK_BACKEND=numba but numba is not importable")
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded with benchmark results.
+
+    numpy is the only implementation; the function stays so that tools which
+    record the backend keep working."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# multiplication table of a (structured) matrix ring over a small field
-# ---------------------------------------------------------------------------
+def matrix_mul_table(E, fmul, fadd, place):
+    """out[a, b] = encoded index of the matrix product a @ b over the field.
 
-@njit(cache=True)
-def _mul_table_numba(E, fmul, fadd, place, out):  # pragma: no cover - jitted
+    place[i, j] is the positional multiplier of entry (i, j) in the element
+    encoding, or -1 for entries forced to zero by the ring's shape; a nonzero
+    product entry at a forced-zero position counts as a closure violation and
+    is reported in the second return value.
+    """
     n, s, _ = E.shape
-    bad = 0
-    for a in range(n):
-        for b in range(n):
-            idx = 0
-            for i in range(s):
-                for j in range(s):
-                    acc = 0
-                    for k in range(s):
-                        acc = fadd[acc, fmul[E[a, i, k], E[b, k, j]]]
-                    if place[i, j] < 0:
-                        if acc != 0:
-                            bad += 1
-                    else:
-                        idx += acc * place[i, j]
-            out[a, b] = idx
-    return bad
-
-
-def _mul_table_numpy(E, fmul, fadd, place, out):
-    n, s, _ = E.shape
+    out = np.empty((n, n), dtype=np.int64)
     bad = 0
     for a in range(n):
         idx = np.zeros(n, dtype=np.int64)
@@ -81,53 +37,7 @@ def _mul_table_numpy(E, fmul, fadd, place, out):
                 else:
                     idx += acc * place[i, j]
         out[a] = idx
-    return bad
-
-
-def matrix_mul_table(E, fmul, fadd, place):
-    """out[a, b] = encoded index of the matrix product a @ b over the field.
-
-    place[i, j] is the positional multiplier of entry (i, j) in the element
-    encoding, or -1 for entries forced to zero by the ring's shape; a nonzero
-    product entry at a forced-zero position counts as a closure violation and
-    is reported in the second return value.
-    """
-    n = E.shape[0]
-    out = np.empty((n, n), dtype=np.int64)
-    if active_backend() == "numba":
-        bad = _mul_table_numba(E, fmul, fadd, place, out)
-    else:
-        bad = _mul_table_numpy(E, fmul, fadd, place, out)
-    return out, int(bad)
-
-
-# ---------------------------------------------------------------------------
-# chain trajectory stepping
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _run_chain_numba(states, coins, adds, zs, add_table, mul_table, left):
-    # pragma: no cover - jitted
-    t, m = coins.shape
-    for step in range(t):
-        for i in range(m):
-            if coins[step, i]:
-                states[i] = add_table[states[i], adds[step, i]]
-            elif left:
-                states[i] = mul_table[zs[step, i], states[i]]
-            else:
-                states[i] = mul_table[states[i], zs[step, i]]
-
-
-def _run_chain_numpy(states, coins, adds, zs, add_table, mul_table, left):
-    for step in range(len(coins)):
-        heads = coins[step].astype(bool)
-        added = add_table[states, adds[step]]
-        if left:
-            multiplied = mul_table[zs[step], states]
-        else:
-            multiplied = mul_table[states, zs[step]]
-        np.copyto(states, np.where(heads, added, multiplied))
+    return out, bad
 
 
 def run_chain(states, coins, adds, zs, add_table, mul_table, left=True):
@@ -138,8 +48,12 @@ def run_chain(states, coins, adds, zs, add_table, mul_table, left=True):
     left by default (matching the transition matrix convention) or on the
     right when left=False.
     """
-    if active_backend() == "numba":
-        _run_chain_numba(states, coins, adds, zs, add_table, mul_table, left)
-    else:
-        _run_chain_numpy(states, coins, adds, zs, add_table, mul_table, left)
+    for step in range(len(coins)):
+        heads = coins[step].astype(bool)
+        added = add_table[states, adds[step]]
+        if left:
+            multiplied = mul_table[zs[step], states]
+        else:
+            multiplied = mul_table[states, zs[step]]
+        np.copyto(states, np.where(heads, added, multiplied))
     return states

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gl2, spectrum
-from .chain import ClassDistribution, build_B, build_M
+from .chain import ClassDistribution, TransitionMatrix, build_B, build_M
 from .errors import UnsupportedQ
 from .mixing import d_of_t, mixing_bound
 from .rings import FiniteRing
@@ -73,9 +73,8 @@ def check_witnesses(ring: FiniteRing):
     return True, "unit action transitive on every S_a"
 
 
-def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution,
+def check_conjugation_invariance(ring: FiniteRing, B: TransitionMatrix,
                                  rng_seed: int = 0):
-    B = build_B(ring, Q).matrix
     n = ring.n
     if n <= EXHAUSTIVE_N:
         units = ring.units
@@ -85,7 +84,7 @@ def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution,
         units = rng.choice(ring.units, size=min(8, len(ring.units)),
                            replace=False)
         note = f"{len(units)} sampled units"
-    num = np.array(B.num, dtype=object)
+    num = np.array(B.matrix.num, dtype=object)
     for u in units:
         perm = ring.mul[int(u), :]
         if not np.array_equal(num[np.ix_(perm, perm)], num):
@@ -94,41 +93,44 @@ def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution,
 
 
 def check_spectrum_two_way(ring: FiniteRing, Q: ClassDistribution,
-                           tau: float = spectrum.MERGE_TOL,
+                           eig_b: spectrum.EigenvalueMultiset,
                            tol: float = spectrum.MATCH_TOL):
-    em = spectrum.eig_numeric(build_B(ring, Q), tau)
-    bm, _ = spectrum.block_spectrum(ring, Q, tau)
-    ok = spectrum.multisets_match(em.expand(), bm.expand(), tol)
-    return ok, f"{em.total()} eigenvalues, tol {tol}"
+    """eig(B) equals the union of the block spectra, merged at eig_b.tau."""
+    bm, _ = spectrum.block_spectrum(ring, Q, eig_b.tau)
+    ok = spectrum.multisets_match(eig_b.expand(), bm.expand(), tol)
+    return ok, f"{eig_b.total()} eigenvalues, tol {tol}"
 
 
 def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution,
+                       eig_b: spectrum.EigenvalueMultiset,
                        tol: float = spectrum.MATCH_TOL):
     try:
         rep = spectrum.gl2_spectrum(ring, Q)
     except UnsupportedQ as exc:
         return True, f"skipped: {exc}"
-    em = spectrum.eig_numeric(build_B(ring, Q))
-    ok = spectrum.multisets_match(em.expand(), rep.b_values(), tol)
+    ok = spectrum.multisets_match(eig_b.expand(), rep.b_values(), tol)
     return ok, f"total {rep.total()} = q^4, normalization {rep.normalization}"
 
 
-def check_m_shift(ring: FiniteRing, Q: ClassDistribution, alpha,
+def check_m_shift(eig_b: spectrum.EigenvalueMultiset, M: TransitionMatrix,
                   tol: float = spectrum.MATCH_TOL):
     """eig(M) equals the pinned-1, (1-alpha)-scaled eig(B)."""
-    b = spectrum.eig_numeric(build_B(ring, Q))
-    m = spectrum.eig_numeric(build_M(ring, Q, alpha))
-    predicted = spectrum.shift_to_chain_values(b.expand(), alpha)
+    m = spectrum.eig_numeric(M, eig_b.tau)
+    predicted = spectrum.shift_to_chain_values(eig_b.expand(), M.alpha)
     ok = spectrum.multisets_match(m.expand(), predicted, tol)
-    return ok, f"alpha={alpha}"
+    return ok, f"alpha={M.alpha}"
 
 
-def check_stationary_agreement(ring: FiniteRing, Q: ClassDistribution, alpha):
-    methods = {}
-    rec = stationary_recursive(ring, Q, alpha)
-    methods["recursive"] = rec
+def check_stationary_agreement(ring: FiniteRing, Q: ClassDistribution, alpha,
+                               pi_recursive, M: TransitionMatrix | None):
+    """pi_recursive against every other route whose domain holds.
+
+    M is the chain matrix for the exact solve; it is read only when
+    n <= SOLVE_CAP, so callers pass None above that.
+    """
+    methods = {"recursive": pi_recursive}
     if ring.n <= SOLVE_CAP:
-        methods["solve"] = stationary_solve(build_M(ring, Q, alpha))
+        methods["solve"] = stationary_solve(M)
     uniform_q = Q == ClassDistribution.uniform(ring)
     if uniform_q:
         methods["uniform-form"] = stationary_uniform(ring, alpha)
@@ -190,17 +192,31 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
                      ("multiplicity-free", check_mult_free_expectations)):
         ok, detail = fn(ring)
         out.append((name, ok, detail))
-    ok, detail = check_conjugation_invariance(ring, Q)
-    out.append(("conjugation-invariance", ok, detail))
-    if ring.n <= spectrum.EIG_CAP:
-        ok, detail = check_spectrum_two_way(ring, Q)
-        out.append(("spectrum-two-way", ok, detail))
-        ok, detail = check_spectrum_gl2(ring, Q)
-        out.append(("spectrum-gl2", ok, detail))
-        ok, detail = check_m_shift(ring, Q, alpha)
-        out.append(("spectrum-m-shift", ok, detail))
-    ok, detail = check_stationary_agreement(ring, Q, alpha)
-    out.append(("stationary-agreement", ok, detail))
+    out += _walk_checks(ring, Q, alpha)
     ok, detail = check_mixing(ring, Q, alpha, min(T, 20), list(eps_list))
     out.append(("mixing-bound", ok, detail))
+    return out
+
+
+def _walk_checks(ring: FiniteRing, Q: ClassDistribution, alpha):
+    """The checks on B, eig(B), M and the recursive pi, each computed once.
+
+    B is dropped once eig(B) is known, and M on return, so neither adds to
+    the peak memory of building M or of the mixing check that follows.
+    """
+    B = build_B(ring, Q)
+    out = [("conjugation-invariance",
+            *check_conjugation_invariance(ring, B))]
+    M = None
+    if ring.n <= spectrum.EIG_CAP:
+        eig_b = spectrum.eig_numeric(B)
+        del B
+        out.append(("spectrum-two-way",
+                    *check_spectrum_two_way(ring, Q, eig_b)))
+        out.append(("spectrum-gl2", *check_spectrum_gl2(ring, Q, eig_b)))
+        M = build_M(ring, Q, alpha)
+        out.append(("spectrum-m-shift", *check_m_shift(eig_b, M)))
+    pi = stationary_recursive(ring, Q, alpha)
+    out.append(("stationary-agreement",
+                *check_stationary_agreement(ring, Q, alpha, pi, M)))
     return out

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from fractions import Fraction
 
 from . import checks, reports, spectrum
-from .chain import ClassDistribution, build_B
+from .chain import ClassDistribution, build_B, build_M
 from .errors import ConfigError, RingwalkError, UnsupportedQ
 from .mixing import d_of_t, mixing_bound, simulate
 from .rings import (
@@ -29,7 +30,7 @@ from .rings import (
     upper_triangular_ring,
     zn_ring,
 )
-from .stationary import stationary_recursive
+from .stationary import SOLVE_CAP, stationary_recursive
 
 DEFAULT_EPS = ("1/4", "1/10")
 
@@ -41,21 +42,46 @@ def parse_fraction(text, field: str) -> Fraction:
         raise ConfigError(f"field {field!r}: bad rational {text!r}") from exc
 
 
+def parse_int(value, field: str) -> int:
+    """An integer or a decimal-integer string; floats and bools are refused
+    rather than truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"field {field!r}: expected an integer, got {value!r}")
+
+
+def parse_tolerance(value, field: str) -> float:
+    """A finite float > 0, as the eigenvalue merge and match radii need."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"field {field!r}: expected a finite number > 0, "
+                          f"got {value!r}")
+    return tol
+
+
 def ring_from_descriptor(desc) -> FiniteRing:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("field 'ring': need an object with a 'kind'")
     kind = desc["kind"]
     try:
         if kind == "zn":
-            return zn_ring(int(desc["n"]))
+            return zn_ring(parse_int(desc["n"], "ring.n"))
         if kind == "matrix":
-            return matrix_ring(int(desc["q"]), int(desc.get("size", 2)))
+            return matrix_ring(parse_int(desc["q"], "ring.q"),
+                               parse_int(desc.get("size", 2), "ring.size"))
         if kind == "upper_triangular":
-            return upper_triangular_ring(int(desc["q"]))
+            return upper_triangular_ring(parse_int(desc["q"], "ring.q"))
         if kind == "product":
             factors = desc.get("factors", [])
-            if len(factors) < 2:
-                raise ConfigError("field 'ring.factors': need >= 2 factors")
+            if not isinstance(factors, list) or len(factors) < 2:
+                raise ConfigError("field 'ring.factors': need a list of "
+                                  ">= 2 factors")
             ring = ring_from_descriptor(factors[0])
             for f in factors[1:]:
                 ring = product_ring(ring, ring_from_descriptor(f))
@@ -64,6 +90,14 @@ def ring_from_descriptor(desc) -> FiniteRing:
         raise ConfigError(f"field 'ring': missing {exc.args[0]!r} for "
                           f"kind {kind!r}") from exc
     raise ConfigError(f"field 'ring.kind': unknown kind {kind!r}")
+
+
+def parse_eps(cfg) -> list:
+    eps = cfg.get("eps", DEFAULT_EPS)
+    if not isinstance(eps, (list, tuple)):
+        raise ConfigError(f"field 'eps': expected a list of rationals, "
+                          f"got {eps!r}")
+    return [parse_fraction(e, "eps") for e in eps]
 
 
 def q_from_config(ring: FiniteRing, spec) -> ClassDistribution:
@@ -78,7 +112,8 @@ def q_from_config(ring: FiniteRing, spec) -> ClassDistribution:
     if not isinstance(spec, dict):
         raise ConfigError("field 'Q': expected 'uniform' or an object "
                           "mapping class representatives to rationals")
-    mapping = {int(k): parse_fraction(v, f"Q[{k}]") for k, v in spec.items()}
+    mapping = {parse_int(k, "Q"): parse_fraction(v, f"Q[{k}]")
+               for k, v in spec.items()}
     return ClassDistribution.from_weights(ring, mapping)
 
 
@@ -133,8 +168,9 @@ def cmd_describe(cfg) -> dict:
 def cmd_spectrum(cfg) -> dict:
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    tau = float(cfg.get("tau", spectrum.MERGE_TOL))
-    tol = float(cfg.get("match_tol", spectrum.MATCH_TOL))
+    tau = parse_tolerance(cfg.get("tau", spectrum.MERGE_TOL), "tau")
+    tol = parse_tolerance(cfg.get("match_tol", spectrum.MATCH_TOL),
+                          "match_tol")
     rep = reports.new_report("spectrum")
     rep["meta"]["ring"] = ring.label
     rep["meta"]["n"] = str(ring.n)
@@ -179,7 +215,7 @@ def cmd_spectrum(cfg) -> dict:
     rep["meta"]["total_multiplicity"] = str(bm.total())
     if "alpha" in cfg and cfg["alpha"] is not None:
         alpha = parse_fraction(cfg["alpha"], "alpha")
-        ok, det = checks.check_m_shift(ring, Q, alpha, tol)
+        ok, det = checks.check_m_shift(em, build_M(ring, Q, alpha), tol)
         reports.add_check(rep, "m-shift", ok, det)
     return rep
 
@@ -191,7 +227,8 @@ def cmd_stationary(cfg) -> dict:
     rep = reports.new_report("stationary")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha)})
     pi = stationary_recursive(ring, Q, alpha)
-    ok, detail = checks.check_stationary_agreement(ring, Q, alpha)
+    M = build_M(ring, Q, alpha) if ring.n <= SOLVE_CAP else None
+    ok, detail = checks.check_stationary_agreement(ring, Q, alpha, pi, M)
     reports.add_check(rep, "method-agreement", ok, detail)
     part = ring.similarity
     rows = []
@@ -209,8 +246,8 @@ def cmd_mix(cfg) -> dict:
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
     alpha = parse_fraction(cfg.get("alpha", "1/2"), "alpha")
-    T = int(cfg.get("T", 20))
-    eps_list = [parse_fraction(e, "eps") for e in cfg.get("eps", DEFAULT_EPS)]
+    T = parse_int(cfg.get("T", 20), "T")
+    eps_list = parse_eps(cfg)
     rep = reports.new_report("mix")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha), "T": str(T)})
     curve = d_of_t(ring, Q, alpha, T)
@@ -236,12 +273,12 @@ def cmd_simulate(cfg) -> dict:
     alpha = parse_fraction(cfg.get("alpha", "1/2"), "alpha")
     if cfg.get("seed") is None:
         raise ConfigError("field 'seed': simulate requires an explicit seed")
-    seed = int(cfg["seed"])
-    samples = int(cfg.get("samples", 10000))
-    steps = int(cfg.get("steps", 20))
-    start = int(cfg.get("start", ring.zero))
+    seed = parse_int(cfg["seed"], "seed")
+    samples = parse_int(cfg.get("samples", 10000), "samples")
+    steps = parse_int(cfg.get("steps", 20), "steps")
+    start = parse_int(cfg.get("start", ring.zero), "start")
     side = cfg.get("side", "left")
-    blocks = int(cfg.get("blocks", 1))
+    blocks = parse_int(cfg.get("blocks", 1), "blocks")
     res = simulate(ring, Q, alpha, start, steps, samples, seed, side=side,
                    blocks=blocks)
     rep = reports.new_report("simulate")
@@ -264,8 +301,8 @@ def cmd_verify(cfg) -> dict:
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
     alpha = parse_fraction(cfg.get("alpha", "1/2"), "alpha")
-    T = int(cfg.get("T", 20))
-    eps_list = [parse_fraction(e, "eps") for e in cfg.get("eps", DEFAULT_EPS)]
+    T = parse_int(cfg.get("T", 20), "T")
+    eps_list = parse_eps(cfg)
     rep = reports.new_report("verify")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha),
                         "Q": "uniform" if Q == ClassDistribution.uniform(ring)
@@ -352,11 +389,11 @@ def _ring_descriptor_from_flags(args) -> dict | None:
         for part in args.factors.split(","):
             kind, _, param = part.partition(":")
             if kind == "zn":
-                factors.append({"kind": "zn", "n": int(param)})
+                factors.append({"kind": "zn", "n": param})
             elif kind == "matrix":
-                factors.append({"kind": "matrix", "q": int(param)})
+                factors.append({"kind": "matrix", "q": param})
             elif kind == "upper_triangular":
-                factors.append({"kind": "upper_triangular", "q": int(param)})
+                factors.append({"kind": "upper_triangular", "q": param})
             else:
                 raise ConfigError(f"field 'factors': unknown kind {kind!r}")
         desc["factors"] = factors
@@ -419,10 +456,6 @@ def main(argv=None) -> int:
         return 2
     except RingwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
-        # bad config-file values surface here (e.g. a non-integer seed)
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
     fmt = cfg.get("format") or "text"
     text = reports.render_json(report) if fmt == "json" \

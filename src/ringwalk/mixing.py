@@ -18,7 +18,7 @@ d(t) <= (1-alpha)^t is therefore checked without rounding at every size.
 The simulator draws from a counter-based Philox stream keyed by (seed,
 block); coin flips and Q-samples are integer draws compared against exact
 rational thresholds, so every move has its exact probability and runs
-reproduce bit-for-bit across platforms and backends.
+reproduce bit-for-bit across platforms.
 """
 
 from __future__ import annotations
@@ -223,9 +223,13 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     if blocks < 1:
         raise ParamOutOfRange(f"field 'blocks': {blocks} is below 1")
     if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+        raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
+                              f"'right'")
     if seed is None:
         raise ValueError("a seed is mandatory for reproducible simulation")
+    if not -2**63 <= seed < 2**63:
+        raise ParamOutOfRange(f"field 'seed': {seed} does not fit the "
+                              f"signed 64-bit Philox key word")
     p, s = alpha.numerator, alpha.denominator
     w_int, den = Q.scaled_weights()
     cum = np.cumsum(np.array(w_int, dtype=np.int64))

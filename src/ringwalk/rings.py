@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import NoWitness, TooLarge
+from .errors import InvariantViolation, NoWitness, ParamOutOfRange, TooLarge
 from .fields import field_make
 
 SIZE_CAP = 20000
@@ -91,7 +91,9 @@ class FiniteRing:
         n = add.shape[0]
         if n > SIZE_CAP:
             raise TooLarge(f"{label}: {n} elements exceeds the {SIZE_CAP} cap")
-        assert add.shape == (n, n) and mul.shape == (n, n)
+        if add.shape != (n, n) or mul.shape != (n, n):
+            raise InvariantViolation(f"{label}: operation tables are not "
+                                     f"{n} x {n}")
         self.n = n
         self.add = add
         self.mul = mul
@@ -106,17 +108,21 @@ class FiniteRing:
 
     def _validate(self):
         n, add, mul = self.n, self.add, self.mul
-        assert add.min() >= 0 and add.max() < n
-        assert mul.min() >= 0 and mul.max() < n
+        self._require(add.min() >= 0 and add.max() < n,
+                      "addition table leaves the ring")
+        self._require(mul.min() >= 0 and mul.max() < n,
+                      "multiplication table leaves the ring")
         idx = np.arange(n)
         # additive identity, commutativity, and invertibility
-        assert np.array_equal(add[self.zero], idx), "zero is not neutral"
-        assert np.array_equal(add, add.T), "addition is not commutative"
-        assert all((add[i] == self.zero).sum() == 1 for i in range(n)), \
-            "some element has no additive inverse"
+        self._require(np.array_equal(add[self.zero], idx), "zero is not neutral")
+        self._require(np.array_equal(add, add.T), "addition is not commutative")
+        self._require(all((add[i] == self.zero).sum() == 1 for i in range(n)),
+                      "some element has no additive inverse")
         # multiplicative identity
-        assert np.array_equal(mul[self.one], idx), "one is not a left identity"
-        assert np.array_equal(mul[:, self.one], idx), "one is not a right identity"
+        self._require(np.array_equal(mul[self.one], idx),
+                      "one is not a left identity")
+        self._require(np.array_equal(mul[:, self.one], idx),
+                      "one is not a right identity")
         if n <= EXHAUSTIVE_CAP:
             triples = None
         else:
@@ -131,22 +137,35 @@ class FiniteRing:
             b = np.arange(n)[:, None]
             c = np.arange(n)[None, :]
             for a in range(n):
-                assert np.array_equal(add[add[a, b], c], add[a, add[b, c]]), \
-                    "addition is not associative"
-                assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]), \
-                    "multiplication is not associative"
-                assert np.array_equal(mul[a, add[b, c]],
-                                      add[mul[a, b], mul[a, c]]), \
-                    "left distributivity fails"
-                assert np.array_equal(mul[add[b, c], a],
-                                      add[mul[b, a], mul[c, a]]), \
-                    "right distributivity fails"
+                self._require(np.array_equal(add[add[a, b], c],
+                                             add[a, add[b, c]]),
+                              "addition is not associative")
+                self._require(np.array_equal(mul[mul[a, b], c],
+                                             mul[a, mul[b, c]]),
+                              "multiplication is not associative")
+                self._require(np.array_equal(mul[a, add[b, c]],
+                                             add[mul[a, b], mul[a, c]]),
+                              "left distributivity fails")
+                self._require(np.array_equal(mul[add[b, c], a],
+                                             add[mul[b, a], mul[c, a]]),
+                              "right distributivity fails")
         else:
             a, b, c = triples
-            assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
-            assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
-            assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
-            assert np.array_equal(mul[add[a, b], c], add[mul[a, c], mul[b, c]])
+            self._require(np.array_equal(add[add[a, b], c], add[a, add[b, c]]),
+                          "addition is not associative")
+            self._require(np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]),
+                          "multiplication is not associative")
+            self._require(np.array_equal(mul[a, add[b, c]],
+                                         add[mul[a, b], mul[a, c]]),
+                          "left distributivity fails")
+            self._require(np.array_equal(mul[add[a, b], c],
+                                         add[mul[a, c], mul[b, c]]),
+                          "right distributivity fails")
+
+    def _require(self, ok, axiom: str) -> None:
+        """Raise (not assert, so -O keeps it) when a ring axiom fails."""
+        if not ok:
+            raise InvariantViolation(f"{self.label}: {axiom}")
 
     # -- element helpers ----------------------------------------------
 
@@ -166,13 +185,13 @@ class FiniteRing:
 
     @cached_property
     def units(self) -> np.ndarray:
-        """Left-invertible elements; two-sidedness is asserted, not assumed."""
+        """Left-invertible elements; two-sidedness is checked, not assumed."""
         left_hits = self.mul == self.one          # left_hits[y, x]: y*x == 1
         has_left = left_hits.any(axis=0)
         xs = np.nonzero(has_left)[0]
         ys = np.argmax(left_hits[:, xs], axis=0)
-        assert np.all(self.mul[xs, ys] == self.one), \
-            "left inverse is not a right inverse in a finite ring"
+        self._require(np.all(self.mul[xs, ys] == self.one),
+                      "left inverse is not a right inverse")
         self._inv_map = dict(zip(xs.tolist(), ys.tolist()))
         return xs
 
@@ -210,7 +229,9 @@ class FiniteRing:
         classes = [np.nonzero(class_of == i)[0] for i in range(len(reps))]
         invertible = np.array([int(r) in self.unit_set for r in reps])
         for i, cls in enumerate(classes):
-            assert invertible[i] == all(int(x) in self.unit_set for x in cls)
+            self._require(invertible[i] == all(int(x) in self.unit_set
+                                               for x in cls),
+                          "a similarity class mixes units and non-units")
         return SimilarityPartition(classes, reps, class_of, invertible)
 
     # -- principal left ideal poset ---------------------------------------
@@ -237,8 +258,8 @@ class FiniteRing:
         leq = np.zeros((k, k), dtype=bool)
         for i in range(k):
             leq[i] = ~np.any(masks[i] & ~masks, axis=1)   # i subset of j
-        for i, g in enumerate(generators):
-            assert masks[i, reps[i]], "a generates I_a"
+        for i in range(k):
+            self._require(masks[i, reps[i]], "a is not in its ideal I_a")
         return IdealPoset(masks, reps, id_of, generators, leq)
 
     @property
@@ -305,7 +326,7 @@ class FiniteRing:
 def zn_ring(n: int) -> FiniteRing:
     """Z_n with natural enumeration; n = 1 gives the zero ring (one == zero)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParamOutOfRange(f"field 'n': Z_{n} needs n >= 1")
     if n > SIZE_CAP:
         raise TooLarge(f"Z_{n} exceeds the {SIZE_CAP} cap")
     idx = np.arange(n)
@@ -357,7 +378,8 @@ def _structured_matrix_ring(field, size, positions, label, descriptor):
         add += fadd[E[:, i, j][:, None], E[:, i, j][None, :]].astype(np.int64) * w
 
     mul, bad = _kernels.matrix_mul_table(E, fmul, fadd, place)
-    assert bad == 0, f"{label}: products escape the matrix shape"
+    if bad:
+        raise InvariantViolation(f"{label}: products escape the matrix shape")
 
     one_code = sum(weight[(i, j)] for (i, j) in positions if i == j)
 

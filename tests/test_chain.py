@@ -239,7 +239,7 @@ OPTIMIZED_SCRIPT = """
 from ringwalk.chain import ClassDistribution, TransitionMatrix, build_B
 from ringwalk.errors import InvariantViolation, RingMismatch
 from ringwalk.exact import ScaledMatrix
-from ringwalk.rings import matrix_ring, zn_ring
+from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
 assert False, "this script must run under python -O"
 """
 
@@ -250,6 +250,9 @@ assert False, "this script must run under python -O"
      "RingMismatch"),
     ("TransitionMatrix(ScaledMatrix([[1, 0], [1, 1]], 1), 'B',"
      " zn_ring(2)).check_stochastic()", "InvariantViolation"),
+    # zn_ring(4)'s tables with 2*3 = 3*2 = 1: not associative
+    ("FiniteRing(zn_ring(4).add, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 1],"
+     " [0, 3, 1, 1]], 0, 1, 'bad', {})", "InvariantViolation"),
 ])
 def test_invariants_survive_python_O(call, error):
     script = OPTIMIZED_SCRIPT + f"""

@@ -155,6 +155,7 @@ def test_bad_alpha_is_config_error():
     ("--start", "-1"),
     ("--steps", "-3"),
     ("--samples", "0"),
+    ("--seed", str(2**64)),
 ])
 def test_simulate_out_of_range_field_is_config_error(flag, value):
     code, out, err = run_cli(["simulate", "--ring", "matrix", "--q", "2",
@@ -163,6 +164,60 @@ def test_simulate_out_of_range_field_is_config_error(flag, value):
     assert f"'{flag[2:]}'" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--tau", "--match-tol"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_spectrum_tolerance_must_be_positive(flag, value):
+    code, out, err = run_cli(["spectrum", "--ring", "zn", "--n", "6",
+                              f"{flag}={value}"])
+    assert code == 2
+    assert f"'{flag[2:].replace('-', '_')}'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("T", "x"), ("seed", "x"), ("samples", 2.5), ("side", "middle"),
+])
+def test_bad_config_file_value_names_field(tmp_path, field, value):
+    cfg = {"ring": {"kind": "zn", "n": 6}, "seed": 1, field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    command = "mix" if field == "T" else "simulate"
+    code, out, err = run_cli(["--config", str(path), command])
+    assert code == 2
+    assert f"'{field}'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ring", "matrix", "--q", "3", "--alpha", "1/2", "--T", "5"],
+    ["spectrum", "--ring", "matrix", "--q", "3", "--alpha", "1/2"],
+])
+def test_command_diagonalizes_b_once(monkeypatch, argv):
+    from ringwalk import chain, checks, spectrum
+
+    calls = {"build_B": 0, "eig(B)": 0}
+    build_b, eig_numeric = chain.build_B, spectrum.eig_numeric
+
+    def counted_build_b(*args, **kwargs):
+        calls["build_B"] += 1
+        return build_b(*args, **kwargs)
+
+    def counted_eig(matrix, *args, **kwargs):
+        if isinstance(matrix, chain.TransitionMatrix) and matrix.kind == "B":
+            calls["eig(B)"] += 1
+        return eig_numeric(matrix, *args, **kwargs)
+
+    for mod in (chain, checks, cli, spectrum):
+        monkeypatch.setattr(mod, "build_B", counted_build_b)
+    monkeypatch.setattr(spectrum, "eig_numeric", counted_eig)
+    assert cli.main(argv) == 0
+    assert calls["eig(B)"] == 1
+    # once for the command, once inside build_M for the m-shift check
+    assert calls["build_B"] <= 2
 
 
 def test_bad_q_weights_rejected():

@@ -1,12 +1,10 @@
 """TV distance, the geometric mixing bound, and the seeded simulator."""
 
-import os
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
-from ringwalk import _kernels
 from ringwalk.chain import ClassDistribution, build_B, build_M
 from ringwalk.errors import InvariantViolation, LengthMismatch, ParamOutOfRange
 from ringwalk.exact import ScaledMatrix
@@ -209,24 +207,6 @@ def test_simulation_deterministic_per_seed():
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
     assert a.counts.sum() == 5000
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba is not installed")
-def test_simulation_backends_identical():
-    ring = upper_triangular_ring(3)
-    q = uniform(ring)
-    old = os.environ.get("RINGWALK_BACKEND")
-    try:
-        os.environ["RINGWALK_BACKEND"] = "numba"
-        a = simulate(ring, q, Fr(1, 3), 2, 25, 4000, seed=3)
-        os.environ["RINGWALK_BACKEND"] = "numpy"
-        b = simulate(ring, q, Fr(1, 3), 2, 25, 4000, seed=3)
-    finally:
-        if old is None:
-            os.environ.pop("RINGWALK_BACKEND", None)
-        else:
-            os.environ["RINGWALK_BACKEND"] = old
-    assert np.array_equal(a.counts, b.counts)
 
 
 def test_simulation_block_merge_deterministic():
