@@ -3,12 +3,18 @@
 Construct a finite ring, pick a similarity-class-constant multiplication
 distribution Q and a coin bias alpha, and study the walk that adds a
 uniform element on heads and multiplies by a Q-sample on tails: its exact
-transition matrices, its spectrum (numeric, block-projected, and closed
-form for 2x2 matrix rings over odd prime fields), its exact stationary
-distribution, and its total-variation mixing behaviour.
+transition matrices, its spectrum (numeric, from B's diagonal blocks, and
+closed form for 2x2 matrix rings over odd prime fields), its exact
+stationary distribution, and its total-variation mixing behaviour.
 """
 
-from .chain import ClassDistribution, TransitionMatrix, build_B, build_M
+from .chain import (
+    ClassDistribution,
+    TransitionMatrix,
+    build_B,
+    build_M,
+    chain_matrix,
+)
 from .errors import RingwalkError
 from .fields import (
     MultiplicativeCharacter,
@@ -46,12 +52,10 @@ from .spectrum import (
     EigenvalueMultiset,
     Gl2SpectrumReport,
     block_spectrum,
-    check_unit_block_normalization,
     eig_numeric,
     gl2_spectrum,
     is_multiplicity_free_nonunit,
     perm_char_multiplicity,
-    projected_operator,
 )
 from .stationary import (
     stationary_gl2,
@@ -65,6 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassDistribution", "TransitionMatrix", "build_B", "build_M",
+    "chain_matrix",
     "RingwalkError",
     "MultiplicativeCharacter", "PrimeField", "QuadraticExtension",
     "char_make", "ext_make", "field_make", "is_decomposable",
@@ -75,9 +80,8 @@ __all__ = [
     "FiniteRing", "matrix_ring", "product_ring", "upper_triangular_ring",
     "zn_ring",
     "EigenvalueMultiset", "Gl2SpectrumReport", "block_spectrum",
-    "check_unit_block_normalization", "eig_numeric", "gl2_spectrum",
+    "eig_numeric", "gl2_spectrum",
     "is_multiplicity_free_nonunit", "perm_char_multiplicity",
-    "projected_operator",
     "stationary_gl2", "stationary_recursive", "stationary_solve",
     "stationary_uniform", "stationary_units_formula",
     "__version__",

@@ -141,6 +141,24 @@ class TransitionMatrix:
             raise InvariantViolation(f"{self.kind} rows must sum to exactly 1")
 
 
+def weighted_mul_counts(ring: FiniteRing, weights,
+                        side: str = "left") -> np.ndarray:
+    """Integer matrix W[a, b] = sum of weights[x] over x with x*a == b
+    (side="left"; x*a becomes a*x for side="right").
+
+    weights are integers >= 0, so every entry is at most the row sum
+    sum(weights): the entries are int64 below 2**63 and Python ints
+    (dtype object) from there on.
+    """
+    dtype = np.int64 if sum(map(int, weights)) < 2 ** 63 else object
+    w = np.array(weights, dtype=dtype)
+    out = np.zeros((ring.n, ring.n), dtype=dtype)
+    for a in range(ring.n):
+        targets = ring.mul[:, a] if side == "left" else ring.mul[a, :]
+        np.add.at(out[a], targets, w)
+    return out
+
+
 def build_B(ring: FiniteRing, Q: ClassDistribution, side: str = "left") -> TransitionMatrix:
     """Multiplication-only transition matrix with exact rational entries.
 
@@ -152,40 +170,32 @@ def build_B(ring: FiniteRing, Q: ClassDistribution, side: str = "left") -> Trans
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     w_int, den = Q.scaled_weights()
-    n = ring.n
-    w_arr = np.array(w_int, dtype=np.int64)
-    num = np.zeros((n, n), dtype=np.int64)
-    if den <= (1 << 50):
-        for a in range(n):
-            targets = ring.mul[:, a] if side == "left" else ring.mul[a, :]
-            np.add.at(num[a], targets, w_arr)
-        rows = num.tolist()
-    else:  # denominators this large only arise from adversarial Q inputs
-        rows = [[0] * n for _ in range(n)]
-        for a in range(n):
-            targets = ring.mul[:, a] if side == "left" else ring.mul[a, :]
-            row = rows[a]
-            for x, b in enumerate(targets):
-                row[b] += w_int[x]
-    tm = TransitionMatrix(ScaledMatrix(rows, den), "B", ring)
+    num = weighted_mul_counts(ring, w_int, side).tolist()
+    tm = TransitionMatrix(ScaledMatrix(num, den), "B", ring)
     tm.check_stochastic()
     return tm
 
 
-def build_M(ring: FiniteRing, Q: ClassDistribution, alpha,
-            allow_boundary: bool = False, side: str = "left") -> TransitionMatrix:
+def chain_matrix(B: TransitionMatrix, alpha,
+                 allow_boundary: bool = False) -> TransitionMatrix:
     """Full chain matrix (alpha/n) * ones + (1 - alpha) * B; strictly positive."""
     alpha = check_alpha(alpha, allow_boundary)
-    B = build_B(ring, Q, side=side)
-    n = ring.n
+    n = B.n
     p, s = alpha.numerator, alpha.denominator
     common = lcm(n, B.matrix.den)
     add_part = p * (common // n)
     mul_scale = (s - p) * (common // B.matrix.den)
     num = [[add_part + mul_scale * v for v in row] for row in B.matrix.num]
-    tm = TransitionMatrix(ScaledMatrix(num, s * common), "M", ring, alpha=alpha)
+    tm = TransitionMatrix(ScaledMatrix(num, s * common), "M", B.ring,
+                          alpha=alpha)
     tm.check_stochastic()
     if not allow_boundary and tm.matrix.min_entry() < Fraction(alpha, n):
         raise InvariantViolation(f"M has an entry below alpha/n = "
                                  f"{Fraction(alpha, n)}")
     return tm
+
+
+def build_M(ring: FiniteRing, Q: ClassDistribution, alpha,
+            allow_boundary: bool = False, side: str = "left") -> TransitionMatrix:
+    """The chain matrix of B built from (ring, Q); see chain_matrix."""
+    return chain_matrix(build_B(ring, Q, side=side), alpha, allow_boundary)

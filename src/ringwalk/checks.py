@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gl2, spectrum
-from .chain import ClassDistribution, TransitionMatrix, build_B, build_M
+from .chain import ClassDistribution, TransitionMatrix, build_B, chain_matrix
 from .errors import UnsupportedQ
 from .mixing import d_of_t, mixing_bound
 from .rings import FiniteRing
@@ -92,11 +92,12 @@ def check_conjugation_invariance(ring: FiniteRing, B: TransitionMatrix,
     return True, note
 
 
-def check_spectrum_two_way(ring: FiniteRing, Q: ClassDistribution,
+def check_spectrum_two_way(ring: FiniteRing, B: np.ndarray,
                            eig_b: spectrum.EigenvalueMultiset,
                            tol: float = spectrum.MATCH_TOL):
-    """eig(B) equals the union of the block spectra, merged at eig_b.tau."""
-    bm, _ = spectrum.block_spectrum(ring, Q, eig_b.tau)
+    """eig(B) equals the union of the spectra of B's diagonal blocks on the
+    S_a, merged at eig_b.tau; B is the float matrix."""
+    bm, _ = spectrum.block_spectrum(ring, B, eig_b.tau)
     ok = spectrum.multisets_match(eig_b.expand(), bm.expand(), tol)
     return ok, f"{eig_b.total()} eigenvalues, tol {tol}"
 
@@ -109,7 +110,8 @@ def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution,
     except UnsupportedQ as exc:
         return True, f"skipped: {exc}"
     ok = spectrum.multisets_match(eig_b.expand(), rep.b_values(), tol)
-    return ok, f"total {rep.total()} = q^4, normalization {rep.normalization}"
+    return ok, (f"total {rep.total()} = q^4, "
+                f"normalization {spectrum.GL2_NORMALIZATION}")
 
 
 def check_m_shift(eig_b: spectrum.EigenvalueMultiset, M: TransitionMatrix,
@@ -201,20 +203,23 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
 def _walk_checks(ring: FiniteRing, Q: ClassDistribution, alpha):
     """The checks on B, eig(B), M and the recursive pi, each computed once.
 
-    B is dropped once eig(B) is known, and M on return, so neither adds to
-    the peak memory of building M or of the mixing check that follows.
+    M is built from this B.  The float B is dropped before M is built, the
+    exact B once M exists, and M on return, so at most two of them are held
+    at once and none adds to the peak memory of the mixing check.
     """
     B = build_B(ring, Q)
     out = [("conjugation-invariance",
             *check_conjugation_invariance(ring, B))]
     M = None
     if ring.n <= spectrum.EIG_CAP:
-        eig_b = spectrum.eig_numeric(B)
-        del B
+        b_float = B.to_float()
+        eig_b = spectrum.eig_numeric(b_float)
         out.append(("spectrum-two-way",
-                    *check_spectrum_two_way(ring, Q, eig_b)))
+                    *check_spectrum_two_way(ring, b_float, eig_b)))
+        del b_float
         out.append(("spectrum-gl2", *check_spectrum_gl2(ring, Q, eig_b)))
-        M = build_M(ring, Q, alpha)
+        M = chain_matrix(B, alpha)
+        del B
         out.append(("spectrum-m-shift", *check_m_shift(eig_b, M)))
     pi = stationary_recursive(ring, Q, alpha)
     out.append(("stationary-agreement",

@@ -20,7 +20,7 @@ import tempfile
 from fractions import Fraction
 
 from . import checks, reports, spectrum
-from .chain import ClassDistribution, build_B, build_M
+from .chain import ClassDistribution, build_B, build_M, chain_matrix
 from .errors import ConfigError, RingwalkError, UnsupportedQ
 from .mixing import d_of_t, mixing_bound, simulate
 from .rings import (
@@ -174,9 +174,12 @@ def cmd_spectrum(cfg) -> dict:
     rep = reports.new_report("spectrum")
     rep["meta"]["ring"] = ring.label
     rep["meta"]["n"] = str(ring.n)
-    em = spectrum.eig_numeric(build_B(ring, Q), tau)
+    B = build_B(ring, Q)
+    b_float = B.to_float()
+    em = spectrum.eig_numeric(b_float, tau)
     numeric = em.expand()
-    bm, detail = spectrum.block_spectrum(ring, Q, tau)
+    bm, detail = spectrum.block_spectrum(ring, b_float, tau)
+    del b_float
     two_way = spectrum.multisets_match(numeric, bm.expand(), tol)
     reports.add_check(rep, "numeric-vs-block", two_way,
                       f"{em.total()} eigenvalues at tol {tol}")
@@ -187,7 +190,7 @@ def cmd_spectrum(cfg) -> dict:
         ok = spectrum.multisets_match(numeric, g.b_values(), tol)
         reports.add_check(rep, "numeric-vs-gl2", ok,
                           f"total {g.total()} = q^4 = {ring.n}")
-        rep["meta"]["gl2_normalization"] = g.normalization
+        rep["meta"]["gl2_normalization"] = spectrum.GL2_NORMALIZATION
         rep["meta"]["gl2_total"] = str(g.total())
         for block, label, _, v, m in g.rows:
             gl2_rows.setdefault(block, []).append((v, label, m))
@@ -215,7 +218,9 @@ def cmd_spectrum(cfg) -> dict:
     rep["meta"]["total_multiplicity"] = str(bm.total())
     if "alpha" in cfg and cfg["alpha"] is not None:
         alpha = parse_fraction(cfg["alpha"], "alpha")
-        ok, det = checks.check_m_shift(em, build_M(ring, Q, alpha), tol)
+        M = chain_matrix(B, alpha)
+        del B     # not held while M is diagonalized
+        ok, det = checks.check_m_shift(em, M, tol)
         reports.add_check(rep, "m-shift", ok, det)
     return rep
 

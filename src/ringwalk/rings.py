@@ -67,15 +67,6 @@ class IdealPoset:
     def __len__(self):
         return len(self.reps)
 
-    def ideal_elements(self, i: int) -> np.ndarray:
-        return np.nonzero(self.masks[i])[0]
-
-    def strictly_below(self, i: int) -> np.ndarray:
-        """Ideal ids strictly contained in ideal i."""
-        below = self.leq[:, i].copy()
-        below[i] = False
-        return np.nonzero(below)[0]
-
     def strictly_above(self, i: int) -> np.ndarray:
         above = self.leq[i, :].copy()
         above[i] = False
@@ -215,13 +206,10 @@ class FiniteRing:
     def similarity(self) -> SimilarityPartition:
         n = self.n
         rep_of = np.arange(n)
+        # after unit u, rep_of[x] <= rep_of[u x u^-1] <= u x u^-1, so one
+        # sweep over all units already reaches each class's least element
         for u in self.units:
             conj = self.mul[self.mul[u], self.inv(u)]   # r -> u r u^-1
-            rep_of = np.minimum(rep_of, rep_of[conj])
-        # one more sweep in case min labels entered mid-loop; conjugation by
-        # all units reaches the whole orbit from any point, so this settles.
-        for u in self.units:
-            conj = self.mul[self.mul[u], self.inv(u)]
             rep_of = np.minimum(rep_of, rep_of[conj])
         reps = np.unique(rep_of)
         index_of = {int(r): i for i, r in enumerate(reps)}

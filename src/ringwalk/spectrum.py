@@ -1,9 +1,10 @@
 """Three independent routes to the spectrum of the multiplication matrix B.
 
 1. eig_numeric: plain dense diagonalization (the oracle).
-2. block_spectrum: one projected operator per principal-left-ideal generator;
-   the operator on span(S_a) keeps only the components of x*s that stay
-   inside S_a, and the union of the block spectra is the full spectrum.
+2. block_spectrum: the diagonal blocks of B on each S_a, one per
+   principal-left-ideal generator a; the transposed block B[S_a, S_a]^T is
+   the operator on span(S_a) that keeps only the components of x*s that
+   stay inside S_a, and the union of the block spectra is the full spectrum.
 3. gl2_spectrum: closed-form eigenvalues for M2(F_q), odd prime q, from the
    GL2 character table, with predicted multiplicities.
 
@@ -19,20 +20,24 @@ from fractions import Fraction
 import numpy as np
 
 from . import gl2
-from .chain import ClassDistribution, TransitionMatrix, build_B, check_alpha
+from .chain import ClassDistribution, TransitionMatrix, check_alpha
 from .errors import (
     CharacterUnavailable,
     ConvergenceFailure,
+    InvariantViolation,
+    RingMismatch,
     TooLarge,
     UnsupportedQ,
 )
-from .exact import ScaledMatrix
 from .fields import angle_to_complex
 from .rings import FiniteRing
 
 MERGE_TOL = 1e-8
 MATCH_TOL = 1e-6
 EIG_CAP = 4096
+# gl2_spectrum's unit block divides each weighted character sum by dim(rho):
+# the scalar by which a class sum acts on an irreducible representation.
+GL2_NORMALIZATION = "class-sum-scalar"
 
 
 @dataclass
@@ -87,10 +92,6 @@ class EigenvalueMultiset:
     def closed_under_conjugation(self, tol: float = MATCH_TOL) -> bool:
         return multisets_match(self.expand(), np.conj(self.expand()), tol)
 
-    def multiplicity_at(self, value: complex, tol: float = MATCH_TOL) -> int:
-        hit = np.abs(self.values - value) <= tol
-        return int(self.mults[hit].sum())
-
     def __iter__(self):
         return iter(zip(self.values, self.mults))
 
@@ -98,8 +99,6 @@ class EigenvalueMultiset:
 def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
     """Eigenvalues of a rational or float matrix via LAPACK, then merged."""
     if isinstance(matrix, TransitionMatrix):
-        arr = matrix.to_float()
-    elif isinstance(matrix, ScaledMatrix):
         arr = matrix.to_float()
     else:
         arr = np.asarray(matrix, dtype=np.float64)
@@ -113,60 +112,29 @@ def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
     return EigenvalueMultiset.from_values(evs, tau)
 
 
-@dataclass
-class ProjectedOperator:
-    """Action of sum_x Q(x) x on span(S_a), components leaving S_a dropped."""
+def block_spectrum(ring: FiniteRing, B: np.ndarray, tau: float = MERGE_TOL):
+    """Union over ideal generators a of the spectra of B's diagonal blocks.
 
-    a: int
-    basis: np.ndarray
-    matrix: ScaledMatrix
-
-    def to_float(self) -> np.ndarray:
-        return self.matrix.to_float()
-
-
-def projected_operator(ring: FiniteRing, a: int, Q: ClassDistribution) -> ProjectedOperator:
-    assert Q.ring is ring
-    w_int, den = Q.scaled_weights()
-    counts = projected_counts_weighted(ring, a, w_int)
-    return ProjectedOperator(int(a), ring.s_set(a), ScaledMatrix(counts, den))
-
-
-def projected_counts_weighted(ring: FiniteRing, a: int, weights) -> list:
-    """Integer matrix P[s', s] = sum of weights[x] over x with x*s == s',
-    rows and columns restricted to S_a."""
-    sa = ring.s_set(a)
-    pos = -np.ones(ring.n, dtype=np.int64)
-    pos[sa] = np.arange(len(sa))
-    w = np.asarray(weights, dtype=np.int64)
-    out = [[0] * len(sa) for _ in range(len(sa))]
-    for col, s in enumerate(sa):
-        targets = ring.mul[:, s]
-        keep = pos[targets] >= 0
-        rows = pos[targets[keep]]
-        acc = np.zeros(len(sa), dtype=np.int64)
-        np.add.at(acc, rows, w[keep])
-        for r in range(len(sa)):
-            out[r][col] = int(acc[r])
-    return out
-
-
-def block_spectrum(ring: FiniteRing, Q: ClassDistribution,
-                   tau: float = MERGE_TOL):
-    """Union over ideal generators of the projected-operator spectra.
-
-    Returns (EigenvalueMultiset, per-block detail list of
+    B is the float multiplication matrix of `ring`.  The block of a is
+    B[S_a, S_a]^T: P[s', s] = B[s, s'] is the action of sum_x Q(x) x on
+    span(S_a) with the components leaving S_a dropped.  Returns
+    (EigenvalueMultiset, per-block detail list of
     (generator, EigenvalueMultiset)).
     """
+    if np.shape(B) != (ring.n, ring.n):
+        raise RingMismatch(f"B has shape {np.shape(B)}, but {ring.label} "
+                           f"has {ring.n} elements")
     detail = []
     all_values = []
     for a in ring.phi:
-        op = projected_operator(ring, int(a), Q)
-        em = eig_numeric(op.matrix, tau)
+        sa = ring.s_set(a)
+        em = eig_numeric(B[np.ix_(sa, sa)].T, tau)
         detail.append((int(a), em))
         all_values.append(em.expand())
     merged = EigenvalueMultiset.from_values(np.concatenate(all_values), tau)
-    assert merged.total() == ring.n
+    if merged.total() != ring.n:
+        raise InvariantViolation(f"the block spectra hold {merged.total()} "
+                                 f"eigenvalues, not n = {ring.n}")
     return merged, detail
 
 
@@ -180,17 +148,12 @@ class Gl2SpectrumReport:
 
     q: int
     rows: list            # (block label, irrep label, dim, eigenvalue, mult)
-    normalization: str    # how the unit-block trace formula was scaled
-    tau: float = MERGE_TOL
 
     def total(self) -> int:
         return sum(r[4] for r in self.rows)
 
     def b_values(self) -> np.ndarray:
         return np.concatenate([[v] * m for (_, _, _, v, m) in self.rows])
-
-    def b_multiset(self) -> EigenvalueMultiset:
-        return EigenvalueMultiset.from_values(self.b_values(), self.tau)
 
     def m_values(self, alpha) -> np.ndarray:
         return shift_to_chain_values(self.b_values(), alpha)
@@ -223,8 +186,10 @@ def _gl2_class_data(ring: FiniteRing, Q: ClassDistribution):
         w = Q.weights[ci]
         if part.invertible[ci]:
             gi = tab.classify(ring.entries[rep].ravel())
-            assert tab.classes[gi].size == len(cls), \
-                "table class size disagrees with the orbit size"
+            if tab.classes[gi].size != len(cls):
+                raise InvariantViolation(
+                    f"GL2 class {gi} has {tab.classes[gi].size} elements in "
+                    f"the table but {len(cls)} in {ring.label}")
             invertible.append((gi, w, len(cls)))
         else:
             tag = gl2.classify_nonunit_class(ring, rep)
@@ -234,35 +199,31 @@ def _gl2_class_data(ring: FiniteRing, Q: ClassDistribution):
                 q_y0 = w
             else:
                 q_yt[tag[1]] = w
-    assert q_zero is not None and len(q_yt) == q - 1
+    if q_zero is None or len(q_yt) != q - 1:
+        raise InvariantViolation(
+            f"{ring.label}: the non-unit classes are not the zero class, Y_0 "
+            f"and {q - 1} classes Y_t")
     return tab, invertible, q_y0, q_yt, q_zero
 
 
-def gl2_spectrum(ring: FiniteRing, Q: ClassDistribution,
-                 normalization: str = "class-sum-scalar") -> Gl2SpectrumReport:
+def gl2_spectrum(ring: FiniteRing, Q: ClassDistribution) -> Gl2SpectrumReport:
     """Closed-form spectrum of B for M2(F_q), odd prime q.
 
-    normalization selects the unit-block formula: "class-sum-scalar"
-    divides the weighted character sum by dim(rho) (the classical scalar of
-    a class sum on an irreducible), "verbatim" leaves the sum undivided.
-    The resolution of this choice against the numeric oracle is
-    check_unit_block_normalization(); the adopted choice is recorded in the
-    report rather than silently patched.
+    Each unit-block eigenvalue is the weighted character sum divided by
+    dim(rho) (GL2_NORMALIZATION).
     """
     q = gl2.require_m2_ring(ring)
     if q == 2:
         raise UnsupportedQ(
             "q = 2 has a different class structure; use block_spectrum")
-    if normalization not in ("class-sum-scalar", "verbatim"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     tab, invertible, q_y0, q_yt, _ = _gl2_class_data(ring, Q)
     rows = []
     # (a) unit block: weighted class sums act on the regular representation
     for rep in tab.irreps:
         s = sum(complex(w) * size * tab.values[tab.irrep_index(rep), gi]
                 for gi, w, size in invertible)
-        lam = s / rep.dim if normalization == "class-sum-scalar" else s
-        rows.append(("unit", rep.label(), rep.dim, lam, rep.dim ** 2))
+        rows.append(("unit", rep.label(), rep.dim, s / rep.dim,
+                     rep.dim ** 2))
     # (b) the q+1 rank-one blocks share one spectrum
     for rep in gl2.rank_one_sigma(q):
         s = sum(complex(w) * size * tab.values[tab.irrep_index(rep), gi]
@@ -276,28 +237,11 @@ def gl2_spectrum(ring: FiniteRing, Q: ClassDistribution,
                      (q + 1) * rep.dim))
     # (c) zero block
     rows.append(("zero", "trivial", 1, 1 + 0j, 1))
-    report = Gl2SpectrumReport(q, rows, normalization)
-    assert report.total() == q ** 4
+    report = Gl2SpectrumReport(q, rows)
+    if report.total() != q ** 4:
+        raise InvariantViolation(f"GL2 multiplicities sum to {report.total()}, "
+                                 f"not q^4 = {q ** 4}")
     return report
-
-
-def check_unit_block_normalization(ring: FiniteRing, Q: ClassDistribution,
-                                   tol: float = MATCH_TOL) -> dict:
-    """Compare both candidate unit-block scalings against the numeric oracle.
-
-    Returns {"adopted": ..., "matches": {...}} where matches maps each
-    candidate to whether its full multiset agrees with eig_numeric(B).
-    """
-    oracle = eig_numeric(build_B(ring, Q)).expand()
-    matches = {}
-    for norm in ("class-sum-scalar", "verbatim"):
-        pred = gl2_spectrum(ring, Q, normalization=norm).b_values()
-        matches[norm] = multisets_match(oracle, pred, tol)
-    adopted = [k for k, ok in matches.items() if ok]
-    return {
-        "adopted": adopted[0] if len(adopted) == 1 else "ambiguous",
-        "matches": matches,
-    }
 
 
 def shift_to_chain_values(b_values, alpha) -> np.ndarray:
@@ -306,7 +250,9 @@ def shift_to_chain_values(b_values, alpha) -> np.ndarray:
     alpha = check_alpha(alpha, allow_boundary=True)
     vals = np.asarray(b_values, dtype=np.complex128).copy()
     ones = np.nonzero(np.abs(vals - 1) <= MATCH_TOL)[0]
-    assert len(ones) >= 1, "a stochastic matrix always has eigenvalue 1"
+    if len(ones) == 0:
+        raise InvariantViolation("no eigenvalue within MATCH_TOL of 1, but a "
+                                 "stochastic matrix always has one")
     vals *= float(1 - alpha)
     vals[ones[0]] = 1.0
     return vals
@@ -346,7 +292,9 @@ def unit_group_characters(ring: FiniteRing):
 def _abelian_characters(ring: FiniteRing):
     """Characters of an abelian unit group, as {unit: exact angle} maps,
     built by extending along a chain of cyclic extensions."""
-    assert ring.units_abelian
+    if not ring.units_abelian:
+        raise InvariantViolation(f"{ring.label}: the unit group is not "
+                                 f"abelian")
     mul = ring.mul
     chars = [{ring.one: Fraction(0)}]
     subgroup = [ring.one]
@@ -375,7 +323,10 @@ def _abelian_characters(ring: FiniteRing):
         chars = new_chars
         subgroup = list(chars[0].keys())
         member = set(subgroup)
-    assert len(member) == len(ring.units) and len(chars) == len(ring.units)
+    if len(member) != len(ring.units) or len(chars) != len(ring.units):
+        raise InvariantViolation(
+            f"{ring.label}: built {len(chars)} characters on a subgroup of "
+            f"{len(member)} units, not {len(ring.units)}")
     return chars
 
 
@@ -389,7 +340,8 @@ def perm_char_multiplicity(ring: FiniteRing, a: int, chi_on_units) -> int:
             "character vector must align with ring.units")
     val = np.sum(fix * np.conj(chi)) / len(ring.units)
     m = round(val.real)
-    assert abs(val - m) < 1e-8, f"non-integral multiplicity {val}"
+    if abs(val - m) >= 1e-8:
+        raise InvariantViolation(f"non-integral multiplicity {val} on S_{a}")
     return m
 
 
@@ -401,12 +353,8 @@ def _pair_orbit_labels(ring: FiniteRing, sa: np.ndarray) -> np.ndarray:
     pos[sa] = np.arange(k)
     pair_ids = np.arange(k * k)
     labels = pair_ids.copy()
-    for u in ring.units:
-        img = pos[ring.mul[u, sa]]
-        perm = (img[:, None] * k + img[None, :]).ravel()
-        labels = np.minimum(labels, labels[perm])
-    # all units in one sweep reach the whole orbit; a second sweep settles
-    # labels that moved mid-loop
+    # after unit u, labels[p] <= labels[u.p] <= u.p, so one sweep over all
+    # units already brings each pair to its orbit's least pair id
     for u in ring.units:
         img = pos[ring.mul[u, sa]]
         perm = (img[:, None] * k + img[None, :]).ravel()
@@ -434,11 +382,13 @@ def is_multiplicity_free_nonunit(ring: FiniteRing, a: int) -> bool:
     sa = ring.s_set(a)
     fix = fixed_point_counts(ring, a)
     sum_fix_sq = int((fix.astype(np.int64) ** 2).sum())
-    assert sum_fix_sq % len(ring.units) == 0
-    rank = sum_fix_sq // len(ring.units)
+    rank, rem = divmod(sum_fix_sq, len(ring.units))
     labels = _pair_orbit_labels(ring, sa)
     orbit_ids = np.unique(labels)
-    assert len(orbit_ids) == rank, "Burnside count disagrees with orbit count"
+    if rem or len(orbit_ids) != rank:
+        raise InvariantViolation(
+            f"S_{a}: Burnside count {sum_fix_sq}/{len(ring.units)} disagrees "
+            f"with {len(orbit_ids)} orbits on S_a x S_a")
     k = len(sa)
     mats = [np.asarray(labels == o, dtype=np.int64).reshape(k, k)
             for o in orbit_ids]

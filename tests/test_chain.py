@@ -1,5 +1,6 @@
 """Distribution validation and exact transition-matrix construction."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import ringwalk
 from ringwalk.chain import ClassDistribution, build_B, build_M, check_alpha
+from ringwalk.cli import q_from_config
 from ringwalk.errors import (
     AlphaOutOfRange,
     NegativeWeight,
@@ -161,6 +163,29 @@ def test_point_mass_on_zero_class_gives_zero_column():
         assert b.entry(a, r.zero) == 1
 
 
+def test_b_exact_when_denominator_exceeds_64_bits():
+    """A --Q whose common denominator is above 2**64, so that B's integer
+    numerators do not fit int64, still gives the exact B."""
+    r = matrix_ring(2)
+    part = r.similarity
+    p1, p2 = 2 ** 61 - 1, 2 ** 31 - 1      # primes: the denominator is p1*p2
+    c1, c2 = [ci for ci in range(len(part)) if part.reps[ci] != r.zero][:2]
+    w = {int(rep): Fr(0) for rep in part.reps}
+    w[int(part.reps[c1])] = Fr(1, p1)
+    w[int(part.reps[c2])] = Fr(1, p2)
+    w[r.zero] = 1 - Fr(len(part.classes[c1]), p1) \
+        - Fr(len(part.classes[c2]), p2)
+    q = q_from_config(r, json.dumps({k: str(v) for k, v in w.items()}))
+    assert q.scaled_weights()[1] > 2 ** 64
+    b = build_B(r, q)
+    for a in range(r.n):
+        for c in range(r.n):
+            brute = sum((q.weight_of_element(x) for x in range(r.n)
+                         if r.mul[x, a] == c), Fr(0))
+            assert b.entry(a, c) == brute
+    assert all(s == 1 for s in b.matrix.row_sums())
+
+
 def test_conjugation_invariance_of_b():
     # B(u c, u d) = B(c, d): relabelling by a unit leaves transitions alone
     for r in (zn_ring(6), upper_triangular_ring(2), matrix_ring(2)):
@@ -236,10 +261,12 @@ def test_rows_sum_to_one_exactly():
 
 
 OPTIMIZED_SCRIPT = """
+from fractions import Fraction
 from ringwalk.chain import ClassDistribution, TransitionMatrix, build_B
 from ringwalk.errors import InvariantViolation, RingMismatch
 from ringwalk.exact import ScaledMatrix
 from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
+from ringwalk.spectrum import shift_to_chain_values
 assert False, "this script must run under python -O"
 """
 
@@ -253,6 +280,9 @@ assert False, "this script must run under python -O"
     # zn_ring(4)'s tables with 2*3 = 3*2 = 1: not associative
     ("FiniteRing(zn_ring(4).add, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 1],"
      " [0, 3, 1, 1]], 0, 1, 'bad', {})", "InvariantViolation"),
+    # no eigenvalue 1 to pin: an IndexError if the check were an assert
+    ("shift_to_chain_values([0.5, 0.25], Fraction(1, 2))",
+     "InvariantViolation"),
 ])
 def test_invariants_survive_python_O(call, error):
     script = OPTIMIZED_SCRIPT + f"""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ringwalk.chain import weighted_mul_counts
 from ringwalk.errors import UnknownGenerator, UnsupportedQ
 from ringwalk.gl2 import (
     Irrep,
@@ -18,7 +19,6 @@ from ringwalk.gl2 import (
     sigma_A,
 )
 from ringwalk.rings import matrix_ring
-from ringwalk.spectrum import projected_counts_weighted
 
 
 # ---------------------------------------------------------------------
@@ -242,7 +242,7 @@ def test_class_functions_act_like_projected_operators():
         for x in y_elements:
             weights = np.zeros(r.n, dtype=np.int64)
             weights[part.classes[part.class_of[x]]] = 1
-            projected = np.array(projected_counts_weighted(r, a, weights))
+            projected = weighted_mul_counts(r, weights)[np.ix_(sa, sa)].T
             action = np.zeros_like(projected)
             for w, coeff in class_function_F(r, a, x).items():
                 for s in sa:

@@ -1,4 +1,4 @@
-"""Spectral oracles: numeric, block-projected, and GL2 closed forms."""
+"""Spectral oracles: numeric, B's diagonal blocks, and GL2 closed forms."""
 
 import os
 from fractions import Fraction as Fr
@@ -6,8 +6,13 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from ringwalk.chain import ClassDistribution, build_B, build_M
-from ringwalk.errors import TooLarge, UnsupportedQ
+from ringwalk.chain import (
+    ClassDistribution,
+    build_B,
+    build_M,
+    weighted_mul_counts,
+)
+from ringwalk.errors import RingMismatch, TooLarge, UnsupportedQ
 from ringwalk.rings import (
     matrix_ring,
     product_ring,
@@ -17,7 +22,6 @@ from ringwalk.rings import (
 from ringwalk.spectrum import (
     EigenvalueMultiset,
     block_spectrum,
-    check_unit_block_normalization,
     eig_numeric,
     fixed_point_counts,
     gl2_spectrum,
@@ -25,7 +29,6 @@ from ringwalk.spectrum import (
     multisets_match,
     numeric_multiplicity,
     perm_char_multiplicity,
-    projected_operator,
     shift_to_chain_values,
     unit_group_characters,
 )
@@ -35,6 +38,11 @@ MATCH = 1e-6
 
 def uniform(ring):
     return ClassDistribution.uniform(ring)
+
+
+def blocks(ring, q):
+    """block_spectrum of the float B of (ring, q)."""
+    return block_spectrum(ring, build_B(ring, q).to_float())
 
 
 def nonuniform_m2f3():
@@ -98,7 +106,7 @@ def test_m2f2_eigenvalue_structure():
 
 def test_z6_block_spectrum_matches_brute_force():
     ring = zn_ring(6)
-    bm, _ = block_spectrum(ring, uniform(ring))
+    bm, _ = blocks(ring, uniform(ring))
     # independent brute-force diagonalization of the fiber-count matrix
     brute = np.linalg.eigvals(
         np.array([[np.sum(ring.mul[:, a] == b) for b in range(6)]
@@ -112,7 +120,7 @@ def test_z6_block_spectrum_matches_brute_force():
 def test_block_total_is_ring_size():
     for ring in (zn_ring(12), upper_triangular_ring(3), matrix_ring(2),
                  product_ring(zn_ring(2), zn_ring(3))):
-        bm, _ = block_spectrum(ring, uniform(ring))
+        bm, _ = blocks(ring, uniform(ring))
         assert bm.total() == ring.n
 
 
@@ -134,25 +142,31 @@ def test_block_matches_numeric_many_rings_and_qs():
         qs.append(ClassDistribution.from_weights(ring, w2))
         for q in qs:
             em = eig_numeric(build_B(ring, q))
-            bm, _ = block_spectrum(ring, q)
+            bm, _ = blocks(ring, q)
             assert multisets_match(em.expand(), bm.expand(), MATCH), ring.label
+
+
+def test_block_spectrum_rejects_b_of_another_size():
+    ring = zn_ring(6)
+    with pytest.raises(RingMismatch):
+        block_spectrum(ring, np.eye(12))
 
 
 def test_projected_operator_zero_is_one_by_one_identity():
     for ring in (zn_ring(6), matrix_ring(2)):
-        op = projected_operator(ring, ring.zero, uniform(ring))
-        assert op.matrix.num == [[1]] and op.matrix.den == 1
+        assert ring.s_set(ring.zero).tolist() == [ring.zero]
+        b = build_B(ring, uniform(ring))
+        assert b.entry(ring.zero, ring.zero) == 1
 
 
 def test_projected_operator_unit_block_shape_and_equivariance():
-    """The unit-block operator is |U| x |U| and commutes with the unit
-    action: P[u s', u s] = P[s', s], exhaustively on M2(F2)."""
+    """The unit-block operator W[S_1, S_1]^T is |U| x |U| and commutes with
+    the unit action: P[u s', u s] = P[s', s], exhaustively on M2(F2)."""
     ring = matrix_ring(2)
-    op = projected_operator(ring, ring.one, uniform(ring))
-    sa = op.basis
+    sa = ring.s_set(ring.one)
     assert len(sa) == len(ring.units)
     pos = {int(s): i for i, s in enumerate(sa)}
-    mat = np.array(op.matrix.num)
+    mat = weighted_mul_counts(ring, [1] * ring.n)[np.ix_(sa, sa)].T
     for u in ring.units:
         perm = [pos[int(ring.mul[u, s])] for s in sa]
         assert np.array_equal(mat[np.ix_(perm, perm)], mat)
@@ -166,7 +180,7 @@ def test_three_way_agreement_q3_uniform():
     ring = matrix_ring(3)
     q = uniform(ring)
     em = eig_numeric(build_B(ring, q)).expand()
-    bm, _ = block_spectrum(ring, q)
+    bm, _ = blocks(ring, q)
     rep = gl2_spectrum(ring, q)
     assert rep.total() == 81
     assert multisets_match(em, bm.expand(), MATCH)
@@ -176,7 +190,7 @@ def test_three_way_agreement_q3_uniform():
 def test_three_way_agreement_q3_nonuniform():
     ring, q = nonuniform_m2f3()
     em = eig_numeric(build_B(ring, q)).expand()
-    bm, _ = block_spectrum(ring, q)
+    bm, _ = blocks(ring, q)
     rep = gl2_spectrum(ring, q)
     assert multisets_match(em, bm.expand(), MATCH)
     assert multisets_match(em, rep.b_values(), MATCH)
@@ -210,26 +224,13 @@ def test_gl2_rejects_even_q():
         gl2_spectrum(ring, uniform(ring))
 
 
-def test_normalization_resolution():
-    """Uniform Q cannot distinguish the two unit-block scalings (all
-    nontrivial sums vanish); the non-uniform Q adopts the class-sum scalar,
-    i.e. the trace divided by dim(rho)."""
-    ring = matrix_ring(3)
-    res_u = check_unit_block_normalization(ring, uniform(ring))
-    assert res_u["matches"]["class-sum-scalar"]
-    ring, q = nonuniform_m2f3()
-    res_n = check_unit_block_normalization(ring, q)
-    assert res_n["adopted"] == "class-sum-scalar"
-    assert not res_n["matches"]["verbatim"]
-
-
 @pytest.mark.skipif(not os.environ.get("RINGWALK_EXTENDED"),
                     reason="set RINGWALK_EXTENDED=1 for the q=5 run")
 def test_three_way_agreement_q5_extended():
     ring = matrix_ring(5)
     q = uniform(ring)
     em = eig_numeric(build_B(ring, q)).expand()
-    bm, _ = block_spectrum(ring, q)
+    bm, _ = blocks(ring, q)
     rep = gl2_spectrum(ring, q)
     assert rep.total() == 625
     assert multisets_match(em, bm.expand(), MATCH)
