@@ -3,6 +3,8 @@ trajectory stepping of the simulator, in numpy."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -40,20 +42,35 @@ def matrix_mul_table(E, fmul, fadd, place):
     return out, bad
 
 
-def run_chain(states, coins, adds, zs, add_table, mul_table, left=True):
+def step_table(add, mul, left=True):
+    """Flat int32 gather table of one simulator step on an n-element ring.
+
+    Entry a*n + x is x + a and entry n*n + z*n + x is z*x (left) or x*z
+    (right), so both moves from state x are one lookup at x plus an offset
+    that does not depend on x.  int32 holds every index: 2 n^2 < 2^31 for
+    n up to rings.SIZE_CAP.
+    """
+    mul = mul if left else mul.T
+    return np.concatenate([add.T.ravel(), mul.ravel()]).astype(np.int32)
+
+
+def run_chain(states, heads, adds, zs, table):
     """Advance all sample trajectories in place through the pre-drawn moves.
 
-    coins/adds/zs have shape (steps, samples).  A heads coin adds the drawn
-    uniform element; a tails coin multiplies by the drawn element, on the
-    left by default (matching the transition matrix convention) or on the
-    right when left=False.
+    heads/adds/zs have shape (steps, samples) and table comes from
+    step_table.  A heads coin adds the drawn uniform element; a tails coin
+    multiplies by the drawn Q-element on the side the table was built for.
+    Each step is one gather at index n*a + x (heads) or n*(n + z) + x
+    (tails) from state x.
     """
-    for step in range(len(coins)):
-        heads = coins[step].astype(bool)
-        added = add_table[states, adds[step]]
-        if left:
-            multiplied = mul_table[zs[step], states]
-        else:
-            multiplied = mul_table[states, zs[step]]
-        np.copyto(states, np.where(heads, added, multiplied))
+    n = math.isqrt(table.size // 2)
+    idx = np.empty_like(states)
+    for h, a, z in zip(heads, adds, zs):
+        np.add(z, n, out=idx)
+        np.copyto(idx, a, where=h)
+        idx *= n
+        idx += states
+        # every index is in range by construction; mode="clip" skips the
+        # bounds check, which would also buffer the output
+        np.take(table, idx, out=states, mode="clip")
     return states

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import LengthMismatch, SingularSystem
 
 
 class ScaledMatrix:
@@ -90,7 +90,9 @@ class ScaledMatrix:
                 and other.num == self.num)
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        assert self.m == other.n
+        if self.m != other.n:
+            raise LengthMismatch(f"matmul: {self.n}x{self.m} times "
+                                 f"{other.n}x{other.m}")
         bt = list(zip(*other.num))
         num = [[sum(x * y for x, y in zip(row, col)) for col in bt]
                for row in self.num]
@@ -98,7 +100,9 @@ class ScaledMatrix:
 
     def vec_mul(self, vec):
         """Row-vector times matrix, exact; vec is a sequence of Fractions."""
-        assert len(vec) == self.n
+        if len(vec) != self.n:
+            raise LengthMismatch(f"vec_mul: vector of length {len(vec)} "
+                                 f"times {self.n}x{self.m} matrix")
         cols = list(zip(*self.num))
         return [sum(v * x for v, x in zip(vec, col)) / self.den
                 for col in cols]

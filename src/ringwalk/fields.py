@@ -19,6 +19,7 @@ from functools import lru_cache
 from .errors import (
     ElementFieldMismatch,
     IndexOutOfRange,
+    InvariantViolation,
     NotPrime,
     ZeroElement,
 )
@@ -238,7 +239,9 @@ class QuadraticExtension:
             raise ZeroElement("norm is defined on the multiplicative group")
         n = self.mul(a, self.frobenius(a))
         n0, n1 = self.coords(n)
-        assert n1 == 0, "norm must land in the base field"
+        if n1 != 0:
+            raise InvariantViolation(f"norm of {a} is {n} = ({n0}, {n1}), "
+                                     f"outside the base field")
         return n0
 
     def sqrt(self, a: int):

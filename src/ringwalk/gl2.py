@@ -24,7 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnknownCase, UnknownGenerator, UnsupportedQ
+from .errors import (
+    InvariantViolation,
+    UnknownCase,
+    UnknownGenerator,
+    UnsupportedQ,
+)
 from .fields import (
     MultiplicativeCharacter,
     angle_to_complex,
@@ -88,14 +93,19 @@ def conj_classes(q: int):
             continue
         seen.add(key)
         tr = ext.add(key, ext.frobenius(key))
-        assert ext.in_base(tr)
+        if not ext.in_base(tr):
+            raise InvariantViolation(f"trace of {key} is {tr}, outside "
+                                     f"the base field F_{q}")
         t = tr % ext.p
         nm = ext.norm(key)
         # companion matrix of t^2 - (trace) t + (norm); centralizer is the
         # non-split torus of order q^2 - 1
         classes.append(ConjClass("anisotropic", (key,), g // (q * q - 1),
                                  (0, (-nm) % q, 1, t % q)))
-    assert sum(c.size for c in classes) == g
+    total = sum(c.size for c in classes)
+    if total != g:
+        raise InvariantViolation(f"GL2(F_{q}): class sizes sum to {total}, "
+                                 f"not |G| = {g}")
     return classes
 
 
@@ -122,7 +132,10 @@ def irreps(q: int):
             continue
         seen.add(key)
         reps.append(Irrep("cuspidal", (key,), q - 1))
-    assert sum(r.dim ** 2 for r in reps) == (q * q - 1) * (q * q - q)
+    total = sum(r.dim ** 2 for r in reps)
+    if total != (q * q - 1) * (q * q - q):
+        raise InvariantViolation(f"GL2(F_{q}): irrep dimensions squared sum "
+                                 f"to {total}, not |G|")
     return reps
 
 
@@ -232,7 +245,9 @@ class CharacterTable:
         F = field_make(q)
         a, b, c, d = (int(v) % q for v in entries)
         det = (a * d - b * c) % q
-        assert det != 0, "classify expects an invertible matrix"
+        if det == 0:
+            raise InvariantViolation(f"classify expects an invertible "
+                                     f"matrix; {(a, b, c, d)} has det 0")
         if b == 0 and c == 0 and a == d:
             return self.class_index("central", (a,))
         tr = (a + d) % q
@@ -293,7 +308,9 @@ def induced_from_P_decomposition(q: int) -> dict:
     for rep in irreps(q):
         s = mirabolic_trace_sum(q, rep) / order_p
         m = round(s.real)
-        assert abs(s - m) < 1e-9, f"non-integral multiplicity {s} for {rep}"
+        if abs(s - m) >= 1e-9:
+            raise InvariantViolation(f"non-integral multiplicity {s} "
+                                     f"for {rep}")
         out[rep] = m
     return out
 

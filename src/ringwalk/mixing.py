@@ -18,7 +18,10 @@ d(t) <= (1-alpha)^t is therefore checked without rounding at every size.
 The simulator draws from a counter-based Philox stream keyed by (seed,
 block); coin flips and Q-samples are integer draws compared against exact
 rational thresholds, so every move has its exact probability and runs
-reproduce bit-for-bit across platforms.
+reproduce bit-for-bit across platforms.  Each step costs O(1) per sample:
+a Q-draw maps to its element through a guide table of at most 2^20 buckets
+(QSampler), and the move is one gather from a flat int32 table holding the
+addition and multiplication tables (_kernels.step_table, run_chain).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .stationary import stationary_recursive
 
 T_CAP = 64
 STEP_CHUNK_ENTRIES = 20_000_000
+GUIDE_BITS = 20            # the Q-sampler guide table has <= 2^20 buckets
 
 
 def tv_distance(mu, nu):
@@ -180,6 +184,41 @@ def mixing_bound(alpha, eps) -> float:
     return log(eps) / log(1 - alpha) + 1
 
 
+class QSampler:
+    """Maps uniform draws in [0, den) to the element whose cumulative
+    integer weight first exceeds the draw, as searchsorted(cum, draw,
+    "right") does, at O(1) per draw.
+
+    Indexed search (Chen & Asau, 1974): the draw range is cut into at most
+    2^GUIDE_BITS buckets of 2^shift draws, and lo[b] is the answer for the
+    first draw of bucket b.  Only a bucket that straddles a boundary of
+    cum has more than one answer; draws landing there (a share below
+    n / 2^(GUIDE_BITS - 1)) fall back to the binary search.  When
+    den <= 2^GUIDE_BITS every bucket holds one draw and none straddles.
+    """
+
+    def __init__(self, w_int):
+        self.cum = np.cumsum(np.array(w_int, dtype=np.int64))
+        self.den = int(self.cum[-1])
+        self.shift = max(0, (self.den - 1).bit_length() - GUIDE_BITS)
+        first = np.arange(((self.den - 1) >> self.shift) + 1,
+                          dtype=np.int64) << self.shift
+        last = np.minimum(first | ((1 << self.shift) - 1), self.den - 1)
+        lo = np.searchsorted(self.cum, first, side="right")
+        self.lo = lo.astype(np.int32)
+        self.split = np.searchsorted(self.cum, last, side="right") != lo
+        self.straddles = bool(self.split.any())
+
+    def __call__(self, draws) -> np.ndarray:
+        # a shift of 0 would only copy the draws
+        buckets = draws >> self.shift if self.shift else draws
+        zs = np.take(self.lo, buckets)
+        if self.straddles:
+            hit = np.take(self.split, buckets)
+            zs[hit] = np.searchsorted(self.cum, draws[hit], side="right")
+        return zs
+
+
 @dataclass
 class SimulationResult:
     """End-state counts of seeded trajectories; same seed, same counts."""
@@ -230,9 +269,12 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     if not -2**63 <= seed < 2**63:
         raise ParamOutOfRange(f"field 'seed': {seed} does not fit the "
                               f"signed 64-bit Philox key word")
-    p, s = alpha.numerator, alpha.denominator
     w_int, den = Q.scaled_weights()
-    cum = np.cumsum(np.array(w_int, dtype=np.int64))
+    if den >= 2**63:
+        raise ParamOutOfRange(f"field 'Q': common denominator {den} is not "
+                              f"below 2^63, the range of an int64 Q-draw")
+    sampler = QSampler(w_int)
+    table = _kernels.step_table(ring.add, ring.mul, left=(side == "left"))
     counts = np.zeros(ring.n, dtype=np.int64)
     per_block = [samples // blocks] * blocks
     per_block[-1] += samples - sum(per_block)
@@ -245,16 +287,25 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
         done = 0
         while done < t:
             step = min(chunk, t - done)
-            coins = (rng.integers(0, s, size=(step, m)) < p).astype(np.int8)
-            adds = rng.integers(0, ring.n, size=(step, m), dtype=np.int32)
-            draws = rng.integers(0, den, size=(step, m), dtype=np.int64)
-            zs = np.searchsorted(cum, draws, side="right").astype(np.int32)
-            _kernels.run_chain(states, coins, adds, zs, ring.add, ring.mul,
-                               left=(side == "left"))
+            _run_chunk(rng, states, step, alpha, ring.n, sampler, table)
             done += step
         counts += np.bincount(states, minlength=ring.n)
     return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
                             counts)
+
+
+def _run_chunk(rng, states, step, alpha, n, sampler, table):
+    """Draw `step` moves for every trajectory and apply them.
+
+    The draw order (coins, uniform elements, Q-draws) fixes the Philox
+    stream, and so the counts; the chunk's arrays die on return.
+    """
+    heads = rng.integers(0, alpha.denominator, size=(step, len(states))) \
+        < alpha.numerator
+    adds = rng.integers(0, n, size=(step, len(states)), dtype=np.int32)
+    zs = sampler(rng.integers(0, sampler.den, size=(step, len(states)),
+                              dtype=np.int64))
+    _kernels.run_chain(states, heads, adds, zs, table)
 
 
 def one_step_rows(ring: FiniteRing, Q: ClassDistribution, alpha, samples: int,

@@ -263,8 +263,9 @@ def test_rows_sum_to_one_exactly():
 OPTIMIZED_SCRIPT = """
 from fractions import Fraction
 from ringwalk.chain import ClassDistribution, TransitionMatrix, build_B
-from ringwalk.errors import InvariantViolation, RingMismatch
+from ringwalk.errors import InvariantViolation, LengthMismatch, RingMismatch
 from ringwalk.exact import ScaledMatrix
+from ringwalk.gl2 import character_table
 from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
 from ringwalk.spectrum import shift_to_chain_values
 assert False, "this script must run under python -O"
@@ -283,6 +284,10 @@ assert False, "this script must run under python -O"
     # no eigenvalue 1 to pin: an IndexError if the check were an assert
     ("shift_to_chain_values([0.5, 0.25], Fraction(1, 2))",
      "InvariantViolation"),
+    # 1x2 times 1x2: zip would silently truncate to a 1x2 "product"
+    ("ScaledMatrix([[1, 0]], 1) @ ScaledMatrix([[1, 0]], 1)",
+     "LengthMismatch"),
+    ("character_table(3).classify((1, 1, 1, 1))", "InvariantViolation"),
 ])
 def test_invariants_survive_python_O(call, error):
     script = OPTIMIZED_SCRIPT + f"""

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,14 @@ def test_bad_alpha_is_config_error():
     assert code == 2
 
 
+def q_with_denominator(den, first):
+    """--Q JSON for M2(F2) with weights first/den on 0 and the rest on the
+    identity (both singleton classes), zero elsewhere."""
+    weights = {0: Fraction(first, den), 9: Fraction(den - first, den)}
+    return json.dumps({str(rep): str(weights.get(rep, 0))
+                       for rep in (0, 1, 2, 6, 7, 9)})
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--blocks", "0"),
     ("--start", "99"),
@@ -157,6 +166,12 @@ def test_bad_alpha_is_config_error():
     ("--steps", "-3"),
     ("--samples", "0"),
     ("--seed", str(2**64)),
+    # Q-draws are int64: a weight of 2^63 or more, and two weights that
+    # fit but sum to 2^63 + 29
+    pytest.param("--Q", q_with_denominator(2**63 + 29, 1),
+                 id="--Q-weight-over-int64"),
+    pytest.param("--Q", q_with_denominator(2**63 + 29, 2**62),
+                 id="--Q-sum-over-int64"),
 ])
 def test_simulate_out_of_range_field_is_config_error(flag, value):
     code, out, err = run_cli(["simulate", "--ring", "matrix", "--q", "2",

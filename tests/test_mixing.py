@@ -4,7 +4,10 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringwalk import mixing
 from ringwalk.chain import ClassDistribution, build_B, build_M
 from ringwalk.errors import InvariantViolation, LengthMismatch, ParamOutOfRange
 from ringwalk.exact import ScaledMatrix
@@ -279,3 +282,132 @@ def test_seed_is_mandatory():
     ring = zn_ring(6)
     with pytest.raises(ValueError):
         simulate(ring, uniform(ring), Fr(1, 2), 0, 5, 100, seed=None)
+
+
+# ---------------------------------------------------------------------
+# golden counts: fixed seeds must give the same counts in every version
+# ---------------------------------------------------------------------
+
+def z12_q(den, seed):
+    """Q on Z_12 (all classes singletons) with common denominator den."""
+    ring = zn_ring(12)
+    k = [int(x) for x in
+         np.random.default_rng(seed).integers(1, den // 12, size=11)]
+    return ring, ClassDistribution(
+        ring, [Fr(x, den) for x in k] + [Fr(den - sum(k), den)])
+
+
+def golden_cases():
+    m2 = matrix_ring(2)
+    b3 = upper_triangular_ring(3)
+    z40 = z12_q(2**40 - 87, 7)
+    z58 = z12_q(2**58 - 27, 8)
+    # (ring, Q, simulate keywords, STEP_CHUNK_ENTRIES or None, counts)
+    return {
+        "m2f2-left": (
+            m2, seeded_q(m2, 3),
+            dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101), None,
+            [1263, 135, 125, 131, 132, 108, 92, 123, 119, 91, 124, 111, 114,
+             105, 111, 116]),
+        "m2f2-right": (
+            m2, seeded_q(m2, 3),
+            dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101,
+                 side="right"), None,
+            [1270, 114, 125, 128, 139, 117, 95, 118, 134, 96, 124, 107, 124,
+             87, 109, 113]),
+        "b2f3-blocks3": (
+            b3, seeded_q(b3, 5),
+            dict(alpha=Fr(2, 5), x0=b3.one, t=6, samples=2000, seed=202,
+                 blocks=3), None,
+            [586, 53, 54, 100, 39, 42, 134, 64, 60, 82, 32, 42, 83, 28, 38,
+             66, 33, 44, 64, 33, 35, 73, 45, 40, 68, 30, 32]),
+        # blocks of 200 and 201 samples, 3 and 2 steps per chunk
+        "b2f3-chunks-left": (
+            b3, seeded_q(b3, 6),
+            dict(alpha=Fr(1, 2), x0=1, t=11, samples=401, seed=303,
+                 blocks=2), 600,
+            [58, 13, 18, 25, 14, 15, 15, 20, 12, 15, 9, 12, 17, 11, 4, 15, 10,
+             9, 14, 11, 11, 14, 11, 14, 14, 7, 13]),
+        "b2f3-chunks-right": (
+            b3, seeded_q(b3, 6),
+            dict(alpha=Fr(1, 2), x0=1, t=11, samples=401, seed=303,
+                 side="right", blocks=2), 600,
+            [58, 17, 18, 19, 19, 13, 21, 11, 14, 15, 10, 6, 13, 16, 9, 19, 4,
+             10, 15, 11, 15, 17, 12, 15, 10, 6, 8]),
+        "z12-den2^40": (
+            *z40, dict(alpha=Fr(1, 4), x0=5, t=5, samples=3000, seed=404),
+            None,
+            [711, 130, 201, 192, 344, 165, 235, 158, 315, 187, 209, 153]),
+        # one step per chunk
+        "z12-den2^58": (
+            *z58, dict(alpha=Fr(1, 4), x0=7, t=5, samples=3000, seed=405,
+                       side="right"), 2000,
+            [688, 137, 177, 258, 259, 188, 336, 155, 248, 247, 163, 144]),
+        "m2f2-alpha1": (
+            m2, seeded_q(m2, 4),
+            dict(alpha=Fr(1), x0=3, t=3, samples=2000, seed=505,
+                 allow_boundary=True), None,
+            [89, 144, 123, 110, 131, 131, 139, 119, 130, 129, 119, 123, 117,
+             139, 138, 119]),
+    }
+
+
+@pytest.mark.parametrize("name", list(golden_cases()))
+def test_simulation_golden_counts(monkeypatch, name):
+    ring, q, kwargs, chunk, counts = golden_cases()[name]
+    if chunk is not None:
+        monkeypatch.setattr(mixing, "STEP_CHUNK_ENTRIES", chunk)
+    res = simulate(ring, q, **kwargs)
+    assert res.counts.tolist() == counts
+
+
+def test_golden_z12_denominators_exceed_guide_table():
+    cases = golden_cases()
+    for name in ("z12-den2^40", "z12-den2^58"):
+        w_int, den = cases[name][1].scaled_weights()
+        assert den > 2**mixing.GUIDE_BITS
+        assert mixing.QSampler(w_int).shift > 0
+
+
+# ---------------------------------------------------------------------
+# the guide-table Q-sampler is searchsorted, element by element
+# ---------------------------------------------------------------------
+
+@st.composite
+def weights_and_draws(draw):
+    """Nonnegative integer weights with 1 <= sum <= 2^62, and draws in
+    [0, sum) that include both sides of every cumulative boundary."""
+    bits = draw(st.integers(0, 62))
+    k = draw(st.integers(1, 40))
+    cap = max(1, 2**bits // k)
+    w = draw(st.lists(st.integers(0, cap), min_size=k, max_size=k))
+    w[draw(st.integers(0, k - 1))] += 1
+    den = sum(w)
+    cum = np.cumsum(w)
+    edges = [int(c) + d for c in cum[:-1] for d in (-1, 0, 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    draws = np.concatenate([
+        np.array([e for e in edges if 0 <= e < den] + [0, den - 1],
+                 dtype=np.int64),
+        rng.integers(0, den, size=500, dtype=np.int64)])
+    return w, draws.reshape(1, -1)
+
+
+@settings(deadline=None)
+@given(weights_and_draws())
+def test_q_sampler_equals_searchsorted(case):
+    w, draws = case
+    sampler = mixing.QSampler(w)
+    assert sampler.den == sum(w)
+    assert len(sampler.lo) <= 2**mixing.GUIDE_BITS
+    zs = sampler(draws)
+    assert zs.dtype == np.int32
+    assert np.array_equal(zs, np.searchsorted(np.cumsum(w), draws, "right"))
+
+
+def test_q_sampler_straddling_buckets_only_above_guide_bits():
+    assert not mixing.QSampler([1] * 2**mixing.GUIDE_BITS).straddles
+    sampler = mixing.QSampler([2**40 + 1, 2**40 - 1])
+    assert sampler.straddles
+    draws = np.array([[2**40, 2**40 + 1, 2**40 + 2]], dtype=np.int64)
+    assert sampler(draws).tolist() == [[0, 1, 1]]
