@@ -98,15 +98,6 @@ class ScaledMatrix:
                for row in self.num]
         return ScaledMatrix(num, self.den * other.den)
 
-    def vec_mul(self, vec):
-        """Row-vector times matrix, exact; vec is a sequence of Fractions."""
-        if len(vec) != self.n:
-            raise LengthMismatch(f"vec_mul: vector of length {len(vec)} "
-                                 f"times {self.n}x{self.m} matrix")
-        cols = list(zip(*self.num))
-        return [sum(v * x for v, x in zip(vec, col)) / self.den
-                for col in cols]
-
 
 def bareiss_echelon(rows):
     """Fraction-free row echelon form of an integer matrix.

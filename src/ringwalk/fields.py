@@ -311,9 +311,6 @@ class MultiplicativeCharacter:
     def value(self, x: int) -> complex:
         return angle_to_complex(self.angle(x))
 
-    def conj_value(self, x: int) -> complex:
-        return angle_to_complex(-self.angle(x))
-
     def __repr__(self):
         return f"chi_{self.k} on {self.field}^x"
 

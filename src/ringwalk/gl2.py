@@ -139,10 +139,6 @@ def irreps(q: int):
     return reps
 
 
-def trivial_irrep() -> Irrep:
-    return Irrep("det", (0,), 1)
-
-
 def char_value(q: int, rep: Irrep, cls: ConjClass) -> complex:
     """Single character-table entry; exact angles, complex at the boundary."""
     F = field_make(q)
@@ -270,10 +266,6 @@ class CharacterTable:
 @lru_cache(maxsize=None)
 def character_table(q: int) -> CharacterTable:
     return CharacterTable(q)
-
-
-def inner_product(q: int, va, vb) -> complex:
-    return character_table(q).inner(va, vb)
 
 
 def mirabolic_trace_sum(q: int, rep: Irrep) -> complex:

@@ -155,9 +155,6 @@ class Gl2SpectrumReport:
     def b_values(self) -> np.ndarray:
         return np.concatenate([[v] * m for (_, _, _, v, m) in self.rows])
 
-    def m_values(self, alpha) -> np.ndarray:
-        return shift_to_chain_values(self.b_values(), alpha)
-
     def predicted_bounds(self):
         """(eigenvalue, lower bound on algebraic multiplicity) per theory:
         dim^2 in the unit block, dim summed over coinciding non-unit

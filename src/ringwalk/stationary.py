@@ -2,7 +2,9 @@
 
 Four routes that must agree exactly wherever their domains overlap:
 
-  * stationary_solve: rational nullspace of (M - I), the oracle (n <= 256).
+  * stationary_solve: the exact nullspace of the k x k chain lumped over
+    the generator sets S_a (k = |phi|), spread evenly over each S_a and
+    certified by an exact integer pi M = pi over all n columns; any n.
   * stationary_recursive: the top-down recursion over the principal-ideal
     poset, valid for any class-constant Q.
   * stationary_uniform: the uniform-Q specialization using coset counts and
@@ -17,30 +19,56 @@ solves |phi| unknowns and then spreads them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .chain import ClassDistribution, TransitionMatrix, check_alpha
-from .errors import (
-    DenominatorZero,
-    InvariantViolation,
-    SingularSystem,
-    TooLarge,
-)
-from .exact import stationary_nullspace
+import numpy as np
+
+from .chain import ClassDistribution, check_alpha, check_same_ring
+from .errors import DenominatorZero, InvariantViolation, SingularSystem
+from .exact import ScaledMatrix, stationary_nullspace
 from .gl2 import require_m2_ring
 from .rings import FiniteRing
 
-SOLVE_CAP = 256
 
+def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha,
+                     allow_boundary: bool = False):
+    """Unique pi with pi M = pi and sum(pi) = 1, exactly, for any n.
 
-def stationary_solve(M: TransitionMatrix):
-    """Unique pi with pi M = pi and sum(pi) = 1, by exact elimination."""
-    if M.n > SOLVE_CAP:
-        raise TooLarge(f"exact solve capped at {SOLVE_CAP} states, got {M.n}")
-    pi = stationary_nullspace(M.matrix)
-    if any(p <= 0 for p in pi):
+    B(uc, ud) = B(c, d) for every unit u, so M lumps over the S_a (Kemeny &
+    Snell, Finite Markov Chains, 6.3): the k x k chain Mbar(a, b) = alpha
+    |S_b|/n + (1 - alpha) Q{x : x a in S_b} is solved and pi(S_b) spread
+    evenly over S_b.  That pi is then certified against M on every column.
+    """
+    check_same_ring(ring, Q)
+    alpha = check_alpha(alpha, allow_boundary)
+    n, poset = ring.n, ring.ideals
+    p, s = alpha.numerator, alpha.denominator
+    w_int, den = Q.scaled_weights()
+    w = np.array(w_int, dtype=np.int64 if den < 2 ** 63 else object)
+    counts = np.zeros((len(poset), len(poset)), dtype=w.dtype)
+    for i, a in enumerate(ring.phi):           # phi[i] generates ideal i
+        np.add.at(counts[i], poset.id_of[ring.mul[:, a]], w)
+    sizes = [len(g) for g in poset.generators]
+    pi_bar = stationary_nullspace(ScaledMatrix(
+        [[p * den * size + (s - p) * n * int(c) for size, c in zip(sizes, row)]
+         for row in counts], s * n * den))
+    pi = [pi_bar[i] / sizes[i] for i in poset.id_of]
+    if any(x <= 0 for x in pi):
         raise SingularSystem("stationary vector of a positive chain must be "
                              "strictly positive")
-    if M.matrix.vec_mul(pi) != list(pi):
+    # pi = pi_num / L and Q = w / den turn (pi M)(y) = pi(y) into
+    # p den L + (s - p) n acc[y] = s n den pi_num[y], acc[y] the sum of
+    # w[z] pi_num[x] over z x = y; no term exceeds s n den L
+    L = lcm(*(x.denominator for x in pi))
+    dtype = np.int64 if s * n * den * L < 2 ** 63 else object
+    pi_num = np.array([x.numerator * (L // x.denominator) for x in pi],
+                      dtype=dtype)
+    acc = np.zeros(n, dtype=dtype)
+    for z, wz in enumerate(w_int):
+        if wz:
+            np.add.at(acc, ring.mul[z], wz * pi_num)
+    if not np.array_equal(p * den * L + (s - p) * n * acc,
+                          s * n * den * pi_num):
         raise InvariantViolation("solved pi fails the exact pi M = pi check")
     return pi
 

@@ -18,7 +18,6 @@ import pytest
 from ringwalk.chain import (
     ClassDistribution,
     build_B,
-    build_M,
     weighted_mul_counts,
 )
 from ringwalk.exact import ScaledMatrix
@@ -90,7 +89,7 @@ def test_criterion_2_golden_stationary():
         expected = [zero if x == ring.zero
                     else unit if x in ring.unit_set else nonunit
                     for x in range(16)]
-        assert stationary_solve(build_M(ring, q, alpha)) == expected
+        assert stationary_solve(ring, q, alpha) == expected
         assert stationary_recursive(ring, q, alpha) == expected
         assert stationary_uniform(ring, alpha) == expected
         assert stationary_gl2(ring, alpha) == expected
@@ -262,7 +261,7 @@ def test_criterion_8_simulation_consistency():
     q = ClassDistribution.uniform(ring)
     alpha = Fr(1, 2)
     res = simulate(ring, q, alpha, x0=0, t=50, samples=100_000, seed=2024)
-    pi = stationary_solve(build_M(ring, q, alpha))
+    pi = stationary_solve(ring, q, alpha)
     tv = res.tv_to(pi)
     assert tv < 0.02
     res2 = simulate(ring, q, alpha, x0=0, t=50, samples=100_000, seed=2024)

@@ -163,10 +163,8 @@ def test_point_mass_on_zero_class_gives_zero_column():
         assert b.entry(a, r.zero) == 1
 
 
-def test_b_exact_when_denominator_exceeds_64_bits():
-    """A --Q whose common denominator is above 2**64, so that B's integer
-    numerators do not fit int64, still gives the exact B."""
-    r = matrix_ring(2)
+def q_over_64_bits(r):
+    """A --Q on r whose common denominator (2^61-1)(2^31-1) is above 2**64."""
     part = r.similarity
     p1, p2 = 2 ** 61 - 1, 2 ** 31 - 1      # primes: the denominator is p1*p2
     c1, c2 = [ci for ci in range(len(part)) if part.reps[ci] != r.zero][:2]
@@ -177,6 +175,14 @@ def test_b_exact_when_denominator_exceeds_64_bits():
         - Fr(len(part.classes[c2]), p2)
     q = q_from_config(r, json.dumps({k: str(v) for k, v in w.items()}))
     assert q.scaled_weights()[1] > 2 ** 64
+    return q
+
+
+def test_b_exact_when_denominator_exceeds_64_bits():
+    """A --Q whose common denominator is above 2**64, so that B's integer
+    numerators do not fit int64, still gives the exact B."""
+    r = matrix_ring(2)
+    q = q_over_64_bits(r)
     b = build_B(r, q)
     for a in range(r.n):
         for c in range(r.n):
@@ -268,6 +274,7 @@ from ringwalk.exact import ScaledMatrix
 from ringwalk.gl2 import character_table
 from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
 from ringwalk.spectrum import shift_to_chain_values
+from ringwalk import stationary
 assert False, "this script must run under python -O"
 """
 
@@ -288,6 +295,11 @@ assert False, "this script must run under python -O"
     ("ScaledMatrix([[1, 0]], 1) @ ScaledMatrix([[1, 0]], 1)",
      "LengthMismatch"),
     ("character_table(3).classify((1, 1, 1, 1))", "InvariantViolation"),
+    # the lumped solution with half of one class's mass moved to the next
+    ("stationary.stationary_nullspace = lambda m, f=stationary."
+     "stationary_nullspace: (lambda v: [v[0] / 2, v[1] + v[0] / 2] + v[2:])"
+     "(f(m)); stationary.stationary_solve(r := zn_ring(6), "
+     "ClassDistribution.uniform(r), Fraction(1, 2))", "InvariantViolation"),
 ])
 def test_invariants_survive_python_O(call, error):
     script = OPTIMIZED_SCRIPT + f"""

@@ -67,7 +67,7 @@ def test_d_zero_is_one_minus_min_pi():
     q = uniform(ring)
     alpha = Fr(1, 2)
     curve = d_of_t(ring, q, alpha, 3)
-    pi = stationary_solve(build_M(ring, q, alpha))
+    pi = stationary_solve(ring, q, alpha)
     assert curve.exact_values[0] == 1 - min(pi)
     assert curve.exact_values[0] >= 1 - max(pi)
 
@@ -107,7 +107,7 @@ def seeded_q(ring, seed):
 def matrix_power_curve(ring, q, alpha, T):
     """Oracle: exact powers of M and the max over all n starts."""
     m = build_M(ring, q, alpha).matrix
-    pi = stationary_solve(build_M(ring, q, alpha))
+    pi = stationary_solve(ring, q, alpha)
     power = ScaledMatrix.identity(ring.n)
     out = []
     for t in range(T + 1):
@@ -233,7 +233,7 @@ def test_long_run_reaches_stationarity():
     ring = matrix_ring(2)
     q = uniform(ring)
     res = simulate(ring, q, Fr(1, 2), 0, 50, 100_000, seed=123)
-    pi = stationary_solve(build_M(ring, q, Fr(1, 2)))
+    pi = stationary_solve(ring, q, Fr(1, 2))
     assert res.tv_to(pi) < 0.02
 
 

@@ -10,6 +10,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from ringwalk.checks import check_rxy_sizes
 from ringwalk.errors import TooLarge
 from ringwalk.gl2 import ring_element_index
 from ringwalk.rings import (
@@ -340,6 +341,27 @@ def test_rxy_size_equals_lann_when_nonempty():
                 fiber = r.r_xy(x, y)
                 if len(fiber):
                     assert len(fiber) == len(r.lann(y))
+
+
+def test_rxy_check_is_exhaustive_at_every_size():
+    for r in (upper_triangular_ring(5), matrix_ring(3)):
+        assert check_rxy_sizes(r) == (True, "exhaustive")
+
+
+def test_rxy_check_catches_a_wrong_poset_or_table():
+    r = upper_triangular_ring(3)
+    r.ideals.leq[0, len(r.ideals) - 1] ^= True
+    ok, detail = check_rxy_sizes(r)
+    assert not ok and "emptiness" in detail
+    r = upper_triangular_ring(3)
+    r.ideals                                 # built from the true table
+    y = int(r.phi[1])
+    counts = np.bincount(r.mul[:, y], minlength=r.n)
+    x, other = np.nonzero(counts >= 2)[0][:2]
+    r.mul = r.mul.copy()
+    r.mul[np.nonzero(r.mul[:, y] == x)[0][0], y] = other
+    ok, detail = check_rxy_sizes(r)
+    assert not ok and "LAnn" in detail
 
 
 def test_coset_reps_biject_with_s():

@@ -3,9 +3,12 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringwalk.chain import ClassDistribution, build_M
-from ringwalk.errors import SingularSystem, TooLarge
+from ringwalk import stationary
+from ringwalk.chain import ClassDistribution
+from ringwalk.errors import InvariantViolation, SingularSystem
 from ringwalk.rings import (
     matrix_ring,
     product_ring,
@@ -20,6 +23,9 @@ from ringwalk.stationary import (
     stationary_uniform,
     stationary_units_formula,
 )
+
+from test_chain import q_over_64_bits
+from test_mixing import seeded_q
 
 ALPHAS = (Fr(1, 4), Fr(1, 2), Fr(3, 4))
 
@@ -41,14 +47,20 @@ def m2f2_paper_values(alpha):
 
 def test_solve_uniform_rows_gives_uniform_pi():
     ring = zn_ring(6)
-    m = build_M(ring, uniform(ring), Fr(1), allow_boundary=True)
-    assert stationary_solve(m) == [Fr(1, 6)] * 6
+    assert stationary_solve(ring, uniform(ring), Fr(1),
+                            allow_boundary=True) == [Fr(1, 6)] * 6
+
+
+def test_solve_alpha_zero_is_singular():
+    # alpha = 0 leaves only the absorbing zero: pi = delta_0 is not positive
+    ring = zn_ring(6)
+    with pytest.raises(SingularSystem):
+        stationary_solve(ring, uniform(ring), 0, allow_boundary=True)
 
 
 def test_solve_m2f2_golden_values():
     ring = matrix_ring(2)
-    m = build_M(ring, uniform(ring), Fr(1, 2))
-    pi = stationary_solve(m)
+    pi = stationary_solve(ring, uniform(ring), Fr(1, 2))
     assert sum(pi) == 1
     unit, nonunit, zero = m2f2_paper_values(Fr(1, 2))
     assert (unit, nonunit, zero) == (Fr(1, 26), Fr(4, 65), Fr(14, 65))
@@ -61,10 +73,71 @@ def test_solve_m2f2_golden_values():
             assert pi[x] == nonunit
 
 
-def test_solve_size_cap():
+def test_solve_above_former_cap():
     ring = matrix_ring(5)
-    with pytest.raises(TooLarge):
-        stationary_solve(build_M(ring, uniform(ring), Fr(1, 2)))
+    q = seeded_q(ring, 1)
+    assert stationary_solve(ring, q, Fr(1, 2)) == \
+        stationary_recursive(ring, q, Fr(1, 2))
+
+
+def test_solve_certificate_catches_a_wrong_lumped_solution(monkeypatch):
+    # move half of the first lumped class's mass to the second, sum kept 1
+    solve = stationary.stationary_nullspace
+
+    def shifted(matrix):
+        v = solve(matrix)
+        return [v[0] / 2, v[1] + v[0] / 2] + v[2:]
+
+    monkeypatch.setattr(stationary, "stationary_nullspace", shifted)
+    ring = upper_triangular_ring(3)
+    with pytest.raises(InvariantViolation):
+        stationary_solve(ring, seeded_q(ring, 2), Fr(1, 3))
+
+
+def test_solve_exact_when_denominator_exceeds_64_bits():
+    # the lumped counts and the certificate both go past int64
+    r = matrix_ring(2)
+    q = q_over_64_bits(r)
+    assert stationary_solve(r, q, Fr(1, 3)) == \
+        stationary_recursive(r, q, Fr(1, 3))
+
+
+def ring_factor(room):
+    """A strategy for Z_m, B2(F_p) or M2(F_2) with at most `room` elements."""
+    fixed = ((8, upper_triangular_ring, 2), (27, upper_triangular_ring, 3),
+             (125, upper_triangular_ring, 5), (16, matrix_ring, 2))
+    return st.one_of([st.integers(2, room).map(zn_ring)]
+                     + [st.builds(make, st.just(arg))
+                        for size, make, arg in fixed if size <= room])
+
+
+def random_ring(draw):
+    """A product of up to three factors with at most 128 elements."""
+    ring = draw(ring_factor(128))
+    for _ in range(draw(st.integers(0, 2))):
+        if 2 * ring.n > 128:
+            break
+        ring = product_ring(ring, draw(ring_factor(128 // ring.n)))
+    return ring
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_solve_equals_recursion_on_random_rings(data):
+    ring = random_ring(data.draw)
+    part = ring.similarity
+    w = data.draw(st.lists(st.integers(0, 9), min_size=len(part),
+                           max_size=len(part)))
+    w[part.class_of[ring.one]] += 1          # never all zero
+    total = sum(x * len(c) for x, c in zip(w, part.classes))
+    q = ClassDistribution(ring, [Fr(x, total) for x in w])
+    s = data.draw(st.integers(2, 50))
+    alpha = Fr(data.draw(st.integers(1, s - 1)), s)
+    assert stationary_solve(ring, q, alpha) == \
+        stationary_recursive(ring, q, alpha)
+    u = uniform(ring)
+    assert stationary_solve(ring, u, alpha) == \
+        stationary_recursive(ring, u, alpha) == stationary_uniform(ring, alpha)
 
 
 # ---------------------------------------------------------------------
@@ -75,8 +148,8 @@ def test_recursion_matches_solve_uniform():
     for ring in (zn_ring(6), upper_triangular_ring(2), matrix_ring(2)):
         q = uniform(ring)
         for alpha in ALPHAS:
-            m = build_M(ring, q, alpha)
-            assert stationary_recursive(ring, q, alpha) == stationary_solve(m)
+            assert stationary_recursive(ring, q, alpha) == \
+                stationary_solve(ring, q, alpha)
 
 
 def test_recursion_matches_solve_nonuniform():
@@ -88,7 +161,7 @@ def test_recursion_matches_solve_nonuniform():
     q = ClassDistribution.from_weights(ring, w)
     for alpha in (Fr(1, 4), Fr(2, 5)):
         assert stationary_recursive(ring, q, alpha) == \
-            stationary_solve(build_M(ring, q, alpha))
+            stationary_solve(ring, q, alpha)
 
 
 def test_uniform_closed_form_agrees_everywhere():
@@ -128,7 +201,7 @@ def test_pi_positive_and_fixed():
     ring = upper_triangular_ring(2)
     q = uniform(ring)
     alpha = Fr(2, 5)
-    pi = stationary_solve(build_M(ring, q, alpha))
+    pi = stationary_solve(ring, q, alpha)
     assert all(p > 0 for p in pi)
 
 
@@ -169,7 +242,7 @@ def test_gl2_vector_matches_solve_q3():
     ring = matrix_ring(3)
     alpha = Fr(2, 5)
     assert stationary_gl2(ring, alpha) == \
-        stationary_solve(build_M(ring, uniform(ring), alpha))
+        stationary_solve(ring, uniform(ring), alpha)
 
 
 def test_gl2_total_mass_identity_q3():
