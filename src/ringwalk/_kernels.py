@@ -1,5 +1,10 @@
-"""Hot integer kernels: the matrix-ring multiplication table and the
-trajectory stepping of the simulator, in numpy."""
+"""Hot integer kernels: the matrix-ring addition and multiplication tables
+and the trajectory stepping of the simulator, in numpy.
+
+The matrix-ring tables are built by rows: row i of a sum or a product
+depends on a only through row i of a, so each table is a sum of s gathers
+from a small table over the m^s row vectors of the field.  All tables are
+int32, which holds every index below rings.SIZE_CAP."""
 
 from __future__ import annotations
 
@@ -16,30 +21,69 @@ def active_backend() -> str:
     return "numpy"
 
 
+def _row_codes(E, m):
+    """(m^s x s) table of every row vector over a field of m elements, in
+    lexicographic order (most significant entry first), and the (n x s)
+    index in that table of each element's rows."""
+    s = E.shape[1]
+    weights = m ** np.arange(s - 1, -1, -1)
+    vectors = (np.arange(m ** s)[:, None] // weights) % m
+    return vectors, E @ weights
+
+
 def matrix_mul_table(E, fmul, fadd, place):
     """out[a, b] = encoded index of the matrix product a @ b over the field.
 
-    place[i, j] is the positional multiplier of entry (i, j) in the element
-    encoding, or -1 for entries forced to zero by the ring's shape; a nonzero
-    product entry at a forced-zero position counts as a closure violation and
-    is reported in the second return value.
+    E[a] holds the s x s field entries of element a.  place[i, j] is the
+    positional multiplier of entry (i, j) in the element encoding, or -1 for
+    entries forced to zero by the ring's shape; a nonzero product entry at a
+    forced-zero position counts as a closure violation and is reported in
+    the second return value.
+
+    Row i of a @ b is (row i of a) @ b, so the product entries are tabulated
+    once for every one of the m^s row vectors r against every b, and out is
+    the sum over i of one row-gather of the code contributions of row i.
     """
     n, s, _ = E.shape
-    out = np.empty((n, n), dtype=np.int64)
+    vectors, rows = _row_codes(E, len(fmul))
+    prod = []                   # prod[j][r, b] = entry j of r @ b
+    for j in range(s):
+        acc = np.zeros((len(vectors), n), dtype=np.int32)
+        for k in range(s):
+            acc = fadd[acc, fmul[vectors[:, k, None], E[None, :, k, j]]]
+        prod.append(acc)
+    out = np.zeros((n, n), dtype=np.int32)
     bad = 0
-    for a in range(n):
-        idx = np.zeros(n, dtype=np.int64)
-        for i in range(s):
-            for j in range(s):
-                acc = np.zeros(n, dtype=np.int64)
-                for k in range(s):
-                    acc = fadd[acc, fmul[E[a, i, k], E[:, k, j]]]
-                if place[i, j] < 0:
-                    bad += int(np.count_nonzero(acc))
-                else:
-                    idx += acc * place[i, j]
-        out[a] = idx
+    for i in range(s):
+        codes = np.zeros((len(vectors), n), dtype=np.int32)
+        for j in range(s):
+            if place[i, j] < 0:
+                nonzero = np.count_nonzero(prod[j], axis=1)
+                bad += int(nonzero[rows[:, i]].sum())
+            else:
+                codes += prod[j] * int(place[i, j])
+        out += codes[rows[:, i]]
     return out, bad
+
+
+def matrix_add_table(E, fadd, place):
+    """out[a, b] = encoded index of the entrywise sum a + b over the field.
+
+    Arguments as for matrix_mul_table.  Row i of a + b is (row i of a) +
+    (row i of b), so it is tabulated once for every row vector r against
+    every b, and out is the sum over i of one row-gather.
+    """
+    n, s, _ = E.shape
+    vectors, rows = _row_codes(E, len(fadd))
+    out = np.zeros((n, n), dtype=np.int32)
+    for i in range(s):
+        codes = np.zeros((len(vectors), n), dtype=np.int32)
+        for j in range(s):
+            if place[i, j] >= 0:
+                codes += fadd[vectors[:, j, None], E[None, :, i, j]] \
+                    * int(place[i, j])
+        out += codes[rows[:, i]]
+    return out
 
 
 def step_table(add, mul, left=True):

@@ -1,6 +1,8 @@
 """Element-enumerated finite rings with identity and their derived structure.
 
-A ring is stored as dense n x n addition and multiplication index tables.
+A ring is stored as dense n x n int32 addition and multiplication index
+tables.  Matrix-ring tables come from _kernels, which builds them by rows
+in O(n^2) numpy work.
 Enumeration orders are part of the public contract:
 
   * zn_ring(n): natural order 0..n-1.
@@ -107,7 +109,7 @@ class FiniteRing:
         # additive identity, commutativity, and invertibility
         self._require(np.array_equal(add[self.zero], idx), "zero is not neutral")
         self._require(np.array_equal(add, add.T), "addition is not commutative")
-        self._require(all((add[i] == self.zero).sum() == 1 for i in range(n)),
+        self._require(np.all((add == self.zero).sum(axis=1) == 1),
                       "some element has no additive inverse")
         # multiplicative identity
         self._require(np.array_equal(mul[self.one], idx),
@@ -360,11 +362,7 @@ def _structured_matrix_ring(field, size, positions, label, descriptor):
     for (i, j), w in weight.items():
         place[i, j] = w
 
-    # addition is slot-wise
-    add = np.zeros((n, n), dtype=np.int64)
-    for (i, j), w in weight.items():
-        add += fadd[E[:, i, j][:, None], E[:, i, j][None, :]].astype(np.int64) * w
-
+    add = _kernels.matrix_add_table(E, fadd, place)
     mul, bad = _kernels.matrix_mul_table(E, fmul, fadd, place)
     if bad:
         raise InvariantViolation(f"{label}: products escape the matrix shape")

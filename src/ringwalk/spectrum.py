@@ -29,7 +29,7 @@ from .errors import (
     TooLarge,
     UnsupportedQ,
 )
-from .fields import angle_to_complex
+from .fields import angle_to_complex, is_prime
 from .rings import FiniteRing
 
 MERGE_TOL = 1e-8
@@ -168,12 +168,29 @@ class Gl2SpectrumReport:
         return out
 
 
+def _gl2_classes(ring: FiniteRing, tab: gl2.CharacterTable) -> np.ndarray:
+    """GL2 class index of each invertible similarity class of M2(F_q), -1
+    for the non-invertible ones; one classify call per invertible class,
+    with its size cross-checked against the table."""
+    part = ring.similarity
+    out = np.full(len(part), -1)
+    for ci in np.nonzero(part.invertible)[0]:
+        gi = tab.classify(ring.entries[part.reps[ci]].ravel())
+        if tab.classes[gi].size != len(part.classes[ci]):
+            raise InvariantViolation(
+                f"GL2 class {gi} has {tab.classes[gi].size} elements in "
+                f"the table but {len(part.classes[ci])} in {ring.label}")
+        out[ci] = gi
+    return out
+
+
 def _gl2_class_data(ring: FiniteRing, Q: ClassDistribution):
     """Split the ring's similarity classes into GL2 classes and the
     non-invertible tags, with sizes cross-checked against the table."""
     q = gl2.require_m2_ring(ring)
     tab = gl2.character_table(q)
     part = ring.similarity
+    gl2_of = _gl2_classes(ring, tab)
     invertible = []       # (gl2 class index, Q weight, ring size)
     q_y0 = Fraction(0)
     q_yt = {}
@@ -182,12 +199,7 @@ def _gl2_class_data(ring: FiniteRing, Q: ClassDistribution):
         rep = int(part.reps[ci])
         w = Q.weights[ci]
         if part.invertible[ci]:
-            gi = tab.classify(ring.entries[rep].ravel())
-            if tab.classes[gi].size != len(cls):
-                raise InvariantViolation(
-                    f"GL2 class {gi} has {tab.classes[gi].size} elements in "
-                    f"the table but {len(cls)} in {ring.label}")
-            invertible.append((gi, w, len(cls)))
+            invertible.append((int(gl2_of[ci]), w, len(cls)))
         else:
             tag = gl2.classify_nonunit_class(ring, rep)
             if tag == ("zero",):
@@ -266,24 +278,32 @@ def fixed_point_counts(ring: FiniteRing, a: int) -> np.ndarray:
 
 
 def unit_group_characters(ring: FiniteRing):
-    """Irreducible characters of U_R as value vectors over ring.units.
+    """Irreducible characters of U_R as the rows of a (characters x units)
+    complex array, columns in the order of ring.units.
 
     Available when the unit group is abelian (built directly) or when the
-    ring is M2(F_q) for an odd prime q (read off the GL2 table).  Returns
-    None otherwise.
+    ring is M2(F_q) for an odd prime q (read off the GL2 table, one class
+    lookup per similarity class of units).  None otherwise.  Built once per
+    ring and kept on it; the array is read-only.
     """
-    if ring.units_abelian:
-        angle_maps = _abelian_characters(ring)
-        return [np.array([angle_to_complex(am[int(u)]) for u in ring.units])
-                for am in angle_maps]
+    try:
+        return ring._unit_group_characters
+    except AttributeError:
+        pass
+    chars = None
     desc = ring.descriptor
-    if desc.get("kind") == "matrix" and desc.get("size") == 2 \
-            and desc.get("q", 2) != 2:
+    if ring.units_abelian:
+        chars = np.array([[angle_to_complex(am[int(u)]) for u in ring.units]
+                          for am in _abelian_characters(ring)])
+    elif desc.get("kind") == "matrix" and desc.get("size") == 2 \
+            and desc["q"] != 2 and is_prime(desc["q"]):
         tab = gl2.character_table(desc["q"])
-        cls_of_unit = [tab.classify(ring.entries[int(u)].ravel())
-                       for u in ring.units]
-        return [tab.values[i, cls_of_unit] for i in range(len(tab.irreps))]
-    return None
+        gl2_of = _gl2_classes(ring, tab)
+        chars = tab.values[:, gl2_of[ring.similarity.class_of[ring.units]]]
+    if chars is not None:
+        chars.setflags(write=False)
+    ring._unit_group_characters = chars
+    return chars
 
 
 def _abelian_characters(ring: FiniteRing):
@@ -327,19 +347,27 @@ def _abelian_characters(ring: FiniteRing):
     return chars
 
 
+def _multiplicities(ring: FiniteRing, a: int, fix, chars) -> np.ndarray:
+    """<fix, chi> over U_R for every row chi of chars, as integers; fix is
+    fixed_point_counts(ring, a)."""
+    vals = np.conj(chars) @ fix / len(ring.units)
+    mults = np.rint(vals.real)
+    off = np.abs(vals - mults) >= 1e-8
+    if off.any():
+        raise InvariantViolation(f"non-integral multiplicity {vals[off][0]} "
+                                 f"on S_{a}")
+    return mults.astype(np.int64)
+
+
 def perm_char_multiplicity(ring: FiniteRing, a: int, chi_on_units) -> int:
     """Multiplicity of the representation with character chi_on_units in the
     permutation representation of U_R on S_a."""
-    fix = fixed_point_counts(ring, a)
     chi = np.asarray(chi_on_units)
     if len(chi) != len(ring.units):
         raise CharacterUnavailable(
             "character vector must align with ring.units")
-    val = np.sum(fix * np.conj(chi)) / len(ring.units)
-    m = round(val.real)
-    if abs(val - m) >= 1e-8:
-        raise InvariantViolation(f"non-integral multiplicity {val} on S_{a}")
-    return m
+    return int(_multiplicities(ring, a, fixed_point_counts(ring, a),
+                               chi[None, :])[0])
 
 
 def _pair_orbit_labels(ring: FiniteRing, sa: np.ndarray) -> np.ndarray:
@@ -363,21 +391,21 @@ def is_multiplicity_free_nonunit(ring: FiniteRing, a: int) -> bool:
     """Whether the permutation representation of U_R on S_a is multiplicity
     free.
 
-    With a character table of U_R available this checks every multiplicity
-    directly.  Otherwise it falls back to the centralizer-algebra route: the
-    self inner product <pi, pi> is computed both as (1/|U|) sum fix(u)^2 and
-    as the number of U_R-orbits on S_a x S_a (the two must agree), and the
-    representation is multiplicity free iff the orbit-indicator matrices
-    spanning the centralizer algebra commute, i.e. iff <pi, pi> equals the
-    number of distinct constituents.
+    With a character table of U_R available this computes every multiplicity
+    at once, as conj(chars) @ fix / |U|.  Otherwise it falls back to the
+    centralizer-algebra route: the self inner product <pi, pi> is computed
+    both as (1/|U|) sum fix(u)^2 and as the number of U_R-orbits on
+    S_a x S_a (the two must agree), and the representation is multiplicity
+    free iff the orbit-indicator matrices spanning the centralizer algebra
+    commute, i.e. iff <pi, pi> equals the number of distinct constituents.
     """
     if int(a) in ring.unit_set:
         raise ValueError("multiplicity-freeness is defined for non-units")
+    fix = fixed_point_counts(ring, a)
     chars = unit_group_characters(ring)
     if chars is not None:
-        return all(perm_char_multiplicity(ring, a, chi) <= 1 for chi in chars)
+        return bool(np.all(_multiplicities(ring, a, fix, chars) <= 1))
     sa = ring.s_set(a)
-    fix = fixed_point_counts(ring, a)
     sum_fix_sq = int((fix.astype(np.int64) ** 2).sum())
     rank, rem = divmod(sum_fix_sq, len(ring.units))
     labels = _pair_orbit_labels(ring, sa)

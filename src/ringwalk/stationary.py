@@ -81,17 +81,17 @@ def _ideal_order(ring: FiniteRing):
     return sorted(range(k), key=lambda i: (depth[i], int(poset.reps[i])))
 
 
-def _q_transfer(ring: FiniteRing, Q: ClassDistribution, x: int, y: int) -> Fraction:
-    """sum over coset reps u of LStab(y) and r in R_{x,y} of Q(r u^{-1})."""
-    total = Fraction(0)
+def _q_transfer(ring: FiniteRing, w: np.ndarray, den: int, x: int,
+                y: int) -> Fraction:
+    """sum over coset reps u of LStab(y) and r in R_{x,y} of Q(r u^{-1}),
+    with Q = w / den as integer per-element weights (Q.scaled_weights())."""
     rset = ring.r_xy(x, y)
-    if len(rset) == 0:
-        return total
-    for u in ring.coset_reps(y):
-        uinv = ring.inv(int(u))
-        for r in rset:
-            total += Q.weight_of_element(int(ring.mul[r, uinv]))
-    return total
+    inv = [ring.inv(int(u)) for u in ring.coset_reps(y)]
+    terms = w[ring.mul[np.ix_(rset, inv)]]
+    # each term is at most den, so int64 holds the sum below 2^63
+    if den * terms.size >= 2 ** 63:
+        terms = terms.astype(object)
+    return Fraction(int(terms.sum()), den)
 
 
 def stationary_recursive(ring: FiniteRing, Q: ClassDistribution, alpha,
@@ -99,14 +99,16 @@ def stationary_recursive(ring: FiniteRing, Q: ClassDistribution, alpha,
     """Solve pi on phi top-down over the ideal poset, spread over S_a."""
     alpha = check_alpha(alpha, allow_boundary)
     poset = ring.ideals
+    w_int, q_den = Q.scaled_weights()
+    w = np.array(w_int, dtype=np.int64 if q_den < 2 ** 63 else object)
     pi_ideal = {}
     for i in _ideal_order(ring):
         x = int(poset.reps[i])
         num = Fraction(alpha, ring.n)
         for j in poset.strictly_above(i):
             y = int(poset.reps[j])
-            num += (1 - alpha) * _q_transfer(ring, Q, x, y) * pi_ideal[j]
-        den = 1 - (1 - alpha) * _q_transfer(ring, Q, x, x)
+            num += (1 - alpha) * _q_transfer(ring, w, q_den, x, y) * pi_ideal[j]
+        den = 1 - (1 - alpha) * _q_transfer(ring, w, q_den, x, x)
         if den == 0:
             raise DenominatorZero(
                 f"recursion denominator vanished at generator {x}; this "

@@ -274,7 +274,7 @@ from ringwalk.exact import ScaledMatrix
 from ringwalk.gl2 import character_table
 from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
 from ringwalk.spectrum import shift_to_chain_values
-from ringwalk import stationary
+from ringwalk import spectrum, stationary
 assert False, "this script must run under python -O"
 """
 
@@ -295,6 +295,11 @@ assert False, "this script must run under python -O"
     ("ScaledMatrix([[1, 0]], 1) @ ScaledMatrix([[1, 0]], 1)",
      "LengthMismatch"),
     ("character_table(3).classify((1, 1, 1, 1))", "InvariantViolation"),
+    # every character moved by 1/2: each multiplicity on S_0 is off by 1/2
+    ("spectrum.unit_group_characters = lambda r, f=spectrum."
+     "unit_group_characters: f(r) + 0.5; spectrum."
+     "is_multiplicity_free_nonunit(r := matrix_ring(3), r.zero)",
+     "InvariantViolation"),
     # the lumped solution with half of one class's mass moved to the next
     ("stationary.stationary_nullspace = lambda m, f=stationary."
      "stationary_nullspace: (lambda v: [v[0] / 2, v[1] + v[0] / 2] + v[2:])"

@@ -1,5 +1,6 @@
 """CLI commands, config handling, report round-trips, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -314,3 +315,16 @@ def test_spectrum_on_zn_skips_gl2_with_notice():
     rep = reports.parse_text(out)
     assert "gl2_layer" in rep["meta"]
     assert rep["meta"]["gl2_layer"].startswith("skipped")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["describe"],
+     "c933644d61eeb7df6d645004a469e980a2c1e94d0bf3503a0cc09b47c7158dbd"),
+    (["stationary", "--alpha", "1/2"],
+     "77f5c9b6226d88c9db2c1498488b65d603ba92d94703e2139aa272764cdd0cef"),
+], ids=["describe", "stationary"])
+def test_m2f5_report_bytes_are_pinned(capsys, argv, digest):
+    # any change to these text reports on M2(F5) (n=625) must be deliberate
+    assert cli.main(argv + ["--ring", "matrix", "--q", "5"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -349,27 +349,93 @@ def test_mult_free_rejects_units():
         is_multiplicity_free_nonunit(ring, ring.one)
 
 
-def test_character_and_orbital_routes_agree_on_m2f3():
+def orbital_mult_free(ring, a):
+    """The centralizer-algebra answer, with no character table: the
+    orbit-indicator matrices on S_a x S_a commute."""
     from ringwalk.spectrum import _pair_orbit_labels
+    sa = ring.s_set(a)
+    labels = _pair_orbit_labels(ring, sa)
+    k = len(sa)
+    mats = [np.asarray(labels == o, dtype=np.int64).reshape(k, k)
+            for o in np.unique(labels)]
+    return all(np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
+               for i in range(len(mats)) for j in range(i + 1, len(mats)))
+
+
+def nonunit_generators(ring):
+    return [int(a) for a in ring.phi if int(a) not in ring.unit_set]
+
+
+def test_character_and_orbital_routes_agree_on_m2f3():
     ring = matrix_ring(3)
     chars = unit_group_characters(ring)
     assert chars is not None
-    for a in ring.phi:
-        a = int(a)
-        if a in ring.unit_set:
-            continue
+    for a in nonunit_generators(ring):
         by_chars = all(perm_char_multiplicity(ring, a, chi) <= 1
                        for chi in chars)
-        # force the orbital fallback by replicating its logic
-        sa = ring.s_set(a)
-        labels = _pair_orbit_labels(ring, sa)
-        k = len(sa)
-        mats = [np.asarray(labels == o, dtype=np.int64).reshape(k, k)
-                for o in np.unique(labels)]
-        commutative = all(
-            np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
-            for i in range(len(mats)) for j in range(i + 1, len(mats)))
-        assert by_chars == commutative
+        assert by_chars == orbital_mult_free(ring, a)
+
+
+def test_m2_over_gf4_takes_the_orbital_route():
+    # GL2(F_4) has no closed-form table here: q = 4 is not an odd prime
+    from ringwalk.fields import ext_make_cached
+    ring = matrix_ring(ext_make_cached(2))
+    assert unit_group_characters(ring) is None
+    for a in nonunit_generators(ring):
+        assert is_multiplicity_free_nonunit(ring, a) == \
+            orbital_mult_free(ring, a)
+
+
+def test_unit_group_characters_built_once_per_ring(monkeypatch):
+    from ringwalk.gl2 import CharacterTable
+    calls = []
+    classify = CharacterTable.classify
+
+    def counted(self, entries):
+        calls.append(tuple(entries))
+        return classify(self, entries)
+
+    monkeypatch.setattr(CharacterTable, "classify", counted)
+    ring = matrix_ring(5)
+    chars = unit_group_characters(ring)
+    assert unit_group_characters(ring) is chars
+    for a in nonunit_generators(ring):
+        assert is_multiplicity_free_nonunit(ring, a)
+    assert unit_group_characters(ring) is chars
+    assert len(calls) <= int(ring.similarity.invertible.sum())
+    with pytest.raises(ValueError):
+        chars[0, 0] = 0
+
+
+def per_character_multiplicity(fix, chi, units):
+    """<fix, chi> over the unit group, one character at a time."""
+    val = np.sum(fix * np.conj(chi)) / units
+    m = round(val.real)
+    assert abs(val - m) < 1e-8
+    return m
+
+
+@pytest.mark.parametrize("make", [lambda: matrix_ring(3),
+                                  lambda: matrix_ring(5),
+                                  lambda: upper_triangular_ring(5),
+                                  lambda: zn_ring(12)],
+                         ids=["M2(F3)", "M2(F5)", "B2(F5)", "Z_12"])
+def test_one_product_multiplicities_equal_per_character(make):
+    from ringwalk.spectrum import _multiplicities
+    ring = make()
+    chars = unit_group_characters(ring)
+    for a in nonunit_generators(ring):
+        if chars is None:
+            # B2(F5): non-abelian units outside M2(F_q), so no table
+            assert is_multiplicity_free_nonunit(ring, a) == \
+                orbital_mult_free(ring, a)
+            continue
+        fix = fixed_point_counts(ring, a)
+        expected = [per_character_multiplicity(fix, chi, len(ring.units))
+                    for chi in chars]
+        assert _multiplicities(ring, a, fix, chars).tolist() == expected
+        assert is_multiplicity_free_nonunit(ring, a) == \
+            (max(expected) <= 1)
 
 
 def test_abelian_character_route_is_exact():

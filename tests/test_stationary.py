@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +122,27 @@ def random_ring(draw):
     return ring
 
 
+def reference_q_transfer(ring, Q, x, y):
+    """sum over coset reps u of LStab(y) and r in R_{x,y} of Q(r u^{-1}),
+    one Fraction at a time."""
+    total = Fr(0)
+    for u in ring.coset_reps(y):
+        uinv = ring.inv(int(u))
+        for r in ring.r_xy(x, y):
+            total += Q.weight_of_element(int(ring.mul[r, uinv]))
+    return total
+
+
+def assert_q_transfers_match(ring, Q):
+    w_int, den = Q.scaled_weights()
+    w = np.array(w_int, dtype=np.int64 if den < 2 ** 63 else object)
+    reps = [int(a) for a in ring.ideals.reps]
+    for x in reps:
+        for y in reps:
+            assert stationary._q_transfer(ring, w, den, x, y) == \
+                reference_q_transfer(ring, Q, x, y)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_solve_equals_recursion_on_random_rings(data):
@@ -131,6 +153,7 @@ def test_solve_equals_recursion_on_random_rings(data):
     w[part.class_of[ring.one]] += 1          # never all zero
     total = sum(x * len(c) for x, c in zip(w, part.classes))
     q = ClassDistribution(ring, [Fr(x, total) for x in w])
+    assert_q_transfers_match(ring, q)
     s = data.draw(st.integers(2, 50))
     alpha = Fr(data.draw(st.integers(1, s - 1)), s)
     assert stationary_solve(ring, q, alpha) == \
@@ -138,6 +161,27 @@ def test_solve_equals_recursion_on_random_rings(data):
     u = uniform(ring)
     assert stationary_solve(ring, u, alpha) == \
         stationary_recursive(ring, u, alpha) == stationary_uniform(ring, alpha)
+
+
+def q_with_prime_denominator(ring, p):
+    """Q with weight 1/p on the first nonzero class, the rest on zero."""
+    part = ring.similarity
+    c = next(ci for ci in range(len(part)) if part.reps[ci] != ring.zero)
+    w = [Fr(0)] * len(part)
+    w[c] = Fr(1, p)
+    w[part.class_of[ring.zero]] = 1 - Fr(len(part.classes[c]), p)
+    return ClassDistribution(ring, w)
+
+
+@pytest.mark.parametrize("make", [lambda: matrix_ring(2),
+                                  lambda: upper_triangular_ring(3)],
+                         ids=["M2(F2)", "B2(F3)"])
+def test_q_transfer_exact_past_int64(make):
+    ring = make()
+    # den above 2^64: the weights themselves leave int64
+    assert_q_transfers_match(ring, q_over_64_bits(ring))
+    # den = 2^61 - 1: each weight fits int64 but sums of 5 or more may not
+    assert_q_transfers_match(ring, q_with_prime_denominator(ring, 2 ** 61 - 1))
 
 
 # ---------------------------------------------------------------------
