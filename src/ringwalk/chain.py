@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -105,12 +106,14 @@ class ClassDistribution:
         return self.weights[self.ring.similarity.class_of[x]]
 
     def scaled_weights(self):
-        """(integer per-element weights, common denominator)."""
-        ws = self.element_weights()
-        den = 1
-        for w in ws:
-            den = lcm(den, w.denominator)
-        return [int(w * den) for w in ws], den
+        """(integer per-element weights, common denominator): one lcm over
+        the class weights and one gather by class.  The weights are an
+        int64 array below 2^63 and Python ints (dtype object) from there."""
+        den = lcm(*(w.denominator for w in self.weights))
+        w = np.array([w.numerator * (den // w.denominator)
+                      for w in self.weights],
+                     dtype=np.int64 if den < 2 ** 63 else object)
+        return w[self.ring.similarity.class_of], den
 
     def __eq__(self, other):
         return (isinstance(other, ClassDistribution)
@@ -135,6 +138,11 @@ class TransitionMatrix:
 
     def to_float(self) -> np.ndarray:
         return self.matrix.to_float()
+
+    @cached_property
+    def numerators(self) -> np.ndarray:
+        """matrix.num as an integer array (dtype object past 64 bits)."""
+        return np.array(self.matrix.num)
 
     def check_stochastic(self):
         if any(s != 1 for s in self.matrix.row_sums()):

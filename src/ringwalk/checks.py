@@ -1,19 +1,21 @@
 """Cross-oracle and structural verification used by the CLI verify command.
 
-Every function returns (ok, detail).  Every check is exhaustive except
-conjugation-invariance, which falls back to 8 fixed-seed sampled units above
-100 elements and notes the sampling in its detail string.
+Every function returns (ok, detail).  Every check is exhaustive or an
+exact identity at every ring size: exact rationals or integers, or exact
+arithmetic mod a fixed prime named in the detail.  No check diagonalizes
+an n x n matrix or matches eigenvalues within a tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import gl2, spectrum
 from .chain import ClassDistribution, TransitionMatrix, build_B, chain_matrix
-from .errors import UnsupportedQ
+from .errors import InvariantViolation, UnsupportedQ
 from .mixing import d_of_t, mixing_bound
 from .rings import FiniteRing
 from .stationary import (
@@ -22,8 +24,6 @@ from .stationary import (
     stationary_solve,
     stationary_uniform,
 )
-
-EXHAUSTIVE_N = 100
 
 
 def check_orbit_stabilizer(ring: FiniteRing):
@@ -69,62 +69,101 @@ def check_witnesses(ring: FiniteRing):
     return True, "unit action transitive on every S_a"
 
 
-def check_conjugation_invariance(ring: FiniteRing, B: TransitionMatrix,
-                                 rng_seed: int = 0):
-    n = ring.n
-    if n <= EXHAUSTIVE_N:
-        units = ring.units
-        note = "exhaustive"
-    else:
-        rng = np.random.default_rng(rng_seed)
-        units = rng.choice(ring.units, size=min(8, len(ring.units)),
-                           replace=False)
-        note = f"{len(units)} sampled units"
-    num = np.array(B.matrix.num, dtype=object)
-    for u in units:
-        perm = ring.mul[int(u), :]
+def unit_generators(ring: FiniteRing) -> list:
+    """A generating set of U_R, greedy in index order: each new generator
+    lies outside the group of the earlier ones, so that group at least
+    doubles and there are at most log2 |U| generators."""
+    gens, group = [], {ring.one}
+    for u in map(int, ring.units):
+        if u not in group:
+            gens.append(u)
+            new = group
+            while new:          # close up under right multiplication
+                new = {int(ring.mul[h, g]) for h in new for g in gens} - group
+                group |= new
+    if len(group) != len(ring.units):
+        raise InvariantViolation(f"{ring.label}: products of units leave "
+                                 f"the unit group")
+    return gens
+
+
+def check_conjugation_invariance(ring: FiniteRing, B: TransitionMatrix):
+    """B(u c, u d) = B(c, d) for every unit u.  The units with this property
+    are closed under products, so checking a generating set of U_R is
+    exhaustive."""
+    num = B.numerators
+    gens = unit_generators(ring)
+    for u in gens:
+        perm = ring.mul[u, :]
         if not np.array_equal(num[np.ix_(perm, perm)], num):
             return False, f"B(u c, u d) != B(c, d) for unit {u}"
-    return True, note
+    return True, f"exhaustive: {len(gens)} generators of U_R"
 
 
-def check_spectrum_two_way(ring: FiniteRing, B: np.ndarray,
-                           eig_b: spectrum.EigenvalueMultiset,
-                           tol: float = spectrum.MATCH_TOL):
-    """eig(B) equals the union of the spectra of B's diagonal blocks on the
-    S_a, merged at eig_b.tau; B is the float matrix."""
-    bm, _ = spectrum.block_spectrum(ring, B, eig_b.tau)
-    ok = spectrum.multisets_match(eig_b.expand(), bm.expand(), tol)
-    return ok, f"{eig_b.total()} eigenvalues, tol {tol}"
+def check_spectrum_two_way(ring: FiniteRing, B: TransitionMatrix):
+    """B(x, y) != 0 only where I_y lies inside I_x.  The S_a partition the
+    ring (s-partition), so listing them along a linear extension of the
+    ideal poset makes B block upper triangular: eig(B) is exactly the union
+    of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum)."""
+    poset = ring.ideals
+    allowed = poset.leq.T[np.ix_(poset.id_of, poset.id_of)]
+    bad = np.argwhere((B.numerators != 0) & ~allowed)
+    if len(bad):
+        x, y = bad[0]
+        return False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}"
+    return True, (f"B block-triangular over {len(poset)} ideals: eig(B) is "
+                  f"the union of the diagonal-block spectra, exactly")
 
 
-def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution,
-                       eig_b: spectrum.EigenvalueMultiset,
-                       tol: float = spectrum.MATCH_TOL):
+def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution):
+    """The GL2 closed forms against B, exactly mod p: with D the lcm of Q's
+    denominators, sum_i m_i (D lambda_i)^j = D^j tr(B^j) for j = 1..n.
+    p > n, so by Newton's identities the characteristic polynomials of D B
+    and of the closed forms agree mod p."""
     try:
-        rep = spectrum.gl2_spectrum(ring, Q)
+        p, D, rows = spectrum.gl2_spectrum_mod_p(ring, Q)
     except UnsupportedQ as exc:
         return True, f"skipped: {exc}"
-    ok = spectrum.multisets_match(eig_b.expand(), rep.b_values(), tol)
-    return ok, (f"total {rep.total()} = q^4, "
-                f"normalization {spectrum.GL2_NORMALIZATION}")
+    traces = spectrum.power_traces_mod_p(ring, Q, p, D, ring.n)
+    values = np.array([v for _, _, v, _ in rows], dtype=np.int64)
+    mults = np.array([m for *_, m in rows], dtype=np.int64) % p
+    powers = np.ones_like(values)
+    for j, trace in enumerate(traces, 1):
+        powers = powers * values % p
+        if int(mults @ powers % p) != trace:
+            return False, (f"power sum {j} of D eig(B) differs from the "
+                           f"closed forms' mod p={p}")
+    return True, (f"{len(rows)} closed forms, total q^4 = {ring.n}: power "
+                  f"sums j=1..{ring.n} equal mod p={p}")
 
 
-def check_m_shift(eig_b: spectrum.EigenvalueMultiset, M: TransitionMatrix,
-                  tol: float = spectrum.MATCH_TOL):
-    """eig(M) equals the pinned-1, (1-alpha)-scaled eig(B)."""
-    m = spectrum.eig_numeric(M, eig_b.tau)
-    predicted = spectrum.shift_to_chain_values(eig_b.expand(), M.alpha)
-    ok = spectrum.multisets_match(m.expand(), predicted, tol)
-    return ok, f"alpha={M.alpha}"
+def check_m_shift(B: TransitionMatrix, M: TransitionMatrix):
+    """B 1 = 1, M 1 = 1 and M - (1 - alpha) B = (alpha/n) J, in integers.
+    Then eig(M) is 1 together with (1 - alpha) eig(B) less one copy of 1
+    (Brauer, Duke Math. J. 19, 1952), with no eigensolve."""
+    n, p, s = M.n, M.alpha.numerator, M.alpha.denominator
+    L = lcm(B.matrix.den, M.matrix.den)
+    # over the denominator s n L: s n M - (s - p) n B = p J, in Python ints
+    cm, cb = s * n * (L // M.matrix.den), (s - p) * n * (L // B.matrix.den)
+    for b, m in zip(B.matrix.num, M.matrix.num):
+        if sum(b) != B.matrix.den or sum(m) != M.matrix.den:
+            return False, "a row of B or M does not sum to 1"
+        if any(cm * y - cb * x != p * L for x, y in zip(b, m)):
+            return False, "M != (1 - alpha) B + (alpha/n) J"
+    return True, (f"alpha={M.alpha}: M = (1-alpha) B + (alpha/n) J and "
+                  f"B 1 = M 1 = 1, exactly")
 
 
 def check_stationary_agreement(ring: FiniteRing, Q: ClassDistribution, alpha,
                                pi_recursive):
     """pi_recursive against the lumped solve and every closed form whose
-    domain holds."""
-    methods = {"recursive": pi_recursive,
-               "solve": stationary_solve(ring, Q, alpha)}
+    domain holds.  A solve that fails its pi M = pi certificate fails the
+    check."""
+    try:
+        methods = {"recursive": pi_recursive,
+                   "solve": stationary_solve(ring, Q, alpha)}
+    except InvariantViolation as exc:
+        return False, f"solve: {exc}"
     uniform_q = Q == ClassDistribution.uniform(ring)
     if uniform_q:
         methods["uniform-form"] = stationary_uniform(ring, alpha)
@@ -161,17 +200,11 @@ def check_mult_free_expectations(ring: FiniteRing):
         a = int(a)
         if a in ring.unit_set:
             continue
-        expected = None
-        if a == ring.zero:
-            expected = True
-        elif expect_all:
-            expected = True
-        elif desc.get("kind") == "matrix" and desc.get("size") == 2 \
-                and gl2.matrix_rank(ring.entries[a].ravel(), desc["q"]) == 1:
-            expected = True
-        got = spectrum.is_multiplicity_free_nonunit(ring, a)
-        if expected is not None and got != expected:
-            return False, f"generator {a}: expected {expected}, got {got}"
+        expected = a == ring.zero or expect_all or (
+            desc.get("kind") == "matrix" and desc.get("size") == 2
+            and gl2.matrix_rank(ring.entries[a].ravel(), desc["q"]) == 1)
+        if expected and not spectrum.is_multiplicity_free_nonunit(ring, a):
+            return False, f"generator {a}: expected True, got False"
     return True, "all guaranteed predicates hold"
 
 
@@ -193,27 +226,14 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
 
 
 def _walk_checks(ring: FiniteRing, Q: ClassDistribution, alpha):
-    """The checks on B, eig(B), M and the recursive pi, each computed once.
-
-    M is built from this B for the m-shift check only.  The float B is
-    dropped before M is built, the exact B once M exists, and M after its
-    check, so at most two of them are held at once and none adds to the
-    peak memory of the stationary or mixing checks.
-    """
+    """The checks on B, M and the recursive pi, each computed once.  M is
+    built from this B, last, and B and M are dropped before pi is solved."""
     B = build_B(ring, Q)
-    out = [("conjugation-invariance",
-            *check_conjugation_invariance(ring, B))]
-    if ring.n <= spectrum.EIG_CAP:
-        b_float = B.to_float()
-        eig_b = spectrum.eig_numeric(b_float)
-        out.append(("spectrum-two-way",
-                    *check_spectrum_two_way(ring, b_float, eig_b)))
-        del b_float
-        out.append(("spectrum-gl2", *check_spectrum_gl2(ring, Q, eig_b)))
-        M = chain_matrix(B, alpha)
-        del B
-        out.append(("spectrum-m-shift", *check_m_shift(eig_b, M)))
-        del M
+    out = [("conjugation-invariance", *check_conjugation_invariance(ring, B)),
+           ("spectrum-two-way", *check_spectrum_two_way(ring, B)),
+           ("spectrum-gl2", *check_spectrum_gl2(ring, Q)),
+           ("spectrum-m-shift", *check_m_shift(B, chain_matrix(B, alpha)))]
+    del B
     pi = stationary_recursive(ring, Q, alpha)
     out.append(("stationary-agreement",
                 *check_stationary_agreement(ring, Q, alpha, pi)))

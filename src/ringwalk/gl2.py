@@ -13,8 +13,8 @@ Covers odd primes q.  Class and representation families:
     pairs; (q-1)-dimensional cuspidals for Frobenius-orbits of
     non-decomposable extension characters.
 
-Character values are assembled from exact angle fractions and materialized
-to complex only inside the table, so orthogonality holds to rounding error.
+Character values are assembled from exact angle fractions and mapped to
+complex (so orthogonality holds to rounding error) or to F_p at the end.
 """
 
 from __future__ import annotations
@@ -139,8 +139,12 @@ def irreps(q: int):
     return reps
 
 
-def char_value(q: int, rep: Irrep, cls: ConjClass) -> complex:
-    """Single character-table entry; exact angles, complex at the boundary."""
+def char_value(q: int, rep: Irrep, cls: ConjClass, root=angle_to_complex):
+    """Single character-table entry from exact angles.
+
+    root maps an angle theta (a fraction of a full turn) to exp(2 pi i
+    theta): complex by default, or in F_p (spectrum.gl2_spectrum_mod_p).
+    """
     F = field_make(q)
     ext = ext_make(F)
 
@@ -154,49 +158,49 @@ def char_value(q: int, rep: Irrep, cls: ConjClass) -> complex:
     if kind == "det":
         (k,) = params
         if cls.kind in ("central", "unipotent"):
-            return angle_to_complex(2 * chi(k, cls.params[0]))
+            return root(2 * chi(k, cls.params[0]))
         if cls.kind == "split":
             x, y = cls.params
-            return angle_to_complex(chi(k, x) + chi(k, y))
+            return root(chi(k, x) + chi(k, y))
         (a,) = cls.params
-        return angle_to_complex(chi(k, ext.norm(a)))
+        return root(chi(k, ext.norm(a)))
     if kind == "steinberg":
         (k,) = params
         if cls.kind == "central":
-            return q * angle_to_complex(2 * chi(k, cls.params[0]))
+            return q * root(2 * chi(k, cls.params[0]))
         if cls.kind == "unipotent":
-            return 0j
+            return 0
         if cls.kind == "split":
             x, y = cls.params
-            return angle_to_complex(chi(k, x) + chi(k, y))
+            return root(chi(k, x) + chi(k, y))
         (a,) = cls.params
-        return -angle_to_complex(chi(k, ext.norm(a)))
+        return -root(chi(k, ext.norm(a)))
     if kind == "principal":
         k1, k2 = params
         if cls.kind == "central":
             x = cls.params[0]
-            return (q + 1) * angle_to_complex(chi(k1, x) + chi(k2, x))
+            return (q + 1) * root(chi(k1, x) + chi(k2, x))
         if cls.kind == "unipotent":
             x = cls.params[0]
-            return angle_to_complex(chi(k1, x) + chi(k2, x))
+            return root(chi(k1, x) + chi(k2, x))
         if cls.kind == "split":
             x, y = cls.params
-            return (angle_to_complex(chi(k1, x) + chi(k2, y))
-                    + angle_to_complex(chi(k1, y) + chi(k2, x)))
-        return 0j
+            return (root(chi(k1, x) + chi(k2, y))
+                    + root(chi(k1, y) + chi(k2, x)))
+        return 0
     if kind == "cuspidal":
         (k,) = params
         if cls.kind == "central":
             x = cls.params[0]
-            return (q - 1) * angle_to_complex(nu(k, ext.embed(x)))
+            return (q - 1) * root(nu(k, ext.embed(x)))
         if cls.kind == "unipotent":
             x = cls.params[0]
-            return -angle_to_complex(nu(k, ext.embed(x)))
+            return -root(nu(k, ext.embed(x)))
         if cls.kind == "split":
-            return 0j
+            return 0
         (a,) = cls.params
-        return -(angle_to_complex(nu(k, a))
-                 + angle_to_complex(nu(k, ext.frobenius(a))))
+        return -(root(nu(k, a))
+                 + root(nu(k, ext.frobenius(a))))
     raise UnknownCase(f"unknown irrep kind {kind}")
 
 

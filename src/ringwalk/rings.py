@@ -116,34 +116,12 @@ class FiniteRing:
                       "one is not a left identity")
         self._require(np.array_equal(mul[:, self.one], idx),
                       "one is not a right identity")
-        if n <= EXHAUSTIVE_CAP:
-            triples = None
+        if n <= EXHAUSTIVE_CAP:         # every triple, one a at a time
+            triples = [(a, idx[:, None], idx[None, :]) for a in idx]
         else:
             rng = np.random.default_rng(0)
-            triples = rng.integers(0, n, size=(3, RANDOM_TRIPLES))
-        self._check_triples(triples)
-
-    def _check_triples(self, triples):
-        add, mul = self.add, self.mul
-        if triples is None:
-            n = self.n
-            b = np.arange(n)[:, None]
-            c = np.arange(n)[None, :]
-            for a in range(n):
-                self._require(np.array_equal(add[add[a, b], c],
-                                             add[a, add[b, c]]),
-                              "addition is not associative")
-                self._require(np.array_equal(mul[mul[a, b], c],
-                                             mul[a, mul[b, c]]),
-                              "multiplication is not associative")
-                self._require(np.array_equal(mul[a, add[b, c]],
-                                             add[mul[a, b], mul[a, c]]),
-                              "left distributivity fails")
-                self._require(np.array_equal(mul[add[b, c], a],
-                                             add[mul[b, a], mul[c, a]]),
-                              "right distributivity fails")
-        else:
-            a, b, c = triples
+            triples = [rng.integers(0, n, size=(3, RANDOM_TRIPLES))]
+        for a, b, c in triples:
             self._require(np.array_equal(add[add[a, b], c], add[a, add[b, c]]),
                           "addition is not associative")
             self._require(np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]),

@@ -1,26 +1,28 @@
-"""Three independent routes to the spectrum of the multiplication matrix B.
+"""The spectrum of the multiplication matrix B: routes and exact checks.
 
-1. eig_numeric: plain dense diagonalization (the oracle).
+1. eig_numeric: plain dense diagonalization, for display and as the test
+   suite's oracle.
 2. block_spectrum: the diagonal blocks of B on each S_a, one per
    principal-left-ideal generator a; the transposed block B[S_a, S_a]^T is
    the operator on span(S_a) that keeps only the components of x*s that
-   stay inside S_a, and the union of the block spectra is the full spectrum.
+   stay inside S_a.  B is block-triangular over the ideal poset
+   (checks.check_spectrum_two_way), so the block spectra make up eig(B).
 3. gl2_spectrum: closed-form eigenvalues for M2(F_q), odd prime q, from the
-   GL2 character table, with predicted multiplicities.
-
-The three must agree; the comparison helpers at the bottom implement the
-tolerance-aware multiset matching used by the verify suite.
+   GL2 character table, with predicted multiplicities.  gl2_spectrum_mod_p
+   is its twin in F_p, checked against power_traces_mod_p exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import gl2
-from .chain import ClassDistribution, TransitionMatrix, check_alpha
+from .chain import ClassDistribution, TransitionMatrix
 from .errors import (
     CharacterUnavailable,
     ConvergenceFailure,
@@ -29,11 +31,11 @@ from .errors import (
     TooLarge,
     UnsupportedQ,
 )
-from .fields import angle_to_complex, is_prime
+from .fields import angle_to_complex, field_make, is_prime
+from .mixing import class_products
 from .rings import FiniteRing
 
 MERGE_TOL = 1e-8
-MATCH_TOL = 1e-6
 EIG_CAP = 4096
 # gl2_spectrum's unit block divides each weighted character sum by dim(rho):
 # the scalar by which a class sum acts on an irreducible representation.
@@ -88,9 +90,6 @@ class EigenvalueMultiset:
 
     def expand(self) -> np.ndarray:
         return np.repeat(self.values, self.mults)
-
-    def closed_under_conjugation(self, tol: float = MATCH_TOL) -> bool:
-        return multisets_match(self.expand(), np.conj(self.expand()), tol)
 
     def __iter__(self):
         return iter(zip(self.values, self.mults))
@@ -152,21 +151,6 @@ class Gl2SpectrumReport:
     def total(self) -> int:
         return sum(r[4] for r in self.rows)
 
-    def b_values(self) -> np.ndarray:
-        return np.concatenate([[v] * m for (_, _, _, v, m) in self.rows])
-
-    def predicted_bounds(self):
-        """(eigenvalue, lower bound on algebraic multiplicity) per theory:
-        dim^2 in the unit block, dim summed over coinciding non-unit
-        predictions."""
-        out = []
-        for (block, _, dim, v, mult) in self.rows:
-            if block == "unit":
-                out.append((v, dim * dim))
-            else:
-                out.append((v, mult))
-        return out
-
 
 def _gl2_classes(ring: FiniteRing, tab: gl2.CharacterTable) -> np.ndarray:
     """GL2 class index of each invertible similarity class of M2(F_q), -1
@@ -215,56 +199,116 @@ def _gl2_class_data(ring: FiniteRing, Q: ClassDistribution):
     return tab, invertible, q_y0, q_yt, q_zero
 
 
+def _gl2_rows(ring: FiniteRing, Q: ClassDistribution, values_of, weigh):
+    """Closed-form rows (block, irrep label, dim, dim * eigenvalue,
+    multiplicity) of B on M2(F_q), odd prime q, in one number system:
+    values_of(table) is the character table in it (irreps x classes) and
+    weigh(w) a Q weight in it."""
+    q = gl2.require_m2_ring(ring)
+    if q == 2:
+        raise UnsupportedQ(
+            "q = 2 has a different class structure; use block_spectrum")
+    tab, invertible, q_y0, q_yt, _ = _gl2_class_data(ring, Q)
+    values = values_of(tab)
+
+    def chi(rep, kind, t):
+        return values[tab.irrep_index(rep), tab.class_index(kind, (t,))]
+
+    def unit_sum(rep):
+        row = values[tab.irrep_index(rep)]
+        return sum(weigh(w) * size * row[gi] for gi, w, size in invertible)
+
+    rows = []
+    # (a) unit block: weighted class sums act on the regular representation
+    for rep in tab.irreps:
+        rows.append(("unit", rep.label(), rep.dim, unit_sum(rep),
+                     rep.dim ** 2))
+    # (b) the q+1 rank-one blocks share one spectrum
+    for rep in gl2.rank_one_sigma(q):
+        s = unit_sum(rep) + weigh(q_y0) * (
+            (q * q - 1) * chi(rep, "unipotent", 1)
+            - (q - 1) * chi(rep, "central", 1))
+        for t, w in q_yt.items():
+            s += weigh(w) * ((q * q - 1) * chi(rep, "unipotent", t)
+                             + chi(rep, "central", t))
+        rows.append(("rank-one", rep.label(), rep.dim, s, (q + 1) * rep.dim))
+    # (c) zero block
+    rows.append(("zero", "trivial", 1, weigh(Fraction(1)), 1))
+    total = sum(r[4] for r in rows)
+    if total != q ** 4:
+        raise InvariantViolation(f"GL2 multiplicities sum to {total}, "
+                                 f"not q^4 = {q ** 4}")
+    return rows
+
+
 def gl2_spectrum(ring: FiniteRing, Q: ClassDistribution) -> Gl2SpectrumReport:
     """Closed-form spectrum of B for M2(F_q), odd prime q.
 
     Each unit-block eigenvalue is the weighted character sum divided by
     dim(rho) (GL2_NORMALIZATION).
     """
+    rows = _gl2_rows(ring, Q, lambda tab: tab.values, complex)
+    return Gl2SpectrumReport(ring.descriptor["q"], [
+        (block, label, dim, s / dim, mult)
+        for block, label, dim, s, mult in rows])
+
+
+def gl2_spectrum_mod_p(ring: FiniteRing, Q: ClassDistribution):
+    """The rows of gl2_spectrum in F_p, exactly: (p, D, rows) with rows
+    (block, irrep label, D * eigenvalue mod p, multiplicity).
+
+    p is the least prime above q^4 with p = 1 (mod q^2 - 1), so F_p has a
+    primitive (q^2 - 1)-th root of unity zeta; the angle a/(q^2 - 1) maps
+    to zeta^a, a ring map on the cyclotomic integers holding the character
+    values.  D, the lcm of Q's class-weight denominators, makes D * Q and
+    so D * eigenvalue integral there.
+    """
     q = gl2.require_m2_ring(ring)
-    if q == 2:
-        raise UnsupportedQ(
-            "q = 2 has a different class structure; use block_spectrum")
-    tab, invertible, q_y0, q_yt, _ = _gl2_class_data(ring, Q)
-    rows = []
-    # (a) unit block: weighted class sums act on the regular representation
-    for rep in tab.irreps:
-        s = sum(complex(w) * size * tab.values[tab.irrep_index(rep), gi]
-                for gi, w, size in invertible)
-        rows.append(("unit", rep.label(), rep.dim, s / rep.dim,
-                     rep.dim ** 2))
-    # (b) the q+1 rank-one blocks share one spectrum
-    for rep in gl2.rank_one_sigma(q):
-        s = sum(complex(w) * size * tab.values[tab.irrep_index(rep), gi]
-                for gi, w, size in invertible)
-        s += complex(q_y0) * ((q * q - 1) * tab.value(rep, "unipotent", (1,))
-                              - (q - 1) * tab.value(rep, "central", (1,)))
-        for t, w in q_yt.items():
-            s += complex(w) * ((q * q - 1) * tab.value(rep, "unipotent", (t,))
-                               + tab.value(rep, "central", (t,)))
-        rows.append(("rank-one", rep.label(), rep.dim, s / rep.dim,
-                     (q + 1) * rep.dim))
-    # (c) zero block
-    rows.append(("zero", "trivial", 1, 1 + 0j, 1))
-    report = Gl2SpectrumReport(q, rows)
-    if report.total() != q ** 4:
-        raise InvariantViolation(f"GL2 multiplicities sum to {report.total()}, "
-                                 f"not q^4 = {q ** 4}")
-    return report
+    m = q * q - 1
+    p = next(p for p in itertools.count(m * (q ** 4 // m) + 1, m)
+             if p > q ** 4 and is_prime(p))
+    zeta = pow(field_make(p).generator, (p - 1) // m, p)
+
+    def root(theta):
+        a = theta * m
+        if a.denominator != 1:
+            raise InvariantViolation(f"angle {theta} is not a multiple of "
+                                     f"1/{m}")
+        return pow(zeta, int(a) % m, p)
+
+    D = lcm(*(w.denominator for w in Q.weights))
+    rows = _gl2_rows(ring, Q, lambda tab: np.array(
+        [[gl2.char_value(q, r, c, root) % p for c in tab.classes]
+         for r in tab.irreps]), lambda w: int(w * D) % p)
+    return p, D, [(block, label, int(s) * pow(dim, -1, p) % p, mult)
+                  for block, label, dim, s, mult in rows]
 
 
-def shift_to_chain_values(b_values, alpha) -> np.ndarray:
-    """Eigenvalues of M from those of B: one eigenvalue-1 copy is pinned at 1
-    and every other eigenvalue is scaled by (1 - alpha)."""
-    alpha = check_alpha(alpha, allow_boundary=True)
-    vals = np.asarray(b_values, dtype=np.complex128).copy()
-    ones = np.nonzero(np.abs(vals - 1) <= MATCH_TOL)[0]
-    if len(ones) == 0:
-        raise InvariantViolation("no eigenvalue within MATCH_TOL of 1, but a "
-                                 "stochastic matrix always has one")
-    vals *= float(1 - alpha)
-    vals[ones[0]] = 1.0
-    return vals
+def power_traces_mod_p(ring: FiniteRing, Q: ClassDistribution, p: int,
+                       D: int, J: int) -> list:
+    """D^j tr(B^j) mod p for j = 1..J, D the lcm of Q's class-weight
+    denominators.
+
+    B^j(x, x) sums mu_j(y) over y x = x, mu_j = Q^{*j} the law of a product
+    of j Q-samples.  mu_j and fix(y) = #{x : y x = x} are constant on
+    similarity classes, so tr(B^j) = sum_c |C_c| fix(r_c) mu_j[c], with
+    D^j mu_j convolved on class weights from mixing.class_products.
+    """
+    part = ring.similarity
+    k = len(part)
+    i, j, c, count = class_products(ring)
+    q_int = np.array([int(w * D) % p for w in Q.weights], dtype=np.int64)
+    conv = np.zeros((k, k), dtype=np.int64)     # mu_{t+1} = mu_t @ conv
+    np.add.at(conv, (j, c), q_int[i] * (count % p) % p)
+    fix = (ring.mul[part.reps] == np.arange(ring.n)).sum(axis=1)
+    weight = np.array([len(cl) for cl in part.classes]) * fix % p
+    mu = np.zeros(k, dtype=np.int64)
+    mu[part.class_of[ring.one]] = 1
+    out = []
+    for _ in range(J):
+        mu = mu @ conv % p
+        out.append(int(mu @ weight % p))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,39 +466,3 @@ def is_multiplicity_free_nonunit(ring: FiniteRing, a: int) -> bool:
             if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# multiset comparison helpers
-# ---------------------------------------------------------------------------
-
-def multisets_match(a, b, tol: float = MATCH_TOL) -> bool:
-    """Greedy nearest-neighbour matching of two complex multisets."""
-    a = np.sort_complex(np.asarray(a, dtype=np.complex128))
-    b = np.sort_complex(np.asarray(b, dtype=np.complex128))
-    if len(a) != len(b):
-        return False
-    used = np.zeros(len(b), dtype=bool)
-    start = 0
-    for x in a:
-        # candidates sit in a window of matching real parts
-        lo = np.searchsorted(b.real, x.real - tol)
-        hi = np.searchsorted(b.real, x.real + tol, side="right")
-        best = -1
-        best_d = tol
-        for j in range(lo, hi):
-            if used[j]:
-                continue
-            d = abs(b[j] - x)
-            if d <= best_d:
-                best_d = d
-                best = j
-        if best < 0:
-            return False
-        used[best] = True
-    return True
-
-
-def numeric_multiplicity(expanded, value, tol: float = MATCH_TOL) -> int:
-    expanded = np.asarray(expanded)
-    return int(np.count_nonzero(np.abs(expanded - value) <= tol))

@@ -43,8 +43,7 @@ def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha,
     alpha = check_alpha(alpha, allow_boundary)
     n, poset = ring.n, ring.ideals
     p, s = alpha.numerator, alpha.denominator
-    w_int, den = Q.scaled_weights()
-    w = np.array(w_int, dtype=np.int64 if den < 2 ** 63 else object)
+    w, den = Q.scaled_weights()
     counts = np.zeros((len(poset), len(poset)), dtype=w.dtype)
     for i, a in enumerate(ring.phi):           # phi[i] generates ideal i
         np.add.at(counts[i], poset.id_of[ring.mul[:, a]], w)
@@ -52,23 +51,26 @@ def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha,
     pi_bar = stationary_nullspace(ScaledMatrix(
         [[p * den * size + (s - p) * n * int(c) for size, c in zip(sizes, row)]
          for row in counts], s * n * den))
-    pi = [pi_bar[i] / sizes[i] for i in poset.id_of]
-    if any(x <= 0 for x in pi):
+    pi_ideal = [x / size for x, size in zip(pi_bar, sizes)]
+    pi = [pi_ideal[i] for i in poset.id_of]
+    if any(x <= 0 for x in pi_ideal):
         raise SingularSystem("stationary vector of a positive chain must be "
                              "strictly positive")
-    # pi = pi_num / L and Q = w / den turn (pi M)(y) = pi(y) into
-    # p den L + (s - p) n acc[y] = s n den pi_num[y], acc[y] the sum of
-    # w[z] pi_num[x] over z x = y; no term exceeds s n den L
-    L = lcm(*(x.denominator for x in pi))
-    dtype = np.int64 if s * n * den * L < 2 ** 63 else object
-    pi_num = np.array([x.numerator * (L // x.denominator) for x in pi],
-                      dtype=dtype)
-    acc = np.zeros(n, dtype=dtype)
-    for z, wz in enumerate(w_int):
-        if wz:
-            np.add.at(acc, ring.mul[z], wz * pi_num)
-    if not np.array_equal(p * den * L + (s - p) * n * acc,
-                          s * n * den * pi_num):
+    # pi = P[b] / L on S_b and Q = w / den turn (pi M)(y) = pi(y) into
+    # p den L + (s - p) n (C P)[y] = s n den P[b(y)], with C[y, b] <= n den
+    # the sum of w[z] over z x = y, x in S_b: n x k integers, k bignums
+    L = lcm(*(x.denominator for x in pi_ideal))
+    P = np.array([x.numerator * (L // x.denominator) for x in pi_ideal],
+                 dtype=object)
+    C = np.zeros((n, len(poset)), dtype=np.int64 if n * den < 2 ** 63
+                 else object)
+    for cls in ring.similarity.classes:
+        if w[cls[0]]:
+            keys = (ring.mul[cls] * len(poset) + poset.id_of).ravel()
+            hits = np.bincount(keys, minlength=C.size).reshape(C.shape)
+            C += int(w[cls[0]]) * hits.astype(C.dtype, copy=False)
+    if not np.array_equal(p * den * L + (s - p) * n * C.dot(P),
+                          s * n * den * P[poset.id_of]):
         raise InvariantViolation("solved pi fails the exact pi M = pi check")
     return pi
 
@@ -99,8 +101,7 @@ def stationary_recursive(ring: FiniteRing, Q: ClassDistribution, alpha,
     """Solve pi on phi top-down over the ideal poset, spread over S_a."""
     alpha = check_alpha(alpha, allow_boundary)
     poset = ring.ideals
-    w_int, q_den = Q.scaled_weights()
-    w = np.array(w_int, dtype=np.int64 if q_den < 2 ** 63 else object)
+    w, q_den = Q.scaled_weights()
     pi_ideal = {}
     for i in _ideal_order(ring):
         x = int(poset.reps[i])

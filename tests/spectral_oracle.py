@@ -1,0 +1,53 @@
+"""Float comparisons of eigenvalue multisets, for tests that hold LAPACK
+(eig_numeric) up against the block and closed-form spectrum routes.  The
+program's own checks are exact and use none of this."""
+
+import numpy as np
+
+MATCH = 1e-6
+
+
+def multisets_match(a, b, tol=MATCH) -> bool:
+    """Greedy nearest-neighbour matching of two complex multisets."""
+    a = np.sort_complex(np.asarray(a, dtype=np.complex128))
+    b = np.sort_complex(np.asarray(b, dtype=np.complex128))
+    if len(a) != len(b):
+        return False
+    used = np.zeros(len(b), dtype=bool)
+    for x in a:
+        # candidates sit in a window of matching real parts
+        lo = np.searchsorted(b.real, x.real - tol)
+        hi = np.searchsorted(b.real, x.real + tol, side="right")
+        best = -1
+        best_d = tol
+        for j in range(lo, hi):
+            if used[j]:
+                continue
+            d = abs(b[j] - x)
+            if d <= best_d:
+                best_d = d
+                best = j
+        if best < 0:
+            return False
+        used[best] = True
+    return True
+
+
+def numeric_multiplicity(expanded, value, tol=MATCH) -> int:
+    return int(np.count_nonzero(np.abs(np.asarray(expanded) - value) <= tol))
+
+
+def closed_form_values(report) -> np.ndarray:
+    """Every eigenvalue of a Gl2SpectrumReport, repeated by multiplicity."""
+    return np.concatenate([[v] * m for (_, _, _, v, m) in report.rows])
+
+
+def shift_to_chain_values(b_values, alpha) -> np.ndarray:
+    """eig(M) from eig(B) by Brauer's rank-one shift: one eigenvalue-1 copy
+    stays at 1 and every other eigenvalue is scaled by (1 - alpha)."""
+    vals = np.asarray(b_values, dtype=np.complex128).copy()
+    ones = np.nonzero(np.abs(vals - 1) <= MATCH)[0]
+    assert len(ones), "a stochastic matrix always has eigenvalue 1"
+    vals *= float(1 - alpha)
+    vals[ones[0]] = 1.0
+    return vals

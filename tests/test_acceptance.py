@@ -34,8 +34,6 @@ from ringwalk.spectrum import (
     eig_numeric,
     gl2_spectrum,
     is_multiplicity_free_nonunit,
-    multisets_match,
-    numeric_multiplicity,
 )
 from ringwalk.stationary import (
     stationary_gl2,
@@ -44,9 +42,13 @@ from ringwalk.stationary import (
     stationary_uniform,
 )
 
+from spectral_oracle import (
+    MATCH,
+    closed_form_values,
+    multisets_match,
+    numeric_multiplicity,
+)
 from test_chain import GOLDEN_M2F2_B
-
-MATCH = 1e-6
 
 
 def nonuniform_q_m2f3(ring):
@@ -112,7 +114,7 @@ def test_criterion_3_spectrum_three_way_q3():
         g = gl2_spectrum(ring, q)
         assert em.total() == bm.total() == g.total() == 81
         assert multisets_match(em.expand(), bm.expand(), MATCH)
-        assert multisets_match(em.expand(), g.b_values(), MATCH)
+        assert multisets_match(em.expand(), closed_form_values(g), MATCH)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     print(f"ACCEPTANCE 3 PASS three-way spectrum at q=3, two Qs, 1e-6 "
@@ -131,7 +133,7 @@ def test_criterion_3_extended_q5():
     g = gl2_spectrum(ring, q)
     assert em.total() == bm.total() == g.total() == 625
     assert multisets_match(em.expand(), bm.expand(), MATCH)
-    assert multisets_match(em.expand(), g.b_values(), MATCH)
+    assert multisets_match(em.expand(), closed_form_values(g), MATCH)
     elapsed = time.time() - t0
     assert elapsed < 600.0
     print(f"ACCEPTANCE 3x PASS extended q=5 three-way ({elapsed:.1f}s)")
@@ -161,7 +163,8 @@ def test_criterion_4_multiplicity_lower_bounds():
     q = ClassDistribution.uniform(ring)
     numeric = eig_numeric(build_B(ring, q)).expand()
     g = gl2_spectrum(ring, q)
-    for value, bound in g.predicted_bounds():
+    # mult is dim^2 in the unit block, dim summed over the rank-one blocks
+    for _, _, _, value, bound in g.rows:
         assert numeric_multiplicity(numeric, value, MATCH) >= bound, \
             f"multiplicity of {value} below {bound}"
     # B2(F3): all generators are units or multiplicity-free non-units, so

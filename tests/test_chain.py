@@ -5,12 +5,19 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
+from math import lcm
 
 import numpy as np
 import pytest
 
 import ringwalk
-from ringwalk.chain import ClassDistribution, build_B, build_M, check_alpha
+from ringwalk.chain import (
+    ClassDistribution,
+    build_B,
+    build_M,
+    chain_matrix,
+    check_alpha,
+)
 from ringwalk.cli import q_from_config
 from ringwalk.errors import (
     AlphaOutOfRange,
@@ -192,6 +199,27 @@ def test_b_exact_when_denominator_exceeds_64_bits():
     assert all(s == 1 for s in b.matrix.row_sums())
 
 
+def test_m_shift_exact_when_denominator_exceeds_64_bits():
+    from ringwalk.checks import check_m_shift
+    r = matrix_ring(2)
+    b = build_B(r, q_over_64_bits(r))
+    for alpha in (Fr(1, 3), Fr(1, 2)):
+        ok, detail = check_m_shift(b, chain_matrix(b, alpha))
+        assert ok, detail
+
+
+@pytest.mark.parametrize("make", [lambda: matrix_ring(2), lambda: zn_ring(12)],
+                         ids=["M2(F2)", "Z_12"])
+def test_scaled_weights_equal_per_element_fractions(make):
+    r = make()
+    for q in (ClassDistribution.uniform(r), q_over_64_bits(r)):
+        ws = q.element_weights()
+        den = lcm(*(w.denominator for w in ws))
+        got, got_den = q.scaled_weights()
+        assert got_den == den
+        assert list(got) == [int(w * den) for w in ws]
+
+
 def test_conjugation_invariance_of_b():
     # B(u c, u d) = B(c, d): relabelling by a unit leaves transitions alone
     for r in (zn_ring(6), upper_triangular_ring(2), matrix_ring(2)):
@@ -273,8 +301,8 @@ from ringwalk.errors import InvariantViolation, LengthMismatch, RingMismatch
 from ringwalk.exact import ScaledMatrix
 from ringwalk.gl2 import character_table
 from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
-from ringwalk.spectrum import shift_to_chain_values
-from ringwalk import spectrum, stationary
+from ringwalk import checks, fields, spectrum, stationary
+import numpy as np
 assert False, "this script must run under python -O"
 """
 
@@ -288,8 +316,13 @@ assert False, "this script must run under python -O"
     # zn_ring(4)'s tables with 2*3 = 3*2 = 1: not associative
     ("FiniteRing(zn_ring(4).add, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 1],"
      " [0, 3, 1, 1]], 0, 1, 'bad', {})", "InvariantViolation"),
-    # no eigenvalue 1 to pin: an IndexError if the check were an assert
-    ("shift_to_chain_values([0.5, 0.25], Fraction(1, 2))",
+    # an angle of 1/7 of a turn has no image among the 8th roots of unity
+    # in F_89: int() would silently truncate it if the check were an assert
+    ("fields.MultiplicativeCharacter.angle = lambda self, x: Fraction(1, 7);"
+     " spectrum.gl2_spectrum_mod_p(r := matrix_ring(3), "
+     "ClassDistribution.uniform(r))", "InvariantViolation"),
+    # 2 is no unit of Z_6: its powers leave the claimed unit group {1, 2}
+    ("r = zn_ring(6); r.units = np.array([1, 2]); checks.unit_generators(r)",
      "InvariantViolation"),
     # 1x2 times 1x2: zip would silently truncate to a 1x2 "product"
     ("ScaledMatrix([[1, 0]], 1) @ ScaledMatrix([[1, 0]], 1)",

@@ -183,7 +183,7 @@ def test_simulate_out_of_range_field_is_config_error(flag, value):
     assert out == ""
 
 
-@pytest.mark.parametrize("flag", ["--tau", "--match-tol"])
+@pytest.mark.parametrize("flag", ["--tau"])
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_spectrum_tolerance_must_be_positive(flag, value):
     code, out, err = run_cli(["spectrum", "--ring", "zn", "--n", "6",
@@ -209,35 +209,126 @@ def test_bad_config_file_value_names_field(tmp_path, field, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpah", "1/3"), ("match_tol", 1e-6), ("format", "xml"),
+])
+def test_unknown_config_key_or_format_names_field(tmp_path, field, value):
+    cfg = {"ring": {"kind": "zn", "n": 6}, field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["--config", str(path), "mix"])
+    assert code == 2
+    assert f"'{field}'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_config_file_shared_across_commands(tmp_path):
+    # keys another command reads (seed, samples, tau) do not stop mix
+    cfg = {"ring": {"kind": "zn", "n": 6}, "T": 4, "seed": 1,
+           "samples": 100, "tau": 1e-8, "format": "json"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(["--config", str(path), "mix"])
+    assert code == 0
+    assert reports.parse_json(out)["meta"]["T"] == "4"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--ring", "matrix", "--q", "3", "--alpha", "1/2", "--T", "5"],
     ["spectrum", "--ring", "matrix", "--q", "3", "--alpha", "1/2"],
 ])
 def test_command_diagonalizes_b_once(monkeypatch, argv):
+    """B is built once and diagonalized at most once, by its diagonal blocks
+    for the spectrum table; no check diagonalizes an n x n matrix (B or M)."""
     from ringwalk import chain, checks, spectrum
 
-    calls = {"build_B": 0, "eig(B)": 0}
+    calls = {"build_B": 0, "eig(n x n)": 0, "block_spectrum": 0}
     build_b, eig_numeric = chain.build_B, spectrum.eig_numeric
+    block_spectrum = spectrum.block_spectrum
 
     def counted_build_b(*args, **kwargs):
         calls["build_B"] += 1
         return build_b(*args, **kwargs)
 
     def counted_eig(matrix, *args, **kwargs):
-        if isinstance(matrix, chain.TransitionMatrix):
-            is_b = matrix.kind == "B"
-        else:   # the float B; every diagonal block S_a is smaller than n = 81
-            is_b = np.shape(matrix)[:1] == (81,)
-        calls["eig(B)"] += is_b
+        # every diagonal block S_a is smaller than n = 81
+        calls["eig(n x n)"] += np.shape(matrix)[:1] == (81,) or \
+            isinstance(matrix, chain.TransitionMatrix)
         return eig_numeric(matrix, *args, **kwargs)
+
+    def counted_blocks(*args, **kwargs):
+        calls["block_spectrum"] += 1
+        return block_spectrum(*args, **kwargs)
 
     for mod in (chain, checks, cli):
         monkeypatch.setattr(mod, "build_B", counted_build_b)
     monkeypatch.setattr(spectrum, "eig_numeric", counted_eig)
+    monkeypatch.setattr(spectrum, "block_spectrum", counted_blocks)
     assert cli.main(argv) == 0
-    assert calls["eig(B)"] == 1
-    # M is built from the command's own B
-    assert calls["build_B"] == 1
+    assert calls == {"build_B": 1, "eig(n x n)": 0,
+                     "block_spectrum": int(argv[0] == "spectrum")}
+
+
+def corrupt_b(B):
+    """B with the mass of one entry moved within its row: still
+    row-stochastic, but B(0, 1) != 0 although 1 is outside the zero ideal."""
+    from ringwalk.chain import TransitionMatrix
+    from ringwalk.exact import ScaledMatrix
+    num = [row[:] for row in B.matrix.num]
+    num[0][1], num[0][0] = num[0][0], 0
+    return TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", B.ring)
+
+
+def corrupt_m(M):
+    """M with one entry moved to its neighbour in the row."""
+    from ringwalk.chain import TransitionMatrix
+    from ringwalk.exact import ScaledMatrix
+    num = [row[:] for row in M.matrix.num]
+    num[5][3], num[5][4] = num[5][3] + 1, num[5][4] - 1
+    return TransitionMatrix(ScaledMatrix(num, M.matrix.den), "M", M.ring,
+                            alpha=M.alpha)
+
+
+def corrupt_id_of(ring):
+    """The ring with one unit labelled as a member of the zero ideal."""
+    ideals = ring.ideals
+    ideals.id_of = ideals.id_of.copy()
+    ideals.id_of[ring.one] = ideals.id_of[ring.zero]
+    return ring
+
+
+def corrupt_closed_form(rows):
+    """The closed-form rows (block, label, dim, dim * eigenvalue, mult)
+    with one unit-block value moved by dim."""
+    block, label, dim, s, mult = rows[1]
+    return rows[:1] + [(block, label, dim, s + dim, mult)] + rows[2:]
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("target, corrupt, check", [
+    ("build_B", corrupt_b, "spectrum-two-way"),
+    ("ring_from_descriptor", corrupt_id_of, "spectrum-two-way"),
+    ("_gl2_rows", corrupt_closed_form, "spectrum-gl2"),
+    ("chain_matrix", corrupt_m, "spectrum-m-shift"),
+], ids=["B-entry", "id_of-label", "closed-form", "M-entry"])
+def test_corruption_fails_its_check(monkeypatch, capsys, command, target,
+                                    corrupt, check):
+    from ringwalk import checks, spectrum
+
+    mods = {"build_B": (cli, checks), "ring_from_descriptor": (cli,),
+            "_gl2_rows": (spectrum,), "chain_matrix": (cli, checks)}[target]
+    original = getattr(mods[0], target)
+    for mod in mods:
+        monkeypatch.setattr(mod, target,
+                            lambda *a, **k: corrupt(original(*a, **k)))
+    argv = [command, "--ring", "matrix", "--q", "3", "--alpha", "1/2"]
+    code = cli.main(argv + (["--T", "3"] if command == "verify" else []))
+    out, err = capsys.readouterr()
+    rep = reports.parse_text(out)
+    failed = [name for name, status, _ in rep["checks"] if status == "FAIL"]
+    assert code == 1 and check in failed, (failed, err)
+    assert "Traceback" not in err
 
 
 def test_bad_q_weights_rejected():

@@ -1,17 +1,33 @@
-"""Spectral oracles: numeric, B's diagonal blocks, and GL2 closed forms."""
+"""Spectral routes: numeric, B's diagonal blocks, and GL2 closed forms,
+held up against LAPACK; and the exact spectrum checks."""
 
 import os
+import random
 from fractions import Fraction as Fr
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringwalk.chain import (
     ClassDistribution,
+    TransitionMatrix,
     build_B,
     build_M,
+    chain_matrix,
     weighted_mul_counts,
 )
+from ringwalk.checks import (
+    check_conjugation_invariance,
+    check_m_shift,
+    check_spectrum_gl2,
+    check_spectrum_two_way,
+    unit_generators,
+)
+from ringwalk.exact import ScaledMatrix
+from ringwalk.fields import is_prime
 from ringwalk.errors import RingMismatch, TooLarge, UnsupportedQ
 from ringwalk.rings import (
     matrix_ring,
@@ -25,15 +41,21 @@ from ringwalk.spectrum import (
     eig_numeric,
     fixed_point_counts,
     gl2_spectrum,
+    gl2_spectrum_mod_p,
     is_multiplicity_free_nonunit,
-    multisets_match,
-    numeric_multiplicity,
     perm_char_multiplicity,
-    shift_to_chain_values,
+    power_traces_mod_p,
     unit_group_characters,
 )
 
-MATCH = 1e-6
+from spectral_oracle import (
+    MATCH,
+    closed_form_values,
+    multisets_match,
+    numeric_multiplicity,
+    shift_to_chain_values,
+)
+from test_stationary import random_ring
 
 
 def uniform(ring):
@@ -91,7 +113,7 @@ def test_b_spectrum_in_unit_disk_with_simple_one():
         em = eig_numeric(build_B(ring, uniform(ring)))
         assert np.all(np.abs(em.expand()) <= 1 + 1e-9)
         assert numeric_multiplicity(em.expand(), 1.0) == 1
-        assert em.closed_under_conjugation()
+        assert multisets_match(em.expand(), np.conj(em.expand()), MATCH)
 
 
 def test_m2f2_eigenvalue_structure():
@@ -144,6 +166,7 @@ def test_block_matches_numeric_many_rings_and_qs():
             em = eig_numeric(build_B(ring, q))
             bm, _ = blocks(ring, q)
             assert multisets_match(em.expand(), bm.expand(), MATCH), ring.label
+            assert check_spectrum_two_way(ring, build_B(ring, q))[0]
 
 
 def test_block_spectrum_rejects_b_of_another_size():
@@ -184,7 +207,7 @@ def test_three_way_agreement_q3_uniform():
     rep = gl2_spectrum(ring, q)
     assert rep.total() == 81
     assert multisets_match(em, bm.expand(), MATCH)
-    assert multisets_match(em, rep.b_values(), MATCH)
+    assert multisets_match(em, closed_form_values(rep), MATCH)
 
 
 def test_three_way_agreement_q3_nonuniform():
@@ -193,7 +216,7 @@ def test_three_way_agreement_q3_nonuniform():
     bm, _ = blocks(ring, q)
     rep = gl2_spectrum(ring, q)
     assert multisets_match(em, bm.expand(), MATCH)
-    assert multisets_match(em, rep.b_values(), MATCH)
+    assert multisets_match(em, closed_form_values(rep), MATCH)
 
 
 def test_unit_block_trivial_eigenvalue_uniform():
@@ -234,7 +257,7 @@ def test_three_way_agreement_q5_extended():
     rep = gl2_spectrum(ring, q)
     assert rep.total() == 625
     assert multisets_match(em, bm.expand(), MATCH)
-    assert multisets_match(em, rep.b_values(), MATCH)
+    assert multisets_match(em, closed_form_values(rep), MATCH)
 
 
 # ---------------------------------------------------------------------
@@ -248,6 +271,152 @@ def test_m_spectrum_is_shifted_b_spectrum():
         b = eig_numeric(build_B(ring, q)).expand()
         m = eig_numeric(build_M(ring, q, alpha)).expand()
         assert multisets_match(m, shift_to_chain_values(b, alpha), MATCH)
+
+
+# ---------------------------------------------------------------------
+# exact spectrum checks
+# ---------------------------------------------------------------------
+
+def seeded_q(ring, seed):
+    """A class-constant Q with random integer class weights 1..9."""
+    rnd = random.Random(seed)
+    part = ring.similarity
+    w = [rnd.randint(1, 9) for _ in part.classes]
+    total = sum(x * len(c) for x, c in zip(w, part.classes))
+    return ClassDistribution(ring, [Fr(x, total) for x in w])
+
+
+@pytest.mark.parametrize("q, p", [(3, 89), (5, 673), (7, 2593)])
+def test_gl2_prime_is_least_above_q4_and_one_mod_q2_minus_1(q, p):
+    ring = matrix_ring(q)
+    got, D, rows = gl2_spectrum_mod_p(ring, uniform(ring))
+    assert got == p and is_prime(p) and p > q ** 4
+    assert [c for c in range(q ** 4 + 1, p + 1)
+            if (c - 1) % (q * q - 1) == 0 and is_prime(c)] == [p]
+    assert D == q ** 4
+    assert sum(m for *_, m in rows) == q ** 4
+
+
+@pytest.mark.parametrize("make", [lambda: zn_ring(12),
+                                  lambda: upper_triangular_ring(3),
+                                  lambda: matrix_ring(3)],
+                         ids=["Z_12", "B2(F3)", "M2(F3)"])
+def test_power_traces_equal_exact_matrix_powers(make):
+    ring = make()
+    Q = seeded_q(ring, 1)
+    D = lcm(*(w.denominator for w in Q.weights))
+    B = build_B(ring, Q).matrix
+    DB = np.array(B.num, dtype=object) * (D // B.den)     # integral
+    power = np.eye(ring.n, dtype=np.int64).astype(object)
+    traces = power_traces_mod_p(ring, Q, 89, D, 6)
+    for j in range(1, 7):
+        power = power.dot(DB)
+        assert traces[j - 1] == np.trace(power) % 89
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_gl2_check_passes_and_matches_lapack(q, seed):
+    ring = matrix_ring(q)
+    Q = uniform(ring) if seed is None else seeded_q(ring, seed)
+    ok, detail = check_spectrum_gl2(ring, Q)
+    assert ok, detail
+    if q == 3:      # LAPACK as the oracle for the complex closed forms
+        em = eig_numeric(build_B(ring, Q)).expand()
+        assert multisets_match(em, closed_form_values(gl2_spectrum(ring, Q)))
+
+
+def test_gl2_check_skips_outside_odd_prime_m2():
+    for ring in (zn_ring(6), matrix_ring(2), matrix_ring(2, size=3)):
+        ok, detail = check_spectrum_gl2(ring, uniform(ring))
+        assert ok and detail.startswith("skipped")
+
+
+@pytest.mark.parametrize("make", [lambda: zn_ring(12),
+                                  lambda: upper_triangular_ring(3),
+                                  lambda: matrix_ring(3),
+                                  lambda: matrix_ring(5),
+                                  lambda: matrix_ring(2, size=3),
+                                  lambda: product_ring(zn_ring(4),
+                                                       matrix_ring(2))],
+                         ids=["Z_12", "B2(F3)", "M2(F3)", "M2(F5)", "M3(F2)",
+                              "Z_4xM2(F2)"])
+def test_unit_generators_generate_the_unit_group(make):
+    ring = make()
+    gens = unit_generators(ring)
+    assert 2 ** len(gens) <= len(ring.units)
+    group = {ring.one}
+    frontier = [ring.one]
+    while frontier:
+        frontier = [int(ring.mul[h, g]) for h in frontier for g in gens
+                    if int(ring.mul[h, g]) not in group]
+        group.update(frontier)
+    assert group == set(ring.units.tolist())
+
+
+def test_conjugation_check_uses_every_generator():
+    """A change to B that commutes with the first generator g only: mass
+    moved along the orbit of (1, d) under the powers of g."""
+    ring = matrix_ring(3)
+    B = build_B(ring, seeded_q(ring, 1))
+    g = unit_generators(ring)[0]
+    powers = [ring.one]
+    while int(ring.mul[powers[-1], g]) != ring.one:
+        powers.append(int(ring.mul[powers[-1], g]))
+    d, e = (int(u) for u in ring.units[-2:])
+    num = [row[:] for row in B.matrix.num]
+    for h in powers:
+        num[h][ring.mul[h, d]] += 1
+        num[h][ring.mul[h, e]] -= 1
+    bad = TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", ring)
+    perm = ring.mul[g, :]
+    assert np.array_equal(bad.numerators[np.ix_(perm, perm)], bad.numerators)
+    assert not check_conjugation_invariance(ring, bad)[0]
+
+
+def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
+    """Two closed forms of equal multiplicity moved by +1 and -1 (in D *
+    eigenvalue): the first power sum is unchanged, a later one is not."""
+    from ringwalk import spectrum
+    rows_of = spectrum._gl2_rows
+
+    def moved(*args):
+        rows = list(rows_of(*args))
+        for i, sign in ((0, 1), (1, -1)):        # det(0,) and det(1,)
+            block, label, dim, s, mult = rows[i]
+            rows[i] = (block, label, dim, s + sign * dim, mult)
+        return rows
+
+    monkeypatch.setattr(spectrum, "_gl2_rows", moved)
+    ring = matrix_ring(3)
+    ok, detail = check_spectrum_gl2(ring, seeded_q(ring, 2))
+    assert not ok and "power sum 1 " not in detail
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_exact_checks_agree_with_lapack_on_random_rings(data):
+    """On random rings and random class-constant Q, the exact checks pass
+    and the block spectra have LAPACK's power sums.  (B may have Jordan
+    blocks, whose eigenvalues LAPACK moves by ~sqrt(eps); power sums are
+    traces, so they stay well conditioned.)"""
+    ring = random_ring(data.draw)
+    part = ring.similarity
+    w = data.draw(st.lists(st.integers(0, 9), min_size=len(part),
+                           max_size=len(part)))
+    w[part.class_of[ring.one]] += 1          # never all zero
+    total = sum(x * len(c) for x, c in zip(w, part.classes))
+    Q = ClassDistribution(ring, [Fr(x, total) for x in w])
+    B = build_B(ring, Q)
+    alpha = Fr(data.draw(st.integers(1, 9)), 10)
+    for check in (check_conjugation_invariance(ring, B),
+                  check_spectrum_two_way(ring, B),
+                  check_m_shift(B, chain_matrix(B, alpha))):
+        assert check[0], check[1]
+    bm, _ = block_spectrum(ring, B.to_float())
+    numeric, blocks = eig_numeric(B).expand(), bm.expand()
+    for j in range(1, 9):
+        assert abs(np.sum(numeric ** j) - np.sum(blocks ** j)) < 1e-9 * ring.n
 
 
 # ---------------------------------------------------------------------
