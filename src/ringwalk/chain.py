@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -122,7 +121,9 @@ class ClassDistribution:
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic exact-rational matrix of kind "B" or "M"."""
+    """Row-stochastic exact-rational matrix of kind "B" or "M"; matrix.num
+    is its n x n integer ndarray of numerators, int64 or dtype object (see
+    ScaledMatrix)."""
 
     matrix: ScaledMatrix
     kind: str
@@ -138,11 +139,6 @@ class TransitionMatrix:
 
     def to_float(self) -> np.ndarray:
         return self.matrix.to_float()
-
-    @cached_property
-    def numerators(self) -> np.ndarray:
-        """matrix.num as an integer array (dtype object past 64 bits)."""
-        return np.array(self.matrix.num)
 
     def check_stochastic(self):
         if any(s != 1 for s in self.matrix.row_sums()):
@@ -178,7 +174,7 @@ def build_B(ring: FiniteRing, Q: ClassDistribution, side: str = "left") -> Trans
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     w_int, den = Q.scaled_weights()
-    num = weighted_mul_counts(ring, w_int, side).tolist()
+    num = weighted_mul_counts(ring, w_int, side)
     tm = TransitionMatrix(ScaledMatrix(num, den), "B", ring)
     tm.check_stochastic()
     return tm
@@ -193,9 +189,11 @@ def chain_matrix(B: TransitionMatrix, alpha,
     common = lcm(n, B.matrix.den)
     add_part = p * (common // n)
     mul_scale = (s - p) * (common // B.matrix.den)
-    num = [[add_part + mul_scale * v for v in row] for row in B.matrix.num]
-    tm = TransitionMatrix(ScaledMatrix(num, s * common), "M", B.ring,
-                          alpha=alpha)
+    num = B.matrix.num      # M's entries are >= 0, its rows sum to s common
+    if s * common >= 2 ** 63:
+        num = num.astype(object)
+    tm = TransitionMatrix(ScaledMatrix(add_part + mul_scale * num, s * common),
+                          "M", B.ring, alpha=alpha)
     tm.check_stochastic()
     if not allow_boundary and tm.matrix.min_entry() < Fraction(alpha, n):
         raise InvariantViolation(f"M has an entry below alpha/n = "

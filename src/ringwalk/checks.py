@@ -59,13 +59,13 @@ def check_rxy_sizes(ring: FiniteRing):
 
 
 def check_witnesses(ring: FiniteRing):
-    """Transitivity of units on every generator set: u S_a covers S_a."""
+    """Transitivity of units on every generator set: U x = S_a.  The unit
+    orbits partition the ring, so one x in S_a covers all of S_a."""
     for a in ring.phi:
         sa = ring.s_set(a)
-        target = set(sa.tolist())
-        for x in sa:
-            if set(ring.mul[ring.units, x].tolist()) != target:
-                return False, f"units do not act transitively on S_{a}"
+        if not np.array_equal(np.unique(ring.mul[ring.units, sa[0]]),
+                              np.sort(sa)):
+            return False, f"units do not act transitively on S_{a}"
     return True, "unit action transitive on every S_a"
 
 
@@ -91,7 +91,7 @@ def check_conjugation_invariance(ring: FiniteRing, B: TransitionMatrix):
     """B(u c, u d) = B(c, d) for every unit u.  The units with this property
     are closed under products, so checking a generating set of U_R is
     exhaustive."""
-    num = B.numerators
+    num = B.matrix.num
     gens = unit_generators(ring)
     for u in gens:
         perm = ring.mul[u, :]
@@ -107,7 +107,7 @@ def check_spectrum_two_way(ring: FiniteRing, B: TransitionMatrix):
     of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum)."""
     poset = ring.ideals
     allowed = poset.leq.T[np.ix_(poset.id_of, poset.id_of)]
-    bad = np.argwhere((B.numerators != 0) & ~allowed)
+    bad = np.argwhere((B.matrix.num != 0) & ~allowed)
     if len(bad):
         x, y = bad[0]
         return False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}"
@@ -143,13 +143,17 @@ def check_m_shift(B: TransitionMatrix, M: TransitionMatrix):
     (Brauer, Duke Math. J. 19, 1952), with no eigensolve."""
     n, p, s = M.n, M.alpha.numerator, M.alpha.denominator
     L = lcm(B.matrix.den, M.matrix.den)
-    # over the denominator s n L: s n M - (s - p) n B = p J, in Python ints
+    b, m = B.matrix.num, M.matrix.num
+    if (b.min() < 0 or m.min() < 0 or np.any(b.sum(axis=1) != B.matrix.den)
+            or np.any(m.sum(axis=1) != M.matrix.den)):
+        return False, "a row of B or M is not a probability vector"
+    # over the denominator s n L: s n M - (s - p) n B = p J, with each
+    # term at most s n L now that 0 <= B, M <= 1
     cm, cb = s * n * (L // M.matrix.den), (s - p) * n * (L // B.matrix.den)
-    for b, m in zip(B.matrix.num, M.matrix.num):
-        if sum(b) != B.matrix.den or sum(m) != M.matrix.den:
-            return False, "a row of B or M does not sum to 1"
-        if any(cm * y - cb * x != p * L for x, y in zip(b, m)):
-            return False, "M != (1 - alpha) B + (alpha/n) J"
+    if s * n * L >= 2 ** 63:
+        b, m = b.astype(object), m.astype(object)
+    if np.any(cm * m - cb * b != p * L):
+        return False, "M != (1 - alpha) B + (alpha/n) J"
     return True, (f"alpha={M.alpha}: M = (1-alpha) B + (alpha/n) J and "
                   f"B 1 = M 1 = 1, exactly")
 

@@ -1,10 +1,11 @@
 """Exact rational matrices and linear algebra on top of Python integers.
 
 Probabilities are rationals throughout, so matrices are stored as integer
-numerators over a single common denominator.  That keeps golden-value tests
-as equality tests and makes products exact.  Elimination uses the
-fraction-free (Bareiss) scheme, which bounds coefficient growth without
-leaving the integers.
+numerators over a single common denominator, in one numpy array: int64
+where the entries are known to fit, Python ints (dtype object) otherwise.
+That keeps golden-value tests as equality tests and makes products exact.
+Elimination uses the fraction-free (Bareiss) scheme, which bounds
+coefficient growth without leaving the integers.
 """
 
 from __future__ import annotations
@@ -20,34 +21,34 @@ from .errors import LengthMismatch, SingularSystem
 class ScaledMatrix:
     """A rational matrix as integer numerators `num` over denominator `den`.
 
-    num is a list of row lists of Python ints (arbitrary precision); den is a
-    positive int.  Instances are canonicalized (gcd of all entries and den
+    num is a 2-D integer ndarray: int64 when the code that builds it knows
+    every row's absolute sum is below 2^63, and dtype object (Python ints,
+    arbitrary precision) otherwise, list input included.  den is a positive
+    Python int.  Instances are canonicalized (gcd of all entries and den
     divided out) so equality of values is equality of representations.
     """
 
     __slots__ = ("num", "den", "n", "m")
 
     def __init__(self, num, den, reduce=True):
-        self.num = [list(map(int, row)) for row in num]
+        if not isinstance(num, np.ndarray):
+            num = np.array([list(map(int, row)) for row in num], dtype=object)
+        elif num.dtype != np.int64:
+            num = num.astype(object)
+        self.num = num
         self.den = int(den)
-        self.n = len(self.num)
-        self.m = len(self.num[0]) if self.n else 0
+        self.n, self.m = num.shape
         if self.den < 0:
             self.den = -self.den
-            self.num = [[-v for v in row] for row in self.num]
+            self.num = -self.num
         if reduce:
             self._reduce()
 
     def _reduce(self):
-        g = self.den
-        for row in self.num:
-            for v in row:
-                g = gcd(g, v)
-                if g == 1:
-                    return
+        g = gcd(self.den, int(np.gcd.reduce(self.num, axis=None)))
         if g > 1:
             self.den //= g
-            self.num = [[v // g for v in row] for row in self.num]
+            self.num = self.num // g
 
     @classmethod
     def from_fractions(cls, rows):
@@ -61,41 +62,36 @@ class ScaledMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1)
+        return cls(np.eye(n, dtype=np.int64), 1)
 
     def entry(self, i, j) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
+        return Fraction(int(self.num[i, j]), self.den)
 
     def row(self, i):
-        return [Fraction(v, self.den) for v in self.num[i]]
+        return [Fraction(v, self.den) for v in self.num[i].tolist()]
 
     def rows_as_fractions(self):
         return [self.row(i) for i in range(self.n)]
 
     def to_float(self) -> np.ndarray:
-        out = np.empty((self.n, self.m), dtype=np.float64)
-        d = float(self.den)
-        for i, row in enumerate(self.num):
-            out[i] = [v / d for v in row]
-        return out
+        # each entry rounds once to float, as float(v) / float(den) does
+        return self.num.astype(np.float64) / float(self.den)
 
     def row_sums(self):
-        return [Fraction(sum(row), self.den) for row in self.num]
+        return [Fraction(v, self.den) for v in self.num.sum(axis=1).tolist()]
 
     def min_entry(self) -> Fraction:
-        return Fraction(min(min(row) for row in self.num), self.den)
+        return Fraction(int(self.num.min()), self.den)
 
     def __eq__(self, other):
         return (isinstance(other, ScaledMatrix) and other.den == self.den
-                and other.num == self.num)
+                and np.array_equal(other.num, self.num))
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         if self.m != other.n:
             raise LengthMismatch(f"matmul: {self.n}x{self.m} times "
                                  f"{other.n}x{other.m}")
-        bt = list(zip(*other.num))
-        num = [[sum(x * y for x, y in zip(row, col)) for col in bt]
-               for row in self.num]
+        num = self.num.astype(object).dot(other.num.astype(object))
         return ScaledMatrix(num, self.den * other.den)
 
 
@@ -157,8 +153,9 @@ def stationary_nullspace(matrix: ScaledMatrix):
     n = matrix.n
     d = matrix.den
     # columns of (M^T - I) scaled by den stay integral
-    rows = [[matrix.num[j][i] - (d if i == j else 0) for j in range(n)]
-            for i in range(n)]
+    rows = matrix.num.T.tolist()
+    for i in range(n):
+        rows[i][i] -= d
     v = nullspace_vector(rows)
     total = sum(v)
     if total == 0:

@@ -52,36 +52,33 @@ class EigenvalueMultiset:
 
     @classmethod
     def from_values(cls, evs, tau: float = MERGE_TOL) -> "EigenvalueMultiset":
+        """Merge the values linked, directly or through a chain, by pairs at
+        most tau apart; each group's value is its mean."""
         evs = np.asarray(evs, dtype=np.complex128).ravel()
-        order = np.lexsort((evs.imag, evs.real))
-        evs = evs[order]
+        evs = evs[np.lexsort((evs.imag, evs.real))]
         k = len(evs)
-        parent = list(range(k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        # values are sorted by real part, so only a sliding window can link
-        j0 = 0
-        for i in range(k):
-            while evs[i].real - evs[j0].real > tau:
-                j0 += 1
-            for j in range(j0, i):
-                if abs(evs[i] - evs[j]) <= tau:
-                    parent[find(i)] = find(j)
-        groups = {}
-        for i in range(k):
-            groups.setdefault(find(i), []).append(i)
-        centers = []
-        counts = []
-        for idxs in groups.values():
-            centers.append(evs[idxs].mean())
-            counts.append(len(idxs))
-        centers = np.array(centers)
-        counts = np.array(counts)
+        # pairs j < i within tau have real parts within tau; the window of
+        # 2 tau holds them all despite the rounding of evs.real - 2 tau
+        lo = np.searchsorted(evs.real, evs.real - 2 * tau)
+        width = np.arange(k) - lo
+        i = np.repeat(np.arange(k), width)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - lo, width)
+        near = np.abs(evs[i] - evs[j]) <= tau
+        i, j = i[near], j[near]
+        # label each value with the least index of its group
+        label = np.arange(k)
+        while True:
+            low = label.copy()
+            np.minimum.at(low, i, label[j])
+            np.minimum.at(low, j, label[i])
+            low = low[low]
+            if np.array_equal(low, label):
+                break
+            label = low
+        _, counts = np.unique(label, return_counts=True)
+        members = evs[np.argsort(label, kind="stable")]
+        centers = np.array([members[a:a + c].mean() for a, c in
+                            zip(np.cumsum(counts) - counts, counts)])
         order = np.lexsort((centers.imag, centers.real))
         return cls(centers[order], counts[order], tau)
 

@@ -1,6 +1,7 @@
 """Float comparisons of eigenvalue multisets, for tests that hold LAPACK
-(eig_numeric) up against the block and closed-form spectrum routes.  The
-program's own checks are exact and use none of this."""
+(eig_numeric) up against the block and closed-form spectrum routes, and
+the pairwise union-find merge that EigenvalueMultiset.from_values must
+reproduce.  The program's own checks are exact and use none of this."""
 
 import numpy as np
 
@@ -51,3 +52,34 @@ def shift_to_chain_values(b_values, alpha) -> np.ndarray:
     vals *= float(1 - alpha)
     vals[ones[0]] = 1.0
     return vals
+
+
+def union_find_merge(evs, tau):
+    """(values, multiplicities) of the groups of values linked, directly or
+    through a chain, by pairs at most tau apart; one pair at a time."""
+    evs = np.asarray(evs, dtype=np.complex128).ravel()
+    evs = evs[np.lexsort((evs.imag, evs.real))]
+    k = len(evs)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # values are sorted by real part, so only a sliding window can link
+    j0 = 0
+    for i in range(k):
+        while evs[i].real - evs[j0].real > tau:
+            j0 += 1
+        for j in range(j0, i):
+            if abs(evs[i] - evs[j]) <= tau:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    centers = np.array([evs[idxs].mean() for idxs in groups.values()])
+    counts = np.array([len(idxs) for idxs in groups.values()])
+    order = np.lexsort((centers.imag, centers.real))
+    return centers[order], counts[order]

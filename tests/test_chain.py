@@ -208,6 +208,31 @@ def test_m_shift_exact_when_denominator_exceeds_64_bits():
         assert ok, detail
 
 
+def test_object_path_matches_fractions_and_passes_verify():
+    """On M2(F3), with Q's common denominator past 2^63: B and M are object
+    arrays equal to the Fraction sums entry for entry, every verify check
+    passes, and one moved M entry still fails spectrum-m-shift."""
+    from ringwalk.checks import check_m_shift, full_suite
+    from test_cli import corrupt_m
+    r = matrix_ring(3)
+    q = q_over_64_bits(r)
+    alpha = Fr(1, 3)
+    oracle = [[Fr(0)] * r.n for _ in range(r.n)]
+    for x in range(r.n):
+        for a in range(r.n):
+            oracle[a][r.mul[x, a]] += q.weight_of_element(x)
+    b = build_B(r, q)
+    m = chain_matrix(b, alpha)
+    assert b.matrix.num.dtype == m.matrix.num.dtype == object
+    assert b.matrix.rows_as_fractions() == oracle
+    assert m.matrix.rows_as_fractions() == [
+        [alpha / r.n + (1 - alpha) * v for v in row] for row in oracle]
+    suite = full_suite(r, q, alpha, T=3)
+    assert all(ok for _, ok, _ in suite), suite
+    assert check_m_shift(b, corrupt_m(m)) == \
+        (False, "M != (1 - alpha) B + (alpha/n) J")
+
+
 @pytest.mark.parametrize("make", [lambda: matrix_ring(2), lambda: zn_ring(12)],
                          ids=["M2(F2)", "Z_12"])
 def test_scaled_weights_equal_per_element_fractions(make):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -275,8 +277,8 @@ def corrupt_b(B):
     row-stochastic, but B(0, 1) != 0 although 1 is outside the zero ideal."""
     from ringwalk.chain import TransitionMatrix
     from ringwalk.exact import ScaledMatrix
-    num = [row[:] for row in B.matrix.num]
-    num[0][1], num[0][0] = num[0][0], 0
+    num = B.matrix.num.copy()
+    num[0, 1], num[0, 0] = num[0, 0], 0
     return TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", B.ring)
 
 
@@ -284,8 +286,8 @@ def corrupt_m(M):
     """M with one entry moved to its neighbour in the row."""
     from ringwalk.chain import TransitionMatrix
     from ringwalk.exact import ScaledMatrix
-    num = [row[:] for row in M.matrix.num]
-    num[5][3], num[5][4] = num[5][3] + 1, num[5][4] - 1
+    num = M.matrix.num.copy()
+    num[5, 3], num[5, 4] = num[5, 3] + 1, num[5, 4] - 1
     return TransitionMatrix(ScaledMatrix(num, M.matrix.den), "M", M.ring,
                             alpha=M.alpha)
 
@@ -408,14 +410,55 @@ def test_spectrum_on_zn_skips_gl2_with_notice():
     assert rep["meta"]["gl2_layer"].startswith("skipped")
 
 
+def seeded_q_json(ring, seed):
+    """A --Q with integer class weights 1..9 drawn from
+    random.Random(f"{seed}/{ring.label}"), normalised per element: the
+    seeded Q of the benchmark's M2(F5) workloads."""
+    part = ring.similarity
+    rnd = random.Random(f"{seed}/{ring.label}")
+    weights = [rnd.randint(1, 9) for _ in part.classes]
+    total = sum(w * len(c) for w, c in zip(weights, part.classes))
+    return json.dumps({str(int(rep)): str(Fraction(w, total))
+                       for rep, w in zip(part.reps, weights)})
+
+
+M2F5_SEED1 = ["--Q", seeded_q_json(cli.ring_from_descriptor(
+    {"kind": "matrix", "q": 5}), 1)]
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["describe"],
      "c933644d61eeb7df6d645004a469e980a2c1e94d0bf3503a0cc09b47c7158dbd"),
     (["stationary", "--alpha", "1/2"],
      "77f5c9b6226d88c9db2c1498488b65d603ba92d94703e2139aa272764cdd0cef"),
-], ids=["describe", "stationary"])
-def test_m2f5_report_bytes_are_pinned(capsys, argv, digest):
-    # any change to these text reports on M2(F5) (n=625) must be deliberate
-    assert cli.main(argv + ["--ring", "matrix", "--q", "5"]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    (["spectrum", "--alpha", "1/2"],
+     "8c5e470de9fafcfc9a8875c34bf4116f4ef4c3d505ec1f68033d685bba552826"),
+    (["spectrum", "--alpha", "1/2"] + M2F5_SEED1,
+     "94ac4abbe7b4f73abbf83005c2feb826b1f4130f631a75fae574d64418c74144"),
+    (["verify", "--alpha", "1/2"],
+     "eca62493b767e21edeb56b4138af45761172b47fc6e6c02cb768e32912973f3f"),
+    (["verify", "--alpha", "1/2"] + M2F5_SEED1,
+     "fcad8b9e1a41d5bf9194f82b45ae68184aa199ffb4cebfb32e2d55717e892be7"),
+], ids=["describe", "stationary", "spectrum", "spectrum-seed1", "verify",
+        "verify-seed1"])
+def test_m2f5_report_bytes_are_pinned(argv, digest):
+    """Any change to these text reports on M2(F5) (n=625) must be
+    deliberate.  LAPACK's last bits, and so the spectrum table, depend on
+    the BLAS thread count: the digests hold for one thread, as in the
+    benchmark."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "ringwalk.cli"] + argv
+                          + ["--ring", "matrix", "--q", "5"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command pays for what importing the CLI loads."""
+    code = ("import sys, ringwalk.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -22,6 +22,39 @@ def test_scaled_matrix_canonical_form():
     assert a.entry(1, 0) == Fr(3, 2)
 
 
+@pytest.mark.parametrize("make, dtype", [
+    (lambda rows: np.array(rows, dtype=np.int64), np.int64),
+    (lambda rows: np.array(rows, dtype=object), object),
+    (lambda rows: rows, object),
+], ids=["int64", "object", "list"])
+def test_canonical_form_is_the_same_for_every_input(make, dtype):
+    m = ScaledMatrix(make([[6, -4], [0, 10]]), -4)
+    assert (m.num.tolist(), m.den) == ([[-3, 2], [0, -5]], 2)
+    assert m.num.dtype == dtype
+    assert m == ScaledMatrix([[-3, 2], [0, -5]], 2)
+    assert isinstance(m.den, int) and m.entry(1, 1) == Fr(-5, 2)
+
+
+def test_big_entries_stay_exact():
+    big = 3 * 2 ** 70
+    m = ScaledMatrix([[big, 2 ** 64], [0, 6]], 2 ** 65)
+    assert m.num.dtype == object
+    assert m.row_sums() == [Fr(big + 2 ** 64, 2 ** 65), Fr(6, 2 ** 65)]
+    assert m.to_float().tolist() == [[v / float(2 ** 65) for v in row]
+                                     for row in ([big, 2 ** 64], [0, 6])]
+
+
+def test_to_float_rounds_each_entry_once():
+    rng = np.random.default_rng(5)
+    num = rng.integers(-2 ** 62, 2 ** 62, size=(5, 5))
+    den = 3 ** 39                       # neither fits a float exactly
+    m = ScaledMatrix(num, den, reduce=False)
+    want = [[v / float(den) for v in row] for row in num.tolist()]
+    assert m.to_float().tolist() == want
+    assert ScaledMatrix(num.astype(object), den, reduce=False).to_float() \
+        .tolist() == want
+
+
 def test_from_fractions_round_trip():
     rows = [[Fr(1, 3), Fr(1, 6)], [Fr(0), Fr(1, 2)]]
     m = ScaledMatrix.from_fractions(rows)

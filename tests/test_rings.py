@@ -9,8 +9,10 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringwalk.checks import check_rxy_sizes
+from ringwalk.checks import check_rxy_sizes, check_witnesses
 from ringwalk.errors import TooLarge
 from ringwalk.gl2 import ring_element_index
 from ringwalk.rings import (
@@ -19,6 +21,8 @@ from ringwalk.rings import (
     upper_triangular_ring,
     zn_ring,
 )
+
+from test_stationary import random_ring
 
 SMALL_RINGS = None
 
@@ -362,6 +366,44 @@ def test_rxy_check_catches_a_wrong_poset_or_table():
     r.mul[np.nonzero(r.mul[:, y] == x)[0][0], y] = other
     ok, detail = check_rxy_sizes(r)
     assert not ok and "LAnn" in detail
+
+
+def witnesses_per_element(ring):
+    """check_witnesses one element at a time: U x as a set, for every x in
+    every S_a."""
+    for a in ring.phi:
+        sa = ring.s_set(a)
+        target = set(sa.tolist())
+        for x in sa:
+            if set(ring.mul[ring.units, x].tolist()) != target:
+                return False, f"units do not act transitively on S_{a}"
+    return True, "unit action transitive on every S_a"
+
+
+class JoinedGeneratorSets:
+    """A view of a ring whose S_a is S_a joined with S_b: two unit orbits."""
+
+    def __init__(self, ring, a, b):
+        self.ring, self.a, self.b = ring, a, b
+        self.phi, self.mul, self.units = ring.phi, ring.mul, ring.units
+
+    def s_set(self, a):
+        sa = self.ring.s_set(a)
+        if a != self.a:
+            return sa
+        return np.concatenate([sa, self.ring.s_set(self.b)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_unit_transitivity_equals_the_per_element_oracle(data):
+    ring = random_ring(data.draw)
+    assert check_witnesses(ring) == witnesses_per_element(ring) == \
+        (True, "unit action transitive on every S_a")
+    a, b = data.draw(st.permutations(ring.phi.tolist()))[:2]
+    joined = JoinedGeneratorSets(ring, a, b)
+    assert check_witnesses(joined) == witnesses_per_element(joined) == \
+        (False, f"units do not act transitively on S_{a}")
 
 
 def test_coset_reps_biject_with_s():

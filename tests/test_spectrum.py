@@ -54,6 +54,7 @@ from spectral_oracle import (
     multisets_match,
     numeric_multiplicity,
     shift_to_chain_values,
+    union_find_merge,
 )
 from test_stationary import random_ring
 
@@ -101,6 +102,49 @@ def test_merge_separation_and_total():
     assert len(em.values) == 3
     gaps = np.abs(em.values[:, None] - em.values[None, :])
     assert gaps[~np.eye(3, dtype=bool)].min() > 1e-8
+
+
+TAU = 1e-8
+
+
+@st.composite
+def clustered_spectra(draw):
+    """Values on a coarse grid, each repeated, chained at 0.9 tau steps,
+    jittered within tau or paired with its conjugate."""
+    centers = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=1, max_size=8))
+    out = []
+    for re, im in centers:
+        z = complex(re / 4, im / 4)
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["dup", "chain", "jitter", "conj"]))
+            if kind == "dup":
+                out += [z] * draw(st.integers(1, 3))
+            elif kind == "chain":       # a, a + 0.9 tau, a + 1.8 tau
+                out += [z + 0.9 * TAU * t for t in range(3)]
+            elif kind == "jitter":
+                d = draw(st.floats(-1.5, 1.5))
+                out.append(z + complex(d * TAU, draw(st.floats(-1, 1)) * TAU))
+            else:
+                out += [z, z.conjugate()]
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_spectra())
+def test_merge_equals_union_find(evs):
+    em = EigenvalueMultiset.from_values(evs, TAU)
+    values, mults = union_find_merge(evs, TAU)
+    assert np.array_equal(em.values, values)
+    assert np.array_equal(em.mults, mults)
+
+
+def test_merge_links_a_chain_only_through_its_middle():
+    a = 0.25 + 0.5j
+    em = EigenvalueMultiset.from_values([a + 1.8 * TAU, a, a + 0.9 * TAU], TAU)
+    assert em.mults.tolist() == [3]
+    em = EigenvalueMultiset.from_values([a + 1.8 * TAU, a], TAU)
+    assert em.mults.tolist() == [1, 1]
 
 
 def test_eig_cap():
@@ -364,13 +408,13 @@ def test_conjugation_check_uses_every_generator():
     while int(ring.mul[powers[-1], g]) != ring.one:
         powers.append(int(ring.mul[powers[-1], g]))
     d, e = (int(u) for u in ring.units[-2:])
-    num = [row[:] for row in B.matrix.num]
+    num = B.matrix.num.copy()
     for h in powers:
-        num[h][ring.mul[h, d]] += 1
-        num[h][ring.mul[h, e]] -= 1
+        num[h, ring.mul[h, d]] += 1
+        num[h, ring.mul[h, e]] -= 1
     bad = TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", ring)
-    perm = ring.mul[g, :]
-    assert np.array_equal(bad.numerators[np.ix_(perm, perm)], bad.numerators)
+    perm, num = ring.mul[g, :], bad.matrix.num
+    assert np.array_equal(num[np.ix_(perm, perm)], num)
     assert not check_conjugation_invariance(ring, bad)[0]
 
 
