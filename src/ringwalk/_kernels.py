@@ -8,9 +8,9 @@ int32, which holds every index below rings.SIZE_CAP."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+GATHER_BLOCK = 2**14       # samples stepped together through a chunk
 
 
 def active_backend() -> str:
@@ -98,23 +98,25 @@ def step_table(add, mul, left=True):
     return np.concatenate([add.T.ravel(), mul.ravel()]).astype(np.int32)
 
 
-def run_chain(states, heads, adds, zs, table):
-    """Advance all sample trajectories in place through the pre-drawn moves.
+def run_chain(states, off, table):
+    """Advance all sample trajectories in place through one chunk of moves.
 
-    heads/adds/zs have shape (steps, samples) and table comes from
-    step_table.  A heads coin adds the drawn uniform element; a tails coin
-    multiplies by the drawn Q-element on the side the table was built for.
-    Each step is one gather at index n*a + x (heads) or n*(n + z) + x
-    (tails) from state x.
+    off has shape (steps, samples), int32: off[t, i] is the offset of
+    sample i's move at step t, n*a to add a or n*(n + z) to multiply by z
+    (mixing._draw_offsets), and table comes from step_table.  Each step is
+    two int32 ops: one add of the state x and one gather at off + x.  The
+    samples advance in blocks of GATHER_BLOCK through all steps of the
+    chunk, so a block's states and the intp copy np.take makes of its
+    index stay in cache; trajectories are independent, so the order of
+    blocks does not change the result.
     """
-    n = math.isqrt(table.size // 2)
-    idx = np.empty_like(states)
-    for h, a, z in zip(heads, adds, zs):
-        np.add(z, n, out=idx)
-        np.copyto(idx, a, where=h)
-        idx *= n
-        idx += states
-        # every index is in range by construction; mode="clip" skips the
-        # bounds check, which would also buffer the output
-        np.take(table, idx, out=states, mode="clip")
+    idx = np.empty(min(GATHER_BLOCK, len(states)), dtype=states.dtype)
+    for start in range(0, len(states), GATHER_BLOCK):
+        block = states[start:start + GATHER_BLOCK]
+        block_idx = idx[:len(block)]
+        for row in off[:, start:start + GATHER_BLOCK]:
+            np.add(row, block, out=block_idx)
+            # every index is in range by construction; mode="clip" skips
+            # the bounds check, which would also buffer the output
+            np.take(table, block_idx, out=block, mode="clip")
     return states

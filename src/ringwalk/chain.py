@@ -23,6 +23,7 @@ from .errors import (
     InvariantViolation,
     NegativeWeight,
     NotNormalized,
+    ParamOutOfRange,
     RingMismatch,
     UnknownClass,
 )
@@ -172,7 +173,8 @@ def build_B(ring: FiniteRing, Q: ClassDistribution, side: str = "left") -> Trans
     """
     check_same_ring(ring, Q)
     if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+        raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
+                              f"'right'")
     w_int, den = Q.scaled_weights()
     num = weighted_mul_counts(ring, w_int, side)
     tm = TransitionMatrix(ScaledMatrix(num, den), "B", ring)

@@ -15,13 +15,27 @@ generator set S_a suffices: left multiplication by a unit preserves B, pi
 and V_t, and the units act transitively on each S_a.  The geometric bound
 d(t) <= (1-alpha)^t is therefore checked without rounding at every size.
 
-The simulator draws from a counter-based Philox stream keyed by (seed,
-block); coin flips and Q-samples are integer draws compared against exact
-rational thresholds, so every move has its exact probability and runs
-reproduce bit-for-bit across platforms.  Each step costs O(1) per sample:
-a Q-draw maps to its element through a guide table of at most 2^20 buckets
-(QSampler), and the move is one gather from a flat int32 table holding the
-addition and multiplication tables (_kernels.step_table, run_chain).
+The simulator draws from a counter-based Philox stream; coin flips and
+Q-samples are integer draws compared against exact rational thresholds, so
+every move has its exact probability and runs reproduce bit-for-bit across
+platforms.  The counts for a seed are fixed by this stream contract:
+
+* trajectories split into blocks, and block b draws from
+  Philox(key=[seed, b]);
+* a block of m trajectories runs in chunks of
+  max(1, min(t, STEP_CHUNK_ENTRIES // m)) steps (the last chunk shorter);
+* within a chunk come all coins, then all uniform elements, then all
+  Q-draws, each row-major over (step, sample).
+
+Each pass draws its flattened chunk in slices of DRAW_SLICE entries, int32
+when the range is at most 2^31 and int64 above; numpy gives the same values
+and the same stream position either way, and for any slicing.  Memory per
+block is two buffers reused across chunks, a bool coin (1 byte per chunk
+entry) and an int32 move offset (4 bytes), plus O(m) for the states and one
+slice of draws.  Each step costs O(1) per sample: a Q-draw maps to its
+element through a guide table of at most 2^20 buckets (QSampler), and the
+move is one add and one gather from a flat int32 table holding the addition
+and multiplication tables (_kernels.step_table, run_chain).
 """
 
 from __future__ import annotations
@@ -40,6 +54,7 @@ from .stationary import stationary_recursive
 
 T_CAP = 64
 STEP_CHUNK_ENTRIES = 20_000_000
+DRAW_SLICE = 2**20         # entries per integer draw call within a chunk
 GUIDE_BITS = 20            # the Q-sampler guide table has <= 2^20 buckets
 
 
@@ -250,8 +265,20 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     convention; side="right" uses the mirrored product.  Trajectories split
     into `blocks` independent Philox streams keyed (seed, block) and merge
     deterministically, so any execution order gives identical results.
+
+    The stream contract of the module docstring fixes the counts: chunks of
+    max(1, min(t, STEP_CHUNK_ENTRIES // m)) steps for a block of m samples,
+    and per chunk all coins, all uniform elements, then all Q-draws.  Peak
+    memory is about 5 bytes per chunk entry (at most max(m,
+    STEP_CHUNK_ENTRIES) entries), plus O(n^2) for the step table, O(m) for
+    the states and one slice of draws.  The alpha and Q denominators must
+    lie below 2^63, the range of an int64 draw.
     """
     alpha = check_alpha(alpha, allow_boundary)
+    if alpha.denominator >= 2**63:
+        raise ParamOutOfRange(f"field 'alpha': denominator "
+                              f"{alpha.denominator} is not below 2^63, the "
+                              f"range of an int64 coin draw")
     if not 0 <= x0 < ring.n:
         raise ParamOutOfRange(f"field 'start' (x0): {x0} is not an element "
                               f"index of {ring.label} (0..{ring.n - 1})")
@@ -265,7 +292,8 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
         raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
                               f"'right'")
     if seed is None:
-        raise ValueError("a seed is mandatory for reproducible simulation")
+        raise ParamOutOfRange("field 'seed': a seed is mandatory for "
+                              "reproducible simulation")
     if not -2**63 <= seed < 2**63:
         raise ParamOutOfRange(f"field 'seed': {seed} does not fit the "
                               f"signed 64-bit Philox key word")
@@ -283,29 +311,51 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
             continue
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
         states = np.full(m, x0, dtype=np.int32)
-        chunk = max(1, min(t, STEP_CHUNK_ENTRIES // max(m, 1)))
+        chunk = max(1, min(t, STEP_CHUNK_ENTRIES // m))
+        tails = np.empty(chunk * m, dtype=bool)
+        off = np.empty(chunk * m, dtype=np.int32)
         done = 0
         while done < t:
             step = min(chunk, t - done)
-            _run_chunk(rng, states, step, alpha, ring.n, sampler, table)
+            _draw_offsets(rng, tails[:step * m], off[:step * m], alpha,
+                          ring.n, sampler)
+            _kernels.run_chain(states, off[:step * m].reshape(step, m), table)
             done += step
         counts += np.bincount(states, minlength=ring.n)
     return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
                             counts)
 
 
-def _run_chunk(rng, states, step, alpha, n, sampler, table):
-    """Draw `step` moves for every trajectory and apply them.
+def _draws(rng, high, size):
+    """`size` uniform draws in [0, high): int32 when high <= 2^31, int64
+    above; both give the same values and leave the stream in one place."""
+    return rng.integers(0, high, size=size,
+                        dtype=np.int32 if high <= 2**31 else np.int64)
 
-    The draw order (coins, uniform elements, Q-draws) fixes the Philox
-    stream, and so the counts; the chunk's arrays die on return.
+
+def _draw_offsets(rng, tails, off, alpha, n, sampler):
+    """Fill one chunk's move offsets in place: off = n*a for heads (add a)
+    and n*(n + z) for tails (multiply by z), so the move from x is
+    table[off + x].
+
+    Three passes over the flattened chunk, coins, uniform elements, then
+    Q-draws, each in slices of DRAW_SLICE entries.  The Q pass fuses the
+    offset branch-free in int32: off = (a + tails*(n + z - a))*n.
     """
-    heads = rng.integers(0, alpha.denominator, size=(step, len(states))) \
-        < alpha.numerator
-    adds = rng.integers(0, n, size=(step, len(states)), dtype=np.int32)
-    zs = sampler(rng.integers(0, sampler.den, size=(step, len(states)),
-                              dtype=np.int64))
-    _kernels.run_chain(states, heads, adds, zs, table)
+    cuts = [slice(i, i + DRAW_SLICE) for i in range(0, len(off), DRAW_SLICE)]
+    for cut in cuts:
+        np.greater_equal(_draws(rng, alpha.denominator, len(tails[cut])),
+                         alpha.numerator, out=tails[cut])
+    for cut in cuts:
+        off[cut] = _draws(rng, n, len(off[cut]))
+    for cut in cuts:
+        a = off[cut]
+        z = sampler(_draws(rng, sampler.den, len(a)))
+        z += n
+        z -= a
+        z *= tails[cut]
+        a += z
+        a *= n
 
 
 def one_step_rows(ring: FiniteRing, Q: ClassDistribution, alpha, samples: int,

@@ -322,9 +322,11 @@ def test_rows_sum_to_one_exactly():
 OPTIMIZED_SCRIPT = """
 from fractions import Fraction
 from ringwalk.chain import ClassDistribution, TransitionMatrix, build_B
-from ringwalk.errors import InvariantViolation, LengthMismatch, RingMismatch
+from ringwalk.errors import (InvariantViolation, LengthMismatch,
+                             ParamOutOfRange, RingMismatch)
 from ringwalk.exact import ScaledMatrix
 from ringwalk.gl2 import character_table
+from ringwalk.mixing import simulate
 from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
 from ringwalk import checks, fields, spectrum, stationary
 import numpy as np
@@ -363,6 +365,13 @@ assert False, "this script must run under python -O"
      "stationary_nullspace: (lambda v: [v[0] / 2, v[1] + v[0] / 2] + v[2:])"
      "(f(m)); stationary.stationary_solve(r := zn_ring(6), "
      "ClassDistribution.uniform(r), Fraction(1, 2))", "InvariantViolation"),
+    ("build_B(r := zn_ring(6), ClassDistribution.uniform(r), side='middle')",
+     "ParamOutOfRange"),
+    ("simulate(r := zn_ring(6), ClassDistribution.uniform(r), Fraction(1, 2),"
+     " 0, 5, 100, seed=None)", "ParamOutOfRange"),
+    # a coin draw of 2^63 or more does not fit int64
+    ("simulate(r := zn_ring(6), ClassDistribution.uniform(r),"
+     " Fraction(1, 2**63 + 1), 0, 5, 100, seed=1)", "ParamOutOfRange"),
 ])
 def test_invariants_survive_python_O(call, error):
     script = OPTIMIZED_SCRIPT + f"""

@@ -169,6 +169,8 @@ def q_with_denominator(den, first):
     ("--steps", "-3"),
     ("--samples", "0"),
     ("--seed", str(2**64)),
+    # coin draws are int64 too: an alpha denominator of 2^63 + 1
+    ("--alpha", "1/9223372036854775809"),
     # Q-draws are int64: a weight of 2^63 or more, and two weights that
     # fit but sum to 2^63 + 29
     pytest.param("--Q", q_with_denominator(2**63 + 29, 1),

@@ -1,13 +1,16 @@
 """TV distance, the geometric mixing bound, and the seeded simulator."""
 
+import functools
+import tracemalloc
 from fractions import Fraction as Fr
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringwalk import mixing
+from ringwalk import _kernels, mixing
 from ringwalk.chain import ClassDistribution, build_B, build_M
 from ringwalk.errors import InvariantViolation, LengthMismatch, ParamOutOfRange
 from ringwalk.exact import ScaledMatrix
@@ -27,6 +30,8 @@ from ringwalk.rings import (
     zn_ring,
 )
 from ringwalk.stationary import stationary_recursive, stationary_solve
+
+from reference_simulate import reference_simulate
 
 
 def uniform(ring):
@@ -280,7 +285,7 @@ def test_q_sampling_respects_class_weights():
 
 def test_seed_is_mandatory():
     ring = zn_ring(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParamOutOfRange, match="'seed'"):
         simulate(ring, uniform(ring), Fr(1, 2), 0, 5, 100, seed=None)
 
 
@@ -302,6 +307,7 @@ def golden_cases():
     b3 = upper_triangular_ring(3)
     z40 = z12_q(2**40 - 87, 7)
     z58 = z12_q(2**58 - 27, 8)
+    z32 = z12_q(2**32 - 5, 10)
     # (ring, Q, simulate keywords, STEP_CHUNK_ENTRIES or None, counts)
     return {
         "m2f2-left": (
@@ -349,6 +355,17 @@ def golden_cases():
                  allow_boundary=True), None,
             [89, 144, 123, 110, 131, 131, 139, 119, 130, 129, 119, 123, 117,
              139, 138, 119]),
+        # coin draws above 2^31 take the int64 draw path
+        "m2f2-alpha-den2^31+11": (
+            m2, seeded_q(m2, 9),
+            dict(alpha=Fr(1, 2**31 + 11), x0=m2.one, t=9, samples=3000,
+                 seed=606), None,
+            [2829, 15, 26, 19, 16, 22, 0, 0, 18, 0, 21, 0, 16, 0, 0, 18]),
+        # Q-draws in (2^31, 2^32); blocks of 1500 samples, 2 steps per chunk
+        "z12-den2^32-5": (
+            *z32, dict(alpha=Fr(1, 3), x0=5, t=6, samples=3000, seed=707,
+                       blocks=2), 4000,
+            [800, 124, 154, 198, 277, 155, 279, 159, 317, 193, 186, 158]),
     }
 
 
@@ -363,10 +380,119 @@ def test_simulation_golden_counts(monkeypatch, name):
 
 def test_golden_z12_denominators_exceed_guide_table():
     cases = golden_cases()
-    for name in ("z12-den2^40", "z12-den2^58"):
+    for name in ("z12-den2^32-5", "z12-den2^40", "z12-den2^58"):
         w_int, den = cases[name][1].scaled_weights()
         assert den > 2**mixing.GUIDE_BITS
         assert mixing.QSampler(w_int).shift > 0
+    assert 2**31 < cases["z12-den2^32-5"][1].scaled_weights()[1] < 2**32
+
+
+# ---------------------------------------------------------------------
+# the sliced, fused draw loop keeps the stream of the plain chunked loop
+# ---------------------------------------------------------------------
+
+FACTORS = [("zn", n) for n in range(2, 13)] + [
+    ("b2", 2), ("b2", 3), ("b2", 5), ("m2", 2), ("m2", 3)]
+SIZES = {("zn", n): n for n in range(2, 13)} | {
+    ("b2", 2): 8, ("b2", 3): 27, ("b2", 5): 125, ("m2", 2): 16, ("m2", 3): 81}
+
+
+@functools.lru_cache(maxsize=None)
+def small_ring(factors):
+    build = {"zn": zn_ring, "b2": upper_triangular_ring, "m2": matrix_ring}
+    rings = [build[kind](param) for kind, param in factors]
+    ring = rings[0]
+    for other in rings[1:]:
+        ring = product_ring(ring, other)
+    return ring
+
+
+# Q common denominators on both sides of the guide table (2^20) and of the
+# int32 draw range (2^31)
+Q_DENOMINATORS = st.one_of(
+    st.integers(2, 2**20),
+    st.integers(2**20 + 1, 2**31 - 2),
+    st.sampled_from([2**20, 2**20 + 1, 2**31 - 1, 2**31, 2**31 + 1]),
+    st.integers(2**31 + 2, 2**62))
+
+# coin denominators of 1 (alpha 0 or 1), small ones, and ones on both sides
+# of the int32 draw range
+ALPHAS = st.one_of(
+    st.sampled_from([Fr(0), Fr(1), Fr(1, 2**31), Fr(2**31 - 1, 2**31 + 1)]),
+    st.integers(2, 12).flatmap(
+        lambda s: st.builds(Fr, st.integers(1, s - 1), st.just(s))),
+    st.integers(2**31 + 1, 2**63 - 1).flatmap(
+        lambda s: st.builds(Fr, st.integers(1, s - 1), st.just(s))))
+
+
+@st.composite
+def simulation_cases(draw):
+    """A small ring (Z_n, B2(F_p), M2(F_2), M2(F_3) or a product of two,
+    n <= 256), a class-constant Q with common denominator den, and
+    simulate arguments with chunk, slice and gather-block sizes that cut
+    rows."""
+    factors = tuple(draw(st.lists(st.sampled_from(FACTORS), min_size=1,
+                                  max_size=2).filter(
+        lambda fs: np.prod([SIZES[f] for f in fs]) <= 256)))
+    ring = small_ring(factors)
+    part = ring.similarity
+    zero, one = part.class_of[ring.zero], part.class_of[ring.one]
+    den = draw(Q_DENOMINATORS)
+    # weight 1/den on the zero class pins the common denominator to den
+    share = draw(st.lists(st.integers(0, 1000), min_size=len(part),
+                          max_size=len(part)))
+    unit = (den - 1) // (1000 * ring.n)
+    w = [x * unit for x in share]
+    w[zero], w[one] = 1, 0
+    w[one] = den - sum(x * len(c) for x, c in zip(w, part.classes))
+    q = ClassDistribution(ring, [Fr(x, den) for x in w])
+    samples = draw(st.integers(1, 40))
+    kwargs = dict(
+        alpha=draw(ALPHAS), x0=draw(st.integers(0, ring.n - 1)),
+        t=draw(st.integers(0, 12)), samples=samples,
+        seed=draw(st.integers(-2**63, 2**63 - 1)),
+        side=draw(st.sampled_from(["left", "right"])),
+        blocks=draw(st.integers(1, samples + 3)))
+    sizes = dict(STEP_CHUNK_ENTRIES=draw(st.integers(1, 120)),
+                 DRAW_SLICE=draw(st.integers(1, 50)),
+                 GATHER_BLOCK=draw(st.integers(1, 16)))
+    return ring, q, kwargs, sizes
+
+
+@settings(deadline=None, max_examples=150)
+@given(simulation_cases())
+def test_simulate_equals_reference_stream(case):
+    ring, q, kwargs, sizes = case
+    chunk_entries = sizes["STEP_CHUNK_ENTRIES"]
+    with mock.patch.object(mixing, "STEP_CHUNK_ENTRIES", chunk_entries), \
+            mock.patch.object(mixing, "DRAW_SLICE", sizes["DRAW_SLICE"]), \
+            mock.patch.object(_kernels, "GATHER_BLOCK",
+                              sizes["GATHER_BLOCK"]):
+        res = simulate(ring, q, allow_boundary=True, **kwargs)
+    expected = reference_simulate(ring, q, chunk_entries=chunk_entries,
+                                  **kwargs)
+    assert res.counts.tolist() == expected.tolist()
+
+
+def test_simulate_memory_is_five_bytes_per_chunk_entry(monkeypatch):
+    # a bool coin and an int32 offset per chunk entry; chunk-sized int64
+    # coin and Q-draw arrays would take about 17 bytes an entry
+    ring = matrix_ring(3)
+    q = uniform(ring)
+    ring.similarity
+    chunk_entries = 8_000_000
+    monkeypatch.setattr(mixing, "STEP_CHUNK_ENTRIES", chunk_entries)
+    m = 200_000
+    tracemalloc.start()
+    try:
+        simulate(ring, q, Fr(1, 3), 0, 40, m, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # per sample: the int32 states; per slice entry: the draws, their intp
+    # copy in np.take and the sampled elements
+    bound = 6 * chunk_entries + 8 * m + 24 * mixing.DRAW_SLICE
+    assert peak <= bound, (peak, bound)
 
 
 # ---------------------------------------------------------------------
