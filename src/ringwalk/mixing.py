@@ -27,12 +27,12 @@ platforms.  The counts for a seed are fixed by this stream contract:
 * within a chunk come all coins, then all uniform elements, then all
   Q-draws, each row-major over (step, sample).
 
-Each pass draws its flattened chunk in slices of DRAW_SLICE entries, int32
-when the range is at most 2^31 and int64 above; numpy gives the same values
-and the same stream position either way, and for any slicing.  Memory per
-block is two buffers reused across chunks, a bool coin (1 byte per chunk
-entry) and an int32 move offset (4 bytes), plus O(m) for the states and one
-slice of draws.  Each step costs O(1) per sample: a Q-draw maps to its
+Each pass draws its flattened chunk in slices of DRAW_SLICE entries (int64
+coins and Q-draws, int32 uniform elements); numpy gives the same values and
+the same stream position for any slicing.  Memory per block is two
+buffers reused across chunks, a bool coin (1 byte per chunk entry) and an
+int32 move offset (4 bytes), plus O(m) for the states and one slice of
+draws.  Each step costs O(1) per sample: a Q-draw maps to its
 element through a guide table of at most 2^20 buckets (QSampler), and the
 move is one add and one gather from a flat int32 table holding the addition
 and multiplication tables (_kernels.step_table, run_chain).
@@ -326,31 +326,27 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
                             counts)
 
 
-def _draws(rng, high, size):
-    """`size` uniform draws in [0, high): int32 when high <= 2^31, int64
-    above; both give the same values and leave the stream in one place."""
-    return rng.integers(0, high, size=size,
-                        dtype=np.int32 if high <= 2**31 else np.int64)
-
-
 def _draw_offsets(rng, tails, off, alpha, n, sampler):
     """Fill one chunk's move offsets in place: off = n*a for heads (add a)
     and n*(n + z) for tails (multiply by z), so the move from x is
     table[off + x].
 
     Three passes over the flattened chunk, coins, uniform elements, then
-    Q-draws, each in slices of DRAW_SLICE entries.  The Q pass fuses the
-    offset branch-free in int32: off = (a + tails*(n + z - a))*n.
+    Q-draws, each in slices of DRAW_SLICE entries.  Coins and Q-draws are
+    int64 (their denominators reach 2^63), uniform elements int32.  The Q
+    pass fuses the offset branch-free in int32:
+    off = (a + tails*(n + z - a))*n.
     """
     cuts = [slice(i, i + DRAW_SLICE) for i in range(0, len(off), DRAW_SLICE)]
     for cut in cuts:
-        np.greater_equal(_draws(rng, alpha.denominator, len(tails[cut])),
-                         alpha.numerator, out=tails[cut])
+        coins = rng.integers(0, alpha.denominator, size=len(tails[cut]),
+                             dtype=np.int64)
+        np.greater_equal(coins, alpha.numerator, out=tails[cut])
     for cut in cuts:
-        off[cut] = _draws(rng, n, len(off[cut]))
+        off[cut] = rng.integers(0, n, size=len(off[cut]), dtype=np.int32)
     for cut in cuts:
         a = off[cut]
-        z = sampler(_draws(rng, sampler.den, len(a)))
+        z = sampler(rng.integers(0, sampler.den, size=len(a), dtype=np.int64))
         z += n
         z -= a
         z *= tails[cut]

@@ -355,7 +355,7 @@ def golden_cases():
                  allow_boundary=True), None,
             [89, 144, 123, 110, 131, 131, 139, 119, 130, 129, 119, 123, 117,
              139, 138, 119]),
-        # coin draws above 2^31 take the int64 draw path
+        # a coin denominator above 2^31
         "m2f2-alpha-den2^31+11": (
             m2, seeded_q(m2, 9),
             dict(alpha=Fr(1, 2**31 + 11), x0=m2.one, t=9, samples=3000,
@@ -407,8 +407,7 @@ def small_ring(factors):
     return ring
 
 
-# Q common denominators on both sides of the guide table (2^20) and of the
-# int32 draw range (2^31)
+# Q common denominators on both sides of the guide table (2^20) and of 2^31
 Q_DENOMINATORS = st.one_of(
     st.integers(2, 2**20),
     st.integers(2**20 + 1, 2**31 - 2),
@@ -416,7 +415,7 @@ Q_DENOMINATORS = st.one_of(
     st.integers(2**31 + 2, 2**62))
 
 # coin denominators of 1 (alpha 0 or 1), small ones, and ones on both sides
-# of the int32 draw range
+# of 2^31
 ALPHAS = st.one_of(
     st.sampled_from([Fr(0), Fr(1), Fr(1, 2**31), Fr(2**31 - 1, 2**31 + 1)]),
     st.integers(2, 12).flatmap(
@@ -489,8 +488,8 @@ def test_simulate_memory_is_five_bytes_per_chunk_entry(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # per sample: the int32 states; per slice entry: the draws, their intp
-    # copy in np.take and the sampled elements
+    # per sample: the int32 states; per slice entry: the int64 draws, their
+    # guide-table buckets and the sampled elements
     bound = 6 * chunk_entries + 8 * m + 24 * mixing.DRAW_SLICE
     assert peak <= bound, (peak, bound)
 
