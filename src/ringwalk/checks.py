@@ -69,30 +69,12 @@ def check_witnesses(ring: FiniteRing):
     return True, "unit action transitive on every S_a"
 
 
-def unit_generators(ring: FiniteRing) -> list:
-    """A generating set of U_R, greedy in index order: each new generator
-    lies outside the group of the earlier ones, so that group at least
-    doubles and there are at most log2 |U| generators."""
-    gens, group = [], {ring.one}
-    for u in map(int, ring.units):
-        if u not in group:
-            gens.append(u)
-            new = group
-            while new:          # close up under right multiplication
-                new = {int(ring.mul[h, g]) for h in new for g in gens} - group
-                group |= new
-    if len(group) != len(ring.units):
-        raise InvariantViolation(f"{ring.label}: products of units leave "
-                                 f"the unit group")
-    return gens
-
-
 def check_conjugation_invariance(ring: FiniteRing, B: TransitionMatrix):
     """B(u c, u d) = B(c, d) for every unit u.  The units with this property
     are closed under products, so checking a generating set of U_R is
     exhaustive."""
     num = B.matrix.num
-    gens = unit_generators(ring)
+    gens = ring.unit_generators
     for u in gens:
         perm = ring.mul[u, :]
         if not np.array_equal(num[np.ix_(perm, perm)], num):
@@ -215,7 +197,8 @@ def check_mult_free_expectations(ring: FiniteRing):
 def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
                T: int = 20, eps_list=(Fraction(1, 4), Fraction(1, 10))):
     """The verify command's check list: [(name, ok, detail)]."""
-    out = [("ring-axioms", True, "validated at construction")]
+    out = [("ring-axioms", True, f"exhaustive: "
+            f"{len(ring.additive_generators)} additive generators")]
     for name, fn in (("orbit-stabilizer", check_orbit_stabilizer),
                      ("s-partition", check_s_partition),
                      ("rxy-annihilator", check_rxy_sizes),

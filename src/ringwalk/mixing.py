@@ -97,8 +97,21 @@ def class_products(ring: FiniteRing):
     pairs (x, y) in C_i x C_j with x*y = z.  Conjugation by a unit permutes
     those pairs, so the count is the same for every z in C_c, and the pair
     total over C_c must divide by |C_c|.  Sparse, so memory stays O(n^2)
-    (that of the table) even when every class is a singleton.
+    (that of the table) even when every class is a singleton.  Counted once
+    per ring and kept on it; the arrays are read-only.
     """
+    try:
+        return ring._class_products
+    except AttributeError:
+        pass
+    out = _count_class_products(ring)
+    for arr in out:
+        arr.setflags(write=False)
+    ring._class_products = out
+    return out
+
+
+def _count_class_products(ring: FiniteRing):
     part = ring.similarity
     k = len(part)
     cls = part.class_of.astype(np.int64)

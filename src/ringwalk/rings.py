@@ -13,11 +13,13 @@ Enumeration orders are part of the public contract:
 
 Derived structure (units, similarity classes, the principal-left-ideal
 poset, generator sets, stabilizers, annihilators) is computed lazily and
-cached; everything is immutable after construction and read-only queries
-are safe to share across threads.
+cached, each in a few whole-array passes over the tables; everything is
+immutable after construction and read-only queries are safe to share
+across threads.
 
-Ring axioms are verified at construction time: exhaustively for n <= 256
-and on 100k fixed-seed random triples above that.
+Ring axioms are verified at construction time, exhaustively at every n, in
+2 |G| passes over the n x n tables for a greedy additive generating set G
+(FiniteRing._validate).
 """
 
 from __future__ import annotations
@@ -32,8 +34,30 @@ from .errors import InvariantViolation, NoWitness, ParamOutOfRange, TooLarge
 from .fields import field_make
 
 SIZE_CAP = 20000
-EXHAUSTIVE_CAP = 256
-RANDOM_TRIPLES = 100_000
+_BLOCK = 64                # table rows or columns per whole-table pass
+
+
+def _greedy_generators(table, candidates, start):
+    """Generators, greedy in the order of `candidates`: each candidate that
+    the earlier generators do not reach from `start` becomes one.  Reached
+    means start * g1 * ... * gk, bracketed from the left, for generators gi
+    and `*` the operation of `table`; a frontier search finds them.
+
+    Returns (generators, reached), reached a bool mask over the elements.
+    """
+    reached = np.zeros(len(table), dtype=bool)
+    reached[start] = True
+    gens = []
+    while True:
+        missing = candidates[~reached[candidates]]
+        if not len(missing):
+            return tuple(gens), reached
+        gens.append(int(missing[0]))
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            step = table[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(step[~reached[step]])
+            reached[frontier] = True
 
 
 @dataclass
@@ -100,38 +124,80 @@ class FiniteRing:
     # -- construction-time checks -------------------------------------
 
     def _validate(self):
+        """Check every ring axiom, exhaustively, in O(n^2 |G|) lookups.
+
+        G is a greedy additive generating set (additive_generators): each
+        element is reached from 0 by adding elements of G on the right.
+        After an O(n^2) prelude (the tables stay in the ring, 0 is a
+        two-sided additive identity, each row of + holds exactly one 0, 1 is
+        a two-sided multiplicative identity) these checks suffice:
+
+        (a) (x + g) + y = x + (g + y) for all x, y and g in G.  The middle
+            elements a with (x + a) + y = x + (a + y) for all x, y hold 0
+            and are closed under + (Light's test; Clifford & Preston, The
+            Algebraic Theory of Semigroups I, 1961, sec. 1.2), so they hold
+            every element reached and + is associative.  With a right
+            inverse for each element (R, +) is then a group, and every
+            element is a sum of one or more elements of G (0 as a multiple
+            of any g; with G empty, R = {0}).
+        (b) g + h = h + g for g, h in G.  The centralizer of any element is
+            closed under +, so each g commutes with every sum of elements of
+            G, that is with all of R; then so does every element.
+        (c) (y + g) x = y x + g x for all x, y and g in G.  For fixed x the z
+            with (y + z) x = y x + z x for all y are closed under + (put
+            y + z' for y), so y -> y x is additive: right distributivity.
+        (d) g (y + h) = g y + g h for all y and g, h in G.  For fixed g the
+            same closure gives g (y + z) = g y + g z for all y, z, and by
+            (c) x -> x (y + z) - x y - x z is additive, so it vanishes on R:
+            left distributivity.
+        (e) (g h) k = g (h k) on G^3.  (x y) z - x (y z) is additive in each
+            argument by (c) and (d), so it vanishes on R^3.
+
+        (a) and (c) are one pass over an n x n table per g, _BLOCK rows or
+        columns at a time; (b), (d) and (e) cost O(n |G|^2).  Once (a) has
+        passed, + is a group and G at least doubles the reached subgroup per
+        generator, so |G| <= log2 n.
+        """
         n, add, mul = self.n, self.add, self.mul
         self._require(add.min() >= 0 and add.max() < n,
                       "addition table leaves the ring")
         self._require(mul.min() >= 0 and mul.max() < n,
                       "multiplication table leaves the ring")
         idx = np.arange(n)
-        # additive identity, commutativity, and invertibility
-        self._require(np.array_equal(add[self.zero], idx), "zero is not neutral")
-        self._require(np.array_equal(add, add.T), "addition is not commutative")
+        self._require(np.array_equal(add[self.zero], idx)
+                      and np.array_equal(add[:, self.zero], idx),
+                      "zero is not neutral")
         self._require(np.all((add == self.zero).sum(axis=1) == 1),
                       "some element has no additive inverse")
-        # multiplicative identity
         self._require(np.array_equal(mul[self.one], idx),
                       "one is not a left identity")
         self._require(np.array_equal(mul[:, self.one], idx),
                       "one is not a right identity")
-        if n <= EXHAUSTIVE_CAP:         # every triple, one a at a time
-            triples = [(a, idx[:, None], idx[None, :]) for a in idx]
-        else:
-            rng = np.random.default_rng(0)
-            triples = [rng.integers(0, n, size=(3, RANDOM_TRIPLES))]
-        for a, b, c in triples:
-            self._require(np.array_equal(add[add[a, b], c], add[a, add[b, c]]),
-                          "addition is not associative")
-            self._require(np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]),
-                          "multiplication is not associative")
-            self._require(np.array_equal(mul[a, add[b, c]],
-                                         add[mul[a, b], mul[a, c]]),
-                          "left distributivity fails")
-            self._require(np.array_equal(mul[add[a, b], c],
-                                         add[mul[a, c], mul[b, c]]),
-                          "right distributivity fails")
+        self.additive_generators, _ = _greedy_generators(add, idx, self.zero)
+        G = np.array(self.additive_generators, dtype=np.intp)
+        for s in range(0, n, _BLOCK):                                # (a)
+            rows = add[s:s + _BLOCK]
+            for g in G:
+                self._require(np.array_equal(add[rows[:, g]], rows[:, add[g]]),
+                              "addition is not associative")
+        gg = add[np.ix_(G, G)]                                       # (b)
+        self._require(np.array_equal(gg, gg.T), "addition is not commutative")
+        at = np.arange(_BLOCK)[:, None] * n
+        for s in range(0, n, _BLOCK):                                # (c)
+            cols = mul[:, s:s + _BLOCK].T.copy()    # cols[i, y] = y (s + i)
+            flat = at[:len(cols)] + cols
+            for g in G:
+                # g x + y x: the rows g x of + gathered at y x, since + commutes
+                gx_plus = add[mul[g, s:s + _BLOCK]].ravel()[flat]
+                self._require(np.array_equal(cols[:, add[:, g]], gx_plus),
+                              "right distributivity fails")
+        gy, gg = mul[G], mul[np.ix_(G, G)]                           # (d)
+        self._require(np.array_equal(mul[G[:, None, None], add[:, G]],
+                                     add[gy[:, :, None], gg[:, None, :]]),
+                      "left distributivity fails")
+        self._require(np.array_equal(mul[gg[:, :, None], G],         # (e)
+                                     mul[G[:, None, None], gg]),
+                      "multiplication is not associative")
 
     def _require(self, ok, axiom: str) -> None:
         """Raise (not assert, so -O keeps it) when a ring axiom fails."""
@@ -150,7 +216,10 @@ class FiniteRing:
 
     @cached_property
     def is_commutative(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
+        """x y - y x is additive in each argument, so G x G decides it."""
+        G = np.array(self.additive_generators, dtype=np.intp)
+        gg = self.mul[np.ix_(G, G)]
+        return bool(np.array_equal(gg, gg.T))
 
     # -- units ----------------------------------------------------------
 
@@ -175,59 +244,83 @@ class FiniteRing:
         return self._inv_map[u]
 
     @cached_property
+    def unit_generators(self) -> tuple:
+        """A generating set of U_R, greedy in index order: each new generator
+        lies outside the group of the earlier ones, so that group at least
+        doubles and there are at most log2 |U| generators."""
+        gens, reached = _greedy_generators(self.mul, self.units, self.one)
+        self._require(reached.sum() == len(self.units),
+                      "products of units leave the unit group")
+        return gens
+
+    @cached_property
     def units_abelian(self) -> bool:
-        us = self.units
-        sub = self.mul[np.ix_(us, us)]
-        return bool(np.array_equal(sub, sub.T))
+        g = np.array(self.unit_generators, dtype=np.intp)
+        gg = self.mul[np.ix_(g, g)]
+        return bool(np.array_equal(gg, gg.T))
 
     # -- similarity classes ----------------------------------------------
 
     @cached_property
     def similarity(self) -> SimilarityPartition:
-        n = self.n
-        rep_of = np.arange(n)
-        # after unit u, rep_of[x] <= rep_of[u x u^-1] <= u x u^-1, so one
-        # sweep over all units already reaches each class's least element
-        for u in self.units:
-            conj = self.mul[self.mul[u], self.inv(u)]   # r -> u r u^-1
-            rep_of = np.minimum(rep_of, rep_of[conj])
-        reps = np.unique(rep_of)
-        index_of = {int(r): i for i, r in enumerate(reps)}
-        class_of = np.array([index_of[int(r)] for r in rep_of])
-        classes = [np.nonzero(class_of == i)[0] for i in range(len(reps))]
-        invertible = np.array([int(r) in self.unit_set for r in reps])
-        for i, cls in enumerate(classes):
-            self._require(invertible[i] == all(int(x) in self.unit_set
-                                               for x in cls),
-                          "a similarity class mixes units and non-units")
+        """Orbits of r -> u r u^-1: the components of the graph joining r to
+        g r g^-1 for each unit generator g.  Each label falls to the least
+        index of its component by min-label propagation with pointer
+        jumping, as in spectrum.EigenvalueMultiset.from_values."""
+        mul = self.mul
+        conj = []
+        for g in self.unit_generators:
+            h = self.inv(g)
+            conj += [mul[mul[g], h], mul[mul[h], g]]   # g r g^-1, g^-1 r g
+        label = np.arange(self.n)
+        while True:
+            low = label.copy()
+            for perm in conj:
+                np.minimum(low, label[perm], out=low)
+            low = low[low]
+            if np.array_equal(low, label):
+                break
+            label = low
+        reps, class_of = np.unique(label, return_inverse=True)
+        classes = _segments(class_of, len(reps))
+        is_unit = np.zeros(self.n, dtype=bool)
+        is_unit[self.units] = True
+        invertible = is_unit[reps]
+        self._require(np.array_equal(invertible[class_of], is_unit),
+                      "a similarity class mixes units and non-units")
         return SimilarityPartition(classes, reps, class_of, invertible)
 
     # -- principal left ideal poset ---------------------------------------
 
     @cached_property
     def ideals(self) -> IdealPoset:
-        n = self.n
-        masks = np.zeros((0, n), dtype=bool)
-        seen = {}
-        id_of = np.empty(n, dtype=np.int64)
-        mask_list = []
-        for a in range(n):
-            mask = np.zeros(n, dtype=bool)
-            mask[self.mul[:, a]] = True          # I_a = { x * a : x in R }
-            key = mask.tobytes()
-            if key not in seen:
-                seen[key] = len(mask_list)
-                mask_list.append(mask)
-            id_of[a] = seen[key]
-        masks = np.array(mask_list)
-        k = len(mask_list)
-        generators = [np.nonzero(id_of == i)[0] for i in range(k)]
-        reps = np.array([int(g[0]) for g in generators])
+        """I_a = {x a : x in R} is the set of values in column a of the
+        table.  Each I_a becomes a bit-packed membership row, built _BLOCK
+        columns at a time, and one np.unique over the rows as raw bytes
+        finds the distinct ideals, numbered by least generator."""
+        n, mul = self.n, self.mul
+        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        for s in range(0, n, _BLOCK):
+            cols = mul[:, s:s + _BLOCK].T
+            member = np.zeros((len(cols), n), dtype=bool)
+            member[np.arange(len(cols))[:, None], cols] = True
+            packed[s:s + _BLOCK] = np.packbits(member, axis=1)
+        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        reps = first[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        id_of = rank[inverse]
+        masks = np.unpackbits(packed[reps], axis=1, count=n).astype(bool)
+        k = len(reps)
+        generators = _segments(id_of, k)
         leq = np.zeros((k, k), dtype=bool)
         for i in range(k):
             leq[i] = ~np.any(masks[i] & ~masks, axis=1)   # i subset of j
-        for i in range(k):
-            self._require(masks[i, reps[i]], "a is not in its ideal I_a")
+        self._require(masks[np.arange(k), reps].all(),
+                      "a is not in its ideal I_a")
         return IdealPoset(masks, reps, id_of, generators, leq)
 
     @property
@@ -272,19 +365,23 @@ class FiniteRing:
         return int(self.units[hits[0]])
 
     def f_set(self, a: int) -> np.ndarray:
-        """Class ids c with (C_c * S_a) meeting S_a."""
+        """Class ids c with (C_c * S_a) meeting S_a.  S_a is closed under
+        left multiplication by units and (u x u^-1)(u s) = u (x s), so each
+        class is decided by its representative: one gather per call."""
         sa = self.s_set(a)
         in_sa = np.zeros(self.n, dtype=bool)
         in_sa[sa] = True
-        hits = []
-        for ci, cls in enumerate(self.similarity.classes):
-            prods = self.mul[np.ix_(cls, sa)]
-            if in_sa[prods].any():
-                hits.append(ci)
-        return np.array(hits)
+        prods = self.mul[np.ix_(self.similarity.reps, sa)]
+        return np.flatnonzero(in_sa[prods].any(axis=1))
 
     def __repr__(self):
         return f"FiniteRing({self.label}, n={self.n})"
+
+
+def _segments(label, k):
+    """The index arrays of label == 0, ..., label == k - 1, each ascending."""
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(label, minlength=k))[:-1])
 
 
 # ---------------------------------------------------------------------------

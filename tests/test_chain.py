@@ -349,8 +349,11 @@ assert False, "this script must run under python -O"
      " spectrum.gl2_spectrum_mod_p(r := matrix_ring(3), "
      "ClassDistribution.uniform(r))", "InvariantViolation"),
     # 2 is no unit of Z_6: its powers leave the claimed unit group {1, 2}
-    ("r = zn_ring(6); r.units = np.array([1, 2]); checks.unit_generators(r)",
+    ("r = zn_ring(6); r.units = np.array([1, 2]); r.unit_generators",
      "InvariantViolation"),
+    # one entry of M2(F3)'s product moved: only the generator checks see it
+    ("m = (r := matrix_ring(3)).mul.copy(); m[40, 50] = (m[40, 50] + 1) % 81;"
+     " FiniteRing(r.add, m, r.zero, r.one, 'bad', {})", "InvariantViolation"),
     # 1x2 times 1x2: zip would silently truncate to a 1x2 "product"
     ("ScaledMatrix([[1, 0]], 1) @ ScaledMatrix([[1, 0]], 1)",
      "LengthMismatch"),

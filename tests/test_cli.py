@@ -438,9 +438,9 @@ M2F5_SEED1 = ["--Q", seeded_q_json(cli.ring_from_descriptor(
     (["spectrum", "--alpha", "1/2"] + M2F5_SEED1,
      "94ac4abbe7b4f73abbf83005c2feb826b1f4130f631a75fae574d64418c74144"),
     (["verify", "--alpha", "1/2"],
-     "eca62493b767e21edeb56b4138af45761172b47fc6e6c02cb768e32912973f3f"),
+     "941495c4e2bc086026fabc11730a480ecc5c0603c8a89408dbc0509751d982ed"),
     (["verify", "--alpha", "1/2"] + M2F5_SEED1,
-     "fcad8b9e1a41d5bf9194f82b45ae68184aa199ffb4cebfb32e2d55717e892be7"),
+     "6155956547e6fd4a21bb7401d46c5fe0f145ecfd4d07fb5c73b8ee81abaf7c86"),
 ], ids=["describe", "stationary", "spectrum", "spectrum-seed1", "verify",
         "verify-seed1"])
 def test_m2f5_report_bytes_are_pinned(argv, digest):

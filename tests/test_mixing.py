@@ -173,6 +173,20 @@ def test_class_products_reject_a_partition_that_is_not_conjugation_closed():
         class_products(ring)
 
 
+def test_one_verify_counts_class_products_once(monkeypatch):
+    """d_of_t and the GL2 power traces share the counts kept on the ring."""
+    from ringwalk.checks import full_suite
+    calls = []
+    count = mixing._count_class_products
+    monkeypatch.setattr(mixing, "_count_class_products",
+                        lambda ring: calls.append(ring.label) or count(ring))
+    ring = matrix_ring(3)
+    assert all(ok for _, ok, _ in full_suite(ring, uniform(ring), Fr(1, 2)))
+    assert calls == ["M2(F3)"]
+    with pytest.raises(ValueError):
+        class_products(ring)[3][0] = 0
+
+
 # ---------------------------------------------------------------------
 # the coupling bound
 # ---------------------------------------------------------------------

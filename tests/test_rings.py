@@ -13,15 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwalk.checks import check_rxy_sizes, check_witnesses
-from ringwalk.errors import TooLarge
+from ringwalk.errors import InvariantViolation, TooLarge
 from ringwalk.gl2 import ring_element_index
 from ringwalk.rings import (
+    FiniteRing,
     matrix_ring,
     product_ring,
     upper_triangular_ring,
     zn_ring,
 )
 
+from ring_oracle import (
+    f_set_by_class,
+    ideals_by_column,
+    similarity_sweep,
+    triple_axiom_failure,
+)
 from test_stationary import random_ring
 
 SMALL_RINGS = None
@@ -413,3 +420,104 @@ def test_coset_reps_biject_with_s():
             images = {int(r.mul[u, int(a)]) for u in reps}
             assert images == set(r.s_set(int(a)).tolist())
             assert len(reps) == len(r.s_set(int(a)))
+
+
+# ---------------------------------------------------------------------
+# ring axioms and derived structure against the plain-loop oracles
+# ---------------------------------------------------------------------
+
+def corrupted_tables(ring, table, x, y, shift):
+    """Copies of the tables with entry (x, y) of `table` moved by `shift`
+    (mod n); for + entry (y, x) moves with it, so + stays symmetric."""
+    add, mul = ring.add.copy(), ring.mul.copy()
+    t = add if table == "add" else mul
+    t[x, y] = (t[x, y] + shift) % ring.n
+    if table == "add":
+        t[y, x] = t[x, y]
+    return add, mul
+
+
+def rebuild(ring, add, mul):
+    return FiniteRing(add, mul, ring.zero, ring.one, "corrupted", {})
+
+
+def assert_structure_equals_oracles(ring):
+    assert triple_axiom_failure(ring.add, ring.mul, ring.zero,
+                                ring.one) is None
+    part = ring.similarity
+    reps, class_of, classes, invertible = similarity_sweep(ring)
+    assert part.reps.tolist() == reps.tolist()
+    assert part.class_of.tolist() == class_of.tolist()
+    assert [c.tolist() for c in part.classes] == [c.tolist() for c in classes]
+    assert part.invertible.tolist() == invertible.tolist()
+    poset = ring.ideals
+    masks, reps, id_of, generators, leq = ideals_by_column(ring)
+    assert np.array_equal(poset.masks, masks)
+    assert poset.reps.tolist() == reps.tolist()
+    assert poset.id_of.tolist() == id_of.tolist()
+    assert [g.tolist() for g in poset.generators] == \
+        [g.tolist() for g in generators]
+    assert np.array_equal(poset.leq, leq)
+    for a in ring.phi:
+        assert ring.f_set(int(a)).tolist() == f_set_by_class(ring, int(a))
+    assert ring.is_commutative == np.array_equal(ring.mul, ring.mul.T)
+    units = ring.mul[np.ix_(ring.units, ring.units)]
+    assert ring.units_abelian == np.array_equal(units, units.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_structure_and_axioms_equal_the_loop_oracles(data):
+    ring = random_ring(data.draw)
+    assert_structure_equals_oracles(ring)
+    table = data.draw(st.sampled_from(["add", "mul"]))
+    x, y = (data.draw(st.integers(0, ring.n - 1)) for _ in range(2))
+    add, mul = corrupted_tables(ring, table, x, y,
+                                data.draw(st.integers(1, ring.n - 1)))
+    assert triple_axiom_failure(add, mul, ring.zero, ring.one) is not None
+    with pytest.raises(InvariantViolation):
+        rebuild(ring, add, mul)
+
+
+def test_zero_ring_has_no_additive_generators():
+    ring = zn_ring(1)
+    assert ring.additive_generators == ()
+    assert ring.unit_generators == ()
+    assert_structure_equals_oracles(ring)
+
+
+@pytest.mark.parametrize("make, size", [
+    (lambda: zn_ring(1), 0), (lambda: zn_ring(243), 1),
+    (lambda: upper_triangular_ring(5), 3), (lambda: matrix_ring(3), 4),
+    (lambda: matrix_ring(5), 4), (lambda: matrix_ring(2, size=3), 9),
+    (lambda: product_ring(zn_ring(4), matrix_ring(2)), 5),
+], ids=["Z_1", "Z_243", "B2(F5)", "M2(F3)", "M2(F5)", "M3(F2)", "Z_4xM2(F2)"])
+def test_additive_generators_reach_every_element(make, size):
+    ring = make()
+    gens = ring.additive_generators
+    assert len(gens) == size
+    reached, frontier = {ring.zero}, [ring.zero]
+    while frontier:
+        frontier = {int(ring.add[x, g]) for x in frontier for g in gens}
+        frontier = list(frontier - reached)
+        reached.update(frontier)
+    assert reached == set(range(ring.n))
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("make", [lambda: matrix_ring(3),
+                                  lambda: upper_triangular_ring(5),
+                                  lambda: zn_ring(243),
+                                  lambda: matrix_ring(5)],
+                         ids=["M2(F3)", "B2(F5)", "Z_243", "M2(F5)"])
+def test_single_entry_corruptions_are_rejected(make, table):
+    """20 random one-entry changes of either table each raise; M2(F5) has
+    625 elements, where only sampled triples used to be checked."""
+    ring = make()
+    rng = np.random.default_rng(ring.n)
+    for _ in range(20):
+        x, y = rng.integers(ring.n, size=2)
+        add, mul = corrupted_tables(ring, table, x, y,
+                                    rng.integers(1, ring.n))
+        with pytest.raises(InvariantViolation):
+            rebuild(ring, add, mul)
