@@ -143,9 +143,10 @@ class FiniteRing:
         (b) g + h = h + g for g, h in G.  The centralizer of any element is
             closed under +, so each g commutes with every sum of elements of
             G, that is with all of R; then so does every element.
-        (c) (y + g) x = y x + g x for all x, y and g in G.  For fixed x the z
-            with (y + z) x = y x + z x for all y are closed under + (put
-            y + z' for y), so y -> y x is additive: right distributivity.
+        (c) (y + g) x = y x + g x for all x, y and g in G, read as
+            g x + y x (one row of + per x) now that + commutes.  For fixed x
+            the z with (y + z) x = y x + z x for all y are closed under +,
+            by associativity, so y -> y x is additive: right distributivity.
         (d) g (y + h) = g y + g h for all y and g, h in G.  For fixed g the
             same closure gives g (y + z) = g y + g z for all y, z, and by
             (c) x -> x (y + z) - x y - x z is additive, so it vanishes on R:
@@ -187,7 +188,6 @@ class FiniteRing:
             cols = mul[:, s:s + _BLOCK].T.copy()    # cols[i, y] = y (s + i)
             flat = at[:len(cols)] + cols
             for g in G:
-                # g x + y x: the rows g x of + gathered at y x, since + commutes
                 gx_plus = add[mul[g, s:s + _BLOCK]].ravel()[flat]
                 self._require(np.array_equal(cols[:, add[:, g]], gx_plus),
                               "right distributivity fails")
@@ -255,6 +255,7 @@ class FiniteRing:
 
     @cached_property
     def units_abelian(self) -> bool:
+        """U_R is abelian when its generators commute pairwise."""
         g = np.array(self.unit_generators, dtype=np.intp)
         gg = self.mul[np.ix_(g, g)]
         return bool(np.array_equal(gg, gg.T))

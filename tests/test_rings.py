@@ -521,3 +521,72 @@ def test_single_entry_corruptions_are_rejected(make, table):
                                     rng.integers(1, ring.n))
         with pytest.raises(InvariantViolation):
             rebuild(ring, add, mul)
+
+
+def functions_on_z2():
+    """All maps Z_2 -> Z_2, f as index 2 f(0) + f(1), added pointwise and
+    multiplied by composition, (y x)(t) = y(x(t)).  1 is the identity map.
+    (y + g) x = y x + g x holds, but x (y + g) = x y + x g fails for the
+    constant maps: a near-ring, not a ring."""
+    idx = np.arange(4)
+    value = np.stack([idx // 2, idx % 2], axis=1)      # value[f, t] = f(t)
+    mul = np.array([[2 * value[y, value[x, 0]] + value[y, value[x, 1]]
+                     for x in idx] for y in idx])
+    return idx[:, None] ^ idx[None, :], mul
+
+
+def unital_f2_algebra():
+    """F_2^3 on the basis (1, a, b) with a b = 1 and every other product of
+    a and b zero, extended bilinearly: distributive, 1 is an identity, and
+    (a b) a = a but a (b a) = 0."""
+    basis = {(0, 0): 0b100, (0, 1): 0b010, (0, 2): 0b001, (1, 0): 0b010,
+             (2, 0): 0b001, (1, 2): 0b100}
+    mul = np.zeros((8, 8), dtype=int)
+    for x in range(8):
+        for y in range(8):
+            for i in range(3):
+                for j in range(3):
+                    if x >> (2 - i) & 1 and y >> (2 - j) & 1:
+                        mul[x, y] ^= basis.get((i, j), 0)
+    return np.bitwise_xor.outer(np.arange(8), np.arange(8)), mul, 0b100
+
+
+def s3_addition():
+    """The symmetric group S_3 as +, 0 its identity permutation; 1 (a
+    transposition) acts as a multiplicative identity and every other
+    product is 0."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    index = {p: i for i, p in enumerate(perms)}
+    add = np.array([[index[tuple(p[q[t]] for t in range(3))] for q in perms]
+                    for p in perms])
+    mul = np.zeros((6, 6), dtype=int)
+    mul[1], mul[:, 1] = np.arange(6), np.arange(6)
+    return add, mul
+
+
+def one_axiom_broken():
+    add3 = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 2]])   # (1+1)+2 != 1+(1+2)
+    mul3 = np.zeros((3, 3), dtype=int)
+    mul3[1], mul3[:, 1] = np.arange(3), np.arange(3)
+    near_add, near_mul = functions_on_z2()
+    alg_add, alg_mul, alg_one = unital_f2_algebra()
+    mul2 = np.array([[0, 0], [0, 1]])
+    return {
+        # 1 + 0 = 0: zero is neutral on the left only
+        "zero is not neutral": (np.array([[0, 1], [0, 1]]), mul2, 1),
+        "addition is not associative": (add3, mul3, 1),
+        "addition is not commutative": (*s3_addition(), 1),
+        "right distributivity fails": (near_add, near_mul.T, 1),
+        "left distributivity fails": (near_add, near_mul, 1),
+        "multiplication is not associative": (alg_add, alg_mul, alg_one),
+    }
+
+
+@pytest.mark.parametrize("axiom", sorted(one_axiom_broken()))
+def test_each_generator_check_names_the_axiom_it_catches(axiom):
+    """Near-misses of a ring, each rejected by the check for the first
+    axiom it breaks."""
+    add, mul, one = one_axiom_broken()[axiom]
+    assert triple_axiom_failure(add, mul, 0, one) is not None
+    with pytest.raises(InvariantViolation, match=axiom):
+        FiniteRing(add, mul, 0, one, "broken", {})
