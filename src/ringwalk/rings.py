@@ -100,7 +100,11 @@ class IdealPoset:
 
 
 class FiniteRing:
-    """A finite ring with identity given by dense operation tables."""
+    """A finite ring with identity given by dense operation tables.
+
+    additive_generators holds the greedy additive generating set G on which
+    _validate checked the axioms; every element is a sum of elements of G.
+    """
 
     def __init__(self, add, mul, zero, one, label, descriptor, namer=None):
         add = np.ascontiguousarray(add, dtype=np.int32)
@@ -301,10 +305,11 @@ class FiniteRing:
         finds the distinct ideals, numbered by least generator."""
         n, mul = self.n, self.mul
         packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        at = np.arange(_BLOCK)[:, None] * n
         for s in range(0, n, _BLOCK):
             cols = mul[:, s:s + _BLOCK].T
             member = np.zeros((len(cols), n), dtype=bool)
-            member[np.arange(len(cols))[:, None], cols] = True
+            member.ravel()[at[:len(cols)] + cols] = True
             packed[s:s + _BLOCK] = np.packbits(member, axis=1)
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse = np.unique(rows, return_index=True,
