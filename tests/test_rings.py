@@ -511,8 +511,8 @@ def test_additive_generators_reach_every_element(make, size):
                                   lambda: matrix_ring(5)],
                          ids=["M2(F3)", "B2(F5)", "Z_243", "M2(F5)"])
 def test_single_entry_corruptions_are_rejected(make, table):
-    """20 random one-entry changes of either table each raise; M2(F5) has
-    625 elements, where only sampled triples used to be checked."""
+    """20 random one-entry changes of either table each raise, on rings up
+    to M2(F5) (625 elements)."""
     ring = make()
     rng = np.random.default_rng(ring.n)
     for _ in range(20):
