@@ -61,10 +61,14 @@ def check_rxy_sizes(ring: FiniteRing):
 def check_witnesses(ring: FiniteRing):
     """Transitivity of units on every generator set: U x = S_a.  The unit
     orbits partition the ring, so one x in S_a covers all of S_a."""
+    n = len(ring.mul)
     for a in ring.phi:
         sa = ring.s_set(a)
-        if not np.array_equal(np.unique(ring.mul[ring.units, sa[0]]),
-                              np.sort(sa)):
+        orbit = np.zeros(n, dtype=bool)
+        orbit[ring.mul[ring.units, sa[0]]] = True
+        member = np.zeros(n, dtype=bool)
+        member[sa] = True
+        if not np.array_equal(orbit, member):
             return False, f"units do not act transitively on S_{a}"
     return True, "unit action transitive on every S_a"
 

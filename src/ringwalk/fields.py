@@ -323,8 +323,14 @@ class MultiplicativeCharacter:
 
 
 def angle_to_complex(theta: Fraction) -> complex:
-    """exp(2*pi*i*theta) with exact handling of the rational right angles."""
+    """exp(2*pi*i*theta) with exact handling of the rational right angles.
+
+    theta and -theta map to exact complex conjugates, so a fixed-order sum
+    over negated angles is the exact conjugate of the sum over the
+    angles."""
     theta = theta % 1
+    if theta > Fraction(1, 2):
+        return angle_to_complex(1 - theta).conjugate()
     if theta == 0:
         return complex(1, 0)
     if theta == Fraction(1, 2):

@@ -55,8 +55,9 @@ def _greedy_generators(table, candidates, start):
         gens.append(int(missing[0]))
         frontier = np.flatnonzero(reached)
         while len(frontier):
-            step = table[np.ix_(frontier, gens)].ravel()
-            frontier = np.unique(step[~reached[step]])
+            step = np.sort(table[np.ix_(frontier, gens)].ravel())
+            step = step[~reached[step]]
+            frontier = step[np.diff(step, prepend=-1) != 0]
             reached[frontier] = True
 
 

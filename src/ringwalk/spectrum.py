@@ -7,6 +7,9 @@
    the operator on span(S_a) that keeps only the components of x*s that
    stay inside S_a.  B is block-triangular over the ideal poset
    (checks.check_spectrum_two_way), so the block spectra make up eig(B).
+   The unit block is read from U_R's characters when
+   unit_group_characters has a table; the other blocks, and the unit block
+   of a ring with no table, go to eig_numeric.
 3. gl2_spectrum: closed-form eigenvalues for M2(F_q), odd prime q, from the
    GL2 character table, with predicted multiplicities.  gl2_spectrum_mod_p
    is its twin in F_p, checked against power_traces_mod_p exactly.
@@ -113,8 +116,9 @@ def block_spectrum(ring: FiniteRing, B: np.ndarray, tau: float = MERGE_TOL):
 
     B is the float multiplication matrix of `ring`.  The block of a is
     B[S_a, S_a]^T: P[s', s] = B[s, s'] is the action of sum_x Q(x) x on
-    span(S_a) with the components leaving S_a dropped.  Returns
-    (EigenvalueMultiset, per-block detail list of
+    span(S_a) with the components leaving S_a dropped.  The unit block
+    comes from unit_block_spectrum, every other block from eig_numeric.
+    Returns (EigenvalueMultiset, per-block detail list of
     (generator, EigenvalueMultiset)).
     """
     if np.shape(B) != (ring.n, ring.n):
@@ -123,8 +127,11 @@ def block_spectrum(ring: FiniteRing, B: np.ndarray, tau: float = MERGE_TOL):
     detail = []
     all_values = []
     for a in ring.phi:
-        sa = ring.s_set(a)
-        em = eig_numeric(B[np.ix_(sa, sa)].T, tau)
+        if int(a) in ring.unit_set:
+            em = unit_block_spectrum(ring, B, tau)
+        else:
+            sa = ring.s_set(a)
+            em = eig_numeric(B[np.ix_(sa, sa)].T, tau)
         detail.append((int(a), em))
         all_values.append(em.expand())
     merged = EigenvalueMultiset.from_values(np.concatenate(all_values), tau)
@@ -132,6 +139,54 @@ def block_spectrum(ring: FiniteRing, B: np.ndarray, tau: float = MERGE_TOL):
         raise InvariantViolation(f"the block spectra hold {merged.total()} "
                                  f"eigenvalues, not n = {ring.n}")
     return merged, detail
+
+
+def unit_block_spectrum(ring: FiniteRing, B: np.ndarray,
+                        tau: float = MERGE_TOL) -> EigenvalueMultiset:
+    """Spectrum of the unit block B[U, U]^T of the float multiplication
+    matrix B.
+
+    On units B is left multiplication by sum_u Q(u) u, Q(u) = B[1, u].  Q is
+    constant on the conjugacy classes of U_R, so that element is central in
+    C[U_R] and acts on each chi-isotypic part, of dimension chi(1)^2, by
+    omega_chi = sum_u Q(u) chi(u) / chi(1) (Diaconis & Shahshahani 1981).
+    Each omega_chi is a fixed-order numpy sum over the units, with no BLAS
+    call; conjugate characters hold exactly conjugate values
+    (fields.angle_to_complex), so their omegas are exact conjugates, as
+    LAPACK returns the eigenvalue pairs of a real matrix.  A ring with no character table (unit_group_characters is None)
+    has its block diagonalized by eig_numeric instead.
+    """
+    units = ring.units
+    chars = unit_group_characters(ring)
+    if chars is None:
+        return eig_numeric(B[np.ix_(units, units)].T, tau)
+    q = np.asarray(B[ring.one, units], dtype=np.float64)
+    cls = ring.similarity.class_of[units]
+    per_class = np.zeros(len(ring.similarity))
+    per_class[cls] = q
+    if not np.array_equal(per_class[cls], q):
+        raise InvariantViolation(f"{ring.label}: B[1, U] is not constant on "
+                                 f"the similarity classes of units")
+    dims = chars[:, np.searchsorted(units, ring.one)]
+    d = np.rint(dims.real).astype(np.int64)
+    if np.any(d < 1) or np.any(np.abs(dims - d) > 1e-9):
+        raise InvariantViolation(f"{ring.label}: a character degree "
+                                 f"chi(1) is not a positive integer")
+    if int((d * d).sum()) != len(units):
+        raise InvariantViolation(
+            f"{ring.label}: the squared character degrees sum to "
+            f"{int((d * d).sum())}, not |U| = {len(units)}")
+    omega = (chars * q).sum(axis=1) / d
+    return EigenvalueMultiset.from_values(np.repeat(omega, d * d), tau)
+
+
+def unit_block_route(ring: FiniteRing) -> str:
+    """How unit_block_spectrum reads the unit block of `ring`."""
+    chars = unit_group_characters(ring)
+    if chars is None:
+        u = len(ring.units)
+        return f"lapack ({u}x{u})"
+    return f"characters ({len(chars)} irreps)"
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +377,10 @@ def unit_group_characters(ring: FiniteRing):
     """Irreducible characters of U_R as the rows of a (characters x units)
     complex array, columns in the order of ring.units.
 
-    Available when the unit group is abelian (built directly) or when the
-    ring is M2(F_q) for an odd prime q (read off the GL2 table, one class
-    lookup per similarity class of units).  None otherwise.  Built once per
-    ring and kept on it; the array is read-only.
+    Available when the unit group is abelian (built directly, at most
+    EIG_CAP units) or when the ring is M2(F_q) for an odd prime q (read off
+    the GL2 table, one class lookup per similarity class of units).  None
+    otherwise.  Built once per ring and kept on it; the array is read-only.
     """
     try:
         return ring._unit_group_characters
@@ -334,8 +389,9 @@ def unit_group_characters(ring: FiniteRing):
     chars = None
     desc = ring.descriptor
     if ring.units_abelian:
-        chars = np.array([[angle_to_complex(am[int(u)]) for u in ring.units]
-                          for am in _abelian_characters(ring)])
+        m = len(ring.units)
+        roots = np.array([angle_to_complex(Fraction(k, m)) for k in range(m)])
+        chars = roots[_abelian_characters(ring)]
     elif desc.get("kind") == "matrix" and desc.get("size") == 2 \
             and desc["q"] != 2 and is_prime(desc["q"]):
         tab = gl2.character_table(desc["q"])
@@ -347,45 +403,57 @@ def unit_group_characters(ring: FiniteRing):
     return chars
 
 
-def _abelian_characters(ring: FiniteRing):
-    """Characters of an abelian unit group, as {unit: exact angle} maps,
-    built by extending along a chain of cyclic extensions."""
+def _abelian_characters(ring: FiniteRing) -> np.ndarray:
+    """Characters of an abelian unit group U as exact angles: an int64
+    (characters x units) array of numerators over m = |U|, columns in the
+    order of ring.units.
+
+    Built along a chain of cyclic extensions H < <H, g>, g^d the first power
+    of g in H: each character chi of H extends in d ways, sending g to the
+    angle (chi(g^d) + r) / d for r = 0..d-1, and h g^i to chi(h) + i times
+    that.  Every such angle is a multiple of 1/m, as the exponent of U
+    divides m.
+    """
     if not ring.units_abelian:
         raise InvariantViolation(f"{ring.label}: the unit group is not "
                                  f"abelian")
-    mul = ring.mul
-    chars = [{ring.one: Fraction(0)}]
-    subgroup = [ring.one]
-    member = {ring.one}
-    for g in map(int, ring.units):
-        if g in member:
+    units, mul = ring.units, ring.mul
+    m = len(units)
+    if m > EIG_CAP:
+        raise TooLarge(f"character table capped at {EIG_CAP} units, got {m}")
+    subgroup = np.array([ring.one])
+    member = np.zeros(ring.n, dtype=bool)
+    member[ring.one] = True
+    angles = np.zeros((1, 1), dtype=np.int64)   # characters x subgroup
+    for g in map(int, units):
+        if member[g]:
             continue
         d = 1
         x = g
-        while x not in member:
+        while not member[x]:
             x = int(mul[x, g])
             d += 1
-        g_to_d = x
-        new_chars = []
-        for chi in chars:
-            base = chi[g_to_d]
-            for r in range(d):
-                zeta = Fraction(base + r, d) % 1
-                ext = {}
-                for h in subgroup:
-                    cur = h
-                    for i in range(d):
-                        ext[cur] = (chi[h] + i * zeta) % 1
-                        cur = int(mul[cur, g])
-                new_chars.append(ext)
-        chars = new_chars
-        subgroup = list(chars[0].keys())
-        member = set(subgroup)
-    if len(member) != len(ring.units) or len(chars) != len(ring.units):
+        at_x = angles[:, np.flatnonzero(subgroup == x)[0]]
+        gen = at_x[:, None] + m * np.arange(d)   # d times the angle of g
+        if np.any(gen % d):
+            raise InvariantViolation(f"{ring.label}: a character angle is "
+                                     f"not a multiple of 1/{m}")
+        gen = (gen // d).ravel()
+        base = np.repeat(angles, d, axis=0)
+        cosets = [subgroup]
+        for _ in range(d - 1):
+            cosets.append(mul[cosets[-1], g])
+        angles = np.concatenate([(base + i * gen[:, None]) % m
+                                 for i in range(d)], axis=1)
+        subgroup = np.concatenate(cosets)
+        member[subgroup] = True
+    if len(angles) != m or not np.array_equal(np.sort(subgroup), units):
         raise InvariantViolation(
-            f"{ring.label}: built {len(chars)} characters on a subgroup of "
-            f"{len(member)} units, not {len(ring.units)}")
-    return chars
+            f"{ring.label}: built {len(angles)} characters on a subgroup of "
+            f"{len(subgroup)} units, not {m}")
+    out = np.empty_like(angles)
+    out[:, np.searchsorted(units, subgroup)] = angles
+    return out
 
 
 def _multiplicities(ring: FiniteRing, a: int, fix, chars) -> np.ndarray:
@@ -450,7 +518,8 @@ def is_multiplicity_free_nonunit(ring: FiniteRing, a: int) -> bool:
     sum_fix_sq = int((fix.astype(np.int64) ** 2).sum())
     rank, rem = divmod(sum_fix_sq, len(ring.units))
     labels = _pair_orbit_labels(ring, sa)
-    orbit_ids = np.unique(labels)
+    # each orbit is labelled by its least pair id
+    orbit_ids = np.flatnonzero(labels == np.arange(len(labels)))
     if rem or len(orbit_ids) != rank:
         raise InvariantViolation(
             f"S_{a}: Burnside count {sum_fix_sq}/{len(ring.units)} disagrees "

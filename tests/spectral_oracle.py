@@ -1,7 +1,11 @@
 """Float comparisons of eigenvalue multisets, for tests that hold LAPACK
-(eig_numeric) up against the block and closed-form spectrum routes, and
-the pairwise union-find merge that EigenvalueMultiset.from_values must
-reproduce.  The program's own checks are exact and use none of this."""
+(eig_numeric) up against the block and closed-form spectrum routes; the
+pairwise union-find merge that EigenvalueMultiset.from_values must
+reproduce; and the characters of an abelian unit group built one exact
+angle at a time, which spectrum._abelian_characters must reproduce.  The
+program's own checks are exact and use none of this."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,3 +87,38 @@ def union_find_merge(evs, tau):
     counts = np.array([len(idxs) for idxs in groups.values()])
     order = np.lexsort((centers.imag, centers.real))
     return centers[order], counts[order]
+
+
+def abelian_characters_by_dict(ring):
+    """Characters of an abelian unit group, as {unit: exact angle} maps,
+    built by extending along a chain of cyclic extensions."""
+    mul = ring.mul
+    chars = [{ring.one: Fraction(0)}]
+    subgroup = [ring.one]
+    member = {ring.one}
+    for g in map(int, ring.units):
+        if g in member:
+            continue
+        d = 1
+        x = g
+        while x not in member:
+            x = int(mul[x, g])
+            d += 1
+        g_to_d = x
+        new_chars = []
+        for chi in chars:
+            base = chi[g_to_d]
+            for r in range(d):
+                zeta = Fraction(base + r, d) % 1
+                ext = {}
+                for h in subgroup:
+                    cur = h
+                    for i in range(d):
+                        ext[cur] = (chi[h] + i * zeta) % 1
+                        cur = int(mul[cur, g])
+                new_chars.append(ext)
+        chars = new_chars
+        subgroup = list(chars[0].keys())
+        member = set(subgroup)
+    assert len(member) == len(chars) == len(ring.units)
+    return chars

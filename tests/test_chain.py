@@ -363,6 +363,20 @@ assert False, "this script must run under python -O"
      "unit_group_characters: f(r) + 0.5; spectrum."
      "is_multiplicity_free_nonunit(r := matrix_ring(3), r.zero)",
      "InvariantViolation"),
+    # halved characters: chi(1) = 1/2 is no character degree
+    ("spectrum.unit_group_characters = lambda r, f=spectrum."
+     "unit_group_characters: f(r) / 2; spectrum.block_spectrum(r := "
+     "matrix_ring(3), build_B(r, ClassDistribution.uniform(r)).to_float())",
+     "InvariantViolation"),
+    # one irrep dropped: the squared degrees no longer sum to |U|
+    ("spectrum.unit_group_characters = lambda r, f=spectrum."
+     "unit_group_characters: f(r)[1:]; spectrum.block_spectrum(r := "
+     "matrix_ring(3), build_B(r, ClassDistribution.uniform(r)).to_float())",
+     "InvariantViolation"),
+    # Q read off B[1, U] differs within a class of units
+    ("b = build_B(r := matrix_ring(3), ClassDistribution.uniform(r))"
+     ".to_float(); b[r.one, r.units[-1]] += 1e-3; "
+     "spectrum.block_spectrum(r, b)", "InvariantViolation"),
     # the lumped solution with half of one class's mass moved to the next
     ("stationary.stationary_nullspace = lambda m, f=stationary."
      "stationary_nullspace: (lambda v: [v[0] / 2, v[1] + v[0] / 2] + v[2:])"

@@ -434,9 +434,9 @@ M2F5_SEED1 = ["--Q", seeded_q_json(cli.ring_from_descriptor(
     (["stationary", "--alpha", "1/2"],
      "77f5c9b6226d88c9db2c1498488b65d603ba92d94703e2139aa272764cdd0cef"),
     (["spectrum", "--alpha", "1/2"],
-     "8c5e470de9fafcfc9a8875c34bf4116f4ef4c3d505ec1f68033d685bba552826"),
+     "f3e4952e09c0fe34a583864615aedc0f767765cc80ac0aac3bdf82a7eb4e0faf"),
     (["spectrum", "--alpha", "1/2"] + M2F5_SEED1,
-     "94ac4abbe7b4f73abbf83005c2feb826b1f4130f631a75fae574d64418c74144"),
+     "10b492da2ebe95ac91d43f13b9129aeae93851b83090e1009886f0000e4d735f"),
     (["verify", "--alpha", "1/2"],
      "941495c4e2bc086026fabc11730a480ecc5c0603c8a89408dbc0509751d982ed"),
     (["verify", "--alpha", "1/2"] + M2F5_SEED1,
@@ -445,9 +445,9 @@ M2F5_SEED1 = ["--Q", seeded_q_json(cli.ring_from_descriptor(
         "verify-seed1"])
 def test_m2f5_report_bytes_are_pinned(argv, digest):
     """Any change to these text reports on M2(F5) (n=625) must be
-    deliberate.  LAPACK's last bits, and so the spectrum table, depend on
-    the BLAS thread count: the digests hold for one thread, as in the
-    benchmark."""
+    deliberate.  The runs use one BLAS thread, as the benchmark does; the
+    spectrum reports do not depend on it
+    (test_spectrum_bytes_do_not_depend_on_blas_threads)."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "ringwalk.cli"] + argv
@@ -457,10 +457,65 @@ def test_m2f5_report_bytes_are_pinned(argv, digest):
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--alpha", "1/2"],
+                                  ["spectrum", "--alpha", "1/2"] + M2F5_SEED1],
+                         ids=["uniform", "seed1"])
+def test_spectrum_bytes_do_not_depend_on_blas_threads(argv):
+    """The unit block's values are fixed-order character sums, and LAPACK
+    sees only blocks of at most 24 x 24 on M2(F5)."""
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "ringwalk.cli"] + argv
+                              + ["--ring", "matrix", "--q", "5"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
+def test_m2f7_spectrum_reads_the_unit_block_from_characters(monkeypatch,
+                                                           capsys):
+    """On M2(F7) no matrix larger than a 48 x 48 rank-one block reaches
+    LAPACK, and the spectrum report passes its three checks."""
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    argv = ["spectrum", "--alpha", "1/2", "--ring", "matrix", "--q", "7"]
+    assert cli.main(argv) == 0
+    rep = reports.parse_text(capsys.readouterr().out)
+    assert shapes and max(max(s) for s in shapes) <= 48
+    assert rep["meta"]["unit_block"] == "characters (48 irreps)"
+    assert [(name, status) for name, status, _ in rep["checks"]] == [
+        ("spectrum-two-way", "PASS"), ("spectrum-gl2", "PASS"),
+        ("spectrum-m-shift", "PASS")]
+
+
 def test_cli_import_loads_no_scipy():
-    """Every command pays for what importing the CLI loads."""
-    code = ("import sys, ringwalk.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    """Every command pays for what the CLI loads: no scipy, and no numpy.ma
+    (which a bare np.unique imports), on a ring with a character table of
+    its units and on one without."""
+    code = ("import contextlib, io, sys, ringwalk.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ringwalk.cli.main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] "
+            "== 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))")
+    commands = [["describe"], ["stationary", "--alpha", "1/2"],
+                ["mix", "--alpha", "1/2", "--T", "3"],
+                ["simulate", "--alpha", "1/2", "--seed", "1",
+                 "--samples", "100", "--steps", "3"],
+                ["verify", "--alpha", "1/2", "--T", "3"],
+                ["spectrum", "--alpha", "1/2"]]
+    for ring in (["--ring", "matrix", "--q", "3"],
+                 ["--ring", "upper_triangular", "--q", "3"]):
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-c", code] + argv + ring,
+                                  capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout) == (0, "0 []\n"), \
+                (argv + ring, proc.stdout, proc.stderr)

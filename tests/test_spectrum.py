@@ -8,9 +8,10 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ringwalk import cli, spectrum
 from ringwalk.chain import (
     ClassDistribution,
     TransitionMatrix,
@@ -44,17 +45,20 @@ from ringwalk.spectrum import (
     is_multiplicity_free_nonunit,
     perm_char_multiplicity,
     power_traces_mod_p,
+    unit_block_spectrum,
     unit_group_characters,
 )
 
 from spectral_oracle import (
     MATCH,
+    abelian_characters_by_dict,
     closed_form_values,
     multisets_match,
     numeric_multiplicity,
     shift_to_chain_values,
     union_find_merge,
 )
+from test_cli import seeded_q_json
 from test_stationary import random_ring
 
 
@@ -436,6 +440,16 @@ def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
     assert not ok and "power sum 1 " not in detail
 
 
+def random_class_q(draw, ring):
+    """A class-constant Q with integer class weights 0..9, not all 0."""
+    part = ring.similarity
+    w = draw(st.lists(st.integers(0, 9), min_size=len(part),
+                      max_size=len(part)))
+    w[part.class_of[ring.one]] += 1
+    total = sum(x * len(c) for x, c in zip(w, part.classes))
+    return ClassDistribution(ring, [Fr(x, total) for x in w])
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_exact_checks_agree_with_lapack_on_random_rings(data):
@@ -444,13 +458,7 @@ def test_exact_checks_agree_with_lapack_on_random_rings(data):
     blocks, whose eigenvalues LAPACK moves by ~sqrt(eps); power sums are
     traces, so they stay well conditioned.)"""
     ring = random_ring(data.draw)
-    part = ring.similarity
-    w = data.draw(st.lists(st.integers(0, 9), min_size=len(part),
-                           max_size=len(part)))
-    w[part.class_of[ring.one]] += 1          # never all zero
-    total = sum(x * len(c) for x, c in zip(w, part.classes))
-    Q = ClassDistribution(ring, [Fr(x, total) for x in w])
-    B = build_B(ring, Q)
+    B = build_B(ring, random_class_q(data.draw, ring))
     alpha = Fr(data.draw(st.integers(1, 9)), 10)
     for check in (check_conjugation_invariance(ring, B),
                   check_spectrum_two_way(ring, B),
@@ -460,6 +468,78 @@ def test_exact_checks_agree_with_lapack_on_random_rings(data):
     numeric, blocks = eig_numeric(B).expand(), bm.expand()
     for j in range(1, 9):
         assert abs(np.sum(numeric ** j) - np.sum(blocks ** j)) < 1e-9 * ring.n
+
+
+# ---------------------------------------------------------------------
+# the unit block from characters
+# ---------------------------------------------------------------------
+
+def assert_unit_block_equals_lapack(ring, Q):
+    """The character route's unit block against eig_numeric(B[U, U]^T):
+    each value has its nearest LAPACK value within 1e-9, with the same
+    multiplicity, and there are as many values."""
+    assert unit_group_characters(ring) is not None
+    B = build_B(ring, Q).to_float()
+    got = unit_block_spectrum(ring, B)
+    want = eig_numeric(B[np.ix_(ring.units, ring.units)].T)
+    assert len(got.values) == len(want.values)
+    for v, m in got:
+        j = np.argmin(np.abs(want.values - v))
+        assert abs(want.values[j] - v) <= 1e-9
+        assert want.mults[j] == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_character_unit_block_equals_lapack_on_random_rings(data):
+    ring = random_ring(data.draw)
+    assume(unit_group_characters(ring) is not None)
+    assert_unit_block_equals_lapack(ring, random_class_q(data.draw, ring))
+
+
+@pytest.mark.parametrize("q, seed", [(3, None), (3, 1), (5, None), (5, 1)])
+def test_character_unit_block_equals_lapack_on_m2(q, seed):
+    """GL2's table, with uniform Q and the benchmark's seed-1 Q."""
+    ring = matrix_ring(q)
+    Q = cli.q_from_config(ring, seeded_q_json(ring, seed) if seed else None)
+    assert_unit_block_equals_lapack(ring, Q)
+
+
+def assert_abelian_characters_equal_the_oracle(ring):
+    m = len(ring.units)
+    rows = [[Fr(int(a), m) for a in row]
+            for row in spectrum._abelian_characters(ring)]
+    assert rows == [[chi[int(u)] for u in ring.units]
+                    for chi in abelian_characters_by_dict(ring)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_abelian_characters_equal_the_oracle_on_random_rings(data):
+    ring = random_ring(data.draw)
+    assume(ring.units_abelian)
+    assert_abelian_characters_equal_the_oracle(ring)
+
+
+@pytest.mark.parametrize("n", [1, 60, 243])
+def test_abelian_characters_equal_the_oracle_on_zn(n):
+    assert_abelian_characters_equal_the_oracle(zn_ring(n))
+
+
+def test_abelian_character_table_is_capped(monkeypatch):
+    """EIG_CAP bounds the |U| x |U| table as it bounds LAPACK's block."""
+    ring = zn_ring(60)                       # 16 units
+    monkeypatch.setattr(spectrum, "EIG_CAP", 15)
+    with pytest.raises(TooLarge):
+        blocks(ring, uniform(ring))
+
+
+def test_unit_block_route_is_named():
+    assert spectrum.unit_block_route(matrix_ring(3)) == "characters (8 irreps)"
+    assert spectrum.unit_block_route(zn_ring(60)) == \
+        "characters (16 irreps)"
+    assert spectrum.unit_block_route(upper_triangular_ring(5)) == \
+        "lapack (80x80)"
 
 
 # ---------------------------------------------------------------------
