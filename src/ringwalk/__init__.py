@@ -16,23 +16,8 @@ from .chain import (
     chain_matrix,
 )
 from .errors import RingwalkError
-from .fields import (
-    MultiplicativeCharacter,
-    PrimeField,
-    QuadraticExtension,
-    char_make,
-    ext_make,
-    field_make,
-    is_decomposable,
-)
-from .gl2 import (
-    CharacterTable,
-    character_table,
-    conj_classes,
-    induced_from_P_decomposition,
-    irreps,
-    sigma_A,
-)
+from .fields import PrimeField, QuadraticExtension, ext_make, field_make
+from .gl2 import CharacterTable, character_table, conj_classes, irreps
 from .mixing import (
     MixingCurve,
     SimulationResult,
@@ -55,14 +40,12 @@ from .spectrum import (
     eig_numeric,
     gl2_spectrum,
     is_multiplicity_free_nonunit,
-    perm_char_multiplicity,
 )
 from .stationary import (
     stationary_gl2,
     stationary_recursive,
     stationary_solve,
     stationary_uniform,
-    stationary_units_formula,
 )
 
 __version__ = "0.1.0"
@@ -71,18 +54,16 @@ __all__ = [
     "ClassDistribution", "TransitionMatrix", "build_B", "build_M",
     "chain_matrix",
     "RingwalkError",
-    "MultiplicativeCharacter", "PrimeField", "QuadraticExtension",
-    "char_make", "ext_make", "field_make", "is_decomposable",
-    "CharacterTable", "character_table", "conj_classes",
-    "induced_from_P_decomposition", "irreps", "sigma_A",
+    "PrimeField", "QuadraticExtension", "ext_make", "field_make",
+    "CharacterTable", "character_table", "conj_classes", "irreps",
     "MixingCurve", "SimulationResult", "d_of_t", "mixing_bound",
     "simulate", "tv_distance",
     "FiniteRing", "matrix_ring", "product_ring", "upper_triangular_ring",
     "zn_ring",
     "EigenvalueMultiset", "Gl2SpectrumReport", "block_spectrum",
     "eig_numeric", "gl2_spectrum",
-    "is_multiplicity_free_nonunit", "perm_char_multiplicity",
+    "is_multiplicity_free_nonunit",
     "stationary_gl2", "stationary_recursive", "stationary_solve",
-    "stationary_uniform", "stationary_units_formula",
+    "stationary_uniform",
     "__version__",
 ]

@@ -98,13 +98,6 @@ class ClassDistribution:
             raise UnknownClass(f"no weight for classes of representatives {missing}")
         return cls(ring, weights)
 
-    def element_weights(self):
-        part = self.ring.similarity
-        return [self.weights[part.class_of[x]] for x in range(self.ring.n)]
-
-    def weight_of_element(self, x: int) -> Fraction:
-        return self.weights[self.ring.similarity.class_of[x]]
-
     def scaled_weights(self):
         """(integer per-element weights, common denominator): one lcm over
         the class weights and one gather by class.  The weights are an
@@ -134,9 +127,6 @@ class TransitionMatrix:
     @property
     def n(self):
         return self.matrix.n
-
-    def entry(self, i, j) -> Fraction:
-        return self.matrix.entry(i, j)
 
     def to_float(self) -> np.ndarray:
         return self.matrix.to_float()

@@ -171,9 +171,9 @@ def cmd_spectrum(cfg) -> dict:
     rep = reports.new_report("spectrum")
     rep["meta"]["ring"] = ring.label
     rep["meta"]["n"] = str(ring.n)
+    rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
     B = build_B(ring, Q)
     bm, detail = spectrum.block_spectrum(ring, B.to_float(), tau)
-    rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
     reports.add_check(rep, "spectrum-two-way",
                       *checks.check_spectrum_two_way(ring, B))
     reports.add_check(rep, "spectrum-gl2", *checks.check_spectrum_gl2(ring, Q))

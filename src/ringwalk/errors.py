@@ -21,10 +21,6 @@ class ZeroElement(RingwalkError):
     pass
 
 
-class IndexOutOfRange(RingwalkError):
-    pass
-
-
 class TooLarge(RingwalkError):
     pass
 
@@ -49,16 +45,8 @@ class ConvergenceFailure(RuntimeError):
     """An eigenvalue solve failed to converge.  Never silently retried."""
 
 
-class CharacterUnavailable(RingwalkError):
-    pass
-
-
 class UnsupportedQ(RingwalkError):
     """Closed-form GL2 layer asked for a field size it does not cover."""
-
-
-class UnknownGenerator(RingwalkError):
-    pass
 
 
 class UnknownCase(RingwalkError):
@@ -71,12 +59,6 @@ class SingularSystem(RingwalkError):
 
 class DenominatorZero(RingwalkError):
     """The stationary recursion hit a vanishing denominator for this Q/alpha."""
-
-
-class NoWitness(AssertionError):
-    """A unit mapping x to y inside the same generator set should always exist;
-    its absence indicates a broken ring construction, so this is an assertion,
-    not a recoverable state."""
 
 
 class LengthMismatch(RingwalkError):

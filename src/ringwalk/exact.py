@@ -11,7 +11,7 @@ coefficient growth without leaving the integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -49,29 +49,6 @@ class ScaledMatrix:
         if g > 1:
             self.den //= g
             self.num = self.num // g
-
-    @classmethod
-    def from_fractions(cls, rows):
-        rows = [[Fraction(v) for v in row] for row in rows]
-        den = 1
-        for row in rows:
-            for v in row:
-                den = lcm(den, v.denominator)
-        num = [[int(v * den) for v in row] for row in rows]
-        return cls(num, den)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n, dtype=np.int64), 1)
-
-    def entry(self, i, j) -> Fraction:
-        return Fraction(int(self.num[i, j]), self.den)
-
-    def row(self, i):
-        return [Fraction(v, self.den) for v in self.num[i].tolist()]
-
-    def rows_as_fractions(self):
-        return [self.row(i) for i in range(self.n)]
 
     def to_float(self) -> np.ndarray:
         # each entry rounds once to float, as float(v) / float(den) does

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .errors import (
     ElementFieldMismatch,
-    IndexOutOfRange,
     InvariantViolation,
     NotPrime,
     ZeroElement,
@@ -90,12 +89,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -103,11 +96,6 @@ class PrimeField:
         if a == 0:
             raise ZeroElement("0 has no inverse")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return pow(a, e, self.p)
 
     def dlog(self, a: int) -> int:
         """Discrete log base the cached primitive root."""
@@ -185,15 +173,6 @@ class QuadraticExtension:
         a0, a1 = self.coords(a)
         b0, b1 = self.coords(b)
         return self.element(a0 + b0, a1 + b1)
-
-    def sub(self, a: int, b: int) -> int:
-        a0, a1 = self.coords(a)
-        b0, b1 = self.coords(b)
-        return self.element(a0 - b0, a1 - b1)
-
-    def neg(self, a: int) -> int:
-        a0, a1 = self.coords(a)
-        return self.element(-a0, -a1)
 
     def mul(self, a: int, b: int) -> int:
         # (a0 + a1 t)(b0 + b1 t) with t^2 = -(b t + c)
@@ -278,48 +257,13 @@ def ext_make(base: PrimeField) -> QuadraticExtension:
     return ext_make_cached(base.p)
 
 
-class MultiplicativeCharacter:
-    """Character of the multiplicative group of a field, indexed 0..m-1.
-
-    With g the field's cached primitive root and m the group order, the
-    character of index k sends g^j to exp(2*pi*i * k*j/m).  Index 0 is the
-    trivial character.
-    """
-
-    def __init__(self, field, k: int):
-        m = field.size - 1
-        if not (0 <= k < max(m, 1)):
-            raise IndexOutOfRange(f"character index {k} not in [0, {m})")
-        self.field = field
-        self.group_order = m
-        self.k = k
-        self.generator = field.generator
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.k == 0
-
-    def angle(self, x: int) -> Fraction:
-        """Exact fraction of a full turn; x must be a unit of the field."""
-        if x == 0:
-            raise ZeroElement("characters are defined on units only")
-        if self.group_order == 0:
-            return Fraction(0)
-        return Fraction((self.k * self.field.dlog(x)) % self.group_order,
-                        self.group_order)
-
-    def value(self, x: int) -> complex:
-        return angle_to_complex(self.angle(x))
-
-    def __repr__(self):
-        return f"chi_{self.k} on {self.field}^x"
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiplicativeCharacter)
-                and other.field == self.field and other.k == self.k)
-
-    def __hash__(self):
-        return hash(("MultiplicativeCharacter", self.field, self.k))
+def char_angle(field, k: int, x: int) -> Fraction:
+    """Angle, as an exact fraction of a full turn, of the multiplicative
+    character of index k at the unit x: with g the field's cached primitive
+    root and m = |F| - 1, g^j goes to k*j/m mod 1.  Index 0 is the trivial
+    character."""
+    m = field.size - 1
+    return Fraction((k * field.dlog(x)) % m, m)
 
 
 def angle_to_complex(theta: Fraction) -> complex:
@@ -340,25 +284,6 @@ def angle_to_complex(theta: Fraction) -> complex:
     if theta == Fraction(3, 4):
         return complex(0, -1)
     return cmath.exp(2j * cmath.pi * float(theta))
-
-
-def char_make(field, k: int) -> MultiplicativeCharacter:
-    return MultiplicativeCharacter(field, k)
-
-
-def all_characters(field):
-    return [MultiplicativeCharacter(field, k) for k in range(field.size - 1)]
-
-
-def is_decomposable(ext: QuadraticExtension, nu: MultiplicativeCharacter) -> bool:
-    """True iff nu equals its Frobenius twist, i.e. nu(x^p) = nu(x) for all x.
-
-    On indices this is k*p = k mod (p^2 - 1).
-    """
-    if nu.field != ext:
-        raise ElementFieldMismatch("character does not live on this extension")
-    m = ext.size - 1
-    return (nu.k * ext.p) % m == nu.k % m
 
 
 def frobenius_twist_index(ext: QuadraticExtension, k: int) -> int:

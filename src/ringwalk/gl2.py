@@ -1,4 +1,4 @@
-"""Conjugacy classes, character table, and induced decompositions for GL2(F_q).
+"""Conjugacy classes and the character table of GL2(F_q).
 
 Covers odd primes q.  Class and representation families:
 
@@ -24,15 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    InvariantViolation,
-    UnknownCase,
-    UnknownGenerator,
-    UnsupportedQ,
-)
+from .errors import InvariantViolation, UnknownCase, UnsupportedQ
 from .fields import (
-    MultiplicativeCharacter,
     angle_to_complex,
+    char_angle,
     ext_make,
     field_make,
     frobenius_twist_index,
@@ -149,10 +144,10 @@ def char_value(q: int, rep: Irrep, cls: ConjClass, root=angle_to_complex):
     ext = ext_make(F)
 
     def chi(k, x):
-        return MultiplicativeCharacter(F, k).angle(x)
+        return char_angle(F, k, x)
 
     def nu(k, a):
-        return MultiplicativeCharacter(ext, k).angle(a)
+        return char_angle(ext, k, a)
 
     kind, params = rep.kind, rep.params
     if kind == "det":
@@ -227,18 +222,6 @@ class CharacterTable:
     def irrep_index(self, rep: Irrep) -> int:
         return self._irrep_index[(rep.kind, rep.params)]
 
-    def row(self, rep: Irrep) -> np.ndarray:
-        return self.values[self.irrep_index(rep)]
-
-    def value(self, rep: Irrep, kind: str, params: tuple) -> complex:
-        return self.values[self.irrep_index(rep), self.class_index(kind, params)]
-
-    def inner(self, va, vb) -> complex:
-        """Class-function inner product (1/|G|) sum |C| va conj(vb)."""
-        va = np.asarray(va)
-        vb = np.asarray(vb)
-        return np.sum(self.class_sizes * va * np.conj(vb)) / self.group_order
-
     def classify(self, entries) -> int:
         """Class index of an invertible matrix given as entries (a, b, c, d)."""
         q = self.q
@@ -272,20 +255,6 @@ def character_table(q: int) -> CharacterTable:
     return CharacterTable(q)
 
 
-def mirabolic_trace_sum(q: int, rep: Irrep) -> complex:
-    """Sum of the character of rep over P = {[[1, y], [0, w]], w != 0}.
-
-    P splits into the identity, q-1 elements in the unipotent class of 1,
-    and q elements in each split class {1, w} for w != 1.
-    """
-    tab = character_table(q)
-    total = tab.value(rep, "central", (1,))
-    total += (q - 1) * tab.value(rep, "unipotent", (1,))
-    for w in range(2, q):
-        total += q * tab.value(rep, "split", (min(1, w), max(1, w)))
-    return total
-
-
 def rank_one_sigma(q: int):
     """Constituents of the representation induced from the trivial character
     of the mirabolic subgroup: trivial, Steinberg, and each principal series
@@ -293,21 +262,6 @@ def rank_one_sigma(q: int):
     out = [Irrep("det", (0,), 1), Irrep("steinberg", (0,), q)]
     for k in range(1, q - 1):
         out.append(Irrep("principal", (0, k), q + 1))
-    return out
-
-
-def induced_from_P_decomposition(q: int) -> dict:
-    """Multiplicity of every irreducible in Ind_P^G(1), from P-fixed vectors."""
-    _require_odd_prime(q)
-    order_p = q * (q - 1)
-    out = {}
-    for rep in irreps(q):
-        s = mirabolic_trace_sum(q, rep) / order_p
-        m = round(s.real)
-        if abs(s - m) >= 1e-9:
-            raise InvariantViolation(f"non-integral multiplicity {s} "
-                                     f"for {rep}")
-        out[rep] = m
     return out
 
 
@@ -331,28 +285,6 @@ def require_m2_ring(ring):
     return desc["q"]
 
 
-def ring_element_index(ring, entries) -> int:
-    """Index of the 2x2 matrix with the given entries in the ring enumeration."""
-    q = require_m2_ring(ring)
-    a, b, c, d = (int(v) % q for v in entries)
-    return ((a * q + b) * q + c) * q + d
-
-
-def sigma_A(ring, a: int):
-    """Sigma_A for a in phi of M2(F_q): the irreducible constituents of the
-    permutation representation on S_a, keyed by rank of a."""
-    q = require_m2_ring(ring)
-    _require_odd_prime(q)
-    if int(a) not in {int(x) for x in ring.phi}:
-        raise UnknownGenerator(f"{a} is not a canonical ideal generator")
-    r = matrix_rank(ring.entries[a].ravel(), q)
-    if r == 2:
-        return irreps(q)
-    if r == 1:
-        return rank_one_sigma(q)
-    return [Irrep("det", (0,), 1)]
-
-
 def classify_nonunit_class(ring, x: int):
     """Tag a non-invertible element: "zero", ("Y0",) nilpotent rank one, or
     ("Yt", t) for the rank-one class of diag(t, 0)."""
@@ -367,33 +299,3 @@ def classify_nonunit_class(ring, x: int):
     if t == 0:
         return ("Y0",)
     return ("Yt", t)
-
-
-def class_function_F(ring, A: int, X: int) -> dict:
-    """Group-algebra coefficients (unit index -> int) of the class function
-    that reproduces, on the span of S_A, the projected action of the class
-    sum of the non-invertible class X.  A must be rank one in phi."""
-    q = require_m2_ring(ring)
-    if int(A) not in {int(x) for x in ring.phi}:
-        raise UnknownGenerator(f"{A} is not a canonical ideal generator")
-    if matrix_rank(ring.entries[A].ravel(), q) != 1:
-        raise UnknownCase("class functions are tabulated for rank-one A only")
-    tag = classify_nonunit_class(ring, X)
-    part = ring.similarity
-    coeffs = {}
-    if tag == ("Y0",):
-        u1 = ring_element_index(ring, (1, 1, 0, 1))
-        for v in part.classes[part.class_of[u1]]:
-            coeffs[int(v)] = coeffs.get(int(v), 0) + 1
-        ident = ring.one
-        coeffs[ident] = coeffs.get(ident, 0) - (q - 1)
-    elif tag[0] == "Yt":
-        t = tag[1]
-        ut = ring_element_index(ring, (t, 1, 0, t))
-        for v in part.classes[part.class_of[ut]]:
-            coeffs[int(v)] = coeffs.get(int(v), 0) + 1
-        central = ring_element_index(ring, (t, 0, 0, t))
-        coeffs[central] = coeffs.get(central, 0) + 1
-    else:
-        raise UnknownCase(f"no tabulated class function for class {tag}")
-    return coeffs

@@ -365,14 +365,3 @@ def _draw_offsets(rng, tails, off, alpha, n, sampler):
         z *= tails[cut]
         a += z
         a *= n
-
-
-def one_step_rows(ring: FiniteRing, Q: ClassDistribution, alpha, samples: int,
-                  seed: int, side: str = "left", starts=None) -> np.ndarray:
-    """Empirical one-step transition frequencies from each start state."""
-    starts = list(range(ring.n)) if starts is None else list(starts)
-    rows = np.zeros((len(starts), ring.n))
-    for i, a in enumerate(starts):
-        res = simulate(ring, Q, alpha, int(a), 1, samples, seed + i, side=side)
-        rows[i] = res.empirical()
-    return rows

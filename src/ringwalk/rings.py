@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import InvariantViolation, NoWitness, ParamOutOfRange, TooLarge
+from .errors import InvariantViolation, ParamOutOfRange, TooLarge
 from .fields import field_make
 
 SIZE_CAP = 20000
@@ -72,9 +72,6 @@ class SimilarityPartition:
 
     def __len__(self):
         return len(self.classes)
-
-    def rep_of(self, x: int) -> int:
-        return int(self.reps[self.class_of[x]])
 
 
 @dataclass
@@ -215,9 +212,6 @@ class FiniteRing:
         if self._namer is not None:
             return self._namer(x)
         return str(x)
-
-    def neg(self, x: int) -> int:
-        return int(np.nonzero(self.add[x] == self.zero)[0][0])
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -362,15 +356,6 @@ class FiniteRing:
         _, first = np.unique(images, return_index=True)
         return us[np.sort(first)]
 
-    def transitivity_witness(self, a: int, x: int, y: int) -> int:
-        s = set(self.s_set(a).tolist())
-        if int(x) not in s or int(y) not in s:
-            raise ValueError("witness is only defined for pairs inside S_a")
-        hits = np.nonzero(self.mul[self.units, x] == y)[0]
-        if len(hits) == 0:
-            raise NoWitness(f"no unit maps {x} to {y} within S_{a}")
-        return int(self.units[hits[0]])
-
     def f_set(self, a: int) -> np.ndarray:
         """Class ids c with (C_c * S_a) meeting S_a.  S_a is closed under
         left multiplication by units and (u x u^-1)(u s) = u (x s), so each
@@ -401,7 +386,7 @@ def zn_ring(n: int) -> FiniteRing:
         raise ParamOutOfRange(f"field 'n': Z_{n} needs n >= 1")
     if n > SIZE_CAP:
         raise TooLarge(f"Z_{n} exceeds the {SIZE_CAP} cap")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int32)     # (n - 1)^2 < 2^31 below SIZE_CAP
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
     return FiniteRing(add, mul, 0, 1 % n, f"Z_{n}", {"kind": "zn", "n": n})

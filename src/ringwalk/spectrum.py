@@ -27,7 +27,6 @@ import numpy as np
 from . import gl2
 from .chain import ClassDistribution, TransitionMatrix
 from .errors import (
-    CharacterUnavailable,
     ConvergenceFailure,
     InvariantViolation,
     RingMismatch,
@@ -181,7 +180,17 @@ def unit_block_spectrum(ring: FiniteRing, B: np.ndarray,
 
 
 def unit_block_route(ring: FiniteRing) -> str:
-    """How unit_block_spectrum reads the unit block of `ring`."""
+    """How unit_block_spectrum reads the unit block of `ring`.
+
+    It first meets the caps block_spectrum would meet, in the same order
+    and with the same TooLarge messages (|U| <= EIG_CAP for an abelian
+    character table, |S_a| <= EIG_CAP for each block that goes to
+    eig_numeric), so a caller can refuse a ring before it builds B."""
+    for a in ring.phi:
+        size = len(ring.s_set(a))
+        if size > EIG_CAP and (int(a) not in ring.unit_set
+                               or unit_group_characters(ring) is None):
+            raise TooLarge(f"eigen solve capped at {EIG_CAP}, got {size}")
     chars = unit_group_characters(ring)
     if chars is None:
         u = len(ring.units)
@@ -466,17 +475,6 @@ def _multiplicities(ring: FiniteRing, a: int, fix, chars) -> np.ndarray:
         raise InvariantViolation(f"non-integral multiplicity {vals[off][0]} "
                                  f"on S_{a}")
     return mults.astype(np.int64)
-
-
-def perm_char_multiplicity(ring: FiniteRing, a: int, chi_on_units) -> int:
-    """Multiplicity of the representation with character chi_on_units in the
-    permutation representation of U_R on S_a."""
-    chi = np.asarray(chi_on_units)
-    if len(chi) != len(ring.units):
-        raise CharacterUnavailable(
-            "character vector must align with ring.units")
-    return int(_multiplicities(ring, a, fixed_point_counts(ring, a),
-                               chi[None, :])[0])
 
 
 def _pair_orbit_labels(ring: FiniteRing, sa: np.ndarray) -> np.ndarray:

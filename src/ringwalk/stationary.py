@@ -137,19 +137,13 @@ def stationary_uniform(ring: FiniteRing, alpha, allow_boundary: bool = False):
     return [pi_ideal[int(poset.id_of[x])] for x in range(ring.n)]
 
 
-def stationary_units_formula(n: int, u: int, alpha) -> Fraction:
-    """Uniform-Q stationary probability of any unit: alpha / (n - u + u*alpha),
-    with n the ring size and u the number of units."""
-    alpha = Fraction(alpha)
-    return alpha / (n - u + u * alpha)
-
-
 def gl2_stationary_values(q: int, alpha):
     """(unit, nonzero non-unit, zero) stationary probabilities of the
     uniform-multiplication chain on M2(F_q).
 
     The shared denominator factor is q^3 + q^2 - q + (q^2-1)(q^2-q) alpha,
-    i.e. |R| - (1-alpha)|U_R|, matching the unit formula above.
+    i.e. |R| - (1-alpha)|U_R|, so pi_unit is the uniform-Q unit formula
+    alpha / (n - u + u alpha) with n = |R| and u = |U_R|.
     """
     alpha = Fraction(alpha)
     units = (q * q - 1) * (q * q - q)

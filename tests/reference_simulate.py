@@ -1,5 +1,6 @@
 """Oracle for the simulator's Philox stream: the chunked loop written the
-plain way, with int64 chunk-sized draws and a masked copy per step.
+plain way, with int64 chunk-sized draws and a masked copy per step.  Also
+one_step_rows, the simulator's empirical one-step transition rows.
 
 reference_simulate takes the same arguments as mixing.simulate and the
 chunk size explicitly; it returns the end-state counts.  The draw order is
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from ringwalk import _kernels
-from ringwalk.mixing import QSampler
+from ringwalk.mixing import QSampler, simulate
 
 
 def reference_run_chain(states, heads, adds, zs, table):
@@ -60,3 +61,14 @@ def reference_simulate(ring, Q, alpha, x0, t, samples, seed, side, blocks,
             done += step
         counts += np.bincount(states, minlength=ring.n)
     return counts
+
+
+def one_step_rows(ring, Q, alpha, samples: int, seed: int, side: str = "left",
+                  starts=None) -> np.ndarray:
+    """Empirical one-step transition frequencies from each start state."""
+    starts = list(range(ring.n)) if starts is None else list(starts)
+    rows = np.zeros((len(starts), ring.n))
+    for i, a in enumerate(starts):
+        res = simulate(ring, Q, alpha, int(a), 1, samples, seed + i, side=side)
+        rows[i] = res.empirical()
+    return rows

@@ -497,6 +497,20 @@ def test_m2f7_spectrum_reads_the_unit_block_from_characters(monkeypatch,
         ("spectrum-m-shift", "PASS")]
 
 
+@pytest.mark.parametrize("ring, message", [
+    ("--ring zn --n 13", "character table capped at 10 units, got 12"),
+    ("--ring upper_triangular --q 3", "eigen solve capped at 10, got 12"),
+])
+def test_spectrum_checks_its_caps_before_building_b(monkeypatch, capsys,
+                                                    ring, message):
+    # 12 units exceed a cap of 10 (Z_13's abelian table, B2(F3)'s LAPACK
+    # unit block): exit 2 before B is built, as a build_B call would crash
+    monkeypatch.setattr(cli.spectrum, "EIG_CAP", 10)
+    monkeypatch.setattr(cli, "build_B", None)
+    assert cli.main(["spectrum"] + ring.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_import_loads_no_scipy():
     """Every command pays for what the CLI loads: no scipy, and no numpy.ma
     (which a bare np.unique imports), on a ring with a character table of

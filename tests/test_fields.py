@@ -5,20 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from ringwalk.errors import (
-    ElementFieldMismatch,
-    IndexOutOfRange,
-    NotPrime,
-    ZeroElement,
-)
+from ringwalk.errors import ElementFieldMismatch, NotPrime, ZeroElement
 from ringwalk.fields import (
-    all_characters,
-    char_make,
+    angle_to_complex,
+    char_angle,
     ext_make,
     field_make,
     frobenius_twist_index,
-    is_decomposable,
 )
+
+
+def char_value(field, k, x):
+    return angle_to_complex(char_angle(field, k, x))
 
 
 def mult_order(field, a):
@@ -159,27 +157,19 @@ def test_norm_of_zero_raises():
 
 def test_trivial_character():
     f = field_make(5)
-    chi = char_make(f, 0)
-    assert chi.is_trivial
-    assert all(chi.value(x) == 1 for x in range(1, 5))
+    assert all(char_angle(f, 0, x) == 0 for x in range(1, 5))
+    assert all(char_value(f, 0, x) == 1 for x in range(1, 5))
 
 
 def test_character_index_two_on_two():
     f = field_make(5)
-    chi = char_make(f, 2)
-    # 2 is the generator, so chi(2) = exp(2 pi i * 2/4) = -1
-    assert chi.value(2) == -1
+    # 2 is the generator, so chi_2(2) = exp(2 pi i * 2/4) = -1
+    assert char_value(f, 2, 2) == -1
 
 
 def test_character_sum_vanishes_for_nontrivial():
     f = field_make(5)
-    chi = char_make(f, 1)
-    assert abs(sum(chi.value(x) for x in range(1, 5))) < 1e-12
-
-
-def test_character_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        char_make(field_make(5), 4)
+    assert abs(sum(char_value(f, 1, x) for x in range(1, 5))) < 1e-12
 
 
 def test_character_orthogonality_up_to_48():
@@ -188,21 +178,20 @@ def test_character_orthogonality_up_to_48():
         m = field.size - 1
         if m > 48:
             continue
-        chars = all_characters(field)
         units = [x for x in field.elements() if x != 0]
-        for j, cj in enumerate(chars):
-            for k, ck in enumerate(chars):
-                s = sum(cj.value(x) * ck.value(x).conjugate() for x in units)
+        for j in range(m):
+            for k in range(m):
+                s = sum(char_value(field, j, x) *
+                        char_value(field, k, x).conjugate() for x in units)
                 expected = m if j == k else 0
                 assert abs(s - expected) < 1e-9
 
 
 def test_character_angles_are_exact():
     e = ext_make(field_make(3))
-    chi = char_make(e, 3)
     g = e.generator
-    assert chi.angle(g) == Fraction(3, 8)
-    val = chi.value(g)
+    assert char_angle(e, 3, g) == Fraction(3, 8)
+    val = char_value(e, 3, g)
     assert abs(val - cmath.exp(2j * cmath.pi * 3 / 8)) < 1e-15
 
 
@@ -212,28 +201,26 @@ def test_character_angles_are_exact():
 
 def test_trivial_character_is_decomposable():
     e = ext_make(field_make(3))
-    assert is_decomposable(e, char_make(e, 0))
+    assert frobenius_twist_index(e, 0) == 0
 
 
 def test_decomposability_matches_pointwise_definition():
     e = ext_make(field_make(3))
     for k in range(8):
-        nu = char_make(e, k)
-        pointwise = all(
-            nu.value(e.frobenius(x)) == pytest.approx(nu.value(x), abs=1e-12)
-            for x in e.elements() if x != 0)
-        assert is_decomposable(e, nu) == pointwise
+        pointwise = all(char_angle(e, k, e.frobenius(x)) == char_angle(e, k, x)
+                        for x in e.elements() if x != 0)
+        assert (frobenius_twist_index(e, k) == k) == pointwise
 
 
 def test_nondecomposable_count_is_q_squared_minus_q():
     for p in (3, 5):
         e = ext_make(field_make(p))
-        count = sum(not is_decomposable(e, nu) for nu in all_characters(e))
+        count = sum(frobenius_twist_index(e, k) != k
+                    for k in range(e.size - 1))
         assert count == p * p - p
 
 
 def test_index_four_over_f9_is_decomposable():
     e = ext_make(field_make(3))
     assert (4 * 3) % 8 == 4
-    assert is_decomposable(e, char_make(e, 4))
     assert frobenius_twist_index(e, 4) == 4

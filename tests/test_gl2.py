@@ -3,22 +3,32 @@
 import numpy as np
 import pytest
 
-from ringwalk.chain import weighted_mul_counts
-from ringwalk.errors import UnknownGenerator, UnsupportedQ
+from ringwalk.errors import UnknownCase, UnsupportedQ
 from ringwalk.gl2 import (
     Irrep,
     character_table,
-    class_function_F,
     classify_nonunit_class,
     conj_classes,
-    induced_from_P_decomposition,
     irreps,
-    mirabolic_trace_sum,
+    matrix_rank,
     rank_one_sigma,
-    ring_element_index,
-    sigma_A,
 )
 from ringwalk.rings import matrix_ring
+from ringwalk.spectrum import (
+    _multiplicities,
+    fixed_point_counts,
+    unit_group_characters,
+)
+
+from gl2_oracle import (
+    class_function_F,
+    induced_from_P_decomposition,
+    mirabolic_trace_sum,
+    projected_and_F_action,
+    rank_one_generators,
+    ring_element_index,
+    y_elements,
+)
 
 
 # ---------------------------------------------------------------------
@@ -109,12 +119,12 @@ def test_counts_dims_and_orthogonality():
 
 def test_tabulated_zero_entries():
     tab = character_table(5)
-    st = Irrep("steinberg", (2,), 5)
-    assert tab.value(st, "unipotent", (3,)) == 0
-    cusp = next(r for r in tab.irreps if r.kind == "cuspidal")
-    assert tab.value(cusp, "split", (1, 2)) == 0
-    triv = Irrep("det", (0,), 1)
-    assert all(abs(v - 1) < 1e-12 for v in tab.row(triv))
+    st = tab.irrep_index(Irrep("steinberg", (2,), 5))
+    assert tab.values[st, tab.class_index("unipotent", (3,))] == 0
+    cusp = next(i for i, r in enumerate(tab.irreps) if r.kind == "cuspidal")
+    assert tab.values[cusp, tab.class_index("split", (1, 2))] == 0
+    triv = tab.irrep_index(Irrep("det", (0,), 1))
+    assert all(abs(v - 1) < 1e-12 for v in tab.values[triv])
 
 
 def test_regular_character_inner_product_is_dimension():
@@ -122,8 +132,8 @@ def test_regular_character_inner_product_is_dimension():
     tab = character_table(q)
     reg = np.zeros(len(tab.classes), dtype=complex)
     reg[tab.class_index("central", (1,))] = tab.group_order
-    for rep in tab.irreps:
-        got = tab.inner(reg, tab.row(rep))
+    for rep, row in zip(tab.irreps, tab.values):
+        got = np.sum(tab.class_sizes * reg * np.conj(row)) / tab.group_order
         assert got == pytest.approx(rep.dim, abs=1e-8)
 
 
@@ -168,48 +178,31 @@ def test_rank_one_sigma_matches_decomposition():
 
 
 # ---------------------------------------------------------------------
-# sigma_A on the ring
+# Sigma_A on the ring
 # ---------------------------------------------------------------------
 
 def test_sigma_a_by_rank():
-    r = matrix_ring(3)
-    by_rank = {}
-    for a in r.phi:
-        ent = r.entries[int(a)].ravel()
-        det = (ent[0] * ent[3] - ent[1] * ent[2]) % 3
-        rank = 2 if det else (1 if ent.any() else 0)
-        by_rank.setdefault(rank, []).append(int(a))
-    assert len(sigma_A(r, by_rank[2][0])) == len(irreps(3))
-    zero_sigma = sigma_A(r, by_rank[0][0])
-    assert len(zero_sigma) == 1 and zero_sigma[0].kind == "det" \
-        and zero_sigma[0].params == (0,)
-    for a in by_rank[1]:
-        labels = {(rep.kind, rep.params) for rep in sigma_A(r, a)}
-        assert ("det", (0,)) in labels and ("steinberg", (0,)) in labels
-        assert sum(rep.dim for rep in sigma_A(r, a)) == 3 * 3 - 1
-
-
-def test_sigma_a_rejects_non_generators():
-    r = matrix_ring(3)
-    non_phi = next(x for x in range(r.n)
-                   if x not in {int(a) for a in r.phi})
-    with pytest.raises(UnknownGenerator):
-        sigma_A(r, non_phi)
+    """Sigma_A, the constituents of the permutation representation on S_A
+    from fixed-point counts: every irreducible at rank 2, rank_one_sigma,
+    each once, at rank 1, and the trivial one at rank 0."""
+    for q in (3, 5):
+        r = matrix_ring(q)
+        tab = character_table(q)
+        sigma = {2: set(irreps(q)), 1: set(rank_one_sigma(q)),
+                 0: {Irrep("det", (0,), 1)}}
+        for a in map(int, r.phi):
+            mults = _multiplicities(r, a, fixed_point_counts(r, a),
+                                    unit_group_characters(r))
+            rank = matrix_rank(r.entries[a].ravel(), q)
+            assert {rep for rep, m in zip(tab.irreps, mults) if m} == \
+                sigma[rank]
+            assert rank == 2 or set(mults.tolist()) <= {0, 1}
+        assert sum(rep.dim for rep in rank_one_sigma(q)) == q * q - 1
 
 
 # ---------------------------------------------------------------------
 # explicit class functions against single-class projected operators
 # ---------------------------------------------------------------------
-
-def rank_one_generators(r, q):
-    out = []
-    for a in r.phi:
-        ent = r.entries[int(a)].ravel()
-        det = (int(ent[0]) * int(ent[3]) - int(ent[1]) * int(ent[2])) % q
-        if det == 0 and ent.any():
-            out.append(int(a))
-    return out
-
 
 def test_class_function_coefficients():
     q = 3
@@ -232,21 +225,9 @@ def test_class_functions_act_like_projected_operators():
     of each non-invertible class sum on span(S_A), entry for entry."""
     q = 3
     r = matrix_ring(q)
-    part = r.similarity
     for a in rank_one_generators(r, q):
-        sa = r.s_set(a)
-        pos = {int(s): i for i, s in enumerate(sa)}
-        y_elements = [ring_element_index(r, (0, 0, 1, 0))]
-        y_elements += [ring_element_index(r, (t, 0, 0, 0))
-                       for t in range(1, q)]
-        for x in y_elements:
-            weights = np.zeros(r.n, dtype=np.int64)
-            weights[part.classes[part.class_of[x]]] = 1
-            projected = weighted_mul_counts(r, weights)[np.ix_(sa, sa)].T
-            action = np.zeros_like(projected)
-            for w, coeff in class_function_F(r, a, x).items():
-                for s in sa:
-                    action[pos[int(r.mul[w, s])], pos[int(s)]] += coeff
+        for x in y_elements(r, q):
+            projected, action = projected_and_F_action(r, a, x)
             assert np.array_equal(projected, action)
 
 
@@ -254,11 +235,8 @@ def test_class_function_rejects_bad_inputs():
     q = 3
     r = matrix_ring(q)
     a = rank_one_generators(r, q)[0]
-    from ringwalk.errors import UnknownCase
     with pytest.raises(UnknownCase):
         class_function_F(r, a, r.one)    # invertible X has no tabulated form
-    with pytest.raises(UnknownGenerator):
-        class_function_F(r, 2, ring_element_index(r, (0, 0, 1, 0)))
 
 
 def test_classify_nonunit_tags():

@@ -18,7 +18,6 @@ from ringwalk.mixing import (
     class_products,
     d_of_t,
     mixing_bound,
-    one_step_rows,
     simulate,
     tv_distance,
 )
@@ -31,7 +30,7 @@ from ringwalk.rings import (
 )
 from ringwalk.stationary import stationary_recursive, stationary_solve
 
-from reference_simulate import reference_simulate
+from reference_simulate import one_step_rows, reference_simulate
 
 
 def uniform(ring):
@@ -113,10 +112,11 @@ def matrix_power_curve(ring, q, alpha, T):
     """Oracle: exact powers of M and the max over all n starts."""
     m = build_M(ring, q, alpha).matrix
     pi = stationary_solve(ring, q, alpha)
-    power = ScaledMatrix.identity(ring.n)
+    power = ScaledMatrix(np.eye(ring.n, dtype=np.int64), 1)
     out = []
     for t in range(T + 1):
-        out.append(max(tv_distance(power.row(x), pi) for x in range(ring.n)))
+        out.append(max(tv_distance([Fr(v, power.den) for v in row], pi)
+                       for row in power.num.tolist()))
         if t < T:
             power = power @ m
     return out
@@ -292,7 +292,7 @@ def test_q_sampling_respects_class_weights():
     res = simulate(ring, q, Fr(1, 1000), ring.one, 1, n, seed=31)
     freq = res.counts / n
     for x in range(ring.n):
-        p = float(q.weight_of_element(x)) * (1 - 1 / 1000) + (1 / 1000) / 16
+        p = float(q.weights[part.class_of[x]]) * (1 - 1 / 1000) + 1 / 16000
         se = (p * (1 - p) / n) ** 0.5
         assert abs(freq[x] - p) <= 3.5 * se + 1e-9
 

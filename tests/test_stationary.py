@@ -22,7 +22,6 @@ from ringwalk.stationary import (
     stationary_recursive,
     stationary_solve,
     stationary_uniform,
-    stationary_units_formula,
 )
 
 from test_chain import q_over_64_bits
@@ -129,7 +128,7 @@ def reference_q_transfer(ring, Q, x, y):
     for u in ring.coset_reps(y):
         uinv = ring.inv(int(u))
         for r in ring.r_xy(x, y):
-            total += Q.weight_of_element(int(ring.mul[r, uinv]))
+            total += Q.weights[ring.similarity.class_of[ring.mul[r, uinv]]]
     return total
 
 
@@ -253,15 +252,24 @@ def test_pi_positive_and_fixed():
 # the unit formula
 # ---------------------------------------------------------------------
 
+def units_formula(n, u, alpha):
+    """Uniform-Q stationary probability of any unit, n = |R| and u = |U_R|."""
+    return alpha / (n - u + u * alpha)
+
+
 def test_units_formula_m2f2_shape():
+    ring = matrix_ring(2)
     for alpha in (Fr(1, 7), Fr(1, 2), Fr(5, 6)):
-        assert stationary_units_formula(16, 6, alpha) == \
-            alpha / (2 * (3 * alpha + 5))
+        pi = stationary_solve(ring, uniform(ring), alpha)
+        assert {pi[u] for u in ring.units} == {units_formula(16, 6, alpha)} \
+            == {alpha / (2 * (3 * alpha + 5))}
 
 
 def test_units_formula_alpha_one():
-    assert stationary_units_formula(16, 6, 1) == Fr(1, 16)
-    assert stationary_units_formula(81, 48, 1) == Fr(1, 81)
+    for ring in (matrix_ring(2), matrix_ring(3)):
+        u = len(ring.units)
+        pi = stationary_uniform(ring, 1, allow_boundary=True)
+        assert pi[ring.one] == units_formula(ring.n, u, Fr(1)) == Fr(1, ring.n)
 
 
 def test_units_formula_matches_gl2_line():
@@ -269,7 +277,7 @@ def test_units_formula_matches_gl2_line():
         n = q ** 4
         u = (q * q - 1) * (q * q - q)
         for alpha in (Fr(1, 3), Fr(4, 7)):
-            assert stationary_units_formula(n, u, alpha) == \
+            assert units_formula(n, u, alpha) == \
                 gl2_stationary_values(q, alpha)[0]
 
 
@@ -308,4 +316,4 @@ def test_monotone_structure_uniform():
 def test_solve_flags_singular_inputs():
     from ringwalk.exact import ScaledMatrix, stationary_nullspace
     with pytest.raises(SingularSystem):
-        stationary_nullspace(ScaledMatrix.identity(3))
+        stationary_nullspace(ScaledMatrix(np.eye(3, dtype=np.int64), 1))
