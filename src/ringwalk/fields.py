@@ -79,9 +79,6 @@ class PrimeField:
             x = self.mul(x, self.generator)
         return table
 
-    def elements(self):
-        return range(self.size)
-
     def check(self, a: int) -> None:
         if not (0 <= a < self.size):
             raise ElementFieldMismatch(f"{a} not an element of GF({self.size})")

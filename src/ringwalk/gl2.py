@@ -42,9 +42,6 @@ class ConjClass:
     size: int
     rep: tuple       # 2x2 matrix entries (a, b, c, d) over F_q
 
-    def label(self) -> str:
-        return f"{self.kind}{self.params}"
-
 
 @dataclass(frozen=True)
 class Irrep:

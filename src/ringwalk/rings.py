@@ -18,8 +18,8 @@ immutable after construction and read-only queries are safe to share
 across threads.
 
 Ring axioms are verified at construction time, exhaustively at every n, in
-2 |G| passes over the n x n tables for a greedy additive generating set G
-(FiniteRing._validate).
+one pass over each n x n table along the search tree of a greedy additive
+generating set G, plus O(n |G|^2) checks on G (FiniteRing._validate).
 """
 
 from __future__ import annotations
@@ -43,22 +43,45 @@ def _greedy_generators(table, candidates, start):
     means start * g1 * ... * gk, bracketed from the left, for generators gi
     and `*` the operation of `table`; a frontier search finds them.
 
-    Returns (generators, reached), reached a bool mask over the elements.
+    Returns (generators, parent, via, sizes), the search tree alongside the
+    generators.  Each reached y is table[parent[y], ends[via[y]]] for
+    ends = (start,) + generators, its parent reached before it; the root
+    has parent[start] = start and via[start] = 0, and parent[y] = -1 for y
+    not reached.  sizes[i] counts what the first i generators reach, so
+    sizes[0] = 1.
     """
-    reached = np.zeros(len(table), dtype=bool)
-    reached[start] = True
-    gens = []
+    n = len(table)
+    parent = np.full(n, -1, dtype=np.intp)
+    via = np.zeros(n, dtype=np.intp)
+    parent[start] = start
+    gens, sizes = [], [1]
     while True:
-        missing = candidates[~reached[candidates]]
+        missing = candidates[parent[candidates] < 0]
         if not len(missing):
-            return tuple(gens), reached
+            return tuple(gens), parent, via, sizes
         gens.append(int(missing[0]))
-        frontier = np.flatnonzero(reached)
+        frontier = np.flatnonzero(parent >= 0)
         while len(frontier):
-            step = np.sort(table[np.ix_(frontier, gens)].ravel())
-            step = step[~reached[step]]
-            frontier = step[np.diff(step, prepend=-1) != 0]
-            reached[frontier] = True
+            step = table[np.ix_(frontier, gens)].ravel()
+            fresh = np.flatnonzero(parent[step] < 0)
+            new, first = np.unique(step[fresh], return_index=True)
+            at = fresh[first]
+            parent[new] = frontier[at // len(gens)]
+            via[new] = at % len(gens) + 1
+            frontier = new
+        sizes.append(int(np.count_nonzero(parent >= 0)))
+
+
+def _multiple(add, v, m, zero):
+    """m v = v + ... + v (m terms) for each entry of the index array v, by
+    doubling."""
+    out = np.full_like(v, zero)
+    while m:
+        if m & 1:
+            out = add[out, v]
+        v = add[v, v]
+        m >>= 1
+    return out
 
 
 @dataclass
@@ -126,39 +149,52 @@ class FiniteRing:
     # -- construction-time checks -------------------------------------
 
     def _validate(self):
-        """Check every ring axiom, exhaustively, in O(n^2 |G|) lookups.
+        """Check every ring axiom, exhaustively, in two passes over the
+        n x n tables whatever |G| is.
 
-        G is a greedy additive generating set (additive_generators): each
-        element is reached from 0 by adding elements of G on the right.
-        After an O(n^2) prelude (the tables stay in the ring, 0 is a
-        two-sided additive identity, each row of + holds exactly one 0, 1 is
-        a two-sided multiplicative identity) these checks suffice:
+        G = (g_1, ..., g_k) is a greedy additive generating set
+        (additive_generators).  Its search tree writes each y != 0 as
+        y = p(y) + g(y), p(y) reached before y and g(y) in G, and R_i, the
+        elements reached from 0 by adding g_1..g_i on the right, is closed
+        before g_{i+1} is picked.  After an O(n^2) prelude (the tables stay
+        in the ring, 0 is a two-sided additive identity, each row of + holds
+        exactly one 0, 1 is a two-sided multiplicative identity) these
+        checks suffice:
 
-        (a) (x + g) + y = x + (g + y) for all x, y and g in G.  The middle
-            elements a with (x + a) + y = x + (a + y) for all x, y hold 0
-            and are closed under + (Light's test; Clifford & Preston, The
-            Algebraic Theory of Semigroups I, 1961, sec. 1.2), so they hold
-            every element reached and + is associative.  With a right
-            inverse for each element (R, +) is then a group, and every
-            element is a sum of one or more elements of G (0 as a multiple
-            of any g; with G empty, R = {0}).
-        (b) g + h = h + g for g, h in G.  The centralizer of any element is
-            closed under +, so each g commutes with every sum of elements of
-            G, that is with all of R; then so does every element.
-        (c) (y + g) x = y x + g x for all x, y and g in G, read as
-            g x + y x (one row of + per x) now that + commutes.  For fixed x
-            the z with (y + z) x = y x + z x for all y are closed under +,
-            by associativity, so y -> y x is additive: right distributivity.
+        (b) g + h = h + g for g, h in G.
+        (a') x + y = (x + p(y)) + g(y) for all x and y (one pass over +),
+            and the columns R_g: x -> x + g for g in G commute.  Then the
+            R_g generate a commutative monoid H under composition, and each
+            R_y = R_g(y) R_p(y) lies in H, R_0 being the identity.  For h in
+            H, h(y) = h(R_y(0)) = R_y(h(0)): h = R_x gives x + y = y + x, and
+            h = R_z R_y gives (x + y) + z = R_x(y + z) = x + (y + z).  With
+            the prelude's inverses (R, +) is an abelian group.  Run after
+            (b): if + were associative, (R, +) would be a group generated by
+            G, abelian by (b), and every check of (a') would hold, so a
+            failure here means + is not associative.  Now R_i is the
+            subgroup <g_1..g_i>, so |R_(i-1)| divides |R_i| (checked), and
+            o_i = |R_i| / |R_(i-1)| is the order of g_i modulo R_(i-1).
+        (c') y x = p(y) x + g(y) x for all x and y (one pass over the
+            multiplication table, read as g(y) x + p(y) x; at the root it
+            reads 0 x = 0 x + 0 x, so 0 x = 0), and o_i (g_i x) = (o_i g_i) x
+            for each i and all x.  Fix x and let y -> y x be additive on
+            R_(i-1).  R_i / R_(i-1) is cyclic of order o_i, generated by
+            g_i, so the relation gives one additive map f on R_i that agrees
+            with y -> y x on R_(i-1) and at g_i.  The tree steps from p(y)
+            to y inside R_i, so y x = f(y) on all of R_i.  By induction over
+            R_1 < ... < R_k, y -> y x is additive: right distributivity.
         (d) g (y + h) = g y + g h for all y and g, h in G.  For fixed g the
-            same closure gives g (y + z) = g y + g z for all y, z, and by
-            (c) x -> x (y + z) - x y - x z is additive, so it vanishes on R:
+            z with g (y + z) = g y + g z for all y are closed under +, by
+            associativity, so they are all of R; and by (c')
+            x -> x (y + z) - x y - x z is additive, so it vanishes on R:
             left distributivity.
         (e) (g h) k = g (h k) on G^3.  (x y) z - x (y z) is additive in each
-            argument by (c) and (d), so it vanishes on R^3.
+            argument by (c') and (d), so it vanishes on R^3.
 
-        (a) and (c) are one pass over an n x n table per g, _BLOCK rows or
-        columns at a time; (b), (d) and (e) cost O(n |G|^2).  Once (a) has
-        passed, + is a group and G at least doubles the reached subgroup per
+        (a') and (c') each read their table once, _BLOCK rows or columns at
+        a time, through lookups in (|G| + 1)-column slices; the rest costs
+        O(n |G|^2) for the commutators and O(n log n) for the multiples
+        o_i v, by doubling.  G at least doubles the reached subgroup per
         generator, so |G| <= log2 n.
         """
         n, add, mul = self.n, self.add, self.mul
@@ -176,23 +212,36 @@ class FiniteRing:
                       "one is not a left identity")
         self._require(np.array_equal(mul[:, self.one], idx),
                       "one is not a right identity")
-        self.additive_generators, _ = _greedy_generators(add, idx, self.zero)
-        G = np.array(self.additive_generators, dtype=np.intp)
-        for s in range(0, n, _BLOCK):                                # (a)
-            rows = add[s:s + _BLOCK]
-            for g in G:
-                self._require(np.array_equal(add[rows[:, g]], rows[:, add[g]]),
-                              "addition is not associative")
+        gens, parent, via, sizes = _greedy_generators(add, idx, self.zero)
+        self.additive_generators = gens
+        G = np.array(gens, dtype=np.intp)
+        ends = np.concatenate(([self.zero], G))    # y = p(y) + ends[via[y]]
         gg = add[np.ix_(G, G)]                                       # (b)
         self._require(np.array_equal(gg, gg.T), "addition is not commutative")
-        at = np.arange(_BLOCK)[:, None] * n
-        for s in range(0, n, _BLOCK):                                # (c)
-            cols = mul[:, s:s + _BLOCK].T.copy()    # cols[i, y] = y (s + i)
-            flat = at[:len(cols)] + cols
-            for g in G:
-                gx_plus = add[mul[g, s:s + _BLOCK]].ravel()[flat]
-                self._require(np.array_equal(cols[:, add[:, g]], gx_plus),
-                              "right distributivity fails")
+        shifts = add[:, ends].T.copy()             # shifts[j, x] = x + ends[j]
+        at = via * n
+        for s in range(0, n, _BLOCK):                                # (a')
+            rows = add[s:s + _BLOCK]
+            self._require(np.array_equal(rows,
+                                         shifts.ravel()[rows[:, parent] + at]),
+                          "addition is not associative")
+        R = shifts[1:]                             # R[i] = R_(g_i)
+        RR = R[np.arange(len(G))[None, :, None], R[:, None, :]]  # R_h R_g
+        self._require(np.array_equal(RR, RR.transpose(1, 0, 2)),
+                      "addition is not associative")
+        sizes = np.array(sizes)
+        self._require(np.all(sizes[1:] % sizes[:-1] == 0),
+                      "addition is not associative")
+        for s in range(0, n, _BLOCK):                                # (c')
+            cols = mul[:, s:s + _BLOCK]             # cols[y, i] = y (s + i)
+            flat = (cols[ends].astype(np.intp) * n)[via]
+            flat += cols[parent]          # index of g(y) x + p(y) x in +
+            self._require(np.array_equal(cols, add.ravel()[flat]),
+                          "right distributivity fails")
+        for g, o in zip(G, sizes[1:] // sizes[:-1]):
+            v = _multiple(add, np.append(mul[g], g), o, self.zero)
+            self._require(np.array_equal(v[:-1], mul[v[-1]]),
+                          "right distributivity fails")
         gy, gg = mul[G], mul[np.ix_(G, G)]                           # (d)
         self._require(np.array_equal(mul[G[:, None, None], add[:, G]],
                                      add[gy[:, :, None], gg[:, None, :]]),
@@ -247,8 +296,8 @@ class FiniteRing:
         """A generating set of U_R, greedy in index order: each new generator
         lies outside the group of the earlier ones, so that group at least
         doubles and there are at most log2 |U| generators."""
-        gens, reached = _greedy_generators(self.mul, self.units, self.one)
-        self._require(reached.sum() == len(self.units),
+        gens, _, _, sizes = _greedy_generators(self.mul, self.units, self.one)
+        self._require(sizes[-1] == len(self.units),
                       "products of units leave the unit group")
         return gens
 

@@ -59,8 +59,8 @@ def test_primitive_root_has_full_order_everywhere():
 
 def test_field_arithmetic_axioms_small():
     f = field_make(7)
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.size):
+        for b in range(f.size):
             assert f.add(a, b) == (a + b) % 7
             assert f.mul(a, b) == (a * b) % 7
             if b:
@@ -178,7 +178,7 @@ def test_character_orthogonality_up_to_48():
         m = field.size - 1
         if m > 48:
             continue
-        units = [x for x in field.elements() if x != 0]
+        units = range(1, field.size)
         for j in range(m):
             for k in range(m):
                 s = sum(char_value(field, j, x) *

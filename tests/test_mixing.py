@@ -30,6 +30,7 @@ from ringwalk.rings import (
 )
 from ringwalk.stationary import stationary_recursive, stationary_solve
 
+from random_rings import random_class_q, random_ring
 from reference_simulate import one_step_rows, reference_simulate
 
 
@@ -141,6 +142,20 @@ def test_curve_equals_matrix_power_oracle(ring_name, q_seed, alpha):
     curve = d_of_t(ring, q, alpha, T)
     assert curve.exact_values == matrix_power_curve(ring, q, alpha, T)
     assert curve.values == [float(v) for v in curve.exact_values]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_curve_equals_matrix_power_oracle_on_random_rings(data):
+    """Random rings with at most 81 elements, random class-constant Q and
+    random alpha in (0, 1)."""
+    ring = random_ring(data.draw, room=81)
+    q = random_class_q(data.draw, ring)
+    s = data.draw(st.integers(2, 12))
+    alpha = Fr(data.draw(st.integers(1, s - 1)), s)
+    T = 6
+    assert d_of_t(ring, q, alpha, T).exact_values == \
+        matrix_power_curve(ring, q, alpha, T)
 
 
 def test_exact_curve_above_former_cap():

@@ -16,6 +16,7 @@ from ringwalk.checks import check_rxy_sizes, check_witnesses
 from ringwalk.errors import InvariantViolation, TooLarge
 from ringwalk.rings import (
     FiniteRing,
+    _greedy_generators,
     matrix_ring,
     product_ring,
     upper_triangular_ring,
@@ -23,13 +24,13 @@ from ringwalk.rings import (
 )
 
 from gl2_oracle import ring_element_index
+from random_rings import random_ring
 from ring_oracle import (
     f_set_by_class,
     ideals_by_column,
     similarity_sweep,
     triple_axiom_failure,
 )
-from test_stationary import random_ring
 
 SMALL_RINGS = None
 
@@ -509,6 +510,105 @@ def test_additive_generators_reach_every_element(make, size):
         frontier = list(frontier - reached)
         reached.update(frontier)
     assert reached == set(range(ring.n))
+
+
+def subgroup(add, zero, gens):
+    """The elements reached from zero by adding gens, one set at a time."""
+    reached, frontier = {zero}, [zero]
+    while frontier:
+        frontier = {int(add[x, g]) for x in frontier for g in gens}
+        frontier = list(frontier - reached)
+        reached.update(frontier)
+    return reached
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_additive_search_tree_is_a_certificate(data):
+    """The tree _validate reads: it reaches every element, y = p(y) + g(y)
+    with p(y) reached before y, and o_i = |R_i| / |R_(i-1)| is the order of
+    g_i modulo R_(i-1), found by brute force."""
+    ring = random_ring(data.draw)
+    add, zero = ring.add, ring.zero
+    gens, parent, via, sizes = _greedy_generators(add, np.arange(ring.n),
+                                                  zero)
+    assert gens == ring.additive_generators
+    ends = (zero,) + gens
+    assert parent[zero] == zero and via[zero] == 0
+    for y in range(ring.n):
+        assert add[parent[y], ends[via[y]]] == y
+        steps = 0
+        while y != zero:                  # no cycle: parents come first
+            y, steps = parent[y], steps + 1
+            assert steps < ring.n
+    assert len(sizes) == len(gens) + 1 and sizes[0] == 1
+    for i, g in enumerate(gens):
+        below = subgroup(add, zero, gens[:i])
+        order, x = 1, g
+        while x not in below:
+            order, x = order + 1, int(add[x, g])
+        assert sizes[i + 1] == sizes[i] * order
+        assert sizes[i + 1] == len(subgroup(add, zero, gens[:i + 1]))
+
+
+def z4_near_miss():
+    """Z_4 enumerated as the values (0, 2, 1, 3), with one = 1, y 1 = y and,
+    for x != 1, y x = 0 for even y and y x = x for odd y.  The search tree
+    is 2 = 0 + 2, 1 = 0 + 1, 3 = 2 + 1, and y x = p(y) x + g(y) x holds for
+    every x and y; but (1 + 1) 3 = 2 3 = 0 while 1 3 + 1 3 = 2, which only
+    the relation o_2 (g_2 x) = (o_2 g_2) x, with g_2 = 1 and o_2 = 2,
+    sees."""
+    value = np.array([0, 2, 1, 3])
+    index = np.argsort(value)
+
+    def times(y, x):
+        return y if x == 1 else x * (y % 2)
+
+    add = index[(value[:, None] + value[None, :]) % 4]
+    mul = index[[[times(y, x) for x in value] for y in value]]
+    return add, mul, int(index[1])
+
+
+def loop_near_misses():
+    """Additions on which the prelude, (b), the tree pass and the
+    divisibility of |R_i| all hold, so that only the commutator check of
+    (a') rejects them.  On four elements x -> x + 1 is not a permutation;
+    the six-element loop (a Latin square with identity 0) has permutation
+    columns.  In both, x -> x + 1 and x -> x + 2 do not commute."""
+    return {
+        "nonpermutation": np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
+                            [3, 0, 1, 2]]),
+        "loop": np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
+                                [2, 3, 5, 4, 1, 0], [3, 5, 4, 0, 2, 1],
+                                [4, 2, 1, 5, 0, 3], [5, 4, 0, 1, 3, 2]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(loop_near_misses()))
+def test_tree_pass_needs_the_commutator_check(case):
+    add = loop_near_misses()[case]
+    n = len(add)
+    gens, parent, via, sizes = _greedy_generators(add, np.arange(n), 0)
+    ends = np.array((0,) + gens)
+    assert np.array_equal(add, add[add[:, parent], ends[via]])
+    assert sizes == [1, 2, n]
+    mul = np.zeros_like(add)
+    mul[1], mul[:, 1] = np.arange(n), np.arange(n)
+    assert triple_axiom_failure(add, mul, 0, 1) is not None
+    with pytest.raises(InvariantViolation,
+                       match="addition is not associative"):
+        FiniteRing(add, mul, 0, 1, case, {})
+
+
+def test_tree_pass_needs_the_power_relations():
+    add, mul, one = z4_near_miss()
+    gens, parent, via, _ = _greedy_generators(add, np.arange(4), 0)
+    ends = np.array((0,) + gens)
+    assert np.array_equal(mul, add[mul[parent], mul[ends[via]]])
+    assert triple_axiom_failure(add, mul, 0, one) is not None
+    with pytest.raises(InvariantViolation,
+                       match="right distributivity fails"):
+        FiniteRing(add, mul, 0, one, "near-miss", {})
 
 
 @pytest.mark.parametrize("table", ["add", "mul"])

@@ -49,6 +49,7 @@ from ringwalk.spectrum import (
     unit_group_characters,
 )
 
+from random_rings import random_class_q, random_ring
 from spectral_oracle import (
     MATCH,
     abelian_characters_by_dict,
@@ -59,7 +60,6 @@ from spectral_oracle import (
     union_find_merge,
 )
 from test_cli import seeded_q_json
-from test_stationary import random_ring
 
 
 def uniform(ring):
@@ -421,6 +421,22 @@ def test_conjugation_check_uses_every_generator():
     assert not check_conjugation_invariance(ring, bad)[0]
 
 
+def test_conjugation_check_reads_the_last_row_block():
+    """Mass moved within row x = n - 1 of B on Z_2 x M2(F3) is seen.  The
+    units are (1, u), so x and every u^-1 x lie past the first 64 rows that
+    the check compares."""
+    ring = product_ring(zn_ring(2), matrix_ring(3))
+    B = build_B(ring, seeded_q(ring, 1))
+    num = B.matrix.num.copy()
+    x = ring.n - 1
+    y, z = np.flatnonzero(num[x])[:2]
+    num[x, y] += 1
+    num[x, z] -= 1
+    bad = TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", ring)
+    assert ring.units.min() >= 81
+    assert not check_conjugation_invariance(ring, bad)[0]
+
+
 def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
     """Two closed forms of equal multiplicity moved by +1 and -1 (in D *
     eigenvalue): the first power sum is unchanged, a later one is not."""
@@ -438,16 +454,6 @@ def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
     ring = matrix_ring(3)
     ok, detail = check_spectrum_gl2(ring, seeded_q(ring, 2))
     assert not ok and "power sum 1 " not in detail
-
-
-def random_class_q(draw, ring):
-    """A class-constant Q with integer class weights 0..9, not all 0."""
-    part = ring.similarity
-    w = draw(st.lists(st.integers(0, 9), min_size=len(part),
-                      max_size=len(part)))
-    w[part.class_of[ring.one]] += 1
-    total = sum(x * len(c) for x, c in zip(w, part.classes))
-    return ClassDistribution(ring, [Fr(x, total) for x in w])
 
 
 @settings(max_examples=20, deadline=None)

@@ -24,6 +24,7 @@ from ringwalk.stationary import (
     stationary_uniform,
 )
 
+from random_rings import random_class_q, random_ring
 from test_chain import q_over_64_bits
 from test_mixing import seeded_q
 
@@ -102,25 +103,6 @@ def test_solve_exact_when_denominator_exceeds_64_bits():
         stationary_recursive(r, q, Fr(1, 3))
 
 
-def ring_factor(room):
-    """A strategy for Z_m, B2(F_p) or M2(F_2) with at most `room` elements."""
-    fixed = ((8, upper_triangular_ring, 2), (27, upper_triangular_ring, 3),
-             (125, upper_triangular_ring, 5), (16, matrix_ring, 2))
-    return st.one_of([st.integers(2, room).map(zn_ring)]
-                     + [st.builds(make, st.just(arg))
-                        for size, make, arg in fixed if size <= room])
-
-
-def random_ring(draw):
-    """A product of up to three factors with at most 128 elements."""
-    ring = draw(ring_factor(128))
-    for _ in range(draw(st.integers(0, 2))):
-        if 2 * ring.n > 128:
-            break
-        ring = product_ring(ring, draw(ring_factor(128 // ring.n)))
-    return ring
-
-
 def reference_q_transfer(ring, Q, x, y):
     """sum over coset reps u of LStab(y) and r in R_{x,y} of Q(r u^{-1}),
     one Fraction at a time."""
@@ -146,12 +128,7 @@ def assert_q_transfers_match(ring, Q):
 @given(st.data())
 def test_solve_equals_recursion_on_random_rings(data):
     ring = random_ring(data.draw)
-    part = ring.similarity
-    w = data.draw(st.lists(st.integers(0, 9), min_size=len(part),
-                           max_size=len(part)))
-    w[part.class_of[ring.one]] += 1          # never all zero
-    total = sum(x * len(c) for x, c in zip(w, part.classes))
-    q = ClassDistribution(ring, [Fr(x, total) for x in w])
+    q = random_class_q(data.draw, ring)
     assert_q_transfers_match(ring, q)
     s = data.draw(st.integers(2, 50))
     alpha = Fr(data.draw(st.integers(1, s - 1)), s)
