@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolation,
     NegativeWeight,
     NotNormalized,
-    ParamOutOfRange,
     RingMismatch,
     UnknownClass,
 )
@@ -33,9 +32,7 @@ from .rings import FiniteRing
 
 def check_alpha(alpha, allow_boundary=False) -> Fraction:
     alpha = Fraction(alpha)
-    lo, hi = (0, 1)
-    ok = (lo <= alpha <= hi) if allow_boundary else (lo < alpha < hi)
-    if not ok:
+    if not (0 <= alpha <= 1 if allow_boundary else 0 < alpha < 1):
         raise AlphaOutOfRange(
             f"alpha = {alpha} outside {'[0,1]' if allow_boundary else '(0,1)'}")
     return alpha
@@ -136,10 +133,8 @@ class TransitionMatrix:
             raise InvariantViolation(f"{self.kind} rows must sum to exactly 1")
 
 
-def weighted_mul_counts(ring: FiniteRing, weights,
-                        side: str = "left") -> np.ndarray:
-    """Integer matrix W[a, b] = sum of weights[x] over x with x*a == b
-    (side="left"; x*a becomes a*x for side="right").
+def weighted_mul_counts(ring: FiniteRing, weights) -> np.ndarray:
+    """Integer matrix W[a, b] = sum of weights[x] over x with x*a == b.
 
     weights are integers >= 0, so every entry is at most the row sum
     sum(weights): the entries are int64 below 2**63 and Python ints
@@ -149,33 +144,25 @@ def weighted_mul_counts(ring: FiniteRing, weights,
     w = np.array(weights, dtype=dtype)
     out = np.zeros((ring.n, ring.n), dtype=dtype)
     for a in range(ring.n):
-        targets = ring.mul[:, a] if side == "left" else ring.mul[a, :]
-        np.add.at(out[a], targets, w)
+        np.add.at(out[a], ring.mul[:, a], w)
     return out
 
 
-def build_B(ring: FiniteRing, Q: ClassDistribution, side: str = "left") -> TransitionMatrix:
-    """Multiplication-only transition matrix with exact rational entries.
-
-    side="left" is the convention the spectral and stationary theory uses
-    (transition a -> x*a); side="right" (a -> a*z) exists for the simulator
-    comparison and is not the default anywhere.
-    """
+def build_B(ring: FiniteRing, Q: ClassDistribution) -> TransitionMatrix:
+    """Multiplication-only transition matrix with exact rational entries,
+    for left multiplication a -> x*a, the convention the spectral and
+    stationary theory uses."""
     check_same_ring(ring, Q)
-    if side not in ("left", "right"):
-        raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
-                              f"'right'")
     w_int, den = Q.scaled_weights()
-    num = weighted_mul_counts(ring, w_int, side)
+    num = weighted_mul_counts(ring, w_int)
     tm = TransitionMatrix(ScaledMatrix(num, den), "B", ring)
     tm.check_stochastic()
     return tm
 
 
-def chain_matrix(B: TransitionMatrix, alpha,
-                 allow_boundary: bool = False) -> TransitionMatrix:
+def chain_matrix(B: TransitionMatrix, alpha) -> TransitionMatrix:
     """Full chain matrix (alpha/n) * ones + (1 - alpha) * B; strictly positive."""
-    alpha = check_alpha(alpha, allow_boundary)
+    alpha = check_alpha(alpha)
     n = B.n
     p, s = alpha.numerator, alpha.denominator
     common = lcm(n, B.matrix.den)
@@ -187,13 +174,12 @@ def chain_matrix(B: TransitionMatrix, alpha,
     tm = TransitionMatrix(ScaledMatrix(add_part + mul_scale * num, s * common),
                           "M", B.ring, alpha=alpha)
     tm.check_stochastic()
-    if not allow_boundary and tm.matrix.min_entry() < Fraction(alpha, n):
+    if tm.matrix.min_entry() < Fraction(alpha, n):
         raise InvariantViolation(f"M has an entry below alpha/n = "
                                  f"{Fraction(alpha, n)}")
     return tm
 
 
-def build_M(ring: FiniteRing, Q: ClassDistribution, alpha,
-            allow_boundary: bool = False, side: str = "left") -> TransitionMatrix:
+def build_M(ring: FiniteRing, Q: ClassDistribution, alpha) -> TransitionMatrix:
     """The chain matrix of B built from (ring, Q); see chain_matrix."""
-    return chain_matrix(build_B(ring, Q, side=side), alpha, allow_boundary)
+    return chain_matrix(build_B(ring, Q), alpha)

@@ -25,7 +25,7 @@ from .stationary import (
     stationary_uniform,
 )
 
-_ROWS = 64                 # rows of B per conjugation-invariance comparison
+_ROWS = 64                 # rows of B (and M) per blockwise comparison
 
 
 def check_orbit_stabilizer(ring: FiniteRing):
@@ -131,7 +131,8 @@ def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution):
 def check_m_shift(B: TransitionMatrix, M: TransitionMatrix):
     """B 1 = 1, M 1 = 1 and M - (1 - alpha) B = (alpha/n) J, in integers.
     Then eig(M) is 1 together with (1 - alpha) eig(B) less one copy of 1
-    (Brauer, Duke Math. J. 19, 1952), with no eigensolve."""
+    (Brauer, Duke Math. J. 19, 1952), with no eigensolve.  The identity is
+    compared _ROWS rows at a time, so no n x n temporary is made."""
     n, p, s = M.n, M.alpha.numerator, M.alpha.denominator
     L = lcm(B.matrix.den, M.matrix.den)
     b, m = B.matrix.num, M.matrix.num
@@ -141,10 +142,12 @@ def check_m_shift(B: TransitionMatrix, M: TransitionMatrix):
     # over the denominator s n L: s n M - (s - p) n B = p J, with each
     # term at most s n L now that 0 <= B, M <= 1
     cm, cb = s * n * (L // M.matrix.den), (s - p) * n * (L // B.matrix.den)
-    if s * n * L >= 2 ** 63:
-        b, m = b.astype(object), m.astype(object)
-    if np.any(cm * m - cb * b != p * L):
-        return False, "M != (1 - alpha) B + (alpha/n) J"
+    dtype = object if s * n * L >= 2 ** 63 else np.int64
+    for i in range(0, n, _ROWS):
+        rows = slice(i, i + _ROWS)
+        if np.any(cm * np.asarray(m[rows], dtype)
+                  - cb * np.asarray(b[rows], dtype) != p * L):
+            return False, "M != (1 - alpha) B + (alpha/n) J"
     return True, (f"alpha={M.alpha}: M = (1-alpha) B + (alpha/n) J and "
                   f"B 1 = M 1 = 1, exactly")
 

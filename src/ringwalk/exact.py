@@ -30,7 +30,7 @@ class ScaledMatrix:
 
     __slots__ = ("num", "den", "n", "m")
 
-    def __init__(self, num, den, reduce=True):
+    def __init__(self, num, den):
         if not isinstance(num, np.ndarray):
             num = np.array([list(map(int, row)) for row in num], dtype=object)
         elif num.dtype != np.int64:
@@ -41,10 +41,6 @@ class ScaledMatrix:
         if self.den < 0:
             self.den = -self.den
             self.num = -self.num
-        if reduce:
-            self._reduce()
-
-    def _reduce(self):
         g = gcd(self.den, int(np.gcd.reduce(self.num, axis=None)))
         if g > 1:
             self.den //= g

@@ -72,6 +72,22 @@ def _greedy_generators(table, candidates, start):
         sizes.append(int(np.count_nonzero(parent >= 0)))
 
 
+def orbit_labels(perms, n):
+    """The least point of each point's orbit under the group generated by
+    `perms`, permutations x -> perm[x] of 0..n-1, by min-label propagation
+    with pointer jumping: labels fall within their orbits until label[x] <=
+    label[perm[x]] for all x and perm, so they are constant on orbits."""
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        for perm in perms:
+            np.minimum(low, label[perm], out=low)
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 def _multiple(add, v, m, zero):
     """m v = v + ... + v (m terms) for each entry of the index array v, by
     doubling."""
@@ -312,25 +328,12 @@ class FiniteRing:
 
     @cached_property
     def similarity(self) -> SimilarityPartition:
-        """Orbits of r -> u r u^-1: the components of the graph joining r to
-        g r g^-1 for each unit generator g.  Each label falls to the least
-        index of its component by min-label propagation with pointer
-        jumping, as in spectrum.EigenvalueMultiset.from_values."""
-        mul = self.mul
-        conj = []
-        for g in self.unit_generators:
-            h = self.inv(g)
-            conj += [mul[mul[g], h], mul[mul[h], g]]   # g r g^-1, g^-1 r g
-        label = np.arange(self.n)
-        while True:
-            low = label.copy()
-            for perm in conj:
-                np.minimum(low, label[perm], out=low)
-            low = low[low]
-            if np.array_equal(low, label):
-                break
-            label = low
-        reps, class_of = np.unique(label, return_inverse=True)
+        """Orbits of r -> u r u^-1: orbit_labels under r -> g r g^-1 for
+        the unit generators g."""
+        conj = [self.mul[self.mul[g], self.inv(g)]
+                for g in self.unit_generators]
+        reps, class_of = np.unique(orbit_labels(conj, self.n),
+                                   return_inverse=True)
         classes = _segments(class_of, len(reps))
         is_unit = np.zeros(self.n, dtype=bool)
         is_unit[self.units] = True

@@ -13,6 +13,8 @@
 3. gl2_spectrum: closed-form eigenvalues for M2(F_q), odd prime q, from the
    GL2 character table, with predicted multiplicities.  gl2_spectrum_mod_p
    is its twin in F_p, checked against power_traces_mod_p exactly.
+4. is_multiplicity_free_nonunit: one exact route, |S_a| <= EIG_CAP, with
+   no character table: U_R's orbital algebra on S_a, decided on one row.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .fields import angle_to_complex, field_make, is_prime
 from .mixing import class_products
-from .rings import FiniteRing
+from .rings import FiniteRing, orbit_labels
 
 MERGE_TOL = 1e-8
 EIG_CAP = 4096
@@ -373,7 +375,7 @@ def power_traces_mod_p(ring: FiniteRing, Q: ClassDistribution, p: int,
 
 
 # ---------------------------------------------------------------------------
-# permutation-representation multiplicities and multiplicity-freeness
+# U_R's characters and multiplicity-freeness
 # ---------------------------------------------------------------------------
 
 def fixed_point_counts(ring: FiniteRing, a: int) -> np.ndarray:
@@ -465,68 +467,41 @@ def _abelian_characters(ring: FiniteRing) -> np.ndarray:
     return out
 
 
-def _multiplicities(ring: FiniteRing, a: int, fix, chars) -> np.ndarray:
-    """<fix, chi> over U_R for every row chi of chars, as integers; fix is
-    fixed_point_counts(ring, a)."""
-    vals = np.conj(chars) @ fix / len(ring.units)
-    mults = np.rint(vals.real)
-    off = np.abs(vals - mults) >= 1e-8
-    if off.any():
-        raise InvariantViolation(f"non-integral multiplicity {vals[off][0]} "
-                                 f"on S_{a}")
-    return mults.astype(np.int64)
-
-
-def _pair_orbit_labels(ring: FiniteRing, sa: np.ndarray) -> np.ndarray:
-    """Orbit label of each (s, t) pair of S_a x S_a under the diagonal
-    left-multiplication action of U_R."""
-    k = len(sa)
-    pos = -np.ones(ring.n, dtype=np.int64)
-    pos[sa] = np.arange(k)
-    pair_ids = np.arange(k * k)
-    labels = pair_ids.copy()
-    # after unit u, labels[p] <= labels[u.p] <= u.p, so one sweep over all
-    # units already brings each pair to its orbit's least pair id
-    for u in ring.units:
-        img = pos[ring.mul[u, sa]]
-        perm = (img[:, None] * k + img[None, :]).ravel()
-        labels = np.minimum(labels, labels[perm])
-    return labels
-
-
 def is_multiplicity_free_nonunit(ring: FiniteRing, a: int) -> bool:
-    """Whether the permutation representation of U_R on S_a is multiplicity
-    free.
-
-    With a character table of U_R available this computes every multiplicity
-    at once, as conj(chars) @ fix / |U|.  Otherwise it falls back to the
-    centralizer-algebra route: the self inner product <pi, pi> is computed
-    both as (1/|U|) sum fix(u)^2 and as the number of U_R-orbits on
-    S_a x S_a (the two must agree), and the representation is multiplicity
-    free iff the orbit-indicator matrices spanning the centralizer algebra
-    commute, i.e. iff <pi, pi> equals the number of distinct constituents.
-    """
+    """Whether U_R's permutation representation on S_a, a a non-unit with
+    |S_a| = k <= EIG_CAP, is multiplicity free: whether the indicators A_o
+    of the U_R-orbits o on S_a x S_a commute (Ceccherini-Silberstein,
+    Scarabotti & Tolli 2008, ch. 4).  The orbit index L comes from
+    orbit_labels under (s, t) -> (g s, g t), g a unit generator; its
+    diagonal must be one orbit (U_R transitive) and sum_u fix(u)^2 = r |U|
+    for its r orbits (Burnside).  A_o A_o' commutes with the unit action,
+    so its row s0 = S_a[0], #{s : L[s0, s] = o, L[s, t] = o'} at t, decides
+    it: commutative iff the int64 keys (L[s0, s], L[s, t], t), below r^2 k
+    <= k^5 < 2^63, and those with o, o' swapped are equal multisets."""
     if int(a) in ring.unit_set:
         raise ValueError("multiplicity-freeness is defined for non-units")
-    fix = fixed_point_counts(ring, a)
-    chars = unit_group_characters(ring)
-    if chars is not None:
-        return bool(np.all(_multiplicities(ring, a, fix, chars) <= 1))
     sa = ring.s_set(a)
-    sum_fix_sq = int((fix.astype(np.int64) ** 2).sum())
-    rank, rem = divmod(sum_fix_sq, len(ring.units))
-    labels = _pair_orbit_labels(ring, sa)
-    # each orbit is labelled by its least pair id
-    orbit_ids = np.flatnonzero(labels == np.arange(len(labels)))
-    if rem or len(orbit_ids) != rank:
-        raise InvariantViolation(
-            f"S_{a}: Burnside count {sum_fix_sq}/{len(ring.units)} disagrees "
-            f"with {len(orbit_ids)} orbits on S_a x S_a")
     k = len(sa)
-    mats = [np.asarray(labels == o, dtype=np.int64).reshape(k, k)
-            for o in orbit_ids]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
-                return False
-    return True
+    if k > EIG_CAP:
+        raise TooLarge(f"orbital index capped at |S_a| = {EIG_CAP}, got "
+                       f"|S_{a}| = {k}")
+    pos = np.zeros(ring.n, dtype=np.int64)
+    pos[sa] = np.arange(k)
+    imgs = (pos[ring.mul[g, sa]] for g in ring.unit_generators)
+    perms = [(img[:, None] * k + img).ravel() for img in imgs]
+    least, L = np.unique(orbit_labels(perms, k * k), return_inverse=True)
+    r, L = len(least), L.reshape(k, k)
+    if np.any(np.diagonal(L) != L[0, 0]):
+        raise InvariantViolation(f"S_{a}: the diagonal of S_a x S_a is not "
+                                 f"one U_R-orbit, so U_R is not transitive")
+    fix = fixed_point_counts(ring, a).astype(np.int64)
+    burnside = int((fix * fix).sum())
+    if burnside != r * len(ring.units):
+        raise InvariantViolation(f"S_{a}: Burnside count {burnside}/"
+                                 f"{len(ring.units)} disagrees with {r} "
+                                 f"orbits on S_a x S_a")
+    first, t = L[0][:, None], np.arange(k)
+    keys = (first * r + L) * k + t
+    swapped = (L * r + first) * k + t
+    return bool(np.array_equal(np.sort(keys, axis=None),
+                               np.sort(swapped, axis=None)))

@@ -30,8 +30,7 @@ from .gl2 import require_m2_ring
 from .rings import FiniteRing
 
 
-def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha,
-                     allow_boundary: bool = False):
+def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha):
     """Unique pi with pi M = pi and sum(pi) = 1, exactly, for any n.
 
     B(uc, ud) = B(c, d) for every unit u, so M lumps over the S_a (Kemeny &
@@ -40,7 +39,7 @@ def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha,
     evenly over S_b.  That pi is then certified against M on every column.
     """
     check_same_ring(ring, Q)
-    alpha = check_alpha(alpha, allow_boundary)
+    alpha = check_alpha(alpha)
     n, poset = ring.n, ring.ideals
     p, s = alpha.numerator, alpha.denominator
     w, den = Q.scaled_weights()
@@ -96,10 +95,9 @@ def _q_transfer(ring: FiniteRing, w: np.ndarray, den: int, x: int,
     return Fraction(int(terms.sum()), den)
 
 
-def stationary_recursive(ring: FiniteRing, Q: ClassDistribution, alpha,
-                         allow_boundary: bool = False):
+def stationary_recursive(ring: FiniteRing, Q: ClassDistribution, alpha):
     """Solve pi on phi top-down over the ideal poset, spread over S_a."""
-    alpha = check_alpha(alpha, allow_boundary)
+    alpha = check_alpha(alpha)
     poset = ring.ideals
     w, q_den = Q.scaled_weights()
     pi_ideal = {}
@@ -118,9 +116,9 @@ def stationary_recursive(ring: FiniteRing, Q: ClassDistribution, alpha,
     return [pi_ideal[int(poset.id_of[x])] for x in range(ring.n)]
 
 
-def stationary_uniform(ring: FiniteRing, alpha, allow_boundary: bool = False):
+def stationary_uniform(ring: FiniteRing, alpha):
     """Uniform-Q closed form: coset counts |U_y| and annihilator sizes."""
-    alpha = check_alpha(alpha, allow_boundary)
+    alpha = check_alpha(alpha)
     poset = ring.ideals
     u_count = {i: len(ring.coset_reps(int(poset.reps[i])))
                for i in range(len(poset))}

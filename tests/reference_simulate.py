@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ringwalk import _kernels
+from ringwalk.exact import ScaledMatrix
 from ringwalk.mixing import QSampler, simulate
 
 
@@ -72,3 +73,13 @@ def one_step_rows(ring, Q, alpha, samples: int, seed: int, side: str = "left",
         res = simulate(ring, Q, alpha, int(a), 1, samples, seed + i, side=side)
         rows[i] = res.empirical()
     return rows
+
+
+def right_multiplication_B(ring, Q) -> ScaledMatrix:
+    """B of the right-multiplying walk a -> a z: the sum of Q(z) over z
+    with a z == b, exactly."""
+    w, den = Q.scaled_weights()
+    num = np.zeros((ring.n, ring.n), dtype=w.dtype)
+    for a in range(ring.n):
+        np.add.at(num[a], ring.mul[a], w)
+    return ScaledMatrix(num, den)

@@ -1,13 +1,18 @@
 """Float comparisons of eigenvalue multisets, for tests that hold LAPACK
 (eig_numeric) up against the block and closed-form spectrum routes; the
 pairwise union-find merge that EigenvalueMultiset.from_values must
-reproduce; and the characters of an abelian unit group built one exact
-angle at a time, which spectrum._abelian_characters must reproduce.  The
-program's own checks are exact and use none of this."""
+reproduce; the characters of an abelian unit group built one exact angle
+at a time, which spectrum._abelian_characters must reproduce; and two
+routes to multiplicity-freeness that spectrum.is_multiplicity_free_nonunit
+must agree with: permutation-character multiplicities from a character
+table, and the orbit-indicator matrices on S_a x S_a multiplied pairwise.
+The program's own checks are exact and use none of this."""
 
 from fractions import Fraction
 
 import numpy as np
+
+from ringwalk.errors import InvariantViolation
 
 MATCH = 1e-6
 
@@ -122,3 +127,44 @@ def abelian_characters_by_dict(ring):
         member = set(subgroup)
     assert len(member) == len(chars) == len(ring.units)
     return chars
+
+
+def multiplicities(ring, a: int, fix, chars) -> np.ndarray:
+    """<fix, chi> over U_R for every row chi of chars, as integers; fix is
+    spectrum.fixed_point_counts(ring, a)."""
+    vals = np.conj(chars) @ fix / len(ring.units)
+    mults = np.rint(vals.real)
+    off = np.abs(vals - mults) >= 1e-8
+    if off.any():
+        raise InvariantViolation(f"non-integral multiplicity {vals[off][0]} "
+                                 f"on S_{a}")
+    return mults.astype(np.int64)
+
+
+def pair_orbit_labels(ring, sa: np.ndarray) -> np.ndarray:
+    """Orbit label of each (s, t) pair of S_a x S_a under the diagonal
+    left-multiplication action of U_R."""
+    k = len(sa)
+    pos = -np.ones(ring.n, dtype=np.int64)
+    pos[sa] = np.arange(k)
+    pair_ids = np.arange(k * k)
+    labels = pair_ids.copy()
+    # after unit u, labels[p] <= labels[u.p] <= u.p, so one sweep over all
+    # units already brings each pair to its orbit's least pair id
+    for u in ring.units:
+        img = pos[ring.mul[u, sa]]
+        perm = (img[:, None] * k + img[None, :]).ravel()
+        labels = np.minimum(labels, labels[perm])
+    return labels
+
+
+def orbital_mult_free(ring, a: int) -> bool:
+    """The centralizer-algebra answer, with no character table: the
+    orbit-indicator matrices on S_a x S_a commute pairwise."""
+    sa = ring.s_set(a)
+    labels = pair_orbit_labels(ring, sa)
+    k = len(sa)
+    mats = [np.asarray(labels == o, dtype=np.int64).reshape(k, k)
+            for o in np.unique(labels)]
+    return all(np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
+               for i in range(len(mats)) for j in range(i + 1, len(mats)))

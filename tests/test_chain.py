@@ -29,6 +29,7 @@ from ringwalk.exact import ScaledMatrix
 from ringwalk.rings import matrix_ring, upper_triangular_ring, zn_ring
 
 from gl2_oracle import ring_element_index
+from reference_simulate import right_multiplication_B
 
 # the multiplication-only matrix of M2(F2) with uniform Q, in sixteenths,
 # on the lexicographically ordered basis
@@ -270,8 +271,8 @@ def test_left_right_sides_coincide_only_when_commutative():
     for r, same in ((zn_ring(6), True), (zn_ring(12), True),
                     (upper_triangular_ring(2), False), (matrix_ring(2), False)):
         q = ClassDistribution.uniform(r)
-        left = build_B(r, q, side="left").matrix
-        right = build_B(r, q, side="right").matrix
+        left = build_B(r, q).matrix
+        right = right_multiplication_B(r, q)
         assert (left == right) == same
 
 
@@ -280,8 +281,8 @@ def test_right_side_is_transpose_relabel_for_m2():
     # so B_right(a, b) = B_left(a^T, b^T)
     r = matrix_ring(3)
     q = ClassDistribution.uniform(r)
-    left = build_B(r, q, side="left").matrix
-    right = build_B(r, q, side="right").matrix
+    left = build_B(r, q).matrix
+    right = right_multiplication_B(r, q)
     perm = [ring_element_index(r, (e[0, 0], e[1, 0], e[0, 1], e[1, 1]))
             for e in r.entries]
     assert right.den == left.den
@@ -300,12 +301,6 @@ def test_alpha_validation():
     with pytest.raises(AlphaOutOfRange):
         build_M(r, q, Fr(3, 2))
     assert check_alpha(Fr(1), allow_boundary=True) == 1
-
-
-def test_boundary_alpha_one_gives_uniform_rows():
-    r = zn_ring(6)
-    m = build_M(r, ClassDistribution.uniform(r), Fr(1), allow_boundary=True)
-    assert all(v == Fr(1, 6) for row in fraction_rows(m.matrix) for v in row)
 
 
 def test_m_entry_golden():
@@ -368,11 +363,14 @@ assert False, "this script must run under python -O"
     ("ScaledMatrix([[1, 0]], 1) @ ScaledMatrix([[1, 0]], 1)",
      "LengthMismatch"),
     ("character_table(3).classify((1, 1, 1, 1))", "InvariantViolation"),
-    # every character moved by 1/2: each multiplicity on S_0 is off by 1/2
-    ("spectrum.unit_group_characters = lambda r, f=spectrum."
-     "unit_group_characters: f(r) + 0.5; spectrum."
+    # doubled fixed-point counts: Burnside gives 4 orbits on S_0 x S_0, not 1
+    ("spectrum.fixed_point_counts = lambda r, a, f=spectrum."
+     "fixed_point_counts: 2 * f(r, a); spectrum."
      "is_multiplicity_free_nonunit(r := matrix_ring(3), r.zero)",
      "InvariantViolation"),
+    # no unit generators: the diagonal of S_1 x S_1 (|S_1| = 8) splits
+    ("r = matrix_ring(3); r.unit_generators = (); "
+     "spectrum.is_multiplicity_free_nonunit(r, 1)", "InvariantViolation"),
     # halved characters: chi(1) = 1/2 is no character degree
     ("spectrum.unit_group_characters = lambda r, f=spectrum."
      "unit_group_characters: f(r) / 2; spectrum.block_spectrum(r := "
@@ -392,8 +390,8 @@ assert False, "this script must run under python -O"
      "stationary_nullspace: (lambda v: [v[0] / 2, v[1] + v[0] / 2] + v[2:])"
      "(f(m)); stationary.stationary_solve(r := zn_ring(6), "
      "ClassDistribution.uniform(r), Fraction(1, 2))", "InvariantViolation"),
-    ("build_B(r := zn_ring(6), ClassDistribution.uniform(r), side='middle')",
-     "ParamOutOfRange"),
+    ("simulate(r := zn_ring(6), ClassDistribution.uniform(r), Fraction(1, 2),"
+     " 0, 5, 100, seed=1, side='middle')", "ParamOutOfRange"),
     ("simulate(r := zn_ring(6), ClassDistribution.uniform(r), Fraction(1, 2),"
      " 0, 5, 100, seed=None)", "ParamOutOfRange"),
     # a coin draw of 2^63 or more does not fit int64

@@ -457,6 +457,49 @@ def test_m2f5_report_bytes_are_pinned(argv, digest):
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("ring, digest, no_rows", [
+    (["--ring", "matrix", "--q", "2", "--size", "3"],
+     "e318d23801b97b0df49643abcceae014510fcf6ac7f1f626439724f66fb4e0b0", 7),
+    (["--ring", "product", "--factors", "zn:4,matrix:2"],
+     "b36f8beb6d084107e3549608bac0833c6c0fbd6ce3dff9cdfaa8757bb2bc92a6", 2),
+], ids=["M3(F2)", "Z_4xM2(F2)"])
+def test_describe_bytes_with_mult_free_no_are_pinned(ring, digest, no_rows):
+    """describe on rings where some generator is not multiplicity free:
+    the `no` rows of the mult_free column are part of the pinned bytes."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "ringwalk.cli", "describe"]
+                          + ring, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    ideals = next(t for t in reports.parse_text(proc.stdout)["tables"]
+                  if t["name"] == "ideals")
+    col = ideals["columns"].index("mult_free")
+    assert [row[col] for row in ideals["rows"]].count("no") == no_rows
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ring", [["--ring", "matrix", "--q", "3"],
+                                  ["--ring", "zn", "--n", "60"],
+                                  ["--ring", "upper_triangular", "--q", "3"]],
+                         ids=["M2(F3)", "Z_60", "B2(F3)"])
+def test_describe_builds_no_character_table(monkeypatch, capsys, ring):
+    def refuse(r):
+        raise AssertionError(f"describe built U_R's characters on {r.label}")
+
+    monkeypatch.setattr(cli.spectrum, "unit_group_characters", refuse)
+    assert cli.main(["describe"] + ring) == 0
+    assert "mult_free" in capsys.readouterr().out
+
+
+def test_describe_needs_no_character_table_cap(monkeypatch, capsys):
+    # Z_13 has 12 units, above a cap of 10 on the abelian character table;
+    # describe reads only |S_0| = 1
+    monkeypatch.setattr(cli.spectrum, "EIG_CAP", 10)
+    assert cli.main(["describe", "--ring", "zn", "--n", "13"]) == 0
+    assert reports.parse_text(capsys.readouterr().out)["meta"]["units"] \
+        == "12"
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--alpha", "1/2"],
                                   ["spectrum", "--alpha", "1/2"] + M2F5_SEED1],
                          ids=["uniform", "seed1"])

@@ -47,11 +47,11 @@ def test_to_float_rounds_each_entry_once():
     rng = np.random.default_rng(5)
     num = rng.integers(-2 ** 62, 2 ** 62, size=(5, 5))
     den = 3 ** 39                       # neither fits a float exactly
-    m = ScaledMatrix(num, den, reduce=False)
-    want = [[v / float(den) for v in row] for row in num.tolist()]
+    m = ScaledMatrix(num, den)
+    assert m.den > 2 ** 53              # still no float holds it exactly
+    want = [[v / float(m.den) for v in row] for row in m.num.tolist()]
     assert m.to_float().tolist() == want
-    assert ScaledMatrix(num.astype(object), den, reduce=False).to_float() \
-        .tolist() == want
+    assert ScaledMatrix(num.astype(object), den).to_float().tolist() == want
 
 
 def test_matmul_matches_float():

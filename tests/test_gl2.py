@@ -14,11 +14,7 @@ from ringwalk.gl2 import (
     rank_one_sigma,
 )
 from ringwalk.rings import matrix_ring
-from ringwalk.spectrum import (
-    _multiplicities,
-    fixed_point_counts,
-    unit_group_characters,
-)
+from ringwalk.spectrum import fixed_point_counts, unit_group_characters
 
 from gl2_oracle import (
     class_function_F,
@@ -29,6 +25,7 @@ from gl2_oracle import (
     ring_element_index,
     y_elements,
 )
+from spectral_oracle import multiplicities
 
 
 # ---------------------------------------------------------------------
@@ -191,8 +188,8 @@ def test_sigma_a_by_rank():
         sigma = {2: set(irreps(q)), 1: set(rank_one_sigma(q)),
                  0: {Irrep("det", (0,), 1)}}
         for a in map(int, r.phi):
-            mults = _multiplicities(r, a, fixed_point_counts(r, a),
-                                    unit_group_characters(r))
+            mults = multiplicities(r, a, fixed_point_counts(r, a),
+                                   unit_group_characters(r))
             rank = matrix_rank(r.entries[a].ravel(), q)
             assert {rep for rep, m in zip(tab.irreps, mults) if m} == \
                 sigma[rank]

@@ -31,7 +31,11 @@ from ringwalk.rings import (
 from ringwalk.stationary import stationary_recursive, stationary_solve
 
 from random_rings import random_class_q, random_ring
-from reference_simulate import one_step_rows, reference_simulate
+from reference_simulate import (
+    one_step_rows,
+    reference_simulate,
+    right_multiplication_B,
+)
 
 
 def uniform(ring):
@@ -285,12 +289,12 @@ def test_one_step_right_side_matches_right_matrix():
     ring = upper_triangular_ring(2)
     q = uniform(ring)
     alpha = Fr(1, 2)
-    b_right = build_B(ring, q, side="right").to_float()
+    b_right = right_multiplication_B(ring, q).to_float()
     m_right = 0.5 / ring.n + 0.5 * b_right
     rows = one_step_rows(ring, q, alpha, 400_000, seed=21, side="right")
     assert np.abs(rows - m_right).max() < 0.005
     # and on this ring the two sides genuinely differ
-    b_left = build_B(ring, q, side="left").to_float()
+    b_left = build_B(ring, q).to_float()
     assert np.abs(b_left - b_right).max() > 0.1
 
 

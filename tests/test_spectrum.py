@@ -28,7 +28,12 @@ from ringwalk.checks import (
 )
 from ringwalk.exact import ScaledMatrix
 from ringwalk.fields import is_prime
-from ringwalk.errors import RingMismatch, TooLarge, UnsupportedQ
+from ringwalk.errors import (
+    InvariantViolation,
+    RingMismatch,
+    TooLarge,
+    UnsupportedQ,
+)
 from ringwalk.rings import (
     matrix_ring,
     product_ring,
@@ -37,7 +42,6 @@ from ringwalk.rings import (
 )
 from ringwalk.spectrum import (
     EigenvalueMultiset,
-    _multiplicities,
     block_spectrum,
     eig_numeric,
     fixed_point_counts,
@@ -54,8 +58,10 @@ from spectral_oracle import (
     MATCH,
     abelian_characters_by_dict,
     closed_form_values,
+    multiplicities,
     multisets_match,
     numeric_multiplicity,
+    orbital_mult_free,
     shift_to_chain_values,
     union_find_merge,
 )
@@ -437,6 +443,24 @@ def test_conjugation_check_reads_the_last_row_block():
     assert not check_conjugation_invariance(ring, bad)[0]
 
 
+def test_m_shift_check_reads_the_last_row_block():
+    """Mass moved within row x = n - 1 of M on M2(F3), past the first 64
+    rows the check compares, breaks M = (1 - alpha) B + (alpha/n) J."""
+    ring = matrix_ring(3)
+    B = build_B(ring, seeded_q(ring, 1))
+    M = chain_matrix(B, Fr(1, 2))
+    assert check_m_shift(B, M)[0]
+    num = M.matrix.num.copy()
+    x = ring.n - 1
+    num[x, 0] += 1
+    num[x, 1] -= 1
+    bad = TransitionMatrix(ScaledMatrix(num, M.matrix.den), "M", ring,
+                           alpha=M.alpha)
+    assert x >= 64
+    assert check_m_shift(B, bad) == \
+        (False, "M != (1 - alpha) B + (alpha/n) J")
+
+
 def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
     """Two closed forms of equal multiplicity moved by +1 and -1 (in D *
     eigenvalue): the first power sum is unchanged, a later one is not."""
@@ -554,7 +578,7 @@ def test_unit_block_route_is_named():
 
 def perm_char_multiplicity(ring, a, chi):
     """Multiplicity of chi, on ring.units, in U_R's permutation rep on S_a."""
-    return _multiplicities(ring, a, fixed_point_counts(ring, a), [chi])[0]
+    return multiplicities(ring, a, fixed_point_counts(ring, a), [chi])[0]
 
 
 def test_perm_multiplicity_trivial_on_zero():
@@ -653,19 +677,6 @@ def test_mult_free_rejects_units():
         is_multiplicity_free_nonunit(ring, ring.one)
 
 
-def orbital_mult_free(ring, a):
-    """The centralizer-algebra answer, with no character table: the
-    orbit-indicator matrices on S_a x S_a commute."""
-    from ringwalk.spectrum import _pair_orbit_labels
-    sa = ring.s_set(a)
-    labels = _pair_orbit_labels(ring, sa)
-    k = len(sa)
-    mats = [np.asarray(labels == o, dtype=np.int64).reshape(k, k)
-            for o in np.unique(labels)]
-    return all(np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
-               for i in range(len(mats)) for j in range(i + 1, len(mats)))
-
-
 def nonunit_generators(ring):
     return [int(a) for a in ring.phi if int(a) not in ring.unit_set]
 
@@ -703,8 +714,7 @@ def test_unit_group_characters_built_once_per_ring(monkeypatch):
     ring = matrix_ring(5)
     chars = unit_group_characters(ring)
     assert unit_group_characters(ring) is chars
-    for a in nonunit_generators(ring):
-        assert is_multiplicity_free_nonunit(ring, a)
+    unit_block_spectrum(ring, build_B(ring, uniform(ring)).to_float())
     assert unit_group_characters(ring) is chars
     assert len(calls) <= int(ring.similarity.invertible.sum())
     with pytest.raises(ValueError):
@@ -725,7 +735,6 @@ def per_character_multiplicity(fix, chi, units):
                                   lambda: zn_ring(12)],
                          ids=["M2(F3)", "M2(F5)", "B2(F5)", "Z_12"])
 def test_one_product_multiplicities_equal_per_character(make):
-    from ringwalk.spectrum import _multiplicities
     ring = make()
     chars = unit_group_characters(ring)
     for a in nonunit_generators(ring):
@@ -737,9 +746,65 @@ def test_one_product_multiplicities_equal_per_character(make):
         fix = fixed_point_counts(ring, a)
         expected = [per_character_multiplicity(fix, chi, len(ring.units))
                     for chi in chars]
-        assert _multiplicities(ring, a, fix, chars).tolist() == expected
+        assert multiplicities(ring, a, fix, chars).tolist() == expected
         assert is_multiplicity_free_nonunit(ring, a) == \
             (max(expected) <= 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbital_route_equals_both_oracles_on_random_rings(data):
+    """The one-row orbital route against the sweep-and-matmul oracle on
+    every non-unit generator, and against the characters wherever U_R has
+    a table."""
+    ring = random_ring(data.draw)
+    chars = unit_group_characters(ring)
+    for a in nonunit_generators(ring):
+        got = is_multiplicity_free_nonunit(ring, a)
+        assert got == orbital_mult_free(ring, a)
+        if chars is not None:
+            mults = multiplicities(ring, a, fixed_point_counts(ring, a), chars)
+            assert got == bool(np.all(mults <= 1))
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: matrix_ring(2, size=3), 7),
+    (lambda: product_ring(zn_ring(4), matrix_ring(2)), 2),
+    (lambda: product_ring(zn_ring(2), matrix_ring(3)), 1),
+    (lambda: product_ring(zn_ring(2), upper_triangular_ring(3)), 1),
+], ids=["M3(F2)", "Z_4xM2(F2)", "Z_2xM2(F3)", "Z_2xB2(F3)"])
+def test_generators_that_are_not_multiplicity_free(make, count):
+    ring = make()
+    gens = nonunit_generators(ring)
+    flags = [is_multiplicity_free_nonunit(ring, a) for a in gens]
+    assert flags.count(False) == count
+    assert flags == [orbital_mult_free(ring, a) for a in gens]
+
+
+def test_orbital_route_checks_that_u_r_is_transitive():
+    """S_1 and S_3 of M2(F3) are two orbits of U_R.  On their union
+    Burnside's count still holds, so only the diagonal check sees it; with
+    no unit generators the diagonal of S_1 x S_1 splits too."""
+    ring = matrix_ring(3)
+    union = np.concatenate([ring.s_set(1), ring.s_set(3)])
+    ring.s_set = lambda a: union
+    with pytest.raises(InvariantViolation, match="not one U_R-orbit"):
+        is_multiplicity_free_nonunit(ring, 1)
+    ring = matrix_ring(3)
+    ring.unit_generators = ()
+    with pytest.raises(InvariantViolation, match="not one U_R-orbit"):
+        is_multiplicity_free_nonunit(ring, 1)
+
+
+def test_orbital_index_cap_names_s_a(monkeypatch):
+    ring = matrix_ring(3)
+    assert len(ring.s_set(1)) == 8
+    monkeypatch.setattr(spectrum, "EIG_CAP", 7)
+    with pytest.raises(TooLarge) as exc:
+        is_multiplicity_free_nonunit(ring, 1)
+    assert "|S_1| = 8" in str(exc.value)
+    monkeypatch.setattr(spectrum, "EIG_CAP", 8)
+    assert is_multiplicity_free_nonunit(ring, 1)
 
 
 def test_abelian_character_route_is_exact():
