@@ -390,6 +390,10 @@ assert False, "this script must run under python -O"
      "stationary_nullspace: (lambda v: [v[0] / 2, v[1] + v[0] / 2] + v[2:])"
      "(f(m)); stationary.stationary_solve(r := zn_ring(6), "
      "ClassDistribution.uniform(r), Fraction(1, 2))", "InvariantViolation"),
+    # an equal copy of Z_6 is still another ring object: Q's class weights
+    # index only the classes of the ring Q was built on
+    ("build_B(r := zn_ring(6), ClassDistribution.uniform(FiniteRing("
+     "r.add, r.mul, r.zero, r.one, r.label, {})))", "RingMismatch"),
     ("simulate(r := zn_ring(6), ClassDistribution.uniform(r), Fraction(1, 2),"
      " 0, 5, 100, seed=1, side='middle')", "ParamOutOfRange"),
     ("simulate(r := zn_ring(6), ClassDistribution.uniform(r), Fraction(1, 2),"
