@@ -16,7 +16,7 @@ from .chain import (
     chain_matrix,
 )
 from .errors import RingwalkError
-from .fields import PrimeField, QuadraticExtension, ext_make, field_make
+from .fields import GF, gf
 from .gl2 import CharacterTable, character_table, conj_classes, irreps
 from .mixing import (
     MixingCurve,
@@ -54,7 +54,7 @@ __all__ = [
     "ClassDistribution", "TransitionMatrix", "build_B", "build_M",
     "chain_matrix",
     "RingwalkError",
-    "PrimeField", "QuadraticExtension", "ext_make", "field_make",
+    "GF", "gf",
     "CharacterTable", "character_table", "conj_classes", "irreps",
     "MixingCurve", "SimulationResult", "d_of_t", "mixing_bound",
     "simulate", "tv_distance",

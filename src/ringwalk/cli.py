@@ -12,6 +12,7 @@ relative --out paths and never changes semantics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -21,9 +22,16 @@ from fractions import Fraction
 
 from . import checks, reports, spectrum
 from .chain import ClassDistribution, build_B, chain_matrix
-from .errors import ConfigError, RingwalkError
+from .errors import (
+    ConfigError,
+    NotPrime,
+    ParamOutOfRange,
+    RingwalkError,
+    TooLarge,
+)
 from .mixing import d_of_t, mixing_bound, simulate
 from .rings import (
+    MATRIX_SIZES,
     FiniteRing,
     matrix_ring,
     product_ring,
@@ -68,18 +76,34 @@ def parse_tolerance(value, field: str) -> float:
     return tol
 
 
+@contextlib.contextmanager
+def _naming(field: str):
+    """A ring constructor's rejection of its argument, as a ConfigError
+    naming the descriptor field the argument came from."""
+    try:
+        yield
+    except (NotPrime, ParamOutOfRange, TooLarge) as exc:
+        raise ConfigError(f"field {field!r}: {exc}") from exc
+
+
 def ring_from_descriptor(desc) -> FiniteRing:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("field 'ring': need an object with a 'kind'")
     kind = desc["kind"]
     try:
         if kind == "zn":
-            return zn_ring(parse_int(desc["n"], "ring.n"))
+            n = parse_int(desc["n"], "ring.n")
+            with _naming("ring.n"):
+                return zn_ring(n)
         if kind == "matrix":
-            return matrix_ring(parse_int(desc["q"], "ring.q"),
-                               parse_int(desc.get("size", 2), "ring.size"))
+            q = parse_int(desc["q"], "ring.q")
+            size = parse_int(desc.get("size", 2), "ring.size")
+            with _naming("ring.q" if size in MATRIX_SIZES else "ring.size"):
+                return matrix_ring(q, size)
         if kind == "upper_triangular":
-            return upper_triangular_ring(parse_int(desc["q"], "ring.q"))
+            q = parse_int(desc["q"], "ring.q")
+            with _naming("ring.q"):
+                return upper_triangular_ring(q)
         if kind == "product":
             factors = desc.get("factors", [])
             if not isinstance(factors, list) or len(factors) < 2:
@@ -87,7 +111,9 @@ def ring_from_descriptor(desc) -> FiniteRing:
                                   ">= 2 factors")
             ring = ring_from_descriptor(factors[0])
             for f in factors[1:]:
-                ring = product_ring(ring, ring_from_descriptor(f))
+                factor = ring_from_descriptor(f)
+                with _naming("ring.factors"):
+                    ring = product_ring(ring, factor)
             return ring
     except KeyError as exc:
         raise ConfigError(f"field 'ring': missing {exc.args[0]!r} for "

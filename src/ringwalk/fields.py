@@ -1,9 +1,18 @@
-"""Prime fields, their quadratic extensions, and multiplicative characters.
+"""Finite fields GF(p^k) as lookup tables, and multiplicative characters.
 
-Elements are plain integer indices.  For a prime field GF(p) the index is the
-residue itself.  For a quadratic extension GF(p^2) with modulus t^2 + b*t + c
-the element a0 + a1*t has index a0 + p*a1.  Both field types are immutable
-after construction and safe to share between threads.
+An element is a plain integer index: a0 + a1*p + ... + a_{k-1}*p^(k-1)
+stands for a0 + a1*t + ... + a_{k-1}*t^(k-1) in F_p[t]/(f), with f the
+least monic irreducible polynomial of degree k, ordered lexicographically
+on its coefficients (c_{k-1}, ..., c0).  For k = 1 that is f = t and the
+index is the residue; for k = 2 it is t^2 + b*t + c with the least (b, c).
+The indices below p are the prime subfield, so GF(p) sits inside GF(p^k)
+as itself.
+
+Like a FiniteRing, a field is a pair of read-only int32 n x n tables, add
+and mul, and every operation is a lookup.  gf(p, k) builds each field once
+and shares it; it is immutable and safe to share between threads.  Table
+lookups are numpy integers: convert them with int() before they reach a
+label.
 
 Character values are kept as exact angles (fractions of a full turn) and only
 materialized to complex floats at linear-algebra boundaries, so orthogonality
@@ -15,6 +24,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     ElementFieldMismatch,
@@ -36,231 +47,123 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _multiplicative_order(field, a: int) -> int:
-    order = 1
-    x = a
-    while x != field.one:
-        x = field.mul(x, a)
-        order += 1
-    return order
+def primitive_root(p: int) -> int:
+    """Least primitive root mod the prime p: the least g with
+    g^((p - 1)/r) != 1 (mod p) for every prime r dividing p - 1."""
+    m, rest, primes = p - 1, p - 1, []
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(g for g in range(1, p)
+                if all(pow(g, m // r, p) != 1 for r in primes))
 
 
-def _least_primitive_root(field) -> int:
-    """Least element of full multiplicative order; deterministic across runs."""
-    m = field.size - 1
-    if m == 1:
-        return field.one
-    for a in range(1, field.size):
-        if a == field.zero:
-            continue
-        if _multiplicative_order(field, a) == m:
-            return a
-    raise AssertionError("multiplicative group of a finite field is cyclic")
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-class PrimeField:
-    """GF(p) for prime p, with a cached least primitive root."""
+def _powers(mul, g: int) -> list:
+    """[1, g, g^2, ...], each power of g up to the first that is 1 again."""
+    out = [1]
+    x = int(mul[1, g])
+    while x != 1:
+        out.append(x)
+        x = int(mul[x, g])
+    return out
 
-    def __init__(self, p: int):
+
+class GF:
+    """GF(p^k): int32 add and mul tables over the indices 0 .. p^k - 1,
+    the modulus (c_{k-1}, ..., c0), the least generator of the unit group,
+    exp[j] = generator^j and its inverse dlog (dlog[0] = -1)."""
+
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        self.p = p
-        self.size = p
-        self.zero = 0
-        self.one = 1 % p
-        self.generator = _least_primitive_root(self)
-        self._dlog = self._build_dlog()
-
-    def _build_dlog(self) -> dict:
-        table = {}
-        x = self.one
-        for j in range(self.size - 1):
-            table[x] = j
-            x = self.mul(x, self.generator)
-        return table
-
-    def check(self, a: int) -> None:
-        if not (0 <= a < self.size):
-            raise ElementFieldMismatch(f"{a} not an element of GF({self.size})")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroElement("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
-    def dlog(self, a: int) -> int:
-        """Discrete log base the cached primitive root."""
-        if a == 0:
-            raise ZeroElement("0 is not in the multiplicative group")
-        return self._dlog[a]
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-
-def _least_irreducible_quadratic(base: PrimeField):
-    """Lexicographically least (b, c) with t^2 + b*t + c irreducible over base.
-
-    A monic quadratic over a field is irreducible iff it has no root, which
-    is an exhaustive check at this scale.
-    """
-    p = base.p
-    for b in range(p):
-        for c in range(p):
-            if all((x * x + b * x + c) % p != 0 for x in range(p)):
-                return b, c
-    raise AssertionError("every prime field has an irreducible quadratic")
-
-
-class QuadraticExtension:
-    """GF(p^2) over a prime field, modulus chosen deterministically."""
-
-    def __init__(self, base: PrimeField):
-        self.base = base
-        self.p = base.p
-        self.size = base.p ** 2
-        self.modulus = _least_irreducible_quadratic(base)  # (b, c)
-        self.zero = 0
-        self.one = 1
-        self.generator = _least_primitive_root(self)
-        self._dlog = self._build_dlog()
-
-    def _build_dlog(self) -> dict:
-        table = {}
-        x = self.one
-        for j in range(self.size - 1):
-            table[x] = j
-            x = self.mul(x, self.generator)
-        return table
-
-    def elements(self):
-        return range(self.size)
+        self.p, self.k, self.size = p, k, p ** k
+        weights = p ** np.arange(k)
+        digits = np.arange(self.size)[:, None] // weights % p
+        # a candidate modulus t^k + c_{k-1} t^(k-1) + ... + c0 has the
+        # digits c of its code; F_p[t]/(f) is a field iff it has no zero
+        # divisors, read off its own product table
+        for c in digits:
+            times_t = np.eye(k, k, -1, dtype=np.int64)
+            times_t[:, -1] = -c % p
+            basis = [digits]                    # digits of t^i * b, every b
+            for _ in range(k - 1):
+                basis.append(basis[-1] @ times_t.T % p)
+            mul = np.einsum("ai,ibj->abj", digits, np.array(basis)) % p \
+                @ weights
+            if (mul[1:, 1:] != 0).all():
+                break
+        else:
+            raise InvariantViolation(f"no irreducible polynomial of degree "
+                                     f"{k} over F_{p}")
+        self.modulus = tuple(int(x) for x in c[::-1])
+        self.add = _read_only(((digits[:, None] + digits[None]) % p
+                               @ weights).astype(np.int32))
+        self.mul = _read_only(mul.astype(np.int32))
+        for g in range(1, self.size):
+            exp = _powers(self.mul, g)
+            if len(exp) == self.size - 1:
+                break
+        self.generator = g
+        self.exp = _read_only(np.array(exp, dtype=np.int64))
+        dlog = np.full(self.size, -1, dtype=np.int64)
+        dlog[self.exp] = np.arange(self.size - 1)
+        self.dlog = _read_only(dlog)
 
     def check(self, a: int) -> None:
-        if not (0 <= a < self.size):
-            raise ElementFieldMismatch(f"{a} not an element of GF({self.size})")
+        if not 0 <= a < self.size:
+            raise ElementFieldMismatch(f"{a} not an element of {self!r}")
 
-    def coords(self, a: int) -> tuple:
-        return (a % self.p, a // self.p)
-
-    def element(self, a0: int, a1: int) -> int:
-        return (a0 % self.p) + self.p * (a1 % self.p)
-
-    def embed(self, a: int) -> int:
-        """Image of a base-field element under GF(p) -> GF(p^2)."""
-        self.base.check(a)
-        return a
-
-    def in_base(self, a: int) -> bool:
-        return a // self.p == 0
-
-    def add(self, a: int, b: int) -> int:
-        a0, a1 = self.coords(a)
-        b0, b1 = self.coords(b)
-        return self.element(a0 + b0, a1 + b1)
-
-    def mul(self, a: int, b: int) -> int:
-        # (a0 + a1 t)(b0 + b1 t) with t^2 = -(b t + c)
-        p = self.p
-        mb, mc = self.modulus
-        a0, a1 = self.coords(a)
-        b0, b1 = self.coords(b)
-        hi = a1 * b1
-        c0 = (a0 * b0 - hi * mc) % p
-        c1 = (a0 * b1 + a1 * b0 - hi * mb) % p
-        return self.element(c0, c1)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroElement("0 has no inverse")
-        return self.pow(a, self.size - 2)
-
-    def dlog(self, a: int) -> int:
-        if a == 0:
-            raise ZeroElement("0 is not in the multiplicative group")
-        return self._dlog[a]
-
-    def frobenius(self, a: int) -> int:
-        """a -> a^p; order-two automorphism fixing exactly the base field."""
+    def power(self, a: int, e: int) -> int:
+        """a^e for e >= 1."""
         self.check(a)
-        return self.pow(a, self.p)
-
-    def norm(self, a: int) -> int:
-        """a * frobenius(a), landing in the base field."""
-        if a == 0:
-            raise ZeroElement("norm is defined on the multiplicative group")
-        n = self.mul(a, self.frobenius(a))
-        n0, n1 = self.coords(n)
-        if n1 != 0:
-            raise InvariantViolation(f"norm of {a} is {n} = ({n0}, {n1}), "
-                                     f"outside the base field")
-        return n0
-
-    def sqrt(self, a: int):
-        """Any square root of a in GF(p^2), or None if a is not a square."""
         if a == 0:
             return 0
-        j = self.dlog(a)
-        if j % 2:
-            return None
-        return self.pow(self.generator, j // 2)
+        return int(self.exp[e * int(self.dlog[a]) % (self.size - 1)])
+
+    def frobenius(self, a: int) -> int:
+        """a -> a^p, the automorphism of order k fixing the prime field."""
+        return self.power(a, self.p)
+
+    def norm(self, a: int) -> int:
+        """a^((p^k - 1)/(p - 1)), the product of a's conjugates: a unit of
+        the prime field."""
+        if a == 0:
+            raise ZeroElement("norm is defined on the multiplicative group")
+        n = self.power(a, (self.size - 1) // (self.p - 1))
+        if n >= self.p:
+            raise InvariantViolation(f"norm of {a} is {n}, outside the "
+                                     f"prime field")
+        return n
 
     def __repr__(self):
-        b, c = self.modulus
-        return f"GF({self.p}^2; t^2+{b}t+{c})"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticExtension) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("QuadraticExtension", self.p))
+        return f"GF({self.p}^{self.k})"
 
 
 @lru_cache(maxsize=None)
-def field_make(p: int) -> PrimeField:
-    return PrimeField(p)
+def gf(p: int, k: int = 1) -> GF:
+    return GF(p, k)
 
 
-@lru_cache(maxsize=None)
-def ext_make_cached(p: int) -> QuadraticExtension:
-    return QuadraticExtension(field_make(p))
-
-
-def ext_make(base: PrimeField) -> QuadraticExtension:
-    return ext_make_cached(base.p)
-
-
-def char_angle(field, k: int, x: int) -> Fraction:
+def char_angle(field: GF, k: int, x: int) -> Fraction:
     """Angle, as an exact fraction of a full turn, of the multiplicative
-    character of index k at the unit x: with g the field's cached primitive
-    root and m = |F| - 1, g^j goes to k*j/m mod 1.  Index 0 is the trivial
+    character of index k at the unit x: with g the field's generator and
+    m = |F| - 1, g^j goes to k*j/m mod 1.  Index 0 is the trivial
     character."""
+    if x == 0:
+        raise ZeroElement("0 is not in the multiplicative group")
     m = field.size - 1
-    return Fraction((k * field.dlog(x)) % m, m)
+    return Fraction((k * int(field.dlog[x])) % m, m)
 
 
 def angle_to_complex(theta: Fraction) -> complex:
@@ -283,5 +186,5 @@ def angle_to_complex(theta: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(theta))
 
 
-def frobenius_twist_index(ext: QuadraticExtension, k: int) -> int:
+def frobenius_twist_index(ext: GF, k: int) -> int:
     return (k * ext.p) % (ext.size - 1)

@@ -13,8 +13,10 @@ Covers odd primes q.  Class and representation families:
     pairs; (q-1)-dimensional cuspidals for Frobenius-orbits of
     non-decomposable extension characters.
 
-Character values are assembled from exact angle fractions and mapped to
-complex (so orthogonality holds to rounding error) or to F_p at the end.
+F_q and F_{q^2} are the tables gf(q) and gf(q, 2); an element of F_q is
+the same index, below q, in both.  Character values are assembled from
+exact angle fractions and mapped to complex (so orthogonality holds to
+rounding error) or to F_p at the end.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .errors import InvariantViolation, UnknownCase, UnsupportedQ
 from .fields import (
     angle_to_complex,
     char_angle,
-    ext_make,
-    field_make,
     frobenius_twist_index,
+    gf,
     is_prime,
 )
 
@@ -62,7 +63,7 @@ def _require_odd_prime(q: int):
 def conj_classes(q: int):
     """All conjugacy classes of GL2(F_q) with sizes from centralizer orders."""
     _require_odd_prime(q)
-    ext = ext_make(field_make(q))
+    ext = gf(q, 2)
     g = (q * q - 1) * (q * q - q)
     classes = []
     for x in range(1, q):
@@ -77,23 +78,20 @@ def conj_classes(q: int):
             classes.append(ConjClass("split", (x, y), g // ((q - 1) ** 2),
                                      (x, 0, 0, y)))
     seen = set()
-    for a in ext.elements():
-        if a == 0 or ext.in_base(a):
-            continue
+    for a in range(q, ext.size):        # the elements outside F_q
         key = min(a, ext.frobenius(a))
         if key in seen:
             continue
         seen.add(key)
-        tr = ext.add(key, ext.frobenius(key))
-        if not ext.in_base(tr):
-            raise InvariantViolation(f"trace of {key} is {tr}, outside "
+        t = int(ext.add[key, ext.frobenius(key)])
+        if t >= q:
+            raise InvariantViolation(f"trace of {key} is {t}, outside "
                                      f"the base field F_{q}")
-        t = tr % ext.p
         nm = ext.norm(key)
         # companion matrix of t^2 - (trace) t + (norm); centralizer is the
         # non-split torus of order q^2 - 1
         classes.append(ConjClass("anisotropic", (key,), g // (q * q - 1),
-                                 (0, (-nm) % q, 1, t % q)))
+                                 (0, (-nm) % q, 1, t)))
     total = sum(c.size for c in classes)
     if total != g:
         raise InvariantViolation(f"GL2(F_{q}): class sizes sum to {total}, "
@@ -105,7 +103,7 @@ def irreps(q: int):
     _require_odd_prime(q)
     m = q - 1
     m2 = q * q - 1
-    ext = ext_make(field_make(q))
+    ext = gf(q, 2)
     reps = []
     for k in range(m):
         reps.append(Irrep("det", (k,), 1))
@@ -137,8 +135,8 @@ def char_value(q: int, rep: Irrep, cls: ConjClass, root=angle_to_complex):
     root maps an angle theta (a fraction of a full turn) to exp(2 pi i
     theta): complex by default, or in F_p (spectrum.gl2_spectrum_mod_p).
     """
-    F = field_make(q)
-    ext = ext_make(F)
+    F = gf(q)
+    ext = gf(q, 2)
 
     def chi(k, x):
         return char_angle(F, k, x)
@@ -184,16 +182,21 @@ def char_value(q: int, rep: Irrep, cls: ConjClass, root=angle_to_complex):
         (k,) = params
         if cls.kind == "central":
             x = cls.params[0]
-            return (q - 1) * root(nu(k, ext.embed(x)))
+            return (q - 1) * root(nu(k, x))
         if cls.kind == "unipotent":
             x = cls.params[0]
-            return -root(nu(k, ext.embed(x)))
+            return -root(nu(k, x))
         if cls.kind == "split":
             return 0
         (a,) = cls.params
         return -(root(nu(k, a))
                  + root(nu(k, ext.frobenius(a))))
     raise UnknownCase(f"unknown irrep kind {kind}")
+
+
+def _trace_det(entries, q: int) -> tuple:
+    a, b, c, d = entries
+    return (a + d) % q, (a * d - b * c) % q
 
 
 class CharacterTable:
@@ -212,6 +215,12 @@ class CharacterTable:
                              for i, c in enumerate(self.classes)}
         self._irrep_index = {(r.kind, r.params): i
                              for i, r in enumerate(self.irreps)}
+        self._by_charpoly = {_trace_det(c.rep, q): i
+                             for i, c in enumerate(self.classes)
+                             if c.kind != "central"}
+        if len(self._by_charpoly) != len(self.classes) - (q - 1):
+            raise InvariantViolation(f"GL2(F_{q}): two non-central classes "
+                                     f"share a characteristic polynomial")
 
     def class_index(self, kind: str, params: tuple) -> int:
         return self._class_index[(kind, params)]
@@ -220,31 +229,18 @@ class CharacterTable:
         return self._irrep_index[(rep.kind, rep.params)]
 
     def classify(self, entries) -> int:
-        """Class index of an invertible matrix given as entries (a, b, c, d)."""
-        q = self.q
-        F = field_make(q)
-        a, b, c, d = (int(v) % q for v in entries)
-        det = (a * d - b * c) % q
+        """Class index of an invertible matrix given as entries (a, b, c, d).
+
+        A non-scalar 2 x 2 matrix is cyclic, so its class is fixed by its
+        characteristic polynomial, read here as (trace, det)."""
+        a, b, c, d = (int(v) % self.q for v in entries)
+        tr, det = _trace_det((a, b, c, d), self.q)
         if det == 0:
             raise InvariantViolation(f"classify expects an invertible "
                                      f"matrix; {(a, b, c, d)} has det 0")
         if b == 0 and c == 0 and a == d:
             return self.class_index("central", (a,))
-        tr = (a + d) % q
-        disc = (tr * tr - 4 * det) % q
-        inv2 = F.inv(2)
-        if disc == 0:
-            return self.class_index("unipotent", (tr * inv2 % q,))
-        ext = ext_make(F)
-        s = ext.sqrt(ext.embed(disc))
-        if s is not None and ext.in_base(s):
-            s = s % q
-            x = (tr + s) * inv2 % q
-            y = (tr - s) * inv2 % q
-            return self.class_index("split", (min(x, y), max(x, y)))
-        alpha = ext.mul(ext.add(ext.embed(tr), s), ext.embed(inv2))
-        key = min(alpha, ext.frobenius(alpha))
-        return self.class_index("anisotropic", (key,))
+        return self._by_charpoly[(tr, det)]
 
 
 @lru_cache(maxsize=None)

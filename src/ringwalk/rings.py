@@ -31,9 +31,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantViolation, ParamOutOfRange, TooLarge
-from .fields import field_make
+from .fields import gf
 
 SIZE_CAP = 20000
+MATRIX_SIZES = (2, 3)
 _BLOCK = 64                # table rows or columns per whole-table pass
 
 
@@ -435,7 +436,7 @@ def _segments(label, k):
 def zn_ring(n: int) -> FiniteRing:
     """Z_n with natural enumeration; n = 1 gives the zero ring (one == zero)."""
     if n < 1:
-        raise ParamOutOfRange(f"field 'n': Z_{n} needs n >= 1")
+        raise ParamOutOfRange(f"Z_{n} needs n >= 1")
     if n > SIZE_CAP:
         raise TooLarge(f"Z_{n} exceeds the {SIZE_CAP} cap")
     idx = np.arange(n, dtype=np.int32)     # (n - 1)^2 < 2^31 below SIZE_CAP
@@ -444,30 +445,23 @@ def zn_ring(n: int) -> FiniteRing:
     return FiniteRing(add, mul, 0, 1 % n, f"Z_{n}", {"kind": "zn", "n": n})
 
 
-def _field_tables(field):
-    m = field.size
-    fadd = np.empty((m, m), dtype=np.int32)
-    fmul = np.empty((m, m), dtype=np.int32)
-    for a in range(m):
-        for b in range(m):
-            fadd[a, b] = field.add(a, b)
-            fmul[a, b] = field.mul(a, b)
-    return fadd, fmul
+def _structured_matrix_ring(q, size, positions, name, descriptor):
+    """Ring of size x size matrices over GF(q) supported on `positions`,
+    labelled name(Fq).
 
-
-def _structured_matrix_ring(field, size, positions, label, descriptor):
-    """Ring of size x size matrices over `field` supported on `positions`.
-
-    positions is a row-major list of (i, j) entry slots that may be nonzero;
+    q is a prime or a field from fields.gf.  The SIZE_CAP check comes
+    first, so an oversized q fails before its field is built.  positions
+    is a row-major list of (i, j) entry slots that may be nonzero;
     elements enumerate assignments to those slots lexicographically, most
     significant slot first.
     """
-    m = field.size
+    m = q if isinstance(q, int) else q.size
     d = len(positions)
     n = m ** d
-    if n > SIZE_CAP:
+    label = f"{name}(F{m})"
+    if m > 1 and n > SIZE_CAP:          # gf rejects m < 2 as not prime
         raise TooLarge(f"{label}: {n} elements exceeds the {SIZE_CAP} cap")
-    fadd, fmul = _field_tables(field)
+    field = gf(q) if isinstance(q, int) else q
 
     codes = np.arange(n)
     E = np.zeros((n, size, size), dtype=np.int32)
@@ -481,8 +475,8 @@ def _structured_matrix_ring(field, size, positions, label, descriptor):
     for (i, j), w in weight.items():
         place[i, j] = w
 
-    add = _kernels.matrix_add_table(E, fadd, place)
-    mul, bad = _kernels.matrix_mul_table(E, fmul, fadd, place)
+    add = _kernels.matrix_add_table(E, field.add, place)
+    mul, bad = _kernels.matrix_mul_table(E, field.mul, field.add, place)
     if bad:
         raise InvariantViolation(f"{label}: products escape the matrix shape")
 
@@ -494,7 +488,8 @@ def _structured_matrix_ring(field, size, positions, label, descriptor):
                         for row in ent)
         return f"[{rows}]"
 
-    ring = FiniteRing(add, mul, 0, one_code, label, descriptor, namer=namer)
+    ring = FiniteRing(add, mul, 0, one_code, label, {**descriptor, "q": m},
+                      namer=namer)
     ring.field = field
     ring.mat_size = size
     ring.entries = E
@@ -504,26 +499,18 @@ def _structured_matrix_ring(field, size, positions, label, descriptor):
 def matrix_ring(q, size: int = 2) -> FiniteRing:
     """Full matrix ring of the given size over GF(q).
 
-    q may be an integer prime or a field object (a PrimeField or a
-    QuadraticExtension for the q = p^2 case)."""
-    field = field_make(q) if isinstance(q, int) else q
-    if size not in (2, 3):
+    q is a prime, or a field from fields.gf: gf(p, k) for q = p^k."""
+    if size not in MATRIX_SIZES:
         raise TooLarge("matrix rings are supported for size 2 and 3 only")
     positions = [(i, j) for i in range(size) for j in range(size)]
-    label = f"M{size}(F{field.size})"
-    return _structured_matrix_ring(
-        field, size, positions, label,
-        {"kind": "matrix", "size": size, "q": field.size})
+    return _structured_matrix_ring(q, size, positions, f"M{size}",
+                                   {"kind": "matrix", "size": size})
 
 
 def upper_triangular_ring(q) -> FiniteRing:
     """Upper triangular 2 x 2 matrices over GF(q); q^3 elements."""
-    field = field_make(q) if isinstance(q, int) else q
-    positions = [(0, 0), (0, 1), (1, 1)]
-    label = f"B2(F{field.size})"
-    return _structured_matrix_ring(
-        field, 2, positions, label,
-        {"kind": "upper_triangular", "q": field.size})
+    return _structured_matrix_ring(q, 2, [(0, 0), (0, 1), (1, 1)], "B2",
+                                   {"kind": "upper_triangular"})
 
 
 def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:

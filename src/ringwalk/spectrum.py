@@ -35,7 +35,7 @@ from .errors import (
     TooLarge,
     UnsupportedQ,
 )
-from .fields import angle_to_complex, field_make, is_prime
+from .fields import angle_to_complex, is_prime, primitive_root
 from .mixing import class_products
 from .rings import FiniteRing, orbit_labels
 
@@ -330,7 +330,7 @@ def gl2_spectrum_mod_p(ring: FiniteRing, Q: ClassDistribution):
     m = q * q - 1
     p = next(p for p in itertools.count(m * (q ** 4 // m) + 1, m)
              if p > q ** 4 and is_prime(p))
-    zeta = pow(field_make(p).generator, (p - 1) // m, p)
+    zeta = pow(primitive_root(p), (p - 1) // m, p)
 
     def root(theta):
         a = theta * m

@@ -227,6 +227,28 @@ def test_unknown_config_key_or_format_names_field(tmp_path, field, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("ring, message", [
+    ("--ring matrix --q 9", "field 'ring.q': 9 is not prime"),
+    ("--ring matrix --q 1", "field 'ring.q': 1 is not prime"),
+    ("--ring matrix --q -200", "field 'ring.q': -200 is not prime"),
+    ("--ring upper_triangular --q 6", "field 'ring.q': 6 is not prime"),
+    ("--ring matrix --q 3 --size 4",
+     "field 'ring.size': matrix rings are supported for size 2 and 3 only"),
+    ("--ring zn --n 30000", "field 'ring.n': Z_30000 exceeds the 20000 cap"),
+    ("--ring zn --n 0", "field 'ring.n': Z_0 needs n >= 1"),
+    ("--ring matrix --q 1000000007",
+     f"field 'ring.q': M2(F1000000007): {1000000007 ** 4} elements exceeds "
+     f"the 20000 cap"),
+    ("--ring product --factors zn:150,zn:150",
+     "field 'ring.factors': product has 22500 elements, above the 20000 cap"),
+    ("--ring product --factors zn:2,matrix:9",
+     "field 'ring.q': 9 is not prime"),
+])
+def test_bad_ring_parameter_names_its_field(capsys, ring, message):
+    assert cli.main(["describe"] + ring.split()) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_config_file_shared_across_commands(tmp_path):
     # keys another command reads (seed, samples, tau) do not stop mix
     cfg = {"ring": {"kind": "zn", "n": 6}, "T": 4, "seed": 1,

@@ -85,6 +85,17 @@ def test_classify_constant_on_ring_orbits():
         assert len(ids) == 1
 
 
+def test_class_and_irrep_params_are_python_ints():
+    """Labels print their params, and an np.int32 prints as np.int32(3)
+    under NumPy 2: every param and class representative entry is an int."""
+    for q in (3, 5, 7):
+        tab = character_table(q)
+        for item in tab.classes + tab.irreps:
+            assert all(type(v) is int for v in item.params), item
+        for c in tab.classes:
+            assert all(type(v) is int for v in c.rep), c
+
+
 def test_even_q_rejected():
     with pytest.raises(UnsupportedQ):
         conj_classes(2)

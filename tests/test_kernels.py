@@ -5,9 +5,8 @@ import pytest
 
 from ringwalk import _kernels
 from ringwalk.errors import InvariantViolation
-from ringwalk.fields import ext_make_cached, field_make
+from ringwalk.fields import gf
 from ringwalk.rings import (
-    _field_tables,
     _structured_matrix_ring,
     matrix_ring,
     upper_triangular_ring,
@@ -68,7 +67,7 @@ RINGS = {
     "B2(F5)": (lambda: upper_triangular_ring(5), [(0, 0), (0, 1), (1, 1)]),
     "M3(F2)": (lambda: matrix_ring(2, size=3),
                [(i, j) for i in range(3) for j in range(3)]),
-    "M2(F4)": (lambda: matrix_ring(ext_make_cached(2)), FULL2),
+    "M2(F4)": (lambda: matrix_ring(gf(2, 2)), FULL2),
 }
 
 
@@ -76,7 +75,7 @@ RINGS = {
 def test_ring_tables_equal_reference(name):
     make, positions = RINGS[name]
     ring = make()
-    fadd, fmul = _field_tables(ring.field)
+    fadd, fmul = ring.field.add, ring.field.mul
     E, place = shape_inputs(ring.field, ring.mat_size, positions)
     assert np.array_equal(E, ring.entries)
     ref_mul, bad = reference_mul_table(E, fmul, fadd, place)
@@ -93,8 +92,8 @@ def test_ring_tables_equal_reference(name):
 ])
 def test_unclosed_shapes_count_violations_like_reference(p, size, positions,
                                                          violations):
-    field = field_make(p)
-    fadd, fmul = _field_tables(field)
+    field = gf(p)
+    fadd, fmul = field.add, field.mul
     E, place = shape_inputs(field, size, positions)
     out, bad = _kernels.matrix_mul_table(E, fmul, fadd, place)
     ref_out, ref_bad = reference_mul_table(E, fmul, fadd, place)

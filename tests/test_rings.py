@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringwalk import rings
 from ringwalk.checks import check_rxy_sizes, check_witnesses
 from ringwalk.errors import InvariantViolation, TooLarge
 from ringwalk.rings import (
@@ -107,12 +108,26 @@ def test_matrix_ring_size_cap():
         product_ring(zn_ring(150), zn_ring(150))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: matrix_ring(1_000_000_007),
+    lambda: matrix_ring(1_000_003),
+    lambda: upper_triangular_ring(100_000_007),
+    lambda: matrix_ring(3, size=4),
+], ids=["M2(F1000000007)", "M2(F1000003)", "B2(F100000007)", "M4(F3)"])
+def test_size_is_checked_before_the_field_is_built(monkeypatch, make):
+    def no_field(*args):
+        raise AssertionError("field built before the size check")
+
+    monkeypatch.setattr(rings, "gf", no_field)
+    with pytest.raises(TooLarge):
+        make()
+
+
 def test_matrix_ring_over_quadratic_extension():
     """The constructor accepts a prime-power field handle; the generic
     structure still holds over GF(4)."""
-    from ringwalk.fields import ext_make, field_make
-    f4 = ext_make(field_make(2))
-    r = matrix_ring(f4)
+    from ringwalk.fields import gf
+    r = matrix_ring(gf(2, 2))
     assert r.n == 256
     assert len(r.units) == (16 - 1) * (16 - 4)
     assert len(r.phi) == 4 + 3

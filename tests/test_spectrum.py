@@ -693,8 +693,8 @@ def test_character_and_orbital_routes_agree_on_m2f3():
 
 def test_m2_over_gf4_takes_the_orbital_route():
     # GL2(F_4) has no closed-form table here: q = 4 is not an odd prime
-    from ringwalk.fields import ext_make_cached
-    ring = matrix_ring(ext_make_cached(2))
+    from ringwalk.fields import gf
+    ring = matrix_ring(gf(2, 2))
     assert unit_group_characters(ring) is None
     for a in nonunit_generators(ring):
         assert is_multiplicity_free_nonunit(ring, a) == \
