@@ -125,9 +125,6 @@ class TransitionMatrix:
     def n(self):
         return self.matrix.n
 
-    def to_float(self) -> np.ndarray:
-        return self.matrix.to_float()
-
     def check_stochastic(self):
         if any(s != 1 for s in self.matrix.row_sums()):
             raise InvariantViolation(f"{self.kind} rows must sum to exactly 1")

@@ -199,7 +199,7 @@ def cmd_spectrum(cfg) -> dict:
     rep["meta"]["n"] = str(ring.n)
     rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
     B = build_B(ring, Q)
-    bm, detail = spectrum.block_spectrum(ring, B.to_float(), tau)
+    detail = spectrum.block_spectrum(ring, B, tau)
     reports.add_check(rep, "spectrum-two-way",
                       *checks.check_spectrum_two_way(ring, B))
     reports.add_check(rep, "spectrum-gl2", *checks.check_spectrum_gl2(ring, Q))
@@ -226,7 +226,7 @@ def cmd_spectrum(cfg) -> dict:
                           f"a={a}", label))
     reports.add_table(rep, "spectrum",
                       ("re", "im", "multiplicity", "block", "label"), table)
-    rep["meta"]["total_multiplicity"] = str(bm.total())
+    rep["meta"]["total_multiplicity"] = str(sum(e.total() for _, e in detail))
     if cfg.get("alpha") is not None:
         alpha = parse_fraction(cfg["alpha"], "alpha")
         reports.add_check(rep, "spectrum-m-shift",

@@ -46,9 +46,9 @@ class ScaledMatrix:
             self.den //= g
             self.num = self.num // g
 
-    def to_float(self) -> np.ndarray:
-        # each entry rounds once to float, as float(v) / float(den) does
-        return self.num.astype(np.float64) / float(self.den)
+    def float_block(self, rows, cols) -> np.ndarray:
+        # each entry of num[rows, cols] / den rounds as float(v) / float(den)
+        return self.num[np.ix_(rows, cols)].astype(float) / float(self.den)
 
     def row_sums(self):
         return [Fraction(v, self.den) for v in self.num.sum(axis=1).tolist()]

@@ -2,12 +2,12 @@
 
 1. eig_numeric: plain dense diagonalization, for display and as the test
    suite's oracle.
-2. block_spectrum: the diagonal blocks of B on each S_a, one per
-   principal-left-ideal generator a; the transposed block B[S_a, S_a]^T is
-   the operator on span(S_a) that keeps only the components of x*s that
+2. block_spectrum: the diagonal blocks of the exact B on each S_a, one per
+   principal-left-ideal generator a, each read as floats on its own; the
+   transposed block B[S_a, S_a]^T keeps only the components of x*s that
    stay inside S_a.  B is block-triangular over the ideal poset
    (checks.check_spectrum_two_way), so the block spectra make up eig(B).
-   The unit block is read from U_R's characters when
+   The unit block is read from U_R's characters and the row B[1, U] when
    unit_group_characters has a table; the other blocks, and the unit block
    of a ring with no table, go to eig_numeric.
 3. gl2_spectrum: closed-form eigenvalues for M2(F_q), odd prime q, from the
@@ -48,28 +48,29 @@ GL2_NORMALIZATION = "class-sum-scalar"
 
 @dataclass
 class EigenvalueMultiset:
-    """Merged eigenvalues with multiplicities; merge radius tau."""
+    """Merged eigenvalues with multiplicities."""
 
     values: np.ndarray
     mults: np.ndarray
-    tau: float
 
     @classmethod
     def from_values(cls, evs, tau: float = MERGE_TOL) -> "EigenvalueMultiset":
         """Merge the values linked, directly or through a chain, by pairs at
-        most tau apart; each group's value is its mean."""
+        most tau apart; each group's value is its mean.  Equal values share
+        a group, so the pair search runs over the distinct values."""
         evs = np.asarray(evs, dtype=np.complex128).ravel()
         evs = evs[np.lexsort((evs.imag, evs.real))]
-        k = len(evs)
+        distinct, inv = np.unique(evs, return_inverse=True, equal_nan=False)
+        k = len(distinct)
         # pairs j < i within tau have real parts within tau; the window of
-        # 2 tau holds them all despite the rounding of evs.real - 2 tau
-        lo = np.searchsorted(evs.real, evs.real - 2 * tau)
+        # 2 tau holds them all despite the rounding of real - 2 tau
+        lo = np.searchsorted(distinct.real, distinct.real - 2 * tau)
         width = np.arange(k) - lo
         i = np.repeat(np.arange(k), width)
         j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - lo, width)
-        near = np.abs(evs[i] - evs[j]) <= tau
+        near = np.abs(distinct[i] - distinct[j]) <= tau
         i, j = i[near], j[near]
-        # label each value with the least index of its group
+        # label each distinct value with the least index of its group
         label = np.arange(k)
         while True:
             low = label.copy()
@@ -79,29 +80,24 @@ class EigenvalueMultiset:
             if np.array_equal(low, label):
                 break
             label = low
+        label = label[inv]      # each value takes its distinct value's
         _, counts = np.unique(label, return_counts=True)
         members = evs[np.argsort(label, kind="stable")]
         centers = np.array([members[a:a + c].mean() for a, c in
                             zip(np.cumsum(counts) - counts, counts)])
         order = np.lexsort((centers.imag, centers.real))
-        return cls(centers[order], counts[order], tau)
+        return cls(centers[order], counts[order])
 
     def total(self) -> int:
         return int(self.mults.sum())
-
-    def expand(self) -> np.ndarray:
-        return np.repeat(self.values, self.mults)
 
     def __iter__(self):
         return iter(zip(self.values, self.mults))
 
 
 def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
-    """Eigenvalues of a rational or float matrix via LAPACK, then merged."""
-    if isinstance(matrix, TransitionMatrix):
-        arr = matrix.to_float()
-    else:
-        arr = np.asarray(matrix, dtype=np.float64)
+    """Eigenvalues of a float matrix via LAPACK, then merged."""
+    arr = np.asarray(matrix, dtype=np.float64)
     n = arr.shape[0]
     if n > EIG_CAP:
         raise TooLarge(f"eigen solve capped at {EIG_CAP}, got {n}")
@@ -112,56 +108,56 @@ def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
     return EigenvalueMultiset.from_values(evs, tau)
 
 
-def block_spectrum(ring: FiniteRing, B: np.ndarray, tau: float = MERGE_TOL):
-    """Union over ideal generators a of the spectra of B's diagonal blocks.
+def block_spectrum(ring: FiniteRing, B: TransitionMatrix, tau=MERGE_TOL):
+    """The spectra of B's diagonal blocks, one per ideal generator a.
 
-    B is the float multiplication matrix of `ring`.  The block of a is
+    B is the exact multiplication matrix of `ring`.  Only its blocks
+    B[S_a, S_a], and the row B[1, U] for the character route, are turned
+    into floats, so no n x n float copy is made.  The block of a is
     B[S_a, S_a]^T: P[s', s] = B[s, s'] is the action of sum_x Q(x) x on
     span(S_a) with the components leaving S_a dropped.  The unit block
     comes from unit_block_spectrum, every other block from eig_numeric.
-    Returns (EigenvalueMultiset, per-block detail list of
-    (generator, EigenvalueMultiset)).
+    Returns [(generator, EigenvalueMultiset)], whose totals sum to n.
     """
-    if np.shape(B) != (ring.n, ring.n):
-        raise RingMismatch(f"B has shape {np.shape(B)}, but {ring.label} "
-                           f"has {ring.n} elements")
+    if B.ring is not ring:
+        raise RingMismatch(f"B was built on another ring object "
+                           f"({B.ring.label}), not on {ring.label}")
     detail = []
-    all_values = []
     for a in ring.phi:
         if int(a) in ring.unit_set:
             em = unit_block_spectrum(ring, B, tau)
         else:
             sa = ring.s_set(a)
-            em = eig_numeric(B[np.ix_(sa, sa)].T, tau)
+            em = eig_numeric(B.matrix.float_block(sa, sa).T, tau)
         detail.append((int(a), em))
-        all_values.append(em.expand())
-    merged = EigenvalueMultiset.from_values(np.concatenate(all_values), tau)
-    if merged.total() != ring.n:
-        raise InvariantViolation(f"the block spectra hold {merged.total()} "
+    total = sum(em.total() for _, em in detail)
+    if total != ring.n:
+        raise InvariantViolation(f"the block spectra hold {total} "
                                  f"eigenvalues, not n = {ring.n}")
-    return merged, detail
+    return detail
 
 
-def unit_block_spectrum(ring: FiniteRing, B: np.ndarray,
+def unit_block_spectrum(ring: FiniteRing, B: TransitionMatrix,
                         tau: float = MERGE_TOL) -> EigenvalueMultiset:
-    """Spectrum of the unit block B[U, U]^T of the float multiplication
+    """Spectrum of the unit block B[U, U]^T of the exact multiplication
     matrix B.
 
     On units B is left multiplication by sum_u Q(u) u, Q(u) = B[1, u].  Q is
     constant on the conjugacy classes of U_R, so that element is central in
     C[U_R] and acts on each chi-isotypic part, of dimension chi(1)^2, by
     omega_chi = sum_u Q(u) chi(u) / chi(1) (Diaconis & Shahshahani 1981).
-    Each omega_chi is a fixed-order numpy sum over the units, with no BLAS
-    call; conjugate characters hold exactly conjugate values
-    (fields.angle_to_complex), so their omegas are exact conjugates, as
-    LAPACK returns the eigenvalue pairs of a real matrix.  A ring with no character table (unit_group_characters is None)
-    has its block diagonalized by eig_numeric instead.
+    Only the row B[1, U] is read as floats.  Each omega_chi is a fixed-order
+    numpy sum over the units, with no BLAS call; conjugate characters hold
+    exactly conjugate values (fields.angle_to_complex), so their omegas are
+    exact conjugates, as LAPACK returns the eigenvalue pairs of a real
+    matrix.  A ring with no character table has its block B[U, U]
+    diagonalized by eig_numeric instead.
     """
     units = ring.units
     chars = unit_group_characters(ring)
     if chars is None:
-        return eig_numeric(B[np.ix_(units, units)].T, tau)
-    q = np.asarray(B[ring.one, units], dtype=np.float64)
+        return eig_numeric(B.matrix.float_block(units, units).T, tau)
+    q = B.matrix.float_block([ring.one], units)[0]
     cls = ring.similarity.class_of[units]
     per_class = np.zeros(len(ring.similarity))
     per_class[cls] = q

@@ -1,5 +1,6 @@
 """Float comparisons of eigenvalue multisets, for tests that hold LAPACK
-(eig_numeric) up against the block and closed-form spectrum routes; the
+(eig_numeric) up against the block and closed-form spectrum routes, with
+the dense float matrices and expanded multisets they compare; the
 pairwise union-find merge that EigenvalueMultiset.from_values must
 reproduce; the characters of an abelian unit group built one exact angle
 at a time, which spectrum._abelian_characters must reproduce; and two
@@ -15,6 +16,23 @@ import numpy as np
 from ringwalk.errors import InvariantViolation
 
 MATCH = 1e-6
+
+
+def dense_float(matrix) -> np.ndarray:
+    """A whole TransitionMatrix or ScaledMatrix as floats, each entry
+    rounded as ScaledMatrix.float_block rounds a block."""
+    m = getattr(matrix, "matrix", matrix)
+    return m.float_block(np.arange(m.n), np.arange(m.m))
+
+
+def expand(em) -> np.ndarray:
+    """An EigenvalueMultiset's values, each repeated by its multiplicity."""
+    return np.repeat(em.values, em.mults)
+
+
+def block_values(detail) -> np.ndarray:
+    """The values of block_spectrum's per-block multisets, concatenated."""
+    return np.concatenate([expand(em) for _, em in detail])
 
 
 def multisets_match(a, b, tol=MATCH) -> bool:

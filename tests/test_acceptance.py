@@ -46,7 +46,10 @@ from gl2_oracle import (
 )
 from spectral_oracle import (
     MATCH,
+    block_values,
     closed_form_values,
+    dense_float,
+    expand,
     multisets_match,
     numeric_multiplicity,
 )
@@ -110,13 +113,13 @@ def test_criterion_3_spectrum_three_way_q3():
     t0 = time.time()
     ring = matrix_ring(3)
     for q in (ClassDistribution.uniform(ring), nonuniform_q_m2f3(ring)):
-        b = build_B(ring, q).to_float()
-        em = eig_numeric(b)
-        bm, _ = block_spectrum(ring, b)
+        b = build_B(ring, q)
+        em = expand(eig_numeric(dense_float(b)))
+        bm = block_values(block_spectrum(ring, b))
         g = gl2_spectrum(ring, q)
-        assert em.total() == bm.total() == g.total() == 81
-        assert multisets_match(em.expand(), bm.expand(), MATCH)
-        assert multisets_match(em.expand(), closed_form_values(g), MATCH)
+        assert len(em) == len(bm) == g.total() == 81
+        assert multisets_match(em, bm, MATCH)
+        assert multisets_match(em, closed_form_values(g), MATCH)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     print(f"ACCEPTANCE 3 PASS three-way spectrum at q=3, two Qs, 1e-6 "
@@ -129,13 +132,13 @@ def test_criterion_3_extended_q5():
     t0 = time.time()
     ring = matrix_ring(5)
     q = ClassDistribution.uniform(ring)
-    b = build_B(ring, q).to_float()
-    em = eig_numeric(b)
-    bm, _ = block_spectrum(ring, b)
+    b = build_B(ring, q)
+    em = expand(eig_numeric(dense_float(b)))
+    bm = block_values(block_spectrum(ring, b))
     g = gl2_spectrum(ring, q)
-    assert em.total() == bm.total() == g.total() == 625
-    assert multisets_match(em.expand(), bm.expand(), MATCH)
-    assert multisets_match(em.expand(), closed_form_values(g), MATCH)
+    assert len(em) == len(bm) == g.total() == 625
+    assert multisets_match(em, bm, MATCH)
+    assert multisets_match(em, closed_form_values(g), MATCH)
     elapsed = time.time() - t0
     assert elapsed < 600.0
     print(f"ACCEPTANCE 3x PASS extended q=5 three-way ({elapsed:.1f}s)")
@@ -163,7 +166,7 @@ def test_criterion_4_multiplicity_lower_bounds():
     # M2(F3): per-irreducible bounds from the character closed forms
     ring = matrix_ring(3)
     q = ClassDistribution.uniform(ring)
-    numeric = eig_numeric(build_B(ring, q)).expand()
+    numeric = expand(eig_numeric(dense_float(build_B(ring, q))))
     g = gl2_spectrum(ring, q)
     # mult is dim^2 in the unit block, dim summed over the rank-one blocks
     for _, _, _, value, bound in g.rows:
@@ -176,9 +179,9 @@ def test_criterion_4_multiplicity_lower_bounds():
         if int(a) not in ring.unit_set:
             assert is_multiplicity_free_nonunit(ring, int(a))
     q = ClassDistribution.uniform(ring)
-    b = build_B(ring, q).to_float()
-    numeric = eig_numeric(b).expand()
-    _, detail = block_spectrum(ring, b)
+    b = build_B(ring, q)
+    numeric = expand(eig_numeric(dense_float(b)))
+    detail = block_spectrum(ring, b)
     for value, mult in _merged_block_predictions(detail):
         assert numeric_multiplicity(numeric, value, MATCH) >= mult
     print("ACCEPTANCE 4 PASS multiplicity lower bounds on M2(F3) and B2(F3)")

@@ -374,17 +374,20 @@ assert False, "this script must run under python -O"
     # halved characters: chi(1) = 1/2 is no character degree
     ("spectrum.unit_group_characters = lambda r, f=spectrum."
      "unit_group_characters: f(r) / 2; spectrum.block_spectrum(r := "
-     "matrix_ring(3), build_B(r, ClassDistribution.uniform(r)).to_float())",
+     "matrix_ring(3), build_B(r, ClassDistribution.uniform(r)))",
      "InvariantViolation"),
     # one irrep dropped: the squared degrees no longer sum to |U|
     ("spectrum.unit_group_characters = lambda r, f=spectrum."
      "unit_group_characters: f(r)[1:]; spectrum.block_spectrum(r := "
-     "matrix_ring(3), build_B(r, ClassDistribution.uniform(r)).to_float())",
+     "matrix_ring(3), build_B(r, ClassDistribution.uniform(r)))",
      "InvariantViolation"),
     # Q read off B[1, U] differs within a class of units
-    ("b = build_B(r := matrix_ring(3), ClassDistribution.uniform(r))"
-     ".to_float(); b[r.one, r.units[-1]] += 1e-3; "
+    ("b = build_B(r := matrix_ring(3), ClassDistribution.uniform(r));"
+     " b.matrix.num[r.one, r.units[-1]] += 1; "
      "spectrum.block_spectrum(r, b)", "InvariantViolation"),
+    # both rings have 16 elements: only the ring identity tells B's apart
+    ("spectrum.block_spectrum(matrix_ring(2), build_B(r := zn_ring(16), "
+     "ClassDistribution.uniform(r)))", "RingMismatch"),
     # the lumped solution with half of one class's mass moved to the next
     ("stationary.stationary_nullspace = lambda m, f=stationary."
      "stationary_nullspace: (lambda v: [v[0] / 2, v[1] + v[0] / 2] + v[2:])"

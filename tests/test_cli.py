@@ -279,8 +279,7 @@ def test_command_diagonalizes_b_once(monkeypatch, argv):
 
     def counted_eig(matrix, *args, **kwargs):
         # every diagonal block S_a is smaller than n = 81
-        calls["eig(n x n)"] += np.shape(matrix)[:1] == (81,) or \
-            isinstance(matrix, chain.TransitionMatrix)
+        calls["eig(n x n)"] += np.shape(matrix)[:1] == (81,)
         return eig_numeric(matrix, *args, **kwargs)
 
     def counted_blocks(*args, **kwargs):
@@ -294,6 +293,35 @@ def test_command_diagonalizes_b_once(monkeypatch, argv):
     assert cli.main(argv) == 0
     assert calls == {"build_B": 1, "eig(n x n)": 0,
                      "block_spectrum": int(argv[0] == "spectrum")}
+
+
+@pytest.mark.parametrize("kind, param, value", [
+    ("matrix", "q", 3), ("zn", "n", 12), ("upper_triangular", "q", 3)],
+    ids=["M2(F3)", "Z_12", "B2(F3)"])
+def test_spectrum_reads_only_the_diagonal_blocks(monkeypatch, kind, param,
+                                                 value):
+    """spectrum turns no n x n copy of B into floats: it reads B[S_a, S_a]
+    for each generator a, except that the character route reads the row
+    B[1, U] for the unit block."""
+    from ringwalk import spectrum
+    from ringwalk.exact import ScaledMatrix
+
+    served = []
+    float_block = ScaledMatrix.float_block
+
+    def recorded(self, rows, cols):
+        block = float_block(self, rows, cols)
+        served.append(block.shape)
+        return block
+
+    monkeypatch.setattr(ScaledMatrix, "float_block", recorded)
+    assert cli.main(["spectrum", "--alpha", "1/2", "--ring", kind,
+                     f"--{param}", str(value)]) == 0
+    r = cli.ring_from_descriptor({"kind": kind, param: value})
+    chars = spectrum.unit_group_characters(r) is not None
+    assert served == [
+        (1, len(r.units)) if chars and int(a) in r.unit_set
+        else (len(r.s_set(a)),) * 2 for a in r.phi]
 
 
 def corrupt_b(B):
@@ -474,6 +502,29 @@ def test_m2f5_report_bytes_are_pinned(argv, digest):
                MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "ringwalk.cli"] + argv
                           + ["--ring", "matrix", "--q", "5"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ring, digest", [
+    (["--ring", "zn", "--n", "243"],
+     "a508df4dd0a17f33c9112d396941434a674c6b6fbaa1862585198642eab163e0"),
+    (["--ring", "upper_triangular", "--q", "5"],
+     "71ba2e0c743ec58a4fc6af2b06e3294f94b4da9b9269741aef33c6b668a7034d"),
+    (["--ring", "matrix", "--q", "2", "--size", "3"],
+     "d8320a40edce6f1a6afbde23b3763ba4c8308029cbf19df64c9e369618ed6e53"),
+], ids=["Z_243", "B2(F5)", "M3(F2)"])
+def test_spectrum_bytes_on_the_other_unit_block_routes_are_pinned(ring,
+                                                                  digest):
+    """spectrum --alpha 1/2 with the unit block read from abelian
+    characters (Z_243) and from LAPACK (B2(F5), M3(F2)); the GL2 character
+    route is pinned on M2(F5) above.  One BLAS thread, as the benchmark
+    runs."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "ringwalk.cli", "spectrum",
+                           "--alpha", "1/2"] + ring,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest

@@ -13,6 +13,8 @@ from ringwalk.exact import (
     stationary_nullspace,
 )
 
+from spectral_oracle import dense_float
+
 
 def test_scaled_matrix_canonical_form():
     a = ScaledMatrix([[2, 4], [6, 8]], 4)
@@ -39,19 +41,25 @@ def test_big_entries_stay_exact():
     m = ScaledMatrix([[big, 2 ** 64], [0, 6]], 2 ** 65)
     assert m.num.dtype == object
     assert m.row_sums() == [Fr(big + 2 ** 64, 2 ** 65), Fr(6, 2 ** 65)]
-    assert m.to_float().tolist() == [[v / float(2 ** 65) for v in row]
-                                     for row in ([big, 2 ** 64], [0, 6])]
+    assert m.float_block([0, 1], [0, 1]).tolist() == [
+        [v / float(2 ** 65) for v in row] for row in ([big, 2 ** 64], [0, 6])]
+    assert m.float_block([1], [1, 0]).tolist() == [[6 / float(2 ** 65), 0.0]]
 
 
-def test_to_float_rounds_each_entry_once():
+def test_float_block_rounds_each_entry_once():
     rng = np.random.default_rng(5)
     num = rng.integers(-2 ** 62, 2 ** 62, size=(5, 5))
     den = 3 ** 39                       # neither fits a float exactly
     m = ScaledMatrix(num, den)
     assert m.den > 2 ** 53              # still no float holds it exactly
-    want = [[v / float(m.den) for v in row] for row in m.num.tolist()]
-    assert m.to_float().tolist() == want
-    assert ScaledMatrix(num.astype(object), den).to_float().tolist() == want
+    rows, cols = [4, 0, 2], [3, 1]
+    want = [[m.num.tolist()[r][c] / float(m.den) for c in cols]
+            for r in rows]
+    assert m.float_block(rows, cols).tolist() == want
+    obj = ScaledMatrix(num.astype(object), den)
+    assert obj.float_block(rows, cols).tolist() == want
+    assert obj.float_block(range(5), range(5)).tolist() == \
+        [[v / float(m.den) for v in row] for row in m.num.tolist()]
 
 
 def test_matmul_matches_float():
@@ -61,7 +69,7 @@ def test_matmul_matches_float():
     sa = ScaledMatrix(a.tolist(), 3)
     sb = ScaledMatrix(b.tolist(), 7)
     prod = sa @ sb
-    assert np.allclose(prod.to_float(), (a / 3) @ (b / 7))
+    assert np.allclose(dense_float(prod), (a / 3) @ (b / 7))
 
 
 def test_bareiss_echelon_rank():
@@ -99,7 +107,7 @@ def test_stationary_nullspace_against_float_solver():
     assert sum(pi) == 1
     assert [sum(p * Fr(int(m.num[i, j]), m.den) for i, p in enumerate(pi))
             for j in range(5)] == pi
-    vals, vecs = np.linalg.eig(m.to_float().T)
+    vals, vecs = np.linalg.eig(dense_float(m).T)
     lead = np.argmin(np.abs(vals - 1))
     ref = np.real(vecs[:, lead] / vecs[:, lead].sum())
     assert np.allclose([float(p) for p in pi], ref)

@@ -36,6 +36,7 @@ from reference_simulate import (
     reference_simulate,
     right_multiplication_B,
 )
+from spectral_oracle import dense_float
 
 
 def uniform(ring):
@@ -173,7 +174,7 @@ def test_exact_curve_above_former_cap():
     assert all(isinstance(v, Fr) for v in curve.exact_values)
     assert curve.bound_holds()
     pi = np.array([float(v) for v in stationary_recursive(ring, q, alpha)])
-    m = build_M(ring, q, alpha).to_float()
+    m = dense_float(build_M(ring, q, alpha))
     power = np.eye(ring.n)
     for t in range(T + 1):
         d = 0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
@@ -280,7 +281,7 @@ def test_one_step_frequencies_match_m_rows():
     for ring in (zn_ring(6), upper_triangular_ring(2)):
         q = uniform(ring)
         alpha = Fr(1, 2)
-        m = build_M(ring, q, alpha).to_float()
+        m = dense_float(build_M(ring, q, alpha))
         rows = one_step_rows(ring, q, alpha, 1_000_000, seed=77)
         assert np.abs(rows - m).max() < 0.005
 
@@ -289,12 +290,12 @@ def test_one_step_right_side_matches_right_matrix():
     ring = upper_triangular_ring(2)
     q = uniform(ring)
     alpha = Fr(1, 2)
-    b_right = right_multiplication_B(ring, q).to_float()
+    b_right = dense_float(right_multiplication_B(ring, q))
     m_right = 0.5 / ring.n + 0.5 * b_right
     rows = one_step_rows(ring, q, alpha, 400_000, seed=21, side="right")
     assert np.abs(rows - m_right).max() < 0.005
     # and on this ring the two sides genuinely differ
-    b_left = build_B(ring, q).to_float()
+    b_left = dense_float(build_B(ring, q))
     assert np.abs(b_left - b_right).max() > 0.1
 
 

@@ -3,6 +3,7 @@ held up against LAPACK; and the exact spectrum checks."""
 
 import os
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 from math import lcm
 
@@ -57,7 +58,10 @@ from random_rings import random_class_q, random_ring
 from spectral_oracle import (
     MATCH,
     abelian_characters_by_dict,
+    block_values,
     closed_form_values,
+    dense_float,
+    expand,
     multiplicities,
     multisets_match,
     numeric_multiplicity,
@@ -73,8 +77,9 @@ def uniform(ring):
 
 
 def blocks(ring, q):
-    """block_spectrum of the float B of (ring, q)."""
-    return block_spectrum(ring, build_B(ring, q).to_float())
+    """The values of block_spectrum on the exact B of (ring, q), the
+    blocks' multisets concatenated."""
+    return block_values(block_spectrum(ring, build_B(ring, q)))
 
 
 def nonuniform_m2f3():
@@ -156,6 +161,20 @@ def test_merge_links_a_chain_only_through_its_middle():
     assert em.mults.tolist() == [1, 1]
 
 
+def test_merge_cost_follows_the_number_of_distinct_values():
+    """3,000 equal zeros are one distinct value, so the pair search sees
+    three values and not the 4.5 million pairs of zeros."""
+    evs = [0.0] * 3000 + [0.5, 1.0]
+    tracemalloc.start()
+    try:
+        em = EigenvalueMultiset.from_values(evs, TAU)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert em.mults.tolist() == [3000, 1, 1]
+    assert peak < 4 * 2 ** 20
+
+
 def test_eig_cap():
     with pytest.raises(TooLarge):
         eig_numeric(np.eye(5000))
@@ -163,10 +182,10 @@ def test_eig_cap():
 
 def test_b_spectrum_in_unit_disk_with_simple_one():
     for ring in (zn_ring(6), upper_triangular_ring(3), matrix_ring(2)):
-        em = eig_numeric(build_B(ring, uniform(ring)))
-        assert np.all(np.abs(em.expand()) <= 1 + 1e-9)
-        assert numeric_multiplicity(em.expand(), 1.0) == 1
-        assert multisets_match(em.expand(), np.conj(em.expand()), MATCH)
+        ev = expand(eig_numeric(dense_float(build_B(ring, uniform(ring)))))
+        assert np.all(np.abs(ev) <= 1 + 1e-9)
+        assert numeric_multiplicity(ev, 1.0) == 1
+        assert multisets_match(ev, np.conj(ev), MATCH)
 
 
 def test_m2f2_eigenvalue_structure():
@@ -174,29 +193,28 @@ def test_m2f2_eigenvalue_structure():
     a group with irreducible dimensions 1, 1, 2; the three rank-one blocks
     contribute 1 - 1/q^2 = 3/4 each; zero block gives 1."""
     ring = matrix_ring(2)
-    em = eig_numeric(build_B(ring, uniform(ring)))
+    em = eig_numeric(dense_float(build_B(ring, uniform(ring))))
     got = {round(float(v.real), 9): int(m) for v, m in em}
     assert got == {0.0: 11, 0.375: 1, 0.75: 3, 1.0: 1}
 
 
 def test_z6_block_spectrum_matches_brute_force():
     ring = zn_ring(6)
-    bm, _ = blocks(ring, uniform(ring))
+    bm = blocks(ring, uniform(ring))
     # independent brute-force diagonalization of the fiber-count matrix
     brute = np.linalg.eigvals(
         np.array([[np.sum(ring.mul[:, a] == b) for b in range(6)]
                   for a in range(6)]) / 6)
-    assert multisets_match(bm.expand(), brute, MATCH)
+    assert multisets_match(bm, brute, MATCH)
     expected = [1, Fr(2, 3), Fr(1, 2), Fr(1, 3), 0, 0]
-    assert multisets_match(bm.expand(), [complex(float(x)) for x in expected],
+    assert multisets_match(bm, [complex(float(x)) for x in expected],
                            MATCH)
 
 
 def test_block_total_is_ring_size():
     for ring in (zn_ring(12), upper_triangular_ring(3), matrix_ring(2),
                  product_ring(zn_ring(2), zn_ring(3))):
-        bm, _ = blocks(ring, uniform(ring))
-        assert bm.total() == ring.n
+        assert len(blocks(ring, uniform(ring))) == ring.n
 
 
 def test_block_matches_numeric_many_rings_and_qs():
@@ -216,16 +234,32 @@ def test_block_matches_numeric_many_rings_and_qs():
         w2[ring.zero] = Fr(1, 2)
         qs.append(ClassDistribution.from_weights(ring, w2))
         for q in qs:
-            em = eig_numeric(build_B(ring, q))
-            bm, _ = blocks(ring, q)
-            assert multisets_match(em.expand(), bm.expand(), MATCH), ring.label
+            em = expand(eig_numeric(dense_float(build_B(ring, q))))
+            assert multisets_match(em, blocks(ring, q), MATCH), ring.label
             assert check_spectrum_two_way(ring, build_B(ring, q))[0]
 
 
-def test_block_spectrum_rejects_b_of_another_size():
-    ring = zn_ring(6)
+def test_block_spectrum_rejects_b_of_another_ring():
+    """Z_16 and M2(F2) both have 16 elements: only the ring identity tells
+    their B apart."""
+    ring = zn_ring(16)
     with pytest.raises(RingMismatch):
-        block_spectrum(ring, np.eye(12))
+        block_spectrum(matrix_ring(2), build_B(ring, uniform(ring)))
+
+
+def test_block_spectrum_counts_n_eigenvalues(monkeypatch):
+    """A unit block that loses one distinct value leaves the block totals
+    short of n."""
+    unit_block = spectrum.unit_block_spectrum
+
+    def short(*args):
+        em = unit_block(*args)
+        return EigenvalueMultiset(em.values[1:], em.mults[1:])
+
+    monkeypatch.setattr(spectrum, "unit_block_spectrum", short)
+    ring = matrix_ring(3)
+    with pytest.raises(InvariantViolation, match="not n = 81"):
+        block_spectrum(ring, build_B(ring, uniform(ring)))
 
 
 def test_projected_operator_zero_is_one_by_one_identity():
@@ -255,20 +289,20 @@ def test_projected_operator_unit_block_shape_and_equivariance():
 def test_three_way_agreement_q3_uniform():
     ring = matrix_ring(3)
     q = uniform(ring)
-    em = eig_numeric(build_B(ring, q)).expand()
-    bm, _ = blocks(ring, q)
+    em = expand(eig_numeric(dense_float(build_B(ring, q))))
+    bm = blocks(ring, q)
     rep = gl2_spectrum(ring, q)
     assert rep.total() == 81
-    assert multisets_match(em, bm.expand(), MATCH)
+    assert multisets_match(em, bm, MATCH)
     assert multisets_match(em, closed_form_values(rep), MATCH)
 
 
 def test_three_way_agreement_q3_nonuniform():
     ring, q = nonuniform_m2f3()
-    em = eig_numeric(build_B(ring, q)).expand()
-    bm, _ = blocks(ring, q)
+    em = expand(eig_numeric(dense_float(build_B(ring, q))))
+    bm = blocks(ring, q)
     rep = gl2_spectrum(ring, q)
-    assert multisets_match(em, bm.expand(), MATCH)
+    assert multisets_match(em, bm, MATCH)
     assert multisets_match(em, closed_form_values(rep), MATCH)
 
 
@@ -305,11 +339,11 @@ def test_gl2_rejects_even_q():
 def test_three_way_agreement_q5_extended():
     ring = matrix_ring(5)
     q = uniform(ring)
-    em = eig_numeric(build_B(ring, q)).expand()
-    bm, _ = blocks(ring, q)
+    em = expand(eig_numeric(dense_float(build_B(ring, q))))
+    bm = blocks(ring, q)
     rep = gl2_spectrum(ring, q)
     assert rep.total() == 625
-    assert multisets_match(em, bm.expand(), MATCH)
+    assert multisets_match(em, bm, MATCH)
     assert multisets_match(em, closed_form_values(rep), MATCH)
 
 
@@ -321,8 +355,8 @@ def test_m_spectrum_is_shifted_b_spectrum():
     for ring in (zn_ring(6), matrix_ring(2), upper_triangular_ring(3)):
         q = uniform(ring)
         alpha = Fr(1, 3)
-        b = eig_numeric(build_B(ring, q)).expand()
-        m = eig_numeric(build_M(ring, q, alpha)).expand()
+        b = expand(eig_numeric(dense_float(build_B(ring, q))))
+        m = expand(eig_numeric(dense_float(build_M(ring, q, alpha))))
         assert multisets_match(m, shift_to_chain_values(b, alpha), MATCH)
 
 
@@ -375,7 +409,7 @@ def test_gl2_check_passes_and_matches_lapack(q, seed):
     ok, detail = check_spectrum_gl2(ring, Q)
     assert ok, detail
     if q == 3:      # LAPACK as the oracle for the complex closed forms
-        em = eig_numeric(build_B(ring, Q)).expand()
+        em = expand(eig_numeric(dense_float(build_B(ring, Q))))
         assert multisets_match(em, closed_form_values(gl2_spectrum(ring, Q)))
 
 
@@ -443,6 +477,24 @@ def test_conjugation_check_reads_the_last_row_block():
     assert not check_conjugation_invariance(ring, bad)[0]
 
 
+def test_two_way_check_reads_the_last_row_block():
+    """Mass moved in row x >= 64 of B on M2(F3), from an entry inside the
+    ideal of x to a unit y, is reported at (x, y): the check compares 64
+    rows at a time and must reach the last block."""
+    ring = matrix_ring(3)
+    B = build_B(ring, seeded_q(ring, 1))
+    x = max(set(range(ring.n)) - set(ring.units.tolist()))
+    y = int(ring.units[0])
+    num = B.matrix.num.copy()
+    z = np.flatnonzero(num[x])[0]
+    num[x, y] += 1
+    num[x, z] -= 1
+    bad = TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", ring)
+    assert x >= 64
+    assert check_spectrum_two_way(ring, bad) == \
+        (False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}")
+
+
 def test_m_shift_check_reads_the_last_row_block():
     """Mass moved within row x = n - 1 of M on M2(F3), past the first 64
     rows the check compares, breaks M = (1 - alpha) B + (alpha/n) J."""
@@ -494,8 +546,8 @@ def test_exact_checks_agree_with_lapack_on_random_rings(data):
                   check_spectrum_two_way(ring, B),
                   check_m_shift(B, chain_matrix(B, alpha))):
         assert check[0], check[1]
-    bm, _ = block_spectrum(ring, B.to_float())
-    numeric, blocks = eig_numeric(B).expand(), bm.expand()
+    numeric = expand(eig_numeric(dense_float(B)))
+    blocks = block_values(block_spectrum(ring, B))
     for j in range(1, 9):
         assert abs(np.sum(numeric ** j) - np.sum(blocks ** j)) < 1e-9 * ring.n
 
@@ -509,9 +561,9 @@ def assert_unit_block_equals_lapack(ring, Q):
     each value has its nearest LAPACK value within 1e-9, with the same
     multiplicity, and there are as many values."""
     assert unit_group_characters(ring) is not None
-    B = build_B(ring, Q).to_float()
+    B = build_B(ring, Q)
     got = unit_block_spectrum(ring, B)
-    want = eig_numeric(B[np.ix_(ring.units, ring.units)].T)
+    want = eig_numeric(dense_float(B)[np.ix_(ring.units, ring.units)].T)
     assert len(got.values) == len(want.values)
     for v, m in got:
         j = np.argmin(np.abs(want.values - v))
@@ -714,7 +766,7 @@ def test_unit_group_characters_built_once_per_ring(monkeypatch):
     ring = matrix_ring(5)
     chars = unit_group_characters(ring)
     assert unit_group_characters(ring) is chars
-    unit_block_spectrum(ring, build_B(ring, uniform(ring)).to_float())
+    unit_block_spectrum(ring, build_B(ring, uniform(ring)))
     assert unit_group_characters(ring) is chars
     assert len(calls) <= int(ring.similarity.invertible.sum())
     with pytest.raises(ValueError):
