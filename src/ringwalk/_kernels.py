@@ -3,14 +3,16 @@ and the trajectory stepping of the simulator, in numpy.
 
 The matrix-ring tables are built by rows: row i of a sum or a product
 depends on a only through row i of a, so each table is a sum of s gathers
-from a small table over the m^s row vectors of the field.  All tables are
-int32, which holds every index below rings.SIZE_CAP."""
+from a small table over the m^s row vectors of the field, summed into the
+table _BLOCK rows at a time.  All tables are int32, which holds every
+index below rings.SIZE_CAP."""
 
 from __future__ import annotations
 
 import numpy as np
 
 GATHER_BLOCK = 2**14       # samples stepped together through a chunk
+_BLOCK = 64                # table rows gathered together
 
 
 def active_backend() -> str:
@@ -52,18 +54,19 @@ def matrix_mul_table(E, fmul, fadd, place):
         for k in range(s):
             acc = fadd[acc, fmul[vectors[:, k, None], E[None, :, k, j]]]
         prod.append(acc)
-    out = np.zeros((n, n), dtype=np.int32)
+    # codes[i][r, b]: the code part of row i of a @ b when row i of a is r
+    codes = []
     bad = 0
     for i in range(s):
-        codes = np.zeros((len(vectors), n), dtype=np.int32)
+        acc = np.zeros((len(vectors), n), dtype=np.int32)
         for j in range(s):
             if place[i, j] < 0:
                 nonzero = np.count_nonzero(prod[j], axis=1)
                 bad += int(nonzero[rows[:, i]].sum())
             else:
-                codes += prod[j] * int(place[i, j])
-        out += codes[rows[:, i]]
-    return out, bad
+                acc += prod[j] * int(place[i, j])
+        codes.append(acc)
+    return _gather_rows(codes, rows, n), bad
 
 
 def matrix_add_table(E, fadd, place):
@@ -75,14 +78,27 @@ def matrix_add_table(E, fadd, place):
     """
     n, s, _ = E.shape
     vectors, rows = _row_codes(E, len(fadd))
-    out = np.zeros((n, n), dtype=np.int32)
+    codes = []
     for i in range(s):
-        codes = np.zeros((len(vectors), n), dtype=np.int32)
+        acc = np.zeros((len(vectors), n), dtype=np.int32)
         for j in range(s):
             if place[i, j] >= 0:
-                codes += fadd[vectors[:, j, None], E[None, :, i, j]] \
+                acc += fadd[vectors[:, j, None], E[None, :, i, j]] \
                     * int(place[i, j])
-        out += codes[rows[:, i]]
+        codes.append(acc)
+    return _gather_rows(codes, rows, n)
+
+
+def _gather_rows(codes, rows, n):
+    """out[a] = sum over i of codes[i][rows[a, i]], _BLOCK rows of out
+    at a time: the first gather lands in out and the rest add in place, so
+    no n x n temporary is made."""
+    out = np.empty((n, n), dtype=np.int32)
+    for s in range(0, n, _BLOCK):
+        block = out[s:s + _BLOCK]
+        np.take(codes[0], rows[s:s + _BLOCK, 0], axis=0, out=block)
+        for i in range(1, len(codes)):
+            block += codes[i][rows[s:s + _BLOCK, i]]
     return out
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from . import _kernels
 from .chain import ClassDistribution, check_alpha, check_same_ring
 from .errors import InvariantViolation, LengthMismatch, ParamOutOfRange
-from .rings import FiniteRing
+from .rings import _BLOCK, FiniteRing
 from .stationary import stationary_recursive
 
 T_CAP = 64
@@ -93,12 +93,15 @@ class MixingCurve:
 def class_products(ring: FiniteRing):
     """Nonzero structure constants of class-constant convolution.
 
-    Returns arrays (i, j, c, count): for any one z in C_c there are `count`
-    pairs (x, y) in C_i x C_j with x*y = z.  Conjugation by a unit permutes
-    those pairs, so the count is the same for every z in C_c, and the pair
-    total over C_c must divide by |C_c|.  Sparse, so memory stays O(n^2)
-    (that of the table) even when every class is a singleton.  Counted once
-    per ring and kept on it; the arrays are read-only.
+    Returns arrays (i, j, c, count), ordered by (i, j, c): for any one z in
+    C_c there are `count` pairs (x, y) in C_i x C_j with x*y = z.  They are
+    counted at z = reps[c] only, from the products that land on a
+    representative in each _BLOCK rows of the table, so memory beyond the
+    table is O(_BLOCK n) plus one key per such product (n^2 keys, like the
+    output, when every class is a singleton).  Conjugation by a unit
+    permutes the pairs, so the count is the same for every z in C_c once
+    each class is one conjugation orbit, which _check_orbits certifies.
+    Counted once per ring and kept on it; the arrays are read-only.
     """
     try:
         return ring._class_products
@@ -113,17 +116,47 @@ def class_products(ring: FiniteRing):
 
 def _count_class_products(ring: FiniteRing):
     part = ring.similarity
+    _check_orbits(ring, part)
     k = len(part)
     cls = part.class_of.astype(np.int64)
-    keys = (cls[:, None] * k + cls[None, :]) * k + cls[ring.mul]
-    keys, totals = np.unique(keys, return_counts=True)
+    is_rep = np.zeros(ring.n, dtype=bool)
+    is_rep[part.reps] = True
+    keys = []
+    for s in range(0, ring.n, _BLOCK):
+        rows = ring.mul[s:s + _BLOCK].ravel()
+        at = np.flatnonzero(is_rep[rows])
+        ij = (cls[s:s + _BLOCK, None] * k + cls).ravel()[at]
+        keys.append(ij * k + cls[rows[at]])
+    keys, count = np.unique(np.concatenate(keys), return_counts=True)
     ij, c = np.divmod(keys, k)
     i, j = np.divmod(ij, k)
-    sizes = np.array([len(cl) for cl in part.classes], dtype=np.int64)[c]
-    if np.any(totals % sizes):
+    return i, j, c, count
+
+
+def _check_orbits(ring: FiniteRing, part):
+    """Raise InvariantViolation unless each class C of `part` is the orbit
+    of its representative under conjugation by units.
+
+    class_of is unchanged by r -> g r g^-1 for each unit generator g, so
+    each class is a union of orbits and holds the orbit of its
+    representative, and |C| |C_U(rep)| = |U|, the orbit's size by
+    orbit-stabilizer, so the class is that orbit.  The centralizer sizes
+    |C_U(rep)| are counted _BLOCK units at a time.
+    """
+    mul, units, reps, class_of = ring.mul, ring.units, part.reps, part.class_of
+    k = len(reps)
+    closed = np.array_equal(class_of[reps], np.arange(k)) and all(
+        np.array_equal(class_of[mul[mul[g], ring.inv(g)]], class_of)
+        for g in ring.unit_generators)
+    central = np.zeros(k, dtype=np.int64)
+    for s in range(0, len(units), _BLOCK):
+        u = units[s:s + _BLOCK]
+        central += np.count_nonzero(
+            mul[np.ix_(u, reps)] == mul[np.ix_(reps, u)].T, axis=0)
+    sizes = np.bincount(class_of, minlength=k)
+    if not (closed and np.all(sizes * central == len(units))):
         raise InvariantViolation(f"{ring.label}: product counts are not "
                                  f"constant on similarity classes")
-    return i, j, c, totals // sizes
 
 
 def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve:
@@ -138,9 +171,11 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve
     with mu_t = Q^{*t} convolved on class weights (B^t(a, .) is mu_t pushed
     forward by y -> y*a, and u B^m is class-constant), pi from
     stationary_recursive, and one start per generator in ring.phi.  Cost,
-    for k similarity classes and n elements: one O(n^2 log n) count of
-    class products from the table, then O(T * (k^2 + |phi| * n))
-    exact-integer operations.
+    for k similarity classes, n elements and P products that land on a
+    class representative: one O(n^2 + P log P + |U| k) count of class
+    products (a pass over the table, a sort of those P products and the
+    centralizer sizes), then O(T * (k^2 + |phi| * n)) exact-integer
+    operations.
     """
     if not (0 <= T <= T_CAP):
         raise ParamOutOfRange(f"T must lie in [0, {T_CAP}]")

@@ -223,8 +223,10 @@ class FiniteRing:
         self._require(np.array_equal(add[self.zero], idx)
                       and np.array_equal(add[:, self.zero], idx),
                       "zero is not neutral")
-        self._require(np.all((add == self.zero).sum(axis=1) == 1),
-                      "some element has no additive inverse")
+        for s in range(0, n, _BLOCK):
+            self._require(np.all(np.count_nonzero(add[s:s + _BLOCK]
+                                                  == self.zero, axis=1) == 1),
+                          "some element has no additive inverse")
         self._require(np.array_equal(mul[self.one], idx),
                       "one is not a left identity")
         self._require(np.array_equal(mul[:, self.one], idx),
@@ -290,12 +292,17 @@ class FiniteRing:
 
     @cached_property
     def units(self) -> np.ndarray:
-        """Left-invertible elements; two-sidedness is checked, not assumed."""
-        left_hits = self.mul == self.one          # left_hits[y, x]: y*x == 1
-        has_left = left_hits.any(axis=0)
-        xs = np.nonzero(has_left)[0]
-        ys = np.argmax(left_hits[:, xs], axis=0)
-        self._require(np.all(self.mul[xs, ys] == self.one),
+        """Left-invertible elements, each with its least left inverse;
+        two-sidedness is checked, not assumed.  The pairs y x = 1 are found
+        _BLOCK rows of the table at a time, in row-major order, so the
+        first pair of each x holds its least y."""
+        n, mul = self.n, self.mul
+        hits = [np.flatnonzero(mul[s:s + _BLOCK] == self.one) + s * n
+                for s in range(0, n, _BLOCK)]
+        ys, xs = np.divmod(np.concatenate(hits), n)
+        xs, first = np.unique(xs, return_index=True)
+        ys = ys[first]
+        self._require(np.all(mul[xs, ys] == self.one),
                       "left inverse is not a right inverse")
         self._inv_map = dict(zip(xs.tolist(), ys.tolist()))
         return xs
@@ -440,8 +447,10 @@ def zn_ring(n: int) -> FiniteRing:
     if n > SIZE_CAP:
         raise TooLarge(f"Z_{n} exceeds the {SIZE_CAP} cap")
     idx = np.arange(n, dtype=np.int32)     # (n - 1)^2 < 2^31 below SIZE_CAP
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    add = idx[:, None] + idx[None, :]
+    mul = idx[:, None] * idx[None, :]
+    np.remainder(add, n, out=add)
+    np.remainder(mul, n, out=mul)
     return FiniteRing(add, mul, 0, 1 % n, f"Z_{n}", {"kind": "zn", "n": n})
 
 
@@ -521,10 +530,13 @@ def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
         raise TooLarge(f"product has {n} elements, above the {SIZE_CAP} cap")
     i1 = np.arange(n) // n2
     i2 = np.arange(n) % n2
-    add = (r1.add[np.ix_(i1, i1)].astype(np.int64) * n2
-           + r2.add[np.ix_(i2, i2)])
-    mul = (r1.mul[np.ix_(i1, i1)].astype(np.int64) * n2
-           + r2.mul[np.ix_(i2, i2)])
+    add = np.empty((n, n), dtype=np.int32)  # t1 * n2 + t2 < n fits int32
+    mul = np.empty((n, n), dtype=np.int32)
+    for s in range(0, n, _BLOCK):
+        b1, b2 = i1[s:s + _BLOCK, None], i2[s:s + _BLOCK, None]
+        for out, t1, t2 in ((add, r1.add, r2.add), (mul, r1.mul, r2.mul)):
+            np.multiply(t1[b1, i1], n2, out=out[s:s + _BLOCK])
+            out[s:s + _BLOCK] += t2[b2, i2]
     zero = r1.zero * n2 + r2.zero
     one = r1.one * n2 + r2.one
     label = f"({r1.label})x({r2.label})"

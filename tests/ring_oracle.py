@@ -2,9 +2,12 @@
 
 triple_axiom_failure checks every ring axiom on every triple of elements,
 O(n^3).  similarity_sweep conjugates by every unit in turn, ideals_by_column
-keys each principal left ideal by the bytes of its membership mask, and
-f_set_by_class looks at every element of every class.  rings.FiniteRing
-gets the same answers from generating sets and whole-array passes.
+keys each principal left ideal by the bytes of its membership mask,
+f_set_by_class looks at every element of every class, units_by_argmax
+reads inverses off the whole n x n mask y x == 1, and
+class_products_by_division counts every product of the table.
+rings.FiniteRing and mixing.class_products get the same answers from
+generating sets, orbit certificates and blockwise passes.
 """
 
 import numpy as np
@@ -84,3 +87,27 @@ def f_set_by_class(ring, a):
     in_sa[sa] = True
     return [ci for ci, cls in enumerate(ring.similarity.classes)
             if in_sa[ring.mul[np.ix_(cls, sa)]].any()]
+
+
+def units_by_argmax(ring):
+    """(units, inverse map): the columns x of the mask y x == 1 that hold a
+    True, each with its least such y."""
+    left_hits = ring.mul == ring.one
+    xs = np.nonzero(left_hits.any(axis=0))[0]
+    ys = np.argmax(left_hits[:, xs], axis=0)
+    return xs, dict(zip(xs.tolist(), ys.tolist()))
+
+
+def class_products_by_division(ring):
+    """(i, j, c, count) from all n^2 products: the pairs in C_i x C_j with
+    product in C_c, divided by |C_c|, which must divide them."""
+    part = ring.similarity
+    k = len(part)
+    cls = part.class_of.astype(np.int64)
+    keys = (cls[:, None] * k + cls[None, :]) * k + cls[ring.mul]
+    keys, totals = np.unique(keys, return_counts=True)
+    ij, c = np.divmod(keys, k)
+    i, j = np.divmod(ij, k)
+    sizes = np.array([len(cl) for cl in part.classes])[c]
+    assert not np.any(totals % sizes)
+    return i, j, c, totals // sizes

@@ -331,8 +331,9 @@ from ringwalk.errors import (InvariantViolation, LengthMismatch,
                              ParamOutOfRange, RingMismatch)
 from ringwalk.exact import ScaledMatrix
 from ringwalk.gl2 import character_table
-from ringwalk.mixing import simulate
-from ringwalk.rings import FiniteRing, matrix_ring, zn_ring
+from ringwalk.mixing import class_products, simulate
+from ringwalk.rings import (FiniteRing, SimilarityPartition, matrix_ring,
+                            zn_ring)
 from ringwalk import checks, fields, spectrum, stationary
 import numpy as np
 assert False, "this script must run under python -O"
@@ -397,6 +398,12 @@ assert False, "this script must run under python -O"
     # index only the classes of the ring Q was built on
     ("build_B(r := zn_ring(6), ClassDistribution.uniform(FiniteRing("
      "r.add, r.mul, r.zero, r.one, r.label, {})))", "RingMismatch"),
+    # {2, 4} is closed under conjugation in Z_6 but holds two orbits
+    ("r = zn_ring(6); r.__dict__['similarity'] = SimilarityPartition("
+     "[np.array([0]), np.array([1]), np.array([2, 4]), np.array([3]),"
+     " np.array([5])], np.array([0, 1, 2, 3, 5]), np.array([0, 1, 2, 3, 2,"
+     " 4]), np.array([False, True, False, False, True])); class_products(r)",
+     "InvariantViolation"),
     ("simulate(r := zn_ring(6), ClassDistribution.uniform(r), Fraction(1, 2),"
      " 0, 5, 100, seed=1, side='middle')", "ParamOutOfRange"),
     ("simulate(r := zn_ring(6), ClassDistribution.uniform(r), Fraction(1, 2),"

@@ -649,3 +649,24 @@ def test_cli_import_loads_no_scipy():
                                   capture_output=True, text=True)
             assert (proc.returncode, proc.stdout) == (0, "0 []\n"), \
                 (argv + ring, proc.stdout, proc.stderr)
+
+
+@pytest.mark.skipif(not os.environ.get("RINGWALK_EXTENDED"),
+                    reason="set RINGWALK_EXTENDED=1 for the M2(F11) runs")
+@pytest.mark.parametrize("argv", [["describe"],
+                                  ["stationary", "--alpha", "1/2"],
+                                  ["mix", "--alpha", "1/2", "--T", "4"]])
+def test_m2f11_commands_fit_in_the_tables_plus_blocks(argv):
+    """describe, stationary and mix on M2(F11) (n = 14,641) exit 0, each
+    child below 2.0 GB of peak RSS: the two int32 tables take 1.7 GB and
+    every other whole-table pass runs in blocks of rows.  verify and
+    spectrum stay out: they still build the n x n walk matrices B and M,
+    int64 each, which need about 5 GB here."""
+    proc = subprocess.Popen([sys.executable, "-m", "ringwalk.cli"] + argv
+                            + ["--ring", "matrix", "--q", "11"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert os.waitstatus_to_exitcode(status) == 0, stderr
+    assert usage.ru_maxrss * 1024 < 2.0e9, usage.ru_maxrss

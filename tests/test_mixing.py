@@ -36,6 +36,7 @@ from reference_simulate import (
     reference_simulate,
     right_multiplication_B,
 )
+from ring_oracle import class_products_by_division, units_by_argmax
 from spectral_oracle import dense_float
 
 
@@ -191,6 +192,63 @@ def test_class_products_reject_a_partition_that_is_not_conjugation_closed():
         np.array([False, True, False]))
     with pytest.raises(InvariantViolation):
         class_products(ring)
+
+
+def test_class_products_reject_closed_classes_that_merge_orbits():
+    """Z_6 is commutative, so every partition is closed under conjugation
+    and each orbit is one element.  {2, 4} merges two orbits, yet every
+    pair total over it is even: only |C| |C_U(rep)| = |U| sees it."""
+    ring = zn_ring(6)
+    ring.__dict__["similarity"] = SimilarityPartition(
+        [np.array([0]), np.array([1]), np.array([2, 4]), np.array([3]),
+         np.array([5])], np.array([0, 1, 2, 3, 5]),
+        np.array([0, 1, 2, 3, 2, 4]),
+        np.array([False, True, False, False, True]))
+    with pytest.raises(InvariantViolation):
+        class_products(ring)
+
+
+def test_class_products_reject_classes_that_trade_two_elements():
+    """Two classes of 12 in M2(F3) trade their last elements: the sizes,
+    representatives and centralizers stay, so only the conjugation check
+    sees it."""
+    ring = matrix_ring(3)
+    part = ring.similarity
+    a, b = [c for c, cl in enumerate(part.classes) if len(cl) == 12][:2]
+    class_of = part.class_of.copy()
+    class_of[[part.classes[a][-1], part.classes[b][-1]]] = b, a
+    ring.__dict__["similarity"] = SimilarityPartition(
+        [np.flatnonzero(class_of == c) for c in range(len(part))],
+        part.reps, class_of, part.invertible)
+    with pytest.raises(InvariantViolation):
+        class_products(ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_units_and_class_products_equal_the_dense_oracles(data):
+    ring = random_ring(data.draw)
+    units, inverse = units_by_argmax(ring)
+    assert np.array_equal(ring.units, units)
+    assert ring._inv_map == inverse
+    for got, want in zip(class_products(ring),
+                         class_products_by_division(ring)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_class_products_add_under_a_mebibyte_to_the_ring():
+    """Only the products that land on a representative are kept, and the
+    table is read _BLOCK rows at a time; counting all n^2 products took
+    6.7 MiB on M2(F5)."""
+    ring = matrix_ring(5)
+    ring.unit_generators, ring.similarity
+    tracemalloc.start()
+    try:
+        class_products(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_one_verify_counts_class_products_once(monkeypatch):

@@ -5,6 +5,7 @@ test ring with at most 100 elements; the tabulated M2(F_q) facts are
 checked against the generator/stabilizer descriptions for q = 3 and q = 5.
 """
 
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -159,6 +160,39 @@ def test_upper_triangular_embeds_in_matrix_ring():
                 int(m.mul[embed(x), embed(y)])
             assert embed(int(bt.add[x, y])) == \
                 int(m.add[embed(x), embed(y)])
+
+
+def test_product_tables_equal_the_int64_construction():
+    r1, r2 = upper_triangular_ring(3), zn_ring(6)
+    p = product_ring(r1, r2)
+    i1, i2 = np.divmod(np.arange(p.n), r2.n)
+    for got, t1, t2 in ((p.add, r1.add, r2.add), (p.mul, r1.mul, r2.mul)):
+        want = t1[np.ix_(i1, i1)].astype(np.int64) * r2.n + t2[np.ix_(i2, i2)]
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make, args", [
+    (matrix_ring, lambda: (5,)), (upper_triangular_ring, lambda: (7,)),
+    (zn_ring, lambda: (1000,)),
+    (product_ring, lambda: (zn_ring(3), matrix_ring(5))),
+], ids=["M2(F5)", "B2(F7)", "Z_1000", "Z_3xM2(F5)"])
+def test_build_peak_is_the_tables(make, args):
+    """Building a ring, its units, similarity classes and ideals holds the
+    two tables plus O(_BLOCK n): every whole-table pass outside them runs
+    _BLOCK rows or columns at a time, with about 20 bytes per block entry
+    (an intp index, int32 gathers, a bool mask).  The bound is below
+    1.25 (add + mul bytes) + 1 MiB at every n.  n x n temporaries took
+    these rings to 32-500 bytes per block entry."""
+    args = args()                  # a product's factors are built untraced
+    tracemalloc.start()
+    try:
+        ring = make(*args)
+        ring.units, ring.similarity, ring.ideals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = ring.add.nbytes + ring.mul.nbytes
+    assert peak <= tables + 24 * rings._BLOCK * ring.n, (peak, tables)
 
 
 def test_product_ring_contracts():
