@@ -103,34 +103,41 @@ def _gather_rows(codes, rows, n):
 
 
 def step_table(add, mul, left=True):
-    """Flat int32 gather table of one simulator step on an n-element ring.
+    """Flat int32 gather table of one simulator step on an n-element ring,
+    x-major and pre-scaled by 2n.
 
-    Entry a*n + x is x + a and entry n*n + z*n + x is z*x (left) or x*z
-    (right), so both moves from state x are one lookup at x plus an offset
-    that does not depend on x.  int32 holds every index: 2 n^2 < 2^31 for
-    n up to rings.SIZE_CAP.
+    Entry x*2n + a holds (x + a)*2n and entry x*2n + n + z holds (z*x)*2n
+    (left) or (x*z)*2n (right).  A state carried as x*2n plus a move code
+    below 2n (mixing._draw_moves) is the index of its move, and the entry
+    is the next state, carried the same way.  int32 holds every entry and
+    index: 2 n^2 < 2^31 for n up to rings.SIZE_CAP.  Each half is written
+    in place, so the table is the only n x 2n array made.
     """
-    mul = mul if left else mul.T
-    return np.concatenate([add.T.ravel(), mul.ravel()]).astype(np.int32)
+    n = len(add)
+    table = np.empty((n, 2 * n), dtype=np.int32)
+    np.multiply(add, 2 * n, out=table[:, :n])
+    np.multiply(mul.T if left else mul, 2 * n, out=table[:, n:])
+    return table.ravel()
 
 
-def run_chain(states, off, table):
+def run_chain(states, moves, table):
     """Advance all sample trajectories in place through one chunk of moves.
 
-    off has shape (steps, samples), int32: off[t, i] is the offset of
-    sample i's move at step t, n*a to add a or n*(n + z) to multiply by z
-    (mixing._draw_offsets), and table comes from step_table.  Each step is
-    two int32 ops: one add of the state x and one gather at off + x.  The
-    samples advance in blocks of GATHER_BLOCK through all steps of the
-    chunk, so a block's states and the intp copy np.take makes of its
-    index stay in cache; trajectories are independent, so the order of
-    blocks does not change the result.
+    states are int32 and carry each element x as x*2n.  moves has shape
+    (steps, samples), uint16: moves[t, i] is the code of sample i's move
+    at step t, a to add a or n + z to multiply by z (mixing._draw_moves),
+    and table comes from step_table.  Each step is one add of the uint16
+    code to the int32 state and one gather at the sum.  The samples
+    advance in blocks of GATHER_BLOCK through all steps of the chunk, so a
+    block's states and the intp copy np.take makes of its index stay in
+    cache; trajectories are independent, so the order of blocks does not
+    change the result.
     """
     idx = np.empty(min(GATHER_BLOCK, len(states)), dtype=states.dtype)
     for start in range(0, len(states), GATHER_BLOCK):
         block = states[start:start + GATHER_BLOCK]
         block_idx = idx[:len(block)]
-        for row in off[:, start:start + GATHER_BLOCK]:
+        for row in moves[:, start:start + GATHER_BLOCK]:
             np.add(row, block, out=block_idx)
             # every index is in range by construction; mode="clip" skips
             # the bounds check, which would also buffer the output

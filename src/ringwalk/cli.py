@@ -274,9 +274,14 @@ def cmd_mix(cfg) -> dict:
         tm = curve.t_mix(eps)
         rep["meta"][f"t_mix[{eps}]"] = str(tm)
         rep["meta"][f"t_mix_bound[{eps}]"] = f"{bound:.12g}"
-        reports.add_check(rep, f"t-mix[{eps}]",
-                          tm is not None and tm <= bound,
-                          f"observed {tm}, bound {bound:.6g}")
+        verdict = checks.t_mix_verdict(curve, eps, bound)
+        if verdict is None:
+            reports.add_check(rep, f"t-mix[{eps}]", True,
+                              f"skipped: d({T}) > {eps} and T = {T} is "
+                              f"below the bound {bound:.6g}")
+        else:
+            reports.add_check(rep, f"t-mix[{eps}]", verdict,
+                              f"observed {tm}, bound {bound:.6g}")
     return rep
 
 

@@ -29,13 +29,16 @@ platforms.  The counts for a seed are fixed by this stream contract:
 
 Each pass draws its flattened chunk in slices of DRAW_SLICE entries (int64
 coins and Q-draws, int32 uniform elements); numpy gives the same values and
-the same stream position for any slicing.  Memory per block is two
-buffers reused across chunks, a bool coin (1 byte per chunk entry) and an
-int32 move offset (4 bytes), plus O(m) for the states and one slice of
-draws.  Each step costs O(1) per sample: a Q-draw maps to its
-element through a guide table of at most 2^20 buckets (QSampler), and the
-move is one add and one gather from a flat int32 table holding the addition
-and multiplication tables (_kernels.step_table, run_chain).
+the same stream position for any slicing.  The three passes fill one uint16
+move code per entry in place: the coins write the tails flag (0 or 1), the
+uniform elements turn it into a (heads) or n (tails), and the Q-draws add z
+to every code >= n.  Every code is below 2n <= 2 * rings.SIZE_CAP < 2^16.
+Memory per block is that one buffer, reused across chunks (2 bytes per
+chunk entry), plus O(m) for the states and one slice of draws.  Each step
+costs O(1) per sample: a Q-draw maps to its element through a guide table
+of at most 2^20 buckets (QSampler), and the move is one add and one gather
+from a flat int32 table holding the addition and multiplication tables
+(_kernels.step_table, run_chain).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .stationary import stationary_recursive
 
 T_CAP = 64
 STEP_CHUNK_ENTRIES = 20_000_000
-DRAW_SLICE = 2**20         # entries per integer draw call within a chunk
+DRAW_SLICE = 2**18         # entries per integer draw call within a chunk
 GUIDE_BITS = 20            # the Q-sampler guide table has <= 2^20 buckets
 
 
@@ -317,10 +320,10 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     The stream contract of the module docstring fixes the counts: chunks of
     max(1, min(t, STEP_CHUNK_ENTRIES // m)) steps for a block of m samples,
     and per chunk all coins, all uniform elements, then all Q-draws.  Peak
-    memory is about 5 bytes per chunk entry (at most max(m,
-    STEP_CHUNK_ENTRIES) entries), plus O(n^2) for the step table, O(m) for
-    the states and one slice of draws.  The alpha and Q denominators must
-    lie below 2^63, the range of an int64 draw.
+    memory is about 2 bytes per chunk entry (one uint16 move code; a chunk
+    has at most max(m, STEP_CHUNK_ENTRIES) entries), plus 8n^2 bytes for
+    the step table, O(m) for the states and one slice of draws.  The alpha
+    and Q denominators must lie below 2^63, the range of an int64 draw.
     """
     alpha = check_alpha(alpha, allow_boundary)
     if alpha.denominator >= 2**63:
@@ -349,6 +352,10 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     if den >= 2**63:
         raise ParamOutOfRange(f"field 'Q': common denominator {den} is not "
                               f"below 2^63, the range of an int64 Q-draw")
+    scale = 2 * ring.n      # move codes lie below 2n; x is carried as x*2n
+    if scale > 2**16:
+        raise InvariantViolation(f"{ring.label}: move codes reach 2n = "
+                                 f"{scale}, beyond uint16")
     sampler = QSampler(w_int)
     table = _kernels.step_table(ring.add, ring.mul, left=(side == "left"))
     counts = np.zeros(ring.n, dtype=np.int64)
@@ -358,45 +365,47 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
         if m == 0:
             continue
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
-        states = np.full(m, x0, dtype=np.int32)
+        states = np.full(m, x0 * scale, dtype=np.int32)
         chunk = max(1, min(t, STEP_CHUNK_ENTRIES // m))
-        tails = np.empty(chunk * m, dtype=bool)
-        off = np.empty(chunk * m, dtype=np.int32)
+        moves = np.empty(chunk * m, dtype=np.uint16)
         done = 0
         while done < t:
             step = min(chunk, t - done)
-            _draw_offsets(rng, tails[:step * m], off[:step * m], alpha,
-                          ring.n, sampler)
-            _kernels.run_chain(states, off[:step * m].reshape(step, m), table)
+            _draw_moves(rng, moves[:step * m], alpha, ring.n, sampler)
+            _kernels.run_chain(states, moves[:step * m].reshape(step, m),
+                               table)
             done += step
+        states //= scale
         counts += np.bincount(states, minlength=ring.n)
     return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
                             counts)
 
 
-def _draw_offsets(rng, tails, off, alpha, n, sampler):
-    """Fill one chunk's move offsets in place: off = n*a for heads (add a)
-    and n*(n + z) for tails (multiply by z), so the move from x is
-    table[off + x].
+def _draw_moves(rng, moves, alpha, n, sampler):
+    """Fill one chunk's uint16 move codes in place: a for heads (add a) and
+    n + z for tails (multiply by z), so the move from state x*2n is
+    table[x*2n + code].
 
-    Three passes over the flattened chunk, coins, uniform elements, then
-    Q-draws, each in slices of DRAW_SLICE entries.  Coins and Q-draws are
-    int64 (their denominators reach 2^63), uniform elements int32.  The Q
-    pass fuses the offset branch-free in int32:
-    off = (a + tails*(n + z - a))*n.
+    Three passes over the flattened chunk, each in slices of DRAW_SLICE
+    entries: the coins write the tails flag, the uniform elements a write
+    a + flag*(n - a), and the Q-draws add z wherever the code is >= n.
+    Coins and Q-draws are int64 (their denominators reach 2^63), uniform
+    elements int32; the arithmetic is int32, and every code is below 2n.
     """
-    cuts = [slice(i, i + DRAW_SLICE) for i in range(0, len(off), DRAW_SLICE)]
+    cuts = [slice(i, i + DRAW_SLICE) for i in range(0, len(moves), DRAW_SLICE)]
     for cut in cuts:
-        coins = rng.integers(0, alpha.denominator, size=len(tails[cut]),
-                             dtype=np.int64)
-        np.greater_equal(coins, alpha.numerator, out=tails[cut])
+        # unnamed, so the coins are freed before the next pass
+        np.greater_equal(rng.integers(0, alpha.denominator,
+                                      size=len(moves[cut]), dtype=np.int64),
+                         alpha.numerator, out=moves[cut])
     for cut in cuts:
-        off[cut] = rng.integers(0, n, size=len(off[cut]), dtype=np.int32)
+        flag = moves[cut]
+        a = rng.integers(0, n, size=len(flag), dtype=np.int32)
+        a += flag * (n - a)
+        flag[:] = a
     for cut in cuts:
-        a = off[cut]
-        z = sampler(rng.integers(0, sampler.den, size=len(a), dtype=np.int64))
-        z += n
-        z -= a
-        z *= tails[cut]
-        a += z
-        a *= n
+        code = moves[cut]
+        z = sampler(rng.integers(0, sampler.den, size=len(code),
+                                 dtype=np.int64))
+        z *= code >= n
+        np.add(code, z, out=code, casting="unsafe")

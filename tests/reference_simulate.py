@@ -6,16 +6,25 @@ reference_simulate takes the same arguments as mixing.simulate and the
 chunk size explicitly; it returns the end-state counts.  The draw order is
 the stream contract of mixing.simulate: per block a Philox stream keyed
 (seed, block); per chunk of steps all coins, then all uniform elements,
-then all Q-draws, each row-major over (step, sample).
+then all Q-draws, each row-major over (step, sample).  The oracle builds
+its own step table from ring.add and ring.mul (n_major_table), move-major
+where the simulator's is x-major, so it shares no table code with the
+simulator it checks.
 """
 
 import math
 
 import numpy as np
 
-from ringwalk import _kernels
 from ringwalk.exact import ScaledMatrix
 from ringwalk.mixing import QSampler, simulate
+
+
+def n_major_table(ring, side):
+    """Flat table of one step: entry a*n + x is x + a and entry
+    n*n + z*n + x is z*x (left) or x*z (right)."""
+    mul = ring.mul if side == "left" else ring.mul.T
+    return np.concatenate([ring.add.T.ravel(), mul.ravel()]).astype(np.int32)
 
 
 def reference_run_chain(states, heads, adds, zs, table):
@@ -44,7 +53,7 @@ def reference_simulate(ring, Q, alpha, x0, t, samples, seed, side, blocks,
                        chunk_entries):
     w_int, _ = Q.scaled_weights()
     sampler = QSampler(w_int)
-    table = _kernels.step_table(ring.add, ring.mul, left=(side == "left"))
+    table = n_major_table(ring, side)
     counts = np.zeros(ring.n, dtype=np.int64)
     per_block = [samples // blocks] * blocks
     per_block[-1] += samples - sum(per_block)

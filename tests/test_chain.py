@@ -411,6 +411,10 @@ assert False, "this script must run under python -O"
     # a coin draw of 2^63 or more does not fit int64
     ("simulate(r := zn_ring(6), ClassDistribution.uniform(r),"
      " Fraction(1, 2**63 + 1), 0, 5, 100, seed=1)", "ParamOutOfRange"),
+    # move codes below 2n must fit uint16
+    ("r = zn_ring(6); q = ClassDistribution.uniform(r); r.n = 2**15 + 1;"
+     " simulate(r, q, Fraction(1, 2), 0, 5, 100, seed=1)",
+     "InvariantViolation"),
 ])
 def test_invariants_survive_python_O(call, error):
     script = OPTIMIZED_SCRIPT + f"""

@@ -627,6 +627,63 @@ def test_spectrum_checks_its_caps_before_building_b(monkeypatch, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# ---------------------------------------------------------------------
+# t_mix checks on a curve that ends before it reaches eps
+# ---------------------------------------------------------------------
+
+def test_mix_ending_before_the_bound_skips_t_mix():
+    """d(1) = 3328/7695 on M2(F3) is above both eps, and T = 1 is below
+    both bounds (3 and 4.32), so the curve cannot decide t_mix."""
+    code, out, _ = run_cli(["mix", "--ring", "matrix", "--q", "3", "--T", "1"])
+    assert code == 0
+    rep = reports.parse_text(out)
+    assert rep["meta"]["t_mix[1/4]"] == "None"
+    assert rep["checks"] == [
+        ["geometric-bound", "PASS", "exact"],
+        ["t-mix[1/4]", "PASS",
+         "skipped: d(1) > 1/4 and T = 1 is below the bound 3"],
+        ["t-mix[1/10]", "PASS",
+         "skipped: d(1) > 1/10 and T = 1 is below the bound 4.32193"]]
+
+
+def test_verify_ending_before_the_bound_skips_t_mix():
+    code, out, _ = run_cli(["verify", "--ring", "matrix", "--q", "3",
+                            "--T", "1"])
+    assert code == 0
+    checks = {name: (status, detail)
+              for name, status, detail in reports.parse_text(out)["checks"]}
+    assert checks["mixing-bound"] == (
+        "PASS", "skipped: d(1) > eps for eps=['1/4', '1/10'] and T is below "
+                "the bound; geometric bound holds, T=1, eps=['1/4', '1/10']")
+
+
+def test_mix_and_verify_still_fail_a_curve_above_eps_past_the_bound(
+        monkeypatch, capsys):
+    """A curve that stays at 1/2 to T = 5 under a bound of 1 everywhere
+    passes the geometric check, and T is past both t_mix bounds."""
+    real = cli.d_of_t
+
+    def flat(ring, Q, alpha, T):
+        curve = real(ring, Q, alpha, T)
+        curve.exact_values = [Fraction(1, 2)] * (T + 1)
+        curve.exact_bounds = [Fraction(1)] * (T + 1)
+        return curve
+
+    monkeypatch.setattr(cli, "d_of_t", flat)
+    monkeypatch.setattr(cli.checks, "d_of_t", flat)
+    ring = ["--ring", "matrix", "--q", "2", "--T", "5"]
+    assert cli.main(["mix"] + ring) == 1
+    rep = reports.parse_text(capsys.readouterr().out)
+    assert rep["checks"][1:] == [
+        ["t-mix[1/4]", "FAIL", "observed None, bound 3"],
+        ["t-mix[1/10]", "FAIL", "observed None, bound 4.32193"]]
+    assert cli.main(["verify"] + ring) == 1
+    checks = {name: (status, detail) for name, status, detail
+              in reports.parse_text(capsys.readouterr().out)["checks"]}
+    assert checks["mixing-bound"] == ("FAIL",
+                                      "t_mix(1/4) = None exceeds 3.0")
+
+
 def test_cli_import_loads_no_scipy():
     """Every command pays for what the CLI loads: no scipy, and no numpy.ma
     (which a bare np.unique imports), on a ring with a character table of

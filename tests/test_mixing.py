@@ -22,6 +22,7 @@ from ringwalk.mixing import (
     tv_distance,
 )
 from ringwalk.rings import (
+    SIZE_CAP,
     SimilarityPartition,
     matrix_ring,
     product_ring,
@@ -565,9 +566,9 @@ def test_simulate_equals_reference_stream(case):
     assert res.counts.tolist() == expected.tolist()
 
 
-def test_simulate_memory_is_five_bytes_per_chunk_entry(monkeypatch):
-    # a bool coin and an int32 offset per chunk entry; chunk-sized int64
-    # coin and Q-draw arrays would take about 17 bytes an entry
+def test_simulate_memory_is_two_bytes_per_chunk_entry(monkeypatch):
+    # one uint16 move code per chunk entry; a bool coin and an int32 offset
+    # would take 5 bytes an entry, chunk-sized int64 draws about 17
     ring = matrix_ring(3)
     q = uniform(ring)
     ring.similarity
@@ -582,8 +583,40 @@ def test_simulate_memory_is_five_bytes_per_chunk_entry(monkeypatch):
         tracemalloc.stop()
     # per sample: the int32 states; per slice entry: the int64 draws, their
     # guide-table buckets and the sampled elements
-    bound = 6 * chunk_entries + 8 * m + 24 * mixing.DRAW_SLICE
+    bound = 2 * chunk_entries + 8 * m + 24 * mixing.DRAW_SLICE
     assert peak <= bound, (peak, bound)
+
+
+class _ConstantSampler:
+    """A Q-sampler stub: every draw in [0, den) maps to the element z."""
+
+    def __init__(self, z, den):
+        self.z, self.den = z, den
+
+    def __call__(self, draws):
+        return np.full(draws.shape, self.z, dtype=np.int32)
+
+
+def test_move_codes_are_bounded_below_uint16_at_the_size_cap():
+    assert 2 * SIZE_CAP <= 2**16
+    assert 2 * SIZE_CAP**2 < 2**31
+    n = SIZE_CAP
+    sampler = _ConstantSampler(n - 1, 7)
+    entries = 3 * mixing.DRAW_SLICE + 5
+    for den in (2, 2**31 + 11, 2**40):
+        alpha = Fr(1, den)
+        moves = np.empty(entries, dtype=np.uint16)
+        mixing._draw_moves(np.random.Generator(np.random.Philox(key=[9, 1])),
+                           moves, alpha, n, sampler)
+        rng = np.random.Generator(np.random.Philox(key=[9, 1]))
+        tails = rng.integers(0, den, size=entries, dtype=np.int64) \
+            >= alpha.numerator
+        a = rng.integers(0, n, size=entries, dtype=np.int32)
+        zs = sampler(rng.integers(0, sampler.den, size=entries,
+                                  dtype=np.int64))
+        expected = np.where(tails, n + zs, a)
+        assert expected.max() == 2 * n - 1
+        assert np.array_equal(moves.astype(np.int32), expected)
 
 
 # ---------------------------------------------------------------------
