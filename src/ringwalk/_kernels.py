@@ -4,8 +4,10 @@ and the trajectory stepping of the simulator, in numpy.
 The matrix-ring tables are built by rows: row i of a sum or a product
 depends on a only through row i of a, so each table is a sum of s gathers
 from a small table over the m^s row vectors of the field, summed into the
-table _BLOCK rows at a time.  All tables are int32, which holds every
-index below rings.SIZE_CAP."""
+table _BLOCK rows at a time.  The ring tables are uint16, which holds
+every index below rings.SIZE_CAP < 2^16; the field tables and the
+per-row code contributions are int32, and each contribution is narrowed
+to uint16 once, as every partial code is below n."""
 
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ def matrix_mul_table(E, fmul, fadd, place):
                 bad += int(nonzero[rows[:, i]].sum())
             else:
                 acc += prod[j] * int(place[i, j])
-        codes.append(acc)
+        codes.append(acc.astype(np.uint16))     # partial codes are below n
     return _gather_rows(codes, rows, n), bad
 
 
@@ -85,15 +87,16 @@ def matrix_add_table(E, fadd, place):
             if place[i, j] >= 0:
                 acc += fadd[vectors[:, j, None], E[None, :, i, j]] \
                     * int(place[i, j])
-        codes.append(acc)
+        codes.append(acc.astype(np.uint16))     # partial codes are below n
     return _gather_rows(codes, rows, n)
 
 
 def _gather_rows(codes, rows, n):
     """out[a] = sum over i of codes[i][rows[a, i]], _BLOCK rows of out
     at a time: the first gather lands in out and the rest add in place, so
-    no n x n temporary is made."""
-    out = np.empty((n, n), dtype=np.int32)
+    no n x n temporary is made.  codes are uint16, and so is out: every
+    partial sum is a code below n."""
+    out = np.empty((n, n), dtype=np.uint16)
     for s in range(0, n, _BLOCK):
         block = out[s:s + _BLOCK]
         np.take(codes[0], rows[s:s + _BLOCK, 0], axis=0, out=block)
@@ -104,19 +107,22 @@ def _gather_rows(codes, rows, n):
 
 def step_table(add, mul, left=True):
     """Flat int32 gather table of one simulator step on an n-element ring,
-    x-major and pre-scaled by 2n.
+    x-major and pre-scaled by 2n, from the uint16 ring tables add and mul.
 
     Entry x*2n + a holds (x + a)*2n and entry x*2n + n + z holds (z*x)*2n
     (left) or (x*z)*2n (right).  A state carried as x*2n plus a move code
     below 2n (mixing._draw_moves) is the index of its move, and the entry
     is the next state, carried the same way.  int32 holds every entry and
-    index: 2 n^2 < 2^31 for n up to rings.SIZE_CAP.  Each half is written
-    in place, so the table is the only n x 2n array made.
+    index: 2 n^2 < 2^31 for n up to rings.SIZE_CAP.  The products are
+    computed in int32 (dtype=), not in uint16 and then widened, which would
+    wrap once (n - 1) 2n reaches 2^16.  Each half is written in place, so
+    the table is the only n x 2n array made.
     """
     n = len(add)
     table = np.empty((n, 2 * n), dtype=np.int32)
-    np.multiply(add, 2 * n, out=table[:, :n])
-    np.multiply(mul.T if left else mul, 2 * n, out=table[:, n:])
+    np.multiply(add, 2 * n, out=table[:, :n], dtype=np.int32)
+    np.multiply(mul.T if left else mul, 2 * n, out=table[:, n:],
+                dtype=np.int32)
     return table.ravel()
 
 

@@ -141,7 +141,7 @@ def weighted_mul_counts(ring: FiniteRing, weights) -> np.ndarray:
     w = np.array(weights, dtype=dtype)
     out = np.zeros((ring.n, ring.n), dtype=dtype)
     for a in range(ring.n):
-        np.add.at(out[a], ring.mul[:, a], w)
+        np.add.at(out[a], ring.mul[:, a], w)    # uint16 indices below n
     return out
 
 

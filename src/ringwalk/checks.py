@@ -48,6 +48,7 @@ def check_rxy_sizes(ring: FiniteRing):
     R_{x,y} = {r : r y = x}: one bincount of each column of the table."""
     poset = ring.ideals
     for y in range(ring.n):
+        # bincount widens the uint16 column to intp; each value is below n
         counts = np.bincount(ring.mul[:, y], minlength=ring.n)
         contained = poset.leq[poset.id_of, poset.id_of[y]]
         bad = np.nonzero((counts > 0) != contained)[0]

@@ -8,11 +8,11 @@ index is the residue; for k = 2 it is t^2 + b*t + c with the least (b, c).
 The indices below p are the prime subfield, so GF(p) sits inside GF(p^k)
 as itself.
 
-Like a FiniteRing, a field is a pair of read-only int32 n x n tables, add
-and mul, and every operation is a lookup.  gf(p, k) builds each field once
-and shares it; it is immutable and safe to share between threads.  Table
-lookups are numpy integers: convert them with int() before they reach a
-label.
+Like a FiniteRing, a field is a pair of read-only n x n index tables, add
+and mul (int32 here, uint16 in a FiniteRing), and every operation is a
+lookup.  gf(p, k) builds each field once and shares it; it is immutable
+and safe to share between threads.  Table lookups are numpy integers:
+convert them with int() before they reach a label.
 
 Character values are kept as exact angles (fractions of a full turn) and only
 materialized to complex floats at linear-algebra boundaries, so orthogonality

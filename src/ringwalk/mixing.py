@@ -126,7 +126,7 @@ def _count_class_products(ring: FiniteRing):
     is_rep[part.reps] = True
     keys = []
     for s in range(0, ring.n, _BLOCK):
-        rows = ring.mul[s:s + _BLOCK].ravel()
+        rows = ring.mul[s:s + _BLOCK].ravel()     # uint16, used as indices
         at = np.flatnonzero(is_rep[rows])
         ij = (cls[s:s + _BLOCK, None] * k + cls).ravel()[at]
         keys.append(ij * k + cls[rows[at]])
@@ -212,6 +212,7 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve
         targets = ring.mul[:, int(a)]
         order = np.argsort(targets, kind="stable")
         image = targets[order]
+        # prepend=-1 makes the diff int64; image (uint16) is below n
         first = np.flatnonzero(np.diff(image, prepend=-1))
         fibers.append((order, first, image[first]))
 

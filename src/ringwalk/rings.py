@@ -1,8 +1,10 @@
 """Element-enumerated finite rings with identity and their derived structure.
 
-A ring is stored as dense n x n int32 addition and multiplication index
-tables.  Matrix-ring tables come from _kernels, which builds them by rows
-in O(n^2) numpy work.
+A ring is stored as dense n x n uint16 addition and multiplication index
+tables: SIZE_CAP < 2^16, so every element index fits, and any arithmetic
+on a table value widens it first (uint16 arithmetic would wrap).
+Matrix-ring tables come from _kernels, which builds them by rows in
+O(n^2) numpy work.
 Enumeration orders are part of the public contract:
 
   * zn_ring(n): natural order 0..n-1.
@@ -145,8 +147,7 @@ class FiniteRing:
     """
 
     def __init__(self, add, mul, zero, one, label, descriptor, namer=None):
-        add = np.ascontiguousarray(add, dtype=np.int32)
-        mul = np.ascontiguousarray(mul, dtype=np.int32)
+        add, mul = np.asarray(add), np.asarray(mul)
         n = add.shape[0]
         if n > SIZE_CAP:
             raise TooLarge(f"{label}: {n} elements exceeds the {SIZE_CAP} cap")
@@ -154,16 +155,24 @@ class FiniteRing:
             raise InvariantViolation(f"{label}: operation tables are not "
                                      f"{n} x {n}")
         self.n = n
-        self.add = add
-        self.mul = mul
+        self.label = label
+        self.add = self._index_table(add, "addition")
+        self.mul = self._index_table(mul, "multiplication")
         self.zero = int(zero)
         self.one = int(one)
-        self.label = label
         self.descriptor = descriptor
         self._namer = namer
         self._validate()
 
     # -- construction-time checks -------------------------------------
+
+    def _index_table(self, table, name):
+        """table as a C-contiguous uint16 array.  Its entries are checked
+        to be integers in 0..n-1 in the dtype they arrive in, before the
+        narrowing, which would wrap 2^16 + 3 to the valid index 3."""
+        self._require(table.dtype.kind in "iu" and table.min() >= 0
+                      and table.max() < self.n, f"{name} table leaves the ring")
+        return np.ascontiguousarray(table, dtype=np.uint16)
 
     def _validate(self):
         """Check every ring axiom, exhaustively, in two passes over the
@@ -173,10 +182,10 @@ class FiniteRing:
         (additive_generators).  Its search tree writes each y != 0 as
         y = p(y) + g(y), p(y) reached before y and g(y) in G, and R_i, the
         elements reached from 0 by adding g_1..g_i on the right, is closed
-        before g_{i+1} is picked.  After an O(n^2) prelude (the tables stay
-        in the ring, 0 is a two-sided additive identity, each row of + holds
-        exactly one 0, 1 is a two-sided multiplicative identity) these
-        checks suffice:
+        before g_{i+1} is picked.  After the range check of _index_table
+        (the tables stay in the ring) and an O(n^2) prelude (0 is a
+        two-sided additive identity, each row of + holds exactly one 0, 1
+        is a two-sided multiplicative identity) these checks suffice:
 
         (b) g + h = h + g for g, h in G.
         (a') x + y = (x + p(y)) + g(y) for all x and y (one pass over +),
@@ -215,10 +224,6 @@ class FiniteRing:
         generator, so |G| <= log2 n.
         """
         n, add, mul = self.n, self.add, self.mul
-        self._require(add.min() >= 0 and add.max() < n,
-                      "addition table leaves the ring")
-        self._require(mul.min() >= 0 and mul.max() < n,
-                      "multiplication table leaves the ring")
         idx = np.arange(n)
         self._require(np.array_equal(add[self.zero], idx)
                       and np.array_equal(add[:, self.zero], idx),
@@ -238,7 +243,8 @@ class FiniteRing:
         gg = add[np.ix_(G, G)]                                       # (b)
         self._require(np.array_equal(gg, gg.T), "addition is not commutative")
         shifts = add[:, ends].T.copy()             # shifts[j, x] = x + ends[j]
-        at = via * n
+        # int32 flat indices: each is below (|G| + 1) n <= n^2 < 2^31
+        at = (via * n).astype(np.int32)
         for s in range(0, n, _BLOCK):                                # (a')
             rows = add[s:s + _BLOCK]
             self._require(np.array_equal(rows,
@@ -253,7 +259,8 @@ class FiniteRing:
                       "addition is not associative")
         for s in range(0, n, _BLOCK):                                # (c')
             cols = mul[:, s:s + _BLOCK]             # cols[y, i] = y (s + i)
-            flat = (cols[ends].astype(np.intp) * n)[via]
+            # widened before the product: each flat index is below n^2 < 2^31
+            flat = (cols[ends].astype(np.int32) * n)[via]
             flat += cols[parent]          # index of g(y) x + p(y) x in +
             self._require(np.array_equal(cols, add.ravel()[flat]),
                           "right distributivity fails")
@@ -364,6 +371,7 @@ class FiniteRing:
         for s in range(0, n, _BLOCK):
             cols = mul[:, s:s + _BLOCK].T
             member = np.zeros((len(cols), n), dtype=bool)
+            # at is intp, so the uint16 column widens before the add
             member.ravel()[at[:len(cols)] + cols] = True
             packed[s:s + _BLOCK] = np.packbits(member, axis=1)
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -446,11 +454,14 @@ def zn_ring(n: int) -> FiniteRing:
         raise ParamOutOfRange(f"Z_{n} needs n >= 1")
     if n > SIZE_CAP:
         raise TooLarge(f"Z_{n} exceeds the {SIZE_CAP} cap")
-    idx = np.arange(n, dtype=np.int32)     # (n - 1)^2 < 2^31 below SIZE_CAP
-    add = idx[:, None] + idx[None, :]
-    mul = idx[:, None] * idx[None, :]
-    np.remainder(add, n, out=add)
-    np.remainder(mul, n, out=mul)
+    idx = np.arange(n, dtype=np.int32)
+    add = np.empty((n, n), dtype=np.uint16)
+    mul = np.empty((n, n), dtype=np.uint16)
+    for s in range(0, n, _BLOCK):
+        # int32 block: (n - 1)^2 < 2^31 below SIZE_CAP; each residue < n
+        b = idx[s:s + _BLOCK, None]
+        np.remainder(b + idx, n, out=add[s:s + _BLOCK], casting="unsafe")
+        np.remainder(b * idx, n, out=mul[s:s + _BLOCK], casting="unsafe")
     return FiniteRing(add, mul, 0, 1 % n, f"Z_{n}", {"kind": "zn", "n": n})
 
 
@@ -530,8 +541,8 @@ def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
         raise TooLarge(f"product has {n} elements, above the {SIZE_CAP} cap")
     i1 = np.arange(n) // n2
     i2 = np.arange(n) % n2
-    add = np.empty((n, n), dtype=np.int32)  # t1 * n2 + t2 < n fits int32
-    mul = np.empty((n, n), dtype=np.int32)
+    add = np.empty((n, n), dtype=np.uint16)  # t1 * n2 + t2 < n, in uint16
+    mul = np.empty((n, n), dtype=np.uint16)
     for s in range(0, n, _BLOCK):
         b1, b2 = i1[s:s + _BLOCK, None], i2[s:s + _BLOCK, None]
         for out, t1, t2 in ((add, r1.add, r2.add), (mul, r1.mul, r2.mul)):

@@ -45,7 +45,7 @@ def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha):
     w, den = Q.scaled_weights()
     counts = np.zeros((len(poset), len(poset)), dtype=w.dtype)
     for i, a in enumerate(ring.phi):           # phi[i] generates ideal i
-        np.add.at(counts[i], poset.id_of[ring.mul[:, a]], w)
+        np.add.at(counts[i], poset.id_of[ring.mul[:, a]], w)  # index only
     sizes = [len(g) for g in poset.generators]
     pi_bar = stationary_nullspace(ScaledMatrix(
         [[p * den * size + (s - p) * n * int(c) for size, c in zip(sizes, row)]
@@ -65,7 +65,9 @@ def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha):
                  else object)
     for cls in ring.similarity.classes:
         if w[cls[0]]:
-            keys = (ring.mul[cls] * len(poset) + poset.id_of).ravel()
+            # widened first: uint16 y k + b would wrap once n k reaches 2^16
+            keys = (ring.mul[cls].astype(np.int64) * len(poset)
+                    + poset.id_of).ravel()
             hits = np.bincount(keys, minlength=C.size).reshape(C.shape)
             C += int(w[cls[0]]) * hits.astype(C.dtype, copy=False)
     if not np.array_equal(p * den * L + (s - p) * n * C.dot(P),

@@ -411,6 +411,9 @@ assert False, "this script must run under python -O"
     # a coin draw of 2^63 or more does not fit int64
     ("simulate(r := zn_ring(6), ClassDistribution.uniform(r),"
      " Fraction(1, 2**63 + 1), 0, 5, 100, seed=1)", "ParamOutOfRange"),
+    # 2^16 + 3 in an int64 table would wrap to the valid entry 3 as uint16
+    ("a = (r := zn_ring(4)).add.astype(np.int64); a[1, 2] += 2**16;"
+     " FiniteRing(a, r.mul, r.zero, r.one, 'wide', {})", "InvariantViolation"),
     # move codes below 2n must fit uint16
     ("r = zn_ring(6); q = ClassDistribution.uniform(r); r.n = 2**15 + 1;"
      " simulate(r, q, Fraction(1, 2), 0, 5, 100, seed=1)",

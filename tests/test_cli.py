@@ -434,6 +434,17 @@ def test_product_ring_via_factors_flag():
     assert rep["meta"]["n"] == "6"
 
 
+def test_stationary_certificate_holds_where_n_k_exceeds_uint16():
+    """Z_6 x M2(F5) has n = 3750 elements and k = 32 principal left
+    ideals, so the lumped solve's certificate keys y k + b reach
+    n k >= 2^16: taken in the uint16 of the ring tables they would wrap,
+    and the pi M = pi certificate would fail."""
+    code, out, err = run_cli(["stationary", "--ring", "product", "--factors",
+                              "zn:6,matrix:5", "--alpha", "1/2"])
+    assert code == 0, err
+    assert "method-agreement\tPASS\trecursive+solve+uniform-form" in out
+
+
 def test_describe_one_element_ring():
     code, out, _ = run_cli(["describe", "--ring", "zn", "--n", "1"])
     assert code == 0
@@ -715,8 +726,8 @@ def test_cli_import_loads_no_scipy():
                                   ["mix", "--alpha", "1/2", "--T", "4"]])
 def test_m2f11_commands_fit_in_the_tables_plus_blocks(argv):
     """describe, stationary and mix on M2(F11) (n = 14,641) exit 0, each
-    child below 2.0 GB of peak RSS: the two int32 tables take 1.7 GB and
-    every other whole-table pass runs in blocks of rows.  verify and
+    child below 1.1 GB of peak RSS: the two uint16 tables take 0.86 GB
+    and every other whole-table pass runs in blocks of rows.  verify and
     spectrum stay out: they still build the n x n walk matrices B and M,
     int64 each, which need about 5 GB here."""
     proc = subprocess.Popen([sys.executable, "-m", "ringwalk.cli"] + argv
@@ -726,4 +737,4 @@ def test_m2f11_commands_fit_in_the_tables_plus_blocks(argv):
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert os.waitstatus_to_exitcode(status) == 0, stderr
-    assert usage.ru_maxrss * 1024 < 2.0e9, usage.ru_maxrss
+    assert usage.ru_maxrss * 1024 < 1.1e9, usage.ru_maxrss

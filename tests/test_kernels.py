@@ -80,7 +80,7 @@ def test_ring_tables_equal_reference(name):
     assert np.array_equal(E, ring.entries)
     ref_mul, bad = reference_mul_table(E, fmul, fadd, place)
     assert bad == 0
-    assert ring.mul.dtype == ring.add.dtype == np.int32
+    assert ring.mul.dtype == ring.add.dtype == np.uint16
     assert np.array_equal(ring.mul, ref_mul)
     assert np.array_equal(ring.add, reference_add_table(E, fadd, place))
 

@@ -566,6 +566,26 @@ def test_simulate_equals_reference_stream(case):
     assert res.counts.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize("make, side", [
+    (lambda: matrix_ring(5), "left"), (lambda: matrix_ring(5), "right"),
+    (lambda: zn_ring(200), "left")], ids=["M2(F5)-left", "M2(F5)-right",
+                                         "Z_200-left"])
+def test_simulate_equals_reference_where_scaled_entries_exceed_uint16(make,
+                                                                      side):
+    """The step table's entries reach (n - 1) 2n >= 2^16 on these rings:
+    products of the uint16 ring tables by 2n taken in uint16 would wrap.
+    The reference builds its own int32 table."""
+    ring = make()
+    assert (ring.n - 1) * 2 * ring.n >= 2**16
+    q = seeded_q(ring, 4)
+    kwargs = dict(alpha=Fr(1, 3), x0=1, t=6, samples=400, seed=11,
+                  side=side, blocks=2)
+    res = simulate(ring, q, **kwargs)
+    expected = reference_simulate(
+        ring, q, chunk_entries=mixing.STEP_CHUNK_ENTRIES, **kwargs)
+    assert res.counts.tolist() == expected.tolist()
+
+
 def test_simulate_memory_is_two_bytes_per_chunk_entry(monkeypatch):
     # one uint16 move code per chunk entry; a bool coin and an int32 offset
     # would take 5 bytes an entry, chunk-sized int64 draws about 17
@@ -598,6 +618,7 @@ class _ConstantSampler:
 
 
 def test_move_codes_are_bounded_below_uint16_at_the_size_cap():
+    assert SIZE_CAP < 2**16            # every element index fits the tables
     assert 2 * SIZE_CAP <= 2**16
     assert 2 * SIZE_CAP**2 < 2**31
     n = SIZE_CAP

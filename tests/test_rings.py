@@ -81,7 +81,7 @@ def test_z4_principal_ideals():
 def test_zn_tables_equal_the_int64_construction(n):
     idx = np.arange(n, dtype=np.int64)
     r = zn_ring(n)
-    assert r.add.dtype == r.mul.dtype == np.int32
+    assert r.add.dtype == r.mul.dtype == np.uint16
     assert np.array_equal(r.add, (idx[:, None] + idx[None, :]) % n)
     assert np.array_equal(r.mul, (idx[:, None] * idx[None, :]) % n)
 
@@ -168,7 +168,7 @@ def test_product_tables_equal_the_int64_construction():
     i1, i2 = np.divmod(np.arange(p.n), r2.n)
     for got, t1, t2 in ((p.add, r1.add, r2.add), (p.mul, r1.mul, r2.mul)):
         want = t1[np.ix_(i1, i1)].astype(np.int64) * r2.n + t2[np.ix_(i2, i2)]
-        assert got.dtype == np.int32 and np.array_equal(got, want)
+        assert got.dtype == np.uint16 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("make, args", [
@@ -179,10 +179,10 @@ def test_product_tables_equal_the_int64_construction():
 def test_build_peak_is_the_tables(make, args):
     """Building a ring, its units, similarity classes and ideals holds the
     two tables plus O(_BLOCK n): every whole-table pass outside them runs
-    _BLOCK rows or columns at a time, with about 20 bytes per block entry
-    (an intp index, int32 gathers, a bool mask).  The bound is below
-    1.25 (add + mul bytes) + 1 MiB at every n.  n x n temporaries took
-    these rings to 32-500 bytes per block entry."""
+    _BLOCK rows or columns at a time, with 15-20 bytes per block entry
+    (intp and int32 indices, uint16 gathers, a bool mask).  The bound is
+    below 1.25 (add + mul bytes) + 1 MiB at every n.  n x n temporaries
+    took these rings to 32-500 bytes per block entry."""
     args = args()                  # a product's factors are built untraced
     tracemalloc.start()
     try:
@@ -647,6 +647,26 @@ def test_tree_pass_needs_the_commutator_check(case):
     with pytest.raises(InvariantViolation,
                        match="addition is not associative"):
         FiniteRing(add, mul, 0, 1, case, {})
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("entry", ["-1", "n", "2^16 + valid"])
+@pytest.mark.parametrize("table, name", [("add", "addition"),
+                                         ("mul", "multiplication")])
+def test_wide_tables_are_range_checked_before_narrowing(table, name, entry,
+                                                        dtype):
+    """A table entry outside 0..n-1 is rejected, naming the table, before
+    the tables are narrowed to uint16: 2^16 + 3 would wrap to the valid
+    entry 3 and pass every axiom."""
+    ring = zn_ring(5)
+    add, mul = ring.add.astype(dtype), ring.mul.astype(dtype)
+    t = add if table == "add" else mul
+    t[2, 3] = {"-1": -1, "n": ring.n, "2^16 + valid": 2**16 + t[2, 3]}[entry]
+    with pytest.raises(InvariantViolation,
+                       match=f"{name} table leaves the ring"):
+        FiniteRing(add, mul, ring.zero, ring.one, "wide", {})
+    if entry == "2^16 + valid":         # narrowed, the table is Z_5's
+        assert np.array_equal(t.astype(np.uint16), getattr(ring, table))
 
 
 def test_tree_pass_needs_the_power_relations():
