@@ -33,7 +33,7 @@ from .errors import (
     TooLarge,
     UnknownClass,
 )
-from .mixing import d_of_t, mixing_bound, simulate
+from .mixing import T_CAP, d_of_t, mixing_bound, simulate
 from .rings import (
     MATRIX_SIZES,
     FiniteRing,
@@ -133,11 +133,27 @@ def ring_from_descriptor(desc) -> FiniteRing:
 
 
 def parse_eps(cfg) -> list:
+    """The eps list, each in (0, 1/2) as mixing_bound needs, so that a bad
+    eps fails before the ring is built."""
     eps = cfg.get("eps", DEFAULT_EPS)
     if not isinstance(eps, (list, tuple)):
         raise ConfigError(f"field 'eps': expected a list of rationals, "
                           f"got {eps!r}")
-    return [parse_fraction(e, "eps") for e in eps]
+    eps = [parse_fraction(e, "eps") for e in eps]
+    for e in eps:
+        if not 0 < e < Fraction(1, 2):
+            raise ParamOutOfRange(f"field 'eps': eps = {e} outside (0, 1/2)")
+    return eps
+
+
+def parse_T(cfg, cap=T_CAP) -> int:
+    """The horizon T, checked against d_of_t's range [0, T_CAP] (with its
+    message) before the ring is built; verify passes cap=math.inf, since
+    its mixing check stops at min(T, 20)."""
+    T = parse_int(cfg.get("T", 20), "T")
+    if not 0 <= T <= cap:
+        raise ParamOutOfRange(f"field 'T': T must lie in [0, {T_CAP}]")
+    return T
 
 
 def q_from_config(ring: FiniteRing, spec) -> ClassDistribution:
@@ -268,11 +284,11 @@ def cmd_stationary(cfg) -> dict:
 
 
 def cmd_mix(cfg) -> dict:
+    alpha = parse_alpha(cfg.get("alpha", "1/2"))
+    T = parse_T(cfg)
+    eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    alpha = parse_alpha(cfg.get("alpha", "1/2"))
-    T = parse_int(cfg.get("T", 20), "T")
-    eps_list = parse_eps(cfg)
     rep = reports.new_report("mix")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha), "T": str(T)})
     curve = d_of_t(ring, Q, alpha, T)
@@ -328,11 +344,11 @@ def cmd_simulate(cfg) -> dict:
 
 
 def cmd_verify(cfg) -> dict:
+    alpha = parse_alpha(cfg.get("alpha", "1/2"))
+    T = parse_T(cfg, cap=math.inf)
+    eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    alpha = parse_alpha(cfg.get("alpha", "1/2"))
-    T = parse_int(cfg.get("T", 20), "T")
-    eps_list = parse_eps(cfg)
     rep = reports.new_report("verify")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha),
                         "Q": "uniform" if Q == ClassDistribution.uniform(ring)

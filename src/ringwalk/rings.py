@@ -15,9 +15,9 @@ Enumeration orders are part of the public contract:
 
 Derived structure (units, similarity classes, the principal-left-ideal
 poset, generator sets, stabilizers, annihilators) is computed lazily and
-cached, each in a few whole-array passes over the tables; everything is
-immutable after construction and read-only queries are safe to share
-across threads.
+cached, each from orbits of the unit generators or in a few whole-array
+passes over the tables; everything is immutable after construction and
+read-only queries are safe to share across threads.
 
 Ring axioms are verified at construction time, exhaustively at every n, in
 one pass over each n x n table along the search tree of a greedy additive
@@ -243,12 +243,18 @@ class FiniteRing:
         gg = add[np.ix_(G, G)]                                       # (b)
         self._require(np.array_equal(gg, gg.T), "addition is not commutative")
         shifts = add[:, ends].T.copy()             # shifts[j, x] = x + ends[j]
-        # int32 flat indices: each is below (|G| + 1) n <= n^2 < 2^31
-        at = (via * n).astype(np.int32)
+        # flat indices into shifts: each is below (|G| + 1) n, so the
+        # gathers skip their bounds checks (mode="clip" never clips)
+        at = via * n
+        near = np.empty((_BLOCK, n), dtype=np.uint16)
+        flat = np.empty((_BLOCK, n), dtype=np.intp)
         for s in range(0, n, _BLOCK):                                # (a')
             rows = add[s:s + _BLOCK]
-            self._require(np.array_equal(rows,
-                                         shifts.ravel()[rows[:, parent] + at]),
+            m = len(rows)
+            np.take(rows, parent, axis=1, out=near[:m], mode="clip")
+            np.add(near[:m], at, out=flat[:m])      # x + p(y), then + g(y)
+            np.take(shifts, flat[:m], out=near[:m], mode="clip")
+            self._require(np.array_equal(rows, near[:m]),
                           "addition is not associative")
         R = shifts[1:]                             # R[i] = R_(g_i)
         RR = R[np.arange(len(G))[None, :, None], R[:, None, :]]  # R_h R_g
@@ -361,36 +367,36 @@ class FiniteRing:
 
     @cached_property
     def ideals(self) -> IdealPoset:
-        """I_a = {x a : x in R} is the set of values in column a of the
-        table.  Each I_a becomes a bit-packed membership row, built _BLOCK
-        columns at a time, and one np.unique over the rows as raw bytes
-        finds the distinct ideals, numbered by least generator."""
+        """The principal left ideals I_a = R a, from the orbits of the units
+        acting on the left, numbered by least generator.
+
+        R (u a) = R a for a unit u, so each orbit U a lies inside the
+        generator set S_a = {b : R b = R a}: the orbits refine the
+        generator sets.  I_a is the set of values in column a of the
+        table, read once per orbit.  If no two orbits give the same ideal,
+        no S_a holds two orbits, so each orbit is exactly one S_a: the
+        units act transitively on every S_a (coset_reps, f_set and the
+        stationary and mixing recursions rely on it).  Two equal ideals
+        raise InvariantViolation.  I_a is a left ideal holding a, so
+        I_a is contained in I_b iff a lies in I_b; equal ideals are the
+        pairs contained in each other.
+
+        Cost: orbit_labels under x -> g x for the unit generators g, O(n)
+        per generator and round, then O(k n) for the k columns and masks
+        and O(k^2) for containment.
+        """
         n, mul = self.n, self.mul
-        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-        at = np.arange(_BLOCK)[:, None] * n
-        for s in range(0, n, _BLOCK):
-            cols = mul[:, s:s + _BLOCK].T
-            member = np.zeros((len(cols), n), dtype=bool)
-            # at is intp, so the uint16 column widens before the add
-            member.ravel()[at[:len(cols)] + cols] = True
-            packed[s:s + _BLOCK] = np.packbits(member, axis=1)
-        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        reps = first[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        id_of = rank[inverse]
-        masks = np.unpackbits(packed[reps], axis=1, count=n).astype(bool)
+        reps, id_of = np.unique(orbit_labels(
+            [mul[g] for g in self.unit_generators], n), return_inverse=True)
         k = len(reps)
-        generators = _segments(id_of, k)
-        leq = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            leq[i] = ~np.any(masks[i] & ~masks, axis=1)   # i subset of j
-        self._require(masks[np.arange(k), reps].all(),
-                      "a is not in its ideal I_a")
-        return IdealPoset(masks, reps, id_of, generators, leq)
+        masks = np.zeros((k, n), dtype=bool)
+        for i, a in enumerate(reps):
+            masks[i, mul[:, a]] = True
+        leq = np.ascontiguousarray(masks[:, reps].T)   # a_i in I_(a_j)
+        self._require(np.all(leq.diagonal()), "a is not in its ideal I_a")
+        self._require(np.count_nonzero(leq & leq.T) == k,
+                      "two unit orbits generate the same left ideal")
+        return IdealPoset(masks, reps, id_of, _segments(id_of, k), leq)
 
     @property
     def phi(self) -> np.ndarray:
@@ -425,14 +431,17 @@ class FiniteRing:
         return us[np.sort(first)]
 
     def f_set(self, a: int) -> np.ndarray:
-        """Class ids c with (C_c * S_a) meeting S_a.  S_a is closed under
-        left multiplication by units and (u x u^-1)(u s) = u (x s), so each
-        class is decided by its representative: one gather per call."""
-        sa = self.s_set(a)
+        """Class ids c with (C_c * S_a) meeting S_a, ascending: the classes
+        of the x with x a in S_a, read from column a of the table.
+
+        Proof: ideals certifies that every s in S_a is u a for a unit u.
+        S_a is closed under left multiplication by units, so x s = x u a
+        lies in S_a iff u^-1 x u a does, and u^-1 x u lies in the class of
+        x.  So C_c * S_a meets S_a iff some y in C_c has y a in S_a."""
         in_sa = np.zeros(self.n, dtype=bool)
-        in_sa[sa] = True
-        prods = self.mul[np.ix_(self.similarity.reps, sa)]
-        return np.flatnonzero(in_sa[prods].any(axis=1))
+        in_sa[self.s_set(a)] = True
+        return np.flatnonzero(np.bincount(
+            self.similarity.class_of[in_sa[self.mul[:, a]]]))
 
     def __repr__(self):
         return f"FiniteRing({self.label}, n={self.n})"
@@ -454,14 +463,24 @@ def zn_ring(n: int) -> FiniteRing:
         raise ParamOutOfRange(f"Z_{n} needs n >= 1")
     if n > SIZE_CAP:
         raise TooLarge(f"Z_{n} exceeds the {SIZE_CAP} cap")
-    idx = np.arange(n, dtype=np.int32)
+    # Row b of + is arange(n) rotated left by b: a window of it twice over.
+    twice = np.tile(np.arange(n, dtype=np.uint16), 2)
     add = np.empty((n, n), dtype=np.uint16)
+    for b in range(n):
+        add[b] = twice[b:b + n]
+    # Row b of the product is row b - _BLOCK plus row _BLOCK, less n where
+    # the sum reaches n: only the first _BLOCK rows and that step take
+    # residues.
+    # A sum v of two residues stays below 2n < 2^16 in uint16, where v - n
+    # wraps above v for v < n, so minimum(v, v - n) is v mod n.
+    idx = np.arange(n)
     mul = np.empty((n, n), dtype=np.uint16)
-    for s in range(0, n, _BLOCK):
-        # int32 block: (n - 1)^2 < 2^31 below SIZE_CAP; each residue < n
-        b = idx[s:s + _BLOCK, None]
-        np.remainder(b + idx, n, out=add[s:s + _BLOCK], casting="unsafe")
-        np.remainder(b * idx, n, out=mul[s:s + _BLOCK], casting="unsafe")
+    mul[:_BLOCK] = idx[:_BLOCK, None] * idx % n
+    step = (_BLOCK * idx % n).astype(np.uint16)
+    for s in range(_BLOCK, n, _BLOCK):
+        rows = mul[s:s + _BLOCK]
+        np.add(mul[s - _BLOCK:s - _BLOCK + len(rows)], step, out=rows)
+        np.minimum(rows, rows - n, out=rows)
     return FiniteRing(add, mul, 0, 1 % n, f"Z_{n}", {"kind": "zn", "n": n})
 
 
@@ -502,11 +521,14 @@ def _structured_matrix_ring(q, size, positions, name, descriptor):
 
     one_code = sum(weight[(i, j)] for (i, j) in positions if i == j)
 
+    names = []                          # every element's name, on first use
+
     def namer(x):
-        ent = E[x]
-        rows = ",".join("[" + ",".join(str(int(v)) for v in row) + "]"
-                        for row in ent)
-        return f"[{rows}]"
+        if not names:
+            names.extend("[" + ",".join("[" + ",".join(map(str, row)) + "]"
+                                        for row in ent) + "]"
+                         for ent in E.tolist())
+        return names[x]
 
     ring = FiniteRing(add, mul, 0, one_code, label, {**descriptor, "q": m},
                       namer=namer)

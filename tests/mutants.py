@@ -54,6 +54,21 @@ MUTANTS = (
            "closed = True or all(",
            ("tests/test_mixing.py::test_class_products_reject_classes_that_"
             "trade_two_elements",)),
+    Mutant("ideals-without-certificate", "rings.py",
+           "self._require(np.count_nonzero(leq & leq.T) == k,",
+           "self._require(True,",
+           ("tests/test_rings.py::test_ideals_certificate_rejects_orbits_of_"
+            "one_unit_generator",)),
+    Mutant("ideal-orbits-of-one-unit-generator", "rings.py",
+           "[mul[g] for g in self.unit_generators], n)",
+           "[mul[g] for g in self.unit_generators[:1]], n)",
+           tuple(f"tests/test_rings.py::test_ideals_equal_the_bit_table_on_"
+                 f"fixed_rings[{case}]" for case in ("M2(F3)", "M3(F2)"))),
+    Mutant("f-set-reads-a-row", "rings.py",
+           "in_sa[self.mul[:, a]]",
+           "in_sa[self.mul[a, :]]",
+           tuple(f"tests/test_rings.py::test_f_set_equals_the_per_rep_route_"
+                 f"on_fixed_rings[{case}]" for case in ("B2(F3)", "M2(F3)"))),
     Mutant("certificate-keys-in-uint16", "stationary.py",
            "keys = (ring.mul[cls].astype(np.int64) * len(poset)",
            "keys = (ring.mul[cls] * len(poset)",

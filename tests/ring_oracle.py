@@ -3,7 +3,9 @@
 triple_axiom_failure checks every ring axiom on every triple of elements,
 O(n^3).  similarity_sweep conjugates by every unit in turn, ideals_by_column
 keys each principal left ideal by the bytes of its membership mask,
-f_set_by_class looks at every element of every class, units_by_argmax
+ideals_by_bit_table sorts the n x n bit table of all n ideals,
+f_set_by_class looks at every element of every class, f_set_by_rep at
+every product of a class representative with S_a, units_by_argmax
 reads inverses off the whole n x n mask y x == 1, and
 class_products_by_division counts every product of the table.
 rings.FiniteRing and mixing.class_products get the same answers from
@@ -78,6 +80,39 @@ def ideals_by_column(ring):
     leq = np.array([[not np.any(masks[i] & ~masks[j]) for j in range(k)]
                     for i in range(k)])
     return masks, reps, id_of, generators, leq
+
+
+def ideals_by_bit_table(ring):
+    """(masks, reps, id_of, generators, leq) from the value sets of all n
+    columns as an n x n bit table, one np.unique over its rows as raw
+    bytes, and containment tested on the masks."""
+    n = ring.n
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], ring.mul.T] = True      # row a is I_a
+    packed = np.packbits(member, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    reps = first[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    id_of = rank[inverse.ravel()]
+    masks = member[reps]
+    k = len(reps)
+    generators = [np.flatnonzero(id_of == i) for i in range(k)]
+    leq = np.array([~np.any(masks[i] & ~masks, axis=1) for i in range(k)])
+    return masks, reps, id_of, generators, leq
+
+
+def f_set_by_rep(ring, a):
+    """Class ids c with C_c * S_a meeting S_a, deciding each class by its
+    representative: one k x |S_a| gather of the table."""
+    sa = ring.s_set(a)
+    in_sa = np.zeros(ring.n, dtype=bool)
+    in_sa[sa] = True
+    prods = ring.mul[np.ix_(ring.similarity.reps, sa)]
+    return np.flatnonzero(in_sa[prods].any(axis=1))
 
 
 def f_set_by_class(ring, a):

@@ -427,6 +427,31 @@ def test_bad_input_names_its_field(argv, field):
     assert f"field '{field}': " in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--eps", "1/2"], "field 'eps': eps = 1/2 outside (0, 1/2)"),
+    (["verify", "--eps", "1/4", "--eps", "0"],
+     "field 'eps': eps = 0 outside (0, 1/2)"),
+    (["verify", "--T", "-1"], "field 'T': T must lie in [0, 64]"),
+    (["mix", "--eps", "0"], "field 'eps': eps = 0 outside (0, 1/2)"),
+    (["mix", "--T", "65"], "field 'T': T must lie in [0, 64]"),
+    (["mix", "--T", "-1"], "field 'T': T must lie in [0, 64]"),
+], ids=["verify-eps-half", "verify-eps-zero", "verify-T", "mix-eps",
+        "mix-T-above", "mix-T-below"])
+def test_bad_eps_or_t_exits_before_the_ring_is_built(monkeypatch, capsys,
+                                                     argv, message):
+    def no_ring(desc):
+        raise AssertionError("the ring was built")
+    monkeypatch.setattr(cli, "ring_from_descriptor", no_ring)
+    assert cli.main(argv + ["--ring", "matrix", "--q", "7"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_accepts_t_above_the_curve_cap(capsys):
+    """verify stops its mixing check at min(T, 20), so T > T_CAP passes."""
+    assert cli.main(["verify", "--ring", "zn", "--n", "6", "--T", "99"]) == 0
+    assert "T=20" in capsys.readouterr().out
+
+
 def test_failing_check_gives_exit_one(monkeypatch):
     def fake(cfg):
         rep = reports.new_report("describe")

@@ -29,6 +29,8 @@ from gl2_oracle import ring_element_index
 from random_rings import random_ring
 from ring_oracle import (
     f_set_by_class,
+    f_set_by_rep,
+    ideals_by_bit_table,
     ideals_by_column,
     similarity_sweep,
     triple_axiom_failure,
@@ -77,13 +79,17 @@ def test_z4_principal_ideals():
     assert len(r.phi) == 3
 
 
-@pytest.mark.parametrize("n", [1, 2, 60, 257])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 60, 243, 257, 1000, 4999])
 def test_zn_tables_equal_the_int64_construction(n):
+    """The rotations and running sums of zn_ring against residues taken
+    with %, 512 rows at a time."""
     idx = np.arange(n, dtype=np.int64)
     r = zn_ring(n)
     assert r.add.dtype == r.mul.dtype == np.uint16
-    assert np.array_equal(r.add, (idx[:, None] + idx[None, :]) % n)
-    assert np.array_equal(r.mul, (idx[:, None] * idx[None, :]) % n)
+    for s in range(0, n, 512):
+        b = idx[s:s + 512, None]
+        assert np.array_equal(r.add[s:s + 512], (b + idx) % n)
+        assert np.array_equal(r.mul[s:s + 512], (b * idx) % n)
 
 
 def test_matrix_ring_f2_basics():
@@ -534,6 +540,61 @@ def test_structure_and_axioms_equal_the_loop_oracles(data):
     assert triple_axiom_failure(add, mul, ring.zero, ring.one) is not None
     with pytest.raises(InvariantViolation):
         rebuild(ring, add, mul)
+
+
+def assert_poset_equals_the_bit_table(ring):
+    poset = ring.ideals
+    masks, reps, id_of, generators, leq = ideals_by_bit_table(ring)
+    assert np.array_equal(poset.masks, masks)
+    assert poset.reps.tolist() == reps.tolist()
+    assert poset.id_of.tolist() == id_of.tolist()
+    assert [g.tolist() for g in poset.generators] == \
+        [g.tolist() for g in generators]
+    assert np.array_equal(poset.leq, leq)
+
+
+def assert_f_set_equals_the_per_rep_route(ring):
+    for a in ring.phi:
+        assert ring.f_set(int(a)).tolist() == \
+            f_set_by_rep(ring, int(a)).tolist()
+
+
+FIXED_RINGS = {
+    "Z_1": lambda: zn_ring(1), "Z_360": lambda: zn_ring(360),
+    "B2(F3)": lambda: upper_triangular_ring(3),
+    "M2(F3)": lambda: matrix_ring(3), "M3(F2)": lambda: matrix_ring(2, 3),
+    "Z_4xM2(F2)": lambda: product_ring(zn_ring(4), matrix_ring(2)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ideals_and_f_sets_equal_the_table_routes(data):
+    """The orbit-built poset against the n x n bit table, and f_set from
+    one column against the per-representative gather."""
+    ring = random_ring(data.draw)
+    assert_poset_equals_the_bit_table(ring)
+    assert_f_set_equals_the_per_rep_route(ring)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_RINGS))
+def test_ideals_equal_the_bit_table_on_fixed_rings(name):
+    assert_poset_equals_the_bit_table(FIXED_RINGS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_RINGS))
+def test_f_set_equals_the_per_rep_route_on_fixed_rings(name):
+    assert_f_set_equals_the_per_rep_route(FIXED_RINGS[name]())
+
+
+def test_ideals_certificate_rejects_orbits_of_one_unit_generator():
+    """x -> g x for the first of M2(F3)'s two unit generators splits some
+    S_a into orbits with the same ideal, which the certificate sees."""
+    ring = matrix_ring(3)
+    assert len(ring.unit_generators) == 2
+    ring.unit_generators = ring.unit_generators[:1]
+    with pytest.raises(InvariantViolation, match="same left ideal"):
+        ring.ideals
 
 
 def test_zero_ring_has_no_additive_generators():
