@@ -7,9 +7,12 @@ classes.  B holds the multiplication-only transitions
     B[a, b] = sum of Q(x) over x with x*a == b    (left multiplication),
 
 and the full chain matrix is M = (alpha/n) * ones + (1 - alpha) * B.
-Everything is exact-rational.  The commands build B only: what they report
-of M follows from B >= 0, B 1 = 1 and 0 < alpha < 1 (checks.check_m_shift).
-build_M is the dense n x n M, an oracle for the tests and the benchmark.
+Everything is exact-rational.  The commands build neither B nor M: b_rows
+reads the rows of B they ask for off the multiplication table, a block of
+at most _ROWS rows at a time, and what they report of M follows from
+B >= 0, B 1 = 1 and 0 < alpha < 1 (checks.check_m_shift).  build_B and
+build_M are the dense n x n B and M, oracles for the tests and the
+benchmark.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .errors import (
 )
 from .exact import ScaledMatrix
 from .rings import FiniteRing
+
+_ROWS = 64                 # rows of B read at a time
+_LIMB = 26                 # bits per limb of a weight in b_rows
 
 
 def check_alpha(alpha, allow_boundary=False) -> Fraction:
@@ -131,29 +137,49 @@ class TransitionMatrix:
             raise InvariantViolation(f"{self.kind} rows must sum to exactly 1")
 
 
-def weighted_mul_counts(ring: FiniteRing, weights) -> np.ndarray:
-    """Integer matrix W[a, b] = sum of weights[x] over x with x*a == b.
+def b_rows(ring: FiniteRing, Q: ClassDistribution, rows) -> np.ndarray:
+    """The integer numerators of B[rows, :] over Q's common denominator
+    den, one row per entry of rows: int64 below 2^63 and Python ints
+    (dtype object) from there, as Q.scaled_weights().
 
-    weights are integers >= 0, so every entry is at most the row sum
-    sum(weights): the entries are int64 below 2**63 and Python ints
-    (dtype object) from there on.
+    Row a of B is column a of the multiplication table counted with Q's
+    weights: B[a, b] = sum of w[x] over x with x*a == b.  The columns are
+    gathered _ROWS at a time, and each is counted by float64 bincounts,
+    which are exact here.  Each integer weight w[x] <= den is split into
+    _LIMB-bit limbs, one bincount per limb.  A bin sums at most
+    n <= SIZE_CAP < 2^15 limbs below 2^26, so every partial sum is an
+    integer below 2^41 < 2^53, held exactly by float64 in any order.  The
+    limb counts are shifted back and added in the weights' dtype; each
+    term is at most B[a, b] <= den, so an int64 sum does not overflow.
     """
-    dtype = np.int64 if sum(map(int, weights)) < 2 ** 63 else object
-    w = np.array(weights, dtype=dtype)
-    out = np.zeros((ring.n, ring.n), dtype=dtype)
-    for a in range(ring.n):
-        np.add.at(out[a], ring.mul[:, a], w)    # uint16 indices below n
+    check_same_ring(ring, Q)
+    w, den = Q.scaled_weights()
+    n = ring.n
+    rows = np.asarray(rows, dtype=np.intp)
+    limbs = [(shift, ((w >> shift) & (2 ** _LIMB - 1)).astype(np.float64))
+             for shift in range(0, den.bit_length(), _LIMB)]
+    out = np.empty((len(rows), n), dtype=w.dtype)
+    for i in range(0, len(rows), _ROWS):
+        # one pass over the table's rows, then each column made contiguous
+        cols = np.take(ring.mul, rows[i:i + _ROWS], axis=1).T.copy()
+        for j, col in enumerate(cols, i):
+            for shift, limb in limbs:
+                counts = np.bincount(col, weights=limb,
+                                     minlength=n).astype(np.int64)
+                if shift:
+                    out[j] += counts.astype(w.dtype) << shift
+                else:
+                    out[j] = counts
     return out
 
 
 def build_B(ring: FiniteRing, Q: ClassDistribution) -> TransitionMatrix:
     """Multiplication-only transition matrix with exact rational entries,
     for left multiplication a -> x*a, the convention the spectral and
-    stationary theory uses."""
-    check_same_ring(ring, Q)
-    w_int, den = Q.scaled_weights()
-    num = weighted_mul_counts(ring, w_int)
-    tm = TransitionMatrix(ScaledMatrix(num, den), "B", ring)
+    stationary theory uses: the dense b_rows(ring, Q, range(n)), an
+    oracle that no command builds."""
+    num = b_rows(ring, Q, range(ring.n))
+    tm = TransitionMatrix(ScaledMatrix(num, Q.scaled_weights()[1]), "B", ring)
     tm.check_stochastic()
     return tm
 

@@ -3,7 +3,9 @@
 Every function returns (ok, detail).  Every check is exhaustive or an
 exact identity at every ring size: exact rationals or integers, or exact
 arithmetic mod a fixed prime named in the detail.  No check diagonalizes
-an n x n matrix or matches eigenvalues within a tolerance.
+an n x n matrix or matches eigenvalues within a tolerance.  The checks on
+B read it from the multiplication table _ROWS rows at a time
+(chain.b_rows), so none holds an n x n array.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gl2, spectrum
-from .chain import ClassDistribution, TransitionMatrix, build_B, check_alpha
+from .chain import _ROWS, ClassDistribution, b_rows, check_alpha
 from .errors import InvariantViolation, UnsupportedQ
 from .mixing import d_of_t, mixing_bound
 from .rings import FiniteRing
@@ -23,8 +25,6 @@ from .stationary import (
     stationary_solve,
     stationary_uniform,
 )
-
-_ROWS = 64                 # rows of B per blockwise comparison
 
 
 def check_orbit_stabilizer(ring: FiniteRing):
@@ -75,35 +75,43 @@ def check_witnesses(ring: FiniteRing):
     return True, "unit action transitive on every S_a"
 
 
-def check_conjugation_invariance(ring: FiniteRing, B: TransitionMatrix):
+def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution):
     """B(u c, u d) = B(c, d) for every unit u.  The units with this property
     are closed under products, so checking a generating set of U_R is
-    exhaustive.  B is compared _ROWS rows at a time, so no n x n copy is
-    made."""
-    num = B.matrix.num
+    exhaustive.  Each block of _ROWS rows c of B, read from the
+    multiplication table (chain.b_rows), is compared with the rows u c of
+    every generator u, so no n x n copy is made."""
     gens = ring.unit_generators
-    for u in gens:
-        perm = ring.mul[u, :]
-        for s in range(0, ring.n, _ROWS):
-            if not np.array_equal(num[perm[s:s + _ROWS]][:, perm],
-                                  num[s:s + _ROWS]):
+    moved = None                # B(u c, u d) for a block of c, reused
+    for s in range(0, ring.n, _ROWS):
+        block = np.arange(s, min(s + _ROWS, ring.n))
+        rows = b_rows(ring, Q, block)
+        if moved is None:
+            moved = np.empty_like(rows)
+        for u in gens:
+            perm = ring.mul[u, :]
+            np.take(b_rows(ring, Q, perm[block]), perm, axis=1,
+                    out=moved[:len(block)])
+            if not np.array_equal(moved[:len(block)], rows):
                 return False, f"B(u c, u d) != B(c, d) for unit {u}"
     return True, f"exhaustive: {len(gens)} generators of U_R"
 
 
-def check_spectrum_two_way(ring: FiniteRing, B: TransitionMatrix):
+def check_spectrum_two_way(ring: FiniteRing, Q: ClassDistribution):
     """B(x, y) != 0 only where I_y lies inside I_x.  The S_a partition the
     ring (s-partition), so listing them along a linear extension of the
     ideal poset makes B block upper triangular: eig(B) is exactly the union
     of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum).
-    B is compared _ROWS rows at a time, so no n x n temporary is made."""
+    B is read from the multiplication table _ROWS rows at a time
+    (chain.b_rows), so no n x n temporary is made."""
     poset = ring.ideals
     ids = poset.id_of
     for s in range(0, ring.n, _ROWS):
-        allowed = poset.leq.T[np.ix_(ids[s:s + _ROWS], ids)]
-        bad = np.argwhere((B.matrix.num[s:s + _ROWS] != 0) & ~allowed)
-        if len(bad):
-            x, y = bad[0] + (s, 0)
+        # bad[x, y]: B(x, y) != 0 and I_y is not inside I_x
+        bad = np.take(~poset.leq.T[ids[s:s + _ROWS]], ids, axis=1)
+        bad &= b_rows(ring, Q, np.arange(s, min(s + _ROWS, ring.n))) != 0
+        if bad.any():
+            x, y = np.argwhere(bad)[0] + (s, 0)
             return False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}"
     return True, (f"B block-triangular over {len(poset)} ideals: eig(B) is "
                   f"the union of the diagonal-block spectra, exactly")
@@ -131,16 +139,17 @@ def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution):
                   f"sums j=1..{ring.n} equal mod p={p}")
 
 
-def check_m_shift(B: TransitionMatrix, alpha):
+def check_m_shift(ring: FiniteRing, Q: ClassDistribution, alpha):
     """B >= 0 and B 1 = 1, in integers, for 0 < alpha < 1.  Then
     M = (1 - alpha) B + (alpha/n) J is stochastic, M 1 = 1, and eig(M) is 1
     together with (1 - alpha) eig(B) less one copy of 1 (Brauer, Duke Math.
-    J. 19, 1952), with no M built and no eigensolve.  B is read _ROWS rows
-    at a time, so no n x n temporary is made."""
+    J. 19, 1952), with no M built and no eigensolve.  B is read from the
+    multiplication table _ROWS rows at a time (chain.b_rows), so no n x n
+    temporary is made."""
     alpha = check_alpha(alpha)
-    num, den = B.matrix.num, B.matrix.den
-    for i in range(0, B.n, _ROWS):
-        rows = num[i:i + _ROWS]
+    den = Q.scaled_weights()[1]
+    for i in range(0, ring.n, _ROWS):
+        rows = b_rows(ring, Q, np.arange(i, min(i + _ROWS, ring.n)))
         if rows.min() < 0 or np.any(rows.sum(axis=1) != den):
             return False, "a row of B or M is not a probability vector"
     return True, (f"alpha={alpha}: M = (1-alpha) B + (alpha/n) J and "
@@ -241,15 +250,13 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
 
 
 def _walk_checks(ring: FiniteRing, Q: ClassDistribution, alpha):
-    """The checks on B and the recursive pi, each computed once.  M is
-    never built: spectrum-m-shift reads what it needs of M off B and alpha.
-    B is dropped before pi is solved."""
-    B = build_B(ring, Q)
-    out = [("conjugation-invariance", *check_conjugation_invariance(ring, B)),
-           ("spectrum-two-way", *check_spectrum_two_way(ring, B)),
+    """The checks on B and the recursive pi.  Neither B nor M is built:
+    each check on B reads its own row blocks from the multiplication table,
+    and spectrum-m-shift reads what it needs of M off B and alpha."""
+    out = [("conjugation-invariance", *check_conjugation_invariance(ring, Q)),
+           ("spectrum-two-way", *check_spectrum_two_way(ring, Q)),
            ("spectrum-gl2", *check_spectrum_gl2(ring, Q)),
-           ("spectrum-m-shift", *check_m_shift(B, alpha))]
-    del B
+           ("spectrum-m-shift", *check_m_shift(ring, Q, alpha))]
     pi = stationary_recursive(ring, Q, alpha)
     out.append(("stationary-agreement",
                 *check_stationary_agreement(ring, Q, alpha, pi)))

@@ -21,7 +21,7 @@ import tempfile
 from fractions import Fraction
 
 from . import checks, reports, spectrum
-from .chain import ClassDistribution, build_B, check_alpha
+from .chain import ClassDistribution, check_alpha
 from .errors import (
     AlphaOutOfRange,
     ConfigError,
@@ -147,12 +147,14 @@ def parse_eps(cfg) -> list:
 
 
 def parse_T(cfg, cap=T_CAP) -> int:
-    """The horizon T, checked against d_of_t's range [0, T_CAP] (with its
-    message) before the ring is built; verify passes cap=math.inf, since
-    its mixing check stops at min(T, 20)."""
+    """The horizon T, checked against [0, cap] before the ring is built,
+    with a message that names that domain: d_of_t's range [0, T_CAP] for
+    mix, and any T >= 0 for verify, which passes cap=math.inf because its
+    mixing check stops at min(T, 20)."""
     T = parse_int(cfg.get("T", 20), "T")
     if not 0 <= T <= cap:
-        raise ParamOutOfRange(f"field 'T': T must lie in [0, {T_CAP}]")
+        domain = "be >= 0" if cap == math.inf else f"lie in [0, {cap}]"
+        raise ParamOutOfRange(f"field 'T': T must {domain}")
     return T
 
 
@@ -227,10 +229,9 @@ def cmd_spectrum(cfg) -> dict:
     rep["meta"]["ring"] = ring.label
     rep["meta"]["n"] = str(ring.n)
     rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
-    B = build_B(ring, Q)
-    detail = spectrum.block_spectrum(ring, B, tau)
+    detail = spectrum.block_spectrum(ring, Q, tau)
     reports.add_check(rep, "spectrum-two-way",
-                      *checks.check_spectrum_two_way(ring, B))
+                      *checks.check_spectrum_two_way(ring, Q))
     reports.add_check(rep, "spectrum-gl2", *checks.check_spectrum_gl2(ring, Q))
 
     gl2_rows = {}
@@ -258,7 +259,7 @@ def cmd_spectrum(cfg) -> dict:
     rep["meta"]["total_multiplicity"] = str(sum(e.total() for _, e in detail))
     if alpha is not None:
         reports.add_check(rep, "spectrum-m-shift",
-                          *checks.check_m_shift(B, alpha))
+                          *checks.check_m_shift(ring, Q, alpha))
     return rep
 
 

@@ -46,10 +46,6 @@ class ScaledMatrix:
             self.den //= g
             self.num = self.num // g
 
-    def float_block(self, rows, cols) -> np.ndarray:
-        # each entry of num[rows, cols] / den rounds as float(v) / float(den)
-        return self.num[np.ix_(rows, cols)].astype(float) / float(self.den)
-
     def row_sums(self):
         return [Fraction(v, self.den) for v in self.num.sum(axis=1).tolist()]
 

@@ -3,9 +3,11 @@
 1. eig_numeric: plain dense diagonalization, for display and as the test
    suite's oracle.
 2. block_spectrum: the diagonal blocks of the exact B on each S_a, one per
-   principal-left-ideal generator a, each read as floats on its own; the
-   transposed block B[S_a, S_a]^T keeps only the components of x*s that
-   stay inside S_a.  B is block-triangular over the ideal poset
+   principal-left-ideal generator a, each read from the multiplication
+   table (chain.b_rows) at most _ROWS rows at a time and turned into
+   floats on its own; no n x n B is built.  The transposed block
+   B[S_a, S_a]^T keeps only the components of x*s that stay inside S_a.
+   B is block-triangular over the ideal poset
    (checks.check_spectrum_two_way), so the block spectra make up eig(B).
    The unit block is read from U_R's characters and the row B[1, U] when
    unit_group_characters has a table; the other blocks, and the unit block
@@ -27,11 +29,10 @@ from math import lcm
 import numpy as np
 
 from . import gl2
-from .chain import ClassDistribution, TransitionMatrix
+from .chain import _ROWS, ClassDistribution, b_rows
 from .errors import (
     ConvergenceFailure,
     InvariantViolation,
-    RingMismatch,
     TooLarge,
     UnsupportedQ,
 )
@@ -108,27 +109,36 @@ def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
     return EigenvalueMultiset.from_values(evs, tau)
 
 
-def block_spectrum(ring: FiniteRing, B: TransitionMatrix, tau=MERGE_TOL):
-    """The spectra of B's diagonal blocks, one per ideal generator a.
+def _float_block(ring: FiniteRing, Q: ClassDistribution, rows, cols):
+    """B[rows, cols] as floats, read from chain.b_rows _ROWS rows at a
+    time: each entry rounds as float(numerator) / float(den), with den
+    Q's common denominator."""
+    den = float(Q.scaled_weights()[1])
+    out = np.empty((len(rows), len(cols)))
+    for s in range(0, len(rows), _ROWS):
+        out[s:s + _ROWS] = b_rows(ring, Q, rows[s:s + _ROWS])[:, cols]
+    out /= den
+    return out
 
-    B is the exact multiplication matrix of `ring`.  Only its blocks
-    B[S_a, S_a], and the row B[1, U] for the character route, are turned
-    into floats, so no n x n float copy is made.  The block of a is
+
+def block_spectrum(ring: FiniteRing, Q: ClassDistribution, tau=MERGE_TOL):
+    """The spectra of the diagonal blocks of B, the exact multiplication
+    matrix of (ring, Q), one per ideal generator a.
+
+    Only the blocks B[S_a, S_a], and the row B[1, U] for the character
+    route, are read, so no n x n B is built.  The block of a is
     B[S_a, S_a]^T: P[s', s] = B[s, s'] is the action of sum_x Q(x) x on
     span(S_a) with the components leaving S_a dropped.  The unit block
     comes from unit_block_spectrum, every other block from eig_numeric.
     Returns [(generator, EigenvalueMultiset)], whose totals sum to n.
     """
-    if B.ring is not ring:
-        raise RingMismatch(f"B was built on another ring object "
-                           f"({B.ring.label}), not on {ring.label}")
     detail = []
     for a in ring.phi:
         if int(a) in ring.unit_set:
-            em = unit_block_spectrum(ring, B, tau)
+            em = unit_block_spectrum(ring, Q, tau)
         else:
             sa = ring.s_set(a)
-            em = eig_numeric(B.matrix.float_block(sa, sa).T, tau)
+            em = eig_numeric(_float_block(ring, Q, sa, sa).T, tau)
         detail.append((int(a), em))
     total = sum(em.total() for _, em in detail)
     if total != ring.n:
@@ -137,10 +147,10 @@ def block_spectrum(ring: FiniteRing, B: TransitionMatrix, tau=MERGE_TOL):
     return detail
 
 
-def unit_block_spectrum(ring: FiniteRing, B: TransitionMatrix,
+def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
                         tau: float = MERGE_TOL) -> EigenvalueMultiset:
     """Spectrum of the unit block B[U, U]^T of the exact multiplication
-    matrix B.
+    matrix B of (ring, Q).
 
     On units B is left multiplication by sum_u Q(u) u, Q(u) = B[1, u].  Q is
     constant on the conjugacy classes of U_R, so that element is central in
@@ -156,8 +166,8 @@ def unit_block_spectrum(ring: FiniteRing, B: TransitionMatrix,
     units = ring.units
     chars = unit_group_characters(ring)
     if chars is None:
-        return eig_numeric(B.matrix.float_block(units, units).T, tau)
-    q = B.matrix.float_block([ring.one], units)[0]
+        return eig_numeric(_float_block(ring, Q, units, units).T, tau)
+    q = _float_block(ring, Q, [ring.one], units)[0]
     cls = ring.similarity.class_of[units]
     per_class = np.zeros(len(ring.similarity))
     per_class[cls] = q
@@ -183,7 +193,8 @@ def unit_block_route(ring: FiniteRing) -> str:
     It first meets the caps block_spectrum would meet, in the same order
     and with the same TooLarge messages (|U| <= EIG_CAP for an abelian
     character table, |S_a| <= EIG_CAP for each block that goes to
-    eig_numeric), so a caller can refuse a ring before it builds B."""
+    eig_numeric), so a caller can refuse a ring before it reads any row
+    of B."""
     for a in ring.phi:
         size = len(ring.s_set(a))
         if size > EIG_CAP and (int(a) not in ring.unit_set

@@ -3,7 +3,6 @@ mirabolic subgroup P, and the class functions F on span(S_A)."""
 
 import numpy as np
 
-from ringwalk.chain import weighted_mul_counts
 from ringwalk.errors import InvariantViolation
 from ringwalk.gl2 import (
     character_table,
@@ -12,6 +11,8 @@ from ringwalk.gl2 import (
     matrix_rank,
     require_m2_ring,
 )
+
+from ring_oracle import mul_counts_by_loop
 
 
 def ring_element_index(ring, entries) -> int:
@@ -84,7 +85,7 @@ def projected_and_F_action(ring, A: int, X: int):
     pos[sa] = np.arange(len(sa))
     weights = np.zeros(ring.n, dtype=np.int64)
     weights[part.classes[part.class_of[X]]] = 1
-    projected = weighted_mul_counts(ring, weights)[np.ix_(sa, sa)].T
+    projected = mul_counts_by_loop(ring, weights)[np.ix_(sa, sa)].T
     action = np.zeros_like(projected)
     for w, coeff in class_function_F(ring, A, X).items():   # w a unit
         action[pos[ring.mul[w, sa]], np.arange(len(sa))] += coeff

@@ -82,21 +82,29 @@ MUTANTS = (
             "distinct_values",)),
     Mutant("conjugation-first-block-only", "checks.py",
            "for s in range(0, ring.n, _ROWS):\n"
-           "            if not np.array_equal(",
+           "        block = np.arange(",
            "for s in range(0, _ROWS, _ROWS):\n"
-           "            if not np.array_equal(",
+           "        block = np.arange(",
            ("tests/test_spectrum.py::test_conjugation_check_reads_the_last_"
             "row_block",)),
     Mutant("two-way-first-block-only", "checks.py",
            "for s in range(0, ring.n, _ROWS):\n"
-           "        allowed = ",
+           "        # bad[x, y]",
            "for s in range(0, _ROWS, _ROWS):\n"
-           "        allowed = ",
+           "        # bad[x, y]",
            ("tests/test_spectrum.py::test_two_way_check_reads_the_last_row_"
             "block",)),
     Mutant("m-shift-first-block-only", "checks.py",
-           "for i in range(0, B.n, _ROWS):",
+           "for i in range(0, ring.n, _ROWS):",
            "for i in range(0, _ROWS, _ROWS):",
            ("tests/test_spectrum.py::test_m_shift_check_reads_the_last_row_"
             "block",)),
+    Mutant("b-rows-reads-a-row", "chain.py",
+           "np.take(ring.mul, rows[i:i + _ROWS], axis=1).T",
+           "np.take(ring.mul, rows[i:i + _ROWS], axis=0)",
+           tuple(f"tests/test_spectrum.py::test_b_rows_equal_the_count_on_"
+                 f"{case}" for case in ("fixed_rings[M2(F3)-int64]",
+                                        "fixed_rings[B2(F5)-object]",
+                                        "random_rings[int64]",
+                                        "random_rings[object]"))),
 )

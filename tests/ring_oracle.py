@@ -6,10 +6,11 @@ keys each principal left ideal by the bytes of its membership mask,
 ideals_by_bit_table sorts the n x n bit table of all n ideals,
 f_set_by_class looks at every element of every class, f_set_by_rep at
 every product of a class representative with S_a, units_by_argmax
-reads inverses off the whole n x n mask y x == 1, and
-class_products_by_division counts every product of the table.
-rings.FiniteRing and mixing.class_products get the same answers from
-generating sets, orbit certificates and blockwise passes.
+reads inverses off the whole n x n mask y x == 1,
+class_products_by_division counts every product of the table, and
+mul_counts_by_loop adds up the weights of B one product at a time.
+rings.FiniteRing, mixing.class_products and chain.b_rows get the same
+answers from generating sets, orbit certificates and blockwise passes.
 """
 
 import numpy as np
@@ -146,3 +147,18 @@ def class_products_by_division(ring):
     sizes = np.array([len(cl) for cl in part.classes])[c]
     assert not np.any(totals % sizes)
     return i, j, c, totals // sizes
+
+
+def mul_counts_by_loop(ring, weights):
+    """W[a, b] = sum of weights[x] over x with x*a == b, one product x*a
+    at a time in Python integers: the numerators of B for integer weights
+    over their common denominator.  int64 where the weights sum below
+    2^63, dtype object from there."""
+    n = ring.n
+    mul = ring.mul.tolist()
+    weights = [int(v) for v in weights]
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for a in range(n):
+            out[a][mul[x][a]] += weights[x]
+    return np.array(out, dtype=np.int64 if sum(weights) < 2 ** 63 else object)

@@ -20,9 +20,10 @@ MATCH = 1e-6
 
 def dense_float(matrix) -> np.ndarray:
     """A whole TransitionMatrix or ScaledMatrix as floats, each entry
-    rounded as ScaledMatrix.float_block rounds a block."""
+    rounded as float(numerator) / float(den), as block_spectrum rounds a
+    block."""
     m = getattr(matrix, "matrix", matrix)
-    return m.float_block(np.arange(m.n), np.arange(m.m))
+    return m.num.astype(float) / float(m.den)
 
 
 def expand(em) -> np.ndarray:

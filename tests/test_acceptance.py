@@ -115,7 +115,7 @@ def test_criterion_3_spectrum_three_way_q3():
     for q in (ClassDistribution.uniform(ring), nonuniform_q_m2f3(ring)):
         b = build_B(ring, q)
         em = expand(eig_numeric(dense_float(b)))
-        bm = block_values(block_spectrum(ring, b))
+        bm = block_values(block_spectrum(ring, q))
         g = gl2_spectrum(ring, q)
         assert len(em) == len(bm) == g.total() == 81
         assert multisets_match(em, bm, MATCH)
@@ -134,7 +134,7 @@ def test_criterion_3_extended_q5():
     q = ClassDistribution.uniform(ring)
     b = build_B(ring, q)
     em = expand(eig_numeric(dense_float(b)))
-    bm = block_values(block_spectrum(ring, b))
+    bm = block_values(block_spectrum(ring, q))
     g = gl2_spectrum(ring, q)
     assert len(em) == len(bm) == g.total() == 625
     assert multisets_match(em, bm, MATCH)
@@ -181,7 +181,7 @@ def test_criterion_4_multiplicity_lower_bounds():
     q = ClassDistribution.uniform(ring)
     b = build_B(ring, q)
     numeric = expand(eig_numeric(dense_float(b)))
-    detail = block_spectrum(ring, b)
+    detail = block_spectrum(ring, q)
     for value, mult in _merged_block_predictions(detail):
         assert numeric_multiplicity(numeric, value, MATCH) >= mult
     print("ACCEPTANCE 4 PASS multiplicity lower bounds on M2(F3) and B2(F3)")

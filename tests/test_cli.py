@@ -263,15 +263,21 @@ def test_config_file_shared_across_commands(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify", "--ring", "matrix", "--q", "3", "--alpha", "1/2", "--T", "5"],
     ["spectrum", "--ring", "matrix", "--q", "3", "--alpha", "1/2"],
+    ["describe", "--ring", "matrix", "--q", "3"],
+    ["stationary", "--ring", "matrix", "--q", "3", "--alpha", "1/2"],
+    ["mix", "--ring", "matrix", "--q", "3", "--alpha", "1/2", "--T", "3"],
+    ["simulate", "--ring", "matrix", "--q", "3", "--alpha", "1/2",
+     "--seed", "1", "--samples", "100", "--steps", "3"],
 ])
 def test_command_diagonalizes_b_once(monkeypatch, argv):
-    """B is built once and diagonalized at most once, by its diagonal blocks
-    for the spectrum table; no check diagonalizes an n x n matrix, and no
-    M is built."""
-    from ringwalk import chain, checks, spectrum
+    """No command builds B or M: the checks and the spectrum read row
+    blocks of B from the table (chain.b_rows), and no TransitionMatrix is
+    made.  B is diagonalized at most once, by its diagonal blocks for the
+    spectrum table; no check diagonalizes an n x n matrix."""
+    from ringwalk import chain, spectrum
 
-    calls = {"build_B": 0, "eig(n x n)": 0, "block_spectrum": 0}
-    build_b, eig_numeric = chain.build_B, spectrum.eig_numeric
+    calls = {"eig(n x n)": 0, "block_spectrum": 0}
+    eig_numeric = spectrum.eig_numeric
     block_spectrum = spectrum.block_spectrum
     kinds, init = [], chain.TransitionMatrix.__init__
 
@@ -279,9 +285,8 @@ def test_command_diagonalizes_b_once(monkeypatch, argv):
         kinds.append(kind)
         init(self, matrix, kind, *args, **kwargs)
 
-    def counted_build_b(*args, **kwargs):
-        calls["build_B"] += 1
-        return build_b(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command built a dense B or M")
 
     def counted_eig(matrix, *args, **kwargs):
         # every diagonal block S_a is smaller than n = 81
@@ -292,15 +297,15 @@ def test_command_diagonalizes_b_once(monkeypatch, argv):
         calls["block_spectrum"] += 1
         return block_spectrum(*args, **kwargs)
 
-    for mod in (chain, checks, cli):
-        monkeypatch.setattr(mod, "build_B", counted_build_b)
+    monkeypatch.setattr(chain, "build_B", forbidden)
+    monkeypatch.setattr(chain, "build_M", forbidden)
     monkeypatch.setattr(spectrum, "eig_numeric", counted_eig)
     monkeypatch.setattr(spectrum, "block_spectrum", counted_blocks)
     monkeypatch.setattr(chain.TransitionMatrix, "__init__", recorded_init)
     assert cli.main(argv) == 0
-    assert calls == {"build_B": 1, "eig(n x n)": 0,
+    assert calls == {"eig(n x n)": 0,
                      "block_spectrum": int(argv[0] == "spectrum")}
-    assert kinds == ["B"]
+    assert kinds == []
 
 
 @pytest.mark.parametrize("kind, param, value", [
@@ -308,51 +313,56 @@ def test_command_diagonalizes_b_once(monkeypatch, argv):
     ids=["M2(F3)", "Z_12", "B2(F3)"])
 def test_spectrum_reads_only_the_diagonal_blocks(monkeypatch, kind, param,
                                                  value):
-    """spectrum turns no n x n copy of B into floats: it reads B[S_a, S_a]
-    for each generator a, except that the character route reads the row
-    B[1, U] for the unit block."""
+    """spectrum reads no n x n B: it reads the rows S_a of B for each
+    generator a, at most 64 at a time, except that the character route
+    reads the row B[1, U] for the unit block."""
     from ringwalk import spectrum
-    from ringwalk.exact import ScaledMatrix
 
     served = []
-    float_block = ScaledMatrix.float_block
+    b_rows = spectrum.b_rows
 
-    def recorded(self, rows, cols):
-        block = float_block(self, rows, cols)
-        served.append(block.shape)
-        return block
+    def recorded(ring, Q, rows):
+        served.append(list(map(int, rows)))
+        return b_rows(ring, Q, rows)
 
-    monkeypatch.setattr(ScaledMatrix, "float_block", recorded)
+    monkeypatch.setattr(spectrum, "b_rows", recorded)
     assert cli.main(["spectrum", "--alpha", "1/2", "--ring", kind,
                      f"--{param}", str(value)]) == 0
     r = cli.ring_from_descriptor({"kind": kind, param: value})
     chars = spectrum.unit_group_characters(r) is not None
-    assert served == [
-        (1, len(r.units)) if chars and int(a) in r.unit_set
-        else (len(r.s_set(a)),) * 2 for a in r.phi]
+    assert max(map(len, served)) <= 64
+    assert sum(served, []) == sum(
+        ([r.one] if chars and int(a) in r.unit_set
+         else r.s_set(a).tolist() for a in r.phi), [])
 
 
-def corrupt_b(B):
-    """B with the mass of one entry moved within its row: still
-    row-stochastic, but B(0, 1) != 0 although 1 is outside the zero ideal."""
-    from ringwalk.chain import TransitionMatrix
-    from ringwalk.exact import ScaledMatrix
-    num = B.matrix.num.copy()
+def corrupt_b(num):
+    """B's numerators with the mass of one entry moved within its row:
+    still row-stochastic, but B(0, 1) != 0 although 1 is outside the zero
+    ideal."""
+    num = num.copy()
     num[0, 1], num[0, 0] = num[0, 0], 0
-    return TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", B.ring)
+    return num
 
 
-def corrupt_b_negative(B, x=5):
-    """B with mass moved between two nonzero entries of row x, so that one
-    goes below zero: the row still sums to 1 and has the same nonzero
-    pattern, but it is no probability vector."""
-    from ringwalk.chain import TransitionMatrix
-    from ringwalk.exact import ScaledMatrix
-    num = B.matrix.num.copy()
+def corrupt_b_negative(num, x=5):
+    """B's numerators with mass moved between two nonzero entries of row
+    x, so that one goes below zero: the row still sums to 1 and has the
+    same nonzero pattern, but it is no probability vector."""
+    num = num.copy()
     y, z = np.flatnonzero(num[x])[:2]
     shift = num[x, y] + 1
     num[x, y], num[x, z] = num[x, y] - shift, num[x, z] + shift
-    return TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", B.ring)
+    return num
+
+
+def corrupted_reader(b_rows, corrupt):
+    """A chain.b_rows that serves its rows from corrupt(B's numerators),
+    with the whole B read through b_rows on each call."""
+    def read(ring, Q, rows):
+        num = corrupt(b_rows(ring, Q, range(ring.n)))
+        return num[np.asarray(rows, dtype=np.intp)]
+    return read
 
 
 def corrupt_id_of(ring):
@@ -370,23 +380,29 @@ def corrupt_closed_form(rows):
     return rows[:1] + [(block, label, dim, s + dim, mult)] + rows[2:]
 
 
+def corrupt_output(corrupt):
+    """Wrap a function so that corrupt edits what it returns."""
+    return lambda f: lambda *a, **k: corrupt(f(*a, **k))
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
-@pytest.mark.parametrize("target, corrupt, check", [
-    ("build_B", corrupt_b, "spectrum-two-way"),
-    ("ring_from_descriptor", corrupt_id_of, "spectrum-two-way"),
-    ("_gl2_rows", corrupt_closed_form, "spectrum-gl2"),
-    ("build_B", corrupt_b_negative, "spectrum-m-shift"),
+@pytest.mark.parametrize("target, wrap, check", [
+    ("b_rows", lambda f: corrupted_reader(f, corrupt_b), "spectrum-two-way"),
+    ("ring_from_descriptor", corrupt_output(corrupt_id_of),
+     "spectrum-two-way"),
+    ("_gl2_rows", corrupt_output(corrupt_closed_form), "spectrum-gl2"),
+    ("b_rows", lambda f: corrupted_reader(f, corrupt_b_negative),
+     "spectrum-m-shift"),
 ], ids=["B-entry", "id_of-label", "closed-form", "B-negative"])
 def test_corruption_fails_its_check(monkeypatch, capsys, command, target,
-                                    corrupt, check):
+                                    wrap, check):
     from ringwalk import checks, spectrum
 
-    mods = {"build_B": (cli, checks), "ring_from_descriptor": (cli,),
+    mods = {"b_rows": (checks, spectrum), "ring_from_descriptor": (cli,),
             "_gl2_rows": (spectrum,)}[target]
-    original = getattr(mods[0], target)
+    patched = wrap(getattr(mods[0], target))
     for mod in mods:
-        monkeypatch.setattr(mod, target,
-                            lambda *a, **k: corrupt(original(*a, **k)))
+        monkeypatch.setattr(mod, target, patched)
     argv = [command, "--ring", "matrix", "--q", "3", "--alpha", "1/2"]
     code = cli.main(argv + (["--T", "3"] if command == "verify" else []))
     out, err = capsys.readouterr()
@@ -431,7 +447,7 @@ def test_bad_input_names_its_field(argv, field):
     (["verify", "--eps", "1/2"], "field 'eps': eps = 1/2 outside (0, 1/2)"),
     (["verify", "--eps", "1/4", "--eps", "0"],
      "field 'eps': eps = 0 outside (0, 1/2)"),
-    (["verify", "--T", "-1"], "field 'T': T must lie in [0, 64]"),
+    (["verify", "--T", "-1"], "field 'T': T must be >= 0"),
     (["mix", "--eps", "0"], "field 'eps': eps = 0 outside (0, 1/2)"),
     (["mix", "--T", "65"], "field 'T': T must lie in [0, 64]"),
     (["mix", "--T", "-1"], "field 'T': T must lie in [0, 64]"),
@@ -450,6 +466,21 @@ def test_verify_accepts_t_above_the_curve_cap(capsys):
     """verify stops its mixing check at min(T, 20), so T > T_CAP passes."""
     assert cli.main(["verify", "--ring", "zn", "--n", "6", "--T", "99"]) == 0
     assert "T=20" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, top, message", [
+    ("mix", "64", "T must lie in [0, 64]"),
+    ("verify", "100", "T must be >= 0"),
+])
+def test_t_message_names_the_domain_the_command_accepts(command, top,
+                                                        message):
+    """A negative T is refused with the domain of its own command, and
+    that domain's top value (none for verify) is accepted."""
+    ring = ["--ring", "zn", "--n", "6"]
+    code, out, err = run_cli([command, "--T", "-1"] + ring)
+    assert (code, out, err) == (2, "", f"error: field 'T': {message}\n")
+    code, _, err = run_cli([command, "--T", top] + ring)
+    assert code == 0, err
 
 
 def test_failing_check_gives_exit_one(monkeypatch):
@@ -691,9 +722,11 @@ def test_m2f7_spectrum_reads_the_unit_block_from_characters(monkeypatch,
 def test_spectrum_checks_its_caps_before_building_b(monkeypatch, capsys,
                                                     ring, message):
     # 12 units exceed a cap of 10 (Z_13's abelian table, B2(F3)'s LAPACK
-    # unit block): exit 2 before B is built, as a build_B call would crash
+    # unit block): exit 2 before any row of B is read, as a b_rows call
+    # would crash
     monkeypatch.setattr(cli.spectrum, "EIG_CAP", 10)
-    monkeypatch.setattr(cli, "build_B", None)
+    monkeypatch.setattr(cli.spectrum, "b_rows", None)
+    monkeypatch.setattr(cli.checks, "b_rows", None)
     assert cli.main(["spectrum"] + ring.split()) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -785,16 +818,16 @@ def test_cli_import_loads_no_scipy():
     (["describe"], 1.1e9),
     (["stationary", "--alpha", "1/2"], 1.1e9),
     (["mix", "--alpha", "1/2", "--T", "4"], 1.1e9),
-    (["verify", "--alpha", "1/2"], 2.8e9),
-    (["spectrum", "--alpha", "1/2"], 2.8e9),
+    (["verify", "--alpha", "1/2"], 1.1e9),
+    (["spectrum", "--alpha", "1/2"], 1.1e9),
 ], ids=["describe", "stationary", "mix", "verify", "spectrum"])
 def test_m2f11_commands_fit_in_the_tables_plus_blocks(argv, peak):
     """Every command on M2(F11) (n = 14,641) exits 0 below its peak RSS
     bound.  The two uint16 tables take 0.86 GB, and every other
-    whole-table pass runs in blocks of rows, so describe, stationary and
-    mix stay below 1.1 GB.  verify and spectrum also hold the int64 B,
-    1.71 GB, and no M: they stay below 2.8 GB (2.67 and 2.70 GB measured,
-    against 4.2 GB when they built M too)."""
+    whole-table pass runs in blocks of rows, so every command stays below
+    1.1 GB.  verify and spectrum hold no n x n B or M: their checks and
+    the diagonal blocks read B from the table 64 rows at a time (B alone
+    would be 1.71 GB of int64)."""
     proc = subprocess.Popen([sys.executable, "-m", "ringwalk.cli"] + argv
                             + ["--ring", "matrix", "--q", "11"],
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)

@@ -41,25 +41,6 @@ def test_big_entries_stay_exact():
     m = ScaledMatrix([[big, 2 ** 64], [0, 6]], 2 ** 65)
     assert m.num.dtype == object
     assert m.row_sums() == [Fr(big + 2 ** 64, 2 ** 65), Fr(6, 2 ** 65)]
-    assert m.float_block([0, 1], [0, 1]).tolist() == [
-        [v / float(2 ** 65) for v in row] for row in ([big, 2 ** 64], [0, 6])]
-    assert m.float_block([1], [1, 0]).tolist() == [[6 / float(2 ** 65), 0.0]]
-
-
-def test_float_block_rounds_each_entry_once():
-    rng = np.random.default_rng(5)
-    num = rng.integers(-2 ** 62, 2 ** 62, size=(5, 5))
-    den = 3 ** 39                       # neither fits a float exactly
-    m = ScaledMatrix(num, den)
-    assert m.den > 2 ** 53              # still no float holds it exactly
-    rows, cols = [4, 0, 2], [3, 1]
-    want = [[m.num.tolist()[r][c] / float(m.den) for c in cols]
-            for r in rows]
-    assert m.float_block(rows, cols).tolist() == want
-    obj = ScaledMatrix(num.astype(object), den)
-    assert obj.float_block(rows, cols).tolist() == want
-    assert obj.float_block(range(5), range(5)).tolist() == \
-        [[v / float(m.den) for v in row] for row in m.num.tolist()]
 
 
 def test_matmul_matches_float():

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ringwalk import cli, spectrum
+from ringwalk import checks, cli, spectrum
 from ringwalk.chain import (
     ClassDistribution,
-    TransitionMatrix,
+    b_rows,
     build_B,
     build_M,
-    weighted_mul_counts,
 )
 from ringwalk.checks import (
     check_conjugation_invariance,
@@ -26,7 +25,6 @@ from ringwalk.checks import (
     check_spectrum_gl2,
     check_spectrum_two_way,
 )
-from ringwalk.exact import ScaledMatrix
 from ringwalk.fields import is_prime
 from ringwalk.errors import (
     InvariantViolation,
@@ -54,6 +52,7 @@ from ringwalk.spectrum import (
 )
 
 from random_rings import random_class_q, random_ring
+from ring_oracle import mul_counts_by_loop
 from spectral_oracle import (
     MATCH,
     abelian_characters_by_dict,
@@ -68,7 +67,7 @@ from spectral_oracle import (
     shift_to_chain_values,
     union_find_merge,
 )
-from test_cli import seeded_q_json
+from test_cli import corrupt_b_negative, corrupted_reader, seeded_q_json
 
 
 def uniform(ring):
@@ -78,7 +77,7 @@ def uniform(ring):
 def blocks(ring, q):
     """The values of block_spectrum on the exact B of (ring, q), the
     blocks' multisets concatenated."""
-    return block_values(block_spectrum(ring, build_B(ring, q)))
+    return block_values(block_spectrum(ring, q))
 
 
 def nonuniform_m2f3():
@@ -235,15 +234,14 @@ def test_block_matches_numeric_many_rings_and_qs():
         for q in qs:
             em = expand(eig_numeric(dense_float(build_B(ring, q))))
             assert multisets_match(em, blocks(ring, q), MATCH), ring.label
-            assert check_spectrum_two_way(ring, build_B(ring, q))[0]
+            assert check_spectrum_two_way(ring, q)[0]
 
 
-def test_block_spectrum_rejects_b_of_another_ring():
+def test_block_spectrum_rejects_q_of_another_ring():
     """Z_16 and M2(F2) both have 16 elements: only the ring identity tells
-    their B apart."""
-    ring = zn_ring(16)
+    their Q apart, and b_rows checks it before it reads a block."""
     with pytest.raises(RingMismatch):
-        block_spectrum(matrix_ring(2), build_B(ring, uniform(ring)))
+        block_spectrum(matrix_ring(2), uniform(zn_ring(16)))
 
 
 def test_block_spectrum_counts_n_eigenvalues(monkeypatch):
@@ -258,7 +256,7 @@ def test_block_spectrum_counts_n_eigenvalues(monkeypatch):
     monkeypatch.setattr(spectrum, "unit_block_spectrum", short)
     ring = matrix_ring(3)
     with pytest.raises(InvariantViolation, match="not n = 81"):
-        block_spectrum(ring, build_B(ring, uniform(ring)))
+        block_spectrum(ring, uniform(ring))
 
 
 def test_projected_operator_zero_is_one_by_one_identity():
@@ -275,7 +273,7 @@ def test_projected_operator_unit_block_shape_and_equivariance():
     sa = ring.s_set(ring.one)
     assert len(sa) == len(ring.units)
     pos = {int(s): i for i, s in enumerate(sa)}
-    mat = weighted_mul_counts(ring, [1] * ring.n)[np.ix_(sa, sa)].T
+    mat = mul_counts_by_loop(ring, [1] * ring.n)[np.ix_(sa, sa)].T
     for u in ring.units:
         perm = [pos[int(ring.mul[u, s])] for s in sa]
         assert np.array_equal(mat[np.ix_(perm, perm)], mat)
@@ -440,73 +438,195 @@ def test_unit_generators_generate_the_unit_group(make):
     assert group == set(ring.units.tolist())
 
 
-def test_conjugation_check_uses_every_generator():
+def test_conjugation_check_uses_every_generator(monkeypatch):
     """A change to B that commutes with the first generator g only: mass
     moved along the orbit of (1, d) under the powers of g."""
     ring = matrix_ring(3)
-    B = build_B(ring, seeded_q(ring, 1))
+    Q = seeded_q(ring, 1)
     g = ring.unit_generators[0]
     powers = [ring.one]
     while int(ring.mul[powers[-1], g]) != ring.one:
         powers.append(int(ring.mul[powers[-1], g]))
     d, e = (int(u) for u in ring.units[-2:])
-    num = B.matrix.num.copy()
-    for h in powers:
-        num[h, ring.mul[h, d]] += 1
-        num[h, ring.mul[h, e]] -= 1
-    bad = TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", ring)
-    perm, num = ring.mul[g, :], bad.matrix.num
+
+    def corrupt(num):
+        num = num.copy()
+        for h in powers:
+            num[h, ring.mul[h, d]] += 1
+            num[h, ring.mul[h, e]] -= 1
+        return num
+
+    monkeypatch.setattr(checks, "b_rows", corrupted_reader(b_rows, corrupt))
+    perm, num = ring.mul[g, :], corrupt(b_rows(ring, Q, range(ring.n)))
     assert np.array_equal(num[np.ix_(perm, perm)], num)
-    assert not check_conjugation_invariance(ring, bad)[0]
+    assert not check_conjugation_invariance(ring, Q)[0]
 
 
-def test_conjugation_check_reads_the_last_row_block():
+def test_conjugation_check_reads_the_last_row_block(monkeypatch):
     """Mass moved within row x = n - 1 of B on Z_2 x M2(F3) is seen.  The
     units are (1, u), so x and every u^-1 x lie past the first 64 rows that
     the check compares."""
     ring = product_ring(zn_ring(2), matrix_ring(3))
-    B = build_B(ring, seeded_q(ring, 1))
-    num = B.matrix.num.copy()
+    Q = seeded_q(ring, 1)
     x = ring.n - 1
-    y, z = np.flatnonzero(num[x])[:2]
-    num[x, y] += 1
-    num[x, z] -= 1
-    bad = TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", ring)
+
+    def corrupt(num):
+        num = num.copy()
+        y, z = np.flatnonzero(num[x])[:2]
+        num[x, y] += 1
+        num[x, z] -= 1
+        return num
+
+    assert check_conjugation_invariance(ring, Q)[0]
+    monkeypatch.setattr(checks, "b_rows", corrupted_reader(b_rows, corrupt))
     assert ring.units.min() >= 81
-    assert not check_conjugation_invariance(ring, bad)[0]
+    assert not check_conjugation_invariance(ring, Q)[0]
 
 
-def test_two_way_check_reads_the_last_row_block():
+def test_two_way_check_reads_the_last_row_block(monkeypatch):
     """Mass moved in row x >= 64 of B on M2(F3), from an entry inside the
     ideal of x to a unit y, is reported at (x, y): the check compares 64
     rows at a time and must reach the last block."""
     ring = matrix_ring(3)
-    B = build_B(ring, seeded_q(ring, 1))
+    Q = seeded_q(ring, 1)
     x = max(set(range(ring.n)) - set(ring.units.tolist()))
     y = int(ring.units[0])
-    num = B.matrix.num.copy()
-    z = np.flatnonzero(num[x])[0]
-    num[x, y] += 1
-    num[x, z] -= 1
-    bad = TransitionMatrix(ScaledMatrix(num, B.matrix.den), "B", ring)
+
+    def corrupt(num):
+        num = num.copy()
+        z = np.flatnonzero(num[x])[0]
+        num[x, y] += 1
+        num[x, z] -= 1
+        return num
+
+    assert check_spectrum_two_way(ring, Q)[0]
+    monkeypatch.setattr(checks, "b_rows", corrupted_reader(b_rows, corrupt))
     assert x >= 64
-    assert check_spectrum_two_way(ring, bad) == \
+    assert check_spectrum_two_way(ring, Q) == \
         (False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}")
 
 
-def test_m_shift_check_reads_the_last_row_block():
+def test_m_shift_check_reads_the_last_row_block(monkeypatch):
     """Row x = n - 1 of B on M2(F3), past the first 64 rows the check
     reads, with one entry moved below zero: B is no longer a stochastic
     matrix, so the shift of its spectrum to M's is unproven."""
-    from test_cli import corrupt_b_negative
     ring = matrix_ring(3)
-    B = build_B(ring, seeded_q(ring, 1))
-    assert check_m_shift(B, Fr(1, 2))[0]
+    Q = seeded_q(ring, 1)
+    assert check_m_shift(ring, Q, Fr(1, 2))[0]
     x = ring.n - 1
-    bad = corrupt_b_negative(B, x)
-    assert x >= 64 and bad.matrix.num[x].min() < 0
-    assert check_m_shift(bad, Fr(1, 2)) == \
+    monkeypatch.setattr(checks, "b_rows", corrupted_reader(
+        b_rows, lambda num: corrupt_b_negative(num, x)))
+    assert x >= 64 and checks.b_rows(ring, Q, [x]).min() < 0
+    assert check_m_shift(ring, Q, Fr(1, 2)) == \
         (False, "a row of B or M is not a probability vector")
+
+
+BIG = 2 ** 64 + 1        # a class_q scale whose denominator exceeds 2^63
+
+
+def class_q(ring, class_weights, scale=0):
+    """Q with per-element weight proportional to class_weights[c] on class
+    c.  A scale turns each nonzero weight x into x * scale + 1, so that the
+    common denominator exceeds the scale."""
+    raw = [x * scale + 1 if scale and x else x for x in class_weights]
+    total = sum(x * len(c) for x, c in zip(raw, ring.similarity.classes))
+    return ClassDistribution(ring, [Fr(x, total) for x in raw])
+
+
+def row_sets(ring, a, u):
+    """The row sets b_rows must read: the first 64-row block (all of a
+    smaller ring), the last, possibly partial, block, S_a, the first block
+    moved by the unit u, and the identity alone."""
+    first = np.arange(min(64, ring.n))
+    return {"first": first,
+            "last": np.arange((ring.n - 1) // 64 * 64, ring.n),
+            "S_a": ring.s_set(a),
+            "perm[block]": ring.mul[u, first],
+            "one": [ring.one]}
+
+
+def assert_b_rows_equal_the_count(ring, Q, a, u):
+    """b_rows against mul_counts_by_loop on the per-element Fractions of Q,
+    over their own common denominator, on every row set of row_sets."""
+    per_element = [Q.weights[c] for c in ring.similarity.class_of]
+    den = lcm(*(w.denominator for w in per_element))
+    assert Q.scaled_weights()[1] == den
+    want = mul_counts_by_loop(ring, [w * den for w in per_element])
+    for name, rows in row_sets(ring, a, u).items():
+        got = b_rows(ring, Q, rows)
+        assert got.dtype == (object if den >= 2 ** 63 else np.int64), name
+        assert np.array_equal(got, want[np.asarray(rows)]), name
+
+
+@pytest.mark.parametrize("big", [0, BIG], ids=["int64", "object"])
+@pytest.mark.parametrize("make", [lambda: matrix_ring(3),
+                                  lambda: upper_triangular_ring(5)],
+                         ids=["M2(F3)", "B2(F5)"])
+def test_b_rows_equal_the_count_on_fixed_rings(make, big):
+    """On two non-commutative rings, where a row of the table is not a
+    column, with a class of weight 0 (the zero class)."""
+    ring = make()
+    part = ring.similarity
+    weights = [(3 * c) % 7 + 1 for c in range(len(part))]
+    weights[part.class_of[ring.zero]] = 0
+    a = ring.phi[len(ring.phi) // 2]
+    assert_b_rows_equal_the_count(ring, class_q(ring, weights, big), a,
+                                  ring.unit_generators[-1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+@pytest.mark.parametrize("big", [0, BIG], ids=["int64", "object"])
+def test_b_rows_equal_the_count_on_random_rings(big, data):
+    """Random rings and random class-constant Q, one class of weight 0
+    besides the identity's, with and without a denominator above 2^63."""
+    ring = random_ring(data.draw, room=160)
+    part = ring.similarity
+    k = len(part)
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))
+    one = part.class_of[ring.one]
+    weights[one] += 1
+    if k > 1:
+        weights[data.draw(st.sampled_from(
+            [c for c in range(k) if c != one]))] = 0
+    a = data.draw(st.sampled_from(ring.phi.tolist()))
+    u = data.draw(st.sampled_from(ring.units.tolist()))
+    assert_b_rows_equal_the_count(ring, class_q(ring, weights, big), a, u)
+
+
+def test_block_floats_round_each_entry_once():
+    """A block of B reaches LAPACK as float(numerator) / float(den), each
+    entry rounded once, with den above 2^53 in int64 and above 2^63."""
+    ring = matrix_ring(3)
+    for scale, dtype in ((2 ** 47, np.int64), (BIG, object)):
+        q = class_q(ring, [c % 5 + 1 for c in range(len(ring.similarity))],
+                    scale)
+        num, den = b_rows(ring, q, range(ring.n)), q.scaled_weights()[1]
+        assert den > 2 ** 53 and num.dtype == dtype
+        rows, cols = [80, 0, 41], [3, 1, 80]
+        assert spectrum._float_block(ring, q, rows, cols).tolist() == \
+            [[int(num[r, c]) / float(den) for c in cols] for r in rows]
+
+
+def test_b_checks_and_blocks_hold_no_n_by_n_array():
+    """On M2(F7), built first, the three checks on B and block_spectrum
+    trace a peak below n^2 * 2 bytes: they read B 64 rows at a time, where
+    the int64 B alone is n^2 * 8 bytes (46 MB)."""
+    ring = matrix_ring(7)
+    Q = seeded_q(ring, 1)
+    for a in ring.phi:
+        ring.s_set(a)
+    ring.ideals, ring.unit_generators, unit_group_characters(ring)
+    tracemalloc.start()
+    try:
+        assert check_conjugation_invariance(ring, Q)[0]
+        assert check_spectrum_two_way(ring, Q)[0]
+        assert check_m_shift(ring, Q, Fr(1, 2))[0]
+        assert sum(em.total() for _, em in block_spectrum(ring, Q)) == ring.n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ring.n ** 2 * 2, peak
 
 
 def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
@@ -536,14 +656,14 @@ def test_exact_checks_agree_with_lapack_on_random_rings(data):
     blocks, whose eigenvalues LAPACK moves by ~sqrt(eps); power sums are
     traces, so they stay well conditioned.)"""
     ring = random_ring(data.draw)
-    B = build_B(ring, random_class_q(data.draw, ring))
+    Q = random_class_q(data.draw, ring)
     alpha = Fr(data.draw(st.integers(1, 9)), 10)
-    for check in (check_conjugation_invariance(ring, B),
-                  check_spectrum_two_way(ring, B),
-                  check_m_shift(B, alpha)):
+    for check in (check_conjugation_invariance(ring, Q),
+                  check_spectrum_two_way(ring, Q),
+                  check_m_shift(ring, Q, alpha)):
         assert check[0], check[1]
-    numeric = expand(eig_numeric(dense_float(B)))
-    blocks = block_values(block_spectrum(ring, B))
+    numeric = expand(eig_numeric(dense_float(build_B(ring, Q))))
+    blocks = block_values(block_spectrum(ring, Q))
     for j in range(1, 9):
         assert abs(np.sum(numeric ** j) - np.sum(blocks ** j)) < 1e-9 * ring.n
 
@@ -557,9 +677,9 @@ def assert_unit_block_equals_lapack(ring, Q):
     each value has its nearest LAPACK value within 1e-9, with the same
     multiplicity, and there are as many values."""
     assert unit_group_characters(ring) is not None
-    B = build_B(ring, Q)
-    got = unit_block_spectrum(ring, B)
-    want = eig_numeric(dense_float(B)[np.ix_(ring.units, ring.units)].T)
+    got = unit_block_spectrum(ring, Q)
+    want = eig_numeric(
+        dense_float(build_B(ring, Q))[np.ix_(ring.units, ring.units)].T)
     assert len(got.values) == len(want.values)
     for v, m in got:
         j = np.argmin(np.abs(want.values - v))
@@ -762,7 +882,7 @@ def test_unit_group_characters_built_once_per_ring(monkeypatch):
     ring = matrix_ring(5)
     chars = unit_group_characters(ring)
     assert unit_group_characters(ring) is chars
-    unit_block_spectrum(ring, build_B(ring, uniform(ring)))
+    unit_block_spectrum(ring, uniform(ring))
     assert unit_group_characters(ring) is chars
     assert len(calls) <= int(ring.similarity.invertible.sum())
     with pytest.raises(ValueError):
