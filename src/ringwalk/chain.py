@@ -7,11 +7,11 @@ classes.  B holds the multiplication-only transitions
     B[a, b] = sum of Q(x) over x with x*a == b    (left multiplication),
 
 and the full chain matrix is M = (alpha/n) * ones + (1 - alpha) * B.
-Everything is exact-rational.  The commands build neither B nor M: b_rows
-reads the rows of B they ask for off the multiplication table, a block of
-at most _ROWS rows at a time, and what they report of M follows from
-B >= 0, B 1 = 1 and 0 < alpha < 1 (checks.check_m_shift).  build_B and
-build_M are the dense n x n B and M, oracles for the tests and the
+Everything is exact-rational.  The commands build neither B nor M:
+b_blocks reads the rows of B they ask for off the multiplication table, a
+block of at most _ROWS rows at a time, and what they report of M follows
+from B >= 0, B 1 = 1 and 0 < alpha < 1 (checks.check_m_shift).  build_B
+and build_M are the dense n x n B and M, oracles for the tests and the
 benchmark.
 """
 
@@ -35,7 +35,7 @@ from .exact import ScaledMatrix
 from .rings import FiniteRing
 
 _ROWS = 64                 # rows of B read at a time
-_LIMB = 26                 # bits per limb of a weight in b_rows
+_LIMB = 26                 # bits per limb of a weight in b_blocks
 
 
 def check_alpha(alpha, allow_boundary=False) -> Fraction:
@@ -128,25 +128,22 @@ class TransitionMatrix:
     kind: str
     ring: FiniteRing
 
-    @property
-    def n(self):
-        return self.matrix.n
-
     def check_stochastic(self):
         if any(s != 1 for s in self.matrix.row_sums()):
             raise InvariantViolation(f"{self.kind} rows must sum to exactly 1")
 
 
-def b_rows(ring: FiniteRing, Q: ClassDistribution, rows) -> np.ndarray:
-    """The integer numerators of B[rows, :] over Q's common denominator
-    den, one row per entry of rows: int64 below 2^63 and Python ints
-    (dtype object) from there, as Q.scaled_weights().
+def b_blocks(ring: FiniteRing, Q: ClassDistribution, rows=None):
+    """(block, num) for consecutive blocks of at most _ROWS entries of
+    rows, all of range(n) by default: num holds the integer numerators of
+    B[block, :] over Q's common denominator den, int64 below 2^63 and
+    Python ints (dtype object) from there, as Q.scaled_weights().
 
     Row a of B is column a of the multiplication table counted with Q's
-    weights: B[a, b] = sum of w[x] over x with x*a == b.  The columns are
-    gathered _ROWS at a time, and each is counted by float64 bincounts,
-    which are exact here.  Each integer weight w[x] <= den is split into
-    _LIMB-bit limbs, one bincount per limb.  A bin sums at most
+    weights: B[a, b] = sum of w[x] over x with x*a == b.  Each column is
+    counted by float64 bincounts, which are exact here.  Each integer
+    weight w[x] <= den is split into _LIMB-bit limbs, one bincount per
+    limb, the limbs made once per pass.  A bin sums at most
     n <= SIZE_CAP < 2^15 limbs below 2^26, so every partial sum is an
     integer below 2^41 < 2^53, held exactly by float64 in any order.  The
     limb counts are shifted back and added in the weights' dtype; each
@@ -154,23 +151,36 @@ def b_rows(ring: FiniteRing, Q: ClassDistribution, rows) -> np.ndarray:
     """
     check_same_ring(ring, Q)
     w, den = Q.scaled_weights()
-    n = ring.n
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.arange(ring.n) if rows is None else np.asarray(rows, np.intp)
     limbs = [(shift, ((w >> shift) & (2 ** _LIMB - 1)).astype(np.float64))
              for shift in range(0, den.bit_length(), _LIMB)]
-    out = np.empty((len(rows), n), dtype=w.dtype)
     for i in range(0, len(rows), _ROWS):
-        # one pass over the table's rows, then each column made contiguous
-        cols = np.take(ring.mul, rows[i:i + _ROWS], axis=1).T.copy()
-        for j, col in enumerate(cols, i):
-            for shift, limb in limbs:
-                counts = np.bincount(col, weights=limb,
-                                     minlength=n).astype(np.int64)
-                if shift:
-                    out[j] += counts.astype(w.dtype) << shift
-                else:
-                    out[j] = counts
-    return out
+        block = rows[i:i + _ROWS]
+        yield block, _count_columns(ring.mul, block, limbs, w.dtype)
+
+
+def _count_columns(mul, block, limbs, dtype) -> np.ndarray:
+    """The limb-weighted counts of the columns block of mul (b_blocks),
+    made here so that a suspended b_blocks holds no block of B."""
+    n = len(mul)
+    # one pass over the table's rows, then each column made contiguous
+    cols = np.take(mul, block, axis=1).T.copy()
+    num = np.empty((len(block), n), dtype=dtype)
+    for j, col in enumerate(cols):
+        for shift, limb in limbs:
+            counts = np.bincount(col, weights=limb,
+                                 minlength=n).astype(np.int64)
+            if shift:
+                num[j] += counts.astype(dtype) << shift
+            else:
+                num[j] = counts
+    return num
+
+
+def b_rows(ring: FiniteRing, Q: ClassDistribution, rows) -> np.ndarray:
+    """The numerators of B[rows, :], one row per entry of rows: the blocks
+    of b_blocks, concatenated."""
+    return np.concatenate([num for _, num in b_blocks(ring, Q, rows)])
 
 
 def build_B(ring: FiniteRing, Q: ClassDistribution) -> TransitionMatrix:
@@ -189,7 +199,7 @@ def build_M(ring: FiniteRing, Q: ClassDistribution, alpha) -> TransitionMatrix:
     positive: a dense oracle that no command builds."""
     alpha = check_alpha(alpha)
     B = build_B(ring, Q)
-    n = B.n
+    n = B.matrix.n
     p, s = alpha.numerator, alpha.denominator
     common = lcm(n, B.matrix.den)
     add_part = p * (common // n)

@@ -4,8 +4,8 @@ Every function returns (ok, detail).  Every check is exhaustive or an
 exact identity at every ring size: exact rationals or integers, or exact
 arithmetic mod a fixed prime named in the detail.  No check diagonalizes
 an n x n matrix or matches eigenvalues within a tolerance.  The checks on
-B read it from the multiplication table _ROWS rows at a time
-(chain.b_rows), so none holds an n x n array.
+B, and the R_{x,y} check, read it from the multiplication table a block
+of rows at a time (chain.b_blocks), so none holds an n x n array.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gl2, spectrum
-from .chain import _ROWS, ClassDistribution, b_rows, check_alpha
+from .chain import ClassDistribution, b_blocks, check_alpha
 from .errors import InvariantViolation, UnsupportedQ
 from .mixing import d_of_t, mixing_bound
 from .rings import FiniteRing
@@ -44,19 +44,20 @@ def check_s_partition(ring: FiniteRing):
 
 def check_rxy_sizes(ring: FiniteRing):
     """|R_{x,y}| is |LAnn(y)| when I_x is inside I_y and 0 otherwise, where
-    R_{x,y} = {r : r y = x}: one bincount of each column of the table."""
-    poset = ring.ideals
-    for y in range(ring.n):
-        # bincount widens the uint16 column to intp; each value is below n
-        counts = np.bincount(ring.mul[:, y], minlength=ring.n)
-        contained = poset.leq[poset.id_of, poset.id_of[y]]
-        bad = np.nonzero((counts > 0) != contained)[0]
-        if len(bad):
-            return False, (f"emptiness of R_{{{bad[0]},{y}}} disagrees with "
-                           f"the poset")
-        bad = np.nonzero(contained & (counts != counts[ring.zero]))[0]
-        if len(bad):
-            return False, f"|R_{{{bad[0]},{y}}}| != |LAnn({y})|"
+    R_{x,y} = {r : r y = x}.  Under uniform Q, row y of B has den = n and
+    unit weights, so its numerators are the sizes |R_{x,y}| over all x."""
+    ids = ring.ideals.id_of
+    for block, counts in b_blocks(ring, ClassDistribution.uniform(ring)):
+        # contained[j, x]: I_x is inside I_y for y = block[j]
+        contained = np.take(ring.ideals.leq.T[ids[block]], ids, axis=1)
+        empty = (counts > 0) != contained
+        size = contained & (counts != counts[:, [ring.zero]])
+        for j in np.flatnonzero(empty.any(axis=1) | size.any(axis=1))[:1]:
+            y = block[j]
+            if empty[j].any():
+                return False, (f"emptiness of R_{{{empty[j].argmax()},{y}}} "
+                               f"disagrees with the poset")
+            return False, f"|R_{{{size[j].argmax()},{y}}}| != |LAnn({y})|"
     return True, "exhaustive"
 
 
@@ -78,21 +79,16 @@ def check_witnesses(ring: FiniteRing):
 def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution):
     """B(u c, u d) = B(c, d) for every unit u.  The units with this property
     are closed under products, so checking a generating set of U_R is
-    exhaustive.  Each block of _ROWS rows c of B, read from the
-    multiplication table (chain.b_rows), is compared with the rows u c of
-    every generator u, so no n x n copy is made."""
+    exhaustive.  Each block of rows c of B, read from the multiplication
+    table (chain.b_blocks), is compared with the rows u c of every
+    generator u, read alongside, so no n x n copy is made."""
     gens = ring.unit_generators
-    moved = None                # B(u c, u d) for a block of c, reused
-    for s in range(0, ring.n, _ROWS):
-        block = np.arange(s, min(s + _ROWS, ring.n))
-        rows = b_rows(ring, Q, block)
-        if moved is None:
-            moved = np.empty_like(rows)
-        for u in gens:
-            perm = ring.mul[u, :]
-            np.take(b_rows(ring, Q, perm[block]), perm, axis=1,
-                    out=moved[:len(block)])
-            if not np.array_equal(moved[:len(block)], rows):
+    perms = [ring.mul[u, :] for u in gens]
+    moved = [b_blocks(ring, Q, perm) for perm in perms]
+    for _, rows in b_blocks(ring, Q):
+        for u, perm, blocks in zip(gens, perms, moved):
+            # B(u c, u d), each block dropped once compared
+            if not np.array_equal(next(blocks)[1][:, perm], rows):
                 return False, f"B(u c, u d) != B(c, d) for unit {u}"
     return True, f"exhaustive: {len(gens)} generators of U_R"
 
@@ -102,16 +98,17 @@ def check_spectrum_two_way(ring: FiniteRing, Q: ClassDistribution):
     ring (s-partition), so listing them along a linear extension of the
     ideal poset makes B block upper triangular: eig(B) is exactly the union
     of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum).
-    B is read from the multiplication table _ROWS rows at a time
-    (chain.b_rows), so no n x n temporary is made."""
+    B is read from the multiplication table a block of rows at a time
+    (chain.b_blocks), so no n x n temporary is made."""
     poset = ring.ideals
     ids = poset.id_of
-    for s in range(0, ring.n, _ROWS):
-        # bad[x, y]: B(x, y) != 0 and I_y is not inside I_x
-        bad = np.take(~poset.leq.T[ids[s:s + _ROWS]], ids, axis=1)
-        bad &= b_rows(ring, Q, np.arange(s, min(s + _ROWS, ring.n))) != 0
+    for block, num in b_blocks(ring, Q):
+        # bad[j, y]: B(x, y) != 0 and I_y is not inside I_x, x = block[j]
+        bad = np.take(~poset.leq.T[ids[block]], ids, axis=1)
+        bad &= num != 0
         if bad.any():
-            x, y = np.argwhere(bad)[0] + (s, 0)
+            j, y = np.argwhere(bad)[0]
+            x = block[j]
             return False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}"
     return True, (f"B block-triangular over {len(poset)} ideals: eig(B) is "
                   f"the union of the diagonal-block spectra, exactly")
@@ -144,12 +141,11 @@ def check_m_shift(ring: FiniteRing, Q: ClassDistribution, alpha):
     M = (1 - alpha) B + (alpha/n) J is stochastic, M 1 = 1, and eig(M) is 1
     together with (1 - alpha) eig(B) less one copy of 1 (Brauer, Duke Math.
     J. 19, 1952), with no M built and no eigensolve.  B is read from the
-    multiplication table _ROWS rows at a time (chain.b_rows), so no n x n
-    temporary is made."""
+    multiplication table a block of rows at a time (chain.b_blocks), so no
+    n x n temporary is made."""
     alpha = check_alpha(alpha)
     den = Q.scaled_weights()[1]
-    for i in range(0, ring.n, _ROWS):
-        rows = b_rows(ring, Q, np.arange(i, min(i + _ROWS, ring.n)))
+    for _, rows in b_blocks(ring, Q):
         if rows.min() < 0 or np.any(rows.sum(axis=1) != den):
             return False, "a row of B or M is not a probability vector"
     return True, (f"alpha={alpha}: M = (1-alpha) B + (alpha/n) J and "
@@ -236,28 +232,21 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
     """The verify command's check list: [(name, ok, detail)]."""
     out = [("ring-axioms", True, f"exhaustive: "
             f"{len(ring.additive_generators)} additive generators")]
-    for name, fn in (("orbit-stabilizer", check_orbit_stabilizer),
-                     ("s-partition", check_s_partition),
-                     ("rxy-annihilator", check_rxy_sizes),
-                     ("unit-transitivity", check_witnesses),
-                     ("multiplicity-free", check_mult_free_expectations)):
-        ok, detail = fn(ring)
-        out.append((name, ok, detail))
-    out += _walk_checks(ring, Q, alpha)
-    ok, detail = check_mixing(ring, Q, alpha, min(T, 20), list(eps_list))
-    out.append(("mixing-bound", ok, detail))
-    return out
-
-
-def _walk_checks(ring: FiniteRing, Q: ClassDistribution, alpha):
-    """The checks on B and the recursive pi.  Neither B nor M is built:
-    each check on B reads its own row blocks from the multiplication table,
-    and spectrum-m-shift reads what it needs of M off B and alpha."""
-    out = [("conjugation-invariance", *check_conjugation_invariance(ring, Q)),
-           ("spectrum-two-way", *check_spectrum_two_way(ring, Q)),
-           ("spectrum-gl2", *check_spectrum_gl2(ring, Q)),
-           ("spectrum-m-shift", *check_m_shift(ring, Q, alpha))]
+    out += [(name, *fn(ring)) for name, fn in (
+        ("orbit-stabilizer", check_orbit_stabilizer),
+        ("s-partition", check_s_partition),
+        ("rxy-annihilator", check_rxy_sizes),
+        ("unit-transitivity", check_witnesses),
+        ("multiplicity-free", check_mult_free_expectations))]
+    # neither B nor M is built: each check on B reads its own row blocks
+    # from the table, and spectrum-m-shift reads what it needs of M off B
+    out += [("conjugation-invariance", *check_conjugation_invariance(ring, Q)),
+            ("spectrum-two-way", *check_spectrum_two_way(ring, Q)),
+            ("spectrum-gl2", *check_spectrum_gl2(ring, Q)),
+            ("spectrum-m-shift", *check_m_shift(ring, Q, alpha))]
     pi = stationary_recursive(ring, Q, alpha)
     out.append(("stationary-agreement",
                 *check_stationary_agreement(ring, Q, alpha, pi)))
+    out.append(("mixing-bound", *check_mixing(ring, Q, alpha, min(T, 20),
+                                              list(eps_list))))
     return out

@@ -471,23 +471,30 @@ def load_config(args) -> dict:
 
 
 def write_output(text: str, out_path: str | None) -> None:
+    """Write text to stdout, or atomically to out_path with the mode a
+    plain open() would give it; an OSError is a ConfigError on 'out'."""
     if out_path is None:
         sys.stdout.write(text)
         return
     base_dir = os.environ.get("RINGWALK_OUTPUT_DIR")
     if base_dir and not os.path.isabs(out_path):
         out_path = os.path.join(base_dir, out_path)
-    directory = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(out_path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        umask = os.umask(0)     # read back at once: there is no getter
+        os.umask(umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"field 'out': {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def main(argv=None) -> int:
@@ -496,16 +503,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         report = COMMANDS[args.command](cfg)
+        fmt = cfg.get("format") or "text"
+        text = reports.render_json(report) if fmt == "json" \
+            else reports.render_text(report)
+        write_output(text, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RingwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = cfg.get("format") or "text"
-    text = reports.render_json(report) if fmt == "json" \
-        else reports.render_text(report)
-    write_output(text, args.out)
     return 1 if reports.has_failure(report) else 0
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-All input-validation failures derive from ValueError so callers that don't
-care about the fine-grained type can catch the usual thing.
+Every class derives from RingwalkError, a ValueError, so callers that don't
+care about the fine-grained type can catch the usual thing, and the CLI
+turns each into exit 2.
 """
 
 
@@ -41,7 +42,7 @@ class AlphaOutOfRange(RingwalkError):
     pass
 
 
-class ConvergenceFailure(RuntimeError):
+class ConvergenceFailure(RingwalkError):
     """An eigenvalue solve failed to converge.  Never silently retried."""
 
 

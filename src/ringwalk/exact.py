@@ -76,11 +76,7 @@ def bareiss_echelon(rows):
     prev = 1
     r = 0
     for c in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, n) if a[i][c] != 0), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]

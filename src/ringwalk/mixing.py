@@ -65,8 +65,7 @@ def tv_distance(mu, nu):
     """Half the l1 distance; exact when both inputs are exact."""
     if len(mu) != len(nu):
         raise LengthMismatch(f"supports differ: {len(mu)} vs {len(nu)}")
-    total = sum(abs(a - b) for a, b in zip(mu, nu))
-    return total / 2
+    return sum(abs(a - b) for a, b in zip(mu, nu)) / 2
 
 
 @dataclass
@@ -84,10 +83,8 @@ class MixingCurve:
     def t_mix(self, eps):
         """First t with d(t) <= eps; None if no computed t reaches eps."""
         eps = Fraction(eps)
-        for t, d in zip(self.ts, self.exact_values):
-            if d <= eps:
-                return t
-        return None
+        return next((t for t, d in zip(self.ts, self.exact_values)
+                     if d <= eps), None)
 
     def bound_holds(self) -> bool:
         return all(d <= b for d, b in zip(self.exact_values, self.exact_bounds))

@@ -37,10 +37,7 @@ def add_check(report: dict, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _clean(value) -> str:
-    s = str(value)
-    if "\t" in s or "\n" in s:
-        s = s.replace("\t", " ").replace("\n", " ")
-    return s
+    return str(value).replace("\t", " ").replace("\n", " ")
 
 
 def render_text(report: dict) -> str:

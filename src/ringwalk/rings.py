@@ -134,9 +134,7 @@ class IdealPoset:
         return len(self.reps)
 
     def strictly_above(self, i: int) -> np.ndarray:
-        above = self.leq[i, :].copy()
-        above[i] = False
-        return np.nonzero(above)[0]
+        return np.flatnonzero(self.leq[i] & (np.arange(len(self)) != i))
 
 
 class FiniteRing:

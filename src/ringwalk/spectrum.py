@@ -4,7 +4,7 @@
    suite's oracle.
 2. block_spectrum: the diagonal blocks of the exact B on each S_a, one per
    principal-left-ideal generator a, each read from the multiplication
-   table (chain.b_rows) at most _ROWS rows at a time and turned into
+   table (chain.b_blocks) a block of rows at a time and turned into
    floats on its own; no n x n B is built.  The transposed block
    B[S_a, S_a]^T keeps only the components of x*s that stay inside S_a.
    B is block-triangular over the ideal poset
@@ -29,7 +29,7 @@ from math import lcm
 import numpy as np
 
 from . import gl2
-from .chain import _ROWS, ClassDistribution, b_rows
+from .chain import ClassDistribution, b_blocks
 from .errors import (
     ConvergenceFailure,
     InvariantViolation,
@@ -110,13 +110,15 @@ def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
 
 
 def _float_block(ring: FiniteRing, Q: ClassDistribution, rows, cols):
-    """B[rows, cols] as floats, read from chain.b_rows _ROWS rows at a
-    time: each entry rounds as float(numerator) / float(den), with den
-    Q's common denominator."""
+    """B[rows, cols] as floats, read from chain.b_blocks a block of rows
+    at a time: each entry rounds as float(numerator) / float(den), with
+    den Q's common denominator."""
     den = float(Q.scaled_weights()[1])
     out = np.empty((len(rows), len(cols)))
-    for s in range(0, len(rows), _ROWS):
-        out[s:s + _ROWS] = b_rows(ring, Q, rows[s:s + _ROWS])[:, cols]
+    s = 0
+    for block, num in b_blocks(ring, Q, rows):
+        out[s:s + len(block)] = num[:, cols]
+        s += len(block)
     out /= den
     return out
 

@@ -23,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .chain import ClassDistribution, check_alpha, check_same_ring
+from .chain import ClassDistribution, b_rows, check_alpha, check_same_ring
 from .errors import DenominatorZero, InvariantViolation, SingularSystem
 from .exact import ScaledMatrix, stationary_nullspace
 from .gl2 import require_m2_ring
@@ -43,9 +43,11 @@ def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha):
     n, poset = ring.n, ring.ideals
     p, s = alpha.numerator, alpha.denominator
     w, den = Q.scaled_weights()
-    counts = np.zeros((len(poset), len(poset)), dtype=w.dtype)
-    for i, a in enumerate(ring.phi):           # phi[i] generates ideal i
-        np.add.at(counts[i], poset.id_of[ring.mul[:, a]], w)  # index only
+    # counts[i, j] = den Q{x : x a in S_j}, a = phi[i], the generator of
+    # ideal i: the rows a of B, each summed over S_j, and then dropped
+    counts = b_rows(ring, Q, ring.phi)
+    counts = np.stack([counts[:, g].sum(axis=1) for g in poset.generators],
+                      axis=1)
     sizes = [len(g) for g in poset.generators]
     pi_bar = stationary_nullspace(ScaledMatrix(
         [[p * den * size + (s - p) * n * int(c) for size, c in zip(sizes, row)]

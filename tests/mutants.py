@@ -81,27 +81,40 @@ MUTANTS = (
            ("tests/test_spectrum.py::test_merge_cost_follows_the_number_of_"
             "distinct_values",)),
     Mutant("conjugation-first-block-only", "checks.py",
-           "for s in range(0, ring.n, _ROWS):\n"
-           "        block = np.arange(",
-           "for s in range(0, _ROWS, _ROWS):\n"
-           "        block = np.arange(",
+           "for _, rows in b_blocks(ring, Q):\n"
+           "        for u, perm, blocks in",
+           "for _, rows in [next(b_blocks(ring, Q))]:\n"
+           "        for u, perm, blocks in",
            ("tests/test_spectrum.py::test_conjugation_check_reads_the_last_"
             "row_block",)),
     Mutant("two-way-first-block-only", "checks.py",
-           "for s in range(0, ring.n, _ROWS):\n"
-           "        # bad[x, y]",
-           "for s in range(0, _ROWS, _ROWS):\n"
-           "        # bad[x, y]",
+           "for block, num in b_blocks(ring, Q):\n"
+           "        # bad[j, y]",
+           "for block, num in [next(b_blocks(ring, Q))]:\n"
+           "        # bad[j, y]",
            ("tests/test_spectrum.py::test_two_way_check_reads_the_last_row_"
             "block",)),
     Mutant("m-shift-first-block-only", "checks.py",
-           "for i in range(0, ring.n, _ROWS):",
-           "for i in range(0, _ROWS, _ROWS):",
+           "for _, rows in b_blocks(ring, Q):\n"
+           "        if rows.min() < 0",
+           "for _, rows in [next(b_blocks(ring, Q))]:\n"
+           "        if rows.min() < 0",
            ("tests/test_spectrum.py::test_m_shift_check_reads_the_last_row_"
             "block",)),
+    Mutant("rxy-first-block-only", "checks.py",
+           "for block, counts in b_blocks(ring, ClassDistribution.uniform(ring)):",
+           "for block, counts in [next(b_blocks(ring, ClassDistribution."
+           "uniform(ring)))]:",
+           ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",)),
+    Mutant("rxy-without-emptiness", "checks.py",
+           "empty = (counts > 0) != contained",
+           "empty = np.zeros_like(contained)",
+           ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",
+            "tests/test_rings.py::test_rxy_check_catches_a_wrong_poset_or_"
+            "table")),
     Mutant("b-rows-reads-a-row", "chain.py",
-           "np.take(ring.mul, rows[i:i + _ROWS], axis=1).T",
-           "np.take(ring.mul, rows[i:i + _ROWS], axis=0)",
+           "np.take(mul, block, axis=1).T",
+           "np.take(mul, block, axis=0)",
            tuple(f"tests/test_spectrum.py::test_b_rows_equal_the_count_on_"
                  f"{case}" for case in ("fixed_rings[M2(F3)-int64]",
                                         "fixed_rings[B2(F5)-object]",

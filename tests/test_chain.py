@@ -243,8 +243,8 @@ def test_object_path_matches_fractions_and_passes_verify(monkeypatch):
         [alpha / r.n + (1 - alpha) * v for v in row] for row in oracle]
     suite = full_suite(r, q, alpha, T=3)
     assert all(ok for _, ok, _ in suite), suite
-    monkeypatch.setattr(checks, "b_rows",
-                        corrupted_reader(checks.b_rows, corrupt_b_negative))
+    monkeypatch.setattr(checks, "b_blocks",
+                        corrupted_reader(checks.b_blocks, corrupt_b_negative))
     assert check_m_shift(r, q, alpha) == \
         (False, "a row of B or M is not a probability vector")
 
@@ -387,8 +387,8 @@ assert False, "this script must run under python -O"
      "InvariantViolation"),
     # Q read off B[1, U] differs within a class of units
     ("b = build_B(r := matrix_ring(3), ClassDistribution.uniform(r));"
-     " b.matrix.num[r.one, r.units[-1]] += 1; spectrum.b_rows = "
-     "lambda r, q, rows: b.matrix.num[list(rows)]; "
+     " b.matrix.num[r.one, r.units[-1]] += 1; spectrum.b_blocks = "
+     "lambda r, q, rows: [(rows, b.matrix.num[list(rows)])]; "
      "spectrum.block_spectrum(r, ClassDistribution.uniform(r))",
      "InvariantViolation"),
     # the lumped solution with half of one class's mass moved to the next

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -129,6 +130,36 @@ def test_output_dir_env(tmp_path):
         env={**os.environ, "RINGWALK_OUTPUT_DIR": str(tmp_path)})
     assert proc.returncode == 0
     assert (tmp_path / "sub" / "r.txt").exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_out_file_has_the_mode_of_a_plain_open(tmp_path, umask):
+    """The report file gets 0o666 & ~umask, as open() would give it, not
+    the 0o600 of the temporary file it is renamed from."""
+    out_file, plain = tmp_path / "r.txt", tmp_path / "plain.txt"
+    old = os.umask(umask)
+    try:
+        assert cli.main(["describe", "--ring", "zn", "--n", "6", "--out",
+                         str(out_file)]) == 0
+        plain.write_text("")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in (out_file, plain)}
+    assert modes == {0o666 & ~umask}
+
+
+@pytest.mark.parametrize("target", ["directory", "parent-under-a-file"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, target):
+    """An --out that names a directory, or whose parent cannot be made,
+    exits 2 with a config error on field 'out' and leaves no .tmp file."""
+    (tmp_path / "file").write_text("")
+    out = {"directory": tmp_path,
+           "parent-under-a-file": tmp_path / "file" / "sub" / "r.txt"}[target]
+    code = cli.main(["describe", "--ring", "zn", "--n", "6", "--out",
+                     str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error: field 'out': "), err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # ---------------------------------------------------------------------
@@ -271,7 +302,7 @@ def test_config_file_shared_across_commands(tmp_path):
 ])
 def test_command_diagonalizes_b_once(monkeypatch, argv):
     """No command builds B or M: the checks and the spectrum read row
-    blocks of B from the table (chain.b_rows), and no TransitionMatrix is
+    blocks of B from the table (chain.b_blocks), and no TransitionMatrix is
     made.  B is diagonalized at most once, by its diagonal blocks for the
     spectrum table; no check diagonalizes an n x n matrix."""
     from ringwalk import chain, spectrum
@@ -319,13 +350,14 @@ def test_spectrum_reads_only_the_diagonal_blocks(monkeypatch, kind, param,
     from ringwalk import spectrum
 
     served = []
-    b_rows = spectrum.b_rows
+    b_blocks = spectrum.b_blocks
 
-    def recorded(ring, Q, rows):
-        served.append(list(map(int, rows)))
-        return b_rows(ring, Q, rows)
+    def recorded(ring, Q, rows=None):
+        for block, num in b_blocks(ring, Q, rows):
+            served.append(list(map(int, block)))
+            yield block, num
 
-    monkeypatch.setattr(spectrum, "b_rows", recorded)
+    monkeypatch.setattr(spectrum, "b_blocks", recorded)
     assert cli.main(["spectrum", "--alpha", "1/2", "--ring", kind,
                      f"--{param}", str(value)]) == 0
     r = cli.ring_from_descriptor({"kind": kind, param: value})
@@ -356,12 +388,14 @@ def corrupt_b_negative(num, x=5):
     return num
 
 
-def corrupted_reader(b_rows, corrupt):
-    """A chain.b_rows that serves its rows from corrupt(B's numerators),
-    with the whole B read through b_rows on each call."""
-    def read(ring, Q, rows):
-        num = corrupt(b_rows(ring, Q, range(ring.n)))
-        return num[np.asarray(rows, dtype=np.intp)]
+def corrupted_reader(b_blocks, corrupt):
+    """A chain.b_blocks that serves the blocks it reads from
+    corrupt(B's numerators), with the whole B read through b_blocks on
+    each call."""
+    def read(ring, Q, rows=None):
+        num = corrupt(np.concatenate([b for _, b in b_blocks(ring, Q)]))
+        for block, _ in b_blocks(ring, Q, rows):
+            yield block, num[block]
     return read
 
 
@@ -387,18 +421,19 @@ def corrupt_output(corrupt):
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 @pytest.mark.parametrize("target, wrap, check", [
-    ("b_rows", lambda f: corrupted_reader(f, corrupt_b), "spectrum-two-way"),
+    ("b_blocks", lambda f: corrupted_reader(f, corrupt_b),
+     "spectrum-two-way"),
     ("ring_from_descriptor", corrupt_output(corrupt_id_of),
      "spectrum-two-way"),
     ("_gl2_rows", corrupt_output(corrupt_closed_form), "spectrum-gl2"),
-    ("b_rows", lambda f: corrupted_reader(f, corrupt_b_negative),
+    ("b_blocks", lambda f: corrupted_reader(f, corrupt_b_negative),
      "spectrum-m-shift"),
 ], ids=["B-entry", "id_of-label", "closed-form", "B-negative"])
 def test_corruption_fails_its_check(monkeypatch, capsys, command, target,
                                     wrap, check):
     from ringwalk import checks, spectrum
 
-    mods = {"b_rows": (checks, spectrum), "ring_from_descriptor": (cli,),
+    mods = {"b_blocks": (checks, spectrum), "ring_from_descriptor": (cli,),
             "_gl2_rows": (spectrum,)}[target]
     patched = wrap(getattr(mods[0], target))
     for mod in mods:
@@ -410,6 +445,20 @@ def test_corruption_fails_its_check(monkeypatch, capsys, command, target,
     failed = [name for name, status, _ in rep["checks"] if status == "FAIL"]
     assert code == 1 and check in failed, (failed, err)
     assert "Traceback" not in err
+
+
+def test_eigensolve_failure_exits_2(monkeypatch, capsys):
+    """A LAPACK non-convergence on B2(F3)'s unit block, which has no
+    character table, is an error of the run (exit 2), not a failed check
+    (exit 1) or a traceback."""
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    argv = ["spectrum", "--ring", "upper_triangular", "--q", "3"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: Eigenvalues did not converge\n"
 
 
 def test_bad_q_weights_rejected():
@@ -722,11 +771,11 @@ def test_m2f7_spectrum_reads_the_unit_block_from_characters(monkeypatch,
 def test_spectrum_checks_its_caps_before_building_b(monkeypatch, capsys,
                                                     ring, message):
     # 12 units exceed a cap of 10 (Z_13's abelian table, B2(F3)'s LAPACK
-    # unit block): exit 2 before any row of B is read, as a b_rows call
+    # unit block): exit 2 before any row of B is read, as a b_blocks call
     # would crash
     monkeypatch.setattr(cli.spectrum, "EIG_CAP", 10)
-    monkeypatch.setattr(cli.spectrum, "b_rows", None)
-    monkeypatch.setattr(cli.checks, "b_rows", None)
+    monkeypatch.setattr(cli.spectrum, "b_blocks", None)
+    monkeypatch.setattr(cli.checks, "b_blocks", None)
     assert cli.main(["spectrum"] + ring.split()) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

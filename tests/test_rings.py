@@ -438,6 +438,31 @@ def test_rxy_check_catches_a_wrong_poset_or_table():
     assert not ok and "LAnn" in detail
 
 
+def test_rxy_check_reads_the_last_row_block(monkeypatch):
+    """One count moved in row y of the uniform B on M2(F3), y a non-unit
+    past the first 64 rows the check reads: R_{u,y} gains a unit u, which
+    lies outside I_y, and R_{0,y} = LAnn(y) loses one of its 9 elements.
+    The emptiness test comes first and names (u, y)."""
+    from ringwalk import checks
+    from test_cli import corrupted_reader
+    ring = matrix_ring(3)
+    y = max(set(range(ring.n)) - set(ring.units.tolist()))
+    u = int(ring.units[0])
+
+    def corrupt(num):
+        num = num.copy()
+        num[y, u] += 1
+        num[y, ring.zero] -= 1
+        return num
+
+    assert check_rxy_sizes(ring) == (True, "exhaustive")
+    monkeypatch.setattr(checks, "b_blocks",
+                        corrupted_reader(checks.b_blocks, corrupt))
+    assert y >= 64 and len(ring.lann(y)) == 9
+    assert check_rxy_sizes(ring) == \
+        (False, f"emptiness of R_{{{u},{y}}} disagrees with the poset")
+
+
 def witnesses_per_element(ring):
     """check_witnesses one element at a time: U x as a set, for every x in
     every S_a."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ringwalk import checks, cli, spectrum
 from ringwalk.chain import (
     ClassDistribution,
+    b_blocks,
     b_rows,
     build_B,
     build_M,
@@ -456,7 +457,8 @@ def test_conjugation_check_uses_every_generator(monkeypatch):
             num[h, ring.mul[h, e]] -= 1
         return num
 
-    monkeypatch.setattr(checks, "b_rows", corrupted_reader(b_rows, corrupt))
+    monkeypatch.setattr(checks, "b_blocks",
+                        corrupted_reader(b_blocks, corrupt))
     perm, num = ring.mul[g, :], corrupt(b_rows(ring, Q, range(ring.n)))
     assert np.array_equal(num[np.ix_(perm, perm)], num)
     assert not check_conjugation_invariance(ring, Q)[0]
@@ -478,7 +480,8 @@ def test_conjugation_check_reads_the_last_row_block(monkeypatch):
         return num
 
     assert check_conjugation_invariance(ring, Q)[0]
-    monkeypatch.setattr(checks, "b_rows", corrupted_reader(b_rows, corrupt))
+    monkeypatch.setattr(checks, "b_blocks",
+                        corrupted_reader(b_blocks, corrupt))
     assert ring.units.min() >= 81
     assert not check_conjugation_invariance(ring, Q)[0]
 
@@ -500,7 +503,8 @@ def test_two_way_check_reads_the_last_row_block(monkeypatch):
         return num
 
     assert check_spectrum_two_way(ring, Q)[0]
-    monkeypatch.setattr(checks, "b_rows", corrupted_reader(b_rows, corrupt))
+    monkeypatch.setattr(checks, "b_blocks",
+                        corrupted_reader(b_blocks, corrupt))
     assert x >= 64
     assert check_spectrum_two_way(ring, Q) == \
         (False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}")
@@ -514,9 +518,9 @@ def test_m_shift_check_reads_the_last_row_block(monkeypatch):
     Q = seeded_q(ring, 1)
     assert check_m_shift(ring, Q, Fr(1, 2))[0]
     x = ring.n - 1
-    monkeypatch.setattr(checks, "b_rows", corrupted_reader(
-        b_rows, lambda num: corrupt_b_negative(num, x)))
-    assert x >= 64 and checks.b_rows(ring, Q, [x]).min() < 0
+    monkeypatch.setattr(checks, "b_blocks", corrupted_reader(
+        b_blocks, lambda num: corrupt_b_negative(num, x)))
+    assert x >= 64 and next(checks.b_blocks(ring, Q, [x]))[1].min() < 0
     assert check_m_shift(ring, Q, Fr(1, 2)) == \
         (False, "a row of B or M is not a probability vector")
 

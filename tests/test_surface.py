@@ -149,3 +149,15 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
              for name, entries in defs.items() for label, params in entries
              for _, p in params if (name, p) not in is_set}
     assert unset == set(KNOB_EXEMPT)
+
+
+def test_every_error_class_derives_from_ringwalk_error():
+    """cli.main turns a RingwalkError into exit 2 with its message; an
+    error class of errors.py outside that family would reach the user as a
+    traceback with exit 1, the code of a failed check."""
+    from ringwalk import errors
+    tree = ast.parse((ROOT / "src" / "ringwalk" / "errors.py").read_text())
+    names = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert "ConvergenceFailure" in names
+    assert [name for name in names if not issubclass(
+        getattr(errors, name), errors.RingwalkError)] == []
