@@ -203,9 +203,11 @@ def cmd_describe(cfg) -> dict:
     for a in ring.phi:
         a = int(a)
         sa = ring.s_set(a)
-        is_unit = a in ring.unit_set
-        mf = "-" if is_unit else \
-            ("yes" if spectrum.is_multiplicity_free_nonunit(ring, a) else "no")
+        mf = "-"
+        if a not in ring.unit_set:
+            with _naming("ring"):
+                free = spectrum.is_multiplicity_free_nonunit(ring, a)
+            mf = "yes" if free else "no"
         f_reps = ";".join(str(int(part.reps[c])) for c in ring.f_set(a))
         rows.append((a, ring.element_name(a),
                      int(ring.ideals.masks[ring.ideals.id_of[a]].sum()),
@@ -228,7 +230,8 @@ def cmd_spectrum(cfg) -> dict:
     rep = reports.new_report("spectrum")
     rep["meta"]["ring"] = ring.label
     rep["meta"]["n"] = str(ring.n)
-    rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
+    with _naming("ring"):
+        rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
     detail = spectrum.block_spectrum(ring, Q, tau)
     reports.add_check(rep, "spectrum-two-way",
                       *checks.check_spectrum_two_way(ring, Q))
@@ -354,7 +357,9 @@ def cmd_verify(cfg) -> dict:
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha),
                         "Q": "uniform" if Q == ClassDistribution.uniform(ring)
                         else "custom"})
-    for name, ok, detail in checks.full_suite(ring, Q, alpha, T, eps_list):
+    with _naming("ring"):       # the mult-free check's cap on |S_a|
+        suite = checks.full_suite(ring, Q, alpha, T, eps_list)
+    for name, ok, detail in suite:
         reports.add_check(rep, name, ok, detail)
     return rep
 

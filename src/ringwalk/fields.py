@@ -14,15 +14,14 @@ lookup.  gf(p, k) builds each field once and shares it; it is immutable
 and safe to share between threads.  Table lookups are numpy integers:
 convert them with int() before they reach a label.
 
-Character values are kept as exact angles (fractions of a full turn) and only
-materialized to complex floats at linear-algebra boundaries, so orthogonality
-sums do not accumulate premature rounding.
+A character value is an exact angle, an integer a over m = |F| - 1 for
+exp(2 pi i a / m); roots_of_unity makes it a complex float only at
+linear-algebra boundaries, so orthogonality sums do not round early.
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -155,35 +154,35 @@ def gf(p: int, k: int = 1) -> GF:
     return GF(p, k)
 
 
-def char_angle(field: GF, k: int, x: int) -> Fraction:
-    """Angle, as an exact fraction of a full turn, of the multiplicative
-    character of index k at the unit x: with g the field's generator and
-    m = |F| - 1, g^j goes to k*j/m mod 1.  Index 0 is the trivial
-    character."""
+def char_angle(field: GF, k: int, x: int) -> int:
+    """Angle of the multiplicative character of index k at the unit x, as
+    an integer numerator over m = |F| - 1: with g the field's generator,
+    g^j goes to k*j mod m.  Index 0 is the trivial character."""
     if x == 0:
         raise ZeroElement("0 is not in the multiplicative group")
     m = field.size - 1
-    return Fraction((k * int(field.dlog[x])) % m, m)
+    return k * int(field.dlog[x]) % m
 
 
-def angle_to_complex(theta: Fraction) -> complex:
-    """exp(2*pi*i*theta) with exact handling of the rational right angles.
+def roots_of_unity(m: int) -> np.ndarray:
+    """exp(2 pi i a / m) for a = 0 .. m - 1, a complex array, exact at the
+    rational right angles.
 
-    theta and -theta map to exact complex conjugates, so a fixed-order sum
-    over negated angles is the exact conjugate of the sum over the
-    angles."""
-    theta = theta % 1
-    if theta > Fraction(1, 2):
-        return angle_to_complex(1 - theta).conjugate()
-    if theta == 0:
-        return complex(1, 0)
-    if theta == Fraction(1, 2):
-        return complex(-1, 0)
-    if theta == Fraction(1, 4):
-        return complex(0, 1)
-    if theta == Fraction(3, 4):
-        return complex(0, -1)
-    return cmath.exp(2j * cmath.pi * float(theta))
+    Entry m - a is the exact conjugate of entry a, so a fixed-order sum over
+    negated angles is the exact conjugate of the sum over the angles."""
+    out = np.empty(m, dtype=np.complex128)
+    for a in range(m):
+        if 2 * a > m:
+            out[a] = out[m - a].conjugate()
+        elif a == 0:
+            out[a] = complex(1, 0)
+        elif 2 * a == m:
+            out[a] = complex(-1, 0)
+        elif 4 * a == m:
+            out[a] = complex(0, 1)
+        else:
+            out[a] = cmath.exp(2j * cmath.pi * (a / m))
+    return out
 
 
 def frobenius_twist_index(ext: GF, k: int) -> int:

@@ -14,31 +14,34 @@ Covers odd primes q.  Class and representation families:
     non-decomposable extension characters.
 
 F_q and F_{q^2} are the tables gf(q) and gf(q, 2); an element of F_q is
-the same index, below q, in both.  Character values are assembled from
-exact angle fractions and mapped to complex (so orthogonality holds to
-rounding error) or to F_p at the end.
+the same index, below q, in both.  The character table is built once,
+exactly (char_terms), and read in complex floats, orthogonal to rounding
+error, or in F_p (CharacterTable.values and CharacterTable.image).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InvariantViolation, UnknownCase, UnsupportedQ
 from .fields import (
-    angle_to_complex,
     char_angle,
     frobenius_twist_index,
     gf,
     is_prime,
+    roots_of_unity,
 )
+
+
+CLASS_KINDS = ("central", "unipotent", "split", "anisotropic")
 
 
 @dataclass(frozen=True)
 class ConjClass:
-    kind: str        # central | unipotent | split | anisotropic
+    kind: str        # one of CLASS_KINDS
     params: tuple    # (x,) | (x,) | (x, y) with x < y | (alpha_index,)
     size: int
     rep: tuple       # 2x2 matrix entries (a, b, c, d) over F_q
@@ -129,69 +132,44 @@ def irreps(q: int):
     return reps
 
 
-def char_value(q: int, rep: Irrep, cls: ConjClass, root=angle_to_complex):
-    """Single character-table entry from exact angles.
+def char_terms(q: int, rep: Irrep, cls: ConjClass) -> tuple:
+    """Single character-table entry (Fulton & Harris 5.2) as exact integer
+    terms ((c0, a0), (c1, a1)): c0 zeta^a0 + c1 zeta^a1, zeta a primitive
+    m-th root of unity, m = q^2 - 1, 0 <= a < m.  A term with c = 0 is
+    absent; two present terms share one coefficient, 1 or -1.
 
-    root maps an angle theta (a fraction of a full turn) to exp(2 pi i
-    theta): complex by default, or in F_p (spectrum.gl2_spectrum_mod_p).
-    """
-    F = gf(q)
-    ext = gf(q, 2)
+    c depends on the irrep and class kinds alone.  A term's root is the
+    irrep's character at the class's eigenvalues (e1, e2), (x, y) or
+    (alpha, alpha^q): alpha(e1 e2) for a det or Steinberg twist,
+    alpha(e1) beta(e2) for a principal series and nu(e1) for a cuspidal,
+    these two summed over both orders of distinct eigenvalues."""
+    F, ext = gf(q), gf(q, 2)
+    m = ext.size - 1
+    coefs = {            # central, unipotent, split, anisotropic
+        "det": (1, 1, 1, 1),
+        "steinberg": (q, 0, 1, -1),
+        "principal": (q + 1, 1, 1, 0),
+        "cuspidal": (q - 1, -1, 0, -1),
+    }
+    if rep.kind not in coefs:
+        raise UnknownCase(f"unknown irrep kind {rep.kind}")
+    c = coefs[rep.kind][CLASS_KINDS.index(cls.kind)]
+    x = cls.params[0]
+    y = ext.frobenius(x) if cls.kind == "anisotropic" else cls.params[-1]
 
-    def chi(k, x):
-        return char_angle(F, k, x)
+    def angle(e1, e2):      # over m; an angle over q - 1 is q + 1 times it
+        if rep.kind == "cuspidal":
+            return char_angle(ext, rep.params[0], e1)
+        if rep.kind == "principal":
+            k1, k2 = rep.params
+            return (char_angle(F, k1, e1) + char_angle(F, k2, e2)) * (q + 1)
+        return char_angle(F, rep.params[0], int(ext.mul[e1, e2])) * (q + 1)
 
-    def nu(k, a):
-        return char_angle(ext, k, a)
-
-    kind, params = rep.kind, rep.params
-    if kind == "det":
-        (k,) = params
-        if cls.kind in ("central", "unipotent"):
-            return root(2 * chi(k, cls.params[0]))
-        if cls.kind == "split":
-            x, y = cls.params
-            return root(chi(k, x) + chi(k, y))
-        (a,) = cls.params
-        return root(chi(k, ext.norm(a)))
-    if kind == "steinberg":
-        (k,) = params
-        if cls.kind == "central":
-            return q * root(2 * chi(k, cls.params[0]))
-        if cls.kind == "unipotent":
-            return 0
-        if cls.kind == "split":
-            x, y = cls.params
-            return root(chi(k, x) + chi(k, y))
-        (a,) = cls.params
-        return -root(chi(k, ext.norm(a)))
-    if kind == "principal":
-        k1, k2 = params
-        if cls.kind == "central":
-            x = cls.params[0]
-            return (q + 1) * root(chi(k1, x) + chi(k2, x))
-        if cls.kind == "unipotent":
-            x = cls.params[0]
-            return root(chi(k1, x) + chi(k2, x))
-        if cls.kind == "split":
-            x, y = cls.params
-            return (root(chi(k1, x) + chi(k2, y))
-                    + root(chi(k1, y) + chi(k2, x)))
-        return 0
-    if kind == "cuspidal":
-        (k,) = params
-        if cls.kind == "central":
-            x = cls.params[0]
-            return (q - 1) * root(nu(k, x))
-        if cls.kind == "unipotent":
-            x = cls.params[0]
-            return -root(nu(k, x))
-        if cls.kind == "split":
-            return 0
-        (a,) = cls.params
-        return -(root(nu(k, a))
-                 + root(nu(k, ext.frobenius(a))))
-    raise UnknownCase(f"unknown irrep kind {kind}")
+    if c == 0:
+        return (0, 0), (0, 0)
+    if x == y or rep.kind in ("det", "steinberg"):
+        return (c, angle(x, y) % m), (0, 0)
+    return (c, angle(x, y) % m), (c, angle(y, x) % m)
 
 
 def _trace_det(entries, q: int) -> tuple:
@@ -200,7 +178,9 @@ def _trace_det(entries, q: int) -> tuple:
 
 
 class CharacterTable:
-    """Full character table of GL2(F_q), rows = irreps, columns = classes."""
+    """Full character table of GL2(F_q), rows = irreps, columns = classes:
+    terms holds each entry exactly, as char_terms gives it, in an int64
+    (irreps x classes x 2 x 2) array."""
 
     def __init__(self, q: int):
         _require_odd_prime(q)
@@ -209,8 +189,8 @@ class CharacterTable:
         self.irreps = irreps(q)
         self.group_order = (q * q - 1) * (q * q - q)
         self.class_sizes = np.array([c.size for c in self.classes])
-        self.values = np.array(
-            [[char_value(q, r, c) for c in self.classes] for r in self.irreps])
+        self.terms = np.array([[char_terms(q, r, c) for c in self.classes]
+                               for r in self.irreps], dtype=np.int64)
         self._class_index = {(c.kind, c.params): i
                              for i, c in enumerate(self.classes)}
         self._irrep_index = {(r.kind, r.params): i
@@ -221,6 +201,25 @@ class CharacterTable:
         if len(self._by_charpoly) != len(self.classes) - (q - 1):
             raise InvariantViolation(f"GL2(F_{q}): two non-central classes "
                                      f"share a characteristic polynomial")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The table in complex floats, zeta^a read off roots_of_unity.
+        Each entry is formed as its closed form reads, which fixes its
+        signed zeros: two terms are summed from the first, a sign of -1
+        goes outside that sum, and 1 or -1 multiplies nothing."""
+        coef, angle = self.terms[..., 0], self.terms[..., 1]
+        roots = roots_of_unity(self.q * self.q - 1)[angle]
+        s = np.where(coef[..., 1] != 0, roots[..., 0] + roots[..., 1],
+                     roots[..., 0])
+        c = coef[..., 0]
+        return np.select([c == 1, c == -1, c != 0], [s, -s, c * s], 0)
+
+    def image(self, powers: np.ndarray, p: int) -> np.ndarray:
+        """The table in F_p, an int64 array of residues in [0, p): zeta^a
+        read as powers[a], the powers of an element of order q^2 - 1."""
+        coef, angle = self.terms[..., 0], self.terms[..., 1]
+        return (coef * powers[angle]).sum(axis=-1) % p
 
     def class_index(self, kind: str, params: tuple) -> int:
         return self._class_index[(kind, params)]

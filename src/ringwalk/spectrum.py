@@ -13,8 +13,10 @@
    unit_group_characters has a table; the other blocks, and the unit block
    of a ring with no table, go to eig_numeric.
 3. gl2_spectrum: closed-form eigenvalues for M2(F_q), odd prime q, from the
-   GL2 character table, with predicted multiplicities.  gl2_spectrum_mod_p
-   is its twin in F_p, checked against power_traces_mod_p exactly.
+   GL2 character table, with predicted multiplicities.  The table is built
+   once, exactly (gl2.CharacterTable); gl2_spectrum reads it in complex
+   floats, and its twin gl2_spectrum_mod_p reads the same table in F_p and
+   is checked against power_traces_mod_p exactly.
 4. is_multiplicity_free_nonunit: one exact route, |S_a| <= EIG_CAP, with
    no character table: U_R's orbital algebra on S_a, decided on one row.
 """
@@ -36,7 +38,7 @@ from .errors import (
     TooLarge,
     UnsupportedQ,
 )
-from .fields import angle_to_complex, is_prime, primitive_root
+from .fields import is_prime, primitive_root, roots_of_unity
 from .mixing import class_products
 from .rings import FiniteRing, orbit_labels
 
@@ -160,7 +162,7 @@ def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
     omega_chi = sum_u Q(u) chi(u) / chi(1) (Diaconis & Shahshahani 1981).
     Only the row B[1, U] is read as floats.  Each omega_chi is a fixed-order
     numpy sum over the units, with no BLAS call; conjugate characters hold
-    exactly conjugate values (fields.angle_to_complex), so their omegas are
+    exactly conjugate values (fields.roots_of_unity), so their omegas are
     exact conjugates, as LAPACK returns the eigenvalue pairs of a real
     matrix.  A ring with no character table has its block B[U, U]
     diagonalized by eig_numeric instead.
@@ -330,28 +332,22 @@ def gl2_spectrum_mod_p(ring: FiniteRing, Q: ClassDistribution):
     (block, irrep label, D * eigenvalue mod p, multiplicity).
 
     p is the least prime above q^4 with p = 1 (mod q^2 - 1), so F_p has a
-    primitive (q^2 - 1)-th root of unity zeta; the angle a/(q^2 - 1) maps
-    to zeta^a, a ring map on the cyclotomic integers holding the character
-    values.  D, the lcm of Q's class-weight denominators, makes D * Q and
-    so D * eigenvalue integral there.
+    primitive (q^2 - 1)-th root of unity zeta.  The rows read the same exact
+    character table as gl2_spectrum, in F_p: its terms c zeta^a map to
+    c * zeta^a mod p (gl2.CharacterTable.image), a ring map on the
+    cyclotomic integers holding the character values.  D, the lcm of Q's
+    class-weight denominators, makes D * Q and so D * eigenvalue integral
+    there.
     """
     q = gl2.require_m2_ring(ring)
     m = q * q - 1
     p = next(p for p in itertools.count(m * (q ** 4 // m) + 1, m)
              if p > q ** 4 and is_prime(p))
     zeta = pow(primitive_root(p), (p - 1) // m, p)
-
-    def root(theta):
-        a = theta * m
-        if a.denominator != 1:
-            raise InvariantViolation(f"angle {theta} is not a multiple of "
-                                     f"1/{m}")
-        return pow(zeta, int(a) % m, p)
-
+    powers = np.array([pow(zeta, a, p) for a in range(m)], dtype=np.int64)
     D = lcm(*(w.denominator for w in Q.weights))
-    rows = _gl2_rows(ring, Q, lambda tab: np.array(
-        [[gl2.char_value(q, r, c, root) % p for c in tab.classes]
-         for r in tab.irreps]), lambda w: int(w * D) % p)
+    rows = _gl2_rows(ring, Q, lambda tab: tab.image(powers, p),
+                     lambda w: int(w * D) % p)
     return p, D, [(block, label, int(s) * pow(dim, -1, p) % p, mult)
                   for block, label, dim, s, mult in rows]
 
@@ -409,9 +405,7 @@ def unit_group_characters(ring: FiniteRing):
     chars = None
     desc = ring.descriptor
     if ring.units_abelian:
-        m = len(ring.units)
-        roots = np.array([angle_to_complex(Fraction(k, m)) for k in range(m)])
-        chars = roots[_abelian_characters(ring)]
+        chars = roots_of_unity(len(ring.units))[_abelian_characters(ring)]
     elif desc.get("kind") == "matrix" and desc.get("size") == 2 \
             and desc["q"] != 2 and is_prime(desc["q"]):
         tab = gl2.character_table(desc["q"])

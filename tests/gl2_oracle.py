@@ -1,18 +1,132 @@
-"""Paper facts on GL2(F_q) and M2(F_q) as test oracles: Ind_P^G 1 over the
-mirabolic subgroup P, and the class functions F on span(S_A)."""
+"""Paper facts on GL2(F_q) and M2(F_q) as test oracles: the character
+table entry by entry from Fraction angles, Ind_P^G 1 over the mirabolic
+subgroup P, and the class functions F on span(S_A)."""
+
+import cmath
+from fractions import Fraction
 
 import numpy as np
 
-from ringwalk.errors import InvariantViolation
+from ringwalk.errors import InvariantViolation, UnknownCase
+from ringwalk.fields import gf
 from ringwalk.gl2 import (
     character_table,
     classify_nonunit_class,
+    conj_classes,
     irreps,
     matrix_rank,
     require_m2_ring,
 )
 
 from ring_oracle import mul_counts_by_loop
+
+
+def angle_fraction(field, k: int, x: int) -> Fraction:
+    """The angle of the character of index k at the unit x, as a fraction
+    of a full turn: g^j goes to k*j/m mod 1, g the field's generator and
+    m = |F| - 1."""
+    m = field.size - 1
+    return Fraction(k * int(field.dlog[x]) % m, m)
+
+
+def angle_to_complex(theta: Fraction) -> complex:
+    """exp(2*pi*i*theta), exact at the rational right angles; theta and
+    -theta map to exact complex conjugates."""
+    theta = theta % 1
+    if theta > Fraction(1, 2):
+        return angle_to_complex(1 - theta).conjugate()
+    if theta == 0:
+        return complex(1, 0)
+    if theta == Fraction(1, 2):
+        return complex(-1, 0)
+    if theta == Fraction(1, 4):
+        return complex(0, 1)
+    return cmath.exp(2j * cmath.pi * float(theta))
+
+
+def char_value(q: int, rep, cls, root=angle_to_complex):
+    """Single character-table entry of GL2(F_q) (Fulton & Harris, section
+    5.2), each angle theta a fraction of a full turn mapped by root to
+    exp(2 pi i theta): complex by default, or in F_p (table_mod_p)."""
+    F = gf(q)
+    ext = gf(q, 2)
+
+    def chi(k, x):
+        return angle_fraction(F, k, x)
+
+    def nu(k, a):
+        return angle_fraction(ext, k, a)
+
+    kind, params = rep.kind, rep.params
+    if kind == "det":
+        (k,) = params
+        if cls.kind in ("central", "unipotent"):
+            return root(2 * chi(k, cls.params[0]))
+        if cls.kind == "split":
+            x, y = cls.params
+            return root(chi(k, x) + chi(k, y))
+        (a,) = cls.params
+        return root(chi(k, ext.norm(a)))
+    if kind == "steinberg":
+        (k,) = params
+        if cls.kind == "central":
+            return q * root(2 * chi(k, cls.params[0]))
+        if cls.kind == "unipotent":
+            return 0
+        if cls.kind == "split":
+            x, y = cls.params
+            return root(chi(k, x) + chi(k, y))
+        (a,) = cls.params
+        return -root(chi(k, ext.norm(a)))
+    if kind == "principal":
+        k1, k2 = params
+        if cls.kind == "central":
+            x = cls.params[0]
+            return (q + 1) * root(chi(k1, x) + chi(k2, x))
+        if cls.kind == "unipotent":
+            x = cls.params[0]
+            return root(chi(k1, x) + chi(k2, x))
+        if cls.kind == "split":
+            x, y = cls.params
+            return (root(chi(k1, x) + chi(k2, y))
+                    + root(chi(k1, y) + chi(k2, x)))
+        return 0
+    if kind == "cuspidal":
+        (k,) = params
+        if cls.kind == "central":
+            x = cls.params[0]
+            return (q - 1) * root(nu(k, x))
+        if cls.kind == "unipotent":
+            x = cls.params[0]
+            return -root(nu(k, x))
+        if cls.kind == "split":
+            return 0
+        (a,) = cls.params
+        return -(root(nu(k, a))
+                 + root(nu(k, ext.frobenius(a))))
+    raise UnknownCase(f"unknown irrep kind {kind}")
+
+
+def table_values(q: int) -> np.ndarray:
+    """The complex character table of GL2(F_q), irreps x classes."""
+    return np.array([[char_value(q, r, c) for c in conj_classes(q)]
+                     for r in irreps(q)])
+
+
+def table_mod_p(q: int, p: int, zeta: int) -> np.ndarray:
+    """The character table in F_p, zeta of order m = q^2 - 1 in F_p standing
+    for exp(2 pi i / m): the angle a/m maps to zeta^a."""
+    m = q * q - 1
+
+    def root(theta):
+        a = theta * m
+        if a.denominator != 1:
+            raise InvariantViolation(f"angle {theta} is not a multiple of "
+                                     f"1/{m}")
+        return pow(zeta, int(a) % m, p)
+
+    return np.array([[char_value(q, r, c, root) % p for c in conj_classes(q)]
+                     for r in irreps(q)])
 
 
 def ring_element_index(ring, entries) -> int:

@@ -112,6 +112,17 @@ MUTANTS = (
            ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",
             "tests/test_rings.py::test_rxy_check_catches_a_wrong_poset_or_"
             "table")),
+    Mutant("table-image-drops-coefficients", "gl2.py",
+           "return (coef * powers[angle]).sum(axis=-1) % p",
+           "return (powers[angle] * (coef != 0)).sum(axis=-1) % p",
+           ("tests/test_gl2.py::test_table_readings_equal_the_oracle",
+            "tests/test_spectrum.py::test_gl2_check_passes_and_matches_"
+            "lapack[2-5]")),
+    Mutant("table-values-summed-from-zero", "gl2.py",
+           "return np.select([c == 1, c == -1, c != 0], [s, -s, c * s], 0)",
+           "return 0 + np.select([c == 1, c == -1, c != 0], [s, -s, c * s],"
+           " 0)",
+           ("tests/test_gl2.py::test_table_readings_equal_the_oracle",)),
     Mutant("b-rows-reads-a-row", "chain.py",
            "np.take(mul, block, axis=1).T",
            "np.take(mul, block, axis=0)",

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringwalk import cli, reports
+from ringwalk import cli, gl2, reports
 from ringwalk.errors import ConfigError
 
 
@@ -777,7 +777,28 @@ def test_spectrum_checks_its_caps_before_building_b(monkeypatch, capsys,
     monkeypatch.setattr(cli.spectrum, "b_blocks", None)
     monkeypatch.setattr(cli.checks, "b_blocks", None)
     assert cli.main(["spectrum"] + ring.split()) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == \
+        f"config error: field 'ring': {message}\n"
+
+
+@pytest.mark.parametrize("command", ["describe", "verify"])
+def test_mult_free_cap_names_the_ring(monkeypatch, capsys, command):
+    # S_5 = {5, 10, 15, 20} in Z_25 exceeds an orbital-index cap of 3
+    monkeypatch.setattr(cli.spectrum, "EIG_CAP", 3)
+    assert cli.main([command, "--ring", "zn", "--n", "25"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'ring': orbital index capped at |S_a| = 3, "
+        "got |S_5| = 4\n")
+
+
+def test_verify_builds_no_complex_character_table(capsys):
+    """verify reads the GL2 table in F_p only; spectrum reads it in complex
+    floats too."""
+    gl2.character_table.cache_clear()
+    assert cli.main(["verify", "--ring", "matrix", "--q", "5"]) == 0
+    assert "values" not in vars(gl2.character_table(5))
+    assert cli.main(["spectrum", "--ring", "matrix", "--q", "5"]) == 0
+    assert "values" in vars(gl2.character_table(5))
 
 
 # ---------------------------------------------------------------------

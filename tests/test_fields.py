@@ -2,7 +2,6 @@
 
 import cmath
 import hashlib
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -10,16 +9,16 @@ import pytest
 
 from ringwalk.errors import ElementFieldMismatch, NotPrime, ZeroElement
 from ringwalk.fields import (
-    angle_to_complex,
     char_angle,
     frobenius_twist_index,
     gf,
     primitive_root,
+    roots_of_unity,
 )
 
 
 def char_value(field, k, x):
-    return angle_to_complex(char_angle(field, k, x))
+    return roots_of_unity(field.size - 1)[char_angle(field, k, x)]
 
 
 def mult_order(field, a):
@@ -340,9 +339,16 @@ def test_character_orthogonality_up_to_48():
 def test_character_angles_are_exact():
     e = gf(3, 2)
     g = e.generator
-    assert char_angle(e, 3, g) == Fraction(3, 8)
+    angle = char_angle(e, 3, g)
+    assert type(angle) is int and angle == 3      # 3/8 of a turn
     val = char_value(e, 3, g)
     assert abs(val - cmath.exp(2j * cmath.pi * 3 / 8)) < 1e-15
+
+
+def test_roots_of_unity_are_exact_at_right_angles_and_conjugate():
+    r = roots_of_unity(8)
+    assert [r[0], r[2], r[4], r[6]] == [1, 1j, -1, -1j]
+    assert all(r[8 - a] == r[a].conjugate() for a in range(1, 8))
 
 
 # ---------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from ringwalk.chain import ClassDistribution
 from ringwalk.errors import UnknownCase, UnsupportedQ
 from ringwalk.gl2 import (
+    CharacterTable,
     Irrep,
     character_table,
     classify_nonunit_class,
@@ -14,7 +16,11 @@ from ringwalk.gl2 import (
     rank_one_sigma,
 )
 from ringwalk.rings import matrix_ring
-from ringwalk.spectrum import fixed_point_counts, unit_group_characters
+from ringwalk.spectrum import (
+    fixed_point_counts,
+    gl2_spectrum_mod_p,
+    unit_group_characters,
+)
 
 from gl2_oracle import (
     class_function_F,
@@ -23,6 +29,8 @@ from gl2_oracle import (
     projected_and_F_action,
     rank_one_generators,
     ring_element_index,
+    table_mod_p,
+    table_values,
     y_elements,
 )
 from spectral_oracle import multiplicities
@@ -123,6 +131,33 @@ def test_counts_dims_and_orthogonality():
                 s = np.sum(v[:, c1] * np.conj(v[:, c2]))
                 want = tab.group_order / tab.class_sizes[c1] if c1 == c2 else 0
                 assert abs(s - want) < 1e-10
+
+
+def test_table_readings_equal_the_oracle(monkeypatch):
+    """The exact table read in complex floats is the oracle's entry-by-entry
+    table bit for bit, signed zeros included; read in F_p inside
+    gl2_spectrum_mod_p, it is the oracle's F_p evaluation."""
+    for q in (3, 5, 7, 11):
+        got, want = character_table(q).values, table_values(q)
+        assert got.dtype == want.dtype == np.complex128
+        got, want = got.view(np.float64), want.view(np.float64)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    images = []
+    image = CharacterTable.image
+
+    def recorded(tab, powers, p):
+        images.append((tab.q, int(powers[1]), p, image(tab, powers, p)))
+        return images[-1][-1]
+
+    monkeypatch.setattr(CharacterTable, "image", recorded)
+    for q in (3, 5, 7):
+        ring = matrix_ring(q)
+        gl2_spectrum_mod_p(ring, ClassDistribution.uniform(ring))
+        (tq, zeta, p, got), = images
+        images.clear()
+        assert tq == q and got.dtype == np.int64
+        assert np.array_equal(got, table_mod_p(q, p, zeta))
 
 
 def test_tabulated_zero_entries():
