@@ -7,7 +7,12 @@ from a small table over the m^s row vectors of the field, summed into the
 table _BLOCK rows at a time.  The ring tables are uint16, which holds
 every index below rings.SIZE_CAP < 2^16; the field tables and the
 per-row code contributions are int32, and each contribution is narrowed
-to uint16 once, as every partial code is below n."""
+to uint16 once, as every partial code is below n.
+
+The simulator steps every sample through a uint16 copy of the ring
+tables, [add; mul] stacked: a state is a uint16 element index and a move
+a uint16 code, and only the gather index of GATHER_BLOCK samples is int32
+(run_chain)."""
 
 from __future__ import annotations
 
@@ -105,46 +110,31 @@ def _gather_rows(codes, rows, n):
     return out
 
 
-def step_table(add, mul, left=True):
-    """Flat int32 gather table of one simulator step on an n-element ring,
-    x-major and pre-scaled by 2n, from the uint16 ring tables add and mul.
-
-    Entry x*2n + a holds (x + a)*2n and entry x*2n + n + z holds (z*x)*2n
-    (left) or (x*z)*2n (right).  A state carried as x*2n plus a move code
-    below 2n (mixing._draw_moves) is the index of its move, and the entry
-    is the next state, carried the same way.  int32 holds every entry and
-    index: 2 n^2 < 2^31 for n up to rings.SIZE_CAP.  The products are
-    computed in int32 (dtype=), not in uint16 and then widened, which would
-    wrap once (n - 1) 2n reaches 2^16.  Each half is written in place, so
-    the table is the only n x 2n array made.
-    """
-    n = len(add)
-    table = np.empty((n, 2 * n), dtype=np.int32)
-    np.multiply(add, 2 * n, out=table[:, :n], dtype=np.int32)
-    np.multiply(mul.T if left else mul, 2 * n, out=table[:, n:],
-                dtype=np.int32)
-    return table.ravel()
-
-
 def run_chain(states, moves, table):
     """Advance all sample trajectories in place through one chunk of moves.
 
-    states are int32 and carry each element x as x*2n.  moves has shape
+    states are the samples' uint16 element indices.  moves has shape
     (steps, samples), uint16: moves[t, i] is the code of sample i's move
-    at step t, a to add a or n + z to multiply by z (mixing._draw_moves),
-    and table comes from step_table.  Each step is one add of the uint16
-    code to the int32 state and one gather at the sum.  The samples
-    advance in blocks of GATHER_BLOCK through all steps of the chunk, so a
-    block's states and the intp copy np.take makes of its index stay in
+    at step t, a to add a or n + z to multiply by z (mixing._draw_moves).
+    table is the (2n x n) uint16 stack of the ring tables [add; mul]
+    ([add; mul.T] for right multiplication), so entry code*n + x of the
+    flat table is the state after move code from x.  Each step is one
+    multiply, one add and one gather.  The index is int32, as code*n + x <
+    2n^2 < 2^31 for n up to rings.SIZE_CAP; the product is taken in int32
+    (dtype=), not in the uint16 of the codes, which would wrap once 2n^2
+    reaches 2^16.  The samples advance in blocks of GATHER_BLOCK through
+    all steps of the chunk, so a block's states and its index stay in
     cache; trajectories are independent, so the order of blocks does not
     change the result.
     """
-    idx = np.empty(min(GATHER_BLOCK, len(states)), dtype=states.dtype)
+    n = table.shape[1]
+    idx = np.empty(min(GATHER_BLOCK, len(states)), dtype=np.int32)
     for start in range(0, len(states), GATHER_BLOCK):
         block = states[start:start + GATHER_BLOCK]
         block_idx = idx[:len(block)]
         for row in moves[:, start:start + GATHER_BLOCK]:
-            np.add(row, block, out=block_idx)
+            np.multiply(row, n, out=block_idx, dtype=np.int32)
+            block_idx += block
             # every index is in range by construction; mode="clip" skips
             # the bounds check, which would also buffer the output
             np.take(table, block_idx, out=block, mode="clip")

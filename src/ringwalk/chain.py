@@ -152,11 +152,17 @@ def b_blocks(ring: FiniteRing, Q: ClassDistribution, rows=None):
     check_same_ring(ring, Q)
     w, den = Q.scaled_weights()
     rows = np.arange(ring.n) if rows is None else np.asarray(rows, np.intp)
-    limbs = [(shift, ((w >> shift) & (2 ** _LIMB - 1)).astype(np.float64))
-             for shift in range(0, den.bit_length(), _LIMB)]
+    limbs = weight_limbs(w, den)
     for i in range(0, len(rows), _ROWS):
         block = rows[i:i + _ROWS]
         yield block, _count_columns(ring.mul, block, limbs, w.dtype)
+
+
+def weight_limbs(w, den):
+    """[(shift, limb)]: the integer weights w <= den split into _LIMB-bit
+    limbs, each a float64 array, with w = sum of limb << shift."""
+    return [(shift, ((w >> shift) & (2 ** _LIMB - 1)).astype(np.float64))
+            for shift in range(0, den.bit_length(), _LIMB)]
 
 
 def _count_columns(mul, block, limbs, dtype) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
     TooLarge,
     UnknownClass,
 )
-from .mixing import T_CAP, d_of_t, mixing_bound, simulate
+from .mixing import T_CAP, class_products, d_of_t, mixing_bound, simulate
 from .rings import (
     MATRIX_SIZES,
     FiniteRing,
@@ -293,6 +293,8 @@ def cmd_mix(cfg) -> dict:
     eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
+    with _naming("ring"):       # PRODUCT_CAP, before any other work
+        class_products(ring)
     rep = reports.new_report("mix")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha), "T": str(T)})
     curve = d_of_t(ring, Q, alpha, T)
@@ -353,6 +355,8 @@ def cmd_verify(cfg) -> dict:
     eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
+    with _naming("ring"):       # PRODUCT_CAP, before any check
+        class_products(ring)
     rep = reports.new_report("verify")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha),
                         "Q": "uniform" if Q == ClassDistribution.uniform(ring)

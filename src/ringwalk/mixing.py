@@ -34,11 +34,13 @@ move code per entry in place: the coins write the tails flag (0 or 1), the
 uniform elements turn it into a (heads) or n (tails), and the Q-draws add z
 to every code >= n.  Every code is below 2n <= 2 * rings.SIZE_CAP < 2^16.
 Memory per block is that one buffer, reused across chunks (2 bytes per
-chunk entry), plus O(m) for the states and one slice of draws.  Each step
-costs O(1) per sample: a Q-draw maps to its element through a guide table
-of at most 2^20 buckets (QSampler), and the move is one add and one gather
-from a flat int32 table holding the addition and multiplication tables
-(_kernels.step_table, run_chain).
+chunk entry), the uint16 states (2 bytes per sample) and one slice of
+draws; the end states are counted one slice at a time once the buffer is
+freed.  The step table is one uint16 copy of the addition and
+multiplication tables, 4n^2 bytes.  Each step costs O(1) per sample: a
+Q-draw maps to its element through a guide table of at most 2^20 buckets
+(QSampler), and the move is one multiply, one add and one gather from the
+step table (_kernels.run_chain).
 """
 
 from __future__ import annotations
@@ -51,11 +53,17 @@ import numpy as np
 
 from . import _kernels
 from .chain import ClassDistribution, check_alpha, check_same_ring
-from .errors import InvariantViolation, LengthMismatch, ParamOutOfRange
+from .errors import (
+    InvariantViolation,
+    LengthMismatch,
+    ParamOutOfRange,
+    TooLarge,
+)
 from .rings import _BLOCK, FiniteRing
 from .stationary import stationary_recursive
 
 T_CAP = 64
+PRODUCT_CAP = 2**26        # products class_products may keep
 STEP_CHUNK_ENTRIES = 20_000_000
 DRAW_SLICE = 2**18         # entries per integer draw call within a chunk
 GUIDE_BITS = 20            # the Q-sampler guide table has <= 2^20 buckets
@@ -96,11 +104,14 @@ def class_products(ring: FiniteRing):
     Returns arrays (i, j, c, count), ordered by (i, j, c): for any one z in
     C_c there are `count` pairs (x, y) in C_i x C_j with x*y = z.  They are
     counted at z = reps[c] only, from the products that land on a
-    representative in each _BLOCK rows of the table, so memory beyond the
-    table is O(_BLOCK n) plus one key per such product (n^2 keys, like the
-    output, when every class is a singleton).  Conjugation by a unit
-    permutes the pairs, so the count is the same for every z in C_c once
-    each class is one conjugation orbit, which _check_orbits certifies.
+    representative in each _BLOCK rows of the table.  A first pass counts
+    those P products and raises TooLarge above PRODUCT_CAP before anything
+    is kept per product; then memory beyond the table is O(_BLOCK n) plus
+    one int64 key per product and np.unique's sorted copy of them (n^2
+    keys, like the output, when every class is a singleton).  Conjugation
+    by a unit permutes the pairs, so the count is the same for every z in
+    C_c once each class is one conjugation orbit, which _check_orbits
+    certifies.
     Counted once per ring and kept on it; the arrays are read-only.
     """
     try:
@@ -116,18 +127,24 @@ def class_products(ring: FiniteRing):
 
 def _count_class_products(ring: FiniteRing):
     part = ring.similarity
+    is_rep = np.zeros(ring.n, dtype=bool)
+    is_rep[part.reps] = True
+    kept = sum(np.count_nonzero(is_rep[ring.mul[s:s + _BLOCK]])
+               for s in range(0, ring.n, _BLOCK))
+    if kept > PRODUCT_CAP:
+        raise TooLarge(f"class products capped at {PRODUCT_CAP}, got {kept}")
     _check_orbits(ring, part)
     k = len(part)
     cls = part.class_of.astype(np.int64)
-    is_rep = np.zeros(ring.n, dtype=bool)
-    is_rep[part.reps] = True
-    keys = []
+    keys = np.empty(kept, dtype=np.int64)
+    end = 0
     for s in range(0, ring.n, _BLOCK):
         rows = ring.mul[s:s + _BLOCK].ravel()     # uint16, used as indices
         at = np.flatnonzero(is_rep[rows])
         ij = (cls[s:s + _BLOCK, None] * k + cls).ravel()[at]
-        keys.append(ij * k + cls[rows[at]])
-    keys, count = np.unique(np.concatenate(keys), return_counts=True)
+        keys[end:end + len(at)] = ij * k + cls[rows[at]]
+        end += len(at)
+    keys, count = np.unique(keys, return_counts=True)
     ij, c = np.divmod(keys, k)
     i, j = np.divmod(ij, k)
     return i, j, c, count
@@ -162,9 +179,10 @@ def _check_orbits(ring: FiniteRing, part):
 def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve:
     """Exact worst-start TV distance to stationarity for t = 0..T.
 
-    Domain: any ring the package builds, Q class-constant on that ring,
-    0 < alpha < 1 and 0 <= T <= T_CAP.  Every value is a Fraction, built
-    from the identity
+    Domain: any ring the package builds with at most PRODUCT_CAP class
+    products (class_products), Q class-constant on that ring, 0 < alpha < 1
+    and 0 <= T <= T_CAP.  Every value is a Fraction, built from the
+    identity
 
         M^t = (1-alpha)^t B^t + sum_{m<t} alpha (1-alpha)^m U B^m
 
@@ -319,9 +337,10 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     max(1, min(t, STEP_CHUNK_ENTRIES // m)) steps for a block of m samples,
     and per chunk all coins, all uniform elements, then all Q-draws.  Peak
     memory is about 2 bytes per chunk entry (one uint16 move code; a chunk
-    has at most max(m, STEP_CHUNK_ENTRIES) entries), plus 8n^2 bytes for
-    the step table, O(m) for the states and one slice of draws.  The alpha
-    and Q denominators must lie below 2^63, the range of an int64 draw.
+    has at most max(m, STEP_CHUNK_ENTRIES) entries) and 2 bytes per sample
+    (its uint16 state), plus 4n^2 bytes for the uint16 step table and one
+    slice of draws.  The alpha and Q denominators must lie below 2^63, the
+    range of an int64 draw.
     """
     alpha = check_alpha(alpha, allow_boundary)
     if alpha.denominator >= 2**63:
@@ -350,12 +369,14 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     if den >= 2**63:
         raise ParamOutOfRange(f"field 'Q': common denominator {den} is not "
                               f"below 2^63, the range of an int64 Q-draw")
-    scale = 2 * ring.n      # move codes lie below 2n; x is carried as x*2n
-    if scale > 2**16:
+    if 2 * ring.n > 2**16:
         raise InvariantViolation(f"{ring.label}: move codes reach 2n = "
-                                 f"{scale}, beyond uint16")
+                                 f"{2 * ring.n}, beyond uint16")
     sampler = QSampler(w_int)
-    table = _kernels.step_table(ring.add, ring.mul, left=(side == "left"))
+    # entry (code, x) of the step table: x + a for code a, and z x (left)
+    # or x z (right) for code n + z
+    table = np.concatenate([ring.add,
+                            ring.mul if side == "left" else ring.mul.T])
     counts = np.zeros(ring.n, dtype=np.int64)
     per_block = [samples // blocks] * blocks
     per_block[-1] += samples - sum(per_block)
@@ -363,7 +384,7 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
         if m == 0:
             continue
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
-        states = np.full(m, x0 * scale, dtype=np.int32)
+        states = np.full(m, x0, dtype=np.uint16)
         chunk = max(1, min(t, STEP_CHUNK_ENTRIES // m))
         moves = np.empty(chunk * m, dtype=np.uint16)
         done = 0
@@ -373,16 +394,19 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
             _kernels.run_chain(states, moves[:step * m].reshape(step, m),
                                table)
             done += step
-        states //= scale
-        counts += np.bincount(states, minlength=ring.n)
+        del moves
+        # bincount widens its input to intp: one slice at a time
+        for cut in range(0, m, DRAW_SLICE):
+            counts += np.bincount(states[cut:cut + DRAW_SLICE],
+                                  minlength=ring.n)
     return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
                             counts)
 
 
 def _draw_moves(rng, moves, alpha, n, sampler):
     """Fill one chunk's uint16 move codes in place: a for heads (add a) and
-    n + z for tails (multiply by z), so the move from state x*2n is
-    table[x*2n + code].
+    n + z for tails (multiply by z), the row of the step table that
+    _kernels.run_chain reads.
 
     Three passes over the flattened chunk, each in slices of DRAW_SLICE
     entries: the coins write the tails flag, the uniform elements a write

@@ -160,6 +160,8 @@ def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
     constant on the conjugacy classes of U_R, so that element is central in
     C[U_R] and acts on each chi-isotypic part, of dimension chi(1)^2, by
     omega_chi = sum_u Q(u) chi(u) / chi(1) (Diaconis & Shahshahani 1981).
+    The degrees chi(1) are exact (unit_group_degrees): the table must read
+    them at 1, and their squares must sum to |U|.
     Only the row B[1, U] is read as floats.  Each omega_chi is a fixed-order
     numpy sum over the units, with no BLAS call; conjugate characters hold
     exactly conjugate values (fields.roots_of_unity), so their omegas are
@@ -178,11 +180,10 @@ def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
     if not np.array_equal(per_class[cls], q):
         raise InvariantViolation(f"{ring.label}: B[1, U] is not constant on "
                                  f"the similarity classes of units")
-    dims = chars[:, np.searchsorted(units, ring.one)]
-    d = np.rint(dims.real).astype(np.int64)
-    if np.any(d < 1) or np.any(np.abs(dims - d) > 1e-9):
-        raise InvariantViolation(f"{ring.label}: a character degree "
-                                 f"chi(1) is not a positive integer")
+    d = unit_group_degrees(ring)
+    if not np.array_equal(chars[:, np.searchsorted(units, ring.one)], d):
+        raise InvariantViolation(f"{ring.label}: the characters at 1 are "
+                                 f"not their degrees chi(1)")
     if int((d * d).sum()) != len(units):
         raise InvariantViolation(
             f"{ring.label}: the squared character degrees sum to "
@@ -415,6 +416,16 @@ def unit_group_characters(ring: FiniteRing):
         chars.setflags(write=False)
     ring._unit_group_characters = chars
     return chars
+
+
+def unit_group_degrees(ring: FiniteRing) -> np.ndarray:
+    """The degree chi(1) of each row of unit_group_characters(ring), from
+    exact data: 1 for every character of an abelian U_R, Irrep.dim for
+    M2(F_q).  An int64 array; the ring must have a character table."""
+    if ring.units_abelian:
+        return np.ones(len(ring.units), dtype=np.int64)
+    tab = gl2.character_table(gl2.require_m2_ring(ring))
+    return np.array([rep.dim for rep in tab.irreps], dtype=np.int64)
 
 
 def _abelian_characters(ring: FiniteRing) -> np.ndarray:

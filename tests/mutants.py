@@ -21,18 +21,18 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("step-table-products-in-uint16", "_kernels.py",
-           "np.multiply(mul.T if left else mul, 2 * n, out=table[:, n:],\n"
-           "                dtype=np.int32)",
-           "np.multiply(mul.T if left else mul, 2 * n, out=table[:, n:])",
+    Mutant("step-index-in-uint16", "_kernels.py",
+           "np.multiply(row, n, out=block_idx, dtype=np.int32)",
+           "np.multiply(row, n, out=block_idx)",
            tuple(f"tests/test_mixing.py::test_simulate_equals_reference_"
                  f"where_scaled_entries_exceed_uint16[{case}]"
                  for case in ("M2(F5)-left", "M2(F5)-right", "Z_200-left"))),
-    Mutant("step-table-halves-swapped", "_kernels.py",
-           "np.multiply(add, 2 * n, out=table[:, :n], dtype=np.int32)\n"
-           "    np.multiply(mul.T if left else mul, 2 * n, out=table[:, n:],",
-           "np.multiply(add, 2 * n, out=table[:, n:], dtype=np.int32)\n"
-           "    np.multiply(mul.T if left else mul, 2 * n, out=table[:, :n],",
+    Mutant("step-table-halves-swapped", "mixing.py",
+           "table = np.concatenate([ring.add,\n"
+           "                            ring.mul if side == \"left\" else "
+           "ring.mul.T])",
+           "table = np.concatenate([ring.mul if side == \"left\" else "
+           "ring.mul.T,\n                            ring.add])",
            ("tests/test_mixing.py::test_simulate_equals_reference_stream",)),
     Mutant("coin-heads-on-greater", "mixing.py",
            "np.greater_equal(rng.integers(0, alpha.denominator,",
@@ -70,10 +70,18 @@ MUTANTS = (
            tuple(f"tests/test_rings.py::test_f_set_equals_the_per_rep_route_"
                  f"on_fixed_rings[{case}]" for case in ("B2(F3)", "M2(F3)"))),
     Mutant("certificate-keys-in-uint16", "stationary.py",
-           "keys = (ring.mul[cls].astype(np.int64) * len(poset)",
-           "keys = (ring.mul[cls] * len(poset)",
+           "keys = (np.multiply(ring.mul[zs[start:start + rows]], k,\n"
+           "                            dtype=np.int32) + ids).ravel()",
+           "keys = (np.multiply(ring.mul[zs[start:start + rows]], k)"
+           " + ids).ravel()",
            ("tests/test_cli.py::test_stationary_certificate_holds_where_n_k_"
             "exceeds_uint16",)),
+    Mutant("certificate-skips-last-row-block", "stationary.py",
+           "for start in range(0, len(zs), rows):",
+           "for start in range(0, len(zs) - rows, rows):",
+           tuple(f"tests/test_stationary.py::test_certificate_counts_equal_"
+                 f"the_per_class_count[{case}]"
+                 for case in ("one-limb", "two-limbs", "object"))),
     Mutant("merge-without-collapse", "spectrum.py",
            "distinct, inv = np.unique(evs, return_inverse=True, "
            "equal_nan=False)",

@@ -7,10 +7,12 @@ ideals_by_bit_table sorts the n x n bit table of all n ideals,
 f_set_by_class looks at every element of every class, f_set_by_rep at
 every product of a class representative with S_a, units_by_argmax
 reads inverses off the whole n x n mask y x == 1,
-class_products_by_division counts every product of the table, and
-mul_counts_by_loop adds up the weights of B one product at a time.
-rings.FiniteRing, mixing.class_products and chain.b_rows get the same
-answers from generating sets, orbit certificates and blockwise passes.
+class_products_by_division counts every product of the table,
+mul_counts_by_loop adds up the weights of B one product at a time, and
+certificate_counts_by_class counts the products one similarity class at a
+time.  rings.FiniteRing, mixing.class_products, chain.b_rows and
+stationary._certificate_counts get the same answers from generating sets,
+orbit certificates and blockwise passes.
 """
 
 import numpy as np
@@ -162,3 +164,19 @@ def mul_counts_by_loop(ring, weights):
         for a in range(n):
             out[a][mul[x][a]] += weights[x]
     return np.array(out, dtype=np.int64 if sum(weights) < 2 ** 63 else object)
+
+
+def certificate_counts_by_class(ring, w, den):
+    """C[y, b] = sum of w[z] over z x = y with x in S_b, the counts of
+    the pi M = pi certificate of stationary_solve, by one bincount per
+    similarity class over |C| n int64 keys y k + b(x).  int64 below
+    n den < 2^63, dtype object from there."""
+    n, poset = ring.n, ring.ideals
+    k = len(poset)
+    C = np.zeros((n, k), dtype=np.int64 if n * den < 2 ** 63 else object)
+    for cls in ring.similarity.classes:
+        if w[cls[0]]:
+            keys = (ring.mul[cls].astype(np.int64) * k + poset.id_of).ravel()
+            hits = np.bincount(keys, minlength=C.size).reshape(C.shape)
+            C += int(w[cls[0]]) * hits.astype(C.dtype, copy=False)
+    return C

@@ -370,15 +370,22 @@ assert False, "this script must run under python -O"
     # no unit generators: the diagonal of S_1 x S_1 (|S_1| = 8) splits
     ("r = matrix_ring(3); r.unit_generators = (); "
      "spectrum.is_multiplicity_free_nonunit(r, 1)", "InvariantViolation"),
-    # halved characters: chi(1) = 1/2 is no character degree
+    # halved characters: the table reads 1/2 at 1, not the degree chi(1)
     ("spectrum.unit_group_characters = lambda r, f=spectrum."
      "unit_group_characters: f(r) / 2; spectrum.block_spectrum(r := "
      "matrix_ring(3), ClassDistribution.uniform(r))",
      "InvariantViolation"),
-    # one irrep dropped: the squared degrees no longer sum to |U|
+    # one irrep dropped: the table no longer matches the exact degrees
     ("spectrum.unit_group_characters = lambda r, f=spectrum."
      "unit_group_characters: f(r)[1:]; spectrum.block_spectrum(r := "
      "matrix_ring(3), ClassDistribution.uniform(r))",
+     "InvariantViolation"),
+    # one irrep dropped with its degree: the squared degrees sum to 47,
+    # not |U| = 48
+    ("spectrum.unit_group_characters = lambda r, f=spectrum."
+     "unit_group_characters: f(r)[1:]; spectrum.unit_group_degrees = "
+     "lambda r, f=spectrum.unit_group_degrees: f(r)[1:]; spectrum."
+     "block_spectrum(r := matrix_ring(3), ClassDistribution.uniform(r))",
      "InvariantViolation"),
     # Q read off B[1, U] differs within a class of units
     ("b = build_B(r := matrix_ring(3), ClassDistribution.uniform(r));"

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringwalk import cli, gl2, reports
+from ringwalk import cli, gl2, mixing, reports
 from ringwalk.errors import ConfigError
 
 
@@ -724,6 +724,24 @@ def test_describe_needs_no_character_table_cap(monkeypatch, capsys):
         == "12"
 
 
+@pytest.mark.parametrize("command", ["mix", "verify"])
+def test_class_product_cap_refuses_before_any_check(monkeypatch, capsys,
+                                                    command):
+    """Z_1000 keeps all n^2 = 10^6 class products: above a cap of 10^6 - 1,
+    mix and verify exit 2 naming the ring field, before any check or
+    curve is computed."""
+    def refuse(*args):
+        raise AssertionError("computed past the class-product cap")
+
+    monkeypatch.setattr(mixing, "PRODUCT_CAP", 10**6 - 1)
+    monkeypatch.setattr(cli.checks, "full_suite", refuse)
+    monkeypatch.setattr(cli, "d_of_t", refuse)
+    assert cli.main([command, "--ring", "zn", "--n", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'ring': class products capped at 999999, "
+        "got 1000000\n")
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--alpha", "1/2"],
                                   ["spectrum", "--alpha", "1/2"] + M2F5_SEED1],
                          ids=["uniform", "seed1"])
@@ -880,6 +898,20 @@ def test_cli_import_loads_no_scipy():
                                   capture_output=True, text=True)
             assert (proc.returncode, proc.stdout) == (0, "0 []\n"), \
                 (argv + ring, proc.stdout, proc.stderr)
+
+
+@pytest.mark.skipif(not os.environ.get("RINGWALK_EXTENDED"),
+                    reason="set RINGWALK_EXTENDED=1 for the Z_19999 runs")
+@pytest.mark.parametrize("argv", [["mix", "--T", "2"], ["verify"]],
+                         ids=["mix", "verify"])
+def test_z19999_refuses_its_class_products(argv):
+    """Z_19999 keeps n^2 = 4.0e8 class products, above PRODUCT_CAP: mix
+    and verify exit 2 with a config error, and no traceback, before
+    their first check."""
+    code, out, err = run_cli(argv + ["--ring", "zn", "--n", "19999"])
+    assert (code, out) == (2, "")
+    assert err == ("config error: field 'ring': class products capped at "
+                   "67108864, got 399960001\n")
 
 
 @pytest.mark.skipif(not os.environ.get("RINGWALK_EXTENDED"),

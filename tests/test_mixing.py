@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from ringwalk import _kernels, mixing
 from ringwalk.chain import ClassDistribution, build_B, build_M
-from ringwalk.errors import InvariantViolation, LengthMismatch, ParamOutOfRange
+from ringwalk.errors import (
+    InvariantViolation,
+    LengthMismatch,
+    ParamOutOfRange,
+    TooLarge,
+)
 from ringwalk.exact import ScaledMatrix
 from ringwalk.mixing import (
     class_products,
@@ -250,6 +255,28 @@ def test_class_products_add_under_a_mebibyte_to_the_ring():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+def test_class_products_refuse_above_the_cap_before_they_allocate(
+        monkeypatch):
+    """Every class of Z_1000 is a singleton, so all n^2 = 10^6 products
+    land on a representative.  Above a cap of 10^6 - 1 the first pass
+    refuses them, with memory for one block of the table, not for a key
+    per product (8 MB)."""
+    ring = zn_ring(1000)
+    ring.unit_generators, ring.similarity
+    monkeypatch.setattr(mixing, "PRODUCT_CAP", 10**6 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="class products capped at "
+                                           "999999, got 1000000"):
+            class_products(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    monkeypatch.setattr(mixing, "PRODUCT_CAP", 10**6)
+    assert class_products(ring)[3].sum() == 10**6
 
 
 def test_one_verify_counts_class_products_once(monkeypatch):
@@ -572,11 +599,11 @@ def test_simulate_equals_reference_stream(case):
                                          "Z_200-left"])
 def test_simulate_equals_reference_where_scaled_entries_exceed_uint16(make,
                                                                       side):
-    """The step table's entries reach (n - 1) 2n >= 2^16 on these rings:
-    products of the uint16 ring tables by 2n taken in uint16 would wrap.
-    The reference builds its own int32 table."""
+    """The step table's flat indices code*n + x reach 2n^2 - 1 >= 2^16 on
+    these rings: the products of the uint16 move codes by n taken in
+    uint16 would wrap.  The reference builds its own int32 table."""
     ring = make()
-    assert (ring.n - 1) * 2 * ring.n >= 2**16
+    assert (2 * ring.n - 1) * ring.n >= 2**16
     q = seeded_q(ring, 4)
     kwargs = dict(alpha=Fr(1, 3), x0=1, t=6, samples=400, seed=11,
                   side=side, blocks=2)
@@ -586,24 +613,40 @@ def test_simulate_equals_reference_where_scaled_entries_exceed_uint16(make,
     assert res.counts.tolist() == expected.tolist()
 
 
-def test_simulate_memory_is_two_bytes_per_chunk_entry(monkeypatch):
-    # one uint16 move code per chunk entry; a bool coin and an int32 offset
-    # would take 5 bytes an entry, chunk-sized int64 draws about 17
+def simulate_peak(monkeypatch, chunk_entries, m, t):
+    """tracemalloc peak of simulate on M2(F3) with m samples of t steps,
+    and the bound the module docstring states for it: 2 bytes per chunk
+    entry (one uint16 move code) and per sample (one uint16 state), plus,
+    per slice entry, the int64 draws, their guide-table buckets and the
+    sampled elements."""
     ring = matrix_ring(3)
     q = uniform(ring)
     ring.similarity
-    chunk_entries = 8_000_000
     monkeypatch.setattr(mixing, "STEP_CHUNK_ENTRIES", chunk_entries)
-    m = 200_000
     tracemalloc.start()
     try:
-        simulate(ring, q, Fr(1, 3), 0, 40, m, seed=3)
+        simulate(ring, q, Fr(1, 3), 0, t, m, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # per sample: the int32 states; per slice entry: the int64 draws, their
-    # guide-table buckets and the sampled elements
-    bound = 2 * chunk_entries + 8 * m + 24 * mixing.DRAW_SLICE
+    entries = max(1, min(t, chunk_entries // m)) * m
+    return peak, 2 * entries + 2 * m + 24 * mixing.DRAW_SLICE
+
+
+def test_simulate_memory_is_two_bytes_per_chunk_entry(monkeypatch):
+    # one uint16 move code per chunk entry; a bool coin and an int32 offset
+    # would take 5 bytes an entry, chunk-sized int64 draws about 17
+    peak, bound = simulate_peak(monkeypatch, 8_000_000, 200_000, 40)
+    assert peak <= bound, (peak, bound)
+
+
+def test_simulate_counts_end_states_without_a_widened_copy(monkeypatch):
+    """2^21 samples of one step: the end states are counted a slice at a
+    time after the move buffer is freed.  int32 states and one bincount
+    over all of them, which widens them to int64 while the buffer is
+    alive, took 14 bytes a sample (29.4 MB here)."""
+    peak, bound = simulate_peak(monkeypatch, mixing.STEP_CHUNK_ENTRIES,
+                                2**21, 1)
     assert peak <= bound, (peak, bound)
 
 

@@ -893,6 +893,27 @@ def test_unit_group_characters_built_once_per_ring(monkeypatch):
         chars[0, 0] = 0
 
 
+@pytest.mark.parametrize("make, q", [(lambda: matrix_ring(3), 3),
+                                     (lambda: matrix_ring(5), 5),
+                                     (lambda: zn_ring(360), None)],
+                         ids=["M2(F3)", "M2(F5)", "Z_360"])
+def test_unit_block_uses_exact_character_degrees(monkeypatch, make, q):
+    """The degrees chi(1) the unit block divides by are Irrep.dim on
+    M2(F_q), in the order of the GL2 table's irreps, and 1 for each of the
+    96 characters of the abelian U(Z_360)."""
+    from ringwalk.gl2 import character_table
+    ring = make()
+    used = []
+    degrees = spectrum.unit_group_degrees
+    monkeypatch.setattr(spectrum, "unit_group_degrees",
+                        lambda r: used.append(degrees(r)) or used[-1])
+    unit_block_spectrum(ring, uniform(ring))
+    want = [1] * 96 if q is None else \
+        [rep.dim for rep in character_table(q).irreps]
+    assert len(used) == 1 and used[0].dtype == np.int64
+    assert used[0].tolist() == want
+
+
 def per_character_multiplicity(fix, chi, units):
     """<fix, chi> over the unit group, one character at a time."""
     val = np.sum(fix * np.conj(chi)) / units

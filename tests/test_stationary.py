@@ -1,6 +1,7 @@
 """Stationary distributions: oracle solve, recursion, and closed forms."""
 
 from fractions import Fraction as Fr
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ringwalk.stationary import (
 )
 
 from random_rings import random_class_q, random_ring
+from ring_oracle import certificate_counts_by_class
 from test_chain import q_over_64_bits
 from test_mixing import seeded_q
 
@@ -88,6 +90,35 @@ def test_solve_exact_when_denominator_exceeds_64_bits():
     q = q_over_64_bits(r)
     assert stationary_solve(r, q, Fr(1, 3)) == \
         stationary_recursive(r, q, Fr(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("scale", [1, 2 ** 26, 2 ** 63],
+                         ids=["one-limb", "two-limbs", "object"])
+def test_certificate_counts_equal_the_per_class_count(scale, data):
+    """The row-block count of the pi M = pi certificate against the count
+    by similarity class, on random rings and random class-constant Q.  A
+    scale turns each nonzero class weight x into x * scale + 1, and
+    weight 1 on the zero class pins the common denominator to the total,
+    so it reaches 2^26 (two limbs) or 2^63 (dtype object); blocks of 1 to
+    300 table entries cut the table's rows."""
+    ring = random_ring(data.draw)
+    part = ring.similarity
+    raw = data.draw(st.lists(st.integers(0, 9), min_size=len(part),
+                             max_size=len(part)))
+    raw[part.class_of[ring.one]] += 1
+    raw = [x * scale + 1 if x else 0 for x in raw]
+    raw[part.class_of[ring.zero]] = 1
+    total = sum(x * len(c) for x, c in zip(raw, part.classes))
+    w, den = ClassDistribution(
+        ring, [Fr(x, total) for x in raw]).scaled_weights()
+    assert den > scale
+    entries = data.draw(st.integers(1, 300))
+    with mock.patch.object(stationary, "_CERT_ENTRIES", entries):
+        got = stationary._certificate_counts(ring, w, den)
+    want = certificate_counts_by_class(ring, w, den)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def reference_q_transfer(ring, Q, x, y):
