@@ -9,10 +9,10 @@ classes.  B holds the multiplication-only transitions
 and the full chain matrix is M = (alpha/n) * ones + (1 - alpha) * B.
 Everything is exact-rational.  The commands build neither B nor M:
 b_blocks reads the rows of B they ask for off the multiplication table, a
-block of at most _ROWS rows at a time, and what they report of M follows
-from B >= 0, B 1 = 1 and 0 < alpha < 1 (checks.check_m_shift).  build_B
-and build_M are the dense n x n B and M, oracles for the tests and the
-benchmark.
+block of at most _ROWS rows at a time, each counted by integer np.add.at
+scatters of Q's weights, and what they report of M follows from B >= 0,
+B 1 = 1 and 0 < alpha < 1 (checks.check_m_shift).  build_B and build_M
+are the dense n x n B and M, oracles for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .exact import ScaledMatrix
 from .rings import FiniteRing
 
 _ROWS = 64                 # rows of B read at a time
-_LIMB = 26                 # bits per limb of a weight in b_blocks
+_SCATTER = 2**14           # table entries one np.add.at counts
 
 
 def check_alpha(alpha, allow_boundary=False) -> Fraction:
@@ -140,46 +140,35 @@ def b_blocks(ring: FiniteRing, Q: ClassDistribution, rows=None):
     Python ints (dtype object) from there, as Q.scaled_weights().
 
     Row a of B is column a of the multiplication table counted with Q's
-    weights: B[a, b] = sum of w[x] over x with x*a == b.  Each column is
-    counted by float64 bincounts, which are exact here.  Each integer
-    weight w[x] <= den is split into _LIMB-bit limbs, one bincount per
-    limb, the limbs made once per pass.  A bin sums at most
-    n <= SIZE_CAP < 2^15 limbs below 2^26, so every partial sum is an
-    integer below 2^41 < 2^53, held exactly by float64 in any order.  The
-    limb counts are shifted back and added in the weights' dtype; each
-    term is at most B[a, b] <= den, so an int64 sum does not overflow.
+    weights: B[a, b] = sum of w[x] over x with x*a == b.  Each block is
+    counted by np.add.at of the weights into a fresh array, in the
+    weights' own dtype, which sums exactly: each sum is B[a, b] <= den.
     """
     check_same_ring(ring, Q)
-    w, den = Q.scaled_weights()
+    w = Q.scaled_weights()[0]
     rows = np.arange(ring.n) if rows is None else np.asarray(rows, np.intp)
-    limbs = weight_limbs(w, den)
     for i in range(0, len(rows), _ROWS):
         block = rows[i:i + _ROWS]
-        yield block, _count_columns(ring.mul, block, limbs, w.dtype)
+        yield block, _count_columns(ring.mul, block, w)
 
 
-def weight_limbs(w, den):
-    """[(shift, limb)]: the integer weights w <= den split into _LIMB-bit
-    limbs, each a float64 array, with w = sum of limb << shift."""
-    return [(shift, ((w >> shift) & (2 ** _LIMB - 1)).astype(np.float64))
-            for shift in range(0, den.bit_length(), _LIMB)]
-
-
-def _count_columns(mul, block, limbs, dtype) -> np.ndarray:
-    """The limb-weighted counts of the columns block of mul (b_blocks),
-    made here so that a suspended b_blocks holds no block of B."""
+def _count_columns(mul, block, w) -> np.ndarray:
+    """The w-weighted counts of the columns block of mul (b_blocks), made
+    here so that a suspended b_blocks holds no block of B.  Each scatter
+    counts `width` columns, about _SCATTER table entries: entry x of its
+    i-th column c is keyed i n + x*c in its rows of the block."""
     n = len(mul)
     # one pass over the table's rows, then each column made contiguous
     cols = np.take(mul, block, axis=1).T.copy()
-    num = np.empty((len(block), n), dtype=dtype)
-    for j, col in enumerate(cols):
-        for shift, limb in limbs:
-            counts = np.bincount(col, weights=limb,
-                                 minlength=n).astype(np.int64)
-            if shift:
-                num[j] += counts.astype(dtype) << shift
-            else:
-                num[j] = counts
+    num = np.empty((len(block), n), dtype=w.dtype)
+    width = min(len(block), max(1, _SCATTER // n))
+    weights = np.tile(w, width)
+    offsets = np.arange(width)[:, None] * n
+    for j in range(0, len(block), width):
+        part, counts = cols[j:j + width], num[j:j + width]
+        counts.fill(0)      # zeroed just before its scatter, while cached
+        np.add.at(counts.reshape(-1), (part + offsets[:len(part)]).ravel(),
+                  weights[:part.size])
     return num
 
 

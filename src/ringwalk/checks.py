@@ -190,8 +190,8 @@ def t_mix_verdict(curve, eps, bound):
 
 
 def check_mixing(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
-                 eps_list):
-    curve = d_of_t(ring, Q, alpha, T)
+                 eps_list, pi):
+    curve = d_of_t(ring, Q, alpha, T, pi)
     if not curve.bound_holds():
         return False, "d(t) exceeded (1-alpha)^t"
     undecided = []
@@ -248,5 +248,5 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
     out.append(("stationary-agreement",
                 *check_stationary_agreement(ring, Q, alpha, pi)))
     out.append(("mixing-bound", *check_mixing(ring, Q, alpha, min(T, 20),
-                                              list(eps_list))))
+                                              list(eps_list), pi)))
     return out

@@ -297,7 +297,7 @@ def cmd_mix(cfg) -> dict:
         class_products(ring)
     rep = reports.new_report("mix")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha), "T": str(T)})
-    curve = d_of_t(ring, Q, alpha, T)
+    curve = d_of_t(ring, Q, alpha, T, stationary_recursive(ring, Q, alpha))
     rows = [(t, f"{d:.12g}", f"{e.numerator}/{e.denominator}", f"{b:.12g}")
             for t, d, e, b in zip(curve.ts, curve.values, curve.exact_values,
                                   curve.bounds)]

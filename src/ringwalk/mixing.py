@@ -60,7 +60,6 @@ from .errors import (
     TooLarge,
 )
 from .rings import _BLOCK, FiniteRing
-from .stationary import stationary_recursive
 
 T_CAP = 64
 PRODUCT_CAP = 2**26        # products class_products may keep
@@ -107,8 +106,9 @@ def class_products(ring: FiniteRing):
     representative in each _BLOCK rows of the table.  A first pass counts
     those P products and raises TooLarge above PRODUCT_CAP before anything
     is kept per product; then memory beyond the table is O(_BLOCK n) plus
-    one int64 key per product and np.unique's sorted copy of them (n^2
-    keys, like the output, when every class is a singleton).  Conjugation
+    one int64 key per product, sorted in place, and at most 40 bytes per
+    product once the runs of equal keys are counted (n^2 keys, like the
+    output, when every class is a singleton).  Conjugation
     by a unit permutes the pairs, so the count is the same for every z in
     C_c once each class is one conjugation orbit, which _check_orbits
     certifies.
@@ -144,8 +144,17 @@ def _count_class_products(ring: FiniteRing):
         ij = (cls[s:s + _BLOCK, None] * k + cls).ravel()[at]
         keys[end:end + len(at)] = ij * k + cls[rows[at]]
         end += len(at)
-    keys, count = np.unique(keys, return_counts=True)
+    keys.sort()
+    # the first of each run of equal keys, and the run lengths
+    first = np.ones(kept, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    count = np.diff(starts, append=kept)
+    keys = keys[starts]
+    del starts
     ij, c = np.divmod(keys, k)
+    del keys
     i, j = np.divmod(ij, k)
     return i, j, c, count
 
@@ -176,7 +185,8 @@ def _check_orbits(ring: FiniteRing, part):
                                  f"constant on similarity classes")
 
 
-def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve:
+def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
+           pi) -> MixingCurve:
     """Exact worst-start TV distance to stationarity for t = 0..T.
 
     Domain: any ring the package builds with at most PRODUCT_CAP class
@@ -187,8 +197,9 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve
         M^t = (1-alpha)^t B^t + sum_{m<t} alpha (1-alpha)^m U B^m
 
     with mu_t = Q^{*t} convolved on class weights (B^t(a, .) is mu_t pushed
-    forward by y -> y*a, and u B^m is class-constant), pi from
-    stationary_recursive, and one start per generator in ring.phi.  Cost,
+    forward by y -> y*a, and u B^m is class-constant), pi the caller's
+    exact stationary law of (Q, alpha) (stationary_recursive), and one
+    start per generator in ring.phi.  Cost,
     for k similarity classes, n elements and P products that land on a
     class representative: one O(n^2 + P log P + |U| k) count of class
     products (a pass over the table, a sort of those P products and the
@@ -216,7 +227,6 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int) -> MixingCurve
     mu = np.zeros(k, dtype=object)
     mu[class_of[ring.one]] = 1
 
-    pi = stationary_recursive(ring, Q, alpha)
     pi_den = lcm(*(x.denominator for x in pi))
     pi_num = np.array([x.numerator * (pi_den // x.denominator) for x in pi],
                       dtype=object)

@@ -24,18 +24,16 @@ from math import lcm
 import numpy as np
 
 from .chain import (
+    _SCATTER,
     ClassDistribution,
     b_rows,
     check_alpha,
     check_same_ring,
-    weight_limbs,
 )
 from .errors import DenominatorZero, InvariantViolation, SingularSystem
 from .exact import ScaledMatrix, stationary_nullspace
 from .gl2 import require_m2_ring
 from .rings import FiniteRing
-
-_CERT_ENTRIES = 2**15     # table entries the pi M = pi check counts at once
 
 
 def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha):
@@ -83,31 +81,22 @@ def _certificate_counts(ring: FiniteRing, w: np.ndarray, den: int):
     weights w <= den (Q.scaled_weights()): an n x k array, k = |phi|,
     int64 where n den < 2^63 and Python ints (dtype object) from there.
 
-    The table is read R rows z of nonzero weight at a time: each entry
-    z x is keyed y k + b(x) in int32 (below n k <= SIZE_CAP^2 < 2^31), and
-    counted by one float64 bincount per limb of w[z] (chain.weight_limbs).
-    R is about _CERT_ENTRIES / n, and at least k, so that the n k bins a
-    bincount fills cost no more than the R n entries it counts; and at
-    most 2^27 / n, so a bin sums at most R n <= 2^27 limbs below 2^26, an
-    integer below 2^53 that float64 holds exactly.  The limb counts are
-    shifted back and added in C's dtype; each term is at most
+    The table is read about _SCATTER / n rows z of nonzero weight at a
+    time: each entry z x is keyed y k + b(x), and w[z] is added at its
+    key by one np.add.at in C's dtype, which sums exactly: each sum is
     C[y, b] <= n den.
     """
     n, poset = ring.n, ring.ideals
     k = len(poset)
     C = np.zeros(n * k, dtype=np.int64 if n * den < 2 ** 63 else object)
-    ids = poset.id_of.astype(np.int32)
     zs = np.flatnonzero(w)
-    limbs = weight_limbs(w[zs], den)
-    rows = min(max(_CERT_ENTRIES // n, k), 2 ** 27 // n)
+    rows = max(1, _SCATTER // n)
     for start in range(0, len(zs), rows):
+        block = zs[start:start + rows]
         # widened first: uint16 y k would wrap once n k reaches 2^16
-        keys = (np.multiply(ring.mul[zs[start:start + rows]], k,
-                            dtype=np.int32) + ids).ravel()
-        for shift, limb in limbs:
-            counts = np.bincount(keys, np.repeat(limb[start:start + rows], n),
-                                 minlength=C.size).astype(np.int64)
-            C += counts.astype(C.dtype, copy=False) << shift
+        keys = (np.multiply(ring.mul[block], k, dtype=np.intp)
+                + poset.id_of).ravel()
+        np.add.at(C, keys, np.repeat(w[block], n))
     return C.reshape(n, k)
 
 

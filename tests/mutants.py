@@ -70,10 +70,8 @@ MUTANTS = (
            tuple(f"tests/test_rings.py::test_f_set_equals_the_per_rep_route_"
                  f"on_fixed_rings[{case}]" for case in ("B2(F3)", "M2(F3)"))),
     Mutant("certificate-keys-in-uint16", "stationary.py",
-           "keys = (np.multiply(ring.mul[zs[start:start + rows]], k,\n"
-           "                            dtype=np.int32) + ids).ravel()",
-           "keys = (np.multiply(ring.mul[zs[start:start + rows]], k)"
-           " + ids).ravel()",
+           "np.multiply(ring.mul[block], k, dtype=np.intp)",
+           "np.multiply(ring.mul[block], k)",
            ("tests/test_cli.py::test_stationary_certificate_holds_where_n_k_"
             "exceeds_uint16",)),
     Mutant("certificate-skips-last-row-block", "stationary.py",
@@ -81,7 +79,8 @@ MUTANTS = (
            "for start in range(0, len(zs) - rows, rows):",
            tuple(f"tests/test_stationary.py::test_certificate_counts_equal_"
                  f"the_per_class_count[{case}]"
-                 for case in ("one-limb", "two-limbs", "object"))),
+                 for case in ("int64", "int64-weights-object-counts",
+                              "object"))),
     Mutant("merge-without-collapse", "spectrum.py",
            "distinct, inv = np.unique(evs, return_inverse=True, "
            "equal_nan=False)",
@@ -138,5 +137,21 @@ MUTANTS = (
                  f"{case}" for case in ("fixed_rings[M2(F3)-int64]",
                                         "fixed_rings[B2(F5)-object]",
                                         "random_rings[int64]",
+                                        "random_rings[object]"))),
+    Mutant("b-blocks-skips-last-scatter", "chain.py",
+           "for j in range(0, len(block), width):",
+           "for j in range(0, len(block) - width, width):",
+           tuple(f"tests/test_spectrum.py::test_b_rows_equal_the_count_on_"
+                 f"{case}" for case in ("fixed_rings[M2(F3)-int64]",
+                                        "fixed_rings[B2(F5)-object]",
+                                        "random_rings[int64]",
+                                        "random_rings[object]"))),
+    Mutant("b-blocks-int64-on-object", "chain.py",
+           "num = np.empty((len(block), n), dtype=w.dtype)",
+           "w = w.astype(np.int64)\n"
+           "    num = np.empty((len(block), n), dtype=w.dtype)",
+           tuple(f"tests/test_spectrum.py::test_b_rows_equal_the_count_on_"
+                 f"{case}" for case in ("fixed_rings[M2(F3)-object]",
+                                        "fixed_rings[B2(F5)-object]",
                                         "random_rings[object]"))),
 )

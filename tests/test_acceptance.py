@@ -250,7 +250,8 @@ def test_criterion_7_mixing_bounds():
     for ring in rings:
         q = ClassDistribution.uniform(ring)
         for alpha in (Fr(1, 4), Fr(1, 2)):
-            curve = d_of_t(ring, q, alpha, 20)
+            curve = d_of_t(ring, q, alpha, 20,
+                           stationary_recursive(ring, q, alpha))
             assert curve.exact_values is not None       # n <= 256: exact
             assert all(d <= b for d, b in zip(curve.exact_values,
                                               curve.exact_bounds))

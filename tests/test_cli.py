@@ -574,6 +574,24 @@ def test_product_ring_via_factors_flag():
     assert rep["meta"]["n"] == "6"
 
 
+def test_verify_computes_pi_once(monkeypatch):
+    """verify solves the recursion for pi once: the stationary check and
+    the mixing curve read the same pi."""
+    calls = []
+    real = sys.modules["ringwalk.stationary"].stationary_recursive
+
+    def counted(ring, Q, alpha):
+        calls.append(ring.label)
+        return real(ring, Q, alpha)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ringwalk") and \
+                getattr(module, "stationary_recursive", None) is real:
+            monkeypatch.setattr(module, "stationary_recursive", counted)
+    assert cli.main(["verify", "--ring", "matrix", "--q", "3"]) == 0
+    assert calls == ["M2(F3)"]
+
+
 def test_stationary_certificate_holds_where_n_k_exceeds_uint16():
     """Z_6 x M2(F5) has n = 3750 elements and k = 32 principal left
     ideals, so the lumped solve's certificate keys y k + b reach
@@ -855,8 +873,8 @@ def test_mix_and_verify_still_fail_a_curve_above_eps_past_the_bound(
     passes the geometric check, and T is past both t_mix bounds."""
     real = cli.d_of_t
 
-    def flat(ring, Q, alpha, T):
-        curve = real(ring, Q, alpha, T)
+    def flat(ring, Q, alpha, T, pi):
+        curve = real(ring, Q, alpha, T, pi)
         curve.exact_values = [Fraction(1, 2)] * (T + 1)
         curve.exact_bounds = [Fraction(1)] * (T + 1)
         return curve

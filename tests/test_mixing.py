@@ -50,6 +50,11 @@ def uniform(ring):
     return ClassDistribution.uniform(ring)
 
 
+def d_curve(ring, q, alpha, T):
+    """d_of_t with pi from stationary_recursive, as the commands pass it."""
+    return d_of_t(ring, q, alpha, T, stationary_recursive(ring, q, alpha))
+
+
 # ---------------------------------------------------------------------
 # TV distance
 # ---------------------------------------------------------------------
@@ -83,7 +88,7 @@ def test_d_zero_is_one_minus_min_pi():
     ring = matrix_ring(2)
     q = uniform(ring)
     alpha = Fr(1, 2)
-    curve = d_of_t(ring, q, alpha, 3)
+    curve = d_curve(ring, q, alpha, 3)
     pi = stationary_solve(ring, q, alpha)
     assert curve.exact_values[0] == 1 - min(pi)
     assert curve.exact_values[0] >= 1 - max(pi)
@@ -91,7 +96,7 @@ def test_d_zero_is_one_minus_min_pi():
 
 def test_d_curve_monotone_and_bounded_m2f2():
     ring = matrix_ring(2)
-    curve = d_of_t(ring, uniform(ring), Fr(1, 2), 20)
+    curve = d_curve(ring, uniform(ring), Fr(1, 2), 20)
     ex = curve.exact_values
     assert all(ex[t + 1] <= ex[t] for t in range(20))
     assert all(ex[t] <= Fr(1, 2 ** t) for t in range(21))
@@ -101,7 +106,7 @@ def test_d_curve_monotone_and_bounded_m2f2():
 def test_geometric_bound_on_all_small_rings():
     for ring in (zn_ring(6), upper_triangular_ring(2), matrix_ring(2)):
         for alpha in (Fr(1, 4), Fr(1, 2)):
-            curve = d_of_t(ring, uniform(ring), alpha, 20)
+            curve = d_curve(ring, uniform(ring), alpha, 20)
             assert curve.exact_values is not None
             assert curve.bound_holds()
 
@@ -109,7 +114,7 @@ def test_geometric_bound_on_all_small_rings():
 def test_t_cap():
     ring = zn_ring(6)
     with pytest.raises(ParamOutOfRange):
-        d_of_t(ring, uniform(ring), Fr(1, 2), 65)
+        d_curve(ring, uniform(ring), Fr(1, 2), 65)
 
 
 def seeded_q(ring, seed):
@@ -151,7 +156,7 @@ def test_curve_equals_matrix_power_oracle(ring_name, q_seed, alpha):
     ring = CROSS_RINGS[ring_name]()
     q = uniform(ring) if q_seed is None else seeded_q(ring, q_seed)
     T = 8 if ring.n > 32 else 12
-    curve = d_of_t(ring, q, alpha, T)
+    curve = d_curve(ring, q, alpha, T)
     assert curve.exact_values == matrix_power_curve(ring, q, alpha, T)
     assert curve.values == [float(v) for v in curve.exact_values]
 
@@ -166,7 +171,7 @@ def test_curve_equals_matrix_power_oracle_on_random_rings(data):
     s = data.draw(st.integers(2, 12))
     alpha = Fr(data.draw(st.integers(1, s - 1)), s)
     T = 6
-    assert d_of_t(ring, q, alpha, T).exact_values == \
+    assert d_curve(ring, q, alpha, T).exact_values == \
         matrix_power_curve(ring, q, alpha, T)
 
 
@@ -176,7 +181,7 @@ def test_exact_curve_above_former_cap():
     q = uniform(ring)
     alpha = Fr(1, 2)
     T = 6
-    curve = d_of_t(ring, q, alpha, T)
+    curve = d_curve(ring, q, alpha, T)
     assert len(curve.exact_values) == T + 1
     assert all(isinstance(v, Fr) for v in curve.exact_values)
     assert curve.bound_holds()
@@ -257,6 +262,23 @@ def test_class_products_add_under_a_mebibyte_to_the_ring():
     assert peak < 2 ** 20, peak
 
 
+def test_class_products_hold_at_most_42_bytes_per_product():
+    """Every class of Z_2000 is a singleton, so its 4 * 10^6 products are
+    distinct keys, the most memory a product can take.  Sorted in place
+    and counted off one mask of run boundaries, they peak below 42 bytes
+    per product under tracemalloc (np.unique's sorted copy took 48)."""
+    ring = zn_ring(2000)
+    ring.unit_generators, ring.similarity
+    tracemalloc.start()
+    try:
+        count = mixing._count_class_products(ring)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(count) == ring.n ** 2 and count.sum() == ring.n ** 2
+    assert peak < 42 * ring.n ** 2, peak / ring.n ** 2
+
+
 def test_class_products_refuse_above_the_cap_before_they_allocate(
         monkeypatch):
     """Every class of Z_1000 is a singleton, so all n^2 = 10^6 products
@@ -315,7 +337,7 @@ def test_mixing_bound_domain():
 def test_empirical_t_mix_below_bound():
     for ring in (zn_ring(6), matrix_ring(2)):
         for alpha in (Fr(1, 4), Fr(1, 2)):
-            curve = d_of_t(ring, uniform(ring), alpha, 20)
+            curve = d_curve(ring, uniform(ring), alpha, 20)
             for eps in (Fr(1, 4), Fr(1, 10)):
                 tm = curve.t_mix(eps)
                 assert tm is not None

@@ -6,13 +6,14 @@ import random
 import tracemalloc
 from fractions import Fraction as Fr
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ringwalk import checks, cli, spectrum
+from ringwalk import chain, checks, cli, spectrum
 from ringwalk.chain import (
     ClassDistribution,
     b_blocks,
@@ -583,7 +584,9 @@ def test_b_rows_equal_the_count_on_fixed_rings(make, big):
 @pytest.mark.parametrize("big", [0, BIG], ids=["int64", "object"])
 def test_b_rows_equal_the_count_on_random_rings(big, data):
     """Random rings and random class-constant Q, one class of weight 0
-    besides the identity's, with and without a denominator above 2^63."""
+    besides the identity's, with and without a denominator above 2^63;
+    scatters of 1 to 300 table entries cut the blocks and their
+    columns."""
     ring = random_ring(data.draw, room=160)
     part = ring.similarity
     k = len(part)
@@ -595,7 +598,8 @@ def test_b_rows_equal_the_count_on_random_rings(big, data):
             [c for c in range(k) if c != one]))] = 0
     a = data.draw(st.sampled_from(ring.phi.tolist()))
     u = data.draw(st.sampled_from(ring.units.tolist()))
-    assert_b_rows_equal_the_count(ring, class_q(ring, weights, big), a, u)
+    with mock.patch.object(chain, "_SCATTER", data.draw(st.integers(1, 300))):
+        assert_b_rows_equal_the_count(ring, class_q(ring, weights, big), a, u)
 
 
 def test_block_floats_round_each_entry_once():

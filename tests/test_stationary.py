@@ -94,28 +94,38 @@ def test_solve_exact_when_denominator_exceeds_64_bits():
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-@pytest.mark.parametrize("scale", [1, 2 ** 26, 2 ** 63],
-                         ids=["one-limb", "two-limbs", "object"])
+@pytest.mark.parametrize("scale", [1, None, 2 ** 63],
+                         ids=["int64", "int64-weights-object-counts",
+                              "object"])
 def test_certificate_counts_equal_the_per_class_count(scale, data):
     """The row-block count of the pi M = pi certificate against the count
     by similarity class, on random rings and random class-constant Q.  A
     scale turns each nonzero class weight x into x * scale + 1, and
-    weight 1 on the zero class pins the common denominator to the total,
-    so it reaches 2^26 (two limbs) or 2^63 (dtype object); blocks of 1 to
-    300 table entries cut the table's rows."""
+    weight 1 on the zero class pins the common denominator to the total:
+    small at scale 1 (int64 weights and counts), above 2^63 at scale 2^63
+    (dtype object), and within a factor n below 2^63 at the largest scale
+    that keeps it there (None), so that int64 weights give dtype object
+    counts.  Scatters of 1 to 300 table entries cut the table's rows."""
     ring = random_ring(data.draw)
     part = ring.similarity
     raw = data.draw(st.lists(st.integers(0, 9), min_size=len(part),
                              max_size=len(part)))
     raw[part.class_of[ring.one]] += 1
+    raw[part.class_of[ring.zero]] = 0
+    wide = scale is None
+    if wide:
+        masses = [(x * len(c), len(c)) for x, c in zip(raw, part.classes)
+                  if x]
+        scale = (2 ** 63 - 2 - sum(size for _, size in masses)) // sum(
+            mass for mass, _ in masses)
     raw = [x * scale + 1 if x else 0 for x in raw]
     raw[part.class_of[ring.zero]] = 1
     total = sum(x * len(c) for x, c in zip(raw, part.classes))
     w, den = ClassDistribution(
         ring, [Fr(x, total) for x in raw]).scaled_weights()
-    assert den > scale
+    assert den > scale and (den < 2 ** 63 <= ring.n * den) == wide
     entries = data.draw(st.integers(1, 300))
-    with mock.patch.object(stationary, "_CERT_ENTRIES", entries):
+    with mock.patch.object(stationary, "_SCATTER", entries):
         got = stationary._certificate_counts(ring, w, den)
     want = certificate_counts_by_class(ring, w, den)
     assert got.dtype == want.dtype and np.array_equal(got, want)
