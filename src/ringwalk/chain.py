@@ -10,9 +10,10 @@ and the full chain matrix is M = (alpha/n) * ones + (1 - alpha) * B.
 Everything is exact-rational.  The commands build neither B nor M:
 b_blocks reads the rows of B they ask for off the multiplication table, a
 block of at most _ROWS rows at a time, each counted by integer np.add.at
-scatters of Q's weights, and what they report of M follows from B >= 0,
-B 1 = 1 and 0 < alpha < 1 (checks.check_m_shift).  build_B and build_M
-are the dense n x n B and M, oracles for the tests and the benchmark.
+scatters of Q's weights.  A command's checks on B share one such pass
+(checks.scan_b), and what they report of M follows from B >= 0, B 1 = 1
+and 0 < alpha < 1 (checks.m_shift_test).  build_B and build_M are the
+dense n x n B and M, oracles for the tests and the benchmark.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Cross-oracle and structural verification used by the CLI verify command.
 
-Every function returns (ok, detail).  Every check is exhaustive or an
-exact identity at every ring size: exact rationals or integers, or exact
-arithmetic mod a fixed prime named in the detail.  No check diagonalizes
-an n x n matrix or matches eigenvalues within a tolerance.  The checks on
-B, and the R_{x,y} check, read it from the multiplication table a block
-of rows at a time (chain.b_blocks), so none holds an n x n array.
+Every check returns (ok, detail) and is exhaustive or an exact identity
+at every ring size: exact rationals or integers, or exact arithmetic mod
+a fixed prime named in the detail.  No check diagonalizes an n x n
+matrix or matches eigenvalues within a tolerance.  The checks on B, the
+R_{x,y} check among them, are per-block tests (*_test) that scan_b runs
+over one pass of B's row blocks (chain.b_blocks): none holds an n x n
+array, and a command reads each row block once for all of them.
 """
 
 from __future__ import annotations
@@ -42,25 +43,6 @@ def check_s_partition(ring: FiniteRing):
     return ok, "generator sets partition the ring" if ok else "overlap found"
 
 
-def check_rxy_sizes(ring: FiniteRing):
-    """|R_{x,y}| is |LAnn(y)| when I_x is inside I_y and 0 otherwise, where
-    R_{x,y} = {r : r y = x}.  Under uniform Q, row y of B has den = n and
-    unit weights, so its numerators are the sizes |R_{x,y}| over all x."""
-    ids = ring.ideals.id_of
-    for block, counts in b_blocks(ring, ClassDistribution.uniform(ring)):
-        # contained[j, x]: I_x is inside I_y for y = block[j]
-        contained = np.take(ring.ideals.leq.T[ids[block]], ids, axis=1)
-        empty = (counts > 0) != contained
-        size = contained & (counts != counts[:, [ring.zero]])
-        for j in np.flatnonzero(empty.any(axis=1) | size.any(axis=1))[:1]:
-            y = block[j]
-            if empty[j].any():
-                return False, (f"emptiness of R_{{{empty[j].argmax()},{y}}} "
-                               f"disagrees with the poset")
-            return False, f"|R_{{{size[j].argmax()},{y}}}| != |LAnn({y})|"
-    return True, "exhaustive"
-
-
 def check_witnesses(ring: FiniteRing):
     """Transitivity of units on every generator set: U x = S_a.  The unit
     orbits partition the ring, so one x in S_a covers all of S_a."""
@@ -76,42 +58,117 @@ def check_witnesses(ring: FiniteRing):
     return True, "unit action transitive on every S_a"
 
 
-def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution):
+def scan_b(ring: FiniteRing, Q: ClassDistribution, tests):
+    """One pass over the row blocks of B for the pairs (test, passed) of
+    tests, test(block, num) a failure detail or None.  A test is called
+    until it first fails, and the pass ends once every test has failed.
+    Returns (ok, its first failure or passed) for each test."""
+    fails = [None] * len(tests)
+    for block, num in b_blocks(ring, Q):
+        fails = [fail or test(block, num)
+                 for (test, _), fail in zip(tests, fails)]
+        if all(fails):
+            break
+    return [(not fail, fail or passed)
+            for (_, passed), fail in zip(tests, fails)]
+
+
+def rxy_test(ring: FiniteRing, Q: ClassDistribution):
+    """|R_{x,y}| is |LAnn(y)| when I_x is inside I_y and 0 otherwise, where
+    R_{x,y} = {r : r y = x}.  Under uniform Q, row y of B has den = n and
+    unit weights, so its numerators are the sizes |R_{x,y}| over all x:
+    the scan's own blocks when Q is uniform, a uniform stream read
+    alongside them otherwise."""
+    ids = ring.ideals.id_of
+    uniform = ClassDistribution.uniform(ring)
+    side = None if Q == uniform else b_blocks(ring, uniform)
+
+    def rxy(block, num):
+        counts = num if side is None else next(side)[1]
+        # contained[j, x]: I_x is inside I_y for y = block[j]
+        contained = np.take(ring.ideals.leq.T[ids[block]], ids, axis=1)
+        empty = (counts > 0) != contained
+        size = contained & (counts != counts[:, [ring.zero]])
+        for j in np.flatnonzero(empty.any(axis=1) | size.any(axis=1))[:1]:
+            y = block[j]
+            if empty[j].any():
+                return (f"emptiness of R_{{{empty[j].argmax()},{y}}} "
+                        f"disagrees with the poset")
+            return f"|R_{{{size[j].argmax()},{y}}}| != |LAnn({y})|"
+
+    return rxy, "exhaustive"
+
+
+def check_rxy_sizes(ring: FiniteRing):
+    uniform = ClassDistribution.uniform(ring)
+    return scan_b(ring, uniform, [rxy_test(ring, uniform)])[0]
+
+
+def conjugation_test(ring: FiniteRing, Q: ClassDistribution):
     """B(u c, u d) = B(c, d) for every unit u.  The units with this property
     are closed under products, so checking a generating set of U_R is
-    exhaustive.  Each block of rows c of B, read from the multiplication
-    table (chain.b_blocks), is compared with the rows u c of every
-    generator u, read alongside, so no n x n copy is made."""
+    exhaustive.  Each block of rows c of B is compared with the rows u c of
+    every generator u, read alongside it, so no n x n copy is made."""
     gens = ring.unit_generators
     perms = [ring.mul[u, :] for u in gens]
     moved = [b_blocks(ring, Q, perm) for perm in perms]
-    for _, rows in b_blocks(ring, Q):
+
+    def conjugation(block, rows):
         for u, perm, blocks in zip(gens, perms, moved):
             # B(u c, u d), each block dropped once compared
             if not np.array_equal(next(blocks)[1][:, perm], rows):
-                return False, f"B(u c, u d) != B(c, d) for unit {u}"
-    return True, f"exhaustive: {len(gens)} generators of U_R"
+                return f"B(u c, u d) != B(c, d) for unit {u}"
+
+    return conjugation, f"exhaustive: {len(gens)} generators of U_R"
 
 
-def check_spectrum_two_way(ring: FiniteRing, Q: ClassDistribution):
+def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution):
+    return scan_b(ring, Q, [conjugation_test(ring, Q)])[0]
+
+
+def two_way_test(ring: FiniteRing, Q: ClassDistribution):
     """B(x, y) != 0 only where I_y lies inside I_x.  The S_a partition the
     ring (s-partition), so listing them along a linear extension of the
     ideal poset makes B block upper triangular: eig(B) is exactly the union
-    of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum).
-    B is read from the multiplication table a block of rows at a time
-    (chain.b_blocks), so no n x n temporary is made."""
+    of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum)."""
     poset = ring.ideals
     ids = poset.id_of
-    for block, num in b_blocks(ring, Q):
+
+    def two_way(block, num):
         # bad[j, y]: B(x, y) != 0 and I_y is not inside I_x, x = block[j]
         bad = np.take(~poset.leq.T[ids[block]], ids, axis=1)
         bad &= num != 0
         if bad.any():
             j, y = np.argwhere(bad)[0]
             x = block[j]
-            return False, f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}"
-    return True, (f"B block-triangular over {len(poset)} ideals: eig(B) is "
-                  f"the union of the diagonal-block spectra, exactly")
+            return f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}"
+
+    return two_way, (f"B block-triangular over {len(poset)} ideals: eig(B) "
+                     f"is the union of the diagonal-block spectra, exactly")
+
+
+def check_spectrum_two_way(ring: FiniteRing, Q: ClassDistribution):
+    return scan_b(ring, Q, [two_way_test(ring, Q)])[0]
+
+
+def m_shift_test(Q: ClassDistribution, alpha):
+    """B >= 0 and B 1 = 1, in integers, for 0 < alpha < 1.  Then
+    M = (1 - alpha) B + (alpha/n) J is stochastic, M 1 = 1, and eig(M) is 1
+    together with (1 - alpha) eig(B) less one copy of 1 (Brauer, Duke Math.
+    J. 19, 1952), with no M built and no eigensolve."""
+    alpha = check_alpha(alpha)
+    den = Q.scaled_weights()[1]
+
+    def m_shift(block, rows):
+        if rows.min() < 0 or np.any(rows.sum(axis=1) != den):
+            return "a row of B or M is not a probability vector"
+
+    return m_shift, (f"alpha={alpha}: M = (1-alpha) B + (alpha/n) J and "
+                     f"B 1 = M 1 = 1, exactly")
+
+
+def check_m_shift(ring: FiniteRing, Q: ClassDistribution, alpha):
+    return scan_b(ring, Q, [m_shift_test(Q, alpha)])[0]
 
 
 def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution):
@@ -134,22 +191,6 @@ def check_spectrum_gl2(ring: FiniteRing, Q: ClassDistribution):
                            f"closed forms' mod p={p}")
     return True, (f"{len(rows)} closed forms, total q^4 = {ring.n}: power "
                   f"sums j=1..{ring.n} equal mod p={p}")
-
-
-def check_m_shift(ring: FiniteRing, Q: ClassDistribution, alpha):
-    """B >= 0 and B 1 = 1, in integers, for 0 < alpha < 1.  Then
-    M = (1 - alpha) B + (alpha/n) J is stochastic, M 1 = 1, and eig(M) is 1
-    together with (1 - alpha) eig(B) less one copy of 1 (Brauer, Duke Math.
-    J. 19, 1952), with no M built and no eigensolve.  B is read from the
-    multiplication table a block of rows at a time (chain.b_blocks), so no
-    n x n temporary is made."""
-    alpha = check_alpha(alpha)
-    den = Q.scaled_weights()[1]
-    for _, rows in b_blocks(ring, Q):
-        if rows.min() < 0 or np.any(rows.sum(axis=1) != den):
-            return False, "a row of B or M is not a probability vector"
-    return True, (f"alpha={alpha}: M = (1-alpha) B + (alpha/n) J and "
-                  f"B 1 = M 1 = 1, exactly")
 
 
 def check_stationary_agreement(ring: FiniteRing, Q: ClassDistribution, alpha,
@@ -235,15 +276,18 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
     out += [(name, *fn(ring)) for name, fn in (
         ("orbit-stabilizer", check_orbit_stabilizer),
         ("s-partition", check_s_partition),
-        ("rxy-annihilator", check_rxy_sizes),
         ("unit-transitivity", check_witnesses),
         ("multiplicity-free", check_mult_free_expectations))]
-    # neither B nor M is built: each check on B reads its own row blocks
-    # from the table, and spectrum-m-shift reads what it needs of M off B
-    out += [("conjugation-invariance", *check_conjugation_invariance(ring, Q)),
-            ("spectrum-two-way", *check_spectrum_two_way(ring, Q)),
+    # neither B nor M is built: one scan of B's row blocks runs the four
+    # checks on it, and spectrum-m-shift reads what it needs of M off B
+    rxy, conjugation, two_way, m_shift = scan_b(ring, Q, [
+        rxy_test(ring, Q), conjugation_test(ring, Q), two_way_test(ring, Q),
+        m_shift_test(Q, alpha)])
+    out.insert(3, ("rxy-annihilator", *rxy))     # after s-partition
+    out += [("conjugation-invariance", *conjugation),
+            ("spectrum-two-way", *two_way),
             ("spectrum-gl2", *check_spectrum_gl2(ring, Q)),
-            ("spectrum-m-shift", *check_m_shift(ring, Q, alpha))]
+            ("spectrum-m-shift", *m_shift)]
     pi = stationary_recursive(ring, Q, alpha)
     out.append(("stationary-agreement",
                 *check_stationary_agreement(ring, Q, alpha, pi)))

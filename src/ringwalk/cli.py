@@ -233,8 +233,11 @@ def cmd_spectrum(cfg) -> dict:
     with _naming("ring"):
         rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
     detail = spectrum.block_spectrum(ring, Q, tau)
-    reports.add_check(rep, "spectrum-two-way",
-                      *checks.check_spectrum_two_way(ring, Q))
+    tests = [checks.two_way_test(ring, Q)]
+    if alpha is not None:       # spectrum-m-shift reads the same blocks
+        tests.append(checks.m_shift_test(Q, alpha))
+    two_way, *m_shift = checks.scan_b(ring, Q, tests)
+    reports.add_check(rep, "spectrum-two-way", *two_way)
     reports.add_check(rep, "spectrum-gl2", *checks.check_spectrum_gl2(ring, Q))
 
     gl2_rows = {}
@@ -260,9 +263,8 @@ def cmd_spectrum(cfg) -> dict:
     reports.add_table(rep, "spectrum",
                       ("re", "im", "multiplicity", "block", "label"), table)
     rep["meta"]["total_multiplicity"] = str(sum(e.total() for _, e in detail))
-    if alpha is not None:
-        reports.add_check(rep, "spectrum-m-shift",
-                          *checks.check_m_shift(ring, Q, alpha))
+    for result in m_shift:
+        reports.add_check(rep, "spectrum-m-shift", *result)
     return rep
 
 

@@ -8,7 +8,7 @@
    floats on its own; no n x n B is built.  The transposed block
    B[S_a, S_a]^T keeps only the components of x*s that stay inside S_a.
    B is block-triangular over the ideal poset
-   (checks.check_spectrum_two_way), so the block spectra make up eig(B).
+   (checks.two_way_test), so the block spectra make up eig(B).
    The unit block is read from U_R's characters and the row B[1, U] when
    unit_group_characters has a table; the other blocks, and the unit block
    of a ring with no table, go to eig_numeric.

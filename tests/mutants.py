@@ -88,31 +88,37 @@ MUTANTS = (
            ("tests/test_spectrum.py::test_merge_cost_follows_the_number_of_"
             "distinct_values",)),
     Mutant("conjugation-first-block-only", "checks.py",
-           "for _, rows in b_blocks(ring, Q):\n"
-           "        for u, perm, blocks in",
-           "for _, rows in [next(b_blocks(ring, Q))]:\n"
-           "        for u, perm, blocks in",
+           "def conjugation(block, rows):\n",
+           "def conjugation(block, rows):\n"
+           "        if block[0] > 0:\n"
+           "            return None\n",
            ("tests/test_spectrum.py::test_conjugation_check_reads_the_last_"
             "row_block",)),
     Mutant("two-way-first-block-only", "checks.py",
-           "for block, num in b_blocks(ring, Q):\n"
-           "        # bad[j, y]",
-           "for block, num in [next(b_blocks(ring, Q))]:\n"
-           "        # bad[j, y]",
+           "def two_way(block, num):\n",
+           "def two_way(block, num):\n"
+           "        if block[0] > 0:\n"
+           "            return None\n",
            ("tests/test_spectrum.py::test_two_way_check_reads_the_last_row_"
             "block",)),
     Mutant("m-shift-first-block-only", "checks.py",
-           "for _, rows in b_blocks(ring, Q):\n"
-           "        if rows.min() < 0",
-           "for _, rows in [next(b_blocks(ring, Q))]:\n"
-           "        if rows.min() < 0",
+           "def m_shift(block, rows):\n",
+           "def m_shift(block, rows):\n"
+           "        if block[0] > 0:\n"
+           "            return None\n",
            ("tests/test_spectrum.py::test_m_shift_check_reads_the_last_row_"
             "block",)),
     Mutant("rxy-first-block-only", "checks.py",
-           "for block, counts in b_blocks(ring, ClassDistribution.uniform(ring)):",
-           "for block, counts in [next(b_blocks(ring, ClassDistribution."
-           "uniform(ring)))]:",
+           "def rxy(block, num):\n",
+           "def rxy(block, num):\n"
+           "        if block[0] > 0:\n"
+           "            return None\n",
            ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",)),
+    Mutant("b-scan-stops-at-first-failure", "checks.py",
+           "if all(fails):",
+           "if any(fails):",
+           ("tests/test_spectrum.py::test_scan_keeps_each_check_s_first_"
+            "failure",)),
     Mutant("rxy-without-emptiness", "checks.py",
            "empty = (counts > 0) != contained",
            "empty = np.zeros_like(contained)",

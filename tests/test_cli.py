@@ -647,6 +647,41 @@ M2F5_SEED1 = ["--Q", seeded_q_json(cli.ring_from_descriptor(
     {"kind": "matrix", "q": 5}), 1)]
 
 
+@pytest.mark.parametrize("q_args, extra", [([], 1), (M2F5_SEED1, 2)],
+                         ids=["uniform", "seed1"])
+def test_each_command_reads_b_once_for_its_checks(monkeypatch, capsys,
+                                                  q_args, extra):
+    """Rows of B counted as chain._count_columns reads them on M2(F5).
+    verify reads one pass for its four checks on B, g more for the rows
+    u c of the g unit generators and, under a Q other than uniform, one
+    uniform pass for the R_{x,y} check; the lumped solve reads the |phi|
+    rows of the generators besides.  spectrum reads one pass for
+    spectrum-two-way and spectrum-m-shift together, plus the diagonal
+    blocks of block_spectrum."""
+    from ringwalk import chain, spectrum
+    read = []
+    count = chain._count_columns
+
+    def counted(mul, block, w):
+        read.append(len(block))
+        return count(mul, block, w)
+
+    monkeypatch.setattr(chain, "_count_columns", counted)
+    ring = cli.ring_from_descriptor({"kind": "matrix", "q": 5})
+    Q = cli.q_from_config(ring, q_args[1] if q_args else None)
+    spectrum.block_spectrum(ring, Q)
+    diagonal = sum(read)
+    g, n = len(ring.unit_generators), ring.n
+    argv = ["--ring", "matrix", "--q", "5", "--alpha", "1/2"] + q_args
+    for command, rows in ((["verify", "--T", "3"],
+                           (g + extra) * n + len(ring.phi)),
+                          (["spectrum"], n + diagonal)):
+        read.clear()
+        assert cli.main(command + argv) == 0
+        assert sum(read) == rows, (command, sum(read) / n)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["describe"],
      "c933644d61eeb7df6d645004a469e980a2c1e94d0bf3503a0cc09b47c7158dbd"),

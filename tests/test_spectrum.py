@@ -526,6 +526,45 @@ def test_m_shift_check_reads_the_last_row_block(monkeypatch):
         (False, "a row of B or M is not a probability vector")
 
 
+def test_scan_keeps_each_check_s_first_failure(monkeypatch):
+    """Two faults in B on B2(F5), read by one scan in full_suite.  Row 0
+    moves mass onto the unit orbit U d of d = 5, which the units fix as a
+    set: spectrum-two-way fails in the first row block, and the
+    conjugation check and spectrum-m-shift pass there.  Row x gets an
+    entry below zero, and x and every u^-1 x lie in the last block:
+    those two fail only there.  Each check keeps its own first failure,
+    the details that the checks give when run one at a time (pinned)."""
+    ring = upper_triangular_ring(5)
+    Q = seeded_q(ring, 1)
+    d, x = 5, ring.n - 1
+    orbit = np.unique(ring.mul[ring.units, d])
+
+    def corrupt(num):
+        num = corrupt_b_negative(num, x)
+        num[0, 0] -= len(orbit)
+        num[0, orbit] += 1
+        return num
+
+    inverses = [ring.inv(int(u)) for u in ring.unit_generators]
+    assert min(ring.mul[inverses, x]) >= 64 and len(orbit) == 4
+    monkeypatch.setattr(checks, "b_blocks",
+                        corrupted_reader(b_blocks, corrupt))
+    want = {
+        "rxy-annihilator": "emptiness of R_{5,0} disagrees with the poset",
+        "conjugation-invariance": "B(u c, u d) != B(c, d) for unit 27",
+        "spectrum-two-way": "B(0, 5) != 0 but I_5 is not inside I_0",
+        "spectrum-m-shift": "a row of B or M is not a probability vector",
+    }
+    alone = [checks.check_rxy_sizes(ring),
+             check_conjugation_invariance(ring, Q),
+             check_spectrum_two_way(ring, Q),
+             check_m_shift(ring, Q, Fr(1, 2))]
+    assert alone == [(False, detail) for detail in want.values()]
+    suite = {name: (ok, detail) for name, ok, detail
+             in checks.full_suite(ring, Q, Fr(1, 2), T=3)}
+    assert {name: suite[name] for name in want} == \
+        {name: (False, detail) for name, detail in want.items()}
+
 BIG = 2 ** 64 + 1        # a class_q scale whose denominator exceeds 2^63
 
 
@@ -617,9 +656,12 @@ def test_block_floats_round_each_entry_once():
 
 
 def test_b_checks_and_blocks_hold_no_n_by_n_array():
-    """On M2(F7), built first, the three checks on B and block_spectrum
-    trace a peak below n^2 * 2 bytes: they read B 64 rows at a time, where
-    the int64 B alone is n^2 * 8 bytes (46 MB)."""
+    """On M2(F7), built first, the checks on B, one at a time and all four
+    over one scan, and block_spectrum trace a peak below n^2 * 2 bytes:
+    they read B 64 rows at a time, where the int64 B alone is n^2 * 8
+    bytes (46 MB).  The scan holds up to g + 2 blocks at once: its own,
+    one of the g moved streams, and the uniform stream of the R_{x,y}
+    test, as Q is not uniform."""
     ring = matrix_ring(7)
     Q = seeded_q(ring, 1)
     for a in ring.phi:
@@ -630,6 +672,9 @@ def test_b_checks_and_blocks_hold_no_n_by_n_array():
         assert check_conjugation_invariance(ring, Q)[0]
         assert check_spectrum_two_way(ring, Q)[0]
         assert check_m_shift(ring, Q, Fr(1, 2))[0]
+        assert all(ok for ok, _ in checks.scan_b(ring, Q, [
+            checks.rxy_test(ring, Q), checks.conjugation_test(ring, Q),
+            checks.two_way_test(ring, Q), checks.m_shift_test(Q, Fr(1, 2))]))
         assert sum(em.total() for _, em in block_spectrum(ring, Q)) == ring.n
         peak = tracemalloc.get_traced_memory()[1]
     finally:
