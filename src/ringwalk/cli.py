@@ -6,7 +6,9 @@ Probabilities are exact rational "num/den" strings everywhere.  Reports are
 emitted in the line-oriented text schema of reports.py, or JSON with
 --format json, and are written atomically when --out is given.  The only
 environment variable consulted is RINGWALK_OUTPUT_DIR, which resolves
-relative --out paths and never changes semantics.
+relative --out paths and never changes semantics.  Every command checks
+the fields that need no ring before it builds the ring, and main names
+'ring' each TooLarge after that: a size cap on the built ring.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from . import checks, reports, spectrum
+from . import checks, mixing, reports, spectrum
 from .chain import ClassDistribution, check_alpha
 from .errors import (
     AlphaOutOfRange,
@@ -69,9 +71,9 @@ def parse_int(value, field: str) -> int:
 
 
 def parse_tolerance(value, field: str) -> float:
-    """A finite float > 0, as the eigenvalue merge radius needs."""
+    """A finite float > 0, as the eigenvalue merge radius needs; no bool."""
     try:
-        tol = float(value)
+        tol = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
@@ -205,8 +207,7 @@ def cmd_describe(cfg) -> dict:
         sa = ring.s_set(a)
         mf = "-"
         if a not in ring.unit_set:
-            with _naming("ring"):
-                free = spectrum.is_multiplicity_free_nonunit(ring, a)
+            free = spectrum.is_multiplicity_free_nonunit(ring, a)
             mf = "yes" if free else "no"
         f_reps = ";".join(str(int(part.reps[c])) for c in ring.f_set(a))
         rows.append((a, ring.element_name(a),
@@ -223,16 +224,15 @@ def cmd_describe(cfg) -> dict:
 
 
 def cmd_spectrum(cfg) -> dict:
+    alpha = None if cfg.get("alpha") is None else parse_alpha(cfg["alpha"])
+    tau = parse_tolerance(cfg.get("tau", spectrum.MERGE_TOL), "tau")
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    tau = parse_tolerance(cfg.get("tau", spectrum.MERGE_TOL), "tau")
-    alpha = None if cfg.get("alpha") is None else parse_alpha(cfg["alpha"])
+    detail = spectrum.block_spectrum(ring, Q, tau)
     rep = reports.new_report("spectrum")
     rep["meta"]["ring"] = ring.label
     rep["meta"]["n"] = str(ring.n)
-    with _naming("ring"):
-        rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
-    detail = spectrum.block_spectrum(ring, Q, tau)
+    rep["meta"]["unit_block"] = spectrum.unit_block_route(ring)
     tests = [checks.two_way_test(ring, Q)]
     if alpha is not None:       # spectrum-m-shift reads the same blocks
         tests.append(checks.m_shift_test(Q, alpha))
@@ -269,9 +269,9 @@ def cmd_spectrum(cfg) -> dict:
 
 
 def cmd_stationary(cfg) -> dict:
+    alpha = parse_alpha(cfg.get("alpha", "1/2"))
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    alpha = parse_alpha(cfg.get("alpha", "1/2"))
     rep = reports.new_report("stationary")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha)})
     pi = stationary_recursive(ring, Q, alpha)
@@ -295,8 +295,7 @@ def cmd_mix(cfg) -> dict:
     eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    with _naming("ring"):       # PRODUCT_CAP, before any other work
-        class_products(ring)
+    class_products(ring)        # PRODUCT_CAP, before any other work
     rep = reports.new_report("mix")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha), "T": str(T)})
     curve = d_of_t(ring, Q, alpha, T, stationary_recursive(ring, Q, alpha))
@@ -322,17 +321,18 @@ def cmd_mix(cfg) -> dict:
 
 
 def cmd_simulate(cfg) -> dict:
-    ring = ring_from_descriptor(cfg["ring"])
-    Q = q_from_config(ring, cfg.get("Q"))
     alpha = parse_alpha(cfg.get("alpha", "1/2"))
     if cfg.get("seed") is None:
         raise ConfigError("field 'seed': simulate requires an explicit seed")
     seed = parse_int(cfg["seed"], "seed")
     samples = parse_int(cfg.get("samples", 10000), "samples")
     steps = parse_int(cfg.get("steps", 20), "steps")
-    start = parse_int(cfg.get("start", ring.zero), "start")
     side = cfg.get("side", "left")
     blocks = parse_int(cfg.get("blocks", 1), "blocks")
+    mixing.check_simulation(alpha, steps, samples, seed, side, blocks, False)
+    ring = ring_from_descriptor(cfg["ring"])
+    Q = q_from_config(ring, cfg.get("Q"))
+    start = parse_int(cfg.get("start", ring.zero), "start")
     res = simulate(ring, Q, alpha, start, steps, samples, seed, side=side,
                    blocks=blocks)
     rep = reports.new_report("simulate")
@@ -357,15 +357,12 @@ def cmd_verify(cfg) -> dict:
     eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    with _naming("ring"):       # PRODUCT_CAP, before any check
-        class_products(ring)
+    class_products(ring)        # PRODUCT_CAP, before any check
     rep = reports.new_report("verify")
     rep["meta"].update({"ring": ring.label, "alpha": str(alpha),
                         "Q": "uniform" if Q == ClassDistribution.uniform(ring)
                         else "custom"})
-    with _naming("ring"):       # the mult-free check's cap on |S_a|
-        suite = checks.full_suite(ring, Q, alpha, T, eps_list)
-    for name, ok, detail in suite:
+    for name, ok, detail in checks.full_suite(ring, Q, alpha, T, eps_list):
         reports.add_check(rep, name, ok, detail)
     return rep
 
@@ -520,6 +517,9 @@ def main(argv=None) -> int:
         write_output(text, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except TooLarge as exc:     # a cap on the ring the command built
+        print(f"config error: field 'ring': {exc}", file=sys.stderr)
         return 2
     except RingwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -332,6 +332,33 @@ class SimulationResult:
                                  np.array([float(p) for p in pi])))
 
 
+def check_simulation(alpha, t: int, samples: int, seed: int, side: str,
+                     blocks: int, allow_boundary: bool) -> Fraction:
+    """simulate's checks of its fields that need no ring, in this order:
+    alpha, steps t, samples, blocks, side and seed.  Returns alpha."""
+    alpha = check_alpha(alpha, allow_boundary)
+    if alpha.denominator >= 2**63:
+        raise ParamOutOfRange(f"field 'alpha': denominator "
+                              f"{alpha.denominator} is not below 2^63, the "
+                              f"range of an int64 coin draw")
+    if t < 0:
+        raise ParamOutOfRange(f"field 'steps' (t): {t} is negative")
+    if samples < 1:
+        raise ParamOutOfRange(f"field 'samples': {samples} is below 1")
+    if blocks < 1:
+        raise ParamOutOfRange(f"field 'blocks': {blocks} is below 1")
+    if side not in ("left", "right"):
+        raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
+                              f"'right'")
+    if seed is None:
+        raise ParamOutOfRange("field 'seed': a seed is mandatory for "
+                              "reproducible simulation")
+    if not -2**63 <= seed < 2**63:
+        raise ParamOutOfRange(f"field 'seed': {seed} does not fit the "
+                              f"signed 64-bit Philox key word")
+    return alpha
+
+
 def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
              samples: int, seed: int, side: str = "left", blocks: int = 1,
              allow_boundary: bool = False) -> SimulationResult:
@@ -352,29 +379,11 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     slice of draws.  The alpha and Q denominators must lie below 2^63, the
     range of an int64 draw.
     """
-    alpha = check_alpha(alpha, allow_boundary)
-    if alpha.denominator >= 2**63:
-        raise ParamOutOfRange(f"field 'alpha': denominator "
-                              f"{alpha.denominator} is not below 2^63, the "
-                              f"range of an int64 coin draw")
+    alpha = check_simulation(alpha, t, samples, seed, side, blocks,
+                             allow_boundary)
     if not 0 <= x0 < ring.n:
         raise ParamOutOfRange(f"field 'start' (x0): {x0} is not an element "
                               f"index of {ring.label} (0..{ring.n - 1})")
-    if t < 0:
-        raise ParamOutOfRange(f"field 'steps' (t): {t} is negative")
-    if samples < 1:
-        raise ParamOutOfRange(f"field 'samples': {samples} is below 1")
-    if blocks < 1:
-        raise ParamOutOfRange(f"field 'blocks': {blocks} is below 1")
-    if side not in ("left", "right"):
-        raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
-                              f"'right'")
-    if seed is None:
-        raise ParamOutOfRange("field 'seed': a seed is mandatory for "
-                              "reproducible simulation")
-    if not -2**63 <= seed < 2**63:
-        raise ParamOutOfRange(f"field 'seed': {seed} does not fit the "
-                              f"signed 64-bit Philox key word")
     w_int, den = Q.scaled_weights()
     if den >= 2**63:
         raise ParamOutOfRange(f"field 'Q': common denominator {den} is not "

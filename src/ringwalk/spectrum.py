@@ -130,12 +130,18 @@ def block_spectrum(ring: FiniteRing, Q: ClassDistribution, tau=MERGE_TOL):
     matrix of (ring, Q), one per ideal generator a.
 
     Only the blocks B[S_a, S_a], and the row B[1, U] for the character
-    route, are read, so no n x n B is built.  The block of a is
-    B[S_a, S_a]^T: P[s', s] = B[s, s'] is the action of sum_x Q(x) x on
-    span(S_a) with the components leaving S_a dropped.  The unit block
-    comes from unit_block_spectrum, every other block from eig_numeric.
-    Returns [(generator, EigenvalueMultiset)], whose totals sum to n.
+    route, are read, so no n x n B is built, and none before every cap is
+    met.  The block of a is B[S_a, S_a]^T: P[s', s] = B[s, s'] is the
+    action of sum_x Q(x) x on span(S_a) with the components leaving S_a
+    dropped.  The unit block comes from unit_block_spectrum (|U| <= EIG_CAP
+    for an abelian table), every other block from eig_numeric (|S_a| <=
+    EIG_CAP).  Returns [(generator, EigenvalueMultiset)]; the totals sum to n.
     """
+    for a in ring.phi:
+        size = len(ring.s_set(a))
+        if size > EIG_CAP and (int(a) not in ring.unit_set
+                               or unit_group_characters(ring) is None):
+            raise TooLarge(f"eigen solve capped at {EIG_CAP}, got {size}")
     detail = []
     for a in ring.phi:
         if int(a) in ring.unit_set:
@@ -193,18 +199,8 @@ def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
 
 
 def unit_block_route(ring: FiniteRing) -> str:
-    """How unit_block_spectrum reads the unit block of `ring`.
-
-    It first meets the caps block_spectrum would meet, in the same order
-    and with the same TooLarge messages (|U| <= EIG_CAP for an abelian
-    character table, |S_a| <= EIG_CAP for each block that goes to
-    eig_numeric), so a caller can refuse a ring before it reads any row
-    of B."""
-    for a in ring.phi:
-        size = len(ring.s_set(a))
-        if size > EIG_CAP and (int(a) not in ring.unit_set
-                               or unit_group_characters(ring) is None):
-            raise TooLarge(f"eigen solve capped at {EIG_CAP}, got {size}")
+    """The name of unit_block_spectrum's route on `ring`.  It meets no cap
+    of its own: a caller runs block_spectrum, which meets them, first."""
     chars = unit_group_characters(ring)
     if chars is None:
         u = len(ring.units)

@@ -160,4 +160,12 @@ MUTANTS = (
                  f"{case}" for case in ("fixed_rings[M2(F3)-object]",
                                         "fixed_rings[B2(F5)-object]",
                                         "random_rings[object]"))),
+    Mutant("block-spectrum-lazy-caps", "spectrum.py",
+           "if size > EIG_CAP and (int(a) not in ring.unit_set",
+           "if False and (int(a) not in ring.unit_set",
+           tuple(f"tests/test_spectrum.py::test_block_spectrum_meets_its_"
+                 f"caps_before_its_first_read[{case}]"
+                 for case in ("Z_13", "B2(F3)"))
+           + ("tests/test_cli.py::test_spectrum_checks_its_caps_before_"
+              "building_b",)),
 )

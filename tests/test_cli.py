@@ -231,12 +231,13 @@ def test_spectrum_tolerance_must_be_positive(flag, value):
 
 @pytest.mark.parametrize("field, value", [
     ("T", "x"), ("seed", "x"), ("samples", 2.5), ("side", "middle"),
+    ("tau", True),
 ])
 def test_bad_config_file_value_names_field(tmp_path, field, value):
     cfg = {"ring": {"kind": "zn", "n": 6}, "seed": 1, field: value}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    command = "mix" if field == "T" else "simulate"
+    command = {"T": "mix", "tau": "spectrum"}.get(field, "simulate")
     code, out, err = run_cli(["--config", str(path), command])
     assert code == 2
     assert f"'{field}'" in err
@@ -492,23 +493,53 @@ def test_bad_input_names_its_field(argv, field):
     assert f"field '{field}': " in err and "Traceback" not in err, err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["verify", "--eps", "1/2"], "field 'eps': eps = 1/2 outside (0, 1/2)"),
-    (["verify", "--eps", "1/4", "--eps", "0"],
-     "field 'eps': eps = 0 outside (0, 1/2)"),
-    (["verify", "--T", "-1"], "field 'T': T must be >= 0"),
-    (["mix", "--eps", "0"], "field 'eps': eps = 0 outside (0, 1/2)"),
-    (["mix", "--T", "65"], "field 'T': T must lie in [0, 64]"),
-    (["mix", "--T", "-1"], "field 'T': T must lie in [0, 64]"),
+@pytest.mark.parametrize("argv, fields, stderr", [
+    (["verify", "--eps", "1/2"], {},
+     "error: field 'eps': eps = 1/2 outside (0, 1/2)"),
+    (["verify", "--eps", "1/4", "--eps", "0"], {},
+     "error: field 'eps': eps = 0 outside (0, 1/2)"),
+    (["verify", "--T", "-1"], {}, "error: field 'T': T must be >= 0"),
+    (["mix", "--eps", "0"], {},
+     "error: field 'eps': eps = 0 outside (0, 1/2)"),
+    (["mix", "--T", "65"], {}, "error: field 'T': T must lie in [0, 64]"),
+    (["mix", "--T", "-1"], {}, "error: field 'T': T must lie in [0, 64]"),
+    (["stationary", "--alpha", "2"], {},
+     "config error: field 'alpha': alpha = 2 outside (0,1)"),
+    (["spectrum", "--alpha", "0"], {},
+     "config error: field 'alpha': alpha = 0 outside (0,1)"),
+    (["spectrum", "--tau", "0"], {},
+     "config error: field 'tau': expected a finite number > 0, got 0.0"),
+    (["simulate", "--seed", "1", "--alpha", "2"], {},
+     "config error: field 'alpha': alpha = 2 outside (0,1)"),
+    (["simulate", "--seed", "1", "--samples", "0"], {},
+     "error: field 'samples': 0 is below 1"),
+    (["simulate", "--seed", "1", "--steps", "-1"], {},
+     "error: field 'steps' (t): -1 is negative"),
+    (["simulate", "--seed", "1", "--blocks", "0"], {},
+     "error: field 'blocks': 0 is below 1"),
+    # the --side flag's choices stop 'up' in argparse: a config file does not
+    (["simulate", "--seed", "1"], {"side": "up"},
+     "error: field 'side': 'up' is not 'left' or 'right'"),
+    (["simulate"], {},
+     "config error: field 'seed': simulate requires an explicit seed"),
 ], ids=["verify-eps-half", "verify-eps-zero", "verify-T", "mix-eps",
-        "mix-T-above", "mix-T-below"])
+        "mix-T-above", "mix-T-below", "stationary-alpha", "spectrum-alpha",
+        "spectrum-tau", "simulate-alpha", "simulate-samples",
+        "simulate-steps", "simulate-blocks", "simulate-side",
+        "simulate-no-seed"])
 def test_bad_eps_or_t_exits_before_the_ring_is_built(monkeypatch, capsys,
-                                                     argv, message):
+                                                     tmp_path, argv, fields,
+                                                     stderr):
+    """Every command checks each field that needs no ring before it builds
+    the ring: a bad one exits 2, naming it, with no ring built."""
     def no_ring(desc):
         raise AssertionError("the ring was built")
     monkeypatch.setattr(cli, "ring_from_descriptor", no_ring)
-    assert cli.main(argv + ["--ring", "matrix", "--q", "7"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields))
+    ring = ["--ring", "matrix", "--q", "7"]
+    assert cli.main(["--config", str(path)] + argv + ring) == 2
+    assert capsys.readouterr().err == f"{stderr}\n"
 
 
 def test_verify_accepts_t_above_the_curve_cap(capsys):

@@ -785,6 +785,32 @@ def test_abelian_character_table_is_capped(monkeypatch):
         blocks(ring, uniform(ring))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: zn_ring(13), "character table capped at 10 units, got 12"),
+    (lambda: upper_triangular_ring(3), "eigen solve capped at 10, got 12"),
+], ids=["Z_13", "B2(F3)"])
+def test_block_spectrum_meets_its_caps_before_its_first_read(monkeypatch,
+                                                            make, message):
+    """12 units pass a cap of 10: Z_13's abelian character table, and
+    B2(F3)'s unit block, which goes to LAPACK.  block_spectrum refuses
+    before it reads any row of B, as a b_blocks call would crash, and
+    the refusal allocates under 1 MiB."""
+    ring = make()
+    q = uniform(ring)
+    ring.ideals, ring.unit_set          # built before the trace
+    monkeypatch.setattr(spectrum, "EIG_CAP", 10)
+    monkeypatch.setattr(spectrum, "b_blocks", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as refusal:
+            spectrum.block_spectrum(ring, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refusal.value) == message
+    assert peak < 2**20
+
+
 def test_unit_block_route_is_named():
     assert spectrum.unit_block_route(matrix_ring(3)) == "characters (8 irreps)"
     assert spectrum.unit_block_route(zn_ring(60)) == \

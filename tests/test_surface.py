@@ -151,6 +151,37 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     assert unset == set(KNOB_EXEMPT)
 
 
+def test_each_size_refusal_is_a_cap_on_the_ring():
+    """Every `raise TooLarge(` in src/ringwalk, by module and enclosing
+    function.  cli.main names each TooLarge that reaches it 'ring': the
+    caps of mixing and spectrum are met on a ring already built, and the
+    rings.py ones are named ring.n, ring.q, ring.size or ring.factors by
+    cli.ring_from_descriptor as it parses.  A new size refusal on another
+    input has to name its own field, and then joins this set."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and getattr(node.exc.func, "id", None) == "TooLarge":
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "ringwalk").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == {
+        "mixing._count_class_products",
+        "rings.FiniteRing.__init__", "rings.zn_ring",
+        "rings._structured_matrix_ring", "rings.matrix_ring",
+        "rings.product_ring",
+        "spectrum.eig_numeric", "spectrum.block_spectrum",
+        "spectrum._abelian_characters",
+        "spectrum.is_multiplicity_free_nonunit",
+    }
+
+
 def test_every_error_class_derives_from_ringwalk_error():
     """cli.main turns a RingwalkError into exit 2 with its message; an
     error class of errors.py outside that family would reach the user as a
