@@ -11,14 +11,13 @@ to uint16 once, as every partial code is below n.
 
 The simulator steps every sample through a uint16 copy of the ring
 tables, [add; mul] stacked: a state is a uint16 element index and a move
-a uint16 code, and only the gather index of GATHER_BLOCK samples is int32
+a uint16 code, and only the gather index of one sample block is int32
 (run_chain)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-GATHER_BLOCK = 2**14       # samples stepped together through a chunk
 _BLOCK = 64                # table rows gathered together
 
 
@@ -111,31 +110,23 @@ def _gather_rows(codes, rows, n):
 
 
 def run_chain(states, moves, table):
-    """Advance all sample trajectories in place through one chunk of moves.
+    """Advance a block of sample trajectories one step in place.
 
-    states are the samples' uint16 element indices.  moves has shape
-    (steps, samples), uint16: moves[t, i] is the code of sample i's move
-    at step t, a to add a or n + z to multiply by z (mixing._draw_moves).
-    table is the (2n x n) uint16 stack of the ring tables [add; mul]
-    ([add; mul.T] for right multiplication), so entry code*n + x of the
-    flat table is the state after move code from x.  Each step is one
-    multiply, one add and one gather.  The index is int32, as code*n + x <
-    2n^2 < 2^31 for n up to rings.SIZE_CAP; the product is taken in int32
-    (dtype=), not in the uint16 of the codes, which would wrap once 2n^2
-    reaches 2^16.  The samples advance in blocks of GATHER_BLOCK through
-    all steps of the chunk, so a block's states and its index stay in
-    cache; trajectories are independent, so the order of blocks does not
-    change the result.
+    states are the samples' uint16 element indices, and moves their uint16
+    move codes for this step: a to add a, n + z to multiply by z
+    (mixing._block_moves).  table is the (2n x n) uint16 stack of the ring
+    tables [add; mul] ([add; mul.T] for right multiplication), so entry
+    code*n + x of the flat table is the state after move code from x.  The
+    step is one multiply, one add and one gather.  The index is int32, as
+    code*n + x < 2n^2 < 2^31 for n up to rings.SIZE_CAP; the product is
+    taken in int32 (dtype=), not in the uint16 of the codes, which would
+    wrap once 2n^2 reaches 2^16.  The caller passes one sample block
+    (mixing.SAMPLE_BLOCK), so the states and the index stay in cache.
     """
     n = table.shape[1]
-    idx = np.empty(min(GATHER_BLOCK, len(states)), dtype=np.int32)
-    for start in range(0, len(states), GATHER_BLOCK):
-        block = states[start:start + GATHER_BLOCK]
-        block_idx = idx[:len(block)]
-        for row in moves[:, start:start + GATHER_BLOCK]:
-            np.multiply(row, n, out=block_idx, dtype=np.int32)
-            block_idx += block
-            # every index is in range by construction; mode="clip" skips
-            # the bounds check, which would also buffer the output
-            np.take(table, block_idx, out=block, mode="clip")
+    idx = np.multiply(moves, n, dtype=np.int32)
+    idx += states
+    # every index is in range by construction; mode="clip" skips the
+    # bounds check, which would also buffer the output
+    np.take(table, idx, out=states, mode="clip")
     return states

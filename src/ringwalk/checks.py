@@ -11,6 +11,7 @@ array, and a command reads each row block once for all of them.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -60,17 +61,26 @@ def check_witnesses(ring: FiniteRing):
 
 def scan_b(ring: FiniteRing, Q: ClassDistribution, tests):
     """One pass over the row blocks of B for the pairs (test, passed) of
-    tests, test(block, num) a failure detail or None.  A test is called
-    until it first fails, and the pass ends once every test has failed.
-    Returns (ok, its first failure or passed) for each test."""
+    tests, test(block, num, inside) a failure detail or None, where
+    inside() is the block's containment matrix (_containment), built on
+    the first call for the block and shared by every test.  A test is
+    called until it first fails, and the pass ends once every test has
+    failed.  Returns (ok, its first failure or passed) for each test."""
     fails = [None] * len(tests)
     for block, num in b_blocks(ring, Q):
-        fails = [fail or test(block, num)
+        inside = functools.cache(functools.partial(_containment, ring, block))
+        fails = [fail or test(block, num, inside)
                  for (test, _), fail in zip(tests, fails)]
         if all(fails):
             break
     return [(not fail, fail or passed)
             for (_, passed), fail in zip(tests, fails)]
+
+
+def _containment(ring: FiniteRing, block):
+    """inside[j, x]: I_x lies inside I_y for y = block[j]."""
+    ids = ring.ideals.id_of
+    return np.take(ring.ideals.leq.T[ids[block]], ids, axis=1)
 
 
 def rxy_test(ring: FiniteRing, Q: ClassDistribution):
@@ -79,14 +89,12 @@ def rxy_test(ring: FiniteRing, Q: ClassDistribution):
     unit weights, so its numerators are the sizes |R_{x,y}| over all x:
     the scan's own blocks when Q is uniform, a uniform stream read
     alongside them otherwise."""
-    ids = ring.ideals.id_of
     uniform = ClassDistribution.uniform(ring)
     side = None if Q == uniform else b_blocks(ring, uniform)
 
-    def rxy(block, num):
+    def rxy(block, num, inside):
         counts = num if side is None else next(side)[1]
-        # contained[j, x]: I_x is inside I_y for y = block[j]
-        contained = np.take(ring.ideals.leq.T[ids[block]], ids, axis=1)
+        contained = inside()
         empty = (counts > 0) != contained
         size = contained & (counts != counts[:, [ring.zero]])
         for j in np.flatnonzero(empty.any(axis=1) | size.any(axis=1))[:1]:
@@ -113,7 +121,7 @@ def conjugation_test(ring: FiniteRing, Q: ClassDistribution):
     perms = [ring.mul[u, :] for u in gens]
     moved = [b_blocks(ring, Q, perm) for perm in perms]
 
-    def conjugation(block, rows):
+    def conjugation(block, rows, inside):
         for u, perm, blocks in zip(gens, perms, moved):
             # B(u c, u d), each block dropped once compared
             if not np.array_equal(next(blocks)[1][:, perm], rows):
@@ -132,12 +140,11 @@ def two_way_test(ring: FiniteRing, Q: ClassDistribution):
     ideal poset makes B block upper triangular: eig(B) is exactly the union
     of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum)."""
     poset = ring.ideals
-    ids = poset.id_of
 
-    def two_way(block, num):
+    def two_way(block, num, inside):
         # bad[j, y]: B(x, y) != 0 and I_y is not inside I_x, x = block[j]
-        bad = np.take(~poset.leq.T[ids[block]], ids, axis=1)
-        bad &= num != 0
+        bad = num != 0
+        bad &= ~inside()
         if bad.any():
             j, y = np.argwhere(bad)[0]
             x = block[j]
@@ -159,7 +166,7 @@ def m_shift_test(Q: ClassDistribution, alpha):
     alpha = check_alpha(alpha)
     den = Q.scaled_weights()[1]
 
-    def m_shift(block, rows):
+    def m_shift(block, rows, inside):
         if rows.min() < 0 or np.any(rows.sum(axis=1) != den):
             return "a row of B or M is not a probability vector"
 

@@ -99,65 +99,61 @@ def parse_alpha(value) -> Fraction:
         return check_alpha(parse_fraction(value, "alpha"))
 
 
-def ring_from_descriptor(desc) -> FiniteRing:
+def ring_from_descriptor(desc, field: str = "ring") -> FiniteRing:
+    """The ring a descriptor names; each refusal names the descriptor's
+    field, and a product factor's fields are named in full, as
+    ring.factors[i].kind, from flags and from a config file alike."""
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("field 'ring': need an object with a 'kind'")
+        raise ConfigError(f"field {field!r}: need an object with a 'kind'")
     kind = desc["kind"]
     try:
         if kind == "zn":
-            n = parse_int(desc["n"], "ring.n")
-            with _naming("ring.n"):
+            n = parse_int(desc["n"], f"{field}.n")
+            with _naming(f"{field}.n"):
                 return zn_ring(n)
         if kind == "matrix":
-            q = parse_int(desc["q"], "ring.q")
-            size = parse_int(desc.get("size", 2), "ring.size")
-            with _naming("ring.q" if size in MATRIX_SIZES else "ring.size"):
+            q = parse_int(desc["q"], f"{field}.q")
+            size = parse_int(desc.get("size", 2), f"{field}.size")
+            with _naming(f"{field}.q" if size in MATRIX_SIZES
+                         else f"{field}.size"):
                 return matrix_ring(q, size)
         if kind == "upper_triangular":
-            q = parse_int(desc["q"], "ring.q")
-            with _naming("ring.q"):
+            q = parse_int(desc["q"], f"{field}.q")
+            with _naming(f"{field}.q"):
                 return upper_triangular_ring(q)
         if kind == "product":
             factors = desc.get("factors", [])
             if not isinstance(factors, list) or len(factors) < 2:
-                raise ConfigError("field 'ring.factors': need a list of "
-                                  ">= 2 factors")
-            ring = ring_from_descriptor(factors[0])
-            for f in factors[1:]:
-                factor = ring_from_descriptor(f)
-                with _naming("ring.factors"):
+                raise ConfigError(f"field '{field}.factors': need a list of "
+                                  f">= 2 factors")
+            ring = ring_from_descriptor(factors[0], f"{field}.factors[0]")
+            for i, f in enumerate(factors[1:], 1):
+                factor = ring_from_descriptor(f, f"{field}.factors[{i}]")
+                with _naming(f"{field}.factors"):
                     ring = product_ring(ring, factor)
             return ring
     except KeyError as exc:
-        raise ConfigError(f"field 'ring': missing {exc.args[0]!r} for "
+        raise ConfigError(f"field {field!r}: missing {exc.args[0]!r} for "
                           f"kind {kind!r}") from exc
-    raise ConfigError(f"field 'ring.kind': unknown kind {kind!r}")
+    raise ConfigError(f"field '{field}.kind': unknown kind {kind!r}")
 
 
 def parse_eps(cfg) -> list:
-    """The eps list, each in (0, 1/2) as mixing_bound needs, so that a bad
-    eps fails before the ring is built."""
+    """The eps list, each in mixing_bound's domain, so that a bad eps
+    fails before the ring is built."""
     eps = cfg.get("eps", DEFAULT_EPS)
     if not isinstance(eps, (list, tuple)):
         raise ConfigError(f"field 'eps': expected a list of rationals, "
                           f"got {eps!r}")
     eps = [parse_fraction(e, "eps") for e in eps]
-    for e in eps:
-        if not 0 < e < Fraction(1, 2):
-            raise ParamOutOfRange(f"field 'eps': eps = {e} outside (0, 1/2)")
-    return eps
+    return [mixing.check_eps(e) for e in eps]
 
 
-def parse_T(cfg, cap=T_CAP) -> int:
-    """The horizon T, checked against [0, cap] before the ring is built,
-    with a message that names that domain: d_of_t's range [0, T_CAP] for
-    mix, and any T >= 0 for verify, which passes cap=math.inf because its
+def parse_T(cfg, cap) -> int:
+    """The horizon T, checked before the ring is built against d_of_t's
+    range [0, T_CAP] for mix, and against [0, inf) for verify, whose
     mixing check stops at min(T, 20)."""
-    T = parse_int(cfg.get("T", 20), "T")
-    if not 0 <= T <= cap:
-        domain = "be >= 0" if cap == math.inf else f"lie in [0, {cap}]"
-        raise ParamOutOfRange(f"field 'T': T must {domain}")
-    return T
+    return mixing.check_T(parse_int(cfg.get("T", 20), "T"), cap)
 
 
 def q_from_config(ring: FiniteRing, spec) -> ClassDistribution:
@@ -291,7 +287,7 @@ def cmd_stationary(cfg) -> dict:
 
 def cmd_mix(cfg) -> dict:
     alpha = parse_alpha(cfg.get("alpha", "1/2"))
-    T = parse_T(cfg)
+    T = parse_T(cfg, T_CAP)
     eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
@@ -353,7 +349,7 @@ def cmd_simulate(cfg) -> dict:
 
 def cmd_verify(cfg) -> dict:
     alpha = parse_alpha(cfg.get("alpha", "1/2"))
-    T = parse_T(cfg, cap=math.inf)
+    T = parse_T(cfg, math.inf)
     eps_list = parse_eps(cfg)
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
@@ -442,8 +438,6 @@ def _ring_descriptor_from_flags(args) -> dict | None:
         factors = []
         for part in args.factors.split(","):
             kind, _, param = part.partition(":")
-            if kind not in ("zn", "matrix", "upper_triangular"):
-                raise ConfigError(f"field 'factors': unknown kind {kind!r}")
             factors.append({"kind": kind, "n" if kind == "zn" else "q": param})
         desc["factors"] = factors
     return desc

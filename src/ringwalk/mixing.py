@@ -27,27 +27,34 @@ platforms.  The counts for a seed are fixed by this stream contract:
 * within a chunk come all coins, then all uniform elements, then all
   Q-draws, each row-major over (step, sample).
 
-Each pass draws its flattened chunk in slices of DRAW_SLICE entries (int64
-coins and Q-draws, int32 uniform elements); numpy gives the same values and
-the same stream position for any slicing.  The three passes fill one uint16
-move code per entry in place: the coins write the tails flag (0 or 1), the
-uniform elements turn it into a (heads) or n (tails), and the Q-draws add z
-to every code >= n.  Every code is below 2n <= 2 * rings.SIZE_CAP < 2^16.
-Memory per block is that one buffer, reused across chunks (2 bytes per
-chunk entry), the uint16 states (2 bytes per sample) and one slice of
-draws; the end states are counted one slice at a time once the buffer is
-freed.  The step table is one uint16 copy of the addition and
+A chunk is drawn without holding it.  pass_end reads the raw words of a
+copy of the block's Philox stream and counts numpy's rejections to find
+where the uniform pass starts (P1, the end of the coin pass) and where the
+Q pass starts (P2); a power of two rejects nothing, so its words are
+skipped unread.  Three Generators opened at P0, P1 and P2 then draw the
+chunk one step and SAMPLE_BLOCK samples at a time, each in its own pass's
+order, and that block of samples takes the step at once: the coins write
+a uint16 tails flag (0 or 1), the uniform elements turn it into a (heads)
+or n (tails), and the Q-draws add z to every code >= n.  Every code is
+below 2n <= 2 * rings.SIZE_CAP < 2^16.  After the chunk the coin and
+uniform Generators must stand at P1 and P2 exactly (InvariantViolation
+otherwise), and the block's stream goes on from the Q Generator.  Memory
+per block is the uint16 states (2 bytes per sample) and O(SAMPLE_BLOCK)
+for one block's draws or one slice of raw words, whatever t and
+STEP_CHUNK_ENTRIES are; the end states are counted one sample block at a
+time.  The step table is one uint16 copy of the addition and
 multiplication tables, 4n^2 bytes.  Each step costs O(1) per sample: a
 Q-draw maps to its element through a guide table of at most 2^20 buckets
 (QSampler), and the move is one multiply, one add and one gather from the
-step table (_kernels.run_chain).
+step table (_kernels.run_chain).  Finding P2 reads the uniform pass's
+words a second time unless n is a power of two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import inf, lcm, log
 
 import numpy as np
 
@@ -64,7 +71,7 @@ from .rings import _BLOCK, FiniteRing
 T_CAP = 64
 PRODUCT_CAP = 2**26        # products class_products may keep
 STEP_CHUNK_ENTRIES = 20_000_000
-DRAW_SLICE = 2**18         # entries per integer draw call within a chunk
+SAMPLE_BLOCK = 2**16       # samples drawn and stepped together
 GUIDE_BITS = 20            # the Q-sampler guide table has <= 2^20 buckets
 
 
@@ -206,8 +213,7 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
     centralizer sizes), then O(T * (k^2 + |phi| * n)) exact-integer
     operations.
     """
-    if not (0 <= T <= T_CAP):
-        raise ParamOutOfRange(f"field 'T': T must lie in [0, {T_CAP}]")
+    check_T(T, T_CAP)
     alpha = check_alpha(alpha)
     check_same_ring(ring, Q)
     n = ring.n
@@ -265,14 +271,29 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
                        exact, exact_bounds)
 
 
+def check_T(T: int, cap) -> int:
+    """The horizon T in [0, cap]: T_CAP for d_of_t, math.inf where only
+    min(T, 20) steps are computed (verify)."""
+    if not 0 <= T <= cap:
+        domain = "be >= 0" if cap == inf else f"lie in [0, {cap}]"
+        raise ParamOutOfRange(f"field 'T': T must {domain}")
+    return T
+
+
+def check_eps(eps) -> Fraction:
+    """eps in (0, 1/2), the domain of mixing_bound."""
+    eps = Fraction(eps)
+    if not 0 < eps < Fraction(1, 2):
+        raise ParamOutOfRange(f"field 'eps': eps = {eps} outside (0, 1/2)")
+    return eps
+
+
 def mixing_bound(alpha, eps) -> float:
     """Coupling bound on the eps-mixing time: log(eps)/log(1-alpha) + 1."""
     alpha = Fraction(alpha)
-    eps = Fraction(eps)
     if not 0 < alpha < 1:
         raise ParamOutOfRange(f"alpha = {alpha} outside (0,1)")
-    if not 0 < eps < Fraction(1, 2):
-        raise ParamOutOfRange(f"field 'eps': eps = {eps} outside (0, 1/2)")
+    eps = check_eps(eps)
     return log(eps) / log(1 - alpha) + 1
 
 
@@ -372,12 +393,16 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
 
     The stream contract of the module docstring fixes the counts: chunks of
     max(1, min(t, STEP_CHUNK_ENTRIES // m)) steps for a block of m samples,
-    and per chunk all coins, all uniform elements, then all Q-draws.  Peak
-    memory is about 2 bytes per chunk entry (one uint16 move code; a chunk
-    has at most max(m, STEP_CHUNK_ENTRIES) entries) and 2 bytes per sample
-    (its uint16 state), plus 4n^2 bytes for the uint16 step table and one
-    slice of draws.  The alpha and Q denominators must lie below 2^63, the
-    range of an int64 draw.
+    and per chunk all coins, all uniform elements, then all Q-draws.  Each
+    chunk is drawn from three Generators opened where its three passes
+    start (pass_end finds the second and third starts), one step and
+    SAMPLE_BLOCK samples at a time, and the states of those samples take
+    the step at once; after the chunk the coin and uniform Generators must
+    stand where the next pass starts, or InvariantViolation is raised.
+    Peak memory is 2 bytes per sample (its uint16 state) plus O(SAMPLE_BLOCK)
+    for the draws, whatever t and STEP_CHUNK_ENTRIES are, beside 4n^2 bytes
+    for the uint16 step table.  The alpha and Q denominators must lie below
+    2^63, the range of an int64 draw.
     """
     alpha = check_simulation(alpha, t, samples, seed, side, blocks,
                              allow_boundary)
@@ -402,51 +427,131 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     for block, m in enumerate(per_block):
         if m == 0:
             continue
-        rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+        stream = np.random.Philox(key=[seed, block])
         states = np.full(m, x0, dtype=np.uint16)
+        code = np.empty(min(m, SAMPLE_BLOCK), dtype=np.uint16)
         chunk = max(1, min(t, STEP_CHUNK_ENTRIES // m))
-        moves = np.empty(chunk * m, dtype=np.uint16)
         done = 0
         while done < t:
             step = min(chunk, t - done)
-            _draw_moves(rng, moves[:step * m], alpha, ring.n, sampler)
-            _kernels.run_chain(states, moves[:step * m].reshape(step, m),
-                               table)
+            p0 = stream.state
+            p1 = pass_end(p0, alpha.denominator, step * m)
+            p2 = pass_end(p1, ring.n, step * m)
+            coins = np.random.Generator(_philox_at(p0))
+            elements = np.random.Generator(_philox_at(p1))
+            stream.state = p2             # the Q pass continues the stream
+            qs = np.random.Generator(stream)
+            for _ in range(step):
+                for cut in range(0, m, SAMPLE_BLOCK):
+                    at = states[cut:cut + SAMPLE_BLOCK]
+                    _block_moves(coins, elements, qs, alpha, ring.n, sampler,
+                                 code[:len(at)])
+                    _kernels.run_chain(at, code[:len(at)], table)
+            for drawn, end in ((coins, p1), (elements, p2)):
+                if _position(drawn.bit_generator.state) != _position(end):
+                    raise InvariantViolation(
+                        f"{ring.label}: a draw pass of block {block} ended "
+                        f"away from where the next pass was opened")
             done += step
-        del moves
-        # bincount widens its input to intp: one slice at a time
-        for cut in range(0, m, DRAW_SLICE):
-            counts += np.bincount(states[cut:cut + DRAW_SLICE],
+        # bincount widens its input to intp: one sample block at a time
+        for cut in range(0, m, SAMPLE_BLOCK):
+            counts += np.bincount(states[cut:cut + SAMPLE_BLOCK],
                                   minlength=ring.n)
     return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
                             counts)
 
 
-def _draw_moves(rng, moves, alpha, n, sampler):
-    """Fill one chunk's uint16 move codes in place: a for heads (add a) and
-    n + z for tails (multiply by z), the row of the step table that
-    _kernels.run_chain reads.
+def _block_moves(coins, elements, qs, alpha, n, sampler, code):
+    """Fill one sample block's uint16 move codes for one step in place: a
+    for heads (add a) and n + z for tails (multiply by z), the row of the
+    step table that _kernels.run_chain reads.
 
-    Three passes over the flattened chunk, each in slices of DRAW_SLICE
-    entries: the coins write the tails flag, the uniform elements a write
-    a + flag*(n - a), and the Q-draws add z wherever the code is >= n.
-    Coins and Q-draws are int64 (their denominators reach 2^63), uniform
-    elements int32; the arithmetic is int32, and every code is below 2n.
+    The coin Generator writes the tails flag, the uniform element a turns
+    it into a + flag*(n - a), and the Q-draw adds z wherever the code is
+    >= n.  Coins and Q-draws are int64 (their denominators reach 2^63),
+    uniform elements int32; the arithmetic is int32, and every code is
+    below 2n.
     """
-    cuts = [slice(i, i + DRAW_SLICE) for i in range(0, len(moves), DRAW_SLICE)]
-    for cut in cuts:
-        # unnamed, so the coins are freed before the next pass
-        np.greater_equal(rng.integers(0, alpha.denominator,
-                                      size=len(moves[cut]), dtype=np.int64),
-                         alpha.numerator, out=moves[cut])
-    for cut in cuts:
-        flag = moves[cut]
-        a = rng.integers(0, n, size=len(flag), dtype=np.int32)
-        a += flag * (n - a)
-        flag[:] = a
-    for cut in cuts:
-        code = moves[cut]
-        z = sampler(rng.integers(0, sampler.den, size=len(code),
-                                 dtype=np.int64))
-        z *= code >= n
-        np.add(code, z, out=code, casting="unsafe")
+    np.greater_equal(coins.integers(0, alpha.denominator, size=len(code),
+                                    dtype=np.int64),
+                     alpha.numerator, out=code)
+    a = elements.integers(0, n, size=len(code), dtype=np.int32)
+    a += code * (n - a)
+    code[:] = a
+    z = sampler(qs.integers(0, sampler.den, size=len(code), dtype=np.int64))
+    z *= code >= n
+    np.add(code, z, out=code, casting="unsafe")
+
+
+def pass_end(state: dict, r: int, count: int) -> dict:
+    """The Philox state that Generator.integers(0, r, size=count) leaves
+    behind when drawn from `state` (any dtype that holds r - 1), read off
+    the raw words of a copy without drawing.
+
+    numpy's rule (Lemire, "Fast random integer generation in an
+    interval", ACM TOMACS 29(1), 2019): r == 1 draws no word.  Up to
+    r == 2^32 each draw takes one uint32 half-word, the pending high half
+    first and then the low and high halves of each raw word, and rejects
+    x when x*r mod 2^32 < 2^32 mod r.  Above 2^32 each draw takes a whole
+    uint64 word and rejects x when x*r mod 2^64 < 2^64 mod r; a pending
+    half-word stays pending.  A power of two never rejects, so its words
+    are skipped unread.  The words are read SAMPLE_BLOCK at a time.
+    """
+    if r == 1 or count == 0:
+        return _after_words(state, 0)
+    wide = r > 2**32
+    threshold = (2**64 if wide else 2**32) % r
+    need = count
+    if not wide and state["has_uint32"]:       # the pending half first
+        need -= (state["uinteger"] * r) % 2**32 >= threshold
+    used = 0                    # units (words or half-words) of raw words
+    scout = _philox_at(state)
+    while need and threshold:
+        units = scout.random_raw(SAMPLE_BLOCK)
+        if not wide:
+            units = units.astype("<u8", copy=False).view("<u4")
+        rejected = units * units.dtype.type(r) < threshold
+        kept = len(units) - np.count_nonzero(rejected)
+        if kept < need:
+            need -= kept
+            used += len(units)
+        else:
+            used += int(np.flatnonzero(~rejected)[need - 1]) + 1
+            need = 0
+    used += need
+    if wide:
+        return _after_words(state, used)
+    end = _after_words(state, (used + 1) // 2)
+    end["has_uint32"] = used % 2
+    if used:
+        end["uinteger"] = int(end["buffer"][end["buffer_pos"] - 1] >> 32)
+    return end
+
+
+def _after_words(state: dict, words: int) -> dict:
+    """The Philox state `words` raw words after `state`, with its pending
+    half-word; whole blocks of four words are skipped by advance()."""
+    bg = _philox_at(state)
+    left = 4 - state["buffer_pos"]
+    if words > left:
+        blocks, words = divmod(words - left - 1, 4)
+        bg.advance(blocks)
+        words += 1
+    bg.random_raw(words)
+    end = bg.state
+    end["has_uint32"], end["uinteger"] = (state["has_uint32"],
+                                          state["uinteger"])
+    return end
+
+
+def _philox_at(state: dict):
+    bg = np.random.Philox(key=0)
+    bg.state = state
+    return bg
+
+
+def _position(state: dict) -> tuple:
+    """A Philox state as a comparable tuple (its key is the block's)."""
+    return (tuple(state["state"]["counter"].tolist()),
+            tuple(state["buffer"].tolist()), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])

@@ -22,8 +22,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("step-index-in-uint16", "_kernels.py",
-           "np.multiply(row, n, out=block_idx, dtype=np.int32)",
-           "np.multiply(row, n, out=block_idx)",
+           "idx = np.multiply(moves, n, dtype=np.int32)",
+           "idx = np.multiply(moves, n)",
            tuple(f"tests/test_mixing.py::test_simulate_equals_reference_"
                  f"where_scaled_entries_exceed_uint16[{case}]"
                  for case in ("M2(F5)-left", "M2(F5)-right", "Z_200-left"))),
@@ -35,8 +35,8 @@ MUTANTS = (
            "ring.mul.T,\n                            ring.add])",
            ("tests/test_mixing.py::test_simulate_equals_reference_stream",)),
     Mutant("coin-heads-on-greater", "mixing.py",
-           "np.greater_equal(rng.integers(0, alpha.denominator,",
-           "np.greater(rng.integers(0, alpha.denominator,",
+           "np.greater_equal(coins.integers(0, alpha.denominator,",
+           "np.greater(coins.integers(0, alpha.denominator,",
            ("tests/test_mixing.py::test_move_codes_are_bounded_below_uint16_"
             "at_the_size_cap",)),
     Mutant("q-draw-without-tails-mask", "mixing.py",
@@ -44,6 +44,18 @@ MUTANTS = (
            "z *= 1",
            ("tests/test_mixing.py::test_move_codes_are_bounded_below_uint16_"
             "at_the_size_cap",)),
+    Mutant("scout-ignores-rejections", "mixing.py",
+           "rejected = units * units.dtype.type(r) < threshold",
+           "rejected = np.zeros(len(units), dtype=bool)",
+           ("tests/test_mixing.py::test_simulation_golden_counts["
+            "m2f2-alpha-den2^31+11]",
+            "tests/test_mixing.py::test_pass_end_is_the_state_integers_"
+            "leaves")),
+    Mutant("no-end-state-certificate", "mixing.py",
+           "if _position(drawn.bit_generator.state) != _position(end):",
+           "if False:",
+           ("tests/test_mixing.py::test_a_miscounted_pass_fails_the_end_"
+            "state_certificate",)),
     Mutant("orbits-without-orbit-stabilizer", "mixing.py",
            "if not (closed and np.all(sizes * central == len(units))):",
            "if not closed:",
@@ -88,29 +100,29 @@ MUTANTS = (
            ("tests/test_spectrum.py::test_merge_cost_follows_the_number_of_"
             "distinct_values",)),
     Mutant("conjugation-first-block-only", "checks.py",
-           "def conjugation(block, rows):\n",
-           "def conjugation(block, rows):\n"
+           "def conjugation(block, rows, inside):\n",
+           "def conjugation(block, rows, inside):\n"
            "        if block[0] > 0:\n"
            "            return None\n",
            ("tests/test_spectrum.py::test_conjugation_check_reads_the_last_"
             "row_block",)),
     Mutant("two-way-first-block-only", "checks.py",
-           "def two_way(block, num):\n",
-           "def two_way(block, num):\n"
+           "def two_way(block, num, inside):\n",
+           "def two_way(block, num, inside):\n"
            "        if block[0] > 0:\n"
            "            return None\n",
            ("tests/test_spectrum.py::test_two_way_check_reads_the_last_row_"
             "block",)),
     Mutant("m-shift-first-block-only", "checks.py",
-           "def m_shift(block, rows):\n",
-           "def m_shift(block, rows):\n"
+           "def m_shift(block, rows, inside):\n",
+           "def m_shift(block, rows, inside):\n"
            "        if block[0] > 0:\n"
            "            return None\n",
            ("tests/test_spectrum.py::test_m_shift_check_reads_the_last_row_"
             "block",)),
     Mutant("rxy-first-block-only", "checks.py",
-           "def rxy(block, num):\n",
-           "def rxy(block, num):\n"
+           "def rxy(block, num, inside):\n",
+           "def rxy(block, num, inside):\n"
            "        if block[0] > 0:\n"
            "            return None\n",
            ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",)),

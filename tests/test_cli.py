@@ -274,11 +274,32 @@ def test_unknown_config_key_or_format_names_field(tmp_path, field, value):
     ("--ring product --factors zn:150,zn:150",
      "field 'ring.factors': product has 22500 elements, above the 20000 cap"),
     ("--ring product --factors zn:2,matrix:9",
-     "field 'ring.q': 9 is not prime"),
+     "field 'ring.factors[1].q': 9 is not prime"),
 ])
 def test_bad_ring_parameter_names_its_field(capsys, ring, message):
     assert cli.main(["describe"] + ring.split()) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("factors, message", [
+    ("foo:2,zn:3", "field 'ring.factors[0].kind': unknown kind 'foo'"),
+    ("zn:x,zn:3", "field 'ring.factors[0].n': expected an integer, got 'x'"),
+    ("zn:2,matrix:9", "field 'ring.factors[1].q': 9 is not prime"),
+], ids=["unknown-kind", "bad-n", "bad-q"])
+def test_bad_product_factor_names_its_own_field(capsys, tmp_path, factors,
+                                                message):
+    """--factors and the same factors in a config file name the same
+    field: the factor's own, by its place in the list."""
+    descs = [{"kind": kind, "n" if kind == "zn" else "q": param}
+             for kind, _, param in (f.partition(":")
+                                    for f in factors.split(","))]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ring": {"kind": "product",
+                                         "factors": descs}}))
+    for argv in (["describe", "--ring", "product", "--factors", factors],
+                 ["--config", str(path), "describe"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_config_file_shared_across_commands(tmp_path):

@@ -7,10 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringwalk import _kernels, mixing
+from ringwalk import mixing
 from ringwalk.chain import ClassDistribution, build_B, build_M
 from ringwalk.errors import (
     InvariantViolation,
@@ -530,7 +530,7 @@ def test_golden_z12_denominators_exceed_guide_table():
 
 
 # ---------------------------------------------------------------------
-# the sliced, fused draw loop keeps the stream of the plain chunked loop
+# the streamed sample-block loop keeps the stream of the plain chunked loop
 # ---------------------------------------------------------------------
 
 FACTORS = [("zn", n) for n in range(2, 13)] + [
@@ -570,8 +570,8 @@ ALPHAS = st.one_of(
 def simulation_cases(draw):
     """A small ring (Z_n, B2(F_p), M2(F_2), M2(F_3) or a product of two,
     n <= 256), a class-constant Q with common denominator den, and
-    simulate arguments with chunk, slice and gather-block sizes that cut
-    rows."""
+    simulate arguments with chunk and sample-block sizes that cut rows and
+    leave half-words pending between passes."""
     factors = tuple(draw(st.lists(st.sampled_from(FACTORS), min_size=1,
                                   max_size=2).filter(
         lambda fs: np.prod([SIZES[f] for f in fs]) <= 256)))
@@ -595,8 +595,7 @@ def simulation_cases(draw):
         side=draw(st.sampled_from(["left", "right"])),
         blocks=draw(st.integers(1, samples + 3)))
     sizes = dict(STEP_CHUNK_ENTRIES=draw(st.integers(1, 120)),
-                 DRAW_SLICE=draw(st.integers(1, 50)),
-                 GATHER_BLOCK=draw(st.integers(1, 16)))
+                 SAMPLE_BLOCK=draw(st.integers(1, 16)))
     return ring, q, kwargs, sizes
 
 
@@ -606,9 +605,7 @@ def test_simulate_equals_reference_stream(case):
     ring, q, kwargs, sizes = case
     chunk_entries = sizes["STEP_CHUNK_ENTRIES"]
     with mock.patch.object(mixing, "STEP_CHUNK_ENTRIES", chunk_entries), \
-            mock.patch.object(mixing, "DRAW_SLICE", sizes["DRAW_SLICE"]), \
-            mock.patch.object(_kernels, "GATHER_BLOCK",
-                              sizes["GATHER_BLOCK"]):
+            mock.patch.object(mixing, "SAMPLE_BLOCK", sizes["SAMPLE_BLOCK"]):
         res = simulate(ring, q, allow_boundary=True, **kwargs)
     expected = reference_simulate(ring, q, chunk_entries=chunk_entries,
                                   **kwargs)
@@ -635,38 +632,47 @@ def test_simulate_equals_reference_where_scaled_entries_exceed_uint16(make,
     assert res.counts.tolist() == expected.tolist()
 
 
-def simulate_peak(monkeypatch, chunk_entries, m, t):
+def simulate_peak(monkeypatch, chunk_entries, m, t, alpha=Fr(1, 3)):
     """tracemalloc peak of simulate on M2(F3) with m samples of t steps,
-    and the bound the module docstring states for it: 2 bytes per chunk
-    entry (one uint16 move code) and per sample (one uint16 state), plus,
-    per slice entry, the int64 draws, their guide-table buckets and the
-    sampled elements."""
+    and the bound the module docstring states for it: 2 bytes per sample
+    (one uint16 state) plus at most 40 bytes per SAMPLE_BLOCK entry (a
+    slice of raw words and its rejection mask and kept indices in
+    pass_end, or one block's int64 draws, elements and move codes) and
+    64 KiB for the step table and the counts."""
     ring = matrix_ring(3)
     q = uniform(ring)
     ring.similarity
+    simulate(ring, q, alpha, 0, 1, 10, seed=3)     # first-call imports
     monkeypatch.setattr(mixing, "STEP_CHUNK_ENTRIES", chunk_entries)
     tracemalloc.start()
     try:
-        simulate(ring, q, Fr(1, 3), 0, t, m, seed=3)
+        simulate(ring, q, alpha, 0, t, m, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    entries = max(1, min(t, chunk_entries // m)) * m
-    return peak, 2 * entries + 2 * m + 24 * mixing.DRAW_SLICE
+    return peak, 2 * m + 40 * mixing.SAMPLE_BLOCK + 2**16
 
 
-def test_simulate_memory_is_two_bytes_per_chunk_entry(monkeypatch):
-    # one uint16 move code per chunk entry; a bool coin and an int32 offset
-    # would take 5 bytes an entry, chunk-sized int64 draws about 17
-    peak, bound = simulate_peak(monkeypatch, 8_000_000, 200_000, 40)
-    assert peak <= bound, (peak, bound)
+def test_simulate_memory_is_two_bytes_per_sample(monkeypatch):
+    """No buffer grows with the chunk: 40 steps of 200,000 samples in one
+    chunk held 16 MB of move codes when a chunk was drawn pass by pass.
+    Coin denominators of 3, above 2^31 and above 2^32 read their words
+    as half-words with rejections, half-words with about half rejected,
+    and whole words."""
+    for chunk_entries, t, alpha in [
+            (8_000_000, 40, Fr(1, 3)), (mixing.STEP_CHUNK_ENTRIES, 40,
+                                        Fr(1, 3)),
+            (1, 3, Fr(1, 3)), (8_000_000, 5, Fr(1, 2**31 + 11)),
+            (8_000_000, 5, Fr(1, 2**40 + 11))]:
+        peak, bound = simulate_peak(monkeypatch, chunk_entries, 200_000, t,
+                                    alpha)
+        assert peak <= bound, (chunk_entries, t, alpha, peak, bound)
 
 
 def test_simulate_counts_end_states_without_a_widened_copy(monkeypatch):
-    """2^21 samples of one step: the end states are counted a slice at a
-    time after the move buffer is freed.  int32 states and one bincount
-    over all of them, which widens them to int64 while the buffer is
-    alive, took 14 bytes a sample (29.4 MB here)."""
+    """2^21 samples of one step: the end states are counted a sample block
+    at a time.  int32 states and one bincount over all of them, which
+    widens them to int64, took 14 bytes a sample (29.4 MB here)."""
     peak, bound = simulate_peak(monkeypatch, mixing.STEP_CHUNK_ENTRIES,
                                 2**21, 1)
     assert peak <= bound, (peak, bound)
@@ -688,21 +694,85 @@ def test_move_codes_are_bounded_below_uint16_at_the_size_cap():
     assert 2 * SIZE_CAP**2 < 2**31
     n = SIZE_CAP
     sampler = _ConstantSampler(n - 1, 7)
-    entries = 3 * mixing.DRAW_SLICE + 5
+    entries = 5000
     for den in (2, 2**31 + 11, 2**40):
         alpha = Fr(1, den)
         moves = np.empty(entries, dtype=np.uint16)
-        mixing._draw_moves(np.random.Generator(np.random.Philox(key=[9, 1])),
-                           moves, alpha, n, sampler)
-        rng = np.random.Generator(np.random.Philox(key=[9, 1]))
-        tails = rng.integers(0, den, size=entries, dtype=np.int64) \
+        mixing._block_moves(*(np.random.Generator(np.random.Philox(
+            key=[9, p])) for p in range(3)), alpha, n, sampler, moves)
+        coins, elements, qs = (np.random.Generator(np.random.Philox(
+            key=[9, p])) for p in range(3))
+        tails = coins.integers(0, den, size=entries, dtype=np.int64) \
             >= alpha.numerator
-        a = rng.integers(0, n, size=entries, dtype=np.int32)
-        zs = sampler(rng.integers(0, sampler.den, size=entries,
-                                  dtype=np.int64))
+        a = elements.integers(0, n, size=entries, dtype=np.int32)
+        zs = sampler(qs.integers(0, sampler.den, size=entries,
+                                 dtype=np.int64))
         expected = np.where(tails, n + zs, a)
         assert expected.max() == 2 * n - 1
         assert np.array_equal(moves.astype(np.int32), expected)
+
+
+# ---------------------------------------------------------------------
+# pass_end finds where numpy's integers(0, r) leaves the Philox stream
+# ---------------------------------------------------------------------
+
+def philox_state(state):
+    """Every field of a Philox state, as plain comparable values."""
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
+
+
+# 1 draws nothing; 2^k never rejects; 2^31 + 1 rejects about half the
+# half-words; 2^32 - 1, 2^32 and 2^32 + 1 sit around the half-word to
+# whole-word switch; 2^63 - 1 is the largest denominator simulate draws
+PASS_RANGES = st.one_of(
+    st.sampled_from([1, 2, 3, 625, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+                     2**63 - 1]),
+    st.integers(0, 62).map(lambda k: 2**k))
+
+
+@settings(deadline=None, max_examples=300)
+@given(r=PASS_RANGES, count=st.one_of(st.integers(0, 300),
+                                      st.just(2**17 + 3)),
+       key=st.integers(0, 2**128 - 1), words=st.integers(0, 7),
+       halves=st.integers(0, 3), wide=st.booleans(),
+       block=st.one_of(st.integers(1, 9), st.none()))
+@example(r=2**63 - 1, count=40, key=5, words=1, halves=1, wide=True,
+         block=3)
+@example(r=2**32 + 1, count=40, key=6, words=2, halves=3, wide=True,
+         block=None)
+@example(r=2**31 + 1, count=300, key=7, words=3, halves=1, wide=True,
+         block=1)
+def test_pass_end_is_the_state_integers_leaves(r, count, key, words, halves,
+                                               wide, block):
+    """From a Philox stream `words` raw words and `halves` half-words in
+    (an odd count leaves a high half-word pending), pass_end predicts the
+    state that Generator.integers(0, r, size=count) leaves, field by
+    field; a pass above 2^32 drawn with a half-word pending leaves it
+    pending.  block cuts the raw words pass_end reads into slices."""
+    bg = np.random.Philox(key=key)
+    bg.random_raw(words)
+    rng = np.random.Generator(bg)
+    rng.integers(0, 2**16, size=halves, dtype=np.int32)   # one half each
+    start = bg.state
+    with mock.patch.object(mixing, "SAMPLE_BLOCK",
+                           block or mixing.SAMPLE_BLOCK):
+        end = mixing.pass_end(start, r, count)
+    rng.integers(0, r, size=count,
+                 dtype=np.int64 if wide or r > 2**31 else np.int32)
+    assert philox_state(end) == philox_state(bg.state)
+
+
+def test_a_miscounted_pass_fails_the_end_state_certificate(monkeypatch):
+    """Were a uniform pass opened one draw late, the coin Generator would
+    end the chunk away from it: simulate refuses the run."""
+    ring = matrix_ring(2)
+    counted = mixing.pass_end
+    monkeypatch.setattr(mixing, "pass_end",
+                        lambda state, r, count: counted(state, r, count + 1))
+    with pytest.raises(InvariantViolation, match="ended away from where"):
+        simulate(ring, uniform(ring), Fr(1, 3), 0, 4, 100, seed=1)
 
 
 # ---------------------------------------------------------------------

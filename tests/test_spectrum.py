@@ -682,6 +682,26 @@ def test_b_checks_and_blocks_hold_no_n_by_n_array():
     assert peak < ring.n ** 2 * 2, peak
 
 
+def test_scan_builds_one_containment_matrix_per_row_block(monkeypatch):
+    """The R_{x,y} and two-way tests read the same containment matrix of
+    each row block of B, built once for both; a scan of tests that read
+    none builds none."""
+    ring = matrix_ring(3)
+    Q = seeded_q(ring, 2)
+    built = []
+    real = checks._containment
+    monkeypatch.setattr(checks, "_containment",
+                        lambda r, block: built.append(len(block))
+                        or real(r, block))
+    assert all(ok for ok, _ in checks.scan_b(ring, Q, [
+        checks.rxy_test(ring, Q), checks.two_way_test(ring, Q),
+        checks.m_shift_test(Q, Fr(1, 2))]))
+    assert built == [len(block) for block, _ in chain.b_blocks(ring, Q)]
+    built.clear()
+    assert checks.scan_b(ring, Q, [checks.m_shift_test(Q, Fr(1, 2))])[0][0]
+    assert built == []
+
+
 def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
     """Two closed forms of equal multiplicity moved by +1 and -1 (in D *
     eigenvalue): the first power sum is unchanged, a later one is not."""
