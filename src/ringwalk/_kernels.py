@@ -114,7 +114,7 @@ def run_chain(states, moves, table):
 
     states are the samples' uint16 element indices, and moves their uint16
     move codes for this step: a to add a, n + z to multiply by z
-    (mixing._block_moves).  table is the (2n x n) uint16 stack of the ring
+    (mixing.move_weights).  table is the (2n x n) uint16 stack of the ring
     tables [add; mul] ([add; mul.T] for right multiplication), so entry
     code*n + x of the flat table is the state after move code from x.  The
     step is one multiply, one add and one gather.  The index is int32, as

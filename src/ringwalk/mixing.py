@@ -15,39 +15,32 @@ generator set S_a suffices: left multiplication by a unit preserves B, pi
 and V_t, and the units act transitively on each S_a.  The geometric bound
 d(t) <= (1-alpha)^t is therefore checked without rounding at every size.
 
-The simulator draws from a counter-based Philox stream; coin flips and
-Q-samples are integer draws compared against exact rational thresholds, so
-every move has its exact probability and runs reproduce bit-for-bit across
+The simulator draws one integer per move from the chain's exact move law.
+With alpha = p/s, Q(z) = w_z/D over Q's common denominator D and
+L = lcm(n, D), the 2n move codes carry integer weights over R = s L:
+p L/n for each code a (add a) and (s - p) w_z L/D for each code n + z
+(multiply by z).  So code a has probability alpha/n and code n + z has
+(1 - alpha) Q(z), exactly, and runs reproduce bit-for-bit across
 platforms.  The counts for a seed are fixed by this stream contract:
 
 * trajectories split into blocks, and block b draws from
   Philox(key=[seed, b]);
-* a block of m trajectories runs in chunks of
-  max(1, min(t, STEP_CHUNK_ENTRIES // m)) steps (the last chunk shorter);
-* within a chunk come all coins, then all uniform elements, then all
-  Q-draws, each row-major over (step, sample).
+* each step draws Generator.integers(0, R, dtype=int64) once per sample,
+  row-major over (step, sample), and maps the draw to its move code by
+  the cumulative weights (QSampler).
 
-A chunk is drawn without holding it.  pass_end reads the raw words of a
-copy of the block's Philox stream and counts numpy's rejections to find
-where the uniform pass starts (P1, the end of the coin pass) and where the
-Q pass starts (P2); a power of two rejects nothing, so its words are
-skipped unread.  Three Generators opened at P0, P1 and P2 then draw the
-chunk one step and SAMPLE_BLOCK samples at a time, each in its own pass's
-order, and that block of samples takes the step at once: the coins write
-a uint16 tails flag (0 or 1), the uniform elements turn it into a (heads)
-or n (tails), and the Q-draws add z to every code >= n.  Every code is
-below 2n <= 2 * rings.SIZE_CAP < 2^16.  After the chunk the coin and
-uniform Generators must stand at P1 and P2 exactly (InvariantViolation
-otherwise), and the block's stream goes on from the Q Generator.  Memory
-per block is the uint16 states (2 bytes per sample) and O(SAMPLE_BLOCK)
-for one block's draws or one slice of raw words, whatever t and
-STEP_CHUNK_ENTRIES are; the end states are counted one sample block at a
-time.  The step table is one uint16 copy of the addition and
-multiplication tables, 4n^2 bytes.  Each step costs O(1) per sample: a
-Q-draw maps to its element through a guide table of at most 2^20 buckets
-(QSampler), and the move is one multiply, one add and one gather from the
-step table (_kernels.run_chain).  Finding P2 reads the uniform pass's
-words a second time unless n is a power of two.
+numpy draws the same integers whether they are asked for at once or in
+pieces (a pending half-word stays in the bit generator), so the counts do
+not depend on how a block's draws are cut: simulate draws and steps
+SAMPLE_BLOCK samples at a time.  The domain is R < 2^63, the range of an
+int64 draw.  Memory per block is the uint16 states (2 bytes per sample)
+and O(SAMPLE_BLOCK) for one sample block's draws, codes and gather index,
+whatever t is; the end states are counted one sample block at a time.  The
+step table is one uint16 copy of the addition and multiplication tables,
+4n^2 bytes.  Each step costs O(1) per sample: a draw maps to its move code
+through a guide table of about 32 buckets per code (QSampler), and the
+move is one multiply, one add and one gather from the step table
+(_kernels.run_chain).
 """
 
 from __future__ import annotations
@@ -70,9 +63,8 @@ from .rings import _BLOCK, FiniteRing
 
 T_CAP = 64
 PRODUCT_CAP = 2**26        # products class_products may keep
-STEP_CHUNK_ENTRIES = 20_000_000
 SAMPLE_BLOCK = 2**16       # samples drawn and stepped together
-GUIDE_BITS = 20            # the Q-sampler guide table has <= 2^20 buckets
+GUIDE_BITS = 20            # a QSampler guide table has <= 2^20 buckets
 
 
 def tv_distance(mu, nu):
@@ -298,38 +290,71 @@ def mixing_bound(alpha, eps) -> float:
 
 
 class QSampler:
-    """Maps uniform draws in [0, den) to the element whose cumulative
+    """Maps uniform draws in [0, den) to the outcome whose cumulative
     integer weight first exceeds the draw, as searchsorted(cum, draw,
     "right") does, at O(1) per draw.
 
-    Indexed search (Chen & Asau, 1974): the draw range is cut into at most
-    2^GUIDE_BITS buckets of 2^shift draws, and lo[b] is the answer for the
-    first draw of bucket b.  Only a bucket that straddles a boundary of
-    cum has more than one answer; draws landing there (a share below
-    n / 2^(GUIDE_BITS - 1)) fall back to the binary search.  When
-    den <= 2^GUIDE_BITS every bucket holds one draw and none straddles.
+    Indexed search (Chen & Asau, 1974): the draw range is cut into buckets
+    of 2^shift draws, and lo[b] is the answer for the first draw of bucket
+    b.  There are at most 2^bits buckets, bits = min(GUIDE_BITS,
+    len(w).bit_length() + 5): about 32 per outcome, so the table stays in
+    cache.  Only a bucket that straddles a boundary of cum has more than
+    one answer; lo holds ~lo[b] (negative) there.  A draw landing in one
+    (a share below len(w) / 2^(bits - 1)) steps over the bucket's first
+    boundary by one comparison, and falls back to the binary search when
+    it lies beyond the next one too.  When den <= 2^bits every bucket
+    holds one draw and none straddles.
     """
 
     def __init__(self, w_int):
         self.cum = np.cumsum(np.array(w_int, dtype=np.int64))
         self.den = int(self.cum[-1])
-        self.shift = max(0, (self.den - 1).bit_length() - GUIDE_BITS)
+        bits = min(GUIDE_BITS, len(self.cum).bit_length() + 5)
+        self.shift = max(0, (self.den - 1).bit_length() - bits)
         first = np.arange(((self.den - 1) >> self.shift) + 1,
                           dtype=np.int64) << self.shift
         last = np.minimum(first | ((1 << self.shift) - 1), self.den - 1)
         lo = np.searchsorted(self.cum, first, side="right")
-        self.lo = lo.astype(np.int32)
-        self.split = np.searchsorted(self.cum, last, side="right") != lo
-        self.straddles = bool(self.split.any())
+        split = np.searchsorted(self.cum, last, side="right") != lo
+        self.lo = np.where(split, ~lo, lo).astype(np.int32)
+        self.straddles = bool(split.any())
 
     def __call__(self, draws) -> np.ndarray:
+        d = np.ravel(draws)
         # a shift of 0 would only copy the draws
-        buckets = draws >> self.shift if self.shift else draws
+        buckets = d >> self.shift if self.shift else d
         zs = np.take(self.lo, buckets)
         if self.straddles:
-            hit = np.take(self.split, buckets)
-            zs[hit] = np.searchsorted(self.cum, draws[hit], side="right")
-        return zs
+            hit = np.flatnonzero(zs < 0)
+            dh = d[hit]
+            # cum[z - 1] <= dh, and cum[z] lies in dh's bucket
+            z = ~zs[hit]
+            z += dh >= self.cum[z]
+            far = np.flatnonzero(dh >= self.cum[z])
+            z[far] = np.searchsorted(self.cum, dh[far], side="right")
+            zs[hit] = z
+        return zs.reshape(np.shape(draws))
+
+
+def move_weights(n: int, Q: ClassDistribution, alpha: Fraction) -> np.ndarray:
+    """The int64 weights of the 2n move codes, which sum to R = s L for
+    alpha = p/s, Q's common denominator D and L = lcm(n, D): p L/n for
+    each code a (add a) and (s - p) w_z L/D for each code n + z (multiply
+    by z, Q(z) = w_z/D).  So code a has probability alpha/n and code n + z
+    (1 - alpha) Q(z), exactly.  Raises ParamOutOfRange naming 'Q' unless
+    R < 2^63, the range of an int64 draw."""
+    w_int, den = Q.scaled_weights()
+    p, s = alpha.numerator, alpha.denominator
+    L = lcm(n, den)
+    if s * L >= 2**63:
+        raise ParamOutOfRange(
+            f"field 'Q': the move draw range s*L = {s} * {L} (s the alpha "
+            f"denominator, L = lcm(n, Q's common denominator)) is not below "
+            f"2^63, the range of an int64 draw")
+    weights = np.empty(2 * n, dtype=np.int64)
+    weights[:n] = p * (L // n)
+    weights[n:] = (s - p) * (L // den) * w_int
+    return weights
 
 
 @dataclass
@@ -361,7 +386,7 @@ def check_simulation(alpha, t: int, samples: int, seed: int, side: str,
     if alpha.denominator >= 2**63:
         raise ParamOutOfRange(f"field 'alpha': denominator "
                               f"{alpha.denominator} is not below 2^63, the "
-                              f"range of an int64 coin draw")
+                              f"range of an int64 move draw")
     if t < 0:
         raise ParamOutOfRange(f"field 'steps' (t): {t} is negative")
     if samples < 1:
@@ -391,32 +416,27 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     into `blocks` independent Philox streams keyed (seed, block) and merge
     deterministically, so any execution order gives identical results.
 
-    The stream contract of the module docstring fixes the counts: chunks of
-    max(1, min(t, STEP_CHUNK_ENTRIES // m)) steps for a block of m samples,
-    and per chunk all coins, all uniform elements, then all Q-draws.  Each
-    chunk is drawn from three Generators opened where its three passes
-    start (pass_end finds the second and third starts), one step and
-    SAMPLE_BLOCK samples at a time, and the states of those samples take
-    the step at once; after the chunk the coin and uniform Generators must
-    stand where the next pass starts, or InvariantViolation is raised.
-    Peak memory is 2 bytes per sample (its uint16 state) plus O(SAMPLE_BLOCK)
-    for the draws, whatever t and STEP_CHUNK_ENTRIES are, beside 4n^2 bytes
-    for the uint16 step table.  The alpha and Q denominators must lie below
-    2^63, the range of an int64 draw.
+    The stream contract of the module docstring fixes the counts: each
+    step draws one integer in [0, R) per sample, row-major over (step,
+    sample), and QSampler maps it to a move code over move_weights.  The
+    draws are taken SAMPLE_BLOCK samples at a time, and the states of those
+    samples take the step at once; the counts do not depend on
+    SAMPLE_BLOCK.  Domain: R = s lcm(n, D) < 2^63 for alpha = p/s and Q's
+    common denominator D, checked before any draw (ParamOutOfRange naming
+    'Q'); the alpha denominator alone must lie below 2^63 too
+    (check_simulation).  Peak memory is 2 bytes per sample (its uint16
+    state) plus O(SAMPLE_BLOCK) for the draws, whatever t is, beside 4n^2
+    bytes for the uint16 step table.
     """
     alpha = check_simulation(alpha, t, samples, seed, side, blocks,
                              allow_boundary)
     if not 0 <= x0 < ring.n:
         raise ParamOutOfRange(f"field 'start' (x0): {x0} is not an element "
                               f"index of {ring.label} (0..{ring.n - 1})")
-    w_int, den = Q.scaled_weights()
-    if den >= 2**63:
-        raise ParamOutOfRange(f"field 'Q': common denominator {den} is not "
-                              f"below 2^63, the range of an int64 Q-draw")
     if 2 * ring.n > 2**16:
         raise InvariantViolation(f"{ring.label}: move codes reach 2n = "
                                  f"{2 * ring.n}, beyond uint16")
-    sampler = QSampler(w_int)
+    sampler = QSampler(move_weights(ring.n, Q, alpha))
     # entry (code, x) of the step table: x + a for code a, and z x (left)
     # or x z (right) for code n + z
     table = np.concatenate([ring.add,
@@ -427,131 +447,19 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     for block, m in enumerate(per_block):
         if m == 0:
             continue
-        stream = np.random.Philox(key=[seed, block])
+        rng = np.random.Generator(np.random.Philox(key=[seed, block]))
         states = np.full(m, x0, dtype=np.uint16)
         code = np.empty(min(m, SAMPLE_BLOCK), dtype=np.uint16)
-        chunk = max(1, min(t, STEP_CHUNK_ENTRIES // m))
-        done = 0
-        while done < t:
-            step = min(chunk, t - done)
-            p0 = stream.state
-            p1 = pass_end(p0, alpha.denominator, step * m)
-            p2 = pass_end(p1, ring.n, step * m)
-            coins = np.random.Generator(_philox_at(p0))
-            elements = np.random.Generator(_philox_at(p1))
-            stream.state = p2             # the Q pass continues the stream
-            qs = np.random.Generator(stream)
-            for _ in range(step):
-                for cut in range(0, m, SAMPLE_BLOCK):
-                    at = states[cut:cut + SAMPLE_BLOCK]
-                    _block_moves(coins, elements, qs, alpha, ring.n, sampler,
-                                 code[:len(at)])
-                    _kernels.run_chain(at, code[:len(at)], table)
-            for drawn, end in ((coins, p1), (elements, p2)):
-                if _position(drawn.bit_generator.state) != _position(end):
-                    raise InvariantViolation(
-                        f"{ring.label}: a draw pass of block {block} ended "
-                        f"away from where the next pass was opened")
-            done += step
+        for _ in range(t):
+            for cut in range(0, m, SAMPLE_BLOCK):
+                at = states[cut:cut + SAMPLE_BLOCK]
+                moves = code[:len(at)]
+                moves[:] = sampler(rng.integers(0, sampler.den, size=len(at),
+                                                dtype=np.int64))
+                _kernels.run_chain(at, moves, table)
         # bincount widens its input to intp: one sample block at a time
         for cut in range(0, m, SAMPLE_BLOCK):
             counts += np.bincount(states[cut:cut + SAMPLE_BLOCK],
                                   minlength=ring.n)
     return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
                             counts)
-
-
-def _block_moves(coins, elements, qs, alpha, n, sampler, code):
-    """Fill one sample block's uint16 move codes for one step in place: a
-    for heads (add a) and n + z for tails (multiply by z), the row of the
-    step table that _kernels.run_chain reads.
-
-    The coin Generator writes the tails flag, the uniform element a turns
-    it into a + flag*(n - a), and the Q-draw adds z wherever the code is
-    >= n.  Coins and Q-draws are int64 (their denominators reach 2^63),
-    uniform elements int32; the arithmetic is int32, and every code is
-    below 2n.
-    """
-    np.greater_equal(coins.integers(0, alpha.denominator, size=len(code),
-                                    dtype=np.int64),
-                     alpha.numerator, out=code)
-    a = elements.integers(0, n, size=len(code), dtype=np.int32)
-    a += code * (n - a)
-    code[:] = a
-    z = sampler(qs.integers(0, sampler.den, size=len(code), dtype=np.int64))
-    z *= code >= n
-    np.add(code, z, out=code, casting="unsafe")
-
-
-def pass_end(state: dict, r: int, count: int) -> dict:
-    """The Philox state that Generator.integers(0, r, size=count) leaves
-    behind when drawn from `state` (any dtype that holds r - 1), read off
-    the raw words of a copy without drawing.
-
-    numpy's rule (Lemire, "Fast random integer generation in an
-    interval", ACM TOMACS 29(1), 2019): r == 1 draws no word.  Up to
-    r == 2^32 each draw takes one uint32 half-word, the pending high half
-    first and then the low and high halves of each raw word, and rejects
-    x when x*r mod 2^32 < 2^32 mod r.  Above 2^32 each draw takes a whole
-    uint64 word and rejects x when x*r mod 2^64 < 2^64 mod r; a pending
-    half-word stays pending.  A power of two never rejects, so its words
-    are skipped unread.  The words are read SAMPLE_BLOCK at a time.
-    """
-    if r == 1 or count == 0:
-        return _after_words(state, 0)
-    wide = r > 2**32
-    threshold = (2**64 if wide else 2**32) % r
-    need = count
-    if not wide and state["has_uint32"]:       # the pending half first
-        need -= (state["uinteger"] * r) % 2**32 >= threshold
-    used = 0                    # units (words or half-words) of raw words
-    scout = _philox_at(state)
-    while need and threshold:
-        units = scout.random_raw(SAMPLE_BLOCK)
-        if not wide:
-            units = units.astype("<u8", copy=False).view("<u4")
-        rejected = units * units.dtype.type(r) < threshold
-        kept = len(units) - np.count_nonzero(rejected)
-        if kept < need:
-            need -= kept
-            used += len(units)
-        else:
-            used += int(np.flatnonzero(~rejected)[need - 1]) + 1
-            need = 0
-    used += need
-    if wide:
-        return _after_words(state, used)
-    end = _after_words(state, (used + 1) // 2)
-    end["has_uint32"] = used % 2
-    if used:
-        end["uinteger"] = int(end["buffer"][end["buffer_pos"] - 1] >> 32)
-    return end
-
-
-def _after_words(state: dict, words: int) -> dict:
-    """The Philox state `words` raw words after `state`, with its pending
-    half-word; whole blocks of four words are skipped by advance()."""
-    bg = _philox_at(state)
-    left = 4 - state["buffer_pos"]
-    if words > left:
-        blocks, words = divmod(words - left - 1, 4)
-        bg.advance(blocks)
-        words += 1
-    bg.random_raw(words)
-    end = bg.state
-    end["has_uint32"], end["uinteger"] = (state["has_uint32"],
-                                          state["uinteger"])
-    return end
-
-
-def _philox_at(state: dict):
-    bg = np.random.Philox(key=0)
-    bg.state = state
-    return bg
-
-
-def _position(state: dict) -> tuple:
-    """A Philox state as a comparable tuple (its key is the block's)."""
-    return (tuple(state["state"]["counter"].tolist()),
-            tuple(state["buffer"].tolist()), state["buffer_pos"],
-            state["has_uint32"], state["uinteger"])

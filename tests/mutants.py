@@ -34,28 +34,50 @@ MUTANTS = (
            "table = np.concatenate([ring.mul if side == \"left\" else "
            "ring.mul.T,\n                            ring.add])",
            ("tests/test_mixing.py::test_simulate_equals_reference_stream",)),
-    Mutant("coin-heads-on-greater", "mixing.py",
-           "np.greater_equal(coins.integers(0, alpha.denominator,",
-           "np.greater(coins.integers(0, alpha.denominator,",
-           ("tests/test_mixing.py::test_move_codes_are_bounded_below_uint16_"
-            "at_the_size_cap",)),
-    Mutant("q-draw-without-tails-mask", "mixing.py",
-           "z *= code >= n",
-           "z *= 1",
-           ("tests/test_mixing.py::test_move_codes_are_bounded_below_uint16_"
-            "at_the_size_cap",)),
-    Mutant("scout-ignores-rejections", "mixing.py",
-           "rejected = units * units.dtype.type(r) < threshold",
-           "rejected = np.zeros(len(units), dtype=bool)",
-           ("tests/test_mixing.py::test_simulation_golden_counts["
-            "m2f2-alpha-den2^31+11]",
-            "tests/test_mixing.py::test_pass_end_is_the_state_integers_"
-            "leaves")),
-    Mutant("no-end-state-certificate", "mixing.py",
-           "if _position(drawn.bit_generator.state) != _position(end):",
+    Mutant("add-weights-unscaled", "mixing.py",
+           "weights[:n] = p * (L // n)",
+           "weights[:n] = p",
+           ("tests/test_mixing.py::test_end_states_follow_the_exact_law["
+            "M2(F3)-1/2-left]",
+            "tests/test_mixing.py::test_end_states_follow_the_exact_law["
+            "Z_360-1/10-right]",
+            "tests/test_mixing.py::test_simulation_golden_counts["
+            "z12-den2^56]")),
+    Mutant("multiply-weights-without-tails-share", "mixing.py",
+           "weights[n:] = (s - p) * (L // den) * w_int",
+           "weights[n:] = (L // den) * w_int",
+           ("tests/test_mixing.py::test_end_states_follow_the_exact_law["
+            "M2(F3)-1/10-left]",
+            "tests/test_mixing.py::test_end_states_follow_the_exact_law["
+            "B2(F5)-2/7-right]",
+            "tests/test_mixing.py::test_simulation_golden_counts["
+            "m2f2-alpha1]")),
+    Mutant("q-sampler-ignores-straddles", "mixing.py",
+           "if self.straddles:",
            "if False:",
-           ("tests/test_mixing.py::test_a_miscounted_pass_fails_the_end_"
-            "state_certificate",)),
+           ("tests/test_mixing.py::test_q_sampler_straddling_buckets_only_"
+            "above_guide_bits",
+            "tests/test_mixing.py::test_simulation_golden_counts["
+            "z12-den2^40]",
+            "tests/test_mixing.py::test_simulate_accepts_a_move_range_just_"
+            "below_2_63[z12-R2^63-8]")),
+    Mutant("q-sampler-steps-one-boundary-only", "mixing.py",
+           "z[far] = np.searchsorted(self.cum, dh[far], side=\"right\")",
+           "z[far] = z[far]",
+           ("tests/test_mixing.py::test_q_sampler_straddling_buckets_only_"
+            "above_guide_bits",)),
+    Mutant("sampler-drops-last-multiply-code", "mixing.py",
+           "sampler = QSampler(move_weights(ring.n, Q, alpha))",
+           "sampler = QSampler(move_weights(ring.n, Q, alpha)[:-1])",
+           ("tests/test_mixing.py::test_end_states_follow_the_exact_law["
+            "M2(F3)-1/10-left]",
+            "tests/test_mixing.py::test_simulation_golden_counts["
+            "m2f2-left]")),
+    Mutant("move-range-admits-2^63", "mixing.py",
+           "if s * L >= 2**63:",
+           "if s * L > 2**63:",
+           ("tests/test_mixing.py::test_simulate_refuses_a_move_range_of_"
+            "2_63[z2-R2^63]",)),
     Mutant("orbits-without-orbit-stabilizer", "mixing.py",
            "if not (closed and np.all(sizes * central == len(units))):",
            "if not closed:",

@@ -1,75 +1,66 @@
-"""Oracle for the simulator's Philox stream: the chunked loop written the
-plain way, with int64 chunk-sized draws and a masked copy per step.  Also
+"""Oracle for the simulator's Philox stream: the move law written the plain
+way, from Fractions, with one block-sized draw and searchsorted.  Also
 one_step_rows, the simulator's empirical one-step transition rows.
 
-reference_simulate takes the same arguments as mixing.simulate and the
-chunk size explicitly; it returns the end-state counts.  The draw order is
-the stream contract of mixing.simulate: per block a Philox stream keyed
-(seed, block); per chunk of steps all coins, then all uniform elements,
-then all Q-draws, each row-major over (step, sample).  The oracle builds
-its own step table from ring.add and ring.mul (n_major_table), move-major
-where the simulator's is x-major, so it shares no table code with the
-simulator it checks.
+reference_simulate takes the same arguments as mixing.simulate and returns
+the end-state counts.  The draw order is the stream contract of
+mixing.simulate: per block a Philox stream keyed (seed, block), and per
+step one integer in [0, R) per sample, row-major over (step, sample), with
+R = s lcm(n, D) for alpha = p/s and Q's common denominator D.  The oracle
+draws all t*m integers of a block at once, maps them to move codes with
+np.searchsorted over its own cumulative weights (the exact probabilities
+alpha/n and (1 - alpha) Q(z) times R), and steps through its own table
+built from ring.add and ring.mul (n_major_table), so it shares no sampler
+or table code with the simulator it checks.
 """
 
-import math
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from ringwalk.exact import ScaledMatrix
-from ringwalk.mixing import QSampler, simulate
+from ringwalk.mixing import simulate
 
 
 def n_major_table(ring, side):
     """Flat table of one step: entry a*n + x is x + a and entry
     n*n + z*n + x is z*x (left) or x*z (right)."""
     mul = ring.mul if side == "left" else ring.mul.T
-    return np.concatenate([ring.add.T.ravel(), mul.ravel()]).astype(np.int32)
+    return np.concatenate([ring.add.T.ravel(), mul.ravel()]).astype(np.int64)
 
 
-def reference_run_chain(states, heads, adds, zs, table):
-    """Five ops per step: index n*a (heads) or n*(n + z) (tails), plus x."""
-    n = math.isqrt(table.size // 2)
-    idx = np.empty_like(states)
-    for h, a, z in zip(heads, adds, zs):
-        np.add(z, n, out=idx)
-        np.copyto(idx, a, where=h)
-        idx *= n
-        idx += states
-        np.take(table, idx, out=states, mode="clip")
-    return states
+def reference_move_cum(ring, Q, alpha):
+    """The draw range R and the cumulative integer weights of the 2n move
+    codes: R times alpha/n for each code a, and R times (1 - alpha) Q(z)
+    for each code n + z."""
+    n = ring.n
+    alpha = Fraction(alpha)
+    q = [Q.weights[c] for c in ring.similarity.class_of]
+    R = alpha.denominator * lcm(n, *(x.denominator for x in q))
+    probs = [alpha / n] * n + [(1 - alpha) * x for x in q]
+    weights = [x * R for x in probs]
+    assert all(w.denominator == 1 for w in weights) and sum(probs) == 1
+    return R, np.cumsum(np.array([int(w) for w in weights], dtype=np.int64))
 
 
-def reference_run_chunk(rng, states, step, alpha, n, sampler, table):
-    heads = rng.integers(0, alpha.denominator, size=(step, len(states))) \
-        < alpha.numerator
-    adds = rng.integers(0, n, size=(step, len(states)), dtype=np.int32)
-    zs = sampler(rng.integers(0, sampler.den, size=(step, len(states)),
-                              dtype=np.int64))
-    reference_run_chain(states, heads, adds, zs, table)
-
-
-def reference_simulate(ring, Q, alpha, x0, t, samples, seed, side, blocks,
-                       chunk_entries):
-    w_int, _ = Q.scaled_weights()
-    sampler = QSampler(w_int)
+def reference_simulate(ring, Q, alpha, x0, t, samples, seed, side, blocks):
+    R, cum = reference_move_cum(ring, Q, alpha)
     table = n_major_table(ring, side)
-    counts = np.zeros(ring.n, dtype=np.int64)
+    n = ring.n
+    counts = np.zeros(n, dtype=np.int64)
     per_block = [samples // blocks] * blocks
     per_block[-1] += samples - sum(per_block)
     for block, m in enumerate(per_block):
         if m == 0:
             continue
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
-        states = np.full(m, x0, dtype=np.int32)
-        chunk = max(1, min(t, chunk_entries // m))
-        done = 0
-        while done < t:
-            step = min(chunk, t - done)
-            reference_run_chunk(rng, states, step, alpha, ring.n, sampler,
-                                table)
-            done += step
-        counts += np.bincount(states, minlength=ring.n)
+        draws = rng.integers(0, R, size=(t, m), dtype=np.int64)
+        codes = np.searchsorted(cum, draws, side="right")
+        states = np.full(m, x0, dtype=np.int64)
+        for step in codes:
+            states = table[step * n + states]
+        counts += np.bincount(states, minlength=n)
     return counts
 
 

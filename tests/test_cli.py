@@ -218,6 +218,26 @@ def test_simulate_out_of_range_field_is_config_error(flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("den, code", [(2**62 - 4, 0), (2**62 + 8, 2)],
+                         ids=["R2^63-8", "R2^63+16"])
+def test_simulate_move_range_edge_is_2_63(den, code):
+    """On Z_12 at alpha 1/2 with a Q of common denominator D, a multiple of
+    12, the move draws range over R = 2 lcm(12, D) = 2 D: 2^63 - 8 runs,
+    and 2^63 + 16 exits 2 naming 'Q' with s, L and 2^63."""
+    q = json.dumps({"0": f"1/{den}", "1": f"{den - 1}/{den}",
+                    **{str(x): "0" for x in range(2, 12)}})
+    rc, out, err = run_cli(["simulate", "--ring", "zn", "--n", "12",
+                            "--alpha", "1/2", "--seed", "1", "--samples",
+                            "100", "--steps", "3", "--Q", q])
+    assert rc == code, err
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        assert "'Q'" in err and f"2 * {den}" in err and "2^63" in err
+    else:
+        assert "count" in out
+
+
 @pytest.mark.parametrize("flag", ["--tau"])
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_spectrum_tolerance_must_be_positive(flag, value):

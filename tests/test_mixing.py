@@ -3,11 +3,12 @@
 import functools
 import tracemalloc
 from fractions import Fraction as Fr
+from math import lcm
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwalk import mixing
@@ -444,93 +445,224 @@ def z12_q(den, seed):
         ring, [Fr(x, den) for x in k] + [Fr(den - sum(k), den)])
 
 
+def move_range(ring, q, alpha):
+    """R = s lcm(n, D), the range of simulate's move draws."""
+    return Fr(alpha).denominator * lcm(ring.n, q.scaled_weights()[1])
+
+
 def golden_cases():
     m2 = matrix_ring(2)
     b3 = upper_triangular_ring(3)
     z40 = z12_q(2**40 - 87, 7)
-    z58 = z12_q(2**58 - 27, 8)
+    z56 = z12_q(2**56 - 5, 11)
     z32 = z12_q(2**32 - 5, 10)
-    # (ring, Q, simulate keywords, STEP_CHUNK_ENTRIES or None, counts)
+    # (ring, Q, simulate keywords, counts)
     return {
         "m2f2-left": (
             m2, seeded_q(m2, 3),
-            dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101), None,
-            [1263, 135, 125, 131, 132, 108, 92, 123, 119, 91, 124, 111, 114,
-             105, 111, 116]),
+            dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101),
+            [1239, 135, 135, 110, 128, 118, 123, 117, 126, 98, 109, 104, 140,
+             91, 92, 135]),
         "m2f2-right": (
             m2, seeded_q(m2, 3),
             dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101,
-                 side="right"), None,
-            [1270, 114, 125, 128, 139, 117, 95, 118, 134, 96, 124, 107, 124,
-             87, 109, 113]),
+                 side="right"),
+            [1253, 148, 126, 116, 130, 109, 113, 109, 108, 104, 111, 105, 143,
+             106, 93, 126]),
         "b2f3-blocks3": (
             b3, seeded_q(b3, 5),
             dict(alpha=Fr(2, 5), x0=b3.one, t=6, samples=2000, seed=202,
-                 blocks=3), None,
-            [586, 53, 54, 100, 39, 42, 134, 64, 60, 82, 32, 42, 83, 28, 38,
-             66, 33, 44, 64, 33, 35, 73, 45, 40, 68, 30, 32]),
-        # blocks of 200 and 201 samples, 3 and 2 steps per chunk
+                 blocks=3),
+            [571, 50, 58, 131, 50, 53, 138, 63, 50, 67, 36, 36, 79, 31, 24,
+             70, 30, 31, 68, 39, 30, 88, 33, 50, 57, 35, 32]),
+        # blocks of 200 and 201 samples (the names recall the step chunks
+        # these cases once cut)
         "b2f3-chunks-left": (
             b3, seeded_q(b3, 6),
             dict(alpha=Fr(1, 2), x0=1, t=11, samples=401, seed=303,
-                 blocks=2), 600,
-            [58, 13, 18, 25, 14, 15, 15, 20, 12, 15, 9, 12, 17, 11, 4, 15, 10,
-             9, 14, 11, 11, 14, 11, 14, 14, 7, 13]),
+                 blocks=2),
+            [69, 11, 13, 17, 4, 10, 23, 10, 14, 10, 23, 10, 15, 7, 9, 18, 14,
+             13, 19, 17, 6, 17, 6, 13, 13, 10, 10]),
         "b2f3-chunks-right": (
             b3, seeded_q(b3, 6),
             dict(alpha=Fr(1, 2), x0=1, t=11, samples=401, seed=303,
-                 side="right", blocks=2), 600,
-            [58, 17, 18, 19, 19, 13, 21, 11, 14, 15, 10, 6, 13, 16, 9, 19, 4,
-             10, 15, 11, 15, 17, 12, 15, 10, 6, 8]),
+                 side="right", blocks=2),
+            [65, 10, 16, 26, 3, 11, 18, 12, 10, 12, 12, 14, 15, 15, 11, 16,
+             17, 7, 20, 17, 8, 9, 6, 12, 20, 10, 9]),
+        # R about 2^45.6: whole-word draws
         "z12-den2^40": (
             *z40, dict(alpha=Fr(1, 4), x0=5, t=5, samples=3000, seed=404),
-            None,
-            [711, 130, 201, 192, 344, 165, 235, 158, 315, 187, 209, 153]),
-        # one step per chunk
-        "z12-den2^58": (
-            *z58, dict(alpha=Fr(1, 4), x0=7, t=5, samples=3000, seed=405,
-                       side="right"), 2000,
-            [688, 137, 177, 258, 259, 188, 336, 155, 248, 247, 163, 144]),
+            [704, 154, 191, 204, 346, 158, 226, 183, 326, 180, 172, 156]),
+        # R about 2^61.6, close below the 2^63 edge: whole-word draws
+        "z12-den2^56": (
+            *z56, dict(alpha=Fr(1, 4), x0=7, t=5, samples=3000, seed=405,
+                       side="right"),
+            [447, 133, 214, 211, 357, 226, 275, 180, 402, 176, 209, 170]),
         "m2f2-alpha1": (
             m2, seeded_q(m2, 4),
             dict(alpha=Fr(1), x0=3, t=3, samples=2000, seed=505,
-                 allow_boundary=True), None,
+                 allow_boundary=True),
             [89, 144, 123, 110, 131, 131, 139, 119, 130, 129, 119, 123, 117,
              139, 138, 119]),
-        # a coin denominator above 2^31
+        # an alpha denominator above 2^31
         "m2f2-alpha-den2^31+11": (
             m2, seeded_q(m2, 9),
             dict(alpha=Fr(1, 2**31 + 11), x0=m2.one, t=9, samples=3000,
-                 seed=606), None,
-            [2829, 15, 26, 19, 16, 22, 0, 0, 18, 0, 21, 0, 16, 0, 0, 18]),
-        # Q-draws in (2^31, 2^32); blocks of 1500 samples, 2 steps per chunk
+                 seed=606),
+            [2828, 17, 13, 15, 23, 15, 0, 0, 19, 0, 27, 0, 22, 0, 0, 21]),
+        # a Q denominator in (2^31, 2^32); blocks of 1500 samples
         "z12-den2^32-5": (
             *z32, dict(alpha=Fr(1, 3), x0=5, t=6, samples=3000, seed=707,
-                       blocks=2), 4000,
-            [800, 124, 154, 198, 277, 155, 279, 159, 317, 193, 186, 158]),
+                       blocks=2),
+            [868, 156, 154, 179, 292, 165, 238, 144, 300, 186, 162, 156]),
     }
 
 
 @pytest.mark.parametrize("name", list(golden_cases()))
-def test_simulation_golden_counts(monkeypatch, name):
-    ring, q, kwargs, chunk, counts = golden_cases()[name]
-    if chunk is not None:
-        monkeypatch.setattr(mixing, "STEP_CHUNK_ENTRIES", chunk)
+def test_simulation_golden_counts(name):
+    ring, q, kwargs, counts = golden_cases()[name]
     res = simulate(ring, q, **kwargs)
     assert res.counts.tolist() == counts
 
 
 def test_golden_z12_denominators_exceed_guide_table():
+    """The Z_12 cases draw whole words (R above 2^32) and map them through
+    guide tables with straddling buckets; z12-den2^56 sits close below the
+    2^63 edge, and z12-den2^32-5 keeps a Q denominator in (2^31, 2^32).
+    The other cases but m2f2-alpha-den2^31+11 draw half-words (R below
+    2^32)."""
     cases = golden_cases()
-    for name in ("z12-den2^32-5", "z12-den2^40", "z12-den2^58"):
-        w_int, den = cases[name][1].scaled_weights()
-        assert den > 2**mixing.GUIDE_BITS
-        assert mixing.QSampler(w_int).shift > 0
+    ranges = {}
+    for name in ("z12-den2^32-5", "z12-den2^40", "z12-den2^56"):
+        ring, q, kwargs, _ = cases[name]
+        sampler = mixing.QSampler(mixing.move_weights(ring.n, q,
+                                                      kwargs["alpha"]))
+        assert sampler.den == move_range(ring, q, kwargs["alpha"])
+        assert sampler.shift > 0 and sampler.straddles
+        ranges[name] = sampler.den
+    assert 2**32 < ranges["z12-den2^40"] < ranges["z12-den2^56"] < 2**63
+    assert ranges["z12-den2^56"] > 2**61
     assert 2**31 < cases["z12-den2^32-5"][1].scaled_weights()[1] < 2**32
+    assert all(move_range(ring, q, kwargs["alpha"]) < 2**32
+               for name, (ring, q, kwargs, _) in cases.items()
+               if not name.startswith(("z12", "m2f2-alpha-den")))
 
 
 # ---------------------------------------------------------------------
-# the streamed sample-block loop keeps the stream of the plain chunked loop
+# the move range R = s lcm(n, D) must lie below 2^63
+# ---------------------------------------------------------------------
+
+def z12_point_q(den):
+    """Q on Z_12 with mass 1/den on 0 and the rest on 1: common
+    denominator den."""
+    ring = zn_ring(12)
+    return ring, ClassDistribution(
+        ring, [Fr(1, den), Fr(den - 1, den)] + [Fr(0)] * 10)
+
+
+def z2_uniform():
+    ring = zn_ring(2)
+    return ring, uniform(ring)
+
+
+@pytest.mark.parametrize("ring, q, alpha", [
+    (*z12_point_q(2**62 - 4), Fr(1, 2)),
+    (*z2_uniform(), Fr(1, 2**62 - 1)),
+], ids=["z12-R2^63-8", "z2-R2^63-2"])
+def test_simulate_accepts_a_move_range_just_below_2_63(ring, q, alpha):
+    """R = 2 D = 2^63 - 8 (D = 2^62 - 4, a multiple of 12), and R =
+    2 (2^62 - 1) = 2^63 - 2 from alpha alone: the simulator runs, on
+    whole-word draws, and equals the reference."""
+    assert 2**63 - 8 <= move_range(ring, q, alpha) < 2**63
+    kwargs = dict(alpha=alpha, x0=1, t=4, samples=301, seed=9, side="left",
+                  blocks=2)
+    res = simulate(ring, q, **kwargs)
+    assert res.counts.tolist() == reference_simulate(ring, q,
+                                                     **kwargs).tolist()
+
+
+@pytest.mark.parametrize("ring, q, alpha", [
+    (*z12_point_q(2**62 + 8), Fr(1, 2)),
+    (*z2_uniform(), Fr(1, 2**62)),
+    (*z12_q(2**58 - 27, 8), Fr(1, 4)),
+], ids=["z12-R2^63+16", "z2-R2^63", "z12-den2^58"])
+def test_simulate_refuses_a_move_range_of_2_63(monkeypatch, ring, q, alpha):
+    """R = 2^63 + 16 (D = 2^62 + 8, a multiple of 12), R = 2^63 exactly
+    from alpha alone, and the former golden case z12-den2^58 (R about
+    2^63.6): ParamOutOfRange naming 'Q', with s, L and 2^63, before any
+    Philox stream is made."""
+    R = move_range(ring, q, alpha)
+    assert R >= 2**63
+    monkeypatch.setattr(np.random, "Philox", None)
+    with pytest.raises(ParamOutOfRange) as err:
+        simulate(ring, q, alpha, 0, 5, 100, seed=1)
+    L = R // alpha.denominator
+    assert str(err.value).startswith("field 'Q'")
+    assert f"{alpha.denominator} * {L}" in str(err.value)
+    assert "2^63" in str(err.value)
+
+
+# ---------------------------------------------------------------------
+# the end states follow the exact law M^t(x0, .) of the chain
+# ---------------------------------------------------------------------
+
+LAW_RINGS = {
+    "M2(F3)": lambda: matrix_ring(3),
+    "B2(F5)": lambda: upper_triangular_ring(5),
+    "Z_360": lambda: zn_ring(360),
+    "Z_4xM2(F2)": lambda: product_ring(zn_ring(4), matrix_ring(2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def law_ring(name):
+    ring = LAW_RINGS[name]()
+    return ring, seeded_q(ring, 5)
+
+
+def exact_law(ring, q, alpha, x0, t, side):
+    """M^t(x0, .) by float vector-matrix products, M from the dense oracle
+    build_M (left), or alpha/n + (1 - alpha) B with B from
+    right_multiplication_B (right)."""
+    if side == "left":
+        m = dense_float(build_M(ring, q, alpha))
+    else:
+        m = float(alpha) / ring.n + float(1 - alpha) * dense_float(
+            right_multiplication_B(ring, q))
+    law = np.zeros(ring.n)
+    law[x0] = 1.0
+    for _ in range(t):
+        law = law @ m
+    return law
+
+
+def tv_bound(law, m, delta=1e-9):
+    """McDiarmid: TV(empirical of m samples, law) exceeds
+    E TV + sqrt(ln(1/delta) / (2m)) with probability at most delta, and
+    E TV <= 1/2 sum_x sqrt(law(x) (1 - law(x)) / m)."""
+    return 0.5 * np.sqrt(law * (1 - law) / m).sum() + \
+        np.sqrt(np.log(1 / delta) / (2 * m))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("alpha", [Fr(1, 10), Fr(1, 2), Fr(2, 7)],
+                         ids=["1/10", "1/2", "2/7"])
+@pytest.mark.parametrize("name", sorted(LAW_RINGS))
+def test_end_states_follow_the_exact_law(name, alpha, side):
+    """The guard that simulate samples the paper's chain and not merely
+    its own stream: 2*10^5 trajectories of 3 steps from the identity, on
+    a seeded Q, land within the McDiarmid bound (delta = 10^-9) of the
+    exact M^3(1, .)."""
+    ring, q = law_ring(name)
+    m, t = 200_000, 3
+    law = exact_law(ring, q, alpha, ring.one, t, side)
+    res = simulate(ring, q, alpha, ring.one, t, m, seed=17, side=side)
+    tv = 0.5 * np.abs(res.counts / m - law).sum()
+    assert tv <= tv_bound(law, m), (tv, tv_bound(law, m))
+
+
+# ---------------------------------------------------------------------
+# the simulator keeps the stream of the plain reference
 # ---------------------------------------------------------------------
 
 FACTORS = [("zn", n) for n in range(2, 13)] + [
@@ -549,29 +681,33 @@ def small_ring(factors):
     return ring
 
 
-# Q common denominators on both sides of the guide table (2^20) and of 2^31
+# Q common denominators on both sides of 2^20 and of 2^31
 Q_DENOMINATORS = st.one_of(
     st.integers(2, 2**20),
     st.integers(2**20 + 1, 2**31 - 2),
     st.sampled_from([2**20, 2**20 + 1, 2**31 - 1, 2**31, 2**31 + 1]),
-    st.integers(2**31 + 2, 2**62))
+    st.integers(2**31 + 2, 2**54))
 
-# coin denominators of 1 (alpha 0 or 1), small ones, and ones on both sides
-# of 2^31
-ALPHAS = st.one_of(
-    st.sampled_from([Fr(0), Fr(1), Fr(1, 2**31), Fr(2**31 - 1, 2**31 + 1)]),
-    st.integers(2, 12).flatmap(
-        lambda s: st.builds(Fr, st.integers(1, s - 1), st.just(s))),
-    st.integers(2**31 + 1, 2**63 - 1).flatmap(
-        lambda s: st.builds(Fr, st.integers(1, s - 1), st.just(s))))
+
+def alphas(top):
+    """alpha = p/s with s <= top: 0 and 1, small denominators, and ones
+    above 2^31 where top allows, so that R = s L spans draws on half-words
+    and on whole words up to 2^63."""
+    dens = st.integers(2, min(12, top)) if top >= 2 else st.nothing()
+    if top > 2**31:
+        dens = st.one_of(dens, st.integers(2**31 + 1, top))
+    return st.one_of(
+        st.sampled_from([Fr(0), Fr(1)]),
+        dens.flatmap(lambda s: st.builds(Fr, st.integers(1, s - 1),
+                                         st.just(s))))
 
 
 @st.composite
 def simulation_cases(draw):
     """A small ring (Z_n, B2(F_p), M2(F_2), M2(F_3) or a product of two,
-    n <= 256), a class-constant Q with common denominator den, and
-    simulate arguments with chunk and sample-block sizes that cut rows and
-    leave half-words pending between passes."""
+    n <= 256), a class-constant Q with common denominator den, an alpha
+    with R = s lcm(n, den) < 2^63, simulate arguments, and a sample-block
+    size that cuts rows and leaves half-words pending between draws."""
     factors = tuple(draw(st.lists(st.sampled_from(FACTORS), min_size=1,
                                   max_size=2).filter(
         lambda fs: np.prod([SIZES[f] for f in fs]) <= 256)))
@@ -589,27 +725,36 @@ def simulation_cases(draw):
     q = ClassDistribution(ring, [Fr(x, den) for x in w])
     samples = draw(st.integers(1, 40))
     kwargs = dict(
-        alpha=draw(ALPHAS), x0=draw(st.integers(0, ring.n - 1)),
+        alpha=draw(alphas((2**63 - 1) // lcm(ring.n, den))),
+        x0=draw(st.integers(0, ring.n - 1)),
         t=draw(st.integers(0, 12)), samples=samples,
         seed=draw(st.integers(-2**63, 2**63 - 1)),
         side=draw(st.sampled_from(["left", "right"])),
         blocks=draw(st.integers(1, samples + 3)))
-    sizes = dict(STEP_CHUNK_ENTRIES=draw(st.integers(1, 120)),
-                 SAMPLE_BLOCK=draw(st.integers(1, 16)))
-    return ring, q, kwargs, sizes
+    return ring, q, kwargs, draw(st.integers(1, 16))
 
 
 @settings(deadline=None, max_examples=150)
 @given(simulation_cases())
 def test_simulate_equals_reference_stream(case):
-    ring, q, kwargs, sizes = case
-    chunk_entries = sizes["STEP_CHUNK_ENTRIES"]
-    with mock.patch.object(mixing, "STEP_CHUNK_ENTRIES", chunk_entries), \
-            mock.patch.object(mixing, "SAMPLE_BLOCK", sizes["SAMPLE_BLOCK"]):
+    ring, q, kwargs, sample_block = case
+    with mock.patch.object(mixing, "SAMPLE_BLOCK", sample_block):
         res = simulate(ring, q, allow_boundary=True, **kwargs)
-    expected = reference_simulate(ring, q, chunk_entries=chunk_entries,
-                                  **kwargs)
+    expected = reference_simulate(ring, q, **kwargs)
     assert res.counts.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("name", ["b2f3-chunks-right", "z12-den2^32-5",
+                                  "z12-den2^40"])
+def test_counts_do_not_depend_on_sample_block(name):
+    """Sample blocks of 1 to 16 and the default cut a block's draws in
+    different places, leaving half-words pending (R <= 2^32) or not: the
+    counts are the golden ones every time."""
+    ring, q, kwargs, counts = golden_cases()[name]
+    for size in [*range(1, 17), mixing.SAMPLE_BLOCK]:
+        with mock.patch.object(mixing, "SAMPLE_BLOCK", size):
+            res = simulate(ring, q, **kwargs)
+        assert res.counts.tolist() == counts, size
 
 
 @pytest.mark.parametrize("make, side", [
@@ -620,30 +765,27 @@ def test_simulate_equals_reference_where_scaled_entries_exceed_uint16(make,
                                                                       side):
     """The step table's flat indices code*n + x reach 2n^2 - 1 >= 2^16 on
     these rings: the products of the uint16 move codes by n taken in
-    uint16 would wrap.  The reference builds its own int32 table."""
+    uint16 would wrap.  The reference builds its own int64 table."""
     ring = make()
     assert (2 * ring.n - 1) * ring.n >= 2**16
     q = seeded_q(ring, 4)
     kwargs = dict(alpha=Fr(1, 3), x0=1, t=6, samples=400, seed=11,
                   side=side, blocks=2)
     res = simulate(ring, q, **kwargs)
-    expected = reference_simulate(
-        ring, q, chunk_entries=mixing.STEP_CHUNK_ENTRIES, **kwargs)
+    expected = reference_simulate(ring, q, **kwargs)
     assert res.counts.tolist() == expected.tolist()
 
 
-def simulate_peak(monkeypatch, chunk_entries, m, t, alpha=Fr(1, 3)):
+def simulate_peak(m, t, alpha=Fr(1, 3)):
     """tracemalloc peak of simulate on M2(F3) with m samples of t steps,
     and the bound the module docstring states for it: 2 bytes per sample
-    (one uint16 state) plus at most 40 bytes per SAMPLE_BLOCK entry (a
-    slice of raw words and its rejection mask and kept indices in
-    pass_end, or one block's int64 draws, elements and move codes) and
-    64 KiB for the step table and the counts."""
+    (one uint16 state) plus at most 40 bytes per SAMPLE_BLOCK entry (one
+    sample block's int64 draws and buckets, straddle mask, move codes and
+    int32 gather index) and 64 KiB for the step table and the counts."""
     ring = matrix_ring(3)
     q = uniform(ring)
     ring.similarity
     simulate(ring, q, alpha, 0, 1, 10, seed=3)     # first-call imports
-    monkeypatch.setattr(mixing, "STEP_CHUNK_ENTRIES", chunk_entries)
     tracemalloc.start()
     try:
         simulate(ring, q, alpha, 0, t, m, seed=3)
@@ -653,126 +795,53 @@ def simulate_peak(monkeypatch, chunk_entries, m, t, alpha=Fr(1, 3)):
     return peak, 2 * m + 40 * mixing.SAMPLE_BLOCK + 2**16
 
 
-def test_simulate_memory_is_two_bytes_per_sample(monkeypatch):
-    """No buffer grows with the chunk: 40 steps of 200,000 samples in one
-    chunk held 16 MB of move codes when a chunk was drawn pass by pass.
-    Coin denominators of 3, above 2^31 and above 2^32 read their words
-    as half-words with rejections, half-words with about half rejected,
-    and whole words."""
-    for chunk_entries, t, alpha in [
-            (8_000_000, 40, Fr(1, 3)), (mixing.STEP_CHUNK_ENTRIES, 40,
-                                        Fr(1, 3)),
-            (1, 3, Fr(1, 3)), (8_000_000, 5, Fr(1, 2**31 + 11)),
-            (8_000_000, 5, Fr(1, 2**40 + 11))]:
-        peak, bound = simulate_peak(monkeypatch, chunk_entries, 200_000, t,
-                                    alpha)
-        assert peak <= bound, (chunk_entries, t, alpha, peak, bound)
+def test_simulate_memory_is_two_bytes_per_sample():
+    """No buffer grows with the steps: 40 steps of 200,000 samples held
+    16 MB of move codes when a chunk of steps was drawn pass by pass.
+    alpha denominators of 3, above 2^31 and above 2^40 put R on half-word
+    draws and on whole-word draws."""
+    for t, alpha in [(40, Fr(1, 3)), (3, Fr(1, 3)), (5, Fr(1, 2**31 + 11)),
+                     (5, Fr(1, 2**40 + 11))]:
+        peak, bound = simulate_peak(200_000, t, alpha)
+        assert peak <= bound, (t, alpha, peak, bound)
 
 
-def test_simulate_counts_end_states_without_a_widened_copy(monkeypatch):
+def test_simulate_counts_end_states_without_a_widened_copy():
     """2^21 samples of one step: the end states are counted a sample block
     at a time.  int32 states and one bincount over all of them, which
     widens them to int64, took 14 bytes a sample (29.4 MB here)."""
-    peak, bound = simulate_peak(monkeypatch, mixing.STEP_CHUNK_ENTRIES,
-                                2**21, 1)
+    peak, bound = simulate_peak(2**21, 1)
     assert peak <= bound, (peak, bound)
 
 
-class _ConstantSampler:
-    """A Q-sampler stub: every draw in [0, den) maps to the element z."""
+class _PointQ:
+    """A Q stub on n elements: all mass on the last element."""
 
-    def __init__(self, z, den):
-        self.z, self.den = z, den
+    def __init__(self, n):
+        self.n = n
 
-    def __call__(self, draws):
-        return np.full(draws.shape, self.z, dtype=np.int32)
+    def scaled_weights(self):
+        w = np.zeros(self.n, dtype=np.int64)
+        w[-1] = 1
+        return w, 1
 
 
 def test_move_codes_are_bounded_below_uint16_at_the_size_cap():
+    """At n = SIZE_CAP the move codes reach 2n - 1 and no further, and
+    writing them into uint16 loses nothing."""
     assert SIZE_CAP < 2**16            # every element index fits the tables
     assert 2 * SIZE_CAP <= 2**16
     assert 2 * SIZE_CAP**2 < 2**31
     n = SIZE_CAP
-    sampler = _ConstantSampler(n - 1, 7)
-    entries = 5000
-    for den in (2, 2**31 + 11, 2**40):
-        alpha = Fr(1, den)
-        moves = np.empty(entries, dtype=np.uint16)
-        mixing._block_moves(*(np.random.Generator(np.random.Philox(
-            key=[9, p])) for p in range(3)), alpha, n, sampler, moves)
-        coins, elements, qs = (np.random.Generator(np.random.Philox(
-            key=[9, p])) for p in range(3))
-        tails = coins.integers(0, den, size=entries, dtype=np.int64) \
-            >= alpha.numerator
-        a = elements.integers(0, n, size=entries, dtype=np.int32)
-        zs = sampler(qs.integers(0, sampler.den, size=entries,
-                                 dtype=np.int64))
-        expected = np.where(tails, n + zs, a)
-        assert expected.max() == 2 * n - 1
-        assert np.array_equal(moves.astype(np.int32), expected)
-
-
-# ---------------------------------------------------------------------
-# pass_end finds where numpy's integers(0, r) leaves the Philox stream
-# ---------------------------------------------------------------------
-
-def philox_state(state):
-    """Every field of a Philox state, as plain comparable values."""
-    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
-            state["buffer"].tolist(), state["buffer_pos"],
-            state["has_uint32"], state["uinteger"])
-
-
-# 1 draws nothing; 2^k never rejects; 2^31 + 1 rejects about half the
-# half-words; 2^32 - 1, 2^32 and 2^32 + 1 sit around the half-word to
-# whole-word switch; 2^63 - 1 is the largest denominator simulate draws
-PASS_RANGES = st.one_of(
-    st.sampled_from([1, 2, 3, 625, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
-                     2**63 - 1]),
-    st.integers(0, 62).map(lambda k: 2**k))
-
-
-@settings(deadline=None, max_examples=300)
-@given(r=PASS_RANGES, count=st.one_of(st.integers(0, 300),
-                                      st.just(2**17 + 3)),
-       key=st.integers(0, 2**128 - 1), words=st.integers(0, 7),
-       halves=st.integers(0, 3), wide=st.booleans(),
-       block=st.one_of(st.integers(1, 9), st.none()))
-@example(r=2**63 - 1, count=40, key=5, words=1, halves=1, wide=True,
-         block=3)
-@example(r=2**32 + 1, count=40, key=6, words=2, halves=3, wide=True,
-         block=None)
-@example(r=2**31 + 1, count=300, key=7, words=3, halves=1, wide=True,
-         block=1)
-def test_pass_end_is_the_state_integers_leaves(r, count, key, words, halves,
-                                               wide, block):
-    """From a Philox stream `words` raw words and `halves` half-words in
-    (an odd count leaves a high half-word pending), pass_end predicts the
-    state that Generator.integers(0, r, size=count) leaves, field by
-    field; a pass above 2^32 drawn with a half-word pending leaves it
-    pending.  block cuts the raw words pass_end reads into slices."""
-    bg = np.random.Philox(key=key)
-    bg.random_raw(words)
-    rng = np.random.Generator(bg)
-    rng.integers(0, 2**16, size=halves, dtype=np.int32)   # one half each
-    start = bg.state
-    with mock.patch.object(mixing, "SAMPLE_BLOCK",
-                           block or mixing.SAMPLE_BLOCK):
-        end = mixing.pass_end(start, r, count)
-    rng.integers(0, r, size=count,
-                 dtype=np.int64 if wide or r > 2**31 else np.int32)
-    assert philox_state(end) == philox_state(bg.state)
-
-
-def test_a_miscounted_pass_fails_the_end_state_certificate(monkeypatch):
-    """Were a uniform pass opened one draw late, the coin Generator would
-    end the chunk away from it: simulate refuses the run."""
-    ring = matrix_ring(2)
-    counted = mixing.pass_end
-    monkeypatch.setattr(mixing, "pass_end",
-                        lambda state, r, count: counted(state, r, count + 1))
-    with pytest.raises(InvariantViolation, match="ended away from where"):
-        simulate(ring, uniform(ring), Fr(1, 3), 0, 4, 100, seed=1)
+    for alpha in (Fr(1, 2), Fr(1, 2**31 + 11), Fr(1, 2**40)):
+        sampler = mixing.QSampler(mixing.move_weights(n, _PointQ(n), alpha))
+        assert sampler.den == alpha.denominator * n
+        draws = np.random.Generator(np.random.Philox(key=[9, 0])).integers(
+            0, sampler.den, size=5000, dtype=np.int64)
+        codes = sampler(draws)
+        assert codes.max() == 2 * n - 1
+        assert set(codes[codes >= n].tolist()) == {2 * n - 1}
+        assert np.array_equal(codes.astype(np.uint16), codes)
 
 
 # ---------------------------------------------------------------------
@@ -806,6 +875,7 @@ def test_q_sampler_equals_searchsorted(case):
     sampler = mixing.QSampler(w)
     assert sampler.den == sum(w)
     assert len(sampler.lo) <= 2**mixing.GUIDE_BITS
+    assert len(sampler.lo) <= 2**(len(w).bit_length() + 5)
     zs = sampler(draws)
     assert zs.dtype == np.int32
     assert np.array_equal(zs, np.searchsorted(np.cumsum(w), draws, "right"))
@@ -817,3 +887,7 @@ def test_q_sampler_straddling_buckets_only_above_guide_bits():
     assert sampler.straddles
     draws = np.array([[2**40, 2**40 + 1, 2**40 + 2]], dtype=np.int64)
     assert sampler(draws).tolist() == [[0, 1, 1]]
+    # a draw past two boundaries of its bucket (two empty outcomes and one
+    # of weight 1) takes the binary search
+    sampler = mixing.QSampler([2**40 + 1, 0, 0, 1, 2**40 - 2])
+    assert sampler(draws).tolist() == [[0, 3, 4]]
