@@ -2,16 +2,23 @@
 
 Every check returns (ok, detail) and is exhaustive or an exact identity
 at every ring size: exact rationals or integers, or exact arithmetic mod
-a fixed prime named in the detail.  No check diagonalizes an n x n
-matrix or matches eigenvalues within a tolerance.  The checks on B, the
-R_{x,y} check among them, are per-block tests (*_test) that scan_b runs
-over one pass of B's row blocks (chain.b_blocks): none holds an n x n
-array, and a command reads each row block once for all of them.
+a fixed prime named in the detail.  The one randomized check is
+conjugation-invariance: Freivalds' test mod 3 primes drawn at random from
+(2^18, 2^19), which a correct B always passes and a B that fails the
+identity passes with probability at most g (f/N + 2^-18)^3, for g unit
+generators, f = floor(bits(den)/18) and N primes in that range; its
+detail names the bound (conjugation_test).  No check diagonalizes an
+n x n matrix or matches eigenvalues within a tolerance.  The checks on B,
+the R_{x,y} check among them, are per-block tests (*_test) that scan_b
+runs over one pass of B's row blocks (chain.b_blocks): none holds an
+n x n array, and a command reads each row block once for all of them,
+under any Q.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +26,7 @@ import numpy as np
 from . import gl2, spectrum
 from .chain import ClassDistribution, b_blocks, check_alpha
 from .errors import InvariantViolation, UnsupportedQ
+from .fields import is_prime
 from .mixing import d_of_t, mixing_bound
 from .rings import FiniteRing
 from .stationary import (
@@ -60,21 +68,27 @@ def check_witnesses(ring: FiniteRing):
 
 
 def scan_b(ring: FiniteRing, Q: ClassDistribution, tests):
-    """One pass over the row blocks of B for the pairs (test, passed) of
-    tests, test(block, num, inside) a failure detail or None, where
-    inside() is the block's containment matrix (_containment), built on
-    the first call for the block and shared by every test.  A test is
-    called until it first fails, and the pass ends once every test has
-    failed.  Returns (ok, its first failure or passed) for each test."""
+    """One pass over the row blocks of B for the triples (step, end,
+    passed) of tests.  step(block, num, sizes, inside) is called on each
+    block of chain.b_blocks, where inside() is the block's containment
+    matrix (_containment), built on the first call for the block and shared
+    by every test; it returns a failure detail or None.  A step is called
+    until it first fails, and the pass ends once every test has failed.
+    end, None for a test decided block by block, is called once the pass
+    has read every row, for the failure detail or None.  Returns (ok, its
+    first failure or passed) for each test."""
     fails = [None] * len(tests)
-    for block, num in b_blocks(ring, Q):
+    for block, num, sizes in b_blocks(ring, Q, range(ring.n)):
         inside = functools.cache(functools.partial(_containment, ring, block))
-        fails = [fail or test(block, num, inside)
-                 for (test, _), fail in zip(tests, fails)]
+        fails = [fail or step(block, num, sizes, inside)
+                 for (step, _, _), fail in zip(tests, fails)]
+        del num, sizes, inside      # dropped before the next block is read
         if all(fails):
             break
+    fails = [fail or (end and end())
+             for (_, end, _), fail in zip(tests, fails)]
     return [(not fail, fail or passed)
-            for (_, passed), fail in zip(tests, fails)]
+            for (_, _, passed), fail in zip(tests, fails)]
 
 
 def _containment(ring: FiniteRing, block):
@@ -83,20 +97,15 @@ def _containment(ring: FiniteRing, block):
     return np.take(ring.ideals.leq.T[ids[block]], ids, axis=1)
 
 
-def rxy_test(ring: FiniteRing, Q: ClassDistribution):
+def rxy_test(ring: FiniteRing):
     """|R_{x,y}| is |LAnn(y)| when I_x is inside I_y and 0 otherwise, where
-    R_{x,y} = {r : r y = x}.  Under uniform Q, row y of B has den = n and
-    unit weights, so its numerators are the sizes |R_{x,y}| over all x:
-    the scan's own blocks when Q is uniform, a uniform stream read
-    alongside them otherwise."""
-    uniform = ClassDistribution.uniform(ring)
-    side = None if Q == uniform else b_blocks(ring, uniform)
+    R_{x,y} = {r : r y = x}.  Row y of the block's unit-weight counts
+    (chain.b_blocks) holds the sizes |R_{x,y}| over all x, under any Q."""
 
-    def rxy(block, num, inside):
-        counts = num if side is None else next(side)[1]
+    def rxy(block, num, sizes, inside):
         contained = inside()
-        empty = (counts > 0) != contained
-        size = contained & (counts != counts[:, [ring.zero]])
+        empty = (sizes > 0) != contained
+        size = contained & (sizes != sizes[:, [ring.zero]])
         for j in np.flatnonzero(empty.any(axis=1) | size.any(axis=1))[:1]:
             y = block[j]
             if empty[j].any():
@@ -104,30 +113,102 @@ def rxy_test(ring: FiniteRing, Q: ClassDistribution):
                         f"disagrees with the poset")
             return f"|R_{{{size[j].argmax()},{y}}}| != |LAnn({y})|"
 
-    return rxy, "exhaustive"
+    return rxy, None, "exhaustive"
 
 
 def check_rxy_sizes(ring: FiniteRing):
     uniform = ClassDistribution.uniform(ring)
-    return scan_b(ring, uniform, [rxy_test(ring, uniform)])[0]
+    return scan_b(ring, uniform, [rxy_test(ring)])[0]
+
+
+_VECTORS = 3            # v, the Freivalds vectors of the conjugation test
+_PRIME_BITS = 18        # their primes lie in (2^18, 2^19)
+_PRIMES = 20390         # N, the number of primes there (counted by a test)
+
+
+def _random_prime(rnd: random.Random) -> int:
+    """A prime uniform among the _PRIMES in (2^18, 2^19): draws uniform in
+    that range until one is prime."""
+    while True:
+        p = rnd.randrange(2 ** _PRIME_BITS, 2 ** (_PRIME_BITS + 1))
+        if is_prime(p):
+            return p
 
 
 def conjugation_test(ring: FiniteRing, Q: ClassDistribution):
-    """B(u c, u d) = B(c, d) for every unit u.  The units with this property
-    are closed under products, so checking a generating set of U_R is
-    exhaustive.  Each block of rows c of B is compared with the rows u c of
-    every generator u, read alongside it, so no n x n copy is made."""
+    """B(u c, u d) = B(c, d) for every unit u, by Freivalds' test (IFIP
+    1977) on the scan's own blocks, modulo random primes (Karp & Rabin,
+    IBM J. Res. Dev. 31, 1987).
+
+    The units with this property are closed under products, so a
+    generating set of U_R, g generators, suffices.  With r_u(u d) = r(d),
+    sum_d B(u c, u d) r(d) = (B r_u)(u c), so B(u c, u d) = B(c, d) for all
+    c and d exactly when (B r_u)(u c) = (B r)(c) for all c and every r.
+    Each block of rows c keeps, for i = 1..v, the sketches
+    (num mod p_i) @ [r_i | r_i,u1 | ... | r_i,ug] mod p_i, and the end of
+    the pass compares (B r_u)[u c] with (B r)[c] for every c and generator
+    u.  A block whose entries all lie in [0, 2^18) is its own residue mod
+    every p_i, and is multiplied once for all of them.  A failure names the
+    first generator u that differs in the first row block, in scan order,
+    where some generator does.
+
+    Exactness: the entries of num mod p_i and of r_i are below p_i < 2^19
+    and n <= SIZE_CAP, so each dot product is an integer below
+    (2^19)^2 SIZE_CAP < 2^53, which a float64 @ sums exactly in any BLAS
+    order.
+
+    Domain and bound: v = 3 vectors r_i (_VECTORS), each uniform mod its
+    own prime p_i, drawn from fresh entropy among the N primes in
+    (2^18, 2^19), so no fixed B can be made to pass.  A correct B always
+    passes.  If B(u c, u d) != B(c, d) somewhere, their difference is a
+    nonzero integer at most den in size (B's entries lie in [0, den]),
+    with at most f = floor(bits(den)/18) prime factors above 2^18.  So p_i
+    divides it with probability at most f/N, and otherwise r_i misses it
+    with probability 1/p_i < 2^-18: a B that fails the identity passes
+    with probability at most g (f/N + 2^-18)^v, den >= 2^63 (dtype object)
+    included."""
     gens = ring.unit_generators
     perms = [ring.mul[u, :] for u in gens]
-    moved = [b_blocks(ring, Q, perm) for perm in perms]
+    rnd = random.Random()           # seeded from fresh OS entropy
+    primes = [_random_prime(rnd) for _ in range(_VECTORS)]
+    moduli = np.array(primes, dtype=np.float64)[:, None]
+    # vectors[:, i]: [r_i | r_i,u1 | ... | r_i,ug], r_u(u d) = r(d)
+    vectors = np.empty((ring.n, _VECTORS, 1 + len(gens)))
+    for i, p in enumerate(primes):
+        r = np.fromiter((rnd.randrange(p) for _ in range(ring.n)), np.int64,
+                        ring.n)
+        for k, perm in enumerate([np.arange(ring.n)] + perms):
+            vectors[perm, i, k] = r
+    sketches = np.empty_like(vectors)       # rows c: B [r_i | ...] mod p_i
+    seen = []
 
-    def conjugation(block, rows, inside):
-        for u, perm, blocks in zip(gens, perms, moved):
-            # B(u c, u d), each block dropped once compared
-            if not np.array_equal(next(blocks)[1][:, perm], rows):
-                return f"B(u c, u d) != B(c, d) for unit {u}"
+    def sketch(block, num, sizes, inside):
+        if num.min() >= 0 and num.max() < 2 ** _PRIME_BITS:
+            # every entry is its own residue mod every p_i: one product
+            out = num.astype(np.float64) @ vectors.reshape(ring.n, -1)
+            out = out.reshape(len(block), *vectors.shape[1:])
+        else:
+            out = np.stack([(num % p).astype(np.float64) @ vectors[:, i]
+                            for i, p in enumerate(primes)], axis=1)
+        sketches[block] = out % moduli
+        seen.append(block)
 
-    return conjugation, f"exhaustive: {len(gens)} generators of U_R"
+    def compare():
+        # bad[k, c]: (B r_u)[u c] != (B r)[c] for some i, u = gens[k]
+        bad = np.zeros((len(gens), ring.n), dtype=bool)
+        for k, perm in enumerate(perms):
+            bad[k] = (sketches[perm, :, k + 1] != sketches[:, :, 0]).any(1)
+        for block in seen:
+            for u, differs in zip(gens, bad[:, block]):
+                if differs.any():
+                    return f"B(u c, u d) != B(c, d) for unit {u}"
+
+    f = Q.scaled_weights()[1].bit_length() // _PRIME_BITS
+    bound = len(gens) * (f / _PRIMES + 2.0 ** -_PRIME_BITS) ** _VECTORS
+    return sketch, compare, (
+        f"Freivalds: {len(gens)} generators of U_R, {_VECTORS} vectors mod "
+        f"random primes in (2^{_PRIME_BITS}, 2^{_PRIME_BITS + 1}), false pass "
+        f"<= {bound:.1e}")
 
 
 def check_conjugation_invariance(ring: FiniteRing, Q: ClassDistribution):
@@ -141,7 +222,7 @@ def two_way_test(ring: FiniteRing, Q: ClassDistribution):
     of the spectra of the diagonal blocks B[S_a, S_a] (block_spectrum)."""
     poset = ring.ideals
 
-    def two_way(block, num, inside):
+    def two_way(block, num, sizes, inside):
         # bad[j, y]: B(x, y) != 0 and I_y is not inside I_x, x = block[j]
         bad = num != 0
         bad &= ~inside()
@@ -150,8 +231,9 @@ def two_way_test(ring: FiniteRing, Q: ClassDistribution):
             x = block[j]
             return f"B({x}, {y}) != 0 but I_{y} is not inside I_{x}"
 
-    return two_way, (f"B block-triangular over {len(poset)} ideals: eig(B) "
-                     f"is the union of the diagonal-block spectra, exactly")
+    return two_way, None, (f"B block-triangular over {len(poset)} ideals: "
+                           f"eig(B) is the union of the diagonal-block "
+                           f"spectra, exactly")
 
 
 def check_spectrum_two_way(ring: FiniteRing, Q: ClassDistribution):
@@ -166,12 +248,12 @@ def m_shift_test(Q: ClassDistribution, alpha):
     alpha = check_alpha(alpha)
     den = Q.scaled_weights()[1]
 
-    def m_shift(block, rows, inside):
+    def m_shift(block, rows, sizes, inside):
         if rows.min() < 0 or np.any(rows.sum(axis=1) != den):
             return "a row of B or M is not a probability vector"
 
-    return m_shift, (f"alpha={alpha}: M = (1-alpha) B + (alpha/n) J and "
-                     f"B 1 = M 1 = 1, exactly")
+    return m_shift, None, (f"alpha={alpha}: M = (1-alpha) B + (alpha/n) J "
+                           f"and B 1 = M 1 = 1, exactly")
 
 
 def check_m_shift(ring: FiniteRing, Q: ClassDistribution, alpha):
@@ -288,7 +370,7 @@ def full_suite(ring: FiniteRing, Q: ClassDistribution, alpha,
     # neither B nor M is built: one scan of B's row blocks runs the four
     # checks on it, and spectrum-m-shift reads what it needs of M off B
     rxy, conjugation, two_way, m_shift = scan_b(ring, Q, [
-        rxy_test(ring, Q), conjugation_test(ring, Q), two_way_test(ring, Q),
+        rxy_test(ring), conjugation_test(ring, Q), two_way_test(ring, Q),
         m_shift_test(Q, alpha)])
     out.insert(3, ("rxy-annihilator", *rxy))     # after s-partition
     out += [("conjugation-invariance", *conjugation),

@@ -213,7 +213,7 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
     p, s = alpha.numerator, alpha.denominator
 
     # Q per element is q_int[class] / D; mu_t per element is mu[class] / D^t
-    D = lcm(*(w.denominator for w in Q.weights))
+    D = Q.scaled_weights()[1]
     q_int = np.array([int(w * D) for w in Q.weights], dtype=object)
     k = len(q_int)
     i, j, c, count = class_products(ring)
@@ -341,16 +341,18 @@ def move_weights(n: int, Q: ClassDistribution, alpha: Fraction) -> np.ndarray:
     alpha = p/s, Q's common denominator D and L = lcm(n, D): p L/n for
     each code a (add a) and (s - p) w_z L/D for each code n + z (multiply
     by z, Q(z) = w_z/D).  So code a has probability alpha/n and code n + z
-    (1 - alpha) Q(z), exactly.  Raises ParamOutOfRange naming 'Q' unless
-    R < 2^63, the range of an int64 draw."""
+    (1 - alpha) Q(z), exactly.  Raises ParamOutOfRange unless R < 2^63,
+    the range of an int64 draw, naming 'alpha' if s n >= 2^63 already (as
+    L >= n, no Q can help then) and 'Q' otherwise."""
     w_int, den = Q.scaled_weights()
     p, s = alpha.numerator, alpha.denominator
     L = lcm(n, den)
     if s * L >= 2**63:
         raise ParamOutOfRange(
-            f"field 'Q': the move draw range s*L = {s} * {L} (s the alpha "
-            f"denominator, L = lcm(n, Q's common denominator)) is not below "
-            f"2^63, the range of an int64 draw")
+            f"field '{'alpha' if s * n >= 2**63 else 'Q'}': the move draw "
+            f"range s*L = {s} * {L} (s the alpha denominator, L = lcm(n, Q's "
+            f"common denominator)) is not below 2^63, the range of an int64 "
+            f"draw")
     weights = np.empty(2 * n, dtype=np.int64)
     weights[:n] = p * (L // n)
     weights[n:] = (s - p) * (L // den) * w_int
@@ -422,11 +424,11 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     draws are taken SAMPLE_BLOCK samples at a time, and the states of those
     samples take the step at once; the counts do not depend on
     SAMPLE_BLOCK.  Domain: R = s lcm(n, D) < 2^63 for alpha = p/s and Q's
-    common denominator D, checked before any draw (ParamOutOfRange naming
-    'Q'); the alpha denominator alone must lie below 2^63 too
-    (check_simulation).  Peak memory is 2 bytes per sample (its uint16
-    state) plus O(SAMPLE_BLOCK) for the draws, whatever t is, beside 4n^2
-    bytes for the uint16 step table.
+    common denominator D, checked before any draw (move_weights); the
+    alpha denominator alone must lie below 2^63 too (check_simulation).
+    Peak memory is 2 bytes per sample (its uint16 state) plus
+    O(SAMPLE_BLOCK) for the draws, whatever t is, beside 4n^2 bytes for
+    the uint16 step table.
     """
     alpha = check_simulation(alpha, t, samples, seed, side, blocks,
                              allow_boundary)

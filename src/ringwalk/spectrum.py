@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -118,7 +117,7 @@ def _float_block(ring: FiniteRing, Q: ClassDistribution, rows, cols):
     den = float(Q.scaled_weights()[1])
     out = np.empty((len(rows), len(cols)))
     s = 0
-    for block, num in b_blocks(ring, Q, rows):
+    for block, num, _ in b_blocks(ring, Q, rows):
         out[s:s + len(block)] = num[:, cols]
         s += len(block)
     out /= den
@@ -342,7 +341,7 @@ def gl2_spectrum_mod_p(ring: FiniteRing, Q: ClassDistribution):
              if p > q ** 4 and is_prime(p))
     zeta = pow(primitive_root(p), (p - 1) // m, p)
     powers = np.array([pow(zeta, a, p) for a in range(m)], dtype=np.int64)
-    D = lcm(*(w.denominator for w in Q.weights))
+    D = Q.scaled_weights()[1]
     rows = _gl2_rows(ring, Q, lambda tab: tab.image(powers, p),
                      lambda w: int(w * D) % p)
     return p, D, [(block, label, int(s) * pow(dim, -1, p) % p, mult)

@@ -122,29 +122,32 @@ MUTANTS = (
            ("tests/test_spectrum.py::test_merge_cost_follows_the_number_of_"
             "distinct_values",)),
     Mutant("conjugation-first-block-only", "checks.py",
-           "def conjugation(block, rows, inside):\n",
-           "def conjugation(block, rows, inside):\n"
-           "        if block[0] > 0:\n"
-           "            return None\n",
+           "for block in seen:",
+           "for block in seen[:1]:",
            ("tests/test_spectrum.py::test_conjugation_check_reads_the_last_"
             "row_block",)),
+    Mutant("conjugation-fixed-prime", "checks.py",
+           "[_random_prime(rnd) for _ in range(_VECTORS)]",
+           "[2 ** 18 + 3] * _VECTORS",
+           ("tests/test_spectrum.py::test_conjugation_check_sees_a_defect_"
+            "that_one_prime_divides",)),
     Mutant("two-way-first-block-only", "checks.py",
-           "def two_way(block, num, inside):\n",
-           "def two_way(block, num, inside):\n"
+           "def two_way(block, num, sizes, inside):\n",
+           "def two_way(block, num, sizes, inside):\n"
            "        if block[0] > 0:\n"
            "            return None\n",
            ("tests/test_spectrum.py::test_two_way_check_reads_the_last_row_"
             "block",)),
     Mutant("m-shift-first-block-only", "checks.py",
-           "def m_shift(block, rows, inside):\n",
-           "def m_shift(block, rows, inside):\n"
+           "def m_shift(block, rows, sizes, inside):\n",
+           "def m_shift(block, rows, sizes, inside):\n"
            "        if block[0] > 0:\n"
            "            return None\n",
            ("tests/test_spectrum.py::test_m_shift_check_reads_the_last_row_"
             "block",)),
     Mutant("rxy-first-block-only", "checks.py",
-           "def rxy(block, num, inside):\n",
-           "def rxy(block, num, inside):\n"
+           "def rxy(block, num, sizes, inside):\n",
+           "def rxy(block, num, sizes, inside):\n"
            "        if block[0] > 0:\n"
            "            return None\n",
            ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",)),
@@ -154,7 +157,7 @@ MUTANTS = (
            ("tests/test_spectrum.py::test_scan_keeps_each_check_s_first_"
             "failure",)),
     Mutant("rxy-without-emptiness", "checks.py",
-           "empty = (counts > 0) != contained",
+           "empty = (sizes > 0) != contained",
            "empty = np.zeros_like(contained)",
            ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",
             "tests/test_rings.py::test_rxy_check_catches_a_wrong_poset_or_"

@@ -390,7 +390,7 @@ assert False, "this script must run under python -O"
     # Q read off B[1, U] differs within a class of units
     ("b = build_B(r := matrix_ring(3), ClassDistribution.uniform(r));"
      " b.matrix.num[r.one, r.units[-1]] += 1; spectrum.b_blocks = "
-     "lambda r, q, rows: [(rows, b.matrix.num[list(rows)])]; "
+     "lambda r, q, rows: [(rows, b.matrix.num[list(rows)], None)]; "
      "spectrum.block_spectrum(r, ClassDistribution.uniform(r))",
      "InvariantViolation"),
     # the lumped solution with half of one class's mass moved to the next

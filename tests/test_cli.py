@@ -200,10 +200,11 @@ def q_with_denominator(den, first):
     ("--steps", "-3"),
     ("--samples", "0"),
     ("--seed", str(2**64)),
-    # coin draws are int64 too: an alpha denominator of 2^63 + 1
+    # the move draws range over R = s lcm(n, D) < 2^63, s the alpha
+    # denominator and D Q's common denominator: s = 2^63 + 1
     ("--alpha", "1/9223372036854775809"),
-    # Q-draws are int64: a weight of 2^63 or more, and two weights that
-    # fit but sum to 2^63 + 29
+    # and D = 2^63 + 29, with a weight of 2^63 or more, or two weights
+    # that fit
     pytest.param("--Q", q_with_denominator(2**63 + 29, 1),
                  id="--Q-weight-over-int64"),
     pytest.param("--Q", q_with_denominator(2**63 + 29, 2**62),
@@ -236,6 +237,17 @@ def test_simulate_move_range_edge_is_2_63(den, code):
         assert "'Q'" in err and f"2 * {den}" in err and "2^63" in err
     else:
         assert "count" in out
+
+
+def test_simulate_move_range_from_alpha_alone_names_alpha():
+    """On Z_2 with uniform Q, alpha = 1/2^62 gives R = s n = 2^63: no Q
+    could bring it below 2^63, so the refusal names 'alpha', not 'Q'."""
+    rc, out, err = run_cli(["simulate", "--ring", "zn", "--n", "2",
+                            "--alpha", "1/4611686018427387904", "--seed",
+                            "1"])
+    assert rc == 2 and out == ""
+    assert "field 'alpha'" in err and "'Q'" not in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--tau"])
@@ -394,10 +406,10 @@ def test_spectrum_reads_only_the_diagonal_blocks(monkeypatch, kind, param,
     served = []
     b_blocks = spectrum.b_blocks
 
-    def recorded(ring, Q, rows=None):
-        for block, num in b_blocks(ring, Q, rows):
+    def recorded(ring, Q, rows):
+        for block, *counts in b_blocks(ring, Q, rows):
             served.append(list(map(int, block)))
-            yield block, num
+            yield block, *counts
 
     monkeypatch.setattr(spectrum, "b_blocks", recorded)
     assert cli.main(["spectrum", "--alpha", "1/2", "--ring", kind,
@@ -432,12 +444,14 @@ def corrupt_b_negative(num, x=5):
 
 def corrupted_reader(b_blocks, corrupt):
     """A chain.b_blocks that serves the blocks it reads from
-    corrupt(B's numerators), with the whole B read through b_blocks on
-    each call."""
-    def read(ring, Q, rows=None):
-        num = corrupt(np.concatenate([b for _, b in b_blocks(ring, Q)]))
-        for block, _ in b_blocks(ring, Q, rows):
-            yield block, num[block]
+    corrupt(B's numerators) and corrupt(the unit-weight counts |R_{x,y}|),
+    with the whole B read through b_blocks on each call."""
+    def read(ring, Q, rows):
+        _, num, sizes = map(np.concatenate,
+                            zip(*b_blocks(ring, Q, range(ring.n))))
+        num, sizes = corrupt(num), corrupt(sizes)
+        for block, *_ in b_blocks(ring, Q, rows):
+            yield block, num[block], sizes[block]
     return read
 
 
@@ -719,17 +733,16 @@ M2F5_SEED1 = ["--Q", seeded_q_json(cli.ring_from_descriptor(
     {"kind": "matrix", "q": 5}), 1)]
 
 
-@pytest.mark.parametrize("q_args, extra", [([], 1), (M2F5_SEED1, 2)],
-                         ids=["uniform", "seed1"])
+@pytest.mark.parametrize("q_args", [[], M2F5_SEED1], ids=["uniform", "seed1"])
 def test_each_command_reads_b_once_for_its_checks(monkeypatch, capsys,
-                                                  q_args, extra):
+                                                  q_args):
     """Rows of B counted as chain._count_columns reads them on M2(F5).
-    verify reads one pass for its four checks on B, g more for the rows
-    u c of the g unit generators and, under a Q other than uniform, one
-    uniform pass for the R_{x,y} check; the lumped solve reads the |phi|
-    rows of the generators besides.  spectrum reads one pass for
-    spectrum-two-way and spectrum-m-shift together, plus the diagonal
-    blocks of block_spectrum."""
+    verify reads one pass for its four checks on B under any Q: the
+    R_{x,y} check reads the unit-weight counts of the same gather, and the
+    conjugation check its own sketches of the blocks.  The lumped solve
+    reads the |phi| rows of the generators besides.  spectrum reads one
+    pass for spectrum-two-way and spectrum-m-shift together, plus the
+    diagonal blocks of block_spectrum."""
     from ringwalk import chain, spectrum
     read = []
     count = chain._count_columns
@@ -743,10 +756,9 @@ def test_each_command_reads_b_once_for_its_checks(monkeypatch, capsys,
     Q = cli.q_from_config(ring, q_args[1] if q_args else None)
     spectrum.block_spectrum(ring, Q)
     diagonal = sum(read)
-    g, n = len(ring.unit_generators), ring.n
+    n = ring.n
     argv = ["--ring", "matrix", "--q", "5", "--alpha", "1/2"] + q_args
-    for command, rows in ((["verify", "--T", "3"],
-                           (g + extra) * n + len(ring.phi)),
+    for command, rows in ((["verify", "--T", "3"], n + len(ring.phi)),
                           (["spectrum"], n + diagonal)):
         read.clear()
         assert cli.main(command + argv) == 0
@@ -764,9 +776,9 @@ def test_each_command_reads_b_once_for_its_checks(monkeypatch, capsys,
     (["spectrum", "--alpha", "1/2"] + M2F5_SEED1,
      "10b492da2ebe95ac91d43f13b9129aeae93851b83090e1009886f0000e4d735f"),
     (["verify", "--alpha", "1/2"],
-     "941495c4e2bc086026fabc11730a480ecc5c0603c8a89408dbc0509751d982ed"),
+     "25afbfe5b1957d9f032b0c90942bc9726a814ca76f46ab4c09805b5796d444a6"),
     (["verify", "--alpha", "1/2"] + M2F5_SEED1,
-     "6155956547e6fd4a21bb7401d46c5fe0f145ecfd4d07fb5c73b8ee81abaf7c86"),
+     "4b3086e7240ea5edd153ea4d7c5c4c50361b8fe8f40ee833271e79ba8f168c60"),
 ], ids=["describe", "stationary", "spectrum", "spectrum-seed1", "verify",
         "verify-seed1"])
 def test_m2f5_report_bytes_are_pinned(argv, digest):

@@ -581,23 +581,25 @@ def test_simulate_accepts_a_move_range_just_below_2_63(ring, q, alpha):
                                                      **kwargs).tolist()
 
 
-@pytest.mark.parametrize("ring, q, alpha", [
-    (*z12_point_q(2**62 + 8), Fr(1, 2)),
-    (*z2_uniform(), Fr(1, 2**62)),
-    (*z12_q(2**58 - 27, 8), Fr(1, 4)),
+@pytest.mark.parametrize("ring, q, alpha, field", [
+    (*z12_point_q(2**62 + 8), Fr(1, 2), "Q"),
+    (*z2_uniform(), Fr(1, 2**62), "alpha"),
+    (*z12_q(2**58 - 27, 8), Fr(1, 4), "Q"),
 ], ids=["z12-R2^63+16", "z2-R2^63", "z12-den2^58"])
-def test_simulate_refuses_a_move_range_of_2_63(monkeypatch, ring, q, alpha):
+def test_simulate_refuses_a_move_range_of_2_63(monkeypatch, ring, q, alpha,
+                                               field):
     """R = 2^63 + 16 (D = 2^62 + 8, a multiple of 12), R = 2^63 exactly
     from alpha alone, and the former golden case z12-den2^58 (R about
-    2^63.6): ParamOutOfRange naming 'Q', with s, L and 2^63, before any
-    Philox stream is made."""
+    2^63.6): ParamOutOfRange, with s, L and 2^63, before any Philox stream
+    is made.  It names 'alpha' where s n >= 2^63, which no Q can mend
+    (L >= n), and 'Q' otherwise."""
     R = move_range(ring, q, alpha)
     assert R >= 2**63
     monkeypatch.setattr(np.random, "Philox", None)
     with pytest.raises(ParamOutOfRange) as err:
         simulate(ring, q, alpha, 0, 5, 100, seed=1)
     L = R // alpha.denominator
-    assert str(err.value).startswith("field 'Q'")
+    assert str(err.value).startswith(f"field '{field}'")
     assert f"{alpha.denominator} * {L}" in str(err.value)
     assert "2^63" in str(err.value)
 

@@ -487,6 +487,47 @@ def test_conjugation_check_reads_the_last_row_block(monkeypatch):
     assert not check_conjugation_invariance(ring, Q)[0]
 
 
+def test_conjugation_check_sees_a_defect_that_one_prime_divides(monkeypatch):
+    """Mass p0 moved within row x = n - 1 of B on M2(F3), p0 the least
+    prime in the check's range (2^18, 2^19), under a Q whose common
+    denominator exceeds 2^64: B stays a probability matrix, and it agrees
+    with the true B mod p0, so only primes drawn at random see the
+    change."""
+    ring = matrix_ring(3)
+    Q = class_q(ring, [c % 5 + 1 for c in range(len(ring.similarity))], BIG)
+    p0, x = 2 ** 18 + 3, ring.n - 1
+    num = b_rows(ring, Q, range(ring.n))
+
+    def corrupt(num):
+        num = num.copy()
+        y, z = np.flatnonzero(num[x])[:2]
+        num[x, y] += p0
+        num[x, z] -= p0
+        return num
+
+    assert check_conjugation_invariance(ring, Q)[0]
+    assert is_prime(p0) and not any(map(is_prime, range(2 ** 18, p0)))
+    assert Q.scaled_weights()[1] > 2 ** 64
+    assert corrupt(num).min() >= 0 and not np.any((corrupt(num) - num) % p0)
+    monkeypatch.setattr(checks, "b_blocks",
+                        corrupted_reader(b_blocks, corrupt))
+    assert not check_conjugation_invariance(ring, Q)[0]
+
+
+def test_conjugation_bound_counts_the_primes_of_its_range():
+    """N of the conjugation check's bound is the number of primes in
+    (2^18, 2^19), by a sieve, and its draws are primes of that range."""
+    sieve = np.ones(2 ** 19, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 2 ** 10):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert checks._PRIMES == np.count_nonzero(sieve[2 ** 18:])
+    rnd = random.Random(5)
+    assert all(sieve[p] and p > 2 ** 18
+               for p in (checks._random_prime(rnd) for _ in range(50)))
+
+
 def test_two_way_check_reads_the_last_row_block(monkeypatch):
     """Mass moved in row x >= 64 of B on M2(F3), from an entry inside the
     ideal of x to a unit y, is reported at (x, y): the check compares 64
@@ -659,9 +700,9 @@ def test_b_checks_and_blocks_hold_no_n_by_n_array():
     """On M2(F7), built first, the checks on B, one at a time and all four
     over one scan, and block_spectrum trace a peak below n^2 * 2 bytes:
     they read B 64 rows at a time, where the int64 B alone is n^2 * 8
-    bytes (46 MB).  The scan holds up to g + 2 blocks at once: its own,
-    one of the g moved streams, and the uniform stream of the R_{x,y}
-    test, as Q is not uniform."""
+    bytes (46 MB).  The scan holds one block at a time, with its
+    unit-weight counts, and the conjugation test's sketches: 12 floats a
+    row."""
     ring = matrix_ring(7)
     Q = seeded_q(ring, 1)
     for a in ring.phi:
@@ -673,7 +714,7 @@ def test_b_checks_and_blocks_hold_no_n_by_n_array():
         assert check_spectrum_two_way(ring, Q)[0]
         assert check_m_shift(ring, Q, Fr(1, 2))[0]
         assert all(ok for ok, _ in checks.scan_b(ring, Q, [
-            checks.rxy_test(ring, Q), checks.conjugation_test(ring, Q),
+            checks.rxy_test(ring), checks.conjugation_test(ring, Q),
             checks.two_way_test(ring, Q), checks.m_shift_test(Q, Fr(1, 2))]))
         assert sum(em.total() for _, em in block_spectrum(ring, Q)) == ring.n
         peak = tracemalloc.get_traced_memory()[1]
@@ -694,9 +735,10 @@ def test_scan_builds_one_containment_matrix_per_row_block(monkeypatch):
                         lambda r, block: built.append(len(block))
                         or real(r, block))
     assert all(ok for ok, _ in checks.scan_b(ring, Q, [
-        checks.rxy_test(ring, Q), checks.two_way_test(ring, Q),
+        checks.rxy_test(ring), checks.two_way_test(ring, Q),
         checks.m_shift_test(Q, Fr(1, 2))]))
-    assert built == [len(block) for block, _ in chain.b_blocks(ring, Q)]
+    assert built == [len(block) for block, *_ in
+                     chain.b_blocks(ring, Q, range(ring.n))]
     built.clear()
     assert checks.scan_b(ring, Q, [checks.m_shift_test(Q, Fr(1, 2))])[0][0]
     assert built == []
