@@ -10,16 +10,18 @@ and the full chain matrix is M = (alpha/n) * ones + (1 - alpha) * B.
 Everything is exact-rational.  The commands build neither B nor M:
 b_blocks reads the rows of B they ask for off the multiplication table, a
 block of at most _ROWS rows at a time, each counted by integer np.add.at
-scatters of Q's weights.  The same gather of the table's columns is
-counted once more with unit weights, for the sizes |R_{x,y}| that the
-R_{x,y} check reads under any Q.  A command's checks on B share one such
-pass (checks.scan_b), and what they report of M follows from B >= 0,
-B 1 = 1 and 0 < alpha < 1 (checks.m_shift_test).  build_B and build_M are the
-dense n x n B and M, oracles for the tests and the benchmark.
+scatters of Q's weights.  Each block also comes with sizes(), which counts
+the same gather of the table's columns with unit weights, on call, for
+the sizes |R_{x,y}| that the R_{x,y} check reads under any Q.  A
+command's checks on B share one such pass (checks.scan_b), and what they
+report of M follows from B >= 0, B 1 = 1 and 0 < alpha < 1
+(checks.m_shift_test).  build_B and build_M are the dense n x n B and M,
+oracles for the tests and the benchmark.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -140,9 +142,10 @@ def b_blocks(ring: FiniteRing, Q: ClassDistribution, rows):
     """(block, num, sizes) for consecutive blocks of at most _ROWS entries
     of rows.  num holds the integer numerators of B[block, :] over Q's
     common denominator den, int64 below 2^63 and Python ints (dtype object)
-    from there, as Q.scaled_weights().  sizes[j, x] = |R_{x,y}| =
-    #{r : r y = x} for y = block[j], the same columns counted with unit
-    weights (int64), whatever Q is.
+    from there, as Q.scaled_weights().  sizes() is the int64 array with
+    sizes()[j, x] = |R_{x,y}| = #{r : r y = x} for y = block[j], whatever
+    Q is: the same columns counted with unit weights, on the first call
+    only, so a reader that never calls it pays nothing for it.
 
     Row a of B is column a of the multiplication table counted with Q's
     weights: B[a, b] = sum of w[x] over x with x*a == b.  Each block is
@@ -158,11 +161,12 @@ def b_blocks(ring: FiniteRing, Q: ClassDistribution, rows):
 
 
 def _count_columns(mul, block, w):
-    """(num, sizes): the w-weighted and the unit-weighted counts of the
-    columns block of mul (b_blocks), both from one gather of the columns,
-    made here so that a suspended b_blocks holds no block of B.  Each
-    scatter counts `width` columns, about _SCATTER table entries: entry x
-    of its i-th column c is keyed i n + x*c in its rows of the block."""
+    """(num, sizes): the w-weighted counts of the columns block of mul
+    (b_blocks) and a cached sizes() for their unit-weighted counts, both
+    from one gather of the columns, made here so that a suspended b_blocks
+    holds no block of B.  Each scatter counts `width` columns, about
+    _SCATTER table entries: entry x of its i-th column c is keyed
+    i n + x*c in its rows of the block."""
     n = len(mul)
     # one pass over the table's rows, then each column made contiguous
     cols = np.take(mul, block, axis=1).T.copy()
@@ -175,10 +179,15 @@ def _count_columns(mul, block, w):
         counts.fill(0)      # zeroed just before its scatter, while cached
         np.add.at(counts.reshape(-1), (part + offsets[:len(part)]).ravel(),
                   weights[:part.size])
-    # entry x of the block's j-th column c keyed j n + x*c, as above
-    sizes = np.bincount((cols + np.arange(0, num.size, n)[:, None]).ravel(),
-                        minlength=num.size)
-    return num, sizes.reshape(num.shape)
+
+    @functools.cache
+    def sizes():
+        # entry x of the block's j-th column c keyed j n + x*c, as above
+        keys = cols + np.arange(0, cols.size, n)[:, None]
+        return np.bincount(keys.ravel(), minlength=cols.size).reshape(
+            cols.shape)
+
+    return num, sizes
 
 
 def b_rows(ring: FiniteRing, Q: ClassDistribution, rows) -> np.ndarray:

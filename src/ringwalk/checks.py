@@ -70,13 +70,14 @@ def check_witnesses(ring: FiniteRing):
 def scan_b(ring: FiniteRing, Q: ClassDistribution, tests):
     """One pass over the row blocks of B for the triples (step, end,
     passed) of tests.  step(block, num, sizes, inside) is called on each
-    block of chain.b_blocks, where inside() is the block's containment
-    matrix (_containment), built on the first call for the block and shared
-    by every test; it returns a failure detail or None.  A step is called
-    until it first fails, and the pass ends once every test has failed.
-    end, None for a test decided block by block, is called once the pass
-    has read every row, for the failure detail or None.  Returns (ok, its
-    first failure or passed) for each test."""
+    block (block, num, sizes) of chain.b_blocks, where inside() is the
+    block's containment matrix (_containment); sizes() and inside() are
+    each built on the first call for the block and shared by every test.
+    A step returns a failure detail or None, and is called until it first
+    fails; the pass ends once every test has failed.  end, None for a test
+    decided block by block, is called once the pass has read every row,
+    for the failure detail or None.  Returns (ok, its first failure or
+    passed) for each test."""
     fails = [None] * len(tests)
     for block, num, sizes in b_blocks(ring, Q, range(ring.n)):
         inside = functools.cache(functools.partial(_containment, ring, block))
@@ -100,12 +101,13 @@ def _containment(ring: FiniteRing, block):
 def rxy_test(ring: FiniteRing):
     """|R_{x,y}| is |LAnn(y)| when I_x is inside I_y and 0 otherwise, where
     R_{x,y} = {r : r y = x}.  Row y of the block's unit-weight counts
-    (chain.b_blocks) holds the sizes |R_{x,y}| over all x, under any Q."""
+    sizes() (chain.b_blocks) holds the sizes |R_{x,y}| over all x, under
+    any Q."""
 
     def rxy(block, num, sizes, inside):
-        contained = inside()
-        empty = (sizes > 0) != contained
-        size = contained & (sizes != sizes[:, [ring.zero]])
+        contained, counts = inside(), sizes()
+        empty = (counts > 0) != contained
+        size = contained & (counts != counts[:, [ring.zero]])
         for j in np.flatnonzero(empty.any(axis=1) | size.any(axis=1))[:1]:
             y = block[j]
             if empty[j].any():
@@ -147,10 +149,8 @@ def conjugation_test(ring: FiniteRing, Q: ClassDistribution):
     Each block of rows c keeps, for i = 1..v, the sketches
     (num mod p_i) @ [r_i | r_i,u1 | ... | r_i,ug] mod p_i, and the end of
     the pass compares (B r_u)[u c] with (B r)[c] for every c and generator
-    u.  A block whose entries all lie in [0, 2^18) is its own residue mod
-    every p_i, and is multiplied once for all of them.  A failure names the
-    first generator u that differs in the first row block, in scan order,
-    where some generator does.
+    u.  A failure names the first generator u that differs in the first
+    row block, in scan order, where some generator does.
 
     Exactness: the entries of num mod p_i and of r_i are below p_i < 2^19
     and n <= SIZE_CAP, so each dot product is an integer below
@@ -171,26 +171,21 @@ def conjugation_test(ring: FiniteRing, Q: ClassDistribution):
     perms = [ring.mul[u, :] for u in gens]
     rnd = random.Random()           # seeded from fresh OS entropy
     primes = [_random_prime(rnd) for _ in range(_VECTORS)]
-    moduli = np.array(primes, dtype=np.float64)[:, None]
-    # vectors[:, i]: [r_i | r_i,u1 | ... | r_i,ug], r_u(u d) = r(d)
-    vectors = np.empty((ring.n, _VECTORS, 1 + len(gens)))
+    # vectors[i]: [r_i | r_i,u1 | ... | r_i,ug], r_u(u d) = r(d)
+    vectors = np.empty((_VECTORS, ring.n, 1 + len(gens)))
     for i, p in enumerate(primes):
         r = np.fromiter((rnd.randrange(p) for _ in range(ring.n)), np.int64,
                         ring.n)
         for k, perm in enumerate([np.arange(ring.n)] + perms):
-            vectors[perm, i, k] = r
-    sketches = np.empty_like(vectors)       # rows c: B [r_i | ...] mod p_i
+            vectors[i, perm, k] = r
+    # sketches[c, i]: (B [r_i | r_i,u1 | ... | r_i,ug])[c] mod p_i
+    sketches = np.empty((ring.n, _VECTORS, 1 + len(gens)))
     seen = []
 
     def sketch(block, num, sizes, inside):
-        if num.min() >= 0 and num.max() < 2 ** _PRIME_BITS:
-            # every entry is its own residue mod every p_i: one product
-            out = num.astype(np.float64) @ vectors.reshape(ring.n, -1)
-            out = out.reshape(len(block), *vectors.shape[1:])
-        else:
-            out = np.stack([(num % p).astype(np.float64) @ vectors[:, i]
-                            for i, p in enumerate(primes)], axis=1)
-        sketches[block] = out % moduli
+        sketches[block] = np.stack(
+            [(num % p).astype(np.float64) @ vectors[i] % p
+             for i, p in enumerate(primes)], axis=1)
         seen.append(block)
 
     def compare():

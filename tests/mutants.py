@@ -156,8 +156,13 @@ MUTANTS = (
            "if any(fails):",
            ("tests/test_spectrum.py::test_scan_keeps_each_check_s_first_"
             "failure",)),
+    Mutant("unit-counts-eager", "chain.py",
+           "    return num, sizes\n",
+           "    sizes()\n    return num, sizes\n",
+           ("tests/test_spectrum.py::test_only_the_rxy_check_counts_unit_"
+            "weights",)),
     Mutant("rxy-without-emptiness", "checks.py",
-           "empty = (sizes > 0) != contained",
+           "empty = (counts > 0) != contained",
            "empty = np.zeros_like(contained)",
            ("tests/test_rings.py::test_rxy_check_reads_the_last_row_block",
             "tests/test_rings.py::test_rxy_check_catches_a_wrong_poset_or_"

@@ -447,11 +447,11 @@ def corrupted_reader(b_blocks, corrupt):
     corrupt(B's numerators) and corrupt(the unit-weight counts |R_{x,y}|),
     with the whole B read through b_blocks on each call."""
     def read(ring, Q, rows):
-        _, num, sizes = map(np.concatenate,
-                            zip(*b_blocks(ring, Q, range(ring.n))))
-        num, sizes = corrupt(num), corrupt(sizes)
+        blocks = list(b_blocks(ring, Q, range(ring.n)))
+        num = corrupt(np.concatenate([num for _, num, _ in blocks]))
+        sizes = corrupt(np.concatenate([sizes() for *_, sizes in blocks]))
         for block, *_ in b_blocks(ring, Q, rows):
-            yield block, num[block], sizes[block]
+            yield block, num[block], lambda block=block: sizes[block]
     return read
 
 

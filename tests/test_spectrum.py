@@ -744,6 +744,36 @@ def test_scan_builds_one_containment_matrix_per_row_block(monkeypatch):
     assert built == []
 
 
+def test_only_the_rxy_check_counts_unit_weights(monkeypatch):
+    """chain.b_blocks counts a block's unit weights (one np.bincount) only
+    when its sizes() is first called: a scan without the R_{x,y} test,
+    block_spectrum's diagonal blocks and b_rows count them for no block,
+    and a scan with the test counts them once a block."""
+    ring = matrix_ring(3)
+    Q = seeded_q(ring, 2)
+    counted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, keys, minlength):
+            counted.append(minlength // ring.n)
+            return np.bincount(keys, minlength=minlength)
+
+    monkeypatch.setattr(chain, "np", CountingNumpy())
+    assert all(ok for ok, _ in checks.scan_b(ring, Q, [
+        checks.conjugation_test(ring, Q), checks.two_way_test(ring, Q),
+        checks.m_shift_test(Q, Fr(1, 2))]))
+    assert sum(em.total() for _, em in block_spectrum(ring, Q)) == ring.n
+    assert len(b_rows(ring, Q, range(ring.n))) == ring.n
+    assert counted == []
+    assert checks.scan_b(ring, Q, [checks.rxy_test(ring)])[0][0]
+    assert counted == [64, ring.n - 64]
+    (_, _, sizes), = chain.b_blocks(ring, Q, [0])
+    assert sizes() is sizes() and counted[2:] == [1]
+
+
 def test_gl2_check_catches_a_change_that_keeps_the_trace(monkeypatch):
     """Two closed forms of equal multiplicity moved by +1 and -1 (in D *
     eigenvalue): the first power sum is unchanged, a later one is not."""

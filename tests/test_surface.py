@@ -192,3 +192,12 @@ def test_every_error_class_derives_from_ringwalk_error():
     assert "ConvergenceFailure" in names
     assert [name for name in names if not issubclass(
         getattr(errors, name), errors.RingwalkError)] == []
+
+
+def test_readme_quick_start_runs():
+    """The README's Quick start block runs as written, so a signature
+    change that breaks it fails here."""
+    readme = (ROOT / "README.md").read_text()
+    quick = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", quick, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
