@@ -11,8 +11,10 @@ to uint16 once, as every partial code is below n.
 
 The simulator steps every sample through a uint16 copy of the ring
 tables, [add; mul] stacked: a state is a uint16 element index and a move
-a uint16 code, and only the gather index of one sample block is int32
-(run_chain)."""
+an int32 code, and the gather index of one sample block is an intp
+scratch array that the caller owns and reuses (run_chain).  run_chain
+runs on the thread that called mixing.simulate; that function's draw
+thread, one per block, only draws."""
 
 from __future__ import annotations
 
@@ -109,24 +111,23 @@ def _gather_rows(codes, rows, n):
     return out
 
 
-def run_chain(states, moves, table):
+def run_chain(states, moves, table, index):
     """Advance a block of sample trajectories one step in place.
 
-    states are the samples' uint16 element indices, and moves their uint16
+    states are the samples' uint16 element indices, and moves their int32
     move codes for this step: a to add a, n + z to multiply by z
     (mixing.move_weights).  table is the (2n x n) uint16 stack of the ring
     tables [add; mul] ([add; mul.T] for right multiplication), so entry
     code*n + x of the flat table is the state after move code from x.  The
-    step is one multiply, one add and one gather.  The index is int32, as
-    code*n + x < 2n^2 < 2^31 for n up to rings.SIZE_CAP; the product is
-    taken in int32 (dtype=), not in the uint16 of the codes, which would
-    wrap once 2n^2 reaches 2^16.  The caller passes one sample block
-    (mixing.SAMPLE_BLOCK), so the states and the index stay in cache.
+    step is one multiply, one add and one gather, through index, an intp
+    scratch array of len(states) that the caller owns: np.take would copy
+    a narrower index to intp on every call.  The caller passes one sample
+    block (mixing.SAMPLE_BLOCK), so the states and the index stay in cache.
     """
     n = table.shape[1]
-    idx = np.multiply(moves, n, dtype=np.int32)
-    idx += states
+    np.multiply(moves, n, dtype=np.intp, out=index)
+    index += states
     # every index is in range by construction; mode="clip" skips the
     # bounds check, which would also buffer the output
-    np.take(table, idx, out=states, mode="clip")
+    np.take(table, index, out=states, mode="clip")
     return states

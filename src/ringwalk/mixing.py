@@ -32,19 +32,26 @@ platforms.  The counts for a seed are fixed by this stream contract:
 numpy draws the same integers whether they are asked for at once or in
 pieces (a pending half-word stays in the bit generator), so the counts do
 not depend on how a block's draws are cut: simulate draws and steps
-SAMPLE_BLOCK samples at a time.  The domain is R < 2^63, the range of an
-int64 draw.  Memory per block is the uint16 states (2 bytes per sample)
-and O(SAMPLE_BLOCK) for one sample block's draws, codes and gather index,
-whatever t is; the end states are counted one sample block at a time.  The
-step table is one uint16 copy of the addition and multiplication tables,
-4n^2 bytes.  Each step costs O(1) per sample: a draw maps to its move code
-through a guide table of about 32 buckets per code (QSampler), and the
-move is one multiply, one add and one gather from the step table
-(_kernels.run_chain).
+SAMPLE_BLOCK samples at a time.  Each block's draws are taken by one
+draw thread of their own, in stream order, while the calling thread maps
+and steps the sample block before; the draw thread alone consumes the
+stream, so the counts do not depend on the timing of the two threads.
+The domain is R < 2^63, the range of an int64 draw.  Memory per block is
+the uint16 states (2 bytes per sample) and O(SAMPLE_BLOCK) beside them,
+whatever t is: two sample blocks' int64 draws in flight, one being drawn
+and one being mapped, and one sample block of scratch that the caller
+owns and reuses (buckets, codes, straddle mask and gather index); the end
+states are counted one sample block at a time.  The step table is one
+uint16 copy of the addition and multiplication tables, 4n^2 bytes.  Each
+step costs O(1) per sample: a draw maps to its move code through a guide
+table of about 32 buckets per code (QSampler), and the move is one
+multiply, one add and one gather from the step table (_kernels.run_chain).
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm, log
@@ -319,21 +326,29 @@ class QSampler:
         self.lo = np.where(split, ~lo, lo).astype(np.int32)
         self.straddles = bool(split.any())
 
-    def __call__(self, draws) -> np.ndarray:
-        d = np.ravel(draws)
+    def __call__(self, draws, out, buckets, straddle) -> np.ndarray:
+        """The outcome of each of the 1-D int64 draws, written to out
+        (int32) and returned.  buckets (intp) and straddle (bool) are
+        scratch; all three have len(draws) entries and belong to the
+        caller, which reuses them."""
         # a shift of 0 would only copy the draws
-        buckets = d >> self.shift if self.shift else d
-        zs = np.take(self.lo, buckets)
+        if self.shift:
+            np.right_shift(draws, self.shift, out=buckets)
+        else:
+            buckets = draws
+        # every bucket is in range, as every draw is below den;
+        # mode="clip" skips the bounds check, which would buffer out
+        np.take(self.lo, buckets, out=out, mode="clip")
         if self.straddles:
-            hit = np.flatnonzero(zs < 0)
-            dh = d[hit]
+            hit = np.flatnonzero(np.less(out, 0, out=straddle))
+            dh = draws[hit]
             # cum[z - 1] <= dh, and cum[z] lies in dh's bucket
-            z = ~zs[hit]
+            z = ~out[hit]
             z += dh >= self.cum[z]
             far = np.flatnonzero(dh >= self.cum[z])
             z[far] = np.searchsorted(self.cum, dh[far], side="right")
-            zs[hit] = z
-        return zs.reshape(np.shape(draws))
+            out[hit] = z
+        return out
 
 
 def move_weights(n: int, Q: ClassDistribution, alpha: Fraction) -> np.ndarray:
@@ -421,14 +436,16 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     The stream contract of the module docstring fixes the counts: each
     step draws one integer in [0, R) per sample, row-major over (step,
     sample), and QSampler maps it to a move code over move_weights.  The
-    draws are taken SAMPLE_BLOCK samples at a time, and the states of those
-    samples take the step at once; the counts do not depend on
-    SAMPLE_BLOCK.  Domain: R = s lcm(n, D) < 2^63 for alpha = p/s and Q's
-    common denominator D, checked before any draw (move_weights); the
-    alpha denominator alone must lie below 2^63 too (check_simulation).
-    Peak memory is 2 bytes per sample (its uint16 state) plus
-    O(SAMPLE_BLOCK) for the draws, whatever t is, beside 4n^2 bytes for
-    the uint16 step table.
+    draws are taken SAMPLE_BLOCK samples at a time, by one draw thread
+    per block (_walk), and the states of those samples take the step at
+    once on the calling thread; the counts depend neither on
+    SAMPLE_BLOCK nor on the draw thread's timing.  Domain: R = s lcm(n, D)
+    < 2^63 for alpha = p/s and Q's common denominator D, checked before
+    any draw (move_weights); the alpha denominator alone must lie below
+    2^63 too (check_simulation).  Peak memory is 2 bytes per sample (its
+    uint16 state) plus O(SAMPLE_BLOCK), whatever t is: two sample blocks'
+    int64 draws in flight and one sample block of caller-owned scratch,
+    beside 4n^2 bytes for the uint16 step table.
     """
     alpha = check_simulation(alpha, t, samples, seed, side, blocks,
                              allow_boundary)
@@ -451,17 +468,76 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
             continue
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
         states = np.full(m, x0, dtype=np.uint16)
-        code = np.empty(min(m, SAMPLE_BLOCK), dtype=np.uint16)
-        for _ in range(t):
-            for cut in range(0, m, SAMPLE_BLOCK):
-                at = states[cut:cut + SAMPLE_BLOCK]
-                moves = code[:len(at)]
-                moves[:] = sampler(rng.integers(0, sampler.den, size=len(at),
-                                                dtype=np.int64))
-                _kernels.run_chain(at, moves, table)
+        _walk(states, t, rng, sampler, table)
         # bincount widens its input to intp: one sample block at a time
         for cut in range(0, m, SAMPLE_BLOCK):
             counts += np.bincount(states[cut:cut + SAMPLE_BLOCK],
                                   minlength=ring.n)
     return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
                             counts)
+
+
+def _walk(states, t, rng, sampler, table):
+    """Step every state t times in place, with the moves of one block's
+    stream rng.
+
+    One draw thread (_draw) takes the stream's integers; this thread maps
+    each sample block's draws to move codes (QSampler) and steps the
+    sample block (_kernels.run_chain).  A semaphore of two slots keeps at
+    most two draw arrays alive, one being drawn and one being mapped: the
+    thread takes a slot before each draw, and a slot is given back once
+    the mapped array is dropped.  The draw thread alone consumes rng, in
+    stream order, so the counts do not depend on how the two threads
+    interleave.  If either thread raises, the error reaches the caller
+    and the draw thread is joined first.
+    """
+    m = len(states)
+    cuts = range(0, m, SAMPLE_BLOCK)
+    sizes = [min(SAMPLE_BLOCK, m - cut) for cut in cuts]
+    # scratch of one sample block, owned here and reused at every step
+    codes = np.empty(sizes[0], dtype=np.int32)
+    buckets = np.empty(sizes[0], dtype=np.intp)
+    straddle = np.empty(sizes[0], dtype=bool)
+    index = np.empty(sizes[0], dtype=np.intp)
+    slots = threading.Semaphore(2)
+    handoff = queue.SimpleQueue()
+    stop = threading.Event()
+    drawer = threading.Thread(
+        target=_draw, args=(rng, sampler.den, t, sizes, slots, handoff, stop),
+        daemon=True)
+    drawer.start()
+    try:
+        for _ in range(t):
+            for cut, size in zip(cuts, sizes):
+                draws = handoff.get()
+                if isinstance(draws, BaseException):
+                    raise draws
+                moves = sampler(draws, codes[:size], buckets[:size],
+                                straddle[:size])
+                del draws       # dropped before its slot is given back
+                slots.release()
+                _kernels.run_chain(states[cut:cut + size], moves, table,
+                                   index[:size])
+    finally:
+        stop.set()
+        slots.release()     # wakes a draw thread that waits for a slot
+        drawer.join()
+
+
+def _draw(rng, den, t, sizes, slots, handoff, stop):
+    """The draw thread of _walk: for each of t steps and each sample block
+    of `sizes`, in that order, take a slot and put
+    rng.integers(0, den, size, int64) on handoff; if one raises, put the
+    error instead, for _walk to raise on the calling thread.  It calls
+    numpy only, never a function of this package, so whatever wraps those
+    sees each call on the thread that called simulate.  It returns at the
+    first slot it takes once stop is set."""
+    try:
+        for _ in range(t):
+            for size in sizes:
+                slots.acquire()
+                if stop.is_set():
+                    return
+                handoff.put(rng.integers(0, den, size=size, dtype=np.int64))
+    except BaseException as exc:
+        handoff.put(exc)

@@ -21,12 +21,23 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("step-index-in-uint16", "_kernels.py",
-           "idx = np.multiply(moves, n, dtype=np.int32)",
-           "idx = np.multiply(moves, n)",
-           tuple(f"tests/test_mixing.py::test_simulate_equals_reference_"
-                 f"where_scaled_entries_exceed_uint16[{case}]"
-                 for case in ("M2(F5)-left", "M2(F5)-right", "Z_200-left"))),
+    Mutant("step-index-in-int32", "mixing.py",
+           "index = np.empty(sizes[0], dtype=np.intp)",
+           "index = np.empty(sizes[0], dtype=np.int32)",
+           ("tests/test_mixing.py::test_simulate_memory_is_two_bytes_per_"
+            "sample",
+            "tests/test_mixing.py::test_simulate_counts_end_states_without_"
+            "a_widened_copy")),
+    Mutant("draws-unbounded-in-flight", "mixing.py",
+           "slots = threading.Semaphore(2)",
+           "slots = threading.Semaphore(3)",
+           ("tests/test_mixing.py::test_simulate_memory_is_two_bytes_per_"
+            "sample",)),
+    Mutant("draw-thread-left-waiting", "mixing.py",
+           "slots.release()     # wakes a draw thread that waits for a slot",
+           "pass",
+           ("tests/test_mixing.py::test_simulate_reraises_a_step_error_and_"
+            "joins_its_draw_thread",)),
     Mutant("step-table-halves-swapped", "mixing.py",
            "table = np.concatenate([ring.add,\n"
            "                            ring.mul if side == \"left\" else "

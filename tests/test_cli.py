@@ -779,8 +779,11 @@ def test_each_command_reads_b_once_for_its_checks(monkeypatch, capsys,
      "25afbfe5b1957d9f032b0c90942bc9726a814ca76f46ab4c09805b5796d444a6"),
     (["verify", "--alpha", "1/2"] + M2F5_SEED1,
      "4b3086e7240ea5edd153ea4d7c5c4c50361b8fe8f40ee833271e79ba8f168c60"),
+    (["simulate", "--alpha", "1/2", "--seed", "1", "--steps", "50",
+      "--samples", "200000"] + M2F5_SEED1,
+     "1e5013aa73f2948484f6984d7c6a3f380ed955676f31495d05970a0fc25dd851"),
 ], ids=["describe", "stationary", "spectrum", "spectrum-seed1", "verify",
-        "verify-seed1"])
+        "verify-seed1", "simulate-seed1"])
 def test_m2f5_report_bytes_are_pinned(argv, digest):
     """Any change to these text reports on M2(F5) (n=625) must be
     deliberate.  The runs use one BLAS thread, as the benchmark does; the

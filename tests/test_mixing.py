@@ -1,6 +1,9 @@
 """TV distance, the geometric mixing bound, and the seeded simulator."""
 
 import functools
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction as Fr
 from math import lcm
@@ -781,9 +784,11 @@ def test_simulate_equals_reference_where_scaled_entries_exceed_uint16(make,
 def simulate_peak(m, t, alpha=Fr(1, 3)):
     """tracemalloc peak of simulate on M2(F3) with m samples of t steps,
     and the bound the module docstring states for it: 2 bytes per sample
-    (one uint16 state) plus at most 40 bytes per SAMPLE_BLOCK entry (one
-    sample block's int64 draws and buckets, straddle mask, move codes and
-    int32 gather index) and 64 KiB for the step table and the counts."""
+    (one uint16 state) plus at most 40 bytes per SAMPLE_BLOCK entry (two
+    sample blocks' int64 draws in flight, one drawn and one mapped, and
+    the caller-owned scratch: intp buckets, int32 move codes, straddle
+    mask and intp gather index) and 64 KiB for the step table and the
+    counts."""
     ring = matrix_ring(3)
     q = uniform(ring)
     ring.similarity
@@ -816,6 +821,159 @@ def test_simulate_counts_end_states_without_a_widened_copy():
     assert peak <= bound, (peak, bound)
 
 
+# ---------------------------------------------------------------------
+# the draw thread: numpy only, joined on every exit
+# ---------------------------------------------------------------------
+
+def _spied_generator(on_draw):
+    """A stand-in for np.random.Generator whose integers() first calls
+    on_draw(k), k its 1-based count of calls on that generator."""
+    real = np.random.Generator
+
+    class Spied:
+        def __init__(self, bit_generator):
+            self.rng = real(bit_generator)
+            self.calls = 0
+
+        def integers(self, *args, **kwargs):
+            self.calls += 1
+            on_draw(self.calls)
+            return self.rng.integers(*args, **kwargs)
+
+    return Spied
+
+
+def test_simulate_calls_the_package_on_the_calling_thread():
+    """run_chain, QSampler.__call__ and move_weights run on the thread that
+    called simulate; only the draws run elsewhere, on one thread per
+    block.  A tracer keeps one span stack per process, so a package call
+    on the draw thread would corrupt its accounting."""
+    ring, q, kwargs, counts = golden_cases()["b2f3-blocks3"]
+    calls = {"run_chain": [], "QSampler.__call__": [], "move_weights": []}
+    draws = []
+
+    def on(name, fn):
+        def wrapped(*args, **kw):
+            calls[name].append(threading.get_ident())
+            return fn(*args, **kw)
+        return wrapped
+
+    with mock.patch.object(mixing, "SAMPLE_BLOCK", 100), \
+            mock.patch.object(mixing._kernels, "run_chain",
+                              on("run_chain", mixing._kernels.run_chain)), \
+            mock.patch.object(mixing.QSampler, "__call__",
+                              on("QSampler.__call__",
+                                 mixing.QSampler.__call__)), \
+            mock.patch.object(mixing, "move_weights",
+                              on("move_weights", mixing.move_weights)), \
+            mock.patch.object(np.random, "Generator", _spied_generator(
+                lambda k: draws.append(threading.get_ident()))):
+        res = simulate(ring, q, **kwargs)
+    assert res.counts.tolist() == counts
+    # 3 blocks of 666-668 samples: 7 sample blocks of at most 100, 6 steps
+    assert {name: len(ids) for name, ids in calls.items()} == {
+        "run_chain": 3 * 7 * 6, "QSampler.__call__": 3 * 7 * 6,
+        "move_weights": 1}
+    assert {i for ids in calls.values() for i in ids} == \
+        {threading.get_ident()}
+    assert len(draws) == 3 * 7 * 6
+    assert threading.get_ident() not in draws
+
+
+def _run_with_timeout(fn, seconds=30):
+    """Run fn on a daemon thread; return what it raised.  Fails, rather
+    than hangs, if fn has not returned within `seconds`."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:     # handed back to the test
+            raised.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "simulate did not return"
+    return raised
+
+
+def test_simulate_reraises_a_step_error_and_joins_its_draw_thread():
+    """run_chain raises on its 5th call, once the draw thread has had the
+    time to draw two arrays ahead and wait for a slot: simulate re-raises
+    that error and joins the draw thread before it returns."""
+    ring, q, kwargs, _ = golden_cases()["m2f2-left"]
+    step = mixing._kernels.run_chain
+    seen = []
+
+    def failing(*args):
+        seen.append(None)
+        if len(seen) == 5:
+            time.sleep(0.2)
+            raise RuntimeError("step 5 failed")
+        return step(*args)
+
+    baseline = threading.active_count()
+    with mock.patch.object(mixing, "SAMPLE_BLOCK", 100), \
+            mock.patch.object(mixing._kernels, "run_chain", failing):
+        raised = _run_with_timeout(lambda: simulate(ring, q, **kwargs))
+    assert [str(e) for e in raised] == ["step 5 failed"]
+    assert threading.active_count() == baseline
+
+
+def test_simulate_reraises_a_draw_error_and_joins_its_draw_thread():
+    """The draw thread's 4th draw raises: the error reaches the caller of
+    simulate, and no thread is left behind."""
+    ring, q, kwargs, _ = golden_cases()["m2f2-left"]
+
+    def fail(k):
+        if k == 4:
+            raise RuntimeError("draw 4 failed")
+
+    baseline = threading.active_count()
+    with mock.patch.object(mixing, "SAMPLE_BLOCK", 100), \
+            mock.patch.object(np.random, "Generator", _spied_generator(fail)):
+        raised = _run_with_timeout(lambda: simulate(ring, q, **kwargs))
+    assert [str(e) for e in raised] == ["draw 4 failed"]
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_simulations_keep_their_golden_counts():
+    """Six simulate calls at once, on more threads than cores and with a
+    short switch interval, each with its draw threads: every call's counts
+    are its golden ones, so no draw array is lost, repeated or handed to
+    another call."""
+    names = ["m2f2-left", "b2f3-blocks3", "z12-den2^40"] * 2
+    results = {}
+
+    def run(i, name):
+        ring, q, kwargs, _ = golden_cases()[name]
+        results[i] = simulate(ring, q, **kwargs).counts.tolist()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(mixing, "SAMPLE_BLOCK", 50):
+            runners = [threading.Thread(target=run, args=item, daemon=True)
+                       for item in enumerate(names)]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners)
+    assert results == {i: golden_cases()[name][3]
+                       for i, name in enumerate(names)}
+
+
+def sample(sampler, draws):
+    """sampler on the draws, with scratch of their length made fresh."""
+    k = len(draws)
+    return sampler(draws, np.empty(k, dtype=np.int32),
+                   np.empty(k, dtype=np.intp), np.empty(k, dtype=bool))
+
+
 class _PointQ:
     """A Q stub on n elements: all mass on the last element."""
 
@@ -840,7 +998,7 @@ def test_move_codes_are_bounded_below_uint16_at_the_size_cap():
         assert sampler.den == alpha.denominator * n
         draws = np.random.Generator(np.random.Philox(key=[9, 0])).integers(
             0, sampler.den, size=5000, dtype=np.int64)
-        codes = sampler(draws)
+        codes = sample(sampler, draws)
         assert codes.max() == 2 * n - 1
         assert set(codes[codes >= n].tolist()) == {2 * n - 1}
         assert np.array_equal(codes.astype(np.uint16), codes)
@@ -867,7 +1025,7 @@ def weights_and_draws(draw):
         np.array([e for e in edges if 0 <= e < den] + [0, den - 1],
                  dtype=np.int64),
         rng.integers(0, den, size=500, dtype=np.int64)])
-    return w, draws.reshape(1, -1)
+    return w, draws
 
 
 @settings(deadline=None)
@@ -878,7 +1036,7 @@ def test_q_sampler_equals_searchsorted(case):
     assert sampler.den == sum(w)
     assert len(sampler.lo) <= 2**mixing.GUIDE_BITS
     assert len(sampler.lo) <= 2**(len(w).bit_length() + 5)
-    zs = sampler(draws)
+    zs = sample(sampler, draws)
     assert zs.dtype == np.int32
     assert np.array_equal(zs, np.searchsorted(np.cumsum(w), draws, "right"))
 
@@ -887,9 +1045,9 @@ def test_q_sampler_straddling_buckets_only_above_guide_bits():
     assert not mixing.QSampler([1] * 2**mixing.GUIDE_BITS).straddles
     sampler = mixing.QSampler([2**40 + 1, 2**40 - 1])
     assert sampler.straddles
-    draws = np.array([[2**40, 2**40 + 1, 2**40 + 2]], dtype=np.int64)
-    assert sampler(draws).tolist() == [[0, 1, 1]]
+    draws = np.array([2**40, 2**40 + 1, 2**40 + 2], dtype=np.int64)
+    assert sample(sampler, draws).tolist() == [0, 1, 1]
     # a draw past two boundaries of its bucket (two empty outcomes and one
     # of weight 1) takes the binary search
     sampler = mixing.QSampler([2**40 + 1, 0, 0, 1, 2**40 - 2])
-    assert sampler(draws).tolist() == [[0, 3, 4]]
+    assert sample(sampler, draws).tolist() == [0, 3, 4]
