@@ -117,8 +117,9 @@ def run_chain(states, moves, table, index):
     states are the samples' uint16 element indices, and moves their int32
     move codes for this step: a to add a, n + z to multiply by z
     (mixing.move_weights).  table is the (2n x n) uint16 stack of the ring
-    tables [add; mul] ([add; mul.T] for right multiplication), so entry
-    code*n + x of the flat table is the state after move code from x.  The
+    tables [add; mul], so entry code*n + x of the flat table is the state
+    after move code from x: x + a, or z x for code n + z (a walk that
+    multiplies on the right runs on the opposite ring's tables).  The
     step is one multiply, one add and one gather, through index, an intp
     scratch array of len(states) that the caller owns: np.take would copy
     a narrower index to intp on every call.  The caller passes one sample

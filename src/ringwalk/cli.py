@@ -325,15 +325,22 @@ def cmd_simulate(cfg) -> dict:
     steps = parse_int(cfg.get("steps", 20), "steps")
     side = cfg.get("side", "left")
     blocks = parse_int(cfg.get("blocks", 1), "blocks")
-    mixing.check_simulation(alpha, steps, samples, seed, side, blocks, False)
+    mixing.check_simulation(alpha, steps, samples, seed, blocks, False)
+    if side not in ("left", "right"):
+        raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
+                              f"'right'")
     ring = ring_from_descriptor(cfg["ring"])
+    label = ring.label
+    if side == "right":
+        # the right walk on R is the left walk on R^op, which has R's
+        # classes and representatives, so Q reads the same config there
+        ring = ring.opposite()
     Q = q_from_config(ring, cfg.get("Q"))
     start = parse_int(cfg.get("start", ring.zero), "start")
-    res = simulate(ring, Q, alpha, start, steps, samples, seed, side=side,
-                   blocks=blocks)
+    res = simulate(ring, Q, alpha, start, steps, samples, seed, blocks=blocks)
     rep = reports.new_report("simulate")
     rep["meta"].update({
-        "ring": ring.label, "alpha": str(alpha), "seed": str(seed),
+        "ring": label, "alpha": str(alpha), "seed": str(seed),
         "samples": str(samples), "steps": str(steps), "start": str(start),
         "side": side, "blocks": str(blocks),
     })

@@ -15,6 +15,11 @@ generator set S_a suffices: left multiplication by a unit preserves B, pi
 and V_t, and the units act transitively on each S_a.  The geometric bound
 d(t) <= (1-alpha)^t is therefore checked without rounding at every size.
 
+The simulator walks on the left, as B does: a multiply move takes x to
+z x.  The walk that multiplies on the right, x -> x z, is the same walk on
+the opposite ring (FiniteRing.opposite), whose left product is R's right
+product: it is simulate on R^op, and its stationary law is R^op's.
+
 The simulator draws one integer per move from the chain's exact move law.
 With alpha = p/s, Q(z) = w_z/D over Q's common denominator D and
 L = lcm(n, D), the 2n move codes carry integer weights over R = s L:
@@ -383,7 +388,6 @@ class SimulationResult:
     steps: int
     samples: int
     seed: int
-    side: str
     blocks: int
     counts: np.ndarray
 
@@ -395,10 +399,10 @@ class SimulationResult:
                                  np.array([float(p) for p in pi])))
 
 
-def check_simulation(alpha, t: int, samples: int, seed: int, side: str,
-                     blocks: int, allow_boundary: bool) -> Fraction:
+def check_simulation(alpha, t: int, samples: int, seed: int, blocks: int,
+                     allow_boundary: bool) -> Fraction:
     """simulate's checks of its fields that need no ring, in this order:
-    alpha, steps t, samples, blocks, side and seed.  Returns alpha."""
+    alpha, steps t, samples, blocks and seed.  Returns alpha."""
     alpha = check_alpha(alpha, allow_boundary)
     if alpha.denominator >= 2**63:
         raise ParamOutOfRange(f"field 'alpha': denominator "
@@ -410,9 +414,6 @@ def check_simulation(alpha, t: int, samples: int, seed: int, side: str,
         raise ParamOutOfRange(f"field 'samples': {samples} is below 1")
     if blocks < 1:
         raise ParamOutOfRange(f"field 'blocks': {blocks} is below 1")
-    if side not in ("left", "right"):
-        raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
-                              f"'right'")
     if seed is None:
         raise ParamOutOfRange("field 'seed': a seed is mandatory for "
                               "reproducible simulation")
@@ -423,13 +424,14 @@ def check_simulation(alpha, t: int, samples: int, seed: int, side: str,
 
 
 def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
-             samples: int, seed: int, side: str = "left", blocks: int = 1,
+             samples: int, seed: int, blocks: int = 1,
              allow_boundary: bool = False) -> SimulationResult:
     """Run `samples` trajectories of length t from x0 and tally end states.
 
     Heads (probability alpha): add a uniform ring element.  Tails: multiply
-    by a Q-sample, on the left by default to match the transition-matrix
-    convention; side="right" uses the mirrored product.  Trajectories split
+    by a Q-sample on the left, as B does; the right-multiplying walk on R
+    is this one on R.opposite(), under the Q with the same class weights
+    there (R^op has R's classes, in R's order).  Trajectories split
     into `blocks` independent Philox streams keyed (seed, block) and merge
     deterministically, so any execution order gives identical results.
 
@@ -447,19 +449,13 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     int64 draws in flight and one sample block of caller-owned scratch,
     beside 4n^2 bytes for the uint16 step table.
     """
-    alpha = check_simulation(alpha, t, samples, seed, side, blocks,
-                             allow_boundary)
+    alpha = check_simulation(alpha, t, samples, seed, blocks, allow_boundary)
     if not 0 <= x0 < ring.n:
         raise ParamOutOfRange(f"field 'start' (x0): {x0} is not an element "
                               f"index of {ring.label} (0..{ring.n - 1})")
-    if 2 * ring.n > 2**16:
-        raise InvariantViolation(f"{ring.label}: move codes reach 2n = "
-                                 f"{2 * ring.n}, beyond uint16")
     sampler = QSampler(move_weights(ring.n, Q, alpha))
-    # entry (code, x) of the step table: x + a for code a, and z x (left)
-    # or x z (right) for code n + z
-    table = np.concatenate([ring.add,
-                            ring.mul if side == "left" else ring.mul.T])
+    # entry (code, x) of the step table: x + a for code a, z x for code n + z
+    table = np.concatenate([ring.add, ring.mul])
     counts = np.zeros(ring.n, dtype=np.int64)
     per_block = [samples // blocks] * blocks
     per_block[-1] += samples - sum(per_block)
@@ -473,8 +469,7 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
         for cut in range(0, m, SAMPLE_BLOCK):
             counts += np.bincount(states[cut:cut + SAMPLE_BLOCK],
                                   minlength=ring.n)
-    return SimulationResult(ring.label, x0, t, samples, seed, side, blocks,
-                            counts)
+    return SimulationResult(ring.label, x0, t, samples, seed, blocks, counts)
 
 
 def _walk(states, t, rng, sampler, table):

@@ -441,6 +441,26 @@ class FiniteRing:
         return np.flatnonzero(np.bincount(
             self.similarity.class_of[in_sa[self.mul[:, a]]]))
 
+    def opposite(self) -> FiniteRing:
+        """The opposite ring R^op: the same elements and addition, and the
+        product x o y = y x, validated like any ring.
+
+        Left multiplication in R^op is right multiplication in R, so the
+        walk that multiplies on the right is the left walk on R^op.  R^op
+        has the same units (u v = 1 = v u is symmetric in the two
+        products), and its similarity classes are R's as sets, since
+        u o x o u^-1 = u^-1 x u and u runs over all units with u^-1.  The
+        class representatives are the least indices in those sets, so they
+        are R's too, in the same order: a class-constant Q on R has the
+        same class weights on R^op.  Its principal left ideals are R's
+        principal right ideals.  The descriptor kind is "opposite", so no
+        closed form keyed on R's kind applies to it; element names are R's.
+        """
+        return FiniteRing(self.add, self.mul.T, self.zero, self.one,
+                          f"({self.label})^op",
+                          {"kind": "opposite", "of": self.descriptor},
+                          namer=self._namer)
+
     def __repr__(self):
         return f"FiniteRing({self.label}, n={self.n})"
 

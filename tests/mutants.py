@@ -24,10 +24,7 @@ MUTANTS = (
     Mutant("step-index-in-int32", "mixing.py",
            "index = np.empty(sizes[0], dtype=np.intp)",
            "index = np.empty(sizes[0], dtype=np.int32)",
-           ("tests/test_mixing.py::test_simulate_memory_is_two_bytes_per_"
-            "sample",
-            "tests/test_mixing.py::test_simulate_counts_end_states_without_"
-            "a_widened_copy")),
+           ("tests/test_mixing.py::test_a_step_allocates_nothing",)),
     Mutant("draws-unbounded-in-flight", "mixing.py",
            "slots = threading.Semaphore(2)",
            "slots = threading.Semaphore(3)",
@@ -39,12 +36,18 @@ MUTANTS = (
            ("tests/test_mixing.py::test_simulate_reraises_a_step_error_and_"
             "joins_its_draw_thread",)),
     Mutant("step-table-halves-swapped", "mixing.py",
-           "table = np.concatenate([ring.add,\n"
-           "                            ring.mul if side == \"left\" else "
-           "ring.mul.T])",
-           "table = np.concatenate([ring.mul if side == \"left\" else "
-           "ring.mul.T,\n                            ring.add])",
+           "table = np.concatenate([ring.add, ring.mul])",
+           "table = np.concatenate([ring.mul, ring.add])",
            ("tests/test_mixing.py::test_simulate_equals_reference_stream",)),
+    Mutant("right-walk-pi-on-r", "cli.py",
+           "pi = stationary_recursive(ring, Q, alpha)\n"
+           "    rep[\"meta\"][\"tv_to_stationary\"]",
+           "base = ring_from_descriptor(cfg[\"ring\"])\n"
+           "    pi = stationary_recursive(base, q_from_config(base, "
+           "cfg.get(\"Q\")), alpha)\n"
+           "    rep[\"meta\"][\"tv_to_stationary\"]",
+           ("tests/test_cli.py::test_simulate_right_side_measures_tv_to_its_"
+            "own_pi",)),
     Mutant("add-weights-unscaled", "mixing.py",
            "weights[:n] = p * (L // n)",
            "weights[:n] = p",

@@ -2,8 +2,11 @@
 way, from Fractions, with one block-sized draw and searchsorted.  Also
 one_step_rows, the simulator's empirical one-step transition rows.
 
-reference_simulate takes the same arguments as mixing.simulate and returns
-the end-state counts.  The draw order is the stream contract of
+reference_simulate takes the arguments of mixing.simulate and a side, and
+returns the end-state counts: side="left" is the walk simulate runs, and
+side="right" the walk that multiplies on the right, which simulate runs
+on the opposite ring.  The oracle builds the right walk's table from R's
+own tables, not from R^op.  The draw order is the stream contract of
 mixing.simulate: per block a Philox stream keyed (seed, block), and per
 step one integer in [0, R) per sample, row-major over (step, sample), with
 R = s lcm(n, D) for alpha = p/s and Q's common denominator D.  The oracle
@@ -64,13 +67,13 @@ def reference_simulate(ring, Q, alpha, x0, t, samples, seed, side, blocks):
     return counts
 
 
-def one_step_rows(ring, Q, alpha, samples: int, seed: int, side: str = "left",
+def one_step_rows(ring, Q, alpha, samples: int, seed: int,
                   starts=None) -> np.ndarray:
     """Empirical one-step transition frequencies from each start state."""
     starts = list(range(ring.n)) if starts is None else list(starts)
     rows = np.zeros((len(starts), ring.n))
     for i, a in enumerate(starts):
-        res = simulate(ring, Q, alpha, int(a), 1, samples, seed + i, side=side)
+        res = simulate(ring, Q, alpha, int(a), 1, samples, seed + i)
         rows[i] = res.empirical()
     return rows
 

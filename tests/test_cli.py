@@ -14,6 +14,7 @@ import pytest
 
 from ringwalk import cli, gl2, mixing, reports
 from ringwalk.errors import ConfigError
+from ringwalk.stationary import stationary_recursive
 
 
 def run_cli(args):
@@ -731,6 +732,31 @@ def seeded_q_json(ring, seed):
 
 M2F5_SEED1 = ["--Q", seeded_q_json(cli.ring_from_descriptor(
     {"kind": "matrix", "q": 5}), 1)]
+
+
+def test_simulate_right_side_measures_tv_to_its_own_pi(capsys):
+    """simulate --side right on B2(F5) with a seeded Q runs the left walk
+    on R^op, and prints its distance to R^op's pi, from the same counts.
+    The two sides' stationary laws differ here, and so do the distances
+    to them."""
+    ring = cli.ring_from_descriptor({"kind": "upper_triangular", "q": 5})
+    q_json = seeded_q_json(ring, 1)
+    assert cli.main(["simulate", "--ring", "upper_triangular", "--q", "5",
+                     "--alpha", "1/2", "--seed", "1", "--side", "right",
+                     "--Q", q_json]) == 0
+    rep = reports.parse_text(capsys.readouterr().out)
+    assert (rep["meta"]["ring"], rep["meta"]["side"]) == ("B2(F5)", "right")
+    op = ring.opposite()
+    q_op = cli.q_from_config(op, q_json)
+    alpha = Fraction(1, 2)
+    res = mixing.simulate(op, q_op, alpha, op.zero, 20, 10000, seed=1)
+    assert [int(row[2]) for row in rep["tables"][0]["rows"]] == \
+        res.counts.tolist()
+    tv = f"{res.tv_to(stationary_recursive(op, q_op, alpha)):.6g}"
+    assert rep["meta"]["tv_to_stationary"] == tv == "0.0380407"
+    pi_left = stationary_recursive(ring, cli.q_from_config(ring, q_json),
+                                   alpha)
+    assert f"{res.tv_to(pi_left):.6g}" != tv
 
 
 @pytest.mark.parametrize("q_args", [[], M2F5_SEED1], ids=["uniform", "seed1"])

@@ -54,6 +54,13 @@ def uniform(ring):
     return ClassDistribution.uniform(ring)
 
 
+def opposite(ring, q):
+    """R^op and Q on it: R^op has R's classes in R's order, so Q keeps its
+    class weights.  simulate on them is R's right-multiplying walk."""
+    op = ring.opposite()
+    return op, ClassDistribution(op, q.weights)
+
+
 def d_curve(ring, q, alpha, T):
     """d_of_t with pi from stationary_recursive, as the commands pass it."""
     return d_of_t(ring, q, alpha, T, stationary_recursive(ring, q, alpha))
@@ -404,7 +411,7 @@ def test_one_step_right_side_matches_right_matrix():
     alpha = Fr(1, 2)
     b_right = dense_float(right_multiplication_B(ring, q))
     m_right = 0.5 / ring.n + 0.5 * b_right
-    rows = one_step_rows(ring, q, alpha, 400_000, seed=21, side="right")
+    rows = one_step_rows(*opposite(ring, q), alpha, 400_000, seed=21)
     assert np.abs(rows - m_right).max() < 0.005
     # and on this ring the two sides genuinely differ
     b_left = dense_float(build_B(ring, q))
@@ -466,10 +473,10 @@ def golden_cases():
             dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101),
             [1239, 135, 135, 110, 128, 118, 123, 117, 126, 98, 109, 104, 140,
              91, 92, 135]),
+        # the right-multiplying walk: the left walk on R^op
         "m2f2-right": (
-            m2, seeded_q(m2, 3),
-            dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101,
-                 side="right"),
+            *opposite(m2, seeded_q(m2, 3)),
+            dict(alpha=Fr(1, 3), x0=0, t=7, samples=3000, seed=101),
             [1253, 148, 126, 116, 130, 109, 113, 109, 108, 104, 111, 105, 143,
              106, 93, 126]),
         "b2f3-blocks3": (
@@ -487,19 +494,20 @@ def golden_cases():
             [69, 11, 13, 17, 4, 10, 23, 10, 14, 10, 23, 10, 15, 7, 9, 18, 14,
              13, 19, 17, 6, 17, 6, 13, 13, 10, 10]),
         "b2f3-chunks-right": (
-            b3, seeded_q(b3, 6),
+            *opposite(b3, seeded_q(b3, 6)),
             dict(alpha=Fr(1, 2), x0=1, t=11, samples=401, seed=303,
-                 side="right", blocks=2),
+                 blocks=2),
             [65, 10, 16, 26, 3, 11, 18, 12, 10, 12, 12, 14, 15, 15, 11, 16,
              17, 7, 20, 17, 8, 9, 6, 12, 20, 10, 9]),
         # R about 2^45.6: whole-word draws
         "z12-den2^40": (
             *z40, dict(alpha=Fr(1, 4), x0=5, t=5, samples=3000, seed=404),
             [704, 154, 191, 204, 346, 158, 226, 183, 326, 180, 172, 156]),
-        # R about 2^61.6, close below the 2^63 edge: whole-word draws
+        # R about 2^61.6, close below the 2^63 edge: whole-word draws;
+        # Z_12^op has Z_12's tables, but is another ring object
         "z12-den2^56": (
-            *z56, dict(alpha=Fr(1, 4), x0=7, t=5, samples=3000, seed=405,
-                       side="right"),
+            *opposite(*z56),
+            dict(alpha=Fr(1, 4), x0=7, t=5, samples=3000, seed=405),
             [447, 133, 214, 211, 357, 226, 275, 180, 402, 176, 209, 170]),
         "m2f2-alpha1": (
             m2, seeded_q(m2, 4),
@@ -577,10 +585,9 @@ def test_simulate_accepts_a_move_range_just_below_2_63(ring, q, alpha):
     2 (2^62 - 1) = 2^63 - 2 from alpha alone: the simulator runs, on
     whole-word draws, and equals the reference."""
     assert 2**63 - 8 <= move_range(ring, q, alpha) < 2**63
-    kwargs = dict(alpha=alpha, x0=1, t=4, samples=301, seed=9, side="left",
-                  blocks=2)
+    kwargs = dict(alpha=alpha, x0=1, t=4, samples=301, seed=9, blocks=2)
     res = simulate(ring, q, **kwargs)
-    assert res.counts.tolist() == reference_simulate(ring, q,
+    assert res.counts.tolist() == reference_simulate(ring, q, side="left",
                                                      **kwargs).tolist()
 
 
@@ -657,11 +664,13 @@ def test_end_states_follow_the_exact_law(name, alpha, side):
     """The guard that simulate samples the paper's chain and not merely
     its own stream: 2*10^5 trajectories of 3 steps from the identity, on
     a seeded Q, land within the McDiarmid bound (delta = 10^-9) of the
-    exact M^3(1, .)."""
+    exact M^3(1, .).  The right walk runs as the left walk on R^op, and
+    its law comes from R's own tables (right_multiplication_B)."""
     ring, q = law_ring(name)
     m, t = 200_000, 3
     law = exact_law(ring, q, alpha, ring.one, t, side)
-    res = simulate(ring, q, alpha, ring.one, t, m, seed=17, side=side)
+    walk = opposite(ring, q) if side == "right" else (ring, q)
+    res = simulate(*walk, alpha, ring.one, t, m, seed=17)
     tv = 0.5 * np.abs(res.counts / m - law).sum()
     assert tv <= tv_bound(law, m), (tv, tv_bound(law, m))
 
@@ -711,8 +720,9 @@ def alphas(top):
 def simulation_cases(draw):
     """A small ring (Z_n, B2(F_p), M2(F_2), M2(F_3) or a product of two,
     n <= 256), a class-constant Q with common denominator den, an alpha
-    with R = s lcm(n, den) < 2^63, simulate arguments, and a sample-block
-    size that cuts rows and leaves half-words pending between draws."""
+    with R = s lcm(n, den) < 2^63, simulate arguments, a side, and a
+    sample-block size that cuts rows and leaves half-words pending between
+    draws."""
     factors = tuple(draw(st.lists(st.sampled_from(FACTORS), min_size=1,
                                   max_size=2).filter(
         lambda fs: np.prod([SIZES[f] for f in fs]) <= 256)))
@@ -734,18 +744,21 @@ def simulation_cases(draw):
         x0=draw(st.integers(0, ring.n - 1)),
         t=draw(st.integers(0, 12)), samples=samples,
         seed=draw(st.integers(-2**63, 2**63 - 1)),
-        side=draw(st.sampled_from(["left", "right"])),
         blocks=draw(st.integers(1, samples + 3)))
-    return ring, q, kwargs, draw(st.integers(1, 16))
+    side = draw(st.sampled_from(["left", "right"]))
+    return ring, q, kwargs, side, draw(st.integers(1, 16))
 
 
 @settings(deadline=None, max_examples=150)
 @given(simulation_cases())
 def test_simulate_equals_reference_stream(case):
-    ring, q, kwargs, sample_block = case
+    """simulate on R (left) or on R^op (right) keeps the reference's
+    stream for the same side on R."""
+    ring, q, kwargs, side, sample_block = case
+    walk = opposite(ring, q) if side == "right" else (ring, q)
     with mock.patch.object(mixing, "SAMPLE_BLOCK", sample_block):
-        res = simulate(ring, q, allow_boundary=True, **kwargs)
-    expected = reference_simulate(ring, q, **kwargs)
+        res = simulate(*walk, allow_boundary=True, **kwargs)
+    expected = reference_simulate(ring, q, side=side, **kwargs)
     assert res.counts.tolist() == expected.tolist()
 
 
@@ -770,14 +783,15 @@ def test_simulate_equals_reference_where_scaled_entries_exceed_uint16(make,
                                                                       side):
     """The step table's flat indices code*n + x reach 2n^2 - 1 >= 2^16 on
     these rings: the products of the uint16 move codes by n taken in
-    uint16 would wrap.  The reference builds its own int64 table."""
+    uint16 would wrap.  The reference builds its own int64 table; the
+    right walk runs on R^op."""
     ring = make()
     assert (2 * ring.n - 1) * ring.n >= 2**16
     q = seeded_q(ring, 4)
-    kwargs = dict(alpha=Fr(1, 3), x0=1, t=6, samples=400, seed=11,
-                  side=side, blocks=2)
-    res = simulate(ring, q, **kwargs)
-    expected = reference_simulate(ring, q, **kwargs)
+    kwargs = dict(alpha=Fr(1, 3), x0=1, t=6, samples=400, seed=11, blocks=2)
+    walk = opposite(ring, q) if side == "right" else (ring, q)
+    res = simulate(*walk, **kwargs)
+    expected = reference_simulate(ring, q, side=side, **kwargs)
     assert res.counts.tolist() == expected.tolist()
 
 
@@ -819,6 +833,34 @@ def test_simulate_counts_end_states_without_a_widened_copy():
     widens them to int64, took 14 bytes a sample (29.4 MB here)."""
     peak, bound = simulate_peak(2**21, 1)
     assert peak <= bound, (peak, bound)
+
+
+def test_a_step_allocates_nothing():
+    """run_chain gathers through the caller's intp index: np.take would
+    copy a narrower index to intp, 8 bytes a sample, at every step.  The
+    step allocates under 2 bytes a sample (the int32 -> intp multiply
+    casts through numpy's 64 KiB buffer).  One step of one sample block:
+    the draw thread has drawn its one array before the step starts, so
+    what the step allocates is its own."""
+    ring = matrix_ring(3)
+    grew = []
+    real = mixing._kernels.run_chain
+
+    def measured(states, moves, table, index):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real(states, moves, table, index)
+        grew.append(tracemalloc.get_traced_memory()[1] - before)
+
+    simulate(ring, uniform(ring), Fr(1, 3), 0, 1, 10, seed=3)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(mixing._kernels, "run_chain", measured):
+            simulate(ring, uniform(ring), Fr(1, 3), 0, 1,
+                     mixing.SAMPLE_BLOCK, seed=3)
+    finally:
+        tracemalloc.stop()
+    assert len(grew) == 1 and grew[0] < 2 * mixing.SAMPLE_BLOCK, grew
 
 
 # ---------------------------------------------------------------------

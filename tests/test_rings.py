@@ -6,6 +6,7 @@ checked against the generator/stabilizer descriptions for q = 3 and q = 5.
 """
 
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwalk import rings
-from ringwalk.checks import check_rxy_sizes, check_witnesses
+from ringwalk.chain import ClassDistribution
+from ringwalk.checks import check_rxy_sizes, check_witnesses, full_suite
 from ringwalk.errors import InvariantViolation, TooLarge
 from ringwalk.rings import (
     FiniteRing,
@@ -620,6 +622,59 @@ def test_ideals_certificate_rejects_orbits_of_one_unit_generator():
     ring.unit_generators = ring.unit_generators[:1]
     with pytest.raises(InvariantViolation, match="same left ideal"):
         ring.ideals
+
+
+# ---------------------------------------------------------------------
+# the opposite ring R^op: the same addition, and x o y = y x
+# ---------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_opposite_ring_keeps_units_classes_and_representatives(data):
+    """R^op has R's units and inverses, and R's similarity classes with
+    the same representatives in the same order, so a class-constant Q
+    keeps its class weights there; (R^op)^op has R's tables."""
+    ring = random_ring(data.draw)
+    op = ring.opposite()
+    assert np.array_equal(op.add, ring.add)
+    assert np.array_equal(op.mul, ring.mul.T)
+    assert op.units.tolist() == ring.units.tolist()
+    assert [op.inv(int(u)) for u in op.units] == \
+        [ring.inv(int(u)) for u in ring.units]
+    part, part_op = ring.similarity, op.similarity
+    assert part_op.reps.tolist() == part.reps.tolist()
+    assert part_op.class_of.tolist() == part.class_of.tolist()
+    assert part_op.invertible.tolist() == part.invertible.tolist()
+    assert op.descriptor == {"kind": "opposite", "of": ring.descriptor}
+    assert op.element_name(ring.n - 1) == ring.element_name(ring.n - 1)
+    back = op.opposite()
+    assert np.array_equal(back.add, ring.add)
+    assert np.array_equal(back.mul, ring.mul)
+    assert (back.zero, back.one) == (ring.zero, ring.one)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: upper_triangular_ring(5),
+    lambda: product_ring(zn_ring(6), upper_triangular_ring(3)),
+    lambda: matrix_ring(3),
+], ids=["B2(F5)", "(Z_6)x(B2(F3))", "M2(F3)"])
+def test_verify_suite_passes_on_the_opposite_ring(make):
+    """Every check of verify passes on R^op, under uniform Q and under a
+    class-constant Q with unequal class weights.  R^op's descriptor kind
+    is "opposite", so no closed form keyed on R's kind runs on it: on
+    M2(F3)^op, spectrum-gl2 skips and the stationary check has no
+    gl2-form."""
+    op = make().opposite()
+    part = op.similarity
+    weights = [Fraction(1 + i % 3) for i in range(len(part))]
+    total = sum(w * len(c) for w, c in zip(weights, part.classes))
+    for q in (ClassDistribution.uniform(op),
+              ClassDistribution(op, [w / total for w in weights])):
+        suite = {name: (ok, detail) for name, ok, detail in
+                 full_suite(op, q, Fraction(1, 2))}
+        assert [name for name, (ok, _) in suite.items() if not ok] == []
+        assert suite["spectrum-gl2"][1].startswith("skipped")
+        assert "gl2-form" not in suite["stationary-agreement"][1]
 
 
 def test_zero_ring_has_no_additive_generators():
