@@ -16,7 +16,11 @@ the sizes |R_{x,y}| that the R_{x,y} check reads under any Q.  A
 command's checks on B share one such pass (checks.scan_b), and what they
 report of M follows from B >= 0, B 1 = 1 and 0 < alpha < 1
 (checks.m_shift_test).  build_B and build_M are the dense n x n B and M,
-oracles for the tests and the benchmark.
+oracles for the tests and the benchmark.  Every weighted count of the
+table's columns is _count_columns: rows of B, the stationary routes' lumped
+counts (b_rows at phi) and d_of_t's rows of B^t (weights mu_t = Q^{*t}).
+stationary._certificate_counts alone reads the table's rows, as the
+solve's independent check.
 """
 
 from __future__ import annotations
@@ -43,11 +47,10 @@ _ROWS = 64                 # rows of B read at a time
 _SCATTER = 2**14           # table entries one np.add.at counts
 
 
-def check_alpha(alpha, allow_boundary=False) -> Fraction:
+def check_alpha(alpha) -> Fraction:
     alpha = Fraction(alpha)
-    if not (0 <= alpha <= 1 if allow_boundary else 0 < alpha < 1):
-        raise AlphaOutOfRange(
-            f"alpha = {alpha} outside {'[0,1]' if allow_boundary else '(0,1)'}")
+    if not 0 < alpha < 1:
+        raise AlphaOutOfRange(f"alpha = {alpha} outside (0,1)")
     return alpha
 
 
@@ -162,11 +165,11 @@ def b_blocks(ring: FiniteRing, Q: ClassDistribution, rows):
 
 def _count_columns(mul, block, w):
     """(num, sizes): the w-weighted counts of the columns block of mul
-    (b_blocks) and a cached sizes() for their unit-weighted counts, both
-    from one gather of the columns, made here so that a suspended b_blocks
-    holds no block of B.  Each scatter counts `width` columns, about
-    _SCATTER table entries: entry x of its i-th column c is keyed
-    i n + x*c in its rows of the block."""
+    (b_blocks, and d_of_t's mu_t) and a cached sizes() for their
+    unit-weighted counts, both from one gather of the columns, made here
+    so that a suspended b_blocks holds no block of B.  Each scatter counts
+    `width` columns, about _SCATTER table entries: entry x of its i-th
+    column c is keyed i n + x*c in its rows of the block."""
     n = len(mul)
     # one pass over the table's rows, then each column made contiguous
     cols = np.take(mul, block, axis=1).T.copy()

@@ -325,7 +325,7 @@ def cmd_simulate(cfg) -> dict:
     steps = parse_int(cfg.get("steps", 20), "steps")
     side = cfg.get("side", "left")
     blocks = parse_int(cfg.get("blocks", 1), "blocks")
-    mixing.check_simulation(alpha, steps, samples, seed, blocks, False)
+    mixing.check_simulation(alpha, steps, samples, seed, blocks)
     if side not in ("left", "right"):
         raise ParamOutOfRange(f"field 'side': {side!r} is not 'left' or "
                               f"'right'")

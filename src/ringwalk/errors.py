@@ -58,10 +58,6 @@ class SingularSystem(RingwalkError):
     pass
 
 
-class DenominatorZero(RingwalkError):
-    """The stationary recursion hit a vanishing denominator for this Q/alpha."""
-
-
 class LengthMismatch(RingwalkError):
     pass
 

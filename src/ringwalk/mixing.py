@@ -8,12 +8,14 @@ row-stochastic X (U the uniform-rows matrix),
 
 so row x of M^t is (1-alpha)^t B^t(x, .) plus a vector V_t shared by every
 row.  Row x of B^t is the law mu_t = Q^{*t} of a product of t Q-samples,
-pushed forward by y -> y*x.  mu_t is constant on similarity classes, so the
-convolution mu_{t+1} = Q * mu_t runs on class weights with integer structure
-constants counted once from the multiplication table.  One start per
-generator set S_a suffices: left multiplication by a unit preserves B, pi
-and V_t, and the units act transitively on each S_a.  The geometric bound
-d(t) <= (1-alpha)^t is therefore checked without rounding at every size.
+pushed forward by y -> y*x: column x of the table counted with mu_t's
+weights (chain._count_columns).  mu_t is constant on similarity classes,
+so the convolution mu_{t+1} = Q * mu_t runs on class weights with integer
+structure constants counted once from the multiplication table.  One
+start per generator set S_a suffices: left multiplication by a unit
+preserves B, pi and V_t, and the units act transitively on each S_a.  The
+geometric bound d(t) <= (1-alpha)^t is therefore checked without rounding
+at every size.
 
 The simulator walks on the left, as B does: a multiply move takes x to
 z x.  The walk that multiplies on the right, x -> x z, is the same walk on
@@ -64,7 +66,12 @@ from math import inf, lcm, log
 import numpy as np
 
 from . import _kernels
-from .chain import ClassDistribution, check_alpha, check_same_ring
+from .chain import (
+    ClassDistribution,
+    _count_columns,
+    check_alpha,
+    check_same_ring,
+)
 from .errors import (
     InvariantViolation,
     LengthMismatch,
@@ -207,15 +214,15 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
 
         M^t = (1-alpha)^t B^t + sum_{m<t} alpha (1-alpha)^m U B^m
 
-    with mu_t = Q^{*t} convolved on class weights (B^t(a, .) is mu_t pushed
-    forward by y -> y*a, and u B^m is class-constant), pi the caller's
-    exact stationary law of (Q, alpha) (stationary_recursive), and one
-    start per generator in ring.phi.  Cost,
-    for k similarity classes, n elements and P products that land on a
-    class representative: one O(n^2 + P log P + |U| k) count of class
+    with mu_t = Q^{*t} convolved on class weights (u B^m is
+    class-constant), pi the caller's exact stationary law of (Q, alpha)
+    (stationary_recursive), and one start per generator in ring.phi.
+    Cost, for k similarity classes, n elements and P products that land
+    on a class representative: one O(n^2 + P log P + |U| k) count of class
     products (a pass over the table, a sort of those P products and the
-    centralizer sizes), then O(T * (k^2 + |phi| * n)) exact-integer
-    operations.
+    centralizer sizes), then per t an O(k^2) convolution and the rows
+    B^t(phi, .), the |phi| columns of the table counted with mu_t's
+    weights (chain._count_columns): O(|phi| n) exact-integer operations.
     """
     check_T(T, T_CAP)
     alpha = check_alpha(alpha)
@@ -241,16 +248,6 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
     pi_num = np.array([x.numerator * (pi_den // x.denominator) for x in pi],
                       dtype=object)
 
-    # pushforward by y -> y*a: sorted fibers of column a of the table
-    fibers = []
-    for a in ring.phi:
-        targets = ring.mul[:, int(a)]
-        order = np.argsort(targets, kind="stable")
-        image = targets[order]
-        # prepend=-1 makes the diff int64; image (uint16) is below n
-        first = np.flatnonzero(np.diff(image, prepend=-1))
-        fibers.append((order, first, image[first]))
-
     # V_t per class is v[class] / (n s^t D^t)
     v = np.zeros(k, dtype=object)
     exact = []
@@ -259,12 +256,9 @@ def d_of_t(ring: FiniteRing, Q: ClassDistribution, alpha, T: int,
         den = lcm(scale, pi_den)
         shared = (v * (den // scale))[class_of] - pi_num * (den // pi_den)
         coef = n * (s - p) ** t * (den // scale)
-        mu_elem = mu[class_of]
-        worst = 0
-        for order, first, image in fibers:
-            row = shared.copy()
-            row[image] += coef * np.add.reduceat(mu_elem[order], first)
-            worst = max(worst, np.abs(row).sum())
+        # the rows phi of D^t B^t
+        pushed = _count_columns(ring.mul, ring.phi, mu[class_of])[0]
+        worst = max(np.abs(shared + coef * row).sum() for row in pushed)
         exact.append(Fraction(worst, 2 * den))
         v = s * D * v + p * (s - p) ** t * D * mu.dot(spread)
         mu = mu.dot(conv)
@@ -399,11 +393,11 @@ class SimulationResult:
                                  np.array([float(p) for p in pi])))
 
 
-def check_simulation(alpha, t: int, samples: int, seed: int, blocks: int,
-                     allow_boundary: bool) -> Fraction:
+def check_simulation(alpha, t: int, samples: int, seed: int,
+                     blocks: int) -> Fraction:
     """simulate's checks of its fields that need no ring, in this order:
     alpha, steps t, samples, blocks and seed.  Returns alpha."""
-    alpha = check_alpha(alpha, allow_boundary)
+    alpha = check_alpha(alpha)
     if alpha.denominator >= 2**63:
         raise ParamOutOfRange(f"field 'alpha': denominator "
                               f"{alpha.denominator} is not below 2^63, the "
@@ -424,8 +418,7 @@ def check_simulation(alpha, t: int, samples: int, seed: int, blocks: int,
 
 
 def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
-             samples: int, seed: int, blocks: int = 1,
-             allow_boundary: bool = False) -> SimulationResult:
+             samples: int, seed: int, blocks: int = 1) -> SimulationResult:
     """Run `samples` trajectories of length t from x0 and tally end states.
 
     Heads (probability alpha): add a uniform ring element.  Tails: multiply
@@ -449,7 +442,7 @@ def simulate(ring: FiniteRing, Q: ClassDistribution, alpha, x0: int, t: int,
     int64 draws in flight and one sample block of caller-owned scratch,
     beside 4n^2 bytes for the uint16 step table.
     """
-    alpha = check_simulation(alpha, t, samples, seed, blocks, allow_boundary)
+    alpha = check_simulation(alpha, t, samples, seed, blocks)
     if not 0 <= x0 < ring.n:
         raise ParamOutOfRange(f"field 'start' (x0): {x0} is not an element "
                               f"index of {ring.label} (0..{ring.n - 1})")

@@ -133,9 +133,6 @@ class IdealPoset:
     def __len__(self):
         return len(self.reps)
 
-    def strictly_above(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.leq[i] & (np.arange(len(self)) != i))
-
 
 class FiniteRing:
     """A finite ring with identity given by dense operation tables.
@@ -373,11 +370,11 @@ class FiniteRing:
         generator sets.  I_a is the set of values in column a of the
         table, read once per orbit.  If no two orbits give the same ideal,
         no S_a holds two orbits, so each orbit is exactly one S_a: the
-        units act transitively on every S_a (coset_reps, f_set and the
-        stationary and mixing recursions rely on it).  Two equal ideals
-        raise InvariantViolation.  I_a is a left ideal holding a, so
-        I_a is contained in I_b iff a lies in I_b; equal ideals are the
-        pairs contained in each other.
+        units act transitively on every S_a (f_set, the lumped transfers
+        of stationary_recursive and the one start per S_a of d_of_t rely
+        on it).  Two equal ideals raise InvariantViolation.  I_a is a left
+        ideal holding a, so I_a is contained in I_b iff a lies in I_b;
+        equal ideals are the pairs contained in each other.
 
         Cost: orbit_labels under x -> g x for the unit generators g, O(n)
         per generator and round, then O(k n) for the k columns and masks
@@ -405,7 +402,7 @@ class FiniteRing:
         """Generators of the principal left ideal of a."""
         return self.ideals.generators[int(self.ideals.id_of[a])]
 
-    # -- stabilizers, annihilators, fibers --------------------------------
+    # -- stabilizers and annihilators --------------------------------------
 
     def lstab(self, a: int) -> np.ndarray:
         us = self.units
@@ -413,20 +410,6 @@ class FiniteRing:
 
     def lann(self, a: int) -> np.ndarray:
         return np.nonzero(self.mul[:, a] == self.zero)[0]
-
-    def r_xy(self, x: int, y: int) -> np.ndarray:
-        """All r with r*y == x; empty unless I_x is contained in I_y."""
-        return np.nonzero(self.mul[:, y] == x)[0]
-
-    def coset_reps(self, x: int) -> np.ndarray:
-        """Least-index representatives of the left cosets of LStab(x) in U_R.
-
-        Ordered so that rep u corresponds to the element u*x of S_x.
-        """
-        us = self.units
-        images = self.mul[us, x]
-        _, first = np.unique(images, return_index=True)
-        return us[np.sort(first)]
 
     def f_set(self, a: int) -> np.ndarray:
         """Class ids c with (C_c * S_a) meeting S_a, ascending: the classes

@@ -5,15 +5,17 @@ Four routes that must agree exactly wherever their domains overlap:
   * stationary_solve: the exact nullspace of the k x k chain lumped over
     the generator sets S_a (k = |phi|), spread evenly over each S_a and
     certified by an exact integer pi M = pi over all n columns; any n.
-  * stationary_recursive: the top-down recursion over the principal-ideal
-    poset, valid for any class-constant Q.
-  * stationary_uniform: the uniform-Q specialization using coset counts and
-    annihilator sizes.
+  * stationary_recursive: back-substitution on the same lumped chain,
+    top-down over the principal-ideal poset; any class-constant Q.
+  * stationary_uniform: the same back-substitution with the uniform-Q
+    transfers |S_a| |LAnn(a)| / n.
   * stationary_gl2: the closed forms for M2(F_q) with uniform Q (any prime
     q, including 2).
 
-All values are Fractions; pi is constant on each S_a, so the recursion only
-solves |phi| unknowns and then spreads them.
+The solve and the recursion read the lumped counts off the rows phi of B
+(_lumped_counts); the solve's certificate reads the table's rows on its
+own (_certificate_counts).  All values are Fractions; pi is constant on
+each S_a, so each route solves |phi| unknowns and then spreads them.
 """
 
 from __future__ import annotations
@@ -23,17 +25,20 @@ from math import lcm
 
 import numpy as np
 
-from .chain import (
-    _SCATTER,
-    ClassDistribution,
-    b_rows,
-    check_alpha,
-    check_same_ring,
-)
-from .errors import DenominatorZero, InvariantViolation, SingularSystem
+from .chain import _SCATTER, ClassDistribution, b_rows, check_alpha
+from .errors import InvariantViolation, SingularSystem
 from .exact import ScaledMatrix, stationary_nullspace
 from .gl2 import require_m2_ring
 from .rings import FiniteRing
+
+
+def _lumped_counts(ring: FiniteRing, Q: ClassDistribution) -> np.ndarray:
+    """counts[i, j] = den Q{x : x a_i in S_j}, for a_i = phi[i] the
+    generator of ideal i and den Q's common denominator: the rows phi of B
+    (b_rows), each summed over S_j.  Each row sums to den."""
+    rows = b_rows(ring, Q, ring.phi)
+    return np.stack([rows[:, g].sum(axis=1) for g in ring.ideals.generators],
+                    axis=1)
 
 
 def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha):
@@ -44,16 +49,11 @@ def stationary_solve(ring: FiniteRing, Q: ClassDistribution, alpha):
     |S_b|/n + (1 - alpha) Q{x : x a in S_b} is solved and pi(S_b) spread
     evenly over S_b.  That pi is then certified against M on every column.
     """
-    check_same_ring(ring, Q)
     alpha = check_alpha(alpha)
     n, poset = ring.n, ring.ideals
     p, s = alpha.numerator, alpha.denominator
+    counts = _lumped_counts(ring, Q)
     w, den = Q.scaled_weights()
-    # counts[i, j] = den Q{x : x a in S_j}, a = phi[i], the generator of
-    # ideal i: the rows a of B, each summed over S_j, and then dropped
-    counts = b_rows(ring, Q, ring.phi)
-    counts = np.stack([counts[:, g].sum(axis=1) for g in poset.generators],
-                      axis=1)
     sizes = [len(g) for g in poset.generators]
     pi_bar = stationary_nullspace(ScaledMatrix(
         [[p * den * size + (s - p) * n * int(c) for size, c in zip(sizes, row)]
@@ -100,65 +100,54 @@ def _certificate_counts(ring: FiniteRing, w: np.ndarray, den: int):
     return C.reshape(n, k)
 
 
-def _ideal_order(ring: FiniteRing):
-    """Ideal ids sorted so containing ideals come first; ties by generator."""
+def _recurse(ring: FiniteRing, alpha: Fraction, transfer):
+    """pi per element by back-substitution on the lumped chain, with
+    transfer(i, j) = t_ij = sum of B(x, a_i) over x in S_j for a_i =
+    phi[i], zero unless ideal j contains ideal i.
+
+    pi is constant on each S_j, so pi(a_i) = alpha/n + (1 - alpha) sum_j
+    t_ij pi_j, and the ideals containing i are solved before i: each ideal
+    strictly above i lies below fewer ideals than i does.  The factor
+    1 - (1 - alpha) t_ii is at least alpha > 0, because t_ii = Q{x : x a_i
+    in S_i} <= 1 (stationary_recursive's identity with j = i).
+    """
     poset = ring.ideals
-    k = len(poset)
-    depth = [int(poset.leq[i].sum()) for i in range(k)]  # how many contain i
-    return sorted(range(k), key=lambda i: (depth[i], int(poset.reps[i])))
-
-
-def _q_transfer(ring: FiniteRing, w: np.ndarray, den: int, x: int,
-                y: int) -> Fraction:
-    """sum over coset reps u of LStab(y) and r in R_{x,y} of Q(r u^{-1}),
-    with Q = w / den as integer per-element weights (Q.scaled_weights())."""
-    rset = ring.r_xy(x, y)
-    inv = [ring.inv(int(u)) for u in ring.coset_reps(y)]
-    terms = w[ring.mul[np.ix_(rset, inv)]]
-    # each term is at most den, so int64 holds the sum below 2^63
-    if den * terms.size >= 2 ** 63:
-        terms = terms.astype(object)
-    return Fraction(int(terms.sum()), den)
+    pi_ideal = {}
+    for i in np.argsort(poset.leq.sum(axis=1), kind="stable").tolist():
+        num = Fraction(alpha, ring.n) + (1 - alpha) * sum(
+            transfer(i, j) * pi_ideal[j]
+            for j in np.flatnonzero(poset.leq[i]).tolist() if j != i)
+        pi_ideal[i] = num / (1 - (1 - alpha) * transfer(i, i))
+    return [pi_ideal[i] for i in poset.id_of.tolist()]
 
 
 def stationary_recursive(ring: FiniteRing, Q: ClassDistribution, alpha):
-    """Solve pi on phi top-down over the ideal poset, spread over S_a."""
+    """pi by back-substitution (_recurse) on the lumped counts, for any
+    class-constant Q, with t_ij = |S_j| counts[j, i] / (|S_i| den).
+
+    Proof: B(uc, ud) = B(c, d) for every unit u, and the units act
+    transitively on each S_a (FiniteRing.ideals).  So sum_{y in S_i} B(x, y)
+    is counts[j, i] / den at every x in S_j, and sum_{x in S_j} B(x, y) is
+    t_ij at every y in S_i: both sum B over S_j x S_i.
+    """
     alpha = check_alpha(alpha)
-    poset = ring.ideals
-    w, q_den = Q.scaled_weights()
-    pi_ideal = {}
-    for i in _ideal_order(ring):
-        x = int(poset.reps[i])
-        num = Fraction(alpha, ring.n)
-        for j in poset.strictly_above(i):
-            y = int(poset.reps[j])
-            num += (1 - alpha) * _q_transfer(ring, w, q_den, x, y) * pi_ideal[j]
-        den = 1 - (1 - alpha) * _q_transfer(ring, w, q_den, x, x)
-        if den == 0:
-            raise DenominatorZero(
-                f"recursion denominator vanished at generator {x}; this "
-                f"Q/alpha pair is outside the formula's domain")
-        pi_ideal[i] = num / den
-    return [pi_ideal[int(poset.id_of[x])] for x in range(ring.n)]
+    counts = _lumped_counts(ring, Q)
+    den = Q.scaled_weights()[1]
+    sizes = [len(g) for g in ring.ideals.generators]
+    return _recurse(ring, alpha, lambda i, j: Fraction(
+        sizes[j] * int(counts[j, i]), sizes[i] * den))
 
 
 def stationary_uniform(ring: FiniteRing, alpha):
-    """Uniform-Q closed form: coset counts |U_y| and annihilator sizes."""
+    """pi for uniform Q by back-substitution (_recurse), with
+    t_ij = |S_j| |LAnn(a_j)| / n for ideal j containing ideal i: each x in
+    S_j takes a_i to R_{a_i,x}, a coset of LAnn(x), and |LAnn(x)| =
+    |LAnn(a_j)|."""
     alpha = check_alpha(alpha)
     poset = ring.ideals
-    u_count = {i: len(ring.coset_reps(int(poset.reps[i])))
-               for i in range(len(poset))}
-    ann = {i: len(ring.lann(int(poset.reps[i]))) for i in range(len(poset))}
-    pi_ideal = {}
-    for i in _ideal_order(ring):
-        num = alpha + (1 - alpha) * sum(
-            u_count[j] * ann[j] * pi_ideal[j]
-            for j in poset.strictly_above(i))
-        den = ring.n - (1 - alpha) * u_count[i] * ann[i]
-        if den == 0:
-            raise DenominatorZero(f"vanishing denominator at ideal {i}")
-        pi_ideal[i] = Fraction(num, 1) / den
-    return [pi_ideal[int(poset.id_of[x])] for x in range(ring.n)]
+    t = [Fraction(len(g) * len(ring.lann(int(a))), ring.n)
+         for g, a in zip(poset.generators, poset.reps)]
+    return _recurse(ring, alpha, lambda i, j: t[j])
 
 
 def gl2_stationary_values(q: int, alpha):

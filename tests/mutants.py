@@ -63,9 +63,7 @@ MUTANTS = (
            ("tests/test_mixing.py::test_end_states_follow_the_exact_law["
             "M2(F3)-1/10-left]",
             "tests/test_mixing.py::test_end_states_follow_the_exact_law["
-            "B2(F5)-2/7-right]",
-            "tests/test_mixing.py::test_simulation_golden_counts["
-            "m2f2-alpha1]")),
+            "B2(F5)-2/7-right]")),
     Mutant("q-sampler-ignores-straddles", "mixing.py",
            "if self.straddles:",
            "if False:",
@@ -129,6 +127,25 @@ MUTANTS = (
                  f"the_per_class_count[{case}]"
                  for case in ("int64", "int64-weights-object-counts",
                               "object"))),
+    Mutant("recursion-transfer-transposed", "stationary.py",
+           "sizes[j] * int(counts[j, i]), sizes[i] * den))",
+           "sizes[j] * int(counts[i, j]), sizes[i] * den))",
+           ("tests/test_stationary.py::test_solve_equals_recursion_on_random_"
+            "rings",
+            "tests/test_stationary.py::test_transfers_exact_past_int64["
+            "B2(F3)^op]")),
+    Mutant("recursion-drops-size-ratio", "stationary.py",
+           "sizes[j] * int(counts[j, i]), sizes[i] * den))",
+           "int(counts[j, i]), den))",
+           ("tests/test_stationary.py::test_solve_equals_recursion_on_random_"
+            "rings",
+            "tests/test_stationary.py::test_transfers_exact_past_int64["
+            "B2(F3)]")),
+    Mutant("curve-pushes-by-rows", "mixing.py",
+           "_count_columns(ring.mul, ring.phi, mu[class_of])",
+           "_count_columns(ring.mul.T, ring.phi, mu[class_of])",
+           ("tests/test_mixing.py::test_curve_equals_matrix_power_oracle_on_"
+            "random_rings",)),
     Mutant("merge-without-collapse", "spectrum.py",
            "distinct, inv = np.unique(evs, return_inverse=True, "
            "equal_nan=False)",

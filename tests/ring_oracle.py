@@ -8,12 +8,16 @@ f_set_by_class looks at every element of every class, f_set_by_rep at
 every product of a class representative with S_a, units_by_argmax
 reads inverses off the whole n x n mask y x == 1,
 class_products_by_division counts every product of the table,
-mul_counts_by_loop adds up the weights of B one product at a time, and
+mul_counts_by_loop adds up the weights of B one product at a time,
 certificate_counts_by_class counts the products one similarity class at a
-time.  rings.FiniteRing, mixing.class_products, chain.b_rows and
-stationary._certificate_counts get the same answers from generating sets,
-orbit certificates and blockwise passes.
+time, and transfer_by_cosets sums Q over R_{x,y} (r_xy) and the coset
+representatives of LStab(y) (coset_reps).  rings.FiniteRing,
+mixing.class_products, chain.b_rows and stationary's routes get the same
+answers from generating sets, orbit certificates, blockwise passes and
+the lumped counts.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -180,3 +184,33 @@ def certificate_counts_by_class(ring, w, den):
             hits = np.bincount(keys, minlength=C.size).reshape(C.shape)
             C += int(w[cls[0]]) * hits.astype(C.dtype, copy=False)
     return C
+
+
+def r_xy(ring, x, y):
+    """All r with r y == x, ascending: empty unless I_x lies in I_y, and
+    else a coset of LAnn(y)."""
+    return [r for r in range(ring.n) if ring.mul[r, y] == x]
+
+
+def coset_reps(ring, y):
+    """Least-index representatives of the left cosets of LStab(y) in U_R:
+    each unit u whose image u y no earlier unit reached, so that the reps
+    biject with S_y by u -> u y."""
+    seen, reps = set(), []
+    for u in ring.units.tolist():
+        if int(ring.mul[u, y]) not in seen:
+            seen.add(int(ring.mul[u, y]))
+            reps.append(u)
+    return reps
+
+
+def transfer_by_cosets(ring, Q, x, y):
+    """sum over coset reps u of LStab(y) and r in R_{x,y} of Q(r u^{-1}),
+    one Fraction at a time: sum of B(z, x) over z = u y in S_y, since
+    r u^{-1} z = x iff r y = x."""
+    total = Fraction(0)
+    for u in coset_reps(ring, y):
+        uinv = ring.inv(u)
+        for r in r_xy(ring, x, y):
+            total += Q.weights[ring.similarity.class_of[ring.mul[r, uinv]]]
+    return total

@@ -44,6 +44,7 @@ from gl2_oracle import (
     rank_one_generators,
     y_elements,
 )
+from ring_oracle import r_xy
 from spectral_oracle import (
     MATCH,
     block_values,
@@ -303,8 +304,8 @@ def test_criterion_9_structural_suite():
         assert np.all(counts == 1)
         for x in range(ring.n):
             for y in range(ring.n):
-                fiber = ring.r_xy(x, y)
-                if len(fiber):
+                fiber = r_xy(ring, x, y)
+                if fiber:
                     assert len(fiber) == len(ring.lann(y))
         for a in ring.phi:
             sa = ring.s_set(int(a))

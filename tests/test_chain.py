@@ -15,7 +15,6 @@ from ringwalk.chain import (
     ClassDistribution,
     build_B,
     build_M,
-    check_alpha,
 )
 from ringwalk.cli import q_from_config
 from ringwalk.errors import (
@@ -303,7 +302,6 @@ def test_alpha_validation():
         build_M(r, q, Fr(0))
     with pytest.raises(AlphaOutOfRange):
         build_M(r, q, Fr(3, 2))
-    assert check_alpha(Fr(1), allow_boundary=True) == 1
 
 
 def test_m_entry_golden():

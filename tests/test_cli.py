@@ -766,8 +766,10 @@ def test_each_command_reads_b_once_for_its_checks(monkeypatch, capsys,
     verify reads one pass for its four checks on B under any Q: the
     R_{x,y} check reads the unit-weight counts of the same gather, and the
     conjugation check its own sketches of the blocks.  The lumped solve
-    reads the |phi| rows of the generators besides.  spectrum reads one
-    pass for spectrum-two-way and spectrum-m-shift together, plus the
+    and the recursion each read the |phi| rows of the generators besides.
+    d_of_t's counts of mu_t are rows of B^t, not of B: it calls the
+    function it imported, which the patch leaves alone.  spectrum reads
+    one pass for spectrum-two-way and spectrum-m-shift together, plus the
     diagonal blocks of block_spectrum."""
     from ringwalk import chain, spectrum
     read = []
@@ -784,7 +786,7 @@ def test_each_command_reads_b_once_for_its_checks(monkeypatch, capsys,
     diagonal = sum(read)
     n = ring.n
     argv = ["--ring", "matrix", "--q", "5", "--alpha", "1/2"] + q_args
-    for command, rows in ((["verify", "--T", "3"], n + len(ring.phi)),
+    for command, rows in ((["verify", "--T", "3"], n + 2 * len(ring.phi)),
                           (["spectrum"], n + diagonal)):
         read.clear()
         assert cli.main(command + argv) == 0

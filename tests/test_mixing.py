@@ -378,15 +378,6 @@ def test_simulation_block_merge_deterministic():
     assert np.array_equal(a.counts, b.counts)
 
 
-def test_boundary_alpha_one_single_step_is_uniform():
-    ring = matrix_ring(2)
-    q = uniform(ring)
-    res = simulate(ring, q, Fr(1), 0, 1, 1_000_000, seed=9,
-                   allow_boundary=True)
-    tv = tv_distance(res.empirical(), [1 / 16] * 16)
-    assert tv < 0.01
-
-
 def test_long_run_reaches_stationarity():
     ring = matrix_ring(2)
     q = uniform(ring)
@@ -509,12 +500,6 @@ def golden_cases():
             *opposite(*z56),
             dict(alpha=Fr(1, 4), x0=7, t=5, samples=3000, seed=405),
             [447, 133, 214, 211, 357, 226, 275, 180, 402, 176, 209, 170]),
-        "m2f2-alpha1": (
-            m2, seeded_q(m2, 4),
-            dict(alpha=Fr(1), x0=3, t=3, samples=2000, seed=505,
-                 allow_boundary=True),
-            [89, 144, 123, 110, 131, 131, 139, 119, 130, 129, 119, 123, 117,
-             139, 138, 119]),
         # an alpha denominator above 2^31
         "m2f2-alpha-den2^31+11": (
             m2, seeded_q(m2, 9),
@@ -704,16 +689,14 @@ Q_DENOMINATORS = st.one_of(
 
 
 def alphas(top):
-    """alpha = p/s with s <= top: 0 and 1, small denominators, and ones
+    """alpha = p/s in (0, 1) with s <= top: small denominators, and ones
     above 2^31 where top allows, so that R = s L spans draws on half-words
     and on whole words up to 2^63."""
     dens = st.integers(2, min(12, top)) if top >= 2 else st.nothing()
     if top > 2**31:
         dens = st.one_of(dens, st.integers(2**31 + 1, top))
-    return st.one_of(
-        st.sampled_from([Fr(0), Fr(1)]),
-        dens.flatmap(lambda s: st.builds(Fr, st.integers(1, s - 1),
-                                         st.just(s))))
+    return dens.flatmap(lambda s: st.builds(Fr, st.integers(1, s - 1),
+                                            st.just(s)))
 
 
 @st.composite
@@ -757,7 +740,7 @@ def test_simulate_equals_reference_stream(case):
     ring, q, kwargs, side, sample_block = case
     walk = opposite(ring, q) if side == "right" else (ring, q)
     with mock.patch.object(mixing, "SAMPLE_BLOCK", sample_block):
-        res = simulate(*walk, allow_boundary=True, **kwargs)
+        res = simulate(*walk, **kwargs)
     expected = reference_simulate(ring, q, side=side, **kwargs)
     assert res.counts.tolist() == expected.tolist()
 

@@ -26,7 +26,7 @@ from ringwalk.stationary import (
 )
 
 from random_rings import random_class_q, random_ring
-from ring_oracle import certificate_counts_by_class
+from ring_oracle import certificate_counts_by_class, transfer_by_cosets
 from test_chain import q_over_64_bits
 from test_mixing import seeded_q
 
@@ -131,25 +131,33 @@ def test_certificate_counts_equal_the_per_class_count(scale, data):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def reference_q_transfer(ring, Q, x, y):
-    """sum over coset reps u of LStab(y) and r in R_{x,y} of Q(r u^{-1}),
-    one Fraction at a time."""
-    total = Fr(0)
-    for u in ring.coset_reps(y):
-        uinv = ring.inv(int(u))
-        for r in ring.r_xy(x, y):
-            total += Q.weights[ring.similarity.class_of[ring.mul[r, uinv]]]
-    return total
+def transfers(route, ring, *args):
+    """The t_ij, as transfer(i, j), that route hands to
+    stationary._recurse."""
+    seen, recurse = [], stationary._recurse
+
+    def capture(ring, alpha, transfer):
+        seen.append(transfer)
+        return recurse(ring, alpha, transfer)
+
+    with mock.patch.object(stationary, "_recurse", capture):
+        route(ring, *args)
+    return seen[0]
 
 
-def assert_q_transfers_match(ring, Q):
-    w_int, den = Q.scaled_weights()
-    w = np.array(w_int, dtype=np.int64 if den < 2 ** 63 else object)
-    reps = [int(a) for a in ring.ideals.reps]
-    for x in reps:
-        for y in reps:
-            assert stationary._q_transfer(ring, w, den, x, y) == \
-                reference_q_transfer(ring, Q, x, y)
+def assert_transfers_match(ring, Q):
+    """Both routes' t_ij equal the sum over R_{x,y} and the coset reps of
+    LStab(y): every pair for stationary_recursive, and the pairs with
+    ideal j containing ideal i, the only ones it reads, for
+    stationary_uniform."""
+    t = transfers(stationary_recursive, ring, Q, Fr(1, 2))
+    t_uniform = transfers(stationary_uniform, ring, Fr(1, 2))
+    poset, u = ring.ideals, uniform(ring)
+    for i, x in enumerate(poset.reps.tolist()):
+        for j, y in enumerate(poset.reps.tolist()):
+            assert t(i, j) == transfer_by_cosets(ring, Q, x, y)
+            if poset.leq[i, j]:
+                assert t_uniform(i, j) == transfer_by_cosets(ring, u, x, y)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +165,7 @@ def assert_q_transfers_match(ring, Q):
 def test_solve_equals_recursion_on_random_rings(data):
     ring = random_ring(data.draw)
     q = random_class_q(data.draw, ring)
-    assert_q_transfers_match(ring, q)
+    assert_transfers_match(ring, q)
     s = data.draw(st.integers(2, 50))
     alpha = Fr(data.draw(st.integers(1, s - 1)), s)
     assert stationary_solve(ring, q, alpha) == \
@@ -177,15 +185,17 @@ def q_with_prime_denominator(ring, p):
     return ClassDistribution(ring, w)
 
 
-@pytest.mark.parametrize("make", [lambda: matrix_ring(2),
-                                  lambda: upper_triangular_ring(3)],
-                         ids=["M2(F2)", "B2(F3)"])
-def test_q_transfer_exact_past_int64(make):
+@pytest.mark.parametrize("make", [
+    lambda: matrix_ring(2), lambda: upper_triangular_ring(3),
+    # R^op's principal left ideals are R's principal right ideals
+    lambda: upper_triangular_ring(3).opposite()],
+    ids=["M2(F2)", "B2(F3)", "B2(F3)^op"])
+def test_transfers_exact_past_int64(make):
     ring = make()
     # den above 2^64: the weights themselves leave int64
-    assert_q_transfers_match(ring, q_over_64_bits(ring))
-    # den = 2^61 - 1: each weight fits int64 but sums of 5 or more may not
-    assert_q_transfers_match(ring, q_with_prime_denominator(ring, 2 ** 61 - 1))
+    assert_transfers_match(ring, q_over_64_bits(ring))
+    # den = 2^61 - 1: int64 weights and lumped counts
+    assert_transfers_match(ring, q_with_prime_denominator(ring, 2 ** 61 - 1))
 
 
 # ---------------------------------------------------------------------

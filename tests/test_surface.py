@@ -17,10 +17,6 @@ EXEMPT = {  # public names no src/ or perfbench/ code calls, and why
 }
 KNOB_EXEMPT = {  # defaulted parameters no src/ or perfbench/ call sets
     "cli.main(argv)": "the console entry point reads sys.argv by default",
-    "mixing.simulate(allow_boundary)": "the stream oracle draws alpha in "
-                                       "{0, 1}",
-    "chain.check_alpha(allow_boundary)": "simulate's allow_boundary, "
-                                         "forwarded",
 }
 
 
