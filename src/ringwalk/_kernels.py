@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_BLOCK = 64                # table rows gathered together
+_BLOCK = 64                # table rows or columns per whole-table pass
 
 
 def active_backend() -> str:

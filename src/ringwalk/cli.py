@@ -2,13 +2,16 @@
 mix | simulate | verify.
 
 Inputs come from an optional JSON config file plus flags (flags win).
-Probabilities are exact rational "num/den" strings everywhere.  Reports are
-emitted in the line-oriented text schema of reports.py, or JSON with
---format json, and are written atomically when --out is given.  The only
-environment variable consulted is RINGWALK_OUTPUT_DIR, which resolves
-relative --out paths and never changes semantics.  Every command checks
-the fields that need no ring before it builds the ring, and main names
-'ring' each TooLarge after that: a size cap on the built ring.
+Each subcommand takes only the flags it reads, and a ring descriptor only
+the keys its kind reads (RING_KEYS); a config file may hold any key of
+CONFIG_KEYS, so one file can serve several commands.  Probabilities are
+exact rational "num/den" strings everywhere.  Reports are emitted in the
+line-oriented text schema of reports.py, or JSON with --format json, and
+are written atomically when --out is given.  The only environment
+variable consulted is RINGWALK_OUTPUT_DIR, which resolves relative --out
+paths and never changes semantics.  Every command checks the fields that
+need no ring before it builds the ring, and main names 'ring' each
+TooLarge after that: a size cap on the built ring.
 """
 
 from __future__ import annotations
@@ -48,8 +51,12 @@ from .stationary import stationary_recursive
 
 DEFAULT_EPS = ("1/4", "1/10")
 # every key some command reads ("ring" first); a config file holds no other
-CONFIG_KEYS = ("ring", "alpha", "Q", "tau", "T", "eps", "seed", "samples",
+CONFIG_KEYS = ("ring", "alpha", "Q", "T", "eps", "seed", "samples",
                "steps", "start", "side", "blocks", "format")
+# the keys each ring kind reads besides "kind" (its flag parameter first);
+# a descriptor of that kind holds no other
+RING_KEYS = {"zn": ("n",), "matrix": ("q", "size"),
+             "upper_triangular": ("q",), "product": ("factors",)}
 
 
 def parse_fraction(text, field: str) -> Fraction:
@@ -68,18 +75,6 @@ def parse_int(value, field: str) -> int:
         except ValueError:
             pass
     raise ConfigError(f"field {field!r}: expected an integer, got {value!r}")
-
-
-def parse_tolerance(value, field: str) -> float:
-    """A finite float > 0, as the eigenvalue merge radius needs; no bool."""
-    try:
-        tol = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"field {field!r}: expected a finite number > 0, "
-                          f"got {value!r}")
-    return tol
 
 
 @contextlib.contextmanager
@@ -102,10 +97,17 @@ def parse_alpha(value) -> Fraction:
 def ring_from_descriptor(desc, field: str = "ring") -> FiniteRing:
     """The ring a descriptor names; each refusal names the descriptor's
     field, and a product factor's fields are named in full, as
-    ring.factors[i].kind, from flags and from a config file alike."""
+    ring.factors[i].kind, from flags and from a config file alike.  A key
+    that the kind does not read (RING_KEYS) is refused."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"field {field!r}: need an object with a 'kind'")
     kind = desc["kind"]
+    if not isinstance(kind, str) or kind not in RING_KEYS:
+        raise ConfigError(f"field '{field}.kind': unknown kind {kind!r}")
+    foreign = sorted(set(desc) - {"kind", *RING_KEYS[kind]})
+    if foreign:
+        raise ConfigError(f"field '{field}.{foreign[0]}': not read by kind "
+                          f"{kind!r}")
     try:
         if kind == "zn":
             n = parse_int(desc["n"], f"{field}.n")
@@ -135,7 +137,6 @@ def ring_from_descriptor(desc, field: str = "ring") -> FiniteRing:
     except KeyError as exc:
         raise ConfigError(f"field {field!r}: missing {exc.args[0]!r} for "
                           f"kind {kind!r}") from exc
-    raise ConfigError(f"field '{field}.kind': unknown kind {kind!r}")
 
 
 def parse_eps(cfg) -> list:
@@ -221,10 +222,9 @@ def cmd_describe(cfg) -> dict:
 
 def cmd_spectrum(cfg) -> dict:
     alpha = None if cfg.get("alpha") is None else parse_alpha(cfg["alpha"])
-    tau = parse_tolerance(cfg.get("tau", spectrum.MERGE_TOL), "tau")
     ring = ring_from_descriptor(cfg["ring"])
     Q = q_from_config(ring, cfg.get("Q"))
-    detail = spectrum.block_spectrum(ring, Q, tau)
+    detail = spectrum.block_spectrum(ring, Q)
     rep = reports.new_report("spectrum")
     rep["meta"]["ring"] = ring.label
     rep["meta"]["n"] = str(ring.n)
@@ -253,7 +253,7 @@ def cmd_spectrum(cfg) -> dict:
         for v, m in em_block:
             # the first closed form of the block within the merge radius
             label = next((gl for gv, gl in gl2_rows.get(block, ())
-                          if abs(gv - v) <= tau), "-")
+                          if abs(gv - v) <= spectrum.MERGE_TOL), "-")
             table.append((f"{v.real:.12g}", f"{v.imag:.12g}", int(m),
                           f"a={a}", label))
     reports.add_table(rep, "spectrum",
@@ -402,22 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
                        default=argparse.SUPPRESS)
         p.add_argument("--out", default=argparse.SUPPRESS,
                        help="write the report here (atomic)")
-        p.add_argument("--ring", choices=("zn", "matrix", "upper_triangular",
-                                          "product"))
+        p.add_argument("--ring", choices=tuple(RING_KEYS))
         p.add_argument("--n", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--size", type=int)
         p.add_argument("--factors",
                        help="comma list kind:param, e.g. zn:2,matrix:3")
-        p.add_argument("--alpha")
-        p.add_argument("--Q", dest="Q",
-                       help="'uniform' or a JSON object rep->\"p/q\"")
 
     for name in COMMANDS:
         p = sub.add_parser(name)
         add_ring_opts(p)
-        if name == "spectrum":
-            p.add_argument("--tau", type=float)
+        if name != "describe":
+            p.add_argument("--alpha")
+            p.add_argument("--Q", dest="Q",
+                           help="'uniform' or a JSON object rep->\"p/q\"")
         if name in ("mix", "verify"):
             p.add_argument("--T", type=int)
             p.add_argument("--eps", action="append")
@@ -445,7 +443,9 @@ def _ring_descriptor_from_flags(args) -> dict | None:
         factors = []
         for part in args.factors.split(","):
             kind, _, param = part.partition(":")
-            factors.append({"kind": kind, "n" if kind == "zn" else "q": param})
+            # an unknown kind is refused by name, whatever its key
+            key = RING_KEYS.get(kind, ("q",))[0]
+            factors.append({"kind": kind, key: param})
         desc["factors"] = factors
     return desc
 

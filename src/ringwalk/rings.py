@@ -32,12 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from ._kernels import _BLOCK
 from .errors import InvariantViolation, ParamOutOfRange, TooLarge
 from .fields import gf
 
 SIZE_CAP = 20000
 MATRIX_SIZES = (2, 3)
-_BLOCK = 64                # table rows or columns per whole-table pass
 
 
 def _greedy_generators(table, candidates, start):
@@ -522,14 +522,9 @@ def _structured_matrix_ring(q, size, positions, name, descriptor):
 
     one_code = sum(weight[(i, j)] for (i, j) in positions if i == j)
 
-    names = []                          # every element's name, on first use
-
     def namer(x):
-        if not names:
-            names.extend("[" + ",".join("[" + ",".join(map(str, row)) + "]"
-                                        for row in ent) + "]"
-                         for ent in E.tolist())
-        return names[x]
+        return "[" + ",".join("[" + ",".join(map(str, row)) + "]"
+                              for row in E[x].tolist()) + "]"
 
     ring = FiniteRing(add, mul, 0, one_code, label, {**descriptor, "q": m},
                       namer=namer)

@@ -56,21 +56,21 @@ class EigenvalueMultiset:
     mults: np.ndarray
 
     @classmethod
-    def from_values(cls, evs, tau: float = MERGE_TOL) -> "EigenvalueMultiset":
+    def from_values(cls, evs) -> "EigenvalueMultiset":
         """Merge the values linked, directly or through a chain, by pairs at
-        most tau apart; each group's value is its mean.  Equal values share
-        a group, so the pair search runs over the distinct values."""
+        most MERGE_TOL apart; each group's value is its mean.  Equal values
+        share a group, so the pair search runs over the distinct values."""
         evs = np.asarray(evs, dtype=np.complex128).ravel()
         evs = evs[np.lexsort((evs.imag, evs.real))]
         distinct, inv = np.unique(evs, return_inverse=True, equal_nan=False)
         k = len(distinct)
-        # pairs j < i within tau have real parts within tau; the window of
-        # 2 tau holds them all despite the rounding of real - 2 tau
-        lo = np.searchsorted(distinct.real, distinct.real - 2 * tau)
+        # pairs j < i within MERGE_TOL have real parts within it; a window
+        # twice as wide holds them all despite the rounding of its bound
+        lo = np.searchsorted(distinct.real, distinct.real - 2 * MERGE_TOL)
         width = np.arange(k) - lo
         i = np.repeat(np.arange(k), width)
         j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - lo, width)
-        near = np.abs(distinct[i] - distinct[j]) <= tau
+        near = np.abs(distinct[i] - distinct[j]) <= MERGE_TOL
         i, j = i[near], j[near]
         # label each distinct value with the least index of its group
         label = np.arange(k)
@@ -97,7 +97,7 @@ class EigenvalueMultiset:
         return iter(zip(self.values, self.mults))
 
 
-def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
+def eig_numeric(matrix) -> EigenvalueMultiset:
     """Eigenvalues of a float matrix via LAPACK, then merged."""
     arr = np.asarray(matrix, dtype=np.float64)
     n = arr.shape[0]
@@ -107,7 +107,7 @@ def eig_numeric(matrix, tau: float = MERGE_TOL) -> EigenvalueMultiset:
         evs = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:  # surfaced, never retried looser
         raise ConvergenceFailure(str(exc)) from exc
-    return EigenvalueMultiset.from_values(evs, tau)
+    return EigenvalueMultiset.from_values(evs)
 
 
 def _float_block(ring: FiniteRing, Q: ClassDistribution, rows, cols):
@@ -124,7 +124,7 @@ def _float_block(ring: FiniteRing, Q: ClassDistribution, rows, cols):
     return out
 
 
-def block_spectrum(ring: FiniteRing, Q: ClassDistribution, tau=MERGE_TOL):
+def block_spectrum(ring: FiniteRing, Q: ClassDistribution):
     """The spectra of the diagonal blocks of B, the exact multiplication
     matrix of (ring, Q), one per ideal generator a.
 
@@ -144,10 +144,10 @@ def block_spectrum(ring: FiniteRing, Q: ClassDistribution, tau=MERGE_TOL):
     detail = []
     for a in ring.phi:
         if int(a) in ring.unit_set:
-            em = unit_block_spectrum(ring, Q, tau)
+            em = unit_block_spectrum(ring, Q)
         else:
             sa = ring.s_set(a)
-            em = eig_numeric(_float_block(ring, Q, sa, sa).T, tau)
+            em = eig_numeric(_float_block(ring, Q, sa, sa).T)
         detail.append((int(a), em))
     total = sum(em.total() for _, em in detail)
     if total != ring.n:
@@ -156,8 +156,8 @@ def block_spectrum(ring: FiniteRing, Q: ClassDistribution, tau=MERGE_TOL):
     return detail
 
 
-def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
-                        tau: float = MERGE_TOL) -> EigenvalueMultiset:
+def unit_block_spectrum(ring: FiniteRing,
+                        Q: ClassDistribution) -> EigenvalueMultiset:
     """Spectrum of the unit block B[U, U]^T of the exact multiplication
     matrix B of (ring, Q).
 
@@ -177,7 +177,7 @@ def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
     units = ring.units
     chars = unit_group_characters(ring)
     if chars is None:
-        return eig_numeric(_float_block(ring, Q, units, units).T, tau)
+        return eig_numeric(_float_block(ring, Q, units, units).T)
     q = _float_block(ring, Q, [ring.one], units)[0]
     cls = ring.similarity.class_of[units]
     per_class = np.zeros(len(ring.similarity))
@@ -194,7 +194,7 @@ def unit_block_spectrum(ring: FiniteRing, Q: ClassDistribution,
             f"{ring.label}: the squared character degrees sum to "
             f"{int((d * d).sum())}, not |U| = {len(units)}")
     omega = (chars * q).sum(axis=1) / d
-    return EigenvalueMultiset.from_values(np.repeat(omega, d * d), tau)
+    return EigenvalueMultiset.from_values(np.repeat(omega, d * d))
 
 
 def unit_block_route(ring: FiniteRing) -> str:

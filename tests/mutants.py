@@ -39,6 +39,13 @@ MUTANTS = (
            "table = np.concatenate([ring.add, ring.mul])",
            "table = np.concatenate([ring.mul, ring.add])",
            ("tests/test_mixing.py::test_simulate_equals_reference_stream",)),
+    Mutant("ring-keys-unchecked", "cli.py",
+           "    if foreign:\n",
+           "    if False:\n",
+           tuple(f"tests/test_cli.py::test_ring_key_the_kind_does_not_read_"
+                 f"names_its_field[{case}]"
+                 for case in ("zn-q", "matrix-n", "upper_triangular-size",
+                              "product-q", "factor-q"))),
     Mutant("right-walk-pi-on-r", "cli.py",
            "pi = stationary_recursive(ring, Q, alpha)\n"
            "    rep[\"meta\"][\"tv_to_stationary\"]",
@@ -100,6 +107,11 @@ MUTANTS = (
            "closed = True or all(",
            ("tests/test_mixing.py::test_class_products_reject_classes_that_"
             "trade_two_elements",)),
+    Mutant("prelude-without-inverses", "rings.py",
+           "self._require(np.all(np.count_nonzero(add[s:s + _BLOCK]",
+           "self._require(True or np.all(np.count_nonzero(add[s:s + _BLOCK]",
+           ("tests/test_rings.py::test_each_generator_check_names_the_axiom_"
+            "it_catches[some element has no additive inverse]",)),
     Mutant("ideals-without-certificate", "rings.py",
            "self._require(np.count_nonzero(leq & leq.T) == k,",
            "self._require(True,",

@@ -251,26 +251,28 @@ def test_simulate_move_range_from_alpha_alone_names_alpha():
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--tau"])
-@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-def test_spectrum_tolerance_must_be_positive(flag, value):
-    code, out, err = run_cli(["spectrum", "--ring", "zn", "--n", "6",
-                              f"{flag}={value}"])
-    assert code == 2
-    assert f"'{flag[2:].replace('-', '_')}'" in err
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--tau", "1e-2"],
+    ["describe", "--alpha", "1/2"],
+    ["describe", "--Q", "uniform"],
+], ids=["spectrum-tau", "describe-alpha", "describe-Q"])
+def test_flag_the_command_does_not_read_exits_2(argv):
+    """spectrum merges at the fixed spectrum.MERGE_TOL, and describe reads
+    neither alpha nor Q: argparse refuses each flag by name."""
+    code, out, err = run_cli(argv + ["--ring", "zn", "--n", "6"])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
     assert "Traceback" not in err
-    assert out == ""
 
 
 @pytest.mark.parametrize("field, value", [
     ("T", "x"), ("seed", "x"), ("samples", 2.5), ("side", "middle"),
-    ("tau", True),
 ])
 def test_bad_config_file_value_names_field(tmp_path, field, value):
     cfg = {"ring": {"kind": "zn", "n": 6}, "seed": 1, field: value}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    command = {"T": "mix", "tau": "spectrum"}.get(field, "simulate")
+    command = {"T": "mix"}.get(field, "simulate")
     code, out, err = run_cli(["--config", str(path), command])
     assert code == 2
     assert f"'{field}'" in err
@@ -279,7 +281,7 @@ def test_bad_config_file_value_names_field(tmp_path, field, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("alpah", "1/3"), ("match_tol", 1e-6), ("format", "xml"),
+    ("alpah", "1/3"), ("match_tol", 1e-6), ("tau", 1e-8), ("format", "xml"),
 ])
 def test_unknown_config_key_or_format_names_field(tmp_path, field, value):
     cfg = {"ring": {"kind": "zn", "n": 6}, field: value}
@@ -335,10 +337,43 @@ def test_bad_product_factor_names_its_own_field(capsys, tmp_path, factors,
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, desc, field, kind", [
+    ("--ring zn --n 6 --q 3", {"kind": "zn", "n": 6, "q": 3}, "ring.q", "zn"),
+    ("--ring matrix --q 3 --n 6", {"kind": "matrix", "q": 3, "n": 6},
+     "ring.n", "matrix"),
+    ("--ring upper_triangular --q 3 --size 3",
+     {"kind": "upper_triangular", "q": 3, "size": 3}, "ring.size",
+     "upper_triangular"),
+    ("--ring product --factors zn:2,zn:3 --q 3",
+     {"kind": "product", "factors": [{"kind": "zn", "n": 2},
+                                     {"kind": "zn", "n": 3}], "q": 3},
+     "ring.q", "product"),
+    # --factors gives each factor its own kind's key, so only a config file
+    # can hold a foreign key inside a factor
+    (None, {"kind": "product", "factors": [{"kind": "zn", "n": 2},
+                                           {"kind": "zn", "n": 3, "q": 3}]},
+     "ring.factors[1].q", "zn"),
+], ids=["zn-q", "matrix-n", "upper_triangular-size", "product-q",
+        "factor-q"])
+def test_ring_key_the_kind_does_not_read_names_its_field(
+        capsys, tmp_path, flags, desc, field, kind):
+    """A ring descriptor key that its kind ignores exits 2, named in full,
+    from flags and from a config file alike."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ring": desc}))
+    argvs = [["--config", str(path), "describe"]]
+    if flags is not None:
+        argvs.append(["describe"] + flags.split())
+    for argv in argvs:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: field '{field}': not read by kind {kind!r}\n")
+
+
 def test_config_file_shared_across_commands(tmp_path):
-    # keys another command reads (seed, samples, tau) do not stop mix
+    # keys another command reads (seed, samples) do not stop mix
     cfg = {"ring": {"kind": "zn", "n": 6}, "T": 4, "seed": 1,
-           "samples": 100, "tau": 1e-8, "format": "json"}
+           "samples": 100, "format": "json"}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(["--config", str(path), "mix"])
@@ -563,8 +598,6 @@ def test_bad_input_names_its_field(argv, field):
      "config error: field 'alpha': alpha = 2 outside (0,1)"),
     (["spectrum", "--alpha", "0"], {},
      "config error: field 'alpha': alpha = 0 outside (0,1)"),
-    (["spectrum", "--tau", "0"], {},
-     "config error: field 'tau': expected a finite number > 0, got 0.0"),
     (["simulate", "--seed", "1", "--alpha", "2"], {},
      "config error: field 'alpha': alpha = 2 outside (0,1)"),
     (["simulate", "--seed", "1", "--samples", "0"], {},
@@ -580,7 +613,7 @@ def test_bad_input_names_its_field(argv, field):
      "config error: field 'seed': simulate requires an explicit seed"),
 ], ids=["verify-eps-half", "verify-eps-zero", "verify-T", "mix-eps",
         "mix-T-above", "mix-T-below", "stationary-alpha", "spectrum-alpha",
-        "spectrum-tau", "simulate-alpha", "simulate-samples",
+        "simulate-alpha", "simulate-samples",
         "simulate-steps", "simulate-blocks", "simulate-side",
         "simulate-no-seed"])
 def test_bad_eps_or_t_exits_before_the_ring_is_built(monkeypatch, capsys,

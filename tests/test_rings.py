@@ -893,6 +893,9 @@ def one_axiom_broken():
     return {
         # 1 + 0 = 0: zero is neutral on the left only
         "zero is not neutral": (np.array([[0, 1], [0, 1]]), mul2, 1),
+        # ({0, 1}, max, min): 1 has no additive inverse, all else holds
+        "some element has no additive inverse": (np.array([[0, 1], [1, 1]]),
+                                                 mul2, 1),
         "addition is not associative": (add3, mul3, 1),
         "addition is not commutative": (*s3_addition(), 1),
         "right distributivity fails": (near_add, near_mul.T, 1),

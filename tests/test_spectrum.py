@@ -42,6 +42,7 @@ from ringwalk.rings import (
 )
 from ringwalk.spectrum import (
     EigenvalueMultiset,
+    MERGE_TOL,
     block_spectrum,
     eig_numeric,
     fixed_point_counts,
@@ -111,14 +112,14 @@ def test_merge_identity_matrix():
 
 
 def test_merge_separation_and_total():
-    em = EigenvalueMultiset.from_values([0, 1e-12, 1, 1 + 2e-9, 0.5], 1e-8)
+    em = EigenvalueMultiset.from_values([0, 1e-12, 1, 1 + 2e-9, 0.5])
     assert em.total() == 5
     assert len(em.values) == 3
     gaps = np.abs(em.values[:, None] - em.values[None, :])
     assert gaps[~np.eye(3, dtype=bool)].min() > 1e-8
 
 
-TAU = 1e-8
+TAU = MERGE_TOL
 
 
 @st.composite
@@ -147,7 +148,7 @@ def clustered_spectra(draw):
 @settings(max_examples=200, deadline=None)
 @given(clustered_spectra())
 def test_merge_equals_union_find(evs):
-    em = EigenvalueMultiset.from_values(evs, TAU)
+    em = EigenvalueMultiset.from_values(evs)
     values, mults = union_find_merge(evs, TAU)
     assert np.array_equal(em.values, values)
     assert np.array_equal(em.mults, mults)
@@ -155,9 +156,9 @@ def test_merge_equals_union_find(evs):
 
 def test_merge_links_a_chain_only_through_its_middle():
     a = 0.25 + 0.5j
-    em = EigenvalueMultiset.from_values([a + 1.8 * TAU, a, a + 0.9 * TAU], TAU)
+    em = EigenvalueMultiset.from_values([a + 1.8 * TAU, a, a + 0.9 * TAU])
     assert em.mults.tolist() == [3]
-    em = EigenvalueMultiset.from_values([a + 1.8 * TAU, a], TAU)
+    em = EigenvalueMultiset.from_values([a + 1.8 * TAU, a])
     assert em.mults.tolist() == [1, 1]
 
 
@@ -167,7 +168,7 @@ def test_merge_cost_follows_the_number_of_distinct_values():
     evs = [0.0] * 3000 + [0.5, 1.0]
     tracemalloc.start()
     try:
-        em = EigenvalueMultiset.from_values(evs, TAU)
+        em = EigenvalueMultiset.from_values(evs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
